@@ -7,10 +7,8 @@ budget-bounded program enumeration, expectimax agents, and adversarial
 constructions — everything evaluated in exact rational arithmetic.
 """
 from .core import (
-    BINARY_ACTIONS,
     BINARY_PERCEPTS,
     EMPTY_HISTORY,
-    ActionAlphabet,
     ComponentFormatError,
     History,
     NormalizationError,
@@ -21,9 +19,7 @@ from .core import (
     exact,
     frac_str,
     history_from_symbols,
-    interleave,
     prob,
-    split,
 )
 from .semimeasure import (
     ActionEchoJoint,
@@ -32,6 +28,7 @@ from .semimeasure import (
     DeterministicPolicy,
     IIDEnv,
     JointSemimeasure,
+    MismatchRow,
     MixturePolicy,
     NoisyCopyEnv,
     Policy,
@@ -43,12 +40,16 @@ from .semimeasure import (
     check_chronological,
     check_policy,
     check_semimeasure,
+    compare,
     complement_env,
     constant_env,
     constant_policy,
+    contexts,
     copy_machine,
     defective_uniform,
+    eval_at,
     leaky_copy,
+    max_ratio,
     mu_id,
     table_component,
     uniform_env,
@@ -59,12 +60,9 @@ from .mixture import (
     EnvMixture,
     JointMixture,
     PosteriorState,
-    PosteriorTracker,
     check_predictive_consistency,
     dual_mixture,
-    env_mixture,
     harmonic_prior,
-    joint_eval,
     posterior_weights,
     predictive,
     uniform_prior,
@@ -99,7 +97,6 @@ from .utm import (
     run_program,
 )
 from .agents import (
-    PlanningProblem,
     brute_force_action,
     dualistic_aixi_action,
     expectimax_action,

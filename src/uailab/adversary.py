@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
-from .core import ONE, ZERO, Prob, UndefinedConditionalError
-from .semimeasure import ChronEnv, JointSemimeasure
+from .core import ONE, UndefinedConditionalError
+from .semimeasure import ChronEnv, JointSemimeasure, MismatchRow, contexts, eval_at, max_ratio
 
 
 @dataclass(frozen=True)
@@ -149,48 +148,15 @@ def domination_probe(
     interleaved strings, environments on percept/action pairs for every
     action string.
     """
-    joint_side = isinstance(mu, JointSemimeasure)
-    if joint_side != isinstance(xi, JointSemimeasure):
+    if isinstance(mu, JointSemimeasure) != isinstance(xi, JointSemimeasure):
         raise TypeError("domination_probe needs two components of the same kind")
-
-    best: Fraction | None = None
-    witness: tuple | None = None
-    unbounded: list = []
-    skipped = 0
-    checked = 0
-
-    def consider(context, m: Fraction, x: Fraction) -> None:
-        nonlocal best, witness, skipped, checked
-        checked += 1
-        if x == 0:
-            if m == 0:
-                skipped += 1
-            else:
-                unbounded.append(context)
-            return
-        ratio = m / x
-        if best is None or ratio > best:
-            best, witness = ratio, context
-
-    if joint_side:
-        strings: list[tuple[int, ...]] = [()]
-        frontier: list[tuple[int, ...]] = [()]
-        for pos in range(depth):
-            arity = mu.arity_at(pos)
-            frontier = [s + (sym,) for s in frontier for sym in range(arity)]
-            strings.extend(frontier)
-        for x_str in strings:
-            consider(x_str, mu.eval(x_str), xi.eval(x_str))
-    else:
-        for t in range(depth + 1):
-            for acts in product(range(mu.action_arity), repeat=t):
-                for percs in product(range(mu.percept_arity), repeat=t):
-                    consider((percs, acts), mu.eval(percs, acts), xi.eval(percs, acts))
+    rows = [MismatchRow(c, eval_at(mu, c), eval_at(xi, c)) for c in contexts(mu, depth)]
+    best, witness = max_ratio(r for r in rows if r.rhs != 0)
     return DominationReport(
         depth=depth,
         max_ratio=best,
         witness=witness,
-        unbounded_witnesses=tuple(unbounded),
-        skipped_zero_zero=skipped,
-        contexts_checked=checked,
+        unbounded_witnesses=tuple(r.witness for r in rows if r.rhs == 0 and r.lhs != 0),
+        skipped_zero_zero=sum(1 for r in rows if r.rhs == 0 and r.lhs == 0),
+        contexts_checked=len(rows),
     )

@@ -10,38 +10,12 @@ identically in expectimax and in the brute-force policy-enumeration oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Sequence
 
-from .core import (
-    BINARY_PERCEPTS,
-    EMPTY_HISTORY,
-    ONE,
-    ZERO,
-    History,
-    PerceptAlphabet,
-    Prob,
-)
+from .core import BINARY_PERCEPTS, EMPTY_HISTORY, ZERO, History, PerceptAlphabet
 from .semimeasure import ChronEnv, JointSemimeasure, Policy
 from .transforms import env
-
-
-@dataclass(frozen=True)
-class PlanningProblem:
-    """A belief environment, a horizon, and the reward read off each percept."""
-
-    belief: ChronEnv
-    horizon: int
-    percepts: PerceptAlphabet = BINARY_PERCEPTS
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-
-    def optimal_action(self, history: History = EMPTY_HISTORY) -> int:
-        return expectimax_action(self.belief, history, self.horizon, self.percepts)
 
 
 def policy_value(

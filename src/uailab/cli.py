@@ -20,7 +20,6 @@ from .experiments import (
     SCHEMA_VERSION,
     SCENARIOS,
     ConfigError,
-    ScenarioConfig,
     config_from_dict,
     run_scenario,
     validate_config_dict,
@@ -41,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", type=Path, help="JSON config file")
     run_p.add_argument("--out", type=Path, help="output directory")
     run_p.add_argument("--seed", type=int, help="recorded in the summary")
-    run_p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    run_p.add_argument("--jobs", type=int, help="parallel workers (overrides the config)")
 
     sub.add_parser("list", help="list available scenarios")
 
@@ -95,10 +94,11 @@ def main(argv: list[str] | None = None) -> int:
     # run
     try:
         raw = _load_raw_config(args.config, args.scenario)
+        if args.jobs is not None:
+            raw["jobs"] = args.jobs  # validated against the schema's range
         cfg = config_from_dict(raw, out_dir=args.out)
         if args.seed is not None:
             cfg.seed = args.seed
-        cfg.jobs = max(cfg.jobs, args.jobs)
         if args.out is None and "out_dir" not in raw:
             cfg.out_dir = Path("uailab_runs") / cfg.scenario
         code = run_scenario(cfg)

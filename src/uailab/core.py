@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 Prob = Fraction
 
@@ -60,7 +60,10 @@ def prob(value: int | str | Fraction, *, top: Fraction | None = ONE) -> Fraction
     if isinstance(value, (int, Fraction)):
         out = Fraction(value)
     elif isinstance(value, str):
-        out = Fraction(value.strip())
+        try:
+            out = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError):
+            raise ComponentFormatError(f"cannot parse {value!r} as an exact rational") from None
     else:
         raise ComponentFormatError(f"cannot interpret {value!r} as an exact rational")
     if out < 0:
@@ -80,23 +83,6 @@ def exact(value: int | str | Fraction) -> Fraction:
 def frac_str(value: Fraction) -> str:
     """Canonical "num/den" rendering used in CSV artifacts."""
     return f"{value.numerator}/{value.denominator}"
-
-
-@dataclass(frozen=True)
-class ActionAlphabet:
-    """Finite ordered action set; the order is the tie-breaking order."""
-
-    labels: tuple[Any, ...] = (0, 1)
-
-    def __post_init__(self):
-        if not self.labels:
-            raise ComponentFormatError("action alphabet must be non-empty")
-        if len(set(self.labels)) != len(self.labels):
-            raise ComponentFormatError("action labels must be distinct")
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -140,7 +126,6 @@ class PerceptAlphabet:
         return self.reward_bounds[1]
 
 
-BINARY_ACTIONS = ActionAlphabet((0, 1))
 # Empty observation space, binary reward space: reward equals the percept bit.
 BINARY_PERCEPTS = PerceptAlphabet(
     symbols=(PerceptSymbol(None, ZERO), PerceptSymbol(None, ONE)),
@@ -205,20 +190,6 @@ class History:
 
 
 EMPTY_HISTORY = History((), ())
-
-
-def interleave(actions: Sequence[int], percepts: Sequence[int]) -> History:
-    """Zip an action sequence and a percept sequence into a History.
-
-    Allows one more action than percepts (pending action); anything else is
-    rejected as malformed.
-    """
-    return History(tuple(actions), tuple(percepts))
-
-
-def split(h: History) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Inverse of interleave."""
-    return h.actions, h.percepts
 
 
 def history_from_symbols(symbols: Iterable[int]) -> History:

@@ -4,9 +4,8 @@ A mixture is a weighted component list with all weights positive and summing
 to at most 1 (deficient priors allowed; shipped scenarios use weights as
 given). Mixtures of joint components are joint semimeasures; mixtures of
 environments are chronological environments. Predictive conditionals and
-history-conditional posterior weights are exact; the reference posterior is
-recomputed from scratch per query, with an optional incremental tracker that
-must match it exactly.
+history-conditional posterior weights are exact and recomputed from scratch
+per query.
 """
 from __future__ import annotations
 
@@ -15,14 +14,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (
-    ONE,
     ZERO,
     ComponentFormatError,
     History,
     Prob,
     UndefinedConditionalError,
+    history_from_symbols,
 )
-from .semimeasure import ChronEnv, JointSemimeasure, Policy
+from .semimeasure import ChronEnv, JointSemimeasure, Policy, contexts
 
 
 def uniform_prior(n: int) -> tuple[Fraction, ...]:
@@ -103,20 +102,6 @@ class EnvMixture(ChronEnv):
             (w * c.eval(percepts, actions) for c, w in zip(self.components, self.weights)),
             ZERO,
         )
-
-
-def joint_eval(mixture: JointMixture, x: tuple[int, ...]) -> Prob:
-    """Exact mixture mass of an interleaved string."""
-    return mixture.eval(x)
-
-
-def env_mixture(
-    envs: Sequence[ChronEnv],
-    weights: Sequence[Fraction],
-    names: Sequence[str] | None = None,
-) -> EnvMixture:
-    """Mix environments directly (the environment-side universal mixture analog)."""
-    return EnvMixture(envs, weights, names)
 
 
 def dual_mixture(
@@ -219,66 +204,24 @@ def check_predictive_consistency(
     positive pending prefix: the mixture conditional xi(e | prefix) must
     equal the posterior-weighted component conditionals (components with
     zero posterior contribute nothing). Returns mismatch triples
-    (witness, lhs, rhs); empty means exact agreement everywhere.
+    (witness, lhs, rhs) in the :func:`contexts` order of the pending
+    prefixes; empty means exact agreement everywhere.
     """
-    from itertools import product as iproduct
-
     mismatches: list[tuple[tuple, Fraction, Fraction]] = []
-    for t in range(depth + 1):
-        for actions in iproduct(range(mixture.action_arity), repeat=t):
-            for percepts in iproduct(range(mixture.percept_arity), repeat=t):
-                h = History(actions, percepts)
-                for a in range(mixture.action_arity):
-                    prefix = h.with_action(a).symbols()
-                    if mixture.eval(prefix) == 0:
-                        continue
-                    state = posterior_weights(mixture, h, a)
-                    lhs_map = predictive(mixture, h, a)
-                    for e in range(mixture.percept_arity):
-                        rhs = ZERO
-                        for i, c in enumerate(mixture.components):
-                            if state.posterior[i] == 0:
-                                continue
-                            rhs += state.posterior[i] * (
-                                c.eval(prefix + (e,)) / state.component_masses[i]
-                            )
-                        if lhs_map[e] != rhs:
-                            mismatches.append(((prefix, e), lhs_map[e], rhs))
+    for prefix in contexts(mixture, 2 * depth + 1):
+        if len(prefix) % 2 == 0 or mixture.eval(prefix) == 0:
+            continue
+        h, a = history_from_symbols(prefix[:-1]), prefix[-1]
+        state = posterior_weights(mixture, h, a)
+        lhs_map = predictive(mixture, h, a)
+        for e in range(mixture.percept_arity):
+            rhs = ZERO
+            for i, c in enumerate(mixture.components):
+                if state.posterior[i] == 0:
+                    continue
+                rhs += state.posterior[i] * (
+                    c.eval(prefix + (e,)) / state.component_masses[i]
+                )
+            if lhs_map[e] != rhs:
+                mismatches.append(((prefix, e), lhs_map[e], rhs))
     return mismatches
-
-
-class PosteriorTracker:
-    """Incremental posterior along a growing history.
-
-    Optimization companion to :func:`posterior_weights`; must match the
-    from-scratch computation exactly (enforced by tests).
-    """
-
-    def __init__(self, mixture: JointMixture):
-        self.mixture = mixture
-        self.prefix: tuple[int, ...] = ()
-        # Running unconditional component masses nu_i(prefix).
-        self.masses = [c.eval(()) for c in mixture.components]
-
-    def extend(self, symbol: int) -> None:
-        new_prefix = self.prefix + (symbol,)
-        for i, c in enumerate(self.mixture.components):
-            if self.masses[i] != 0:
-                self.masses[i] = c.eval(new_prefix)
-        self.prefix = new_prefix
-
-    def state(self) -> PosteriorState:
-        masses = tuple(self.masses)
-        total = sum(
-            (w * m for w, m in zip(self.mixture.weights, masses)), ZERO
-        )
-        if total == 0:
-            raise UndefinedConditionalError(self.prefix, "posterior weights")
-        post = tuple(w * m / total for w, m in zip(self.mixture.weights, masses))
-        return PosteriorState(
-            prefix=self.prefix,
-            prior=self.mixture.weights,
-            component_masses=masses,
-            mixture_mass=total,
-            posterior=post,
-        )

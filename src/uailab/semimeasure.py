@@ -18,10 +18,10 @@ All components are immutable after construction; evaluation is pure.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     HALF,
@@ -30,6 +30,7 @@ from .core import (
     ComponentFormatError,
     History,
     Prob,
+    UndefinedConditionalError,
     frac_str,
     prob,
 )
@@ -60,8 +61,6 @@ class JointSemimeasure(abc.ABC):
 
     def conditional(self, x: tuple[int, ...], symbol: int) -> Prob:
         """nu(symbol | x) = nu(x + symbol) / nu(x); error on zero prefix."""
-        from .core import UndefinedConditionalError
-
         denom = self.eval(x)
         if denom == 0:
             raise UndefinedConditionalError(x)
@@ -86,8 +85,6 @@ class ChronEnv(abc.ABC):
 
     def conditional(self, history: History, action: int, percept: int) -> Prob:
         """nu(percept | history, action); error on zero-mass history."""
-        from .core import UndefinedConditionalError
-
         denom = self.eval(history.percepts, history.actions)
         if denom == 0:
             raise UndefinedConditionalError((history.percepts, history.actions))
@@ -522,6 +519,81 @@ def table_component(definition: Mapping[str, Any]) -> JointSemimeasure | ChronEn
 
 
 # ---------------------------------------------------------------------------
+# Context enumeration and exact comparison
+# ---------------------------------------------------------------------------
+
+
+def contexts(nu: JointSemimeasure | ChronEnv, depth: int) -> Iterator[Any]:
+    """Every context of ``nu`` up to ``depth``, the order all checks report in.
+
+    Joint components yield interleaved strings of length <= depth, ordered
+    by (length, symbols); environments yield (percepts, actions) pairs of
+    t <= depth steps, ordered by (t, actions, percepts).
+    """
+    if isinstance(nu, JointSemimeasure):
+        for n in range(depth + 1):
+            yield from product(*(range(nu.arity_at(pos)) for pos in range(n)))
+        return
+    for t in range(depth + 1):
+        for actions in product(range(nu.action_arity), repeat=t):
+            for percepts in product(range(nu.percept_arity), repeat=t):
+                yield percepts, actions
+
+
+def eval_at(nu: JointSemimeasure | ChronEnv, context: Any) -> Prob:
+    """``nu`` at one context of the kind :func:`contexts` yields for it."""
+    return nu.eval(context) if isinstance(nu, JointSemimeasure) else nu.eval(*context)
+
+
+@dataclass(frozen=True)
+class MismatchRow:
+    """Two exactly-compared evaluations at one context, the witness."""
+
+    witness: tuple
+    lhs: Fraction
+    rhs: Fraction
+
+    @property
+    def verdict(self) -> str:
+        return "equal" if self.lhs == self.rhs else "mismatch"
+
+
+def compare(
+    lhs: JointSemimeasure | ChronEnv, rhs: JointSemimeasure | ChronEnv, depth: int
+) -> tuple[list[MismatchRow], int]:
+    """Evaluate both sides at every context of ``lhs`` up to ``depth``.
+
+    Returns (rows in :func:`contexts` order, count of contexts skipped
+    because ``lhs`` is undefined there). An error raised by ``rhs``
+    propagates.
+    """
+    rows: list[MismatchRow] = []
+    skipped = 0
+    for context in contexts(lhs, depth):
+        try:
+            value = eval_at(lhs, context)
+        except UndefinedConditionalError:
+            skipped += 1
+            continue
+        rows.append(MismatchRow(context, value, eval_at(rhs, context)))
+    return rows, skipped
+
+
+def max_ratio(rows: Iterable[MismatchRow]) -> tuple[Fraction | None, Any]:
+    """(max of lhs/rhs, its first witness) over rows with rhs > 0.
+
+    The first row attaining the maximum wins; (None, None) without rows.
+    """
+    best: Fraction | None = None
+    witness = None
+    for row in rows:
+        ratio = row.lhs / row.rhs
+        if best is None or ratio > best:
+            best, witness = ratio, row.witness
+    return best, witness
+
+
+# ---------------------------------------------------------------------------
 # Exhaustive checkers
 # ---------------------------------------------------------------------------
 
@@ -580,15 +652,6 @@ class CheckReport:
         return True if self.strict_rows > 0 else None
 
 
-def _strings_upto(depth: int, arity_at: Callable[[int], int]) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = [()]
-    frontier: list[tuple[int, ...]] = [()]
-    for pos in range(depth):
-        frontier = [s + (sym,) for s in frontier for sym in range(arity_at(pos))]
-        out.extend(frontier)
-    return out
-
-
 def check_semimeasure(nu: JointSemimeasure, depth: int) -> CheckReport:
     """Exhaustively check subadditivity (and monotonicity) up to ``depth``.
 
@@ -598,7 +661,7 @@ def check_semimeasure(nu: JointSemimeasure, depth: int) -> CheckReport:
     """
     rows: list[CheckRow] = []
     monotone_bad: list[Any] = []
-    for x in _strings_upto(depth, nu.arity_at):
+    for x in contexts(nu, depth):
         lhs = nu.eval(x)
         children = [nu.eval(x + (s,)) for s in range(nu.arity_at(len(x)))]
         rows.append(CheckRow(x, lhs, sum(children, ZERO)))
@@ -619,21 +682,12 @@ def check_chronological(nu: ChronEnv, depth: int) -> CheckReport:
     """Exhaustively check the chronological condition up to ``depth``.
 
     For every (e, a) pair with t <= depth and every next action a', verifies
-    nu(e || a) >= sum_e' nu(e e' || a a'). One row per (e, a, a').
+    nu(e || a) >= sum_e' nu(e e' || a a'). One row per (e, a, a'), in
+    :func:`contexts` order.
     """
     rows: list[CheckRow] = []
     monotone_bad: list[Any] = []
-    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
-    frontier = [((), ())]
-    for _ in range(depth):
-        nxt = []
-        for e, a in frontier:
-            for a_next in range(nu.action_arity):
-                for e_next in range(nu.percept_arity):
-                    nxt.append((e + (e_next,), a + (a_next,)))
-        pairs.extend(nxt)
-        frontier = nxt
-    for e, a in pairs:
+    for e, a in contexts(nu, depth):
         lhs = nu.eval(e, a)
         for a_next in range(nu.action_arity):
             children = [

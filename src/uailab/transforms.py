@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
 from .core import (
@@ -24,9 +23,18 @@ from .core import (
     NormalizationError,
     Prob,
     UndefinedConditionalError,
-    frac_str,
 )
-from .semimeasure import ChronEnv, JointSemimeasure, Policy, StationaryPolicy
+from .semimeasure import (
+    ChronEnv,
+    JointSemimeasure,
+    MismatchRow,
+    MixturePolicy,
+    Policy,
+    StationaryPolicy,
+    compare,
+    contexts,
+    max_ratio,
+)
 
 
 class EnvView(ChronEnv):
@@ -144,19 +152,6 @@ def normalize(nu: JointSemimeasure) -> NormalizedPredictor:
 
 
 @dataclass(frozen=True)
-class MismatchRow:
-    """A witness where two exactly-compared evaluations differ."""
-
-    witness: tuple
-    lhs: Fraction
-    rhs: Fraction
-
-    @property
-    def verdict(self) -> str:
-        return "equal" if self.lhs == self.rhs else "mismatch"
-
-
-@dataclass(frozen=True)
 class FactoringReport:
     """Exhaustive exact comparison backing the factoring identities.
 
@@ -200,38 +195,12 @@ def factoring_check(
     policy_w * env_w; a deliberately non-factored grid produces witnesses.
     """
     from .mixture import EnvMixture, dual_mixture
-    from .semimeasure import MixturePolicy
 
     pair_mix = dual_mixture(envs, env_weights, policies, policy_weights, pair_weights)
-    factored = dual(
-        EnvMixture(envs, env_weights), MixturePolicy(tuple(policies), tuple(policy_weights))
-    )
-    joint_rows: list[MismatchRow] = []
-    strings: list[tuple[int, ...]] = [()]
-    frontier: list[tuple[int, ...]] = [()]
-    for pos in range(depth):
-        arity = pair_mix.arity_at(pos)
-        frontier = [s + (sym,) for s in frontier for sym in range(arity)]
-        strings.extend(frontier)
-    for x in strings:
-        joint_rows.append(MismatchRow(x, pair_mix.eval(x), factored.eval(x)))
-
     direct = EnvMixture(envs, env_weights)
-    env_of_dual = env(pair_mix)
-    env_rows: list[MismatchRow] = []
-    skipped = 0
-    t_max = depth // 2
-    for t in range(t_max + 1):
-        for actions in product(range(direct.action_arity), repeat=t):
-            for percepts in product(range(direct.percept_arity), repeat=t):
-                try:
-                    lhs = env_of_dual.eval(percepts, actions)
-                except UndefinedConditionalError:
-                    skipped += 1
-                    continue
-                env_rows.append(
-                    MismatchRow((percepts, actions), lhs, direct.eval(percepts, actions))
-                )
+    factored = dual(direct, MixturePolicy(tuple(policies), tuple(policy_weights)))
+    joint_rows, _ = compare(pair_mix, factored, depth)
+    env_rows, skipped = compare(env(pair_mix), direct, depth // 2)
     return FactoringReport(
         depth=depth,
         joint_rows=tuple(joint_rows),
@@ -247,44 +216,15 @@ def check_env_dual_roundtrip(
 
     Returns (mismatch rows, contexts skipped for zero mass).
     """
-    joint = dual(nu, pi)
-    view = env(joint)
-    mismatches: list[MismatchRow] = []
-    skipped = 0
-    for t in range(depth + 1):
-        for actions in product(range(nu.action_arity), repeat=t):
-            for percepts in product(range(nu.percept_arity), repeat=t):
-                try:
-                    lhs = view.eval(percepts, actions)
-                except UndefinedConditionalError:
-                    skipped += 1
-                    continue
-                rhs = nu.eval(percepts, actions)
-                if lhs != rhs:
-                    mismatches.append(MismatchRow((percepts, actions), lhs, rhs))
-    return mismatches, skipped
+    rows, skipped = compare(env(dual(nu, pi)), nu, depth)
+    return [r for r in rows if r.verdict == "mismatch"], skipped
 
 
 def check_representation_roundtrip(
     nu: ChronEnv, action_filler: Sequence[Fraction] | None, depth: int
 ) -> tuple[list[MismatchRow], int]:
     """env(chron_to_joint(nu, filler)) == nu on positive contexts."""
-    joint = chron_to_joint(nu, action_filler)
-    view = env(joint)
-    mismatches: list[MismatchRow] = []
-    skipped = 0
-    for t in range(depth + 1):
-        for actions in product(range(nu.action_arity), repeat=t):
-            for percepts in product(range(nu.percept_arity), repeat=t):
-                try:
-                    lhs = view.eval(percepts, actions)
-                except UndefinedConditionalError:
-                    skipped += 1
-                    continue
-                rhs = nu.eval(percepts, actions)
-                if lhs != rhs:
-                    mismatches.append(MismatchRow((percepts, actions), lhs, rhs))
-    return mismatches, skipped
+    return check_env_dual_roundtrip(nu, chron_to_joint(nu, action_filler).pi, depth)
 
 
 def check_normalization_dominance(
@@ -300,13 +240,7 @@ def check_normalization_dominance(
     hat = normalize(nu)
     violations: list[MismatchRow] = []
     skipped = 0
-    strings: list[tuple[int, ...]] = [()]
-    frontier: list[tuple[int, ...]] = [()]
-    for pos in range(depth):
-        arity = nu.arity_at(pos)
-        frontier = [s + (sym,) for s in frontier for sym in range(arity)]
-        strings.extend(frontier)
-    for x in strings:
+    for x in contexts(nu, depth):
         raw_prefix = nu.eval(x)
         if raw_prefix == 0:
             skipped += 1
@@ -355,28 +289,13 @@ def env_view_ratio_probe(
     from .mixture import EnvMixture, dual_mixture
 
     pair_mix = dual_mixture(envs, env_weights, policies, policy_weights, pair_weights)
-    env_of_mix = env(pair_mix)
-    direct = EnvMixture(envs, env_weights)
-    rows: list[MismatchRow] = []
-    skipped = 0
-    best: Fraction | None = None
-    witness: tuple | None = None
-    for t in range(depth + 1):
-        for actions in product(range(direct.action_arity), repeat=t):
-            for percepts in product(range(direct.percept_arity), repeat=t):
-                try:
-                    lhs = env_of_mix.eval(percepts, actions)
-                except UndefinedConditionalError:
-                    skipped += 1
-                    continue
-                rhs = direct.eval(percepts, actions)
-                if rhs == 0:
-                    skipped += 1
-                    continue
-                rows.append(MismatchRow((percepts, actions), lhs, rhs))
-                ratio = lhs / rhs
-                if best is None or ratio > best:
-                    best, witness = ratio, (percepts, actions)
+    compared, skipped = compare(env(pair_mix), EnvMixture(envs, env_weights), depth)
+    rows = tuple(r for r in compared if r.rhs != 0)
+    best, witness = max_ratio(rows)
     return RatioProbeReport(
-        depth=depth, max_ratio=best, witness=witness, rows=tuple(rows), skipped_contexts=skipped
+        depth=depth,
+        max_ratio=best,
+        witness=witness,
+        rows=rows,
+        skipped_contexts=skipped + len(compared) - len(rows),
     )

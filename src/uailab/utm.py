@@ -49,9 +49,9 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .core import ONE, ZERO, ComponentFormatError, Prob, frac_str, prob
+from .core import ZERO, ComponentFormatError, Prob, frac_str
 from .semimeasure import ChronEnv, JointSemimeasure
 
 OUT0, OUT1, OUTR, READA, FLIP, SKIP0, JBACK, HALT = range(8)

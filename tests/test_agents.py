@@ -4,7 +4,6 @@ from itertools import product
 import pytest
 
 from uailab.agents import (
-    PlanningProblem,
     brute_force_action,
     dualistic_aixi_action,
     expectimax_action,
@@ -181,11 +180,10 @@ def test_one_step_agrees_with_expectimax_at_horizon_one():
             assert greedy == expectimax_action(belief, h, 1), (name, h)
 
 
-def test_planning_problem_wrapper():
-    problem = PlanningProblem(mu_id(), horizon=2)
-    assert problem.optimal_action() == 1
+def test_expectimax_action_validates_horizon():
+    assert expectimax_action(mu_id(), EMPTY_HISTORY, 2) == 1
     with pytest.raises(ValueError):
-        PlanningProblem(mu_id(), horizon=0)
+        expectimax_action(mu_id(), EMPTY_HISTORY, 0)
 
 
 def test_expectimax_on_defective_belief_uses_received_mass():

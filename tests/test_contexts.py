@@ -1,0 +1,106 @@
+"""The shared context enumerator and the exact compare primitive.
+
+Every exhaustive check walks ``contexts`` and most compare through
+``compare``; these tests pin their order contract and check both against
+plain ``itertools.product`` loops on random tables.
+"""
+from fractions import Fraction
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from uailab.core import UndefinedConditionalError
+from uailab.semimeasure import (
+    IIDEnv,
+    MismatchRow,
+    ProductJoint,
+    StationaryPolicy,
+    TableEnv,
+    TableJoint,
+    compare,
+    contexts,
+    max_ratio,
+)
+from uailab.transforms import check_env_dual_roundtrip, dual, env
+
+F = Fraction
+
+# Binary conditional rows: measures, defective rows and dead ends.
+ROWS = [(0, 0), (1, 0), (0, 1), (F(1, 2), F(1, 2)), (F(1, 4), F(1, 2)), (F(1, 3), F(1, 3))]
+JOINT_KEYS = [x for n in range(4) for x in product((0, 1), repeat=n)]
+ENV_KEYS = [
+    (e, a)
+    for t in range(2)
+    for e in product((0, 1), repeat=t)
+    for a in product((0, 1), repeat=t + 1)
+]
+
+
+def tables(cls, keys):
+    return st.builds(
+        lambda rows, default: cls(dict(zip(keys, rows)), default),
+        st.lists(st.sampled_from(ROWS), min_size=len(keys), max_size=len(keys)),
+        st.sampled_from(["halt", "uniform"]),
+    )
+
+
+FILLERS = st.sampled_from([(F(1, 2), F(1, 2)), (1, 0), (F(1, 4), F(3, 4)), (F(1, 3), F(1, 3))])
+
+
+def test_joint_contexts_ordered_by_length_then_symbols():
+    nu = ProductJoint((F(1, 2), F(1, 2)), (F(1, 3), F(1, 3), F(1, 3)))
+    got = list(contexts(nu, 4))
+    every = {x for n in range(5) for x in product(*(range(nu.arity_at(i)) for i in range(n)))}
+    assert got == sorted(every, key=lambda s: (len(s), s))
+
+
+def test_env_contexts_ordered_by_steps_actions_percepts():
+    nu = IIDEnv((F(1, 3), F(1, 3), F(1, 3)))
+    expected = [
+        (percepts, actions)
+        for t in range(4)
+        for actions in product(range(2), repeat=t)
+        for percepts in product(range(3), repeat=t)
+    ]
+    assert list(contexts(nu, 3)) == expected
+
+
+def test_max_ratio_keeps_the_first_maximum():
+    rows = [MismatchRow("a", F(1), F(2)), MismatchRow("b", F(2), F(2)), MismatchRow("c", F(3), F(3))]
+    assert max_ratio(rows) == (F(1), "b")
+    assert max_ratio([]) == (None, None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables(TableJoint, JOINT_KEYS), tables(TableEnv, ENV_KEYS), FILLERS)
+def test_compare_equals_a_plain_product_loop(joint, nu, filler):
+    pi = StationaryPolicy(filler)
+
+    # Environment contexts; lhs is undefined wherever a pending prefix is dead.
+    lhs = env(joint)
+    expected, expected_skipped = [], 0
+    for t in range(3):
+        for actions in product(range(2), repeat=t):
+            for percepts in product(range(2), repeat=t):
+                try:
+                    value = lhs.eval(percepts, actions)
+                except UndefinedConditionalError:
+                    expected_skipped += 1
+                    continue
+                expected.append(((percepts, actions), value, nu.eval(percepts, actions)))
+    rows, skipped = compare(lhs, nu, 2)
+    assert [(r.witness, r.lhs, r.rhs) for r in rows] == expected
+    assert skipped == expected_skipped
+
+    # Joint contexts.
+    rhs = dual(nu, pi)
+    expected = [
+        (x, joint.eval(x), rhs.eval(x)) for n in range(5) for x in product(range(2), repeat=n)
+    ]
+    rows, skipped = compare(joint, rhs, 4)
+    assert [(r.witness, r.lhs, r.rhs) for r in rows] == expected
+    assert skipped == 0
+
+    mismatches, _ = check_env_dual_roundtrip(nu, pi, 3)
+    assert mismatches == []

@@ -12,35 +12,36 @@ from uailab.core import (
     PerceptAlphabet,
     PerceptSymbol,
     history_from_symbols,
-    interleave,
     prob,
-    split,
 )
 
 F = Fraction
 
 
 def test_interleave_basic():
-    h = interleave([1], [1])
+    h = History((1,), (1,))
     assert h.symbols() == (1, 1)
     assert h.steps == 1 and not h.pending
 
 
 def test_interleave_pending_action():
-    h = interleave([0, 1], [1])
+    h = History((0, 1), (1,))
     assert h.pending
     assert h.symbols() == (0, 1, 1)
 
 
 def test_interleave_rejects_extra_percepts():
     with pytest.raises(ComponentFormatError):
-        interleave([1], [1, 0])
+        History((1,), (1, 0))
 
 
 def test_split_examples():
-    assert split(interleave([1, 0], [1, 0])) == ((1, 0), (1, 0))
+    def split(h):
+        return h.actions, h.percepts
+
+    assert split(History((1, 0), (1, 0))) == ((1, 0), (1, 0))
     assert split(History()) == ((), ())
-    assert split(interleave([1], [])) == ((1,), ())
+    assert split(History((1,), ())) == ((1,), ())
 
 
 def test_roundtrip_exhaustive_to_six_symbols():
@@ -48,13 +49,13 @@ def test_roundtrip_exhaustive_to_six_symbols():
     for t in range(4):
         for actions in product((0, 1), repeat=t):
             for percepts in product((0, 1), repeat=t):
-                h = interleave(actions, percepts)
-                assert split(h) == (actions, percepts)
+                h = History(actions, percepts)
+                assert (h.actions, h.percepts) == (actions, percepts)
                 assert history_from_symbols(h.symbols()) == h
             if t >= 1:
                 for percepts in product((0, 1), repeat=t - 1):
-                    h = interleave(actions, percepts)
-                    assert split(h) == (actions, percepts)
+                    h = History(actions, percepts)
+                    assert (h.actions, h.percepts) == (actions, percepts)
                     assert history_from_symbols(h.symbols()) == h
 
 
@@ -76,6 +77,12 @@ def test_prob_rejects_floats_and_negatives():
     assert prob("3/4") == F(3, 4)
     assert prob("0.25") == F(1, 4)
     assert prob("3/2", top=None) == F(3, 2)
+
+
+@pytest.mark.parametrize("text", ["abc", "1/0", "", "1/2/3"])
+def test_prob_reports_unparsable_strings_as_format_errors(text):
+    with pytest.raises(ComponentFormatError, match="exact rational"):
+        prob(text)
 
 
 def test_history_alternation_enforced():

@@ -224,3 +224,60 @@ def test_scenario_mixture_registry_views_align():
     rebuilt = chron_to_joint(cu.chron.components[0], None)
     for x in [(1, 1), (0, 1), (1, 1, 0, 0)]:
         assert rebuilt.eval(x) == cu.joint.components[0].eval(x)
+
+
+BAD_MIXTURES = {
+    "unparsable_weight": {"components": [{"builtin": "copy_machine"}], "weights": ["abc"]},
+    "missing_weights": {"components": [{"builtin": "copy_machine"}]},
+    "zero_denominator": {"components": [{"builtin": "copy_machine"}], "weights": ["1/0"]},
+}
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("case", sorted(BAD_MIXTURES))
+def test_bad_mixture_input_exits_2_without_traceback(tmp_path, case, command):
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "scenario": "thm7_drop",
+                "budgets": {"trace_steps": 2, "program_bits": 0},
+                "mixture": BAD_MIXTURES[case],
+            }
+        )
+    )
+    if command == "check":
+        result = run_cli("check", "--config", str(config))
+    else:
+        result = run_cli("run", "thm7_drop", "--config", str(config), "--out", str(tmp_path / "o"))
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert "mixture" in result.stderr
+
+
+def test_cli_jobs_flag_overrides_config(tmp_path, monkeypatch):
+    from uailab import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "run_scenario", lambda cfg: seen.append(cfg.jobs) or 0)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"schema_version": 1, "scenario": "thm10_normalized", "jobs": 4}))
+    out = ["--config", str(config), "--out", str(tmp_path / "o")]
+    assert cli.main(["run", "thm10_normalized", *out, "--jobs", "1"]) == 0
+    assert cli.main(["run", "thm10_normalized", *out]) == 0
+    assert cli.main(["run", "thm10_normalized", *out, "--jobs", "0"]) == 2
+    assert seen == [1, 4]
+
+
+def test_thm11_names_both_lengths_when_it_skips_the_oracle(tmp_path):
+    cfg = ScenarioConfig("thm11_convergence", tmp_path, budgets={"sequence_length": 4})
+    assert run_scenario(cfg) == 0
+    committed = len(load_derived("thm11_convergence")["min_conditionals"])
+    assert (
+        f"oracle comparison skipped: sequence_length 4 differs from the committed "
+        f"run's length {committed}"
+    ) in summary_body(tmp_path)
+    default = tmp_path / "default"
+    assert run_scenario(ScenarioConfig("thm11_convergence", default)) == 0
+    assert "oracle comparison skipped" not in summary_body(default)

@@ -7,12 +7,9 @@ from uailab.core import EMPTY_HISTORY, History, UndefinedConditionalError
 from uailab.mixture import (
     EnvMixture,
     JointMixture,
-    PosteriorTracker,
     check_predictive_consistency,
     dual_mixture,
-    env_mixture,
     harmonic_prior,
-    joint_eval,
     posterior_weights,
     predictive,
     uniform_prior,
@@ -39,11 +36,11 @@ def copy_uniform():
 
 def test_joint_eval_oracle_value(copy_uniform):
     # Independent evaluation: 1/2 * 1/2 + 1/2 * 1/4.
-    assert joint_eval(copy_uniform, (1, 1)) == F(3, 8)
+    assert copy_uniform.eval((1, 1)) == F(3, 8)
 
 
 def test_root_mass_respects_weight_condition(copy_uniform):
-    assert joint_eval(copy_uniform, ()) <= 1
+    assert copy_uniform.eval(()) <= 1
 
 
 def test_degenerate_mixture_is_its_component():
@@ -142,10 +139,10 @@ def test_inclusion_domination_depth_6():
 
 
 def test_env_mixture_oracle_values():
-    mix = env_mixture([mu_id(), uniform_env()], [F(1, 2), F(1, 2)])
+    mix = EnvMixture([mu_id(), uniform_env()], [F(1, 2), F(1, 2)])
     assert mix.eval((1,), (1,)) == F(3, 4)
     assert mix.eval((0,), (1,)) == F(1, 4)
-    single = env_mixture([mu_id()], [F(1)])
+    single = EnvMixture([mu_id()], [F(1)])
     assert single.eval((1, 0), (1, 0)) == mu_id().eval((1, 0), (1, 0))
 
 
@@ -175,18 +172,6 @@ def test_priors():
     assert uniform_prior(4) == (F(1, 4),) * 4
     assert harmonic_prior(3) == (F(1, 2), F(1, 6), F(1, 12))
     assert sum(harmonic_prior(10)) <= 1
-
-
-def test_incremental_posterior_matches_scratch(copy_uniform):
-    tracker = PosteriorTracker(copy_uniform)
-    history = EMPTY_HISTORY
-    for a, e in [(1, 1), (0, 0), (1, 0), (0, 0)]:
-        tracker.extend(a)
-        scratch = posterior_weights(copy_uniform, history, a)
-        assert tracker.state().posterior == scratch.posterior
-        assert tracker.state().mixture_mass == scratch.mixture_mass
-        tracker.extend(e)
-        history = history.child(a, e)
 
 
 def test_weight_validation():
