@@ -58,6 +58,8 @@ def _load_raw_config(path: Path | None, scenario: str | None) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise ConfigError("; ".join(validate_config_dict(raw)))
     if scenario is not None:
         raw.setdefault("scenario", scenario)
         if raw["scenario"] != scenario:

@@ -245,7 +245,7 @@ DEFAULT_BUDGETS: dict[str, int] = {
     "transform_depth": 5,  # transform identity checks
     "consistency_depth": 4,  # predictive/posterior consistency
     "trace_steps": 20,  # adversary trace length
-    "program_bits": 10,  # enumeration length budget (guidance: <= 16)
+    "program_bits": 10,  # enumeration length budget (limits: docs/machine.md)
     "machine_steps": 200,  # enumeration step budget
     "horizon": 3,  # planning horizon
     "sequence_length": 10,  # exhaustive action-sequence length

@@ -494,11 +494,27 @@ def table_component(definition: Mapping[str, Any]) -> JointSemimeasure | ChronEn
     """
     kind = definition.get("kind")
     alphabet = definition.get("alphabet", {})
-    action_arity = int(alphabet.get("actions", 2))
-    percept_arity = int(alphabet.get("percepts", 2))
+    if not isinstance(alphabet, dict) or not all(
+        type(n) is int and n > 0 for n in alphabet.values()
+    ):
+        raise ComponentFormatError(
+            f"alphabet must be an object of positive integer arities, got {alphabet!r}"
+        )
+    action_arity = alphabet.get("actions", 2)
+    percept_arity = alphabet.get("percepts", 2)
     default = definition.get("default_rule", "halt")
+    if not isinstance(default, str):
+        raise ComponentFormatError(f"default_rule must be a string, got {default!r}")
     declared = bool(definition.get("declared_measure", False))
     conditionals = definition.get("conditionals", {})
+    if not isinstance(conditionals, dict) or not all(
+        isinstance(row, list) and all(isinstance(v, str) for v in row)
+        for row in conditionals.values()
+    ):
+        raise ComponentFormatError(
+            "conditionals must be an object mapping context strings to arrays of "
+            f"rational strings, got {conditionals!r}"
+        )
     if kind == "joint_table":
         rows = {
             tuple(int(c) for c in ctx): [prob(v) for v in row]

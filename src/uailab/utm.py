@@ -28,7 +28,10 @@ Enumeration explores the opcode tree lazily: a run branches 8 ways whenever
 it fetches a fresh opcode, and becomes a counted leaf of weight
 2^-(bits consumed) when it halts, exhausts the step budget, reaches the
 output cap, suspends awaiting input, or would fetch beyond the length
-budget. Masses are nondecreasing in both the length and step budgets.
+budget. Masses are nondecreasing in both the length and step budgets. One
+depth-first walk with integer weights serves both modes; a chronological
+walk branches on each action READA reads, so it yields every tape of a
+length at once.
 
 Worked example programs (lengths on the frozen machine):
 
@@ -36,9 +39,10 @@ Worked example programs (lengths on the frozen machine):
     echo           011010110       (9 bits)   percept t = action t
     complement     011100010110    (12 bits)  percept t = 1 - action t
 
-Enumerations at desk scale should keep program_bits <= 16. Results are
-cached on disk keyed by (definition hash, budgets); see docs/machine.md and
-docs/cache_format.md.
+At desk scale, joint enumeration reaches program_bits 24 in seconds and
+chronological checks reach program_bits 18 at depth 7; each 3 more bits
+cost 3-5x (measured limits in docs/machine.md). Results are cached on
+disk keyed by (definition hash, budgets); see docs/cache_format.md.
 """
 from __future__ import annotations
 
@@ -47,9 +51,11 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import ZERO, ComponentFormatError, Prob, frac_str
 from .semimeasure import ChronEnv, JointSemimeasure
@@ -194,34 +200,81 @@ def run_program(
         )
 
 
-def _enumerate_leaves(
-    max_ops: int,
-    max_steps: int,
-    tape: tuple[int, ...] | None,
-    max_output: int | None,
-) -> list[tuple[int, tuple[int, ...]]]:
-    """All counted runs as (opcodes consumed, output); order-independent."""
-    leaves: list[tuple[int, tuple[int, ...]]] = []
-    stack: list[tuple[tuple[int, ...], int, int, int, tuple[int, ...], int]] = [
-        ((), 0, 0, 0, (), 0)
-    ]
+def _walk(
+    max_ops: int, max_steps: int, cap: int, tape: tuple[int, ...] | None
+) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+    """Masses of every counted run, in units of 8**-max_ops, from one walk.
+
+    Runs follow ``tape``; with ``tape=None`` a run branches into both action
+    values wherever READA may read a fresh action below the output cap. Keys
+    are (actions chosen at those branches, output prefix). A node of n
+    opcodes carries 8**(max_ops - n), the total weight of the counted runs
+    below it; output is append-only, so the node adds that weight to each
+    output prefix of length 1..cap first reached in its segment, and every
+    counted run adds its weight to the empty prefix when it ends.
+    """
+    weights = [8 ** (max_ops - n) for n in range(max_ops + 1)]
+    masses: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    # (ops, pc, reg, steps, output, actions read, actions chosen at branches)
+    stack: list[tuple] = [((), 0, 0, 0, (), 0, ())]
     while stack:
-        ops, pc, reg, steps, out, nread = stack.pop()
+        ops, pc, reg, steps, out, nread, reads = stack.pop()
+        w = weights[len(ops)]
         buf = list(out)
-        status, pc2, reg2, steps2, nread2 = _run_segment(
-            ops, pc, reg, steps, buf, nread, tape, max_steps, max_output
+        status, pc, reg, steps, nread = _run_segment(
+            ops, pc, reg, steps, buf, nread, reads if tape is None else tape, max_steps, cap
         )
+        for k in range(len(out) + 1, min(len(buf), cap) + 1):
+            key = (reads, tuple(buf[:k]))
+            masses[key] = masses.get(key, 0) + w
         if status == "fetch":
-            if len(ops) >= max_ops:
-                if ops:  # boundary suspension: counted with output so far
-                    leaves.append((len(ops), tuple(buf)))
+            if len(ops) < max_ops:
+                snapshot = tuple(buf)
+                stack.extend(
+                    (ops + (op,), pc, reg, steps, snapshot, nread, reads) for op in range(8)
+                )
+                continue
+            if not ops:
                 continue  # a zero-bit run is not a program
+            # otherwise boundary suspension: counted with its output so far
+        elif status == "awaiting_input" and tape is None and nread <= len(buf) < cap:
+            # READA has already counted its step; each branch resumes past it.
             snapshot = tuple(buf)
-            for k in range(8):
-                stack.append((ops + (k,), pc2, reg2, steps2, snapshot, nread2))
+            stack.extend(
+                (ops, pc + 1, a, steps, snapshot, nread + 1, reads + (a,)) for a in (0, 1)
+            )
+            continue
+        key = (reads, ())
+        masses[key] = masses.get(key, 0) + w
+    return masses
+
+
+def _walk_tables(
+    program_bits: int, steps: int, cap: int, tape: tuple[int, ...] | None
+) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
+    """Mass tables keyed by action tape, from one :func:`_walk`.
+
+    Along a given tape, an output prefix of length k belongs to the tape's
+    prefix ``tape[:k]``; with ``tape=None`` the tables are those of every
+    tape of length ``cap``, each summing the branches it extends.
+    """
+    max_ops = program_bits // OPCODE_BITS
+    counts: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for (reads, out), mass in _walk(max_ops, steps, cap, tape).items():
+        if tape is not None:
+            tapes = [tape[: len(out)]]
+        elif len(out) == cap:
+            tapes = [reads + rest for rest in product((0, 1), repeat=cap - len(reads))]
         else:
-            leaves.append((len(ops), tuple(buf)))
-    return leaves
+            continue
+        for actions in tapes:
+            table = counts.setdefault(actions, {})
+            table[out] = table.get(out, 0) + mass
+    denominator = 8**max_ops
+    return {
+        actions: {out: Fraction(mass, denominator) for out, mass in table.items()}
+        for actions, table in counts.items()
+    }
 
 
 class JointEnumApprox(JointSemimeasure):
@@ -295,6 +348,7 @@ class ChronEnumApprox(ChronEnv):
 
 _MEMO_JOINT: dict[tuple[int, int, int], dict] = {}
 _MEMO_CHRON: dict[tuple[int, int, tuple[int, ...]], dict] = {}
+_MEMO_WALK: dict[tuple[int, int, int], dict] = {}  # every tape of one length
 
 
 def _cache_dir() -> Path | None:
@@ -313,24 +367,36 @@ def _cache_path(name: str) -> Path | None:
     return base / f"{MACHINE_HASH[:12]}_{name}.json"
 
 
-def _cache_read(name: str) -> dict | None:
+def _cache_read(name: str, budgets: list[int]) -> dict[tuple[int, ...], Fraction] | None:
+    """The cached table, or None when the entry is missing, stale or damaged."""
     path = _cache_path(name)
     if path is None or not path.exists():
         return None
     try:
         payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):
         return None
-    if payload.get("format") != CACHE_FORMAT or payload.get("machine") != MACHINE_HASH:
+    if not isinstance(payload, dict) or not isinstance(payload.get("table"), dict):
         return None
-    return payload
+    stamp = (payload.get("format"), payload.get("machine"), payload.get("budgets"))
+    if stamp != (CACHE_FORMAT, MACHINE_HASH, budgets):
+        return None
+    try:
+        return {_key_string(k): Fraction(v) for k, v in payload["table"].items()}
+    except (ValueError, TypeError, ZeroDivisionError):  # a non-digit key, a non-rational value
+        return None
 
 
-def _cache_write(name: str, payload: dict) -> None:
+def _cache_write(name: str, budgets: list[int], table: dict[tuple[int, ...], Fraction]) -> None:
     path = _cache_path(name)
     if path is None:
         return
-    payload = {"format": CACHE_FORMAT, "machine": MACHINE_HASH, **payload}
+    payload = {
+        "format": CACHE_FORMAT,
+        "machine": MACHINE_HASH,
+        "budgets": budgets,
+        "table": {_string_key(k): frac_str(v) for k, v in table.items()},
+    }
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -354,71 +420,58 @@ def enumerate_joint(
 ) -> JointEnumApprox:
     """Enumerate all programs within the budgets into a joint mass table.
 
-    Guidance: program_bits <= 16 at desk scale (the opcode tree has
-    8^(program_bits // 3) paths).
+    One depth-first walk with integer weights and no leaf list. At
+    max_len 16, program_bits 24 takes seconds and under 30 MB; each 3 more
+    bits cost 3-5x (docs/machine.md).
     """
+    budgets = [program_bits, steps, max_len]
     memo_key = (program_bits, steps, max_len)
     table = _MEMO_JOINT.get(memo_key)
     if table is None:
         name = f"joint_L{program_bits}_S{steps}_D{max_len}"
-        payload = _cache_read(name) if use_cache else None
-        if payload is not None and payload.get("budgets") == list(memo_key):
-            table = {
-                _key_string(k): Fraction(v) for k, v in payload["table"].items()
-            }
-        else:
-            table = {}
-            for n_ops, out in _enumerate_leaves(
-                program_bits // OPCODE_BITS, steps, None, max_len
-            ):
-                w = Fraction(1, 8**n_ops)
-                for cut in range(min(len(out), max_len) + 1):
-                    key = out[:cut]
-                    table[key] = table.get(key, ZERO) + w
+        table = _cache_read(name, budgets) if use_cache else None
+        if table is None:
+            # No actions: READA always suspends, and every prefix up to max_len counts.
+            table = _walk_tables(program_bits, steps, max_len, ()).get((), {})
             if use_cache:
-                _cache_write(
-                    name,
-                    {
-                        "budgets": list(memo_key),
-                        "table": {
-                            _string_key(k): frac_str(v) for k, v in sorted(table.items())
-                        },
-                    },
-                )
+                _cache_write(name, budgets, table)
         _MEMO_JOINT[memo_key] = table
     return JointEnumApprox(program_bits, steps, max_len, table)
 
 
+def _tape_length_tables(program_bits: int, steps: int, t: int) -> dict:
+    """The tables of every action tape of length t, from one memoized walk."""
+    key = (program_bits, steps, t)
+    tables = _MEMO_WALK.get(key)
+    if tables is None:
+        tables = _MEMO_WALK[key] = _walk_tables(program_bits, steps, t, None)
+    return tables
+
+
 def _chron_table(
-    program_bits: int, steps: int, actions: tuple[int, ...], use_cache: bool = True
+    program_bits: int,
+    steps: int,
+    actions: tuple[int, ...],
+    use_cache: bool = True,
+    walk: Callable[[], dict] | None = None,
 ) -> dict[tuple[int, ...], Fraction]:
+    """One tape's table from the memo, the cache, or else a walk.
+
+    ``walk()`` returns the tables of a walk that covers ``actions``; the
+    default is the walk over every tape of the same length.
+    """
     memo_key = (program_bits, steps, actions)
     table = _MEMO_CHRON.get(memo_key)
     if table is not None:
         return table
+    budgets = [program_bits, steps]
     name = f"chron_L{program_bits}_S{steps}_A{_string_key(actions) or 'empty'}"
-    payload = _cache_read(name) if use_cache else None
-    if payload is not None and payload.get("budgets") == [program_bits, steps]:
-        table = {_key_string(k): Fraction(v) for k, v in payload["table"].items()}
-    else:
-        t = len(actions)
-        table = {}
-        for n_ops, out in _enumerate_leaves(
-            program_bits // OPCODE_BITS, steps, actions, t
-        ):
-            if len(out) >= t:
-                key = out[:t]
-                table[key] = table.get(key, ZERO) + Fraction(1, 8**n_ops)
+    table = _cache_read(name, budgets) if use_cache else None
+    if table is None:
+        tables = walk() if walk else _tape_length_tables(program_bits, steps, len(actions))
+        table = tables.get(actions, {})
         if use_cache:
-            _cache_write(
-                name,
-                {
-                    "budgets": [program_bits, steps],
-                    "table": {
-                        _string_key(k) or "": frac_str(v) for k, v in sorted(table.items())
-                    },
-                },
-            )
+            _cache_write(name, budgets, table)
     _MEMO_CHRON[memo_key] = table
     return table
 
@@ -429,12 +482,13 @@ def enumerate_chron(
     """Chronological enumeration primed for the given action string.
 
     The returned environment answers any (percepts, actions) query; prefixes
-    of ``actions`` are enumerated eagerly.
+    of ``actions`` are enumerated eagerly, by one walk along the whole tape.
     """
     approx = ChronEnumApprox(program_bits, steps, use_cache)
     tape = tuple(actions)
+    walk = cache(lambda: _walk_tables(program_bits, steps, len(tape), tape))
     for t in range(len(tape) + 1):
-        approx._table_for(tape[:t])
+        approx.tables[tape[:t]] = _chron_table(program_bits, steps, tape[:t], use_cache, walk)
     return approx
 
 
@@ -442,3 +496,4 @@ def clear_memo() -> None:
     """Drop in-process enumeration memos (disk cache untouched)."""
     _MEMO_JOINT.clear()
     _MEMO_CHRON.clear()
+    _MEMO_WALK.clear()

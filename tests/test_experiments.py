@@ -256,6 +256,58 @@ def test_bad_mixture_input_exits_2_without_traceback(tmp_path, case, command):
     assert "mixture" in result.stderr
 
 
+def _cli_exit_and_stderr(capsys, command, config, out):
+    from uailab import cli
+
+    if command == "check":
+        code = cli.main(["check", "--config", str(config)])
+    else:
+        code = cli.main(["run", "thm7_drop", "--config", str(config), "--out", str(out)])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("value", [[], 3, "x"])
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, command, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(value))
+    code, err = _cli_exit_and_stderr(capsys, command, config, tmp_path / "o")
+    assert code == 2
+    assert err == f"config error: <root>: {value!r} is not of type 'object'\n"
+
+
+BAD_TABLE_FIELDS = {
+    "conditionals_list": ("conditionals", {"conditionals": ["1"]}),
+    "conditionals_row_string": ("conditionals", {"conditionals": {"": "1/2"}}),
+    "conditionals_row_numbers": ("conditionals", {"conditionals": {"": [0.5, 0.5]}}),
+    "alphabet_list": ("alphabet", {"alphabet": ["2"]}),
+    "alphabet_zero": ("alphabet", {"alphabet": {"actions": 0}}),
+    "alphabet_string": ("alphabet", {"alphabet": {"percepts": "2"}}),
+    "default_rule_number": ("default_rule", {"default_rule": 3}),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("case", sorted(BAD_TABLE_FIELDS))
+def test_bad_table_field_exits_2_naming_it(tmp_path, capsys, case, command):
+    field, bad = BAD_TABLE_FIELDS[case]
+    component = {"kind": "joint_table", "conditionals": {"": ["1/2", "1/2"]}, **bad}
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "scenario": "thm7_drop",
+                "budgets": {"trace_steps": 2, "program_bits": 0},
+                "mixture": {"components": [component], "weights": ["1"]},
+            }
+        )
+    )
+    code, err = _cli_exit_and_stderr(capsys, command, config, tmp_path / "o")
+    assert code == 2
+    assert err.startswith("config error: mixture: ") and field in err
+
+
 def test_cli_jobs_flag_overrides_config(tmp_path, monkeypatch):
     from uailab import cli
 

@@ -1,9 +1,11 @@
+import hashlib
 import json
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from uailab import utm
 from uailab.core import ComponentFormatError
 from uailab.semimeasure import check_chronological, check_semimeasure
 from uailab.utm import (
@@ -204,3 +206,161 @@ def test_bad_program_strings_rejected():
         run_program("01a")
     with pytest.raises(ComponentFormatError):
         run_program([0, 2])
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the per-leaf enumerator the walk replaced, kept frozen.
+# It lists every counted run, then adds 2^-(bits) per leaf and output prefix.
+# ---------------------------------------------------------------------------
+
+
+def oracle_leaves(max_ops, max_steps, tape, max_output):
+    leaves = []
+    stack = [((), 0, 0, 0, (), 0)]
+    while stack:
+        ops, pc, reg, steps, out, nread = stack.pop()
+        buf = list(out)
+        status, pc2, reg2, steps2, nread2 = utm._run_segment(
+            ops, pc, reg, steps, buf, nread, tape, max_steps, max_output
+        )
+        if status == "fetch":
+            if len(ops) >= max_ops:
+                if ops:
+                    leaves.append((len(ops), tuple(buf)))
+                continue
+            snapshot = tuple(buf)
+            for k in range(8):
+                stack.append((ops + (k,), pc2, reg2, steps2, snapshot, nread2))
+        else:
+            leaves.append((len(ops), tuple(buf)))
+    return leaves
+
+
+def oracle_joint(bits, steps, max_len):
+    table = {}
+    for n_ops, out in oracle_leaves(bits // 3, steps, None, max_len):
+        for cut in range(min(len(out), max_len) + 1):
+            table[out[:cut]] = table.get(out[:cut], 0) + F(1, 8**n_ops)
+    return table
+
+
+def oracle_chron(bits, steps, actions):
+    t = len(actions)
+    table = {}
+    for n_ops, out in oracle_leaves(bits // 3, steps, actions, t):
+        if len(out) >= t:
+            table[out[:t]] = table.get(out[:t], 0) + F(1, 8**n_ops)
+    return table
+
+
+def tapes_upto(n):
+    for t in range(n + 1):
+        yield from product((0, 1), repeat=t)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 5, 60, 200])
+@pytest.mark.parametrize("bits", [0, 3, 6, 9, 12])
+def test_walk_matches_leaf_oracle(bits, steps):
+    clear_memo()
+    for max_len in (0, 1, 6):
+        assert enumerate_joint(bits, steps, max_len, use_cache=False).table == oracle_joint(
+            bits, steps, max_len
+        ), max_len
+    expected = {tape: oracle_chron(bits, steps, tape) for tape in tapes_upto(5)}
+    approx = ChronEnumApprox(bits, steps, use_cache=False)
+    for tape, table in expected.items():
+        assert approx._table_for(tape) == table, tape
+    assert list(approx.tables) == list(expected)  # only the requested tapes
+    for tape in product((0, 1), repeat=5):
+        clear_memo()
+        primed = enumerate_chron(bits, steps, tape, use_cache=False)
+        assert primed.tables == {tape[:t]: expected[tape[:t]] for t in range(6)}, tape
+    clear_memo()
+
+
+def test_walk_matches_leaf_oracle_at_15_bits():
+    clear_memo()
+    approx = ChronEnumApprox(15, 200, use_cache=False)
+    for tape in tapes_upto(3):
+        assert approx._table_for(tape) == oracle_chron(15, 200, tape), tape
+    clear_memo()
+    primed = enumerate_chron(15, 200, (1, 0, 1), use_cache=False)
+    for t in range(4):
+        assert primed.tables[(1, 0, 1)[:t]] == approx.tables[(1, 0, 1)[:t]]
+    clear_memo()
+
+
+# Names and bytes the per-leaf enumerator wrote for these two calls: a file
+# per requested tape (the depth-3 check also asks length-4 tapes) and one
+# joint file, hashed as name, NUL, bytes, NUL in name order.
+PINNED_CACHE_NAMES = sorted(
+    [f"{MACHINE_HASH[:12]}_joint_L6_S60_D6.json"]
+    + [
+        f"{MACHINE_HASH[:12]}_chron_L9_S200_A{''.join(map(str, tape)) or 'empty'}.json"
+        for tape in tapes_upto(4)
+    ]
+)
+PINNED_CACHE_SHA256 = "0c745a575764b8c0451036e191363ed3f7116c388508f45b5def2ab6317ceeb1"
+
+
+def test_cache_files_match_the_leaf_enumerator(cache_dir):
+    clear_memo()
+    assert check_chronological(ChronEnumApprox(9, 200), 3).ok
+    enumerate_joint(6, 60, max_len=6)
+    clear_memo()
+    names = sorted(p.name for p in cache_dir.iterdir())
+    assert names == PINNED_CACHE_NAMES
+    digest = hashlib.sha256()
+    for name in names:
+        digest.update(name.encode() + b"\0" + (cache_dir / name).read_bytes() + b"\0")
+    assert digest.hexdigest() == PINNED_CACHE_SHA256
+
+
+def test_clear_memo_forces_a_new_walk(monkeypatch):
+    calls = []
+    walk = utm._walk
+    monkeypatch.setattr(utm, "_walk", lambda *args: calls.append(args) or walk(*args))
+    clear_memo()
+    approx = ChronEnumApprox(6, 60, use_cache=False)
+    approx.eval((0, 0), (1, 1))
+    approx.eval((1, 0), (1, 0))  # same length: served by the same walk
+    enumerate_joint(6, 60, max_len=4, use_cache=False)
+    enumerate_joint(6, 60, max_len=4, use_cache=False)
+    assert len(calls) == 2
+    clear_memo()
+    ChronEnumApprox(6, 60, use_cache=False).eval((0, 0), (1, 1))
+    enumerate_joint(6, 60, max_len=4, use_cache=False)
+    assert len(calls) == 4
+    clear_memo()
+
+
+# Each damage turns a cache entry into a miss: recomputed, then rewritten.
+CACHE_DAMAGE = {
+    "bad_value": lambda payload: {**payload, "table": {k: "oops" for k in payload["table"]}},
+    "table_is_list": lambda payload: {**payload, "table": list(payload["table"])},
+    "payload_is_list": lambda payload: [payload],
+    "non_digit_key": lambda payload: {**payload, "table": {"0x": "1/2", **payload["table"]}},
+}
+
+
+def _enumerate(kind, use_cache):
+    if kind == "joint":
+        return enumerate_joint(6, 60, max_len=6, use_cache=use_cache).table
+    return enumerate_chron(9, 200, (1, 0), use_cache=use_cache).tables[(1, 0)]
+
+
+@pytest.mark.parametrize("kind", ["joint", "chron"])
+@pytest.mark.parametrize("damage", sorted(CACHE_DAMAGE))
+def test_damaged_cache_entry_is_recomputed(cache_dir, kind, damage):
+    clear_memo()
+    expected = _enumerate(kind, use_cache=False)
+    clear_memo()
+    _enumerate(kind, use_cache=True)
+    pattern = "*joint_L6_S60_D6.json" if kind == "joint" else "*chron_L9_S200_A10.json"
+    (path,) = cache_dir.glob(pattern)
+    good = path.read_text()
+    path.write_text(json.dumps(CACHE_DAMAGE[damage](json.loads(good))))
+    clear_memo()
+    assert _enumerate(kind, use_cache=True) == expected
+    assert path.read_text() == good  # the damaged entry was rewritten
+    clear_memo()
