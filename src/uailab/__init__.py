@@ -55,6 +55,7 @@ from .semimeasure import (
     uniform_env,
     uniform_measure,
     uniform_policy,
+    walk,
 )
 from .mixture import (
     EnvMixture,

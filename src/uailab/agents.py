@@ -1,7 +1,11 @@
 """Finite-horizon value computation and expectimax action selection.
 
 Planning uses full-width expectimax over exact masses — no sampling, no
-pruning — at documented cost O((|A||E|)^m). The objective weights each
+pruning beyond zero-mass branches — at cost O((|A||E|)^m) nodes. The
+recursion walks the belief from the history's state, one ``extend`` per
+node, so a node costs O(1) per mixture component for the built-in beliefs
+and their environment views instead of a from-scratch evaluation of its
+whole prefix. The objective weights each
 step's reward by the unnormalized mass at the time the reward is received,
 which coincides with the classical expectimax recursion for measures and
 extends it to strictly defective beliefs (missing mass earns zero reward).
@@ -12,8 +16,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from typing import Any
 
-from .core import BINARY_PERCEPTS, EMPTY_HISTORY, ZERO, History, PerceptAlphabet
+from .core import (
+    BINARY_PERCEPTS,
+    EMPTY_HISTORY,
+    ZERO,
+    ComponentFormatError,
+    History,
+    PerceptAlphabet,
+)
 from .semimeasure import ChronEnv, JointSemimeasure, Policy
 from .transforms import env
 
@@ -52,27 +64,32 @@ def policy_value(
     return recurse(history.actions, history.percepts, horizon)
 
 
+def _state_at(nu: ChronEnv, history: History) -> Any:
+    """The walk state of ``nu`` after a complete ``history``."""
+    if len(history.actions) != len(history.percepts):
+        raise ComponentFormatError("planning starts from a complete history")
+    state = nu.root()[1]
+    for a, e in zip(history.actions, history.percepts):
+        state = nu.extend(nu.extend(state, a)[1], e)[1]
+    return state
+
+
 def _expectimax_value(
-    nu: ChronEnv,
-    actions: tuple[int, ...],
-    percs: tuple[int, ...],
-    remaining: int,
-    percepts: PerceptAlphabet,
+    nu: ChronEnv, state: Any, remaining: int, percepts: PerceptAlphabet
 ) -> tuple[Fraction, int]:
     """(best value-to-go, lexicographically smallest maximizing action)."""
     best_value: Fraction | None = None
     best_action = 0
     for a in range(nu.action_arity):
+        pending = nu.extend(state, a)[1]
         total = ZERO
         for e in range(nu.percept_arity):
-            mass = nu.eval(percs + (e,), actions + (a,))
+            mass, child = nu.extend(pending, e)
             if mass == 0:
                 continue  # extensions carry zero mass too (monotonicity)
             total += percepts.reward(e) * mass
             if remaining > 1:
-                total += _expectimax_value(
-                    nu, actions + (a,), percs + (e,), remaining - 1, percepts
-                )[0]
+                total += _expectimax_value(nu, child, remaining - 1, percepts)[0]
         if best_value is None or total > best_value:
             best_value, best_action = total, a
     assert best_value is not None
@@ -93,9 +110,7 @@ def expectimax_action(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    return _expectimax_value(
-        nu, history.actions, history.percepts, horizon, percepts
-    )[1]
+    return _expectimax_value(nu, _state_at(nu, history), horizon, percepts)[1]
 
 
 def expectimax_value(
@@ -105,7 +120,7 @@ def expectimax_value(
     percepts: PerceptAlphabet = BINARY_PERCEPTS,
 ) -> Fraction:
     """Optimal expected return over the remaining horizon."""
-    return _expectimax_value(nu, history.actions, history.percepts, horizon, percepts)[0]
+    return _expectimax_value(nu, _state_at(nu, history), horizon, percepts)[0]
 
 
 def joint_aixi_action(

@@ -217,6 +217,10 @@ def mixture_from_dict(definition: dict) -> MixtureDef:
     def build(entry: dict):
         if "builtin" in entry:
             name = entry["builtin"]
+            if not isinstance(name, str):
+                raise ComponentFormatError(
+                    f"builtin must be a component name string, got {name!r}"
+                )
             if name not in registry:
                 raise ComponentFormatError(
                     f"unknown builtin {name!r}; available: {sorted(registry)}"
@@ -841,52 +845,54 @@ def _scenario_thm10(cfg: ScenarioConfig) -> ScenarioOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _percepts_for(env_kind: str, actions: tuple[int, ...]) -> tuple[int, ...]:
+def _percept_for(env_kind: str, action: int) -> int:
+    """The percept a deterministic environment emits for ``action``."""
     if env_kind == "identity":
-        return actions
+        return action
     if env_kind == "complement":
-        return tuple(1 - a for a in actions)
+        return 1 - action
     raise ConfigError(f"unknown deterministic environment {env_kind!r}")
 
 
 def _conditional_stats_chunk(args) -> tuple[list[Fraction], list[Fraction]]:
     """Per-step (min, max) of the correct-percept conditional over a chunk.
 
-    One chunk covers action sequences whose integer encodings lie in
-    [start, stop); conditionals are the normalized (or raw) environment-view
-    predictions of the percept the deterministic environment will emit.
+    One chunk covers action sequences whose integer encodings (first action
+    most significant) lie in [start, stop). It walks the tree of their
+    shared prefixes depth first, one mixture step per symbol, so each
+    prefix is evaluated once. Conditionals are the normalized (or raw)
+    environment-view predictions of the percept the deterministic
+    environment will emit.
     """
     mixture, env_kind, n, start, stop, normalized = args
-    memo: dict[tuple[int, ...], Fraction] = {}
-
-    def mass(prefix: tuple[int, ...]) -> Fraction:
-        value = memo.get(prefix)
-        if value is None:
-            value = mixture.eval(prefix)
-            memo[prefix] = value
-        return value
-
     mins: list[Fraction] = [ONE] * n
     maxs: list[Fraction] = [ZERO] * n
-    for code in range(start, stop):
-        actions = tuple((code >> (n - 1 - i)) & 1 for i in range(n))
-        percepts = _percepts_for(env_kind, actions)
-        prefix: tuple[int, ...] = ()
-        for t in range(n):
-            pending = prefix + (actions[t],)
-            correct = mass(pending + (percepts[t],))
+
+    def visit(state, code: int, t: int) -> None:
+        width = 1 << (n - 1 - t)  # action sequences below each child
+        for a in (0, 1):
+            child_code = 2 * code + a
+            if child_code * width >= stop or (child_code + 1) * width <= start:
+                continue
+            pending_mass, pending = mixture.extend(state, a)
+            correct_percept = _percept_for(env_kind, a)
             if normalized:
-                denom = sum(
-                    (mass(pending + (e,)) for e in range(mixture.percept_arity)), ZERO
-                )
+                kids = [mixture.extend(pending, e) for e in range(mixture.percept_arity)]
+                correct, child = kids[correct_percept]
+                denom = sum((m for m, _ in kids), ZERO)
             else:
-                denom = mass(pending)
+                correct, child = mixture.extend(pending, correct_percept)
+                denom = pending_mass
             cond = correct / denom
             if cond < mins[t]:
                 mins[t] = cond
             if cond > maxs[t]:
                 maxs[t] = cond
-            prefix = pending + (percepts[t],)
+            if t + 1 < n:
+                visit(child, child_code, t + 1)
+
+    if n:
+        visit(mixture.root()[1], 0, 0)
     return mins, maxs
 
 

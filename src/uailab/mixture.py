@@ -3,15 +3,16 @@
 A mixture is a weighted component list with all weights positive and summing
 to at most 1 (deficient priors allowed; shipped scenarios use weights as
 given). Mixtures of joint components are joint semimeasures; mixtures of
-environments are chronological environments. Predictive conditionals and
-history-conditional posterior weights are exact and recomputed from scratch
-per query.
+environments are chronological environments. ``posterior_weights`` and
+``predictive`` evaluate one history from scratch. A mixture's walk state
+carries every live component's mass, so walks read the unnormalized
+posterior w_i nu_i(prefix) at each node without re-evaluating the prefix.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Any, Sequence
 
 from .core import (
     ZERO,
@@ -19,9 +20,8 @@ from .core import (
     History,
     Prob,
     UndefinedConditionalError,
-    history_from_symbols,
 )
-from .semimeasure import ChronEnv, JointSemimeasure, Policy, contexts
+from .semimeasure import ChronEnv, JointSemimeasure, Policy, walk
 
 
 def uniform_prior(n: int) -> tuple[Fraction, ...]:
@@ -45,12 +45,22 @@ def _validate_weights(components: Sequence, weights: Sequence[Fraction]) -> None
         raise ComponentFormatError("mixture weights must sum to <= 1")
 
 
-class JointMixture(JointSemimeasure):
-    """xi(x) = sum_i w_i nu_i(x), itself a joint semimeasure."""
+class _Mixture:
+    """Construction and the walk shared by both mixture kinds.
+
+    The walk state is (mass, parts): parts holds (index, mass, state) for
+    every component whose own state is not dead, so w_i * mass_i is the
+    unnormalized posterior weight of component i; dead components are
+    skipped from then on.
+    """
+
+    components: tuple
+    weights: tuple[Fraction, ...]
+    name_prefix = "component"
 
     def __init__(
         self,
-        components: Sequence[JointSemimeasure],
+        components: Sequence,
         weights: Sequence[Fraction],
         names: Sequence[str] | None = None,
     ):
@@ -58,13 +68,51 @@ class JointMixture(JointSemimeasure):
         self.components = tuple(components)
         self.weights = tuple(weights)
         self.names = tuple(names) if names else tuple(
-            f"component_{i}" for i in range(len(self.components))
+            f"{self.name_prefix}_{i}" for i in range(len(self.components))
         )
         self.action_arity = self.components[0].action_arity
         self.percept_arity = self.components[0].percept_arity
         self.declared_measure = all(c.declared_measure for c in self.components) and (
             sum(self.weights) == 1
         )
+
+    def _node(self, parts: list) -> tuple[Prob, Any]:
+        if not parts:
+            return ZERO, None
+        w = self.weights
+        terms = [w[i] * m for i, m, _ in parts]
+        mass = sum(terms[1:], terms[0])
+        return mass, (mass, tuple(parts))
+
+    def root(self) -> tuple[Prob, Any]:
+        parts = []
+        for i, c in enumerate(self.components):
+            m, state = c.root()
+            if state is not None:
+                parts.append((i, m, state))
+        return self._node(parts)
+
+    def extend(self, state: Any, symbol: int) -> tuple[Prob, Any]:
+        if state is None:
+            return ZERO, None
+        mass, old_parts = state
+        parts = []
+        unchanged = True  # e.g. an environment's action step
+        components = self.components
+        for i, old, s in old_parts:
+            m, s = components[i].extend(s, symbol)
+            if s is not None:
+                parts.append((i, m, s))
+            unchanged = unchanged and m is old and s is not None
+        if unchanged:
+            return mass, (mass, tuple(parts))
+        return self._node(parts)
+
+
+class JointMixture(_Mixture, JointSemimeasure):
+    """xi(x) = sum_i w_i nu_i(x), itself a joint semimeasure."""
+
+    components: tuple[JointSemimeasure, ...]
 
     def eval(self, x: tuple[int, ...]) -> Prob:
         return sum((w * c.eval(x) for c, w in zip(self.components, self.weights)), ZERO)
@@ -76,26 +124,11 @@ class JointMixture(JointSemimeasure):
         )
 
 
-class EnvMixture(ChronEnv):
+class EnvMixture(_Mixture, ChronEnv):
     """Mixture of environments: (e, a) -> sum_i w_i nu_i(e || a)."""
 
-    def __init__(
-        self,
-        components: Sequence[ChronEnv],
-        weights: Sequence[Fraction],
-        names: Sequence[str] | None = None,
-    ):
-        _validate_weights(components, weights)
-        self.components = tuple(components)
-        self.weights = tuple(weights)
-        self.names = tuple(names) if names else tuple(
-            f"env_{i}" for i in range(len(self.components))
-        )
-        self.action_arity = self.components[0].action_arity
-        self.percept_arity = self.components[0].percept_arity
-        self.declared_measure = all(c.declared_measure for c in self.components) and (
-            sum(self.weights) == 1
-        )
+    components: tuple[ChronEnv, ...]
+    name_prefix = "env"
 
     def eval(self, percepts: tuple[int, ...], actions: tuple[int, ...]) -> Prob:
         return sum(
@@ -205,23 +238,23 @@ def check_predictive_consistency(
     equal the posterior-weighted component conditionals (components with
     zero posterior contribute nothing). Returns mismatch triples
     (witness, lhs, rhs) in the :func:`contexts` order of the pending
-    prefixes; empty means exact agreement everywhere.
+    prefixes; empty means exact agreement everywhere. Both sides read the
+    per-component masses of one mixture walk.
     """
-    mismatches: list[tuple[tuple, Fraction, Fraction]] = []
-    for prefix in contexts(mixture, 2 * depth + 1):
-        if len(prefix) % 2 == 0 or mixture.eval(prefix) == 0:
+    found: list[tuple[int, tuple, Fraction, Fraction]] = []
+    root = mixture.root()
+    for order, prefix, (mass, state), kids in walk(mixture, 2 * depth + 1, root, mixture.extend):
+        if len(prefix) % 2 == 0 or mass == 0:
             continue
-        h, a = history_from_symbols(prefix[:-1]), prefix[-1]
-        state = posterior_weights(mixture, h, a)
-        lhs_map = predictive(mixture, h, a)
-        for e in range(mixture.percept_arity):
+        posterior = [(mixture.weights[i] * m / mass, i, m) for i, m, _ in state[1]]
+        for e, (child_mass, child_state) in enumerate(kids):
+            child = {i: m for i, m, _ in child_state[1]} if child_state else {}
+            lhs = child_mass / mass
             rhs = ZERO
-            for i, c in enumerate(mixture.components):
-                if state.posterior[i] == 0:
-                    continue
-                rhs += state.posterior[i] * (
-                    c.eval(prefix + (e,)) / state.component_masses[i]
-                )
-            if lhs_map[e] != rhs:
-                mismatches.append(((prefix, e), lhs_map[e], rhs))
-    return mismatches
+            for post, i, m in posterior:
+                if post != 0:
+                    rhs += post * (child.get(i, ZERO) / m)
+            if lhs != rhs:
+                found.append((order, (prefix, e), lhs, rhs))
+    found.sort(key=lambda item: item[0])  # stable: percept order within a prefix
+    return [item[1:] for item in found]

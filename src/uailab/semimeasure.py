@@ -13,12 +13,26 @@ Lower semicomputability is realized operationally: every component exposes
 ``eval_at_budget(x, k)``, nondecreasing in k with ``eval`` as its limit.
 Finite tables reach the limit at k=0; machine enumerations at finite budget.
 
+Walks share prefixes: ``root()`` gives the empty context's mass and a walk
+state, and ``extend(state, symbol)`` gives the mass and state one symbol
+further, always equal to ``eval`` of that context. The default state is the
+context itself, evaluated from scratch; built-in components override both
+so that a step costs O(1) per component. Environments take the action and
+the percept of a step as two symbols; after an action the mass is the
+unchanged mass of the complete prefix. A state of None is a dead context:
+its mass and that of every extension is zero, and ``extend(None, s)`` is
+``(0, None)``; only overrides whose zero mass is absorbing return it. An
+``UndefinedConditionalError`` from ``extend`` means every extension of that
+context is undefined too. Every exhaustive check is one depth-first
+:func:`walk` that files its rows by each context's position in
+:func:`contexts` order; states live only inside one walk.
+
 All components are immutable after construction; evaluation is pure.
 """
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -56,6 +70,15 @@ class JointSemimeasure(abc.ABC):
         """Lower approximation at the given budget; defaults to the limit."""
         return self.eval(x)
 
+    def root(self) -> tuple[Prob, Any]:
+        """(mass, walk state) of the empty string."""
+        return self.eval(()), ()
+
+    def extend(self, state: Any, symbol: int) -> tuple[Prob, Any]:
+        """(mass, walk state) of the context of ``state`` followed by ``symbol``."""
+        x = state + (symbol,)
+        return self.eval(x), x
+
     def arity_at(self, position: int) -> int:
         return self.action_arity if position % 2 == 0 else self.percept_arity
 
@@ -82,6 +105,21 @@ class ChronEnv(abc.ABC):
         self, percepts: tuple[int, ...], actions: tuple[int, ...], budget: int
     ) -> Prob:
         return self.eval(percepts, actions)
+
+    def root(self) -> tuple[Prob, Any]:
+        """(mass, walk state) of the empty history."""
+        mass = self.eval((), ())
+        return mass, ((), (), mass)
+
+    def extend(self, state: Any, symbol: int) -> tuple[Prob, Any]:
+        """(mass, walk state) one symbol further: the next action after a
+        complete history, the next percept after a pending action."""
+        percepts, actions, mass = state
+        if len(actions) == len(percepts):
+            return mass, (percepts, actions + (symbol,), mass)
+        percepts = percepts + (symbol,)
+        mass = self.eval(percepts, actions)
+        return mass, (percepts, actions, mass)
 
     def conditional(self, history: History, action: int, percept: int) -> Prob:
         """nu(percept | history, action); error on zero-mass history."""
@@ -220,6 +258,16 @@ class ProductJoint(JointSemimeasure):
                 return ZERO
         return out
 
+    def root(self) -> tuple[Prob, Any]:
+        return ONE, (0, ONE)  # (length, mass)
+
+    def extend(self, state: Any, symbol: int) -> tuple[Prob, Any]:
+        if state is None:
+            return ZERO, None
+        n, mass = state
+        mass *= (self.action_probs if n % 2 == 0 else self.percept_probs)[symbol]
+        return (mass, (n + 1, mass)) if mass else (ZERO, None)
+
 
 def uniform_measure(action_arity: int = 2, percept_arity: int = 2) -> ProductJoint:
     """The uniform joint measure nu(x) = prod 1/arity."""
@@ -265,6 +313,19 @@ class ActionEchoJoint(JointSemimeasure):
                 if out == 0:
                     return ZERO
         return out
+
+    def root(self) -> tuple[Prob, Any]:
+        return ONE, (ONE, None)  # (mass, pending action)
+
+    def extend(self, state: Any, symbol: int) -> tuple[Prob, Any]:
+        if state is None:
+            return ZERO, None
+        mass, action = state
+        if action is None:
+            mass *= HALF
+            return mass, (mass, symbol)
+        mass *= self.match if symbol == action else self.mismatch
+        return (mass, (mass, None)) if mass else (ZERO, None)
 
 
 def copy_machine() -> ActionEchoJoint:
@@ -316,6 +377,18 @@ class NoisyCopyEnv(ChronEnv):
                 return ZERO
         return out
 
+    def root(self) -> tuple[Prob, Any]:
+        return ONE, (ONE, None)  # (mass, pending action)
+
+    def extend(self, state: Any, symbol: int) -> tuple[Prob, Any]:
+        if state is None:
+            return ZERO, None
+        mass, action = state
+        if action is None:
+            return mass, (mass, symbol)
+        mass *= self.match if symbol == action else self.mismatch
+        return (mass, (mass, None)) if mass else (ZERO, None)
+
 
 def mu_id() -> NoisyCopyEnv:
     """The identity environment: the percept equals the action, always.
@@ -358,6 +431,18 @@ class IIDEnv(ChronEnv):
             if out == 0:
                 return ZERO
         return out
+
+    def root(self) -> tuple[Prob, Any]:
+        return ONE, (ONE, False)  # (mass, action pending)
+
+    def extend(self, state: Any, symbol: int) -> tuple[Prob, Any]:
+        if state is None:
+            return ZERO, None
+        mass, pending = state
+        if not pending:
+            return mass, (mass, True)
+        mass *= self.percept_probs[symbol]
+        return (mass, (mass, False)) if mass else (ZERO, None)
 
 
 def uniform_env(percept_arity: int = 2) -> IIDEnv:
@@ -431,6 +516,16 @@ class TableJoint(JointSemimeasure):
                 return ZERO
         return out
 
+    def root(self) -> tuple[Prob, Any]:
+        return ONE, ((), ONE)  # (context, mass)
+
+    def extend(self, state: Any, symbol: int) -> tuple[Prob, Any]:
+        if state is None:
+            return ZERO, None
+        x, mass = state
+        mass *= self._conditional_row(x)[symbol]
+        return (mass, (x + (symbol,), mass)) if mass else (ZERO, None)
+
 
 class TableEnv(ChronEnv):
     """Chronological environment from an explicit conditional table.
@@ -483,6 +578,18 @@ class TableEnv(ChronEnv):
                 return ZERO
         return out
 
+    def root(self) -> tuple[Prob, Any]:
+        return ONE, ((), (), ONE)  # (percepts, actions, mass)
+
+    def extend(self, state: Any, symbol: int) -> tuple[Prob, Any]:
+        if state is None:
+            return ZERO, None
+        percepts, actions, mass = state
+        if len(actions) == len(percepts):
+            return mass, (percepts, actions + (symbol,), mass)
+        mass *= self._conditional_row(percepts, actions)[symbol]
+        return (mass, (percepts + (symbol,), actions, mass)) if mass else (ZERO, None)
+
 
 def table_component(definition: Mapping[str, Any]) -> JointSemimeasure | ChronEnv:
     """Build a table component from a parsed definition dict.
@@ -505,7 +612,11 @@ def table_component(definition: Mapping[str, Any]) -> JointSemimeasure | ChronEn
     default = definition.get("default_rule", "halt")
     if not isinstance(default, str):
         raise ComponentFormatError(f"default_rule must be a string, got {default!r}")
-    declared = bool(definition.get("declared_measure", False))
+    declared = definition.get("declared_measure", False)
+    if not isinstance(declared, bool):
+        raise ComponentFormatError(
+            f"declared_measure must be a JSON boolean (true or false), got {declared!r}"
+        )
     conditionals = definition.get("conditionals", {})
     if not isinstance(conditionals, dict) or not all(
         isinstance(row, list) and all(isinstance(v, str) for v in row)
@@ -561,6 +672,85 @@ def eval_at(nu: JointSemimeasure | ChronEnv, context: Any) -> Prob:
     return nu.eval(context) if isinstance(nu, JointSemimeasure) else nu.eval(*context)
 
 
+Step = Callable[[Any, int], tuple[Any, Any]]
+
+
+def _count_contexts(nu: JointSemimeasure | ChronEnv, depth: int) -> int:
+    """How many contexts :func:`contexts` yields up to ``depth``."""
+    if isinstance(nu, JointSemimeasure):
+        total, level = 0, 1
+        for n in range(depth + 1):
+            total += level
+            level *= nu.arity_at(n)
+        return total
+    return sum((nu.action_arity * nu.percept_arity) ** t for t in range(depth + 1))
+
+
+def walk(
+    nu: JointSemimeasure | ChronEnv,
+    depth: int,
+    root: tuple[Any, Any],
+    step: Step,
+    last_children: bool = True,
+) -> Iterator[tuple[int, Any, tuple[Any, Any], list | None]]:
+    """Every context of ``nu`` up to ``depth`` with its walk node, depth first.
+
+    Yields (order, context, node, kids) from ``root``; a node is a (mass,
+    state) pair. ``order`` is the context's position in :func:`contexts`
+    order, so callers file results into flat lists by it. ``kids`` are the
+    node's one-context extensions by ``step``, computed once and then
+    walked (None at level ``depth`` unless ``last_children``): joint kinds
+    give [node per next symbol], environments [[node per percept] per
+    action], sharing each pending action. Only the open path is held, never
+    a whole level.
+    """
+    joint = isinstance(nu, JointSemimeasure)
+    n_actions, n_percepts = nu.action_arity, nu.percept_arity
+    actions_range, percepts_range = range(n_actions), range(n_percepts)
+    offsets = [_count_contexts(nu, t - 1) for t in range(depth + 1)]
+    # Rows keep their contexts; sharing one tuple per action string, as the
+    # contexts loop did, keeps the report as small as before.
+    action_strings: dict[tuple[int, ...], tuple[int, ...]] = {}
+    # (level, action-string index, percept-string index, context, node)
+    stack = [(0, 0, 0, () if joint else ((), ()), root)]
+    while stack:
+        t, a_index, p_index, context, node = stack.pop()
+        last = t == depth
+        state = node[1]
+        if last and not last_children:
+            kids = None
+        elif joint:
+            kids = [step(state, s) for s in range(nu.arity_at(t))]
+        else:
+            kids = [
+                [step(pending, e) for e in percepts_range]
+                for pending in (step(state, a)[1] for a in actions_range)
+            ]
+        index = a_index if joint else a_index * n_percepts**t + p_index
+        yield offsets[t] + index, context, node, kids
+        if last:
+            continue
+        if joint:
+            arity = nu.arity_at(t)
+            for s, child in enumerate(kids):
+                stack.append((t + 1, a_index * arity + s, 0, context + (s,), child))
+            continue
+        e, a = context
+        for a_next, per_action in enumerate(kids):
+            actions = a + (a_next,)
+            actions = action_strings.setdefault(actions, actions)
+            for e_next, child in enumerate(per_action):
+                stack.append(
+                    (
+                        t + 1,
+                        a_index * n_actions + a_next,
+                        p_index * n_percepts + e_next,
+                        (e + (e_next,), actions),
+                        child,
+                    )
+                )
+
+
 @dataclass(frozen=True)
 class MismatchRow:
     """Two exactly-compared evaluations at one context, the witness."""
@@ -581,18 +771,39 @@ def compare(
 
     Returns (rows in :func:`contexts` order, count of contexts skipped
     because ``lhs`` is undefined there). An error raised by ``rhs``
-    propagates.
+    propagates. Both sides walk together; ``rhs`` is never extended where
+    ``lhs`` is undefined.
     """
-    rows: list[MismatchRow] = []
-    skipped = 0
-    for context in contexts(lhs, depth):
+
+    def step(state: Any, symbol: int) -> tuple[Any, Any]:
+        if state is None:  # lhs undefined here and below
+            return None, None
+        lhs_state, rhs_state = state
         try:
-            value = eval_at(lhs, context)
+            lhs_mass, lhs_state = lhs.extend(lhs_state, symbol)
         except UndefinedConditionalError:
-            skipped += 1
-            continue
-        rows.append(MismatchRow(context, value, eval_at(rhs, context)))
-    return rows, skipped
+            return None, None
+        rhs_mass, rhs_state = rhs.extend(rhs_state, symbol)
+        return (lhs_mass, rhs_mass), (lhs_state, rhs_state)
+
+    try:
+        lhs_mass, lhs_state = lhs.root()
+    except UndefinedConditionalError:
+        root: tuple = (None, None)
+    else:
+        rhs_mass, rhs_state = rhs.root()
+        root = ((lhs_mass, rhs_mass), (lhs_state, rhs_state))
+    slots: list[MismatchRow | None] = [None] * _count_contexts(lhs, depth)
+    for order, context, (masses, _), _ in walk(lhs, depth, root, step, last_children=False):
+        if masses is not None:
+            slots[order] = MismatchRow(context, *masses)
+    rows = [row for row in slots if row is not None]
+    return rows, len(slots) - len(rows)
+
+
+def _total(masses: list) -> Prob:
+    """Exact sum of a non-empty list of masses, without a ZERO start."""
+    return sum(masses[1:], masses[0])
 
 
 def max_ratio(rows: Iterable[MismatchRow]) -> tuple[Fraction | None, Any]:
@@ -633,7 +844,11 @@ class CheckRow:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Deterministic report of an exhaustive defining-condition check."""
+    """Deterministic report of an exhaustive defining-condition check.
+
+    Each row's verdict is read once, when the first count is asked for; a
+    report whose counts are never read never compares its rows.
+    """
 
     kind: str
     depth: int
@@ -641,18 +856,28 @@ class CheckReport:
     rows: tuple[CheckRow, ...]
     monotone_violations: tuple[Any, ...]
     declared_measure: bool
+    _counts: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _verdict_counts(self) -> tuple[tuple[CheckRow, ...], int, int]:
+        """(violation rows, strict count, equal count)."""
+        if self._counts is None:
+            verdicts = [r.verdict for r in self.rows]
+            violations = tuple(r for r, v in zip(self.rows, verdicts) if v == "violation")
+            counts = (violations, verdicts.count("strict"), verdicts.count("equal"))
+            object.__setattr__(self, "_counts", counts)
+        return self._counts
 
     @property
     def violations(self) -> tuple[CheckRow, ...]:
-        return tuple(r for r in self.rows if r.verdict == "violation")
+        return self._verdict_counts()[0]
 
     @property
     def strict_rows(self) -> int:
-        return sum(1 for r in self.rows if r.verdict == "strict")
+        return self._verdict_counts()[1]
 
     @property
     def equal_rows(self) -> int:
-        return sum(1 for r in self.rows if r.verdict == "equal")
+        return self._verdict_counts()[2]
 
     @property
     def ok(self) -> bool:
@@ -675,21 +900,21 @@ def check_semimeasure(nu: JointSemimeasure, depth: int) -> CheckReport:
     of its one-symbol extensions. Violations are data, not failures; rows are
     ordered lexicographically by (length, symbols).
     """
-    rows: list[CheckRow] = []
-    monotone_bad: list[Any] = []
-    for x in contexts(nu, depth):
-        lhs = nu.eval(x)
-        children = [nu.eval(x + (s,)) for s in range(nu.arity_at(len(x)))]
-        rows.append(CheckRow(x, lhs, sum(children, ZERO)))
-        for s, cm in enumerate(children):
+    rows: list[Any] = [None] * _count_contexts(nu, depth)
+    monotone_bad: list[tuple[int, Any]] = []
+    root = nu.root()
+    for order, x, (lhs, _), kids in walk(nu, depth, root, nu.extend):
+        rows[order] = CheckRow(x, lhs, _total([m for m, _ in kids]))
+        for s, (cm, _) in enumerate(kids):
             if cm > lhs:
-                monotone_bad.append(x + (s,))
+                monotone_bad.append((order, x + (s,)))
+    monotone_bad.sort(key=lambda item: item[0])  # stable: symbol order within a context
     return CheckReport(
         kind="semimeasure",
         depth=depth,
-        root_mass=nu.eval(()),
+        root_mass=root[0],
         rows=tuple(rows),
-        monotone_violations=tuple(monotone_bad),
+        monotone_violations=tuple(item for _, item in monotone_bad),
         declared_measure=nu.declared_measure,
     )
 
@@ -701,24 +926,24 @@ def check_chronological(nu: ChronEnv, depth: int) -> CheckReport:
     nu(e || a) >= sum_e' nu(e e' || a a'). One row per (e, a, a'), in
     :func:`contexts` order.
     """
-    rows: list[CheckRow] = []
-    monotone_bad: list[Any] = []
-    for e, a in contexts(nu, depth):
-        lhs = nu.eval(e, a)
-        for a_next in range(nu.action_arity):
-            children = [
-                nu.eval(e + (e_next,), a + (a_next,)) for e_next in range(nu.percept_arity)
-            ]
-            rows.append(CheckRow((e, a, a_next), lhs, sum(children, ZERO)))
-            for e_next, cm in enumerate(children):
+    n_actions = nu.action_arity
+    rows: list[Any] = [None] * (_count_contexts(nu, depth) * n_actions)
+    monotone_bad: list[tuple[int, Any]] = []
+    root = nu.root()
+    for order, (e, a), (lhs, _), per_action in walk(nu, depth, root, nu.extend):
+        for a_next, kids in enumerate(per_action):
+            slot = order * n_actions + a_next
+            rows[slot] = CheckRow((e, a, a_next), lhs, _total([m for m, _ in kids]))
+            for e_next, (cm, _) in enumerate(kids):
                 if cm > lhs:
-                    monotone_bad.append((e + (e_next,), a + (a_next,)))
+                    monotone_bad.append((slot, (e + (e_next,), a + (a_next,))))
+    monotone_bad.sort(key=lambda item: item[0])  # stable: percept order within a row
     return CheckReport(
         kind="chronological",
         depth=depth,
-        root_mass=nu.eval((), ()),
+        root_mass=root[0],
         rows=tuple(rows),
-        monotone_violations=tuple(monotone_bad),
+        monotone_violations=tuple(item for _, item in monotone_bad),
         declared_measure=nu.declared_measure,
     )
 

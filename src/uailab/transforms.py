@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Any, Sequence
 
 from .core import (
     ONE,
@@ -32,8 +32,8 @@ from .semimeasure import (
     Policy,
     StationaryPolicy,
     compare,
-    contexts,
     max_ratio,
+    walk,
 )
 
 
@@ -59,6 +59,26 @@ class EnvView(ChronEnv):
             prefix = prefix + (a, e)
         return out
 
+    def root(self) -> tuple[Prob, Any]:
+        # (mass, base state, base mass of the pending prefix or None, prefix)
+        return ONE, (ONE, self.base.root()[1], None, ())
+
+    def extend(self, state: Any, symbol: int) -> tuple[Prob, Any]:
+        mass, base_state, denom, prefix = state
+        if denom is None:
+            try:
+                denom, base_state = self.base.extend(base_state, symbol)
+            except (UndefinedConditionalError, NormalizationError) as exc:
+                denom = exc  # ``eval`` raises it with the percept, so it waits
+            return mass, (mass, base_state, denom, prefix + (symbol,))
+        if isinstance(denom, ZeroDivisionError):
+            raise denom
+        if denom == 0:
+            raise UndefinedConditionalError(prefix, "env view")
+        base_mass, base_state = self.base.extend(base_state, symbol)
+        mass *= base_mass / denom
+        return mass, (mass, base_state, None, prefix + (symbol,))
+
 
 def env(nu: JointSemimeasure) -> EnvView:
     """Environment view of a joint distribution (lazy; needs nu > 0 per query)."""
@@ -76,6 +96,7 @@ class DualJoint(JointSemimeasure):
     def __init__(self, nu: ChronEnv, pi: Policy):
         self.nu = nu
         self.pi = pi
+        self._stationary = isinstance(pi, StationaryPolicy)  # walks in O(1) per step
         self.action_arity = nu.action_arity
         self.percept_arity = nu.percept_arity
         self.declared_measure = False
@@ -87,6 +108,30 @@ class DualJoint(JointSemimeasure):
         if w == 0:
             return ZERO
         return w * self.nu.eval(percepts, actions[: len(percepts)])
+
+    def root(self) -> tuple[Prob, Any]:
+        if not self._stationary:
+            return super().root()
+        nu_mass, nu_state = self.nu.root()
+        if nu_state is None:
+            return ZERO, None
+        # (policy weight, env mass, env state, at an action position)
+        return nu_mass, (ONE, nu_mass, nu_state, True)
+
+    def extend(self, state: Any, symbol: int) -> tuple[Prob, Any]:
+        if not self._stationary:
+            return super().extend(state, symbol)
+        if state is None:
+            return ZERO, None
+        w, nu_mass, nu_state, at_action = state
+        if at_action:
+            w *= self.pi.probs[symbol]
+            if w == 0:
+                return ZERO, None
+        nu_mass, nu_state = self.nu.extend(nu_state, symbol)
+        if nu_state is None:
+            return ZERO, None
+        return w * nu_mass, (w, nu_mass, nu_state, not at_action)
 
 
 def dual(nu: ChronEnv, pi: Policy) -> DualJoint:
@@ -144,6 +189,24 @@ class NormalizedPredictor(JointSemimeasure):
             if out == 0:
                 return ZERO
         return out
+
+    def root(self) -> tuple[Prob, Any]:
+        # (mass, base state, context, memo of the base children and their sum)
+        return ONE, (ONE, self.base.root()[1], (), [])
+
+    def extend(self, state: Any, symbol: int) -> tuple[Prob, Any]:
+        if state is None:
+            return ZERO, None
+        mass, base_state, x, memo = state
+        if not memo:  # siblings share one evaluation of the base children
+            kids = [self.base.extend(base_state, s) for s in range(self.arity_at(len(x)))]
+            memo.append((kids, sum((m for m, _ in kids), ZERO)))
+        kids, total = memo[0]
+        if total == 0:
+            raise NormalizationError(x)
+        base_mass, base_state = kids[symbol]
+        mass *= base_mass / total
+        return (mass, (mass, base_state, x + (symbol,), [])) if mass else (ZERO, None)
 
 
 def normalize(nu: JointSemimeasure) -> NormalizedPredictor:
@@ -235,26 +298,26 @@ def check_normalization_dominance(
     The normalizing denominator of a semimeasure is at most 1, so wherever
     both sides are defined the normalized conditional must be >= the raw
     conditional. Returns (violation rows carrying (raw, normalized), count
-    of contexts skipped because either side was undefined).
+    of contexts skipped because either side was undefined). One walk of
+    ``nu`` gives both: the normalized conditional of x s is nu(x s) over
+    the summed one-symbol extensions of x, as in :class:`NormalizedPredictor`.
     """
-    hat = normalize(nu)
-    violations: list[MismatchRow] = []
+    found: list[tuple[int, MismatchRow]] = []
     skipped = 0
-    for x in contexts(nu, depth):
-        raw_prefix = nu.eval(x)
+    for order, x, (raw_prefix, _), kids in walk(nu, depth, nu.root(), nu.extend):
         if raw_prefix == 0:
             skipped += 1
             continue
-        for s in range(nu.arity_at(len(x))):
-            raw = nu.eval(x + (s,)) / raw_prefix
-            try:
-                hatted = hat.conditional(x, s)
-            except NormalizationError:
+        total = sum((m for m, _ in kids), ZERO)
+        for s, (mass, _) in enumerate(kids):
+            if total == 0:
                 skipped += 1
                 continue
+            raw, hatted = mass / raw_prefix, mass / total
             if hatted < raw:
-                violations.append(MismatchRow((x, s), raw, hatted))
-    return violations, skipped
+                found.append((order, MismatchRow((x, s), raw, hatted)))
+    found.sort(key=lambda item: item[0])  # stable: symbol order within a context
+    return [row for _, row in found], skipped
 
 
 @dataclass(frozen=True)

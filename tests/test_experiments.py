@@ -230,6 +230,7 @@ BAD_MIXTURES = {
     "unparsable_weight": {"components": [{"builtin": "copy_machine"}], "weights": ["abc"]},
     "missing_weights": {"components": [{"builtin": "copy_machine"}]},
     "zero_denominator": {"components": [{"builtin": "copy_machine"}], "weights": ["1/0"]},
+    "builtin_not_a_string": {"components": [{"builtin": ["copy_machine"]}], "weights": ["1"]},
 }
 
 
@@ -284,6 +285,9 @@ BAD_TABLE_FIELDS = {
     "alphabet_zero": ("alphabet", {"alphabet": {"actions": 0}}),
     "alphabet_string": ("alphabet", {"alphabet": {"percepts": "2"}}),
     "default_rule_number": ("default_rule", {"default_rule": 3}),
+    "declared_measure_string": ("declared_measure", {"declared_measure": "false"}),
+    "declared_measure_number": ("declared_measure", {"declared_measure": 1}),
+    "declared_measure_null": ("declared_measure", {"declared_measure": None}),
 }
 
 

@@ -6,6 +6,7 @@ import pytest
 from uailab.core import ComponentFormatError
 from uailab.semimeasure import (
     ActionEchoJoint,
+    CheckRow,
     ChronEnv,
     JointSemimeasure,
     MixturePolicy,
@@ -75,6 +76,19 @@ def test_checker_reports_violation_at_root():
     assert not report.ok
     assert report.violations[0].context == ()
     assert report.violations[0].rhs == F(11, 10)
+
+
+def test_report_reads_each_verdict_once(monkeypatch):
+    reads = []
+    verdict = CheckRow.verdict.fget
+    counted = property(lambda row: reads.append(row) or verdict(row))
+    monkeypatch.setattr(CheckRow, "verdict", counted)
+    report = check_chronological(mu_id(), 2)
+    assert reads == []  # nothing compared until a count is asked for
+    for _ in range(3):
+        report.violations, report.strict_rows, report.equal_rows, report.ok
+        report.declaration_verified
+    assert len(reads) == len(report.rows)
 
 
 def test_mu_id_chronological_equality_depth_4():

@@ -1,0 +1,419 @@
+"""Prefix-sharing walks against the from-scratch ``eval`` oracle.
+
+Every ``root``/``extend`` override must give exactly ``eval`` at every
+context, and every walk-based routine (the exhaustive checkers, ``compare``,
+the predictive-consistency check, normalization dominance and expectimax)
+must give exactly what its former from-scratch loop gave. The loops are kept
+here, frozen, as the reference.
+"""
+from fractions import Fraction
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from uailab.agents import expectimax_action, expectimax_value
+from uailab.core import (
+    BINARY_PERCEPTS,
+    EMPTY_HISTORY,
+    ZERO,
+    History,
+    NormalizationError,
+    UndefinedConditionalError,
+    history_from_symbols,
+)
+from uailab.experiments import scenario_mixtures
+from uailab.mixture import (
+    EnvMixture,
+    JointMixture,
+    check_predictive_consistency,
+    posterior_weights,
+    predictive,
+)
+from uailab.semimeasure import (
+    ActionEchoJoint,
+    ChronEnv,
+    IIDEnv,
+    JointSemimeasure,
+    NoisyCopyEnv,
+    ProductJoint,
+    StationaryPolicy,
+    TableEnv,
+    TableJoint,
+    check_chronological,
+    check_semimeasure,
+    compare,
+    constant_policy,
+    contexts,
+    eval_at,
+    mu_id,
+    uniform_measure,
+)
+from uailab.transforms import check_normalization_dominance, dual, env, normalize
+
+F = Fraction
+UNDEFINED = (UndefinedConditionalError, NormalizationError)
+
+# Binary conditional rows: measures, defective rows and dead ends.
+ROWS = [(0, 0), (1, 0), (0, 1), (F(1, 2), F(1, 2)), (F(1, 4), F(1, 2)), (F(1, 3), F(1, 3))]
+JOINT_KEYS = [x for n in range(5) for x in product((0, 1), repeat=n)]
+ENV_KEYS = [
+    (e, a)
+    for t in range(3)
+    for e in product((0, 1), repeat=t)
+    for a in product((0, 1), repeat=t + 1)
+]
+PAIRS = st.sampled_from(
+    [(F(1, 2), F(1, 2)), (1, 0), (F(1, 4), F(3, 4)), (F(1, 3), F(1, 3)), (0, 0)]
+)
+
+
+def tables(cls, keys):
+    return st.builds(
+        lambda rows, default: cls(dict(zip(keys, rows)), default),
+        st.lists(st.sampled_from(ROWS), min_size=len(keys), max_size=len(keys)),
+        st.sampled_from(["halt", "uniform"]),
+    )
+
+
+class EvalOnlyJoint(JointSemimeasure):
+    """Delegates ``eval`` only, so every walk takes the default path."""
+
+    def __init__(self, base):
+        self.base = base
+        self.action_arity = base.action_arity
+        self.percept_arity = base.percept_arity
+        self.declared_measure = base.declared_measure
+
+    def eval(self, x):
+        return self.base.eval(x)
+
+
+class EvalOnlyEnv(ChronEnv):
+    """Delegates ``eval`` only, so every walk takes the default path."""
+
+    def __init__(self, base):
+        self.base = base
+        self.action_arity = base.action_arity
+        self.percept_arity = base.percept_arity
+        self.declared_measure = base.declared_measure
+
+    def eval(self, percepts, actions):
+        return self.base.eval(percepts, actions)
+
+
+class Flicker(JointSemimeasure):
+    """Not a semimeasure: zero on odd lengths, positive on even ones."""
+
+    def eval(self, x):
+        return F(0) if len(x) % 2 else F(1, 2) ** len(x)
+
+
+class Overfull(JointSemimeasure):
+    """Not a semimeasure: mass 1 everywhere, so extensions sum to 2."""
+
+    def eval(self, x):
+        return F(1)
+
+
+class FlickerEnv(ChronEnv):
+    """Not chronological: zero after an odd number of steps."""
+
+    def eval(self, percepts, actions):
+        return F(0) if len(actions) % 2 else F(1, 4) ** len(actions)
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type of the undefinedness it raised."""
+    try:
+        return fn(*args)
+    except UNDEFINED as exc:
+        return type(exc)
+
+
+def assert_walk_matches_eval(nu, depth):
+    """Walk every context up to ``depth``, comparing each step with ``eval``."""
+    mass, state = nu.root()
+    if isinstance(nu, JointSemimeasure):
+        assert mass == nu.eval(())
+
+        def visit(state, x):
+            for s in range(nu.arity_at(len(x))):
+                want = outcome(nu.eval, x + (s,))
+                got = outcome(nu.extend, state, s)
+                if isinstance(want, type):
+                    assert got is want, (x, s)
+                    continue
+                assert got[0] == want, (x, s)
+                if len(x) + 1 < depth:
+                    visit(got[1], x + (s,))
+
+        visit(state, ())
+        return
+    assert mass == nu.eval((), ())
+
+    def visit_env(state, mass, percepts, actions):
+        for a in range(nu.action_arity):
+            pending_mass, pending = nu.extend(state, a)
+            assert pending_mass == mass  # an action moves no mass
+            for e in range(nu.percept_arity):
+                want = outcome(nu.eval, percepts + (e,), actions + (a,))
+                got = outcome(nu.extend, pending, e)
+                if isinstance(want, type):
+                    assert got is want, (percepts, actions, a, e)
+                    continue
+                assert got[0] == want, (percepts, actions, a, e)
+                if len(actions) + 1 < depth:
+                    visit_env(got[1], want, percepts + (e,), actions + (a,))
+
+    visit_env(state, mass, (), ())
+
+
+# ---------------------------------------------------------------------------
+# Frozen from-scratch loops (the reference)
+# ---------------------------------------------------------------------------
+
+
+def scratch_check(nu, depth):
+    """(root mass, rows, monotone violations) as the eval loops computed them."""
+    rows, bad = [], []
+    if isinstance(nu, JointSemimeasure):
+        for x in contexts(nu, depth):
+            lhs = nu.eval(x)
+            kids = [nu.eval(x + (s,)) for s in range(nu.arity_at(len(x)))]
+            rows.append((x, lhs, sum(kids, ZERO)))
+            bad.extend(x + (s,) for s, m in enumerate(kids) if m > lhs)
+        return nu.eval(()), rows, bad
+    for e, a in contexts(nu, depth):
+        lhs = nu.eval(e, a)
+        for a2 in range(nu.action_arity):
+            kids = [nu.eval(e + (e2,), a + (a2,)) for e2 in range(nu.percept_arity)]
+            rows.append(((e, a, a2), lhs, sum(kids, ZERO)))
+            bad.extend((e + (e2,), a + (a2,)) for e2, m in enumerate(kids) if m > lhs)
+    return nu.eval((), ()), rows, bad
+
+
+def scratch_compare(lhs, rhs, depth):
+    rows, skipped = [], 0
+    for context in contexts(lhs, depth):
+        try:
+            value = eval_at(lhs, context)
+        except UndefinedConditionalError:
+            skipped += 1
+            continue
+        rows.append((context, value, eval_at(rhs, context)))
+    return rows, skipped
+
+
+def scratch_dominance(nu, depth):
+    hat = normalize(nu)
+    violations, skipped = [], 0
+    for x in contexts(nu, depth):
+        raw_prefix = nu.eval(x)
+        if raw_prefix == 0:
+            skipped += 1
+            continue
+        for s in range(nu.arity_at(len(x))):
+            raw = nu.eval(x + (s,)) / raw_prefix
+            try:
+                hatted = hat.conditional(x, s)
+            except NormalizationError:
+                skipped += 1
+                continue
+            if hatted < raw:
+                violations.append(((x, s), raw, hatted))
+    return violations, skipped
+
+
+def scratch_consistency(mixture, depth):
+    mismatches = []
+    for prefix in contexts(mixture, 2 * depth + 1):
+        if len(prefix) % 2 == 0 or mixture.eval(prefix) == 0:
+            continue
+        h, a = history_from_symbols(prefix[:-1]), prefix[-1]
+        state = posterior_weights(mixture, h, a)
+        lhs_map = predictive(mixture, h, a)
+        for e in range(mixture.percept_arity):
+            rhs = ZERO
+            for i, c in enumerate(mixture.components):
+                if state.posterior[i] != 0:
+                    rhs += state.posterior[i] * (c.eval(prefix + (e,)) / state.component_masses[i])
+            if lhs_map[e] != rhs:
+                mismatches.append(((prefix, e), lhs_map[e], rhs))
+    return mismatches
+
+
+def scratch_expectimax(nu, actions, percs, remaining):
+    best_value, best_action = None, 0
+    for a in range(nu.action_arity):
+        total = ZERO
+        for e in range(nu.percept_arity):
+            mass = nu.eval(percs + (e,), actions + (a,))
+            if mass == 0:
+                continue
+            total += BINARY_PERCEPTS.reward(e) * mass
+            if remaining > 1:
+                total += scratch_expectimax(nu, actions + (a,), percs + (e,), remaining - 1)[0]
+        if best_value is None or total > best_value:
+            best_value, best_action = total, a
+    return best_value, best_action
+
+
+def assert_check_matches_scratch(nu, depth):
+    check = check_semimeasure if isinstance(nu, JointSemimeasure) else check_chronological
+    report = outcome(check, nu, depth)
+    want = outcome(scratch_check, nu, depth)
+    if isinstance(want, type):  # e.g. a normalized table with a dead end
+        assert report is want
+        return
+    root, rows, bad = want
+    assert report.root_mass == root
+    assert [(r.context, r.lhs, r.rhs) for r in report.rows] == rows
+    assert list(report.monotone_violations) == bad
+    verdicts = [r.verdict for r in report.rows]
+    assert report.violations == tuple(r for r in report.rows if r.verdict == "violation")
+    assert (report.strict_rows, report.equal_rows) == (
+        verdicts.count("strict"),
+        verdicts.count("equal"),
+    )
+
+
+def assert_compare_matches_scratch(lhs, rhs, depth):
+    got = outcome(compare, lhs, rhs, depth)
+    want = outcome(scratch_compare, lhs, rhs, depth)
+    if isinstance(want, type):  # rhs undefined where lhs is defined: propagates
+        assert got is want
+        return
+    rows, skipped = got
+    assert ([(r.witness, r.lhs, r.rhs) for r in rows], skipped) == want
+
+
+def assert_expectimax_matches_scratch(nu, history, horizon):
+    want = outcome(scratch_expectimax, nu, history.actions, history.percepts, horizon)
+    value = outcome(expectimax_value, nu, history, horizon)
+    action = outcome(expectimax_action, nu, history, horizon)
+    if isinstance(want, type):
+        assert value is want and action is want
+    else:
+        assert (value, action) == want
+
+
+# ---------------------------------------------------------------------------
+# Random tables through every override
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    tables(TableJoint, JOINT_KEYS),
+    tables(TableJoint, JOINT_KEYS),
+    tables(TableEnv, ENV_KEYS),
+    tables(TableEnv, ENV_KEYS),
+    PAIRS,
+    PAIRS,
+)
+def test_every_walk_step_equals_eval(joint, joint2, nu, nu2, pair, filler):
+    pi = StationaryPolicy(filler)
+    joint_mix = JointMixture(
+        [joint, joint2, ProductJoint(pair, filler), ActionEchoJoint(*pair), EvalOnlyJoint(joint)],
+        [F(1, 5)] * 5,
+    )
+    env_mix = EnvMixture(
+        [nu, nu2, NoisyCopyEnv(*pair), IIDEnv(filler), EvalOnlyEnv(nu)], [F(1, 5)] * 5
+    )
+    # A zero that is not absorbing keeps its component in the mixture walk.
+    assert_walk_matches_eval(JointMixture([joint, Flicker()], [F(1, 2), F(1, 2)]), 4)
+    assert_walk_matches_eval(EnvMixture([nu, FlickerEnv()], [F(1, 2), F(1, 2)]), 3)
+    for component in (
+        joint,
+        ProductJoint(pair, (F(1, 3), F(1, 3), F(1, 3))),
+        ActionEchoJoint(*pair),
+        joint_mix,
+        dual(nu, pi),
+        dual(env_mix, pi),
+        dual(env(joint), pi),
+        dual(nu, constant_policy(1)),
+        normalize(joint),
+        normalize(joint_mix),
+    ):
+        assert_walk_matches_eval(component, 5)
+    for component in (nu, NoisyCopyEnv(*pair)):
+        assert_walk_matches_eval(component, 5)
+    assert_walk_matches_eval(env_mix, 4)
+    assert_walk_matches_eval(IIDEnv((F(1, 4), F(1, 4), F(1, 2))), 3)
+    for component in (env(joint), env(joint_mix), env(dual(nu, pi)), env(normalize(joint))):
+        assert_walk_matches_eval(component, 3)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    tables(TableJoint, JOINT_KEYS),
+    tables(TableJoint, JOINT_KEYS),
+    tables(TableEnv, ENV_KEYS),
+    tables(TableEnv, ENV_KEYS),
+    PAIRS,
+)
+def test_walks_equal_their_from_scratch_loops(joint, joint2, nu, nu2, filler):
+    pi = StationaryPolicy(filler)
+    joint_mix = JointMixture([joint, joint2, EvalOnlyJoint(joint2)], [F(1, 4), F(1, 2), F(1, 4)])
+    env_mix = EnvMixture([nu, nu2], [F(1, 3), F(2, 3)])
+    for component in (joint, joint_mix, dual(env_mix, pi), normalize(joint_mix)):
+        assert_check_matches_scratch(component, 5)
+    for component in (nu, env_mix, IIDEnv((F(1, 4), F(1, 4), F(1, 2))), EvalOnlyEnv(env_mix)):
+        assert_check_matches_scratch(component, 3)
+    assert_compare_matches_scratch(env(joint_mix), env_mix, 3)
+    assert_compare_matches_scratch(env(dual(nu, pi)), nu, 3)
+    assert_compare_matches_scratch(joint_mix, dual(env_mix, pi), 5)
+    assert_compare_matches_scratch(EvalOnlyEnv(env(joint)), env(joint2), 3)
+    for mixture in (joint_mix, JointMixture([joint, dual(nu, pi)], [F(1, 2), F(1, 2)])):
+        rows, skipped = check_normalization_dominance(mixture, 4)
+        assert ([(r.witness, r.lhs, r.rhs) for r in rows], skipped) == scratch_dominance(mixture, 4)
+        assert check_predictive_consistency(mixture, 2) == scratch_consistency(mixture, 2)
+    for belief in (nu, env_mix, env(joint), env(joint_mix), EvalOnlyEnv(env(joint))):
+        for history in (EMPTY_HISTORY, History((1,), (0,)), History((0, 1), (0, 1))):
+            assert_expectimax_matches_scratch(belief, history, 3)
+
+
+# ---------------------------------------------------------------------------
+# An eval-only environment takes the default walk and agrees everywhere
+# ---------------------------------------------------------------------------
+
+
+def test_eval_only_subclass_gives_the_same_results():
+    mdef = scenario_mixtures()["adversary_rich"]
+    for belief in (mdef.chron, env(mdef.joint)):
+        plain = EvalOnlyEnv(belief)
+        assert check_chronological(plain, 3) == check_chronological(belief, 3)
+        rows, skipped = compare(plain, belief, 3)
+        assert skipped == 0 and all(r.verdict == "equal" for r in rows)
+        assert compare(plain, mdef.chron, 3) == compare(belief, mdef.chron, 3)
+        for history in (EMPTY_HISTORY, History((1,), (1,)), History((0, 1), (1, 1))):
+            for horizon in (1, 2, 3):
+                assert expectimax_action(plain, history, horizon) == expectimax_action(
+                    belief, history, horizon
+                )
+                assert expectimax_value(plain, history, horizon) == expectimax_value(
+                    belief, history, horizon
+                )
+
+
+def test_non_semimeasures_report_the_same_violations():
+    # Many monotone violations at once: their order must be contexts order.
+    for component in (
+        Flicker(),
+        FlickerEnv(),
+        JointMixture([Flicker(), uniform_measure()], [F(3, 4), F(1, 4)]),
+        EnvMixture([FlickerEnv(), mu_id()], [F(3, 4), F(1, 4)]),
+    ):
+        joint = isinstance(component, JointSemimeasure)
+        report = check_semimeasure(component, 4) if joint else check_chronological(component, 3)
+        assert len(report.monotone_violations) > 2
+        assert_check_matches_scratch(component, 4 if joint else 3)
+    rows, skipped = check_normalization_dominance(Overfull(), 3)
+    assert len(rows) > 2
+    assert ([(r.witness, r.lhs, r.rhs) for r in rows], skipped) == scratch_dominance(Overfull(), 3)
+    # Flicker's zero posterior drops it from one face only: mismatches.
+    mixture = JointMixture([Flicker(), uniform_measure()], [F(3, 4), F(1, 4)])
+    mismatches = check_predictive_consistency(mixture, 2)
+    assert len(mismatches) > 2
+    assert mismatches == scratch_consistency(mixture, 2)
