@@ -47,7 +47,6 @@ from .semimeasure import (
     contexts,
     copy_machine,
     defective_uniform,
-    eval_at,
     leaky_copy,
     max_ratio,
     mu_id,

@@ -8,20 +8,20 @@ cumulative product equals the predictor's environment-view value of the
 played (a, a) pair, exactly (telescoping). The greedy finite construction is
 deliberately myopic: the asymptotic diagonal constructions are incomputable,
 and the greedy analog's drop thresholds are computed by oracle runs, never
-assumed.
+assumed. Traces walk the predictor: one move is two ``extend`` steps.
 
 Domination probes report the exact max ratio mu/xi over all strings to a
 depth, with witnesses; ratios against zero are reported as unbounded
-witnesses, never silently skipped.
+witnesses, never silently skipped. A probe is one :func:`compare` walk.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Any, Sequence
 
 from .core import ONE, UndefinedConditionalError
-from .semimeasure import ChronEnv, JointSemimeasure, MismatchRow, contexts, eval_at, max_ratio
+from .semimeasure import ChronEnv, JointSemimeasure, compare, contexts, max_ratio
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,14 @@ class AdversaryTrace:
         return self.steps[-1].cumulative if self.steps else ONE
 
 
-def _copy_conditional(xi: JointSemimeasure, prefix: tuple[int, ...], action: int) -> Fraction:
-    """xi(percept == action | prefix, action); error on zero pending prefix."""
-    pending = prefix + (action,)
-    denom = xi.eval(pending)
+def _copy_step(xi: JointSemimeasure, state: Any, action: int) -> tuple[Fraction, Any]:
+    """(xi(percept == action | prefix, action), state after the copy) from the
+    walk state of the played prefix; error on a zero-mass pending prefix."""
+    denom, pending = xi.extend(state, action)
     if denom == 0:
-        raise UndefinedConditionalError(pending, "copy conditional")
-    return xi.eval(pending + (action,)) / denom
+        raise UndefinedConditionalError(action, "copy conditional of the pending action")
+    mass, child = xi.extend(pending, action)
+    return mass / denom, child
 
 
 def greedy_antipredict(xi: JointSemimeasure, steps: int) -> AdversaryTrace:
@@ -73,21 +74,21 @@ def greedy_antipredict(xi: JointSemimeasure, steps: int) -> AdversaryTrace:
     trace is truncated and flagged.
     """
     trace: list[AdversaryStep] = []
-    prefix: tuple[int, ...] = ()
+    state = xi.root()[1]
     cumulative = ONE
     for t in range(1, steps + 1):
-        candidates: list[tuple[Fraction, int]] = []
+        candidates: list[tuple[Fraction, int, Any]] = []
         for a in range(xi.action_arity):
             try:
-                candidates.append((_copy_conditional(xi, prefix, a), a))
+                conditional, child = _copy_step(xi, state, a)
             except UndefinedConditionalError:
                 continue
+            candidates.append((conditional, a, child))
         if not candidates:
             return AdversaryTrace(tuple(trace), truncated=True)
-        conditional, action = min(candidates)  # ties: smallest action
+        conditional, action, state = min(candidates)  # ties: smallest action
         cumulative *= conditional
         trace.append(AdversaryStep(t, action, conditional, cumulative))
-        prefix = prefix + (action, action)  # the true environment copies
         if cumulative == 0:
             return AdversaryTrace(tuple(trace), truncated=True)
     return AdversaryTrace(tuple(trace), truncated=False)
@@ -104,16 +105,15 @@ def copy_conditional_trace(
     predictors as well. Truncates with a flag on a zero-mass prefix.
     """
     trace: list[AdversaryStep] = []
-    prefix: tuple[int, ...] = ()
+    state = xi.root()[1]
     cumulative = ONE
     for t, a in enumerate(tuple(actions), start=1):
         try:
-            conditional = _copy_conditional(xi, prefix, a)
-        except (UndefinedConditionalError, ZeroDivisionError):
+            conditional, state = _copy_step(xi, state, a)
+        except ZeroDivisionError:  # undefined or unnormalizable conditional
             return AdversaryTrace(tuple(trace), truncated=True)
         cumulative *= conditional
         trace.append(AdversaryStep(t, a, conditional, cumulative))
-        prefix = prefix + (a, a)
         if cumulative == 0:
             return AdversaryTrace(tuple(trace), truncated=True)
     return AdversaryTrace(tuple(trace), truncated=False)
@@ -146,11 +146,15 @@ def domination_probe(
 
     Both arguments must be the same kind: joint semimeasures are compared on
     interleaved strings, environments on percept/action pairs for every
-    action string.
+    action string. Where mu or xi is undefined, the probe raises.
     """
     if isinstance(mu, JointSemimeasure) != isinstance(xi, JointSemimeasure):
         raise TypeError("domination_probe needs two components of the same kind")
-    rows = [MismatchRow(c, eval_at(mu, c), eval_at(xi, c)) for c in contexts(mu, depth)]
+    rows, skipped = compare(mu, xi, depth)
+    if skipped:
+        found = {r.witness for r in rows}
+        first = next(c for c in contexts(mu, depth) if c not in found)
+        raise UndefinedConditionalError(first, f"domination probe; {skipped} such contexts")
     best, witness = max_ratio(r for r in rows if r.rhs != 0)
     return DominationReport(
         depth=depth,

@@ -667,11 +667,6 @@ def contexts(nu: JointSemimeasure | ChronEnv, depth: int) -> Iterator[Any]:
                 yield percepts, actions
 
 
-def eval_at(nu: JointSemimeasure | ChronEnv, context: Any) -> Prob:
-    """``nu`` at one context of the kind :func:`contexts` yields for it."""
-    return nu.eval(context) if isinstance(nu, JointSemimeasure) else nu.eval(*context)
-
-
 Step = Callable[[Any, int], tuple[Any, Any]]
 
 

@@ -9,6 +9,9 @@ policy into the history distribution they induce. ``chron_to_joint`` is the
 semimeasure representation of an environment with a configurable action
 filler (uniform by default). ``normalize`` rescales one-symbol conditionals
 to sum to 1 (Solomonoff normalization).
+
+A view walks its base: each of its steps takes O(1) base steps. A dual's walk
+recomputes ``Policy.weight`` at each action, whatever the kind of policy.
 """
 from __future__ import annotations
 
@@ -96,7 +99,6 @@ class DualJoint(JointSemimeasure):
     def __init__(self, nu: ChronEnv, pi: Policy):
         self.nu = nu
         self.pi = pi
-        self._stationary = isinstance(pi, StationaryPolicy)  # walks in O(1) per step
         self.action_arity = nu.action_arity
         self.percept_arity = nu.percept_arity
         self.declared_measure = False
@@ -110,28 +112,30 @@ class DualJoint(JointSemimeasure):
         return w * self.nu.eval(percepts, actions[: len(percepts)])
 
     def root(self) -> tuple[Prob, Any]:
-        if not self._stationary:
-            return super().root()
+        w = self.pi.weight((), ())  # below 1 for a deficient policy mixture
+        if w == 0:
+            return ZERO, None
         nu_mass, nu_state = self.nu.root()
         if nu_state is None:
             return ZERO, None
-        # (policy weight, env mass, env state, at an action position)
-        return nu_mass, (ONE, nu_mass, nu_state, True)
+        # (actions, percepts, policy weight, env state)
+        return w * nu_mass, ((), (), w, nu_state)
 
     def extend(self, state: Any, symbol: int) -> tuple[Prob, Any]:
-        if not self._stationary:
-            return super().extend(state, symbol)
         if state is None:
             return ZERO, None
-        w, nu_mass, nu_state, at_action = state
-        if at_action:
-            w *= self.pi.probs[symbol]
+        actions, percepts, w, nu_state = state
+        if len(actions) == len(percepts):
+            actions += (symbol,)
+            w = self.pi.weight(actions, percepts)
             if w == 0:
                 return ZERO, None
+        else:
+            percepts += (symbol,)  # the weight reads no percept after the last action
         nu_mass, nu_state = self.nu.extend(nu_state, symbol)
         if nu_state is None:
             return ZERO, None
-        return w * nu_mass, (w, nu_mass, nu_state, not at_action)
+        return w * nu_mass, (actions, percepts, w, nu_state)
 
 
 def dual(nu: ChronEnv, pi: Policy) -> DualJoint:

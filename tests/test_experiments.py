@@ -1,17 +1,25 @@
 import json
+import multiprocessing
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from uailab import experiments
+from uailab.adversary import AdversaryTrace
 from uailab.experiments import (
     DEFAULT_BUDGETS,
     SCENARIOS,
     SCHEMA_VERSION,
     ConfigError,
     ScenarioConfig,
+    _conditional_stats,
+    builtin_components,
     claim_map,
     config_from_dict,
     load_derived,
@@ -337,3 +345,101 @@ def test_thm11_names_both_lengths_when_it_skips_the_oracle(tmp_path):
     default = tmp_path / "default"
     assert run_scenario(ScenarioConfig("thm11_convergence", default)) == 0
     assert "oracle comparison skipped" not in summary_body(default)
+
+
+def test_thm10_with_an_empty_trace_exits_0(tmp_path, capsys):
+    from uailab import cli
+
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "scenario": "thm10_normalized",
+                "budgets": {"normalized_trace_len": 0},
+            }
+        )
+    )
+    out = tmp_path / "o"
+    assert cli.main(["run", "thm10_normalized", "--config", str(config), "--out", str(out)]) == 0
+    assert "final=none (empty trace)" in summary_body(out)
+    for name in ("normalized_main", "contrast_unnormalized", "contrast_normalized"):
+        assert len((out / f"{name}.csv").read_text().splitlines()) == 1  # header only
+
+
+def test_thm8_short_run_matches_the_committed_prefix(tmp_path):
+    cfg = ScenarioConfig("thm8_gap", tmp_path, budgets={"trace_steps": 5})
+    assert run_scenario(cfg) == 0
+    body = summary_body(tmp_path)
+    assert "trace matches the committed oracle run (5 steps)" in body
+    assert "MISMATCH" not in body
+    assert len((tmp_path / "gap_trace.csv").read_text().splitlines()) == 1 + 5
+
+
+def test_thm8_trace_that_stops_early_mismatches(tmp_path, monkeypatch):
+    real = experiments.greedy_antipredict
+
+    def stops_early(xi, steps):
+        return AdversaryTrace(real(xi, steps).steps[:3], truncated=True)
+
+    monkeypatch.setattr(experiments, "greedy_antipredict", stops_early)
+    cfg = ScenarioConfig("thm8_gap", tmp_path, budgets={"trace_steps": 5})
+    assert run_scenario(cfg) == 1
+    assert "MISMATCH against the committed oracle run" in summary_body(tmp_path)
+
+
+def test_conditional_stats_under_spawn_equal_one_job():
+    mixture = scenario_mixtures()["learnable_deterministic"].joint
+    want = _conditional_stats(mixture, ("identity", "complement"), 4, 1, True)
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        assert multiprocessing.get_start_method() == "spawn"
+        got = _conditional_stats(mixture, ("identity", "complement"), 4, 2, True)
+    finally:
+        multiprocessing.set_start_method(previous, force=True)
+    assert got == want
+
+
+JOINT_TABLE = {
+    "kind": "joint_table",
+    "conditionals": {"": ["1/2", "1/2"], "0": ["1", "0"]},
+    "default_rule": "uniform",
+}
+MIXTURES = st.fixed_dictionaries(
+    {
+        "components": st.lists(
+            st.sampled_from(sorted(builtin_components())).map(lambda n: {"builtin": n})
+            | st.just(JOINT_TABLE),
+            min_size=1,
+            max_size=3,
+        ),
+        "weights": st.lists(
+            st.sampled_from(["1/2", "1/3", "1/4", "1", "0", "2", "-1/2", "x"]),
+            min_size=1,
+            max_size=3,
+        ),
+    }
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(sorted(SCENARIOS)),
+    st.fixed_dictionaries({key: st.integers(0, 3) for key in DEFAULT_BUDGETS}),
+    st.none() | MIXTURES,
+)
+def test_random_configs_exit_0_1_or_2(scenario, budgets, mixture):
+    """Every budget is drawn from 0..3: the runs stay short, and zero and
+    one-step budgets are the edge cases that have crashed before."""
+    from uailab import cli
+
+    raw = {"schema_version": SCHEMA_VERSION, "scenario": scenario, "budgets": budgets}
+    if mixture is not None:
+        raw["mixture"] = mixture
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(raw))
+        assert cli.main(["check", "--config", str(config)]) in (0, 2)
+        out = str(Path(tmp) / "out")
+        assert cli.main(["run", scenario, "--config", str(config), "--out", out]) in (0, 1, 2)

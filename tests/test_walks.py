@@ -2,16 +2,26 @@
 
 Every ``root``/``extend`` override must give exactly ``eval`` at every
 context, and every walk-based routine (the exhaustive checkers, ``compare``,
-the predictive-consistency check, normalization dominance and expectimax)
-must give exactly what its former from-scratch loop gave. The loops are kept
-here, frozen, as the reference.
+the predictive-consistency check, normalization dominance, expectimax, the
+adversary traces and the domination probe) must give exactly what its
+former from-scratch loop gave. The loops are kept here, frozen, as the
+reference.
 """
 from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uailab.adversary import (
+    AdversaryStep,
+    AdversaryTrace,
+    DominationReport,
+    copy_conditional_trace,
+    domination_probe,
+    greedy_antipredict,
+)
 from uailab.agents import expectimax_action, expectimax_value
 from uailab.core import (
     BINARY_PERCEPTS,
@@ -33,8 +43,11 @@ from uailab.mixture import (
 from uailab.semimeasure import (
     ActionEchoJoint,
     ChronEnv,
+    DeterministicPolicy,
     IIDEnv,
     JointSemimeasure,
+    MismatchRow,
+    MixturePolicy,
     NoisyCopyEnv,
     ProductJoint,
     StationaryPolicy,
@@ -45,11 +58,13 @@ from uailab.semimeasure import (
     compare,
     constant_policy,
     contexts,
-    eval_at,
+    copy_machine,
+    max_ratio,
     mu_id,
     uniform_measure,
 )
 from uailab.transforms import check_normalization_dominance, dual, env, normalize
+from uailab.utm import enumerate_joint
 
 F = Fraction
 UNDEFINED = (UndefinedConditionalError, NormalizationError)
@@ -193,6 +208,11 @@ def scratch_check(nu, depth):
     return nu.eval((), ()), rows, bad
 
 
+def eval_at(nu, context):
+    """``nu`` at one context of the kind :func:`contexts` yields for it."""
+    return nu.eval(context) if isinstance(nu, JointSemimeasure) else nu.eval(*context)
+
+
 def scratch_compare(lhs, rhs, depth):
     rows, skipped = [], 0
     for context in contexts(lhs, depth):
@@ -259,6 +279,83 @@ def scratch_expectimax(nu, actions, percs, remaining):
     return best_value, best_action
 
 
+def scratch_copy_conditional(xi, prefix, action):
+    pending = prefix + (action,)
+    denom = xi.eval(pending)
+    if denom == 0:
+        raise UndefinedConditionalError(pending, "copy conditional")
+    return xi.eval(pending + (action,)) / denom
+
+
+def scratch_greedy(xi, steps):
+    trace, prefix, cumulative = [], (), F(1)
+    for t in range(1, steps + 1):
+        candidates = []
+        for a in range(xi.action_arity):
+            try:
+                candidates.append((scratch_copy_conditional(xi, prefix, a), a))
+            except UndefinedConditionalError:
+                continue
+        if not candidates:
+            return AdversaryTrace(tuple(trace), truncated=True)
+        conditional, action = min(candidates)
+        cumulative *= conditional
+        trace.append(AdversaryStep(t, action, conditional, cumulative))
+        prefix = prefix + (action, action)
+        if cumulative == 0:
+            return AdversaryTrace(tuple(trace), truncated=True)
+    return AdversaryTrace(tuple(trace), truncated=False)
+
+
+def scratch_copy_trace(xi, actions):
+    trace, prefix, cumulative = [], (), F(1)
+    for t, a in enumerate(tuple(actions), start=1):
+        try:
+            conditional = scratch_copy_conditional(xi, prefix, a)
+        except (UndefinedConditionalError, ZeroDivisionError):
+            return AdversaryTrace(tuple(trace), truncated=True)
+        cumulative *= conditional
+        trace.append(AdversaryStep(t, a, conditional, cumulative))
+        prefix = prefix + (a, a)
+        if cumulative == 0:
+            return AdversaryTrace(tuple(trace), truncated=True)
+    return AdversaryTrace(tuple(trace), truncated=False)
+
+
+def scratch_probe(mu, xi, depth):
+    rows = [MismatchRow(c, eval_at(mu, c), eval_at(xi, c)) for c in contexts(mu, depth)]
+    best, witness = max_ratio(r for r in rows if r.rhs != 0)
+    return DominationReport(
+        depth=depth,
+        max_ratio=best,
+        witness=witness,
+        unbounded_witnesses=tuple(r.witness for r in rows if r.rhs == 0 and r.lhs != 0),
+        skipped_zero_zero=sum(1 for r in rows if r.rhs == 0 and r.lhs == 0),
+        contexts_checked=len(rows),
+    )
+
+
+def assert_adversary_matches_scratch(xi, steps, actions):
+    assert outcome(greedy_antipredict, xi, steps) == outcome(scratch_greedy, xi, steps)
+    assert copy_conditional_trace(xi, actions) == scratch_copy_trace(xi, actions)
+
+
+def assert_probe_matches_scratch(mu, xi, depth, same_error=True):
+    """The same report, or an error of the same type, in both directions.
+
+    Without ``same_error`` both sides need only raise: a view undefined in
+    two ways (a zero-mass prefix and an unnormalizable context) raises the
+    kind the walk meets first, which need not be the first in contexts order.
+    """
+    for lhs, rhs in ((mu, xi), (xi, mu)):
+        got = outcome(domination_probe, lhs, rhs, depth)
+        want = outcome(scratch_probe, lhs, rhs, depth)
+        if isinstance(want, type) and not same_error:
+            assert isinstance(got, type), (lhs, rhs)
+        else:
+            assert got == want, (lhs, rhs)
+
+
 def assert_check_matches_scratch(nu, depth):
     check = check_semimeasure if isinstance(nu, JointSemimeasure) else check_chronological
     report = outcome(check, nu, depth)
@@ -314,6 +411,9 @@ def assert_expectimax_matches_scratch(nu, history, horizon):
 )
 def test_every_walk_step_equals_eval(joint, joint2, nu, nu2, pair, filler):
     pi = StationaryPolicy(filler)
+    deficient = MixturePolicy((pi, constant_policy(0)), (F(1, 4), F(1, 2)))
+    # Repeats the last percept: the weight reads the history.
+    echo = DeterministicPolicy(lambda h: h.percepts[-1] if h.percepts else 1)
     joint_mix = JointMixture(
         [joint, joint2, ProductJoint(pair, filler), ActionEchoJoint(*pair), EvalOnlyJoint(joint)],
         [F(1, 5)] * 5,
@@ -333,6 +433,9 @@ def test_every_walk_step_equals_eval(joint, joint2, nu, nu2, pair, filler):
         dual(env_mix, pi),
         dual(env(joint), pi),
         dual(nu, constant_policy(1)),
+        dual(env_mix, deficient),
+        dual(nu, echo),
+        dual(env(joint), echo),
         normalize(joint),
         normalize(joint_mix),
     ):
@@ -372,6 +475,46 @@ def test_walks_equal_their_from_scratch_loops(joint, joint2, nu, nu2, filler):
     for belief in (nu, env_mix, env(joint), env(joint_mix), EvalOnlyEnv(env(joint))):
         for history in (EMPTY_HISTORY, History((1,), (0,)), History((0, 1), (0, 1))):
             assert_expectimax_matches_scratch(belief, history, 3)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    tables(TableJoint, JOINT_KEYS),
+    tables(TableJoint, JOINT_KEYS),
+    tables(TableEnv, ENV_KEYS),
+    st.lists(st.integers(0, 1), max_size=6),
+)
+def test_adversary_and_probe_equal_their_from_scratch_loops(joint, joint2, nu, actions):
+    joint_mix = JointMixture([joint, joint2, copy_machine()], [F(1, 4), F(1, 2), F(1, 4)])
+    for xi in (joint, joint_mix, normalize(joint), normalize(joint_mix), EvalOnlyJoint(joint_mix)):
+        assert_adversary_matches_scratch(xi, 6, actions)
+    assert_probe_matches_scratch(joint, joint_mix, 4)
+    assert_probe_matches_scratch(normalize(joint), joint2, 4)
+    assert_probe_matches_scratch(EvalOnlyJoint(joint2), normalize(joint_mix), 4)
+    env_mix = EnvMixture([nu, mu_id()], [F(1, 2), F(1, 2)])
+    full = JointMixture([joint, uniform_measure()], [F(1, 2), F(1, 2)])  # positive everywhere
+    assert_probe_matches_scratch(env(full), env(joint2), 2)
+    assert_probe_matches_scratch(env(full), env_mix, 3)
+    assert_probe_matches_scratch(env(joint_mix), env_mix, 2)
+    assert_probe_matches_scratch(env(normalize(joint_mix)), EvalOnlyEnv(env_mix), 2, False)
+
+
+def test_adversary_and_probe_on_an_enumerated_mixture():
+    approx = enumerate_joint(9, 200, 8)
+    for xi in (approx, normalize(approx), JointMixture([approx, copy_machine()], [F(1, 2)] * 2)):
+        for actions in ((), (1, 1, 0, 1), (0, 1, 0, 0)):
+            assert_adversary_matches_scratch(xi, 4, actions)
+    assert_probe_matches_scratch(approx, uniform_measure(), 6)
+    assert_probe_matches_scratch(env(approx), mu_id(), 3)
+    assert_probe_matches_scratch(env(approx), env(normalize(approx)), 3)
+
+
+def test_probe_raises_where_mu_is_undefined():
+    # env(copy_machine()) conditions on a zero-mass prefix after a mismatch.
+    for probe in (domination_probe, scratch_probe):
+        with pytest.raises(UndefinedConditionalError):
+            probe(env(copy_machine()), mu_id(), 2)
+    assert domination_probe(mu_id(), env(copy_machine()), 1).contexts_checked == 5
 
 
 # ---------------------------------------------------------------------------
