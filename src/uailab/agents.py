@@ -25,6 +25,7 @@ from .core import (
     ComponentFormatError,
     History,
     PerceptAlphabet,
+    UndefinedConditionalError,
 )
 from .semimeasure import ChronEnv, JointSemimeasure, Policy
 from .transforms import env
@@ -64,14 +65,14 @@ def policy_value(
     return recurse(history.actions, history.percepts, horizon)
 
 
-def _state_at(nu: ChronEnv, history: History) -> Any:
-    """The walk state of ``nu`` after a complete ``history``."""
+def _state_at(nu: ChronEnv, history: History) -> tuple[Fraction, Any]:
+    """The walk node (mass, state) of ``nu`` after a complete ``history``."""
     if len(history.actions) != len(history.percepts):
         raise ComponentFormatError("planning starts from a complete history")
-    state = nu.root()[1]
+    node = nu.root()
     for a, e in zip(history.actions, history.percepts):
-        state = nu.extend(nu.extend(state, a)[1], e)[1]
-    return state
+        node = nu.extend(nu.extend(node[1], a)[1], e)
+    return node
 
 
 def _expectimax_value(
@@ -110,7 +111,7 @@ def expectimax_action(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    return _expectimax_value(nu, _state_at(nu, history), horizon, percepts)[1]
+    return _expectimax_value(nu, _state_at(nu, history)[1], horizon, percepts)[1]
 
 
 def expectimax_value(
@@ -120,7 +121,7 @@ def expectimax_value(
     percepts: PerceptAlphabet = BINARY_PERCEPTS,
 ) -> Fraction:
     """Optimal expected return over the remaining horizon."""
-    return _expectimax_value(nu, _state_at(nu, history), horizon, percepts)[0]
+    return _expectimax_value(nu, _state_at(nu, history)[1], horizon, percepts)[0]
 
 
 def joint_aixi_action(
@@ -156,18 +157,23 @@ def one_step_action_values(
     """Action-value map from one-step lookahead on conditional percept mass.
 
     action -> sum_e reward(e) * belief(e | history, action); errors if the
-    history has zero mass under the belief (conditionals undefined).
+    history has zero mass under the belief (conditionals undefined). Every
+    conditional is one walk step from the history's node.
     """
-    return {
-        a: sum(
+    mass, state = _state_at(belief, history)
+    if mass == 0:
+        raise UndefinedConditionalError((history.percepts, history.actions))
+    values = {}
+    for a in range(belief.action_arity):
+        pending = belief.extend(state, a)[1]
+        values[a] = sum(
             (
-                percepts.reward(e) * belief.conditional(history, a, e)
+                percepts.reward(e) * (belief.extend(pending, e)[0] / mass)
                 for e in range(belief.percept_arity)
             ),
             ZERO,
         )
-        for a in range(belief.action_arity)
-    }
+    return values
 
 
 def one_step_action(

@@ -56,6 +56,8 @@ def _load_raw_config(path: Path | None, scenario: str | None) -> dict:
         raw = json.loads(path.read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
+        raise ConfigError(f"cannot read config file {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):

@@ -114,16 +114,8 @@ class PerceptAlphabet:
                     f"reward {s.reward} outside declared range [{lo}, {hi}]"
                 )
 
-    @property
-    def size(self) -> int:
-        return len(self.symbols)
-
     def reward(self, index: int) -> Fraction:
         return self.symbols[index].reward
-
-    @property
-    def max_reward(self) -> Fraction:
-        return self.reward_bounds[1]
 
 
 # Empty observation space, binary reward space: reward equals the percept bit.

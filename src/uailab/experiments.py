@@ -342,14 +342,13 @@ def config_from_dict(raw: dict, out_dir: Path | None = None) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([str(c) for c in row])
-    return path
 
 
 def _sym_str(symbols: Iterable[int]) -> str:
@@ -375,7 +374,6 @@ def parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
 class ScenarioOutcome:
     exit_code: int
     lines: list[str]
-    files: list[Path]
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +391,6 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
     tdepth = cfg.budget("transform_depth")
     cdepth = cfg.budget("consistency_depth")
     lines: list[str] = []
-    files: list[Path] = []
     failures = 0
 
     # Defining conditions for every built-in component and scenario mixture.
@@ -428,23 +425,21 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
                 "ok" if ok else "VIOLATION",
             )
         )
-    files.append(
-        _write_csv(
-            cfg.out_dir / "component_checks.csv",
-            (
-                "component",
-                "check",
-                "depth",
-                "contexts",
-                "violations",
-                "strict",
-                "equal",
-                "root_mass",
-                "declared_measure",
-                "verdict",
-            ),
-            rows,
-        )
+    _write_csv(
+        cfg.out_dir / "component_checks.csv",
+        (
+            "component",
+            "check",
+            "depth",
+            "contexts",
+            "violations",
+            "strict",
+            "equal",
+            "root_mass",
+            "declared_measure",
+            "verdict",
+        ),
+        rows,
     )
     lines.append(f"component checks: {len(rows)} subjects, {failures} failures")
 
@@ -467,12 +462,10 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
                     "ok" if ok else "VIOLATION",
                 )
             )
-    files.append(
-        _write_csv(
-            cfg.out_dir / "enumeration_checks.csv",
-            ("mode", "program_bits", "machine_steps", "depth", "violations", "root_mass", "verdict"),
-            enum_rows,
-        )
+    _write_csv(
+        cfg.out_dir / "enumeration_checks.csv",
+        ("mode", "program_bits", "machine_steps", "depth", "violations", "root_mass", "verdict"),
+        enum_rows,
     )
     lines.append(f"enumeration checks: {len(enum_rows)} budget points")
 
@@ -500,12 +493,10 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
         transform_rows.append(
             ("normalization_dominance", mdef.name, tdepth, len(violations), skipped)
         )
-    files.append(
-        _write_csv(
-            cfg.out_dir / "transform_checks.csv",
-            ("check", "subject", "depth", "mismatches", "skipped"),
-            transform_rows,
-        )
+    _write_csv(
+        cfg.out_dir / "transform_checks.csv",
+        ("check", "subject", "depth", "mismatches", "skipped"),
+        transform_rows,
     )
     lines.append(f"transform identities: {len(transform_rows)} suites")
 
@@ -551,31 +542,27 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
             f"witness={witness}" if witness else "MISSING-WITNESS",
         )
     )
-    files.append(
-        _write_csv(
-            cfg.out_dir / "factoring_checks.csv",
-            (
-                "pair",
-                "prior",
-                "joint_contexts",
-                "joint_mismatches",
-                "env_contexts",
-                "env_mismatches",
-                "verdict",
-            ),
-            fact_rows,
-        )
+    _write_csv(
+        cfg.out_dir / "factoring_checks.csv",
+        (
+            "pair",
+            "prior",
+            "joint_contexts",
+            "joint_mismatches",
+            "env_contexts",
+            "env_mismatches",
+            "verdict",
+        ),
+        fact_rows,
     )
     # Row-level report of the counterexample (witness, lhs, rhs, verdict).
-    files.append(
-        _write_csv(
-            cfg.out_dir / "factoring_witnesses.csv",
-            ("witness", "lhs", "rhs", "verdict"),
-            [
-                (row.witness, frac_str(row.lhs), frac_str(row.rhs), row.verdict)
-                for row in non_factored.env_rows
-            ],
-        )
+    _write_csv(
+        cfg.out_dir / "factoring_witnesses.csv",
+        ("witness", "lhs", "rhs", "verdict"),
+        [
+            (row.witness, frac_str(row.lhs), frac_str(row.rhs), row.verdict)
+            for row in non_factored.env_rows
+        ],
     )
     lines.append("factoring: identities exact for factored priors; counterexample witnessed")
 
@@ -587,18 +574,16 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
         mismatches = check_predictive_consistency(mdef.joint, cdepth)
         failures += len(mismatches)
         cons_rows.append((mdef.name, cdepth, len(mismatches)))
-    files.append(
-        _write_csv(
-            cfg.out_dir / "consistency_checks.csv",
-            ("mixture", "depth", "mismatches"),
-            cons_rows,
-        )
+    _write_csv(
+        cfg.out_dir / "consistency_checks.csv",
+        ("mixture", "depth", "mismatches"),
+        cons_rows,
     )
     lines.append("predictive vs posterior-weighted conditionals: exact agreement")
 
     code = 0 if failures == 0 else 1
     lines.append(f"total failures: {failures}")
-    return ScenarioOutcome(code, lines, files)
+    return ScenarioOutcome(code, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +617,6 @@ def _first_drop(trace, threshold: Fraction) -> int | None:
 def _scenario_thm7(cfg: ScenarioConfig) -> ScenarioOutcome:
     steps = cfg.budget("trace_steps")
     lines: list[str] = []
-    files: list[Path] = []
     failures = 0
 
     mdef = (
@@ -643,7 +627,7 @@ def _scenario_thm7(cfg: ScenarioConfig) -> ScenarioOutcome:
     if mdef.joint is None:
         raise ConfigError("thm7_drop needs a joint mixture")
     trace = greedy_antipredict(mdef.joint, steps)
-    files.append(_write_csv(cfg.out_dir / "trace_finite.csv", _TRACE_HEADER, _trace_rows(trace)))
+    _write_csv(cfg.out_dir / "trace_finite.csv", _TRACE_HEADER, _trace_rows(trace))
 
     # Telescoping exactness: the recorded product equals the environment-view
     # value of the played (a, a) pair.
@@ -669,17 +653,13 @@ def _scenario_thm7(cfg: ScenarioConfig) -> ScenarioOutcome:
             continue
         approx = enumerate_joint(bits, enum_steps, max_len=max_len)
         enum_trace = greedy_antipredict(approx, min(steps, max_len // 2))
-        files.append(
-            _write_csv(
-                cfg.out_dir / f"trace_enum_L{bits}.csv", _TRACE_HEADER, _trace_rows(enum_trace)
-            )
-        )
+        _write_csv(cfg.out_dir / f"trace_enum_L{bits}.csv", _TRACE_HEADER, _trace_rows(enum_trace))
         lines.append(
             f"enumeration L={bits}, S={enum_steps}: {len(enum_trace.steps)} steps, "
             f"truncated={enum_trace.truncated}, final={frac_str(enum_trace.final_product)}"
         )
     lines.append("drop persists as the program class grows; products recorded exactly")
-    return ScenarioOutcome(0 if failures == 0 else 1, lines, files)
+    return ScenarioOutcome(0 if failures == 0 else 1, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -733,22 +713,20 @@ def _scenario_thm8(cfg: ScenarioConfig) -> ScenarioOutcome:
                 *_exact_float(ratio),
             )
         )
-    files = [
-        _write_csv(
-            cfg.out_dir / "gap_trace.csv",
-            (
-                "t",
-                "action",
-                "conditional",
-                "joint_view_product",
-                "joint_view_product_float",
-                "env_view_value",
-                "ratio_env_over_joint",
-                "ratio_float",
-            ),
-            rows,
-        )
-    ]
+    _write_csv(
+        cfg.out_dir / "gap_trace.csv",
+        (
+            "t",
+            "action",
+            "conditional",
+            "joint_view_product",
+            "joint_view_product_float",
+            "env_view_value",
+            "ratio_env_over_joint",
+            "ratio_float",
+        ),
+        rows,
+    )
     lines.append(f"identity-env weight bound w_id = {frac_str(w_id)} held at every step")
     lines.append(f"joint-view product first below w_id at step {drop_step} (recorded T = {recorded_T})")
     lines.append(f"ratio env-view/joint-view strictly increasing: {ratio_strictly_increasing}")
@@ -776,7 +754,7 @@ def _scenario_thm8(cfg: ScenarioConfig) -> ScenarioOutcome:
         lines.append("MISMATCH against the committed oracle run")
     else:
         lines.append(f"trace matches the committed oracle run ({len(committed)} steps)")
-    return ScenarioOutcome(0 if failures == 0 else 1, lines, files)
+    return ScenarioOutcome(0 if failures == 0 else 1, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -789,14 +767,11 @@ def _scenario_thm10(cfg: ScenarioConfig) -> ScenarioOutcome:
     length = cfg.budget("normalized_trace_len")
     actions = tuple(int(c) for c in derived["actions"])[:length]
     lines: list[str] = []
-    files: list[Path] = []
     failures = 0
 
     main = normalize(scenario_mixtures()["copy_vs_uniform"].joint)
     main_trace = copy_conditional_trace(main, actions)
-    files.append(
-        _write_csv(cfg.out_dir / "normalized_main.csv", _TRACE_HEADER, _trace_rows(main_trace))
-    )
+    _write_csv(cfg.out_dir / "normalized_main.csv", _TRACE_HEADER, _trace_rows(main_trace))
     conds = [s.conditional for s in main_trace.steps]
     increasing = all(b > a for a, b in zip(conds, conds[1:]))
     committed = [prob(c) for c in derived["main_conditionals"]][: len(conds)]
@@ -809,9 +784,7 @@ def _scenario_thm10(cfg: ScenarioConfig) -> ScenarioOutcome:
 
     contrast = scenario_mixtures()["halting_contrast"].joint
     raw_trace = copy_conditional_trace(contrast, actions)
-    files.append(
-        _write_csv(cfg.out_dir / "contrast_unnormalized.csv", _TRACE_HEADER, _trace_rows(raw_trace))
-    )
+    _write_csv(cfg.out_dir / "contrast_unnormalized.csv", _TRACE_HEADER, _trace_rows(raw_trace))
     bound = prob(derived["contrast_bound"])
     raw_ok = all(s.conditional < bound for s in raw_trace.steps)
     if not raw_ok:
@@ -821,9 +794,7 @@ def _scenario_thm10(cfg: ScenarioConfig) -> ScenarioOutcome:
     )
 
     hat_trace = copy_conditional_trace(normalize(contrast), actions)
-    files.append(
-        _write_csv(cfg.out_dir / "contrast_normalized.csv", _TRACE_HEADER, _trace_rows(hat_trace))
-    )
+    _write_csv(cfg.out_dir / "contrast_normalized.csv", _TRACE_HEADER, _trace_rows(hat_trace))
     floor = prob(derived["normalized_contrast_floor"])
     floor_step = int(derived["normalized_contrast_step"])
     hat_ok = all(
@@ -835,7 +806,7 @@ def _scenario_thm10(cfg: ScenarioConfig) -> ScenarioOutcome:
         f"normalizing the same mixture lifts conditionals above {frac_str(floor)} "
         f"from step {floor_step}: {hat_ok}"
     )
-    return ScenarioOutcome(0 if failures == 0 else 1, lines, files)
+    return ScenarioOutcome(0 if failures == 0 else 1, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -912,9 +883,9 @@ def _conditional_stats(
     return mins, maxs
 
 
-def _write_stats(path: Path, mins: Sequence[Fraction], maxs: Sequence[Fraction]) -> Path:
+def _write_stats(path: Path, mins: Sequence[Fraction], maxs: Sequence[Fraction]) -> None:
     """Per-step min and max conditionals, each as an exact and a float column."""
-    return _write_csv(
+    _write_csv(
         path,
         ("t", "min_conditional", "min_float", "max_conditional", "max_float"),
         [(t + 1, *_exact_float(mins[t]), *_exact_float(maxs[t])) for t in range(len(mins))],
@@ -932,7 +903,7 @@ def _scenario_thm11(cfg: ScenarioConfig) -> ScenarioOutcome:
     main = scenario_mixtures()["learnable_deterministic"].joint
     assert main is not None
     mins, maxs = _conditional_stats(main, ("identity", "complement"), n, cfg.jobs, True)
-    files = [_write_stats(cfg.out_dir / "normalized_min_conditionals.csv", mins, maxs)]
+    _write_stats(cfg.out_dir / "normalized_min_conditionals.csv", mins, maxs)
     threshold = ONE - epsilon
     ok = all(mins[t] > threshold for t in range(t_star - 1, n))
     if not ok:
@@ -955,9 +926,7 @@ def _scenario_thm11(cfg: ScenarioConfig) -> ScenarioOutcome:
     contrast = scenario_mixtures()["halting_contrast"].joint
     assert contrast is not None
     raw_mins, raw_maxs = _conditional_stats(contrast, ("identity",), n, cfg.jobs, False)
-    files.append(
-        _write_stats(cfg.out_dir / "unnormalized_contrast_conditionals.csv", raw_mins, raw_maxs)
-    )
+    _write_stats(cfg.out_dir / "unnormalized_contrast_conditionals.csv", raw_mins, raw_maxs)
     contrast_fails = all(raw_maxs[t] <= threshold for t in range(t_star - 1, n))
     if not contrast_fails:
         failures += 1
@@ -965,7 +934,7 @@ def _scenario_thm11(cfg: ScenarioConfig) -> ScenarioOutcome:
         "unnormalized defective contrast misses the same bound at every step "
         f"from {t_star}: {contrast_fails} (normalization is the difference)"
     )
-    return ScenarioOutcome(0 if failures == 0 else 1, lines, files)
+    return ScenarioOutcome(0 if failures == 0 else 1, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -999,22 +968,20 @@ def _scenario_conj9(cfg: ScenarioConfig) -> ScenarioOutcome:
                         report.contexts_checked,
                     )
                 )
-    files = [
-        _write_csv(
-            cfg.out_dir / "domination_sweep.csv",
-            (
-                "mixture",
-                "direction",
-                "depth",
-                "max_ratio",
-                "max_ratio_float",
-                "witness",
-                "unbounded_witnesses",
-                "contexts",
-            ),
-            rows,
-        )
-    ]
+    _write_csv(
+        cfg.out_dir / "domination_sweep.csv",
+        (
+            "mixture",
+            "direction",
+            "depth",
+            "max_ratio",
+            "max_ratio_float",
+            "witness",
+            "unbounded_witnesses",
+            "contexts",
+        ),
+        rows,
+    )
     lines.append("domination sweep recorded (evidence only; no pass/fail verdict)")
 
     # Factored pair weights make the two views coincide; the diagonal grid
@@ -1044,15 +1011,13 @@ def _scenario_conj9(cfg: ScenarioConfig) -> ScenarioOutcome:
                     probe.skipped_contexts,
                 )
             )
-    files.append(
-        _write_csv(
-            cfg.out_dir / "env_view_ratio.csv",
-            ("pair_weights", "depth", "max_ratio", "max_ratio_float", "witness", "skipped"),
-            probe_rows,
-        )
+    _write_csv(
+        cfg.out_dir / "env_view_ratio.csv",
+        ("pair_weights", "depth", "max_ratio", "max_ratio_float", "witness", "skipped"),
+        probe_rows,
     )
     lines.append("env-of-mixture vs mixture-of-envs ratio recorded per depth")
-    return ScenarioOutcome(0, lines, files)
+    return ScenarioOutcome(0, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -1092,27 +1057,25 @@ def _scenario_agents(cfg: ScenarioConfig) -> ScenarioOutcome:
                         agree,
                     )
                 )
-    files = [
-        _write_csv(
-            cfg.out_dir / "decision_matrix.csv",
-            (
-                "mixture",
-                "history",
-                "horizon",
-                "joint_view_action",
-                "env_view_action",
-                "one_step_action",
-                "joint_equals_env_view",
-            ),
-            rows,
-        )
-    ]
+    _write_csv(
+        cfg.out_dir / "decision_matrix.csv",
+        (
+            "mixture",
+            "history",
+            "horizon",
+            "joint_view_action",
+            "env_view_action",
+            "one_step_action",
+            "joint_equals_env_view",
+        ),
+        rows,
+    )
     lines.append(
         f"decision matrix over {len(histories)} histories x horizons 1..{horizon}: "
         f"{agreements}/{len(rows)} agreements (descriptive; equality is not asserted)"
     )
     lines.append("one-step rule equals expectimax at horizon 1 (verified)")
-    return ScenarioOutcome(0 if failures == 0 else 1, lines, files)
+    return ScenarioOutcome(0 if failures == 0 else 1, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -1191,7 +1154,10 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         raise ConfigError(
             f"unknown scenario {cfg.scenario!r}; available: {', '.join(sorted(SCENARIOS))}"
         )
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. a file in the way
+        raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}")
     outcome = info.runner(cfg)
     summary = cfg.out_dir / "summary.txt"
     stamp = _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")

@@ -46,7 +46,7 @@ def _validate_weights(components: Sequence, weights: Sequence[Fraction]) -> None
 
 
 class _Mixture:
-    """Construction and the walk shared by both mixture kinds.
+    """Construction, the walk and the budgeted sum shared by both mixture kinds.
 
     The walk state is (mass, parts): parts holds (index, mass, state) for
     every component whose own state is not dead, so w_i * mass_i is the
@@ -108,6 +108,12 @@ class _Mixture:
             return mass, (mass, tuple(parts))
         return self._node(parts)
 
+    def eval_at_budget(self, *args) -> Prob:
+        """sum_i w_i nu_i at the budget; ``args`` are a context and a budget."""
+        return sum(
+            (w * c.eval_at_budget(*args) for c, w in zip(self.components, self.weights)), ZERO
+        )
+
 
 class JointMixture(_Mixture, JointSemimeasure):
     """xi(x) = sum_i w_i nu_i(x), itself a joint semimeasure."""
@@ -116,12 +122,6 @@ class JointMixture(_Mixture, JointSemimeasure):
 
     def eval(self, x: tuple[int, ...]) -> Prob:
         return sum((w * c.eval(x) for c, w in zip(self.components, self.weights)), ZERO)
-
-    def eval_at_budget(self, x: tuple[int, ...], budget: int) -> Prob:
-        return sum(
-            (w * c.eval_at_budget(x, budget) for c, w in zip(self.components, self.weights)),
-            ZERO,
-        )
 
 
 class EnvMixture(_Mixture, ChronEnv):

@@ -82,13 +82,6 @@ class JointSemimeasure(abc.ABC):
     def arity_at(self, position: int) -> int:
         return self.action_arity if position % 2 == 0 else self.percept_arity
 
-    def conditional(self, x: tuple[int, ...], symbol: int) -> Prob:
-        """nu(symbol | x) = nu(x + symbol) / nu(x); error on zero prefix."""
-        denom = self.eval(x)
-        if denom == 0:
-            raise UndefinedConditionalError(x)
-        return self.eval(x + (symbol,)) / denom
-
 
 class ChronEnv(abc.ABC):
     """Two-argument chronological semimeasure nu(e_1:t || a_1:t)."""
@@ -121,23 +114,13 @@ class ChronEnv(abc.ABC):
         mass = self.eval(percepts, actions)
         return mass, (percepts, actions, mass)
 
-    def conditional(self, history: History, action: int, percept: int) -> Prob:
-        """nu(percept | history, action); error on zero-mass history."""
-        denom = self.eval(history.percepts, history.actions)
-        if denom == 0:
-            raise UndefinedConditionalError((history.percepts, history.actions))
-        return (
-            self.eval(history.percepts + (percept,), history.actions + (action,)) / denom
-        )
-
 
 class Policy(abc.ABC):
     """A policy, evaluable as a chronological semimeasure over actions.
 
     ``weight(actions, percepts)`` is the joint probability of emitting the
     action prefix given the percepts seen before each action; only
-    ``percepts[:len(actions) - 1]`` is consulted. Deterministic policies also
-    expose ``act(history)``.
+    ``percepts[:len(actions) - 1]`` is consulted.
     """
 
     action_arity: int = 2
@@ -154,9 +137,6 @@ class DeterministicPolicy(Policy):
         self.fn = fn
         self.action_arity = action_arity
 
-    def act(self, history: History) -> int:
-        return self.fn(history)
-
     def weight(self, actions: tuple[int, ...], percepts: tuple[int, ...]) -> Prob:
         for i, a in enumerate(actions):
             if self.fn(History(actions[:i], percepts[:i])) != a:
@@ -171,8 +151,8 @@ class StationaryPolicy(Policy):
     probs: tuple[Fraction, ...] = (HALF, HALF)
 
     def __post_init__(self):
-        if sum(self.probs) > 1:
-            raise ComponentFormatError("action distribution exceeds mass 1")
+        if any(p < 0 for p in self.probs) or sum(self.probs) > 1:
+            raise ComponentFormatError("action masses must be >= 0 and sum to <= 1")
 
     @property
     def action_arity(self) -> int:  # type: ignore[override]
@@ -203,6 +183,8 @@ class MixturePolicy(Policy):
     def __post_init__(self):
         if len(self.policies) != len(self.weights):
             raise ComponentFormatError("policy/weight length mismatch")
+        if not self.policies:
+            raise ComponentFormatError("policy mixture needs at least one policy")
         if any(w <= 0 for w in self.weights) or sum(self.weights) > 1:
             raise ComponentFormatError("policy weights must be positive and sum to <= 1")
 

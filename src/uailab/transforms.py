@@ -159,6 +159,10 @@ def chron_to_joint(
         )
     else:
         filler = StationaryPolicy(tuple(action_filler))
+        if filler.action_arity != nu.action_arity:
+            raise ComponentFormatError(
+                f"action filler has {filler.action_arity} entries for {nu.action_arity} actions"
+            )
     return DualJoint(nu, filler)
 
 

@@ -41,8 +41,10 @@ Worked example programs (lengths on the frozen machine):
 
 At desk scale, joint enumeration reaches program_bits 24 in seconds and
 chronological checks reach program_bits 18 at depth 7; each 3 more bits
-cost 3-5x (measured limits in docs/machine.md). Results are cached on
-disk keyed by (definition hash, budgets); see docs/cache_format.md.
+cost 3-5x (measured limits in docs/machine.md). Each table is one cache
+entry, memoized in-process by its name and stored on disk keyed by
+(definition hash, budgets); UAILAB_CACHE_DIR is the only switch (empty
+disables the disk cache). See docs/cache_format.md.
 """
 from __future__ import annotations
 
@@ -314,16 +316,15 @@ class ChronEnumApprox(ChronEnv):
     Tables per action string are computed lazily and memoized.
     """
 
-    def __init__(self, program_bits: int, steps: int, use_cache: bool = True):
+    def __init__(self, program_bits: int, steps: int):
         self.program_bits = program_bits
         self.steps = steps
-        self.use_cache = use_cache
         self.tables: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
 
     def _table_for(self, actions: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
         table = self.tables.get(actions)
         if table is None:
-            table = _chron_table(self.program_bits, self.steps, actions, self.use_cache)
+            table = _chron_table(self.program_bits, self.steps, actions)
             self.tables[actions] = table
         return table
 
@@ -336,9 +337,7 @@ class ChronEnumApprox(ChronEnv):
     def eval_at_budget(
         self, percepts: tuple[int, ...], actions: tuple[int, ...], budget: int
     ) -> Prob:
-        capped = ChronEnumApprox(
-            min(self.program_bits, budget), min(self.steps, budget), self.use_cache
-        )
+        capped = ChronEnumApprox(min(self.program_bits, budget), min(self.steps, budget))
         return capped.eval(percepts, actions)
 
 
@@ -346,8 +345,7 @@ class ChronEnumApprox(ChronEnv):
 # Cache (versioned; invalidated by machine definition changes)
 # ---------------------------------------------------------------------------
 
-_MEMO_JOINT: dict[tuple[int, int, int], dict] = {}
-_MEMO_CHRON: dict[tuple[int, int, tuple[int, ...]], dict] = {}
+_MEMO: dict[str, dict] = {}  # tables by cache entry name
 _MEMO_WALK: dict[tuple[int, int, int], dict] = {}  # every tape of one length
 
 
@@ -407,6 +405,20 @@ def _cache_write(name: str, budgets: list[int], table: dict[tuple[int, ...], Fra
         pass  # cache is an optimization; never fail the computation
 
 
+def _stored(
+    name: str, budgets: list[int], compute: Callable[[], dict]
+) -> dict[tuple[int, ...], Fraction]:
+    """One cache entry's table from the memo, the disk cache, or else ``compute()``."""
+    table = _MEMO.get(name)
+    if table is None:
+        table = _cache_read(name, budgets)
+        if table is None:
+            table = compute()
+            _cache_write(name, budgets, table)
+        _MEMO[name] = table
+    return table
+
+
 def _string_key(x: tuple[int, ...]) -> str:
     return "".join(str(s) for s in x)
 
@@ -415,27 +427,19 @@ def _key_string(key: str) -> tuple[int, ...]:
     return tuple(int(c) for c in key)
 
 
-def enumerate_joint(
-    program_bits: int, steps: int, max_len: int = 16, use_cache: bool = True
-) -> JointEnumApprox:
+def enumerate_joint(program_bits: int, steps: int, max_len: int = 16) -> JointEnumApprox:
     """Enumerate all programs within the budgets into a joint mass table.
 
     One depth-first walk with integer weights and no leaf list. At
     max_len 16, program_bits 24 takes seconds and under 30 MB; each 3 more
     bits cost 3-5x (docs/machine.md).
     """
-    budgets = [program_bits, steps, max_len]
-    memo_key = (program_bits, steps, max_len)
-    table = _MEMO_JOINT.get(memo_key)
-    if table is None:
-        name = f"joint_L{program_bits}_S{steps}_D{max_len}"
-        table = _cache_read(name, budgets) if use_cache else None
-        if table is None:
-            # No actions: READA always suspends, and every prefix up to max_len counts.
-            table = _walk_tables(program_bits, steps, max_len, ()).get((), {})
-            if use_cache:
-                _cache_write(name, budgets, table)
-        _MEMO_JOINT[memo_key] = table
+    table = _stored(
+        f"joint_L{program_bits}_S{steps}_D{max_len}",
+        [program_bits, steps, max_len],
+        # No actions: READA always suspends, and every prefix up to max_len counts.
+        lambda: _walk_tables(program_bits, steps, max_len, ()).get((), {}),
+    )
     return JointEnumApprox(program_bits, steps, max_len, table)
 
 
@@ -452,7 +456,6 @@ def _chron_table(
     program_bits: int,
     steps: int,
     actions: tuple[int, ...],
-    use_cache: bool = True,
     walk: Callable[[], dict] | None = None,
 ) -> dict[tuple[int, ...], Fraction]:
     """One tape's table from the memo, the cache, or else a walk.
@@ -460,40 +463,26 @@ def _chron_table(
     ``walk()`` returns the tables of a walk that covers ``actions``; the
     default is the walk over every tape of the same length.
     """
-    memo_key = (program_bits, steps, actions)
-    table = _MEMO_CHRON.get(memo_key)
-    if table is not None:
-        return table
-    budgets = [program_bits, steps]
+    walk = walk or (lambda: _tape_length_tables(program_bits, steps, len(actions)))
     name = f"chron_L{program_bits}_S{steps}_A{_string_key(actions) or 'empty'}"
-    table = _cache_read(name, budgets) if use_cache else None
-    if table is None:
-        tables = walk() if walk else _tape_length_tables(program_bits, steps, len(actions))
-        table = tables.get(actions, {})
-        if use_cache:
-            _cache_write(name, budgets, table)
-    _MEMO_CHRON[memo_key] = table
-    return table
+    return _stored(name, [program_bits, steps], lambda: walk().get(actions, {}))
 
 
-def enumerate_chron(
-    program_bits: int, steps: int, actions: Sequence[int], use_cache: bool = True
-) -> ChronEnumApprox:
+def enumerate_chron(program_bits: int, steps: int, actions: Sequence[int]) -> ChronEnumApprox:
     """Chronological enumeration primed for the given action string.
 
     The returned environment answers any (percepts, actions) query; prefixes
     of ``actions`` are enumerated eagerly, by one walk along the whole tape.
     """
-    approx = ChronEnumApprox(program_bits, steps, use_cache)
+    approx = ChronEnumApprox(program_bits, steps)
     tape = tuple(actions)
     walk = cache(lambda: _walk_tables(program_bits, steps, len(tape), tape))
     for t in range(len(tape) + 1):
-        approx.tables[tape[:t]] = _chron_table(program_bits, steps, tape[:t], use_cache, walk)
+        approx.tables[tape[:t]] = _chron_table(program_bits, steps, tape[:t], walk)
     return approx
 
 
 def clear_memo() -> None:
     """Drop in-process enumeration memos (disk cache untouched)."""
-    _MEMO_JOINT.clear()
-    _MEMO_CHRON.clear()
+    _MEMO.clear()
     _MEMO_WALK.clear()

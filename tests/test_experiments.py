@@ -285,6 +285,36 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, command, value):
     assert err == f"config error: <root>: {value!r} is not of type 'object'\n"
 
 
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{}"], ids=["directory", "not_utf8"])
+def test_unreadable_config_exits_2(tmp_path, capsys, command, content):
+    config = tmp_path
+    if content is not None:
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+    code, err = _cli_exit_and_stderr(capsys, command, config, tmp_path / "o")
+    assert code == 2
+    assert err.startswith(f"config error: cannot read config file {config}: ")
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_a_file"])
+def test_out_path_that_cannot_be_a_directory_exits_2(tmp_path, capsys, below):
+    (tmp_path / "f").write_text("")
+    out = tmp_path / "f" / "o" if below else tmp_path / "f"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"schema_version": SCHEMA_VERSION, "scenario": "thm7_drop"}))
+    code, err = _cli_exit_and_stderr(capsys, "run", config, out)
+    assert code == 2
+    assert err.startswith(f"config error: cannot create output directory {out}: ")
+
+
+def test_missing_config_keeps_its_message(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    for command in ("check", "run"):
+        code, err = _cli_exit_and_stderr(capsys, command, missing, tmp_path / "o")
+        assert (code, err) == (2, f"config error: config file not found: {missing}\n")
+
+
 BAD_TABLE_FIELDS = {
     "conditionals_list": ("conditionals", {"conditionals": ["1"]}),
     "conditionals_row_string": ("conditionals", {"conditionals": {"": "1/2"}}),

@@ -11,6 +11,7 @@ from uailab.semimeasure import (
     JointSemimeasure,
     MixturePolicy,
     NoisyCopyEnv,
+    StationaryPolicy,
     TableEnv,
     TableJoint,
     anticopy_machine,
@@ -255,3 +256,19 @@ def test_echo_like_components_match_and_mismatch():
 def test_table_env_context_shape_enforced():
     with pytest.raises(ComponentFormatError):
         TableEnv({((0,), (0,)): (F(1, 2), F(1, 2))})  # needs one more action
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: StationaryPolicy((F(-1, 2), F(3, 2))),
+        lambda: StationaryPolicy((F(3, 4), F(1, 2))),
+        lambda: MixturePolicy((), ()),
+        lambda: MixturePolicy((uniform_policy(),), ()),
+        lambda: MixturePolicy((uniform_policy(),), (F(0),)),
+    ],
+    ids=["negative_mass", "oversum", "empty_mixture", "weight_count", "zero_weight"],
+)
+def test_bad_policies_are_rejected_at_construction(build):
+    with pytest.raises(ComponentFormatError):
+        build()

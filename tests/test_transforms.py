@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from uailab.core import NormalizationError, UndefinedConditionalError
+from uailab.core import ComponentFormatError, NormalizationError, UndefinedConditionalError
 from uailab.mixture import EnvMixture, JointMixture
 from uailab.semimeasure import (
     NoisyCopyEnv,
@@ -102,6 +102,12 @@ def test_chron_to_joint_values_and_point_filler():
     assert joint.eval((1, 1)) == F(1, 2)
     pointed = chron_to_joint(mu_id(), (F(1), F(0)))
     assert pointed.eval((1,)) == 0  # action 1 never filled
+
+
+@pytest.mark.parametrize("filler", [(F(1),), (F(1, 3), F(1, 3), F(1, 3)), (F(-1, 2), F(3, 2))])
+def test_chron_to_joint_rejects_a_bad_filler(filler):
+    with pytest.raises(ComponentFormatError):
+        chron_to_joint(mu_id(), filler)
 
 
 def test_normalize_oracle_values():

@@ -9,6 +9,7 @@ from uailab import utm
 from uailab.core import ComponentFormatError
 from uailab.semimeasure import check_chronological, check_semimeasure
 from uailab.utm import (
+    CACHE_ENV_VAR,
     MACHINE_DEFINITION,
     MACHINE_HASH,
     PROGRAM_COMPLEMENT,
@@ -263,28 +264,28 @@ def tapes_upto(n):
 def test_walk_matches_leaf_oracle(bits, steps):
     clear_memo()
     for max_len in (0, 1, 6):
-        assert enumerate_joint(bits, steps, max_len, use_cache=False).table == oracle_joint(
+        assert enumerate_joint(bits, steps, max_len).table == oracle_joint(
             bits, steps, max_len
         ), max_len
     expected = {tape: oracle_chron(bits, steps, tape) for tape in tapes_upto(5)}
-    approx = ChronEnumApprox(bits, steps, use_cache=False)
+    approx = ChronEnumApprox(bits, steps)
     for tape, table in expected.items():
         assert approx._table_for(tape) == table, tape
     assert list(approx.tables) == list(expected)  # only the requested tapes
     for tape in product((0, 1), repeat=5):
         clear_memo()
-        primed = enumerate_chron(bits, steps, tape, use_cache=False)
+        primed = enumerate_chron(bits, steps, tape)
         assert primed.tables == {tape[:t]: expected[tape[:t]] for t in range(6)}, tape
     clear_memo()
 
 
 def test_walk_matches_leaf_oracle_at_15_bits():
     clear_memo()
-    approx = ChronEnumApprox(15, 200, use_cache=False)
+    approx = ChronEnumApprox(15, 200)
     for tape in tapes_upto(3):
         assert approx._table_for(tape) == oracle_chron(15, 200, tape), tape
     clear_memo()
-    primed = enumerate_chron(15, 200, (1, 0, 1), use_cache=False)
+    primed = enumerate_chron(15, 200, (1, 0, 1))
     for t in range(4):
         assert primed.tables[(1, 0, 1)[:t]] == approx.tables[(1, 0, 1)[:t]]
     clear_memo()
@@ -321,15 +322,15 @@ def test_clear_memo_forces_a_new_walk(monkeypatch):
     walk = utm._walk
     monkeypatch.setattr(utm, "_walk", lambda *args: calls.append(args) or walk(*args))
     clear_memo()
-    approx = ChronEnumApprox(6, 60, use_cache=False)
+    approx = ChronEnumApprox(6, 60)
     approx.eval((0, 0), (1, 1))
     approx.eval((1, 0), (1, 0))  # same length: served by the same walk
-    enumerate_joint(6, 60, max_len=4, use_cache=False)
-    enumerate_joint(6, 60, max_len=4, use_cache=False)
+    enumerate_joint(6, 60, max_len=4)
+    enumerate_joint(6, 60, max_len=4)
     assert len(calls) == 2
     clear_memo()
-    ChronEnumApprox(6, 60, use_cache=False).eval((0, 0), (1, 1))
-    enumerate_joint(6, 60, max_len=4, use_cache=False)
+    ChronEnumApprox(6, 60).eval((0, 0), (1, 1))
+    enumerate_joint(6, 60, max_len=4)
     assert len(calls) == 4
     clear_memo()
 
@@ -343,24 +344,26 @@ CACHE_DAMAGE = {
 }
 
 
-def _enumerate(kind, use_cache):
+def _enumerate(kind):
     if kind == "joint":
-        return enumerate_joint(6, 60, max_len=6, use_cache=use_cache).table
-    return enumerate_chron(9, 200, (1, 0), use_cache=use_cache).tables[(1, 0)]
+        return enumerate_joint(6, 60, max_len=6).table
+    return enumerate_chron(9, 200, (1, 0)).tables[(1, 0)]
 
 
 @pytest.mark.parametrize("kind", ["joint", "chron"])
 @pytest.mark.parametrize("damage", sorted(CACHE_DAMAGE))
-def test_damaged_cache_entry_is_recomputed(cache_dir, kind, damage):
+def test_damaged_cache_entry_is_recomputed(cache_dir, monkeypatch, kind, damage):
     clear_memo()
-    expected = _enumerate(kind, use_cache=False)
+    monkeypatch.setenv(CACHE_ENV_VAR, "")  # the cache switched off
+    expected = _enumerate(kind)
     clear_memo()
-    _enumerate(kind, use_cache=True)
+    monkeypatch.setenv(CACHE_ENV_VAR, str(cache_dir))
+    _enumerate(kind)
     pattern = "*joint_L6_S60_D6.json" if kind == "joint" else "*chron_L9_S200_A10.json"
     (path,) = cache_dir.glob(pattern)
     good = path.read_text()
     path.write_text(json.dumps(CACHE_DAMAGE[damage](json.loads(good))))
     clear_memo()
-    assert _enumerate(kind, use_cache=True) == expected
+    assert _enumerate(kind) == expected
     assert path.read_text() == good  # the damaged entry was rewritten
     clear_memo()

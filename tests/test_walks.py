@@ -22,13 +22,16 @@ from uailab.adversary import (
     domination_probe,
     greedy_antipredict,
 )
-from uailab.agents import expectimax_action, expectimax_value
+from uailab.agents import expectimax_action, expectimax_value, one_step_action_values
 from uailab.core import (
     BINARY_PERCEPTS,
     EMPTY_HISTORY,
     ZERO,
+    ComponentFormatError,
     History,
     NormalizationError,
+    PerceptAlphabet,
+    PerceptSymbol,
     UndefinedConditionalError,
     history_from_symbols,
 )
@@ -279,6 +282,23 @@ def scratch_expectimax(nu, actions, percs, remaining):
     return best_value, best_action
 
 
+def scratch_one_step_values(belief, history, percepts):
+    """``one_step_action_values`` through the former ``ChronEnv.conditional``."""
+
+    def conditional(action, percept):
+        denom = belief.eval(history.percepts, history.actions)
+        if denom == 0:
+            raise UndefinedConditionalError((history.percepts, history.actions))
+        return belief.eval(history.percepts + (percept,), history.actions + (action,)) / denom
+
+    return {
+        a: sum(
+            (percepts.reward(e) * conditional(a, e) for e in range(belief.percept_arity)), ZERO
+        )
+        for a in range(belief.action_arity)
+    }
+
+
 def scratch_copy_conditional(xi, prefix, action):
     pending = prefix + (action,)
     denom = xi.eval(pending)
@@ -333,6 +353,18 @@ def scratch_probe(mu, xi, depth):
         skipped_zero_zero=sum(1 for r in rows if r.rhs == 0 and r.lhs == 0),
         contexts_checked=len(rows),
     )
+
+
+def assert_one_step_matches_scratch(belief, history, percepts):
+    """The same values, or an error of the same type (a pending history included)."""
+
+    def result(fn):
+        try:
+            return fn(belief, history, percepts)
+        except (ZeroDivisionError, ComponentFormatError) as exc:
+            return type(exc)
+
+    assert result(one_step_action_values) == result(scratch_one_step_values), history
 
 
 def assert_adversary_matches_scratch(xi, steps, actions):
@@ -515,6 +547,50 @@ def test_probe_raises_where_mu_is_undefined():
         with pytest.raises(UndefinedConditionalError):
             probe(env(copy_machine()), mu_id(), 2)
     assert domination_probe(mu_id(), env(copy_machine()), 1).contexts_checked == 5
+
+
+THIRDS = PerceptAlphabet(
+    (PerceptSymbol(None, F(1, 3)), PerceptSymbol(None, F(1))), (ZERO, F(1))
+)
+PENDING = [History((1,), ()), History((0, 1), (1,))]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    tables(TableJoint, JOINT_KEYS),
+    tables(TableEnv, ENV_KEYS),
+    tables(TableEnv, ENV_KEYS),
+    PAIRS,
+)
+def test_one_step_values_equal_the_conditional_loop(joint, nu, nu2, pair):
+    env_mix = EnvMixture([nu, nu2, NoisyCopyEnv(*pair)], [F(1, 4), F(1, 4), F(1, 2)])
+    full = JointMixture([joint, uniform_measure()], [F(1, 2), F(1, 2)])
+    histories = [History(a, e) for e, a in contexts(nu, 2)] + PENDING
+    for belief in (
+        nu,
+        env_mix,
+        EvalOnlyEnv(env_mix),
+        env(joint),  # zero-mass and undefined histories
+        env(full),
+        env(normalize(joint)),
+        EnvMixture([env(joint), nu], [F(1, 2), F(1, 2)]),
+    ):
+        for history in histories:
+            for percepts in (BINARY_PERCEPTS, THIRDS):
+                assert_one_step_matches_scratch(belief, history, percepts)
+
+
+def test_one_step_values_on_shipped_beliefs():
+    mdef = scenario_mixtures()["adversary_rich"]
+    for belief in (mdef.chron, env(mdef.joint), env(copy_machine()), mu_id()):
+        for e, a in contexts(belief, 3):
+            assert_one_step_matches_scratch(belief, History(a, e), THIRDS)
+    for history in PENDING:
+        with pytest.raises(ComponentFormatError):
+            one_step_action_values(mdef.chron, history)
+    # The identity environment never answers action 1 with percept 0.
+    with pytest.raises(UndefinedConditionalError):
+        one_step_action_values(mu_id(), History((1,), (0,)))
 
 
 # ---------------------------------------------------------------------------
