@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .core import ONE, UndefinedConditionalError
-from .semimeasure import ChronEnv, JointSemimeasure, compare, contexts, max_ratio
+from .semimeasure import ChronEnv, JointSemimeasure, compare, contexts, exact_mass, max_ratio
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,15 @@ class AdversaryTrace:
         return self.steps[-1].cumulative if self.steps else ONE
 
 
-def _copy_step(xi: JointSemimeasure, state: Any, action: int) -> tuple[Fraction, Any]:
+def _copy_step(xi: JointSemimeasure, n: int, state: Any, action: int) -> tuple[Fraction, Any]:
     """(xi(percept == action | prefix, action), state after the copy) from the
-    walk state of the played prefix; error on a zero-mass pending prefix."""
+    walk state of the played prefix of ``n`` symbols; error on a zero-mass
+    pending prefix."""
     denom, pending = xi.extend(state, action)
     if denom == 0:
         raise UndefinedConditionalError(action, "copy conditional of the pending action")
     mass, child = xi.extend(pending, action)
-    return mass / denom, child
+    return exact_mass(xi, n + 2, mass) / exact_mass(xi, n + 1, denom), child
 
 
 def greedy_antipredict(xi: JointSemimeasure, steps: int) -> AdversaryTrace:
@@ -80,7 +81,7 @@ def greedy_antipredict(xi: JointSemimeasure, steps: int) -> AdversaryTrace:
         candidates: list[tuple[Fraction, int, Any]] = []
         for a in range(xi.action_arity):
             try:
-                conditional, child = _copy_step(xi, state, a)
+                conditional, child = _copy_step(xi, 2 * (t - 1), state, a)
             except UndefinedConditionalError:
                 continue
             candidates.append((conditional, a, child))
@@ -109,7 +110,7 @@ def copy_conditional_trace(
     cumulative = ONE
     for t, a in enumerate(tuple(actions), start=1):
         try:
-            conditional, state = _copy_step(xi, state, a)
+            conditional, state = _copy_step(xi, 2 * (t - 1), state, a)
         except ZeroDivisionError:  # undefined or unnormalizable conditional
             return AdversaryTrace(tuple(trace), truncated=True)
         cumulative *= conditional

@@ -27,7 +27,7 @@ from .core import (
     PerceptAlphabet,
     UndefinedConditionalError,
 )
-from .semimeasure import ChronEnv, JointSemimeasure, Policy
+from .semimeasure import ChronEnv, JointSemimeasure, Policy, exact_mass
 from .transforms import env
 
 
@@ -65,8 +65,8 @@ def policy_value(
     return recurse(history.actions, history.percepts, horizon)
 
 
-def _state_at(nu: ChronEnv, history: History) -> tuple[Fraction, Any]:
-    """The walk node (mass, state) of ``nu`` after a complete ``history``."""
+def _state_at(nu: ChronEnv, history: History) -> tuple[Any, Any]:
+    """The walk node (mass numerator, state) of ``nu`` after a complete ``history``."""
     if len(history.actions) != len(history.percepts):
         raise ComponentFormatError("planning starts from a complete history")
     node = nu.root()
@@ -76,9 +76,10 @@ def _state_at(nu: ChronEnv, history: History) -> tuple[Fraction, Any]:
 
 
 def _expectimax_value(
-    nu: ChronEnv, state: Any, remaining: int, percepts: PerceptAlphabet
+    nu: ChronEnv, state: Any, n: int, remaining: int, percepts: PerceptAlphabet
 ) -> tuple[Fraction, int]:
-    """(best value-to-go, lexicographically smallest maximizing action)."""
+    """(best value-to-go, lexicographically smallest maximizing action) from
+    the walk state of a complete history of ``n`` symbols."""
     best_value: Fraction | None = None
     best_action = 0
     for a in range(nu.action_arity):
@@ -88,9 +89,11 @@ def _expectimax_value(
             mass, child = nu.extend(pending, e)
             if mass == 0:
                 continue  # extensions carry zero mass too (monotonicity)
-            total += percepts.reward(e) * mass
+            reward = percepts.reward(e)
+            if reward:
+                total += reward * exact_mass(nu, n + 2, mass)
             if remaining > 1:
-                total += _expectimax_value(nu, child, remaining - 1, percepts)[0]
+                total += _expectimax_value(nu, child, n + 2, remaining - 1, percepts)[0]
         if best_value is None or total > best_value:
             best_value, best_action = total, a
     assert best_value is not None
@@ -111,7 +114,8 @@ def expectimax_action(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    return _expectimax_value(nu, _state_at(nu, history)[1], horizon, percepts)[1]
+    n = 2 * len(history.actions)
+    return _expectimax_value(nu, _state_at(nu, history)[1], n, horizon, percepts)[1]
 
 
 def expectimax_value(
@@ -121,7 +125,8 @@ def expectimax_value(
     percepts: PerceptAlphabet = BINARY_PERCEPTS,
 ) -> Fraction:
     """Optimal expected return over the remaining horizon."""
-    return _expectimax_value(nu, _state_at(nu, history)[1], horizon, percepts)[0]
+    n = 2 * len(history.actions)
+    return _expectimax_value(nu, _state_at(nu, history)[1], n, horizon, percepts)[0]
 
 
 def joint_aixi_action(
@@ -163,13 +168,16 @@ def one_step_action_values(
     mass, state = _state_at(belief, history)
     if mass == 0:
         raise UndefinedConditionalError((history.percepts, history.actions))
+    n = 2 * len(history.actions)
+    mass = exact_mass(belief, n, mass)
     values = {}
     for a in range(belief.action_arity):
         pending = belief.extend(state, a)[1]
+        masses = (belief.extend(pending, e)[0] for e in range(belief.percept_arity))
         values[a] = sum(
             (
-                percepts.reward(e) * (belief.extend(pending, e)[0] / mass)
-                for e in range(belief.percept_arity)
+                percepts.reward(e) * (exact_mass(belief, n + 2, m) / mass)
+                for e, m in enumerate(masses)
             ),
             ZERO,
         )

@@ -42,6 +42,7 @@ from .semimeasure import (
     contexts,
     copy_machine,
     defective_uniform,
+    exact_mass,
     leaky_copy,
     mu_id,
     table_component,
@@ -416,7 +417,7 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
                 name,
                 report.kind,
                 report.depth,
-                len(report.rows),
+                report.contexts,
                 len(report.violations),
                 report.strict_rows,
                 report.equal_rows,
@@ -848,11 +849,11 @@ def _conditional_stats_chunk(args) -> tuple[list[Fraction], list[Fraction]]:
             if normalized:
                 kids = [mixture.extend(pending, e) for e in range(mixture.percept_arity)]
                 correct, child = kids[correct_percept]
-                denom = sum((m for m, _ in kids), ZERO)
+                denom = exact_mass(mixture, 2 * t + 2, sum(m for m, _ in kids))
             else:
                 correct, child = mixture.extend(pending, correct_percept)
-                denom = pending_mass
-            cond = correct / denom
+                denom = exact_mass(mixture, 2 * t + 1, pending_mass)
+            cond = exact_mass(mixture, 2 * t + 2, correct) / denom
             if cond < mins[t]:
                 mins[t] = cond
             if cond > maxs[t]:

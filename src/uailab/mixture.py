@@ -5,11 +5,18 @@ to at most 1 (deficient priors allowed; shipped scenarios use weights as
 given). Mixtures of joint components are joint semimeasures; mixtures of
 environments are chronological environments. ``posterior_weights`` and
 ``predictive`` evaluate one history from scratch. A mixture's walk state
-carries every live component's mass, so walks read the unnormalized
-posterior w_i nu_i(prefix) at each node without re-evaluating the prefix.
+carries every live component's weighted mass, so walks read the
+unnormalized posterior w_i nu_i(prefix) at each node without re-evaluating
+the prefix.
+
+A mixture's walk scale is the lcm of its components' scales times the lcm
+of its weights' denominators, so with integer components its masses are
+integers too. A component that keeps ``Fraction`` masses (scale 1) still
+mixes exactly: the mixture's numerators are then ``Fraction`` as well.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
@@ -21,7 +28,7 @@ from .core import (
     Prob,
     UndefinedConditionalError,
 )
-from .semimeasure import ChronEnv, JointSemimeasure, Policy, walk
+from .semimeasure import ChronEnv, JointSemimeasure, Policy, exact_mass, walk
 
 
 def uniform_prior(n: int) -> tuple[Fraction, ...]:
@@ -48,15 +55,19 @@ def _validate_weights(components: Sequence, weights: Sequence[Fraction]) -> None
 class _Mixture:
     """Construction, the walk and the budgeted sum shared by both mixture kinds.
 
-    The walk state is (mass, parts): parts holds (index, mass, state) for
-    every component whose own state is not dead, so w_i * mass_i is the
-    unnormalized posterior weight of component i; dead components are
-    skipped from then on.
+    The walk state is (length, mass, parts): parts holds (index, weighted
+    mass, state) for every component whose own state is not dead, where the
+    weighted mass is w_i * nu_i as a numerator over the mixture's scale, the
+    unnormalized posterior weight of component i; the mass is their sum.
+    Dead components are skipped from then on.
     """
 
     components: tuple
     weights: tuple[Fraction, ...]
     name_prefix = "component"
+    _kind: type = object
+    # An environment's action moves neither its mass nor its scale.
+    _actions_keep_mass = False
 
     def __init__(
         self,
@@ -65,6 +76,13 @@ class _Mixture:
         names: Sequence[str] | None = None,
     ):
         _validate_weights(components, weights)
+        for c in components:
+            if not isinstance(c, self._kind):
+                raise ComponentFormatError(
+                    f"{type(self).__name__} component {c!r} is not a {self._kind.__name__}"
+                )
+        if len({(c.action_arity, c.percept_arity) for c in components}) > 1:
+            raise ComponentFormatError("mixed components must share one alphabet")
         self.components = tuple(components)
         self.weights = tuple(weights)
         self.names = tuple(names) if names else tuple(
@@ -75,38 +93,67 @@ class _Mixture:
         self.declared_measure = all(c.declared_measure for c in self.components) and (
             sum(self.weights) == 1
         )
+        self._weight_scale = math.lcm(*(Fraction(w).denominator for w in self.weights))
+        self._levels: list[tuple[int, tuple]] = []
 
-    def _node(self, parts: list) -> tuple[Prob, Any]:
+    def _level(self, n: int) -> tuple[int, tuple]:
+        """(scale, per-component factors) at context length n: component i's
+        numerator times its factor is w_i * nu_i over the mixture's scale."""
+        levels = self._levels
+        while len(levels) <= n:
+            member = [c.scale(len(levels)) for c in self.components]
+            lcm = math.lcm(*member)
+            factors = tuple(
+                w.numerator * (self._weight_scale // w.denominator) * (lcm // s)
+                for w, s in zip(map(Fraction, self.weights), member)
+            )
+            levels.append((self._weight_scale * lcm, factors))
+        return levels[n]
+
+    def scale(self, n: int) -> int:
+        return self._level(n)[0]
+
+    def _node(self, n: int, parts: list) -> tuple[Any, Any]:
         if not parts:
-            return ZERO, None
-        w = self.weights
-        terms = [w[i] * m for i, m, _ in parts]
-        mass = sum(terms[1:], terms[0])
-        return mass, (mass, tuple(parts))
+            return 0, None
+        mass = parts[0][1]
+        for part in parts[1:]:
+            mass += part[1]
+        return mass, (n, mass, tuple(parts))
 
-    def root(self) -> tuple[Prob, Any]:
+    def root(self) -> tuple[Any, Any]:
+        factors = self._level(0)[1]
         parts = []
         for i, c in enumerate(self.components):
             m, state = c.root()
             if state is not None:
-                parts.append((i, m, state))
-        return self._node(parts)
+                parts.append((i, m * factors[i], state))
+        return self._node(0, parts)
 
-    def extend(self, state: Any, symbol: int) -> tuple[Prob, Any]:
+    def extend(self, state: Any, symbol: int) -> tuple[Any, Any]:
         if state is None:
-            return ZERO, None
-        mass, old_parts = state
-        parts = []
-        unchanged = True  # e.g. an environment's action step
+            return 0, None
+        n, mass, old_parts = state
         components = self.components
-        for i, old, s in old_parts:
+        parts = []
+        if self._actions_keep_mass and n % 2 == 0:
+            for i, weighted, s in old_parts:
+                s = components[i].extend(s, symbol)[1]
+                if s is not None:
+                    parts.append((i, weighted, s))
+            if len(parts) == len(old_parts):
+                return mass, (n + 1, mass, tuple(parts))
+            return self._node(n + 1, parts)
+        levels = self._levels
+        factors = (levels[n + 1] if n + 1 < len(levels) else self._level(n + 1))[1]
+        mass = 0
+        for i, _, s in old_parts:
             m, s = components[i].extend(s, symbol)
             if s is not None:
+                m *= factors[i]
+                mass += m
                 parts.append((i, m, s))
-            unchanged = unchanged and m is old and s is not None
-        if unchanged:
-            return mass, (mass, tuple(parts))
-        return self._node(parts)
+        return (mass, (n + 1, mass, tuple(parts))) if parts else (0, None)
 
     def eval_at_budget(self, *args) -> Prob:
         """sum_i w_i nu_i at the budget; ``args`` are a context and a budget."""
@@ -119,6 +166,7 @@ class JointMixture(_Mixture, JointSemimeasure):
     """xi(x) = sum_i w_i nu_i(x), itself a joint semimeasure."""
 
     components: tuple[JointSemimeasure, ...]
+    _kind = JointSemimeasure
 
     def eval(self, x: tuple[int, ...]) -> Prob:
         return sum((w * c.eval(x) for c, w in zip(self.components, self.weights)), ZERO)
@@ -129,6 +177,8 @@ class EnvMixture(_Mixture, ChronEnv):
 
     components: tuple[ChronEnv, ...]
     name_prefix = "env"
+    _kind = ChronEnv
+    _actions_keep_mass = True
 
     def eval(self, percepts: tuple[int, ...], actions: tuple[int, ...]) -> Prob:
         return sum(
@@ -244,16 +294,19 @@ def check_predictive_consistency(
     found: list[tuple[int, tuple, Fraction, Fraction]] = []
     root = mixture.root()
     for order, prefix, (mass, state), kids in walk(mixture, 2 * depth + 1, root, mixture.extend):
-        if len(prefix) % 2 == 0 or mass == 0:
+        n = len(prefix)
+        if n % 2 == 0 or mass == 0:
             continue
-        posterior = [(mixture.weights[i] * m / mass, i, m) for i, m, _ in state[1]]
+        total = exact_mass(mixture, n, mass)
+        weighted = [(i, exact_mass(mixture, n, m)) for i, m, _ in state[2]]  # w_i nu_i
+        posterior = [(w_nu / total, i, w_nu) for i, w_nu in weighted]
         for e, (child_mass, child_state) in enumerate(kids):
-            child = {i: m for i, m, _ in child_state[1]} if child_state else {}
-            lhs = child_mass / mass
+            child = {i: m for i, m, _ in child_state[2]} if child_state else {}
+            lhs = exact_mass(mixture, n + 1, child_mass) / total
             rhs = ZERO
-            for post, i, m in posterior:
+            for post, i, w_nu in posterior:
                 if post != 0:
-                    rhs += post * (child.get(i, ZERO) / m)
+                    rhs += post * (exact_mass(mixture, n + 1, child.get(i, 0)) / w_nu)
             if lhs != rhs:
                 found.append((order, (prefix, e), lhs, rhs))
     found.sort(key=lambda item: item[0])  # stable: percept order within a prefix

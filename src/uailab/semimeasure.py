@@ -27,14 +27,29 @@ context is undefined too. Every exhaustive check is one depth-first
 :func:`walk` that files its rows by each context's position in
 :func:`contexts` order; states live only inside one walk.
 
+Walk masses are numerators over a declared scale: a mass returned for a
+context of n symbols stands for ``Fraction(mass, nu.scale(n))``, where
+``scale(n)`` is a positive ``int`` that divides ``scale(n + 1)``; an
+environment's scale does not change at an action (``scale(2t + 1) ==
+scale(2t)``). The default scale is 1, so a component that keeps ``Fraction``
+masses needs no override. Built-ins whose masses are products of fixed
+rationals use ``D_a**ceil(n/2) * D_p**floor(n/2)``, with D the lcm of the
+action (D_a) or percept (D_p) masses' denominators, and return ``int``
+numerators, so a step is one integer product. The checkers compare a
+context's numerator times ``scale(n') // scale(n)`` with the sum of its
+children's numerators in ``int``; every other reader converts a mass with
+:func:`exact_mass` before dividing (``int / int`` is a float).
+
 All components are immutable after construction; evaluation is pure.
 """
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
@@ -79,6 +94,10 @@ class JointSemimeasure(abc.ABC):
         x = state + (symbol,)
         return self.eval(x), x
 
+    def scale(self, n: int) -> int:
+        """Denominator of the walk masses of contexts of length ``n``."""
+        return 1
+
     def arity_at(self, position: int) -> int:
         return self.action_arity if position % 2 == 0 else self.percept_arity
 
@@ -113,6 +132,10 @@ class ChronEnv(abc.ABC):
         percepts = percepts + (symbol,)
         mass = self.eval(percepts, actions)
         return mass, (percepts, actions, mass)
+
+    def scale(self, n: int) -> int:
+        """Denominator of the walk masses of contexts of ``n`` symbols."""
+        return 1
 
 
 class Policy(abc.ABC):
@@ -187,6 +210,8 @@ class MixturePolicy(Policy):
             raise ComponentFormatError("policy mixture needs at least one policy")
         if any(w <= 0 for w in self.weights) or sum(self.weights) > 1:
             raise ComponentFormatError("policy weights must be positive and sum to <= 1")
+        if len({p.action_arity for p in self.policies}) > 1:
+            raise ComponentFormatError("mixed policies must share one action arity")
 
     @property
     def action_arity(self) -> int:  # type: ignore[override]
@@ -204,8 +229,39 @@ class MixturePolicy(Policy):
 # ---------------------------------------------------------------------------
 
 
+def _over(row: Sequence[Fraction], d: int) -> tuple[int, ...]:
+    """Numerators of exact masses over a common denominator ``d``."""
+    return tuple(p.numerator * (d // p.denominator) for p in row)
+
+
+class _ProductScale:
+    """Walk scale of a component whose steps multiply by rationals fixed at
+    construction (its symbol masses, or a table's conditionals).
+
+    ``_bases`` = (D_a, D_p): every action mass is a numerator over D_a, every
+    percept mass one over D_p, so scale(n) = D_a**ceil(n/2) * D_p**floor(n/2).
+    ``_steps`` holds those numerators for components with one row per kind.
+    """
+
+    _bases: tuple[int, int]
+    _steps: tuple[tuple[int, ...], tuple[int, ...]]  # action and percept numerators
+
+    def _fix_steps(self, action_probs: Sequence[Fraction], percept_probs: Sequence[Fraction]):
+        """Set ``_bases`` and ``_steps`` from the action and percept masses."""
+        rows = (tuple(action_probs), tuple(percept_probs))
+        if any(type(p) not in (int, Fraction) for row in rows for p in row):
+            raise ComponentFormatError(f"symbol masses must be exact rationals, got {rows!r}")
+        bases = tuple(math.lcm(*(p.denominator for p in row)) for row in rows)
+        object.__setattr__(self, "_bases", bases)
+        object.__setattr__(self, "_steps", tuple(_over(r, d) for r, d in zip(rows, bases)))
+
+    def scale(self, n: int) -> int:
+        d_a, d_p = self._bases
+        return d_a ** ((n + 1) // 2) * d_p ** (n // 2)
+
+
 @dataclass(frozen=True)
-class ProductJoint(JointSemimeasure):
+class ProductJoint(_ProductScale, JointSemimeasure):
     """Position-wise independent symbol masses: nu(x) = prod p_pos(x_i).
 
     A measure iff the masses sum to 1 at both action and percept positions;
@@ -219,6 +275,7 @@ class ProductJoint(JointSemimeasure):
         for probs in (self.action_probs, self.percept_probs):
             if any(p < 0 for p in probs) or sum(probs) > 1:
                 raise ComponentFormatError("symbol masses must be >= 0 and sum to <= 1")
+        self._fix_steps(self.action_probs, self.percept_probs)
 
     @property
     def action_arity(self) -> int:  # type: ignore[override]
@@ -240,15 +297,15 @@ class ProductJoint(JointSemimeasure):
                 return ZERO
         return out
 
-    def root(self) -> tuple[Prob, Any]:
-        return ONE, (0, ONE)  # (length, mass)
+    def root(self) -> tuple[int, Any]:
+        return 1, (0, 1)  # (length, mass)
 
-    def extend(self, state: Any, symbol: int) -> tuple[Prob, Any]:
+    def extend(self, state: Any, symbol: int) -> tuple[int, Any]:
         if state is None:
-            return ZERO, None
+            return 0, None
         n, mass = state
-        mass *= (self.action_probs if n % 2 == 0 else self.percept_probs)[symbol]
-        return (mass, (n + 1, mass)) if mass else (ZERO, None)
+        mass *= self._steps[n % 2][symbol]
+        return (mass, (n + 1, mass)) if mass else (0, None)
 
 
 def uniform_measure(action_arity: int = 2, percept_arity: int = 2) -> ProductJoint:
@@ -265,7 +322,7 @@ def defective_uniform(symbol_mass: Fraction = Fraction(1, 4)) -> ProductJoint:
 
 
 @dataclass(frozen=True)
-class ActionEchoJoint(JointSemimeasure):
+class ActionEchoJoint(_ProductScale, JointSemimeasure):
     """Uniform actions; percept echoes the preceding action (binary).
 
     The percept matches the action with mass ``match`` and mismatches with
@@ -281,6 +338,7 @@ class ActionEchoJoint(JointSemimeasure):
     def __post_init__(self):
         if self.match < 0 or self.mismatch < 0 or self.match + self.mismatch > 1:
             raise ComponentFormatError("match/mismatch masses must be >= 0, sum <= 1")
+        self._fix_steps((HALF, HALF), (self.match, self.mismatch))
 
     @property
     def declared_measure(self) -> bool:  # type: ignore[override]
@@ -296,18 +354,18 @@ class ActionEchoJoint(JointSemimeasure):
                     return ZERO
         return out
 
-    def root(self) -> tuple[Prob, Any]:
-        return ONE, (ONE, None)  # (mass, pending action)
+    def root(self) -> tuple[int, Any]:
+        return 1, (1, None)  # (mass, pending action)
 
-    def extend(self, state: Any, symbol: int) -> tuple[Prob, Any]:
+    def extend(self, state: Any, symbol: int) -> tuple[int, Any]:
         if state is None:
-            return ZERO, None
+            return 0, None
         mass, action = state
-        if action is None:
-            mass *= HALF
+        if action is None:  # the action's 1/2 over D_a = 2 is a numerator of 1
             return mass, (mass, symbol)
-        mass *= self.match if symbol == action else self.mismatch
-        return (mass, (mass, None)) if mass else (ZERO, None)
+        match, mismatch = self._steps[1]
+        mass *= match if symbol == action else mismatch
+        return (mass, (mass, None)) if mass else (0, None)
 
 
 def copy_machine() -> ActionEchoJoint:
@@ -331,7 +389,7 @@ def leaky_copy(match: Fraction = Fraction(3, 4)) -> ActionEchoJoint:
 
 
 @dataclass(frozen=True)
-class NoisyCopyEnv(ChronEnv):
+class NoisyCopyEnv(_ProductScale, ChronEnv):
     """Binary env emitting e_t = a_t with mass ``match``, 1-a_t with ``mismatch``.
 
     History-independent; match=1 is the identity environment (the percept
@@ -344,6 +402,7 @@ class NoisyCopyEnv(ChronEnv):
     def __post_init__(self):
         if self.match < 0 or self.mismatch < 0 or self.match + self.mismatch > 1:
             raise ComponentFormatError("match/mismatch masses must be >= 0, sum <= 1")
+        self._fix_steps((), (self.match, self.mismatch))
 
     @property
     def declared_measure(self) -> bool:  # type: ignore[override]
@@ -359,17 +418,18 @@ class NoisyCopyEnv(ChronEnv):
                 return ZERO
         return out
 
-    def root(self) -> tuple[Prob, Any]:
-        return ONE, (ONE, None)  # (mass, pending action)
+    def root(self) -> tuple[int, Any]:
+        return 1, (1, None)  # (mass, pending action)
 
-    def extend(self, state: Any, symbol: int) -> tuple[Prob, Any]:
+    def extend(self, state: Any, symbol: int) -> tuple[int, Any]:
         if state is None:
-            return ZERO, None
+            return 0, None
         mass, action = state
         if action is None:
             return mass, (mass, symbol)
-        mass *= self.match if symbol == action else self.mismatch
-        return (mass, (mass, None)) if mass else (ZERO, None)
+        match, mismatch = self._steps[1]
+        mass *= match if symbol == action else mismatch
+        return (mass, (mass, None)) if mass else (0, None)
 
 
 def mu_id() -> NoisyCopyEnv:
@@ -387,7 +447,7 @@ def complement_env() -> NoisyCopyEnv:
 
 
 @dataclass(frozen=True)
-class IIDEnv(ChronEnv):
+class IIDEnv(_ProductScale, ChronEnv):
     """Action-independent i.i.d. percept distribution."""
 
     percept_probs: tuple[Fraction, ...] = (HALF, HALF)
@@ -395,6 +455,7 @@ class IIDEnv(ChronEnv):
     def __post_init__(self):
         if any(p < 0 for p in self.percept_probs) or sum(self.percept_probs) > 1:
             raise ComponentFormatError("percept masses must be >= 0 and sum to <= 1")
+        self._fix_steps((), self.percept_probs)
 
     @property
     def percept_arity(self) -> int:  # type: ignore[override]
@@ -414,17 +475,17 @@ class IIDEnv(ChronEnv):
                 return ZERO
         return out
 
-    def root(self) -> tuple[Prob, Any]:
-        return ONE, (ONE, False)  # (mass, action pending)
+    def root(self) -> tuple[int, Any]:
+        return 1, (1, False)  # (mass, action pending)
 
-    def extend(self, state: Any, symbol: int) -> tuple[Prob, Any]:
+    def extend(self, state: Any, symbol: int) -> tuple[int, Any]:
         if state is None:
-            return ZERO, None
+            return 0, None
         mass, pending = state
         if not pending:
             return mass, (mass, True)
-        mass *= self.percept_probs[symbol]
-        return (mass, (mass, False)) if mass else (ZERO, None)
+        mass *= self._steps[1][symbol]
+        return (mass, (mass, False)) if mass else (0, None)
 
 
 def uniform_env(percept_arity: int = 2) -> IIDEnv:
@@ -453,7 +514,36 @@ def _check_row(context: Any, row: Sequence[Fraction], arity: int) -> tuple[Fract
     return vals
 
 
-class TableJoint(JointSemimeasure):
+def _default_row(default: str, arity: int) -> tuple[Fraction, ...]:
+    """Conditional masses beyond the defined contexts under a default rule."""
+    if default == "uniform":
+        return tuple(Fraction(1, arity) for _ in range(arity))
+    return tuple(ZERO for _ in range(arity))
+
+
+def _numerator_rows(
+    rows: Mapping[Any, tuple[Fraction, ...]],
+    defaults: tuple[tuple[Fraction, ...], tuple[Fraction, ...]],
+    parity: Callable[[Any], int],
+) -> tuple:
+    """(D_a and D_p, numerator rows, default numerator rows) of a table.
+
+    ``parity(key)`` is 0 for an action row and 1 for a percept row;
+    ``defaults`` holds the action and percept rows beyond the table. Each D
+    is the lcm of the denominators of its rows, the default row's included.
+    """
+    bases = tuple(
+        math.lcm(
+            *(p.denominator for key, row in rows.items() if parity(key) == k for p in row),
+            *(p.denominator for p in defaults[k]),
+        )
+        for k in (0, 1)
+    )
+    numerators = {key: _over(row, bases[parity(key)]) for key, row in rows.items()}
+    return bases, numerators, tuple(_over(row, d) for row, d in zip(defaults, bases))
+
+
+class TableJoint(_ProductScale, JointSemimeasure):
     """Joint semimeasure from an explicit conditional table.
 
     ``rows`` maps a context string (tuple of symbol indices) to the
@@ -480,15 +570,15 @@ class TableJoint(JointSemimeasure):
             tuple(ctx): _check_row(tuple(ctx), row, self.arity_at(len(ctx)))
             for ctx, row in rows.items()
         }
+        self._bases, self._numerators, self._default_numerators = _numerator_rows(
+            self.rows,
+            (_default_row(default, action_arity), _default_row(default, percept_arity)),
+            lambda ctx: len(ctx) % 2,
+        )
 
     def _conditional_row(self, ctx: tuple[int, ...]) -> tuple[Fraction, ...]:
         row = self.rows.get(ctx)
-        if row is not None:
-            return row
-        arity = self.arity_at(len(ctx))
-        if self.default == "uniform":
-            return tuple(Fraction(1, arity) for _ in range(arity))
-        return tuple(ZERO for _ in range(arity))
+        return _default_row(self.default, self.arity_at(len(ctx))) if row is None else row
 
     def eval(self, x: tuple[int, ...]) -> Prob:
         out = ONE
@@ -498,18 +588,19 @@ class TableJoint(JointSemimeasure):
                 return ZERO
         return out
 
-    def root(self) -> tuple[Prob, Any]:
-        return ONE, ((), ONE)  # (context, mass)
+    def root(self) -> tuple[int, Any]:
+        return 1, ((), 1)  # (context, mass)
 
-    def extend(self, state: Any, symbol: int) -> tuple[Prob, Any]:
+    def extend(self, state: Any, symbol: int) -> tuple[int, Any]:
         if state is None:
-            return ZERO, None
+            return 0, None
         x, mass = state
-        mass *= self._conditional_row(x)[symbol]
-        return (mass, (x + (symbol,), mass)) if mass else (ZERO, None)
+        row = self._numerators.get(x)
+        mass *= (self._default_numerators[len(x) % 2] if row is None else row)[symbol]
+        return (mass, (x + (symbol,), mass)) if mass else (0, None)
 
 
-class TableEnv(ChronEnv):
+class TableEnv(_ProductScale, ChronEnv):
     """Chronological environment from an explicit conditional table.
 
     ``rows`` maps (percept prefix, action prefix including the current
@@ -539,16 +630,16 @@ class TableEnv(ChronEnv):
                     f"context {key!r} must supply one more action than percepts"
                 )
             self.rows[key] = _check_row(key, row, percept_arity)
+        # Every row is a percept row: the action side of the scale stays 1.
+        self._bases, self._numerators, self._default_numerators = _numerator_rows(
+            self.rows, ((), _default_row(default, percept_arity)), lambda key: 1
+        )
 
     def _conditional_row(
         self, e_ctx: tuple[int, ...], a_ctx: tuple[int, ...]
     ) -> tuple[Fraction, ...]:
         row = self.rows.get((e_ctx, a_ctx))
-        if row is not None:
-            return row
-        if self.default == "uniform":
-            return tuple(Fraction(1, self.percept_arity) for _ in range(self.percept_arity))
-        return tuple(ZERO for _ in range(self.percept_arity))
+        return _default_row(self.default, self.percept_arity) if row is None else row
 
     def eval(self, percepts: tuple[int, ...], actions: tuple[int, ...]) -> Prob:
         if len(percepts) != len(actions):
@@ -560,17 +651,18 @@ class TableEnv(ChronEnv):
                 return ZERO
         return out
 
-    def root(self) -> tuple[Prob, Any]:
-        return ONE, ((), (), ONE)  # (percepts, actions, mass)
+    def root(self) -> tuple[int, Any]:
+        return 1, ((), (), 1)  # (percepts, actions, mass)
 
-    def extend(self, state: Any, symbol: int) -> tuple[Prob, Any]:
+    def extend(self, state: Any, symbol: int) -> tuple[int, Any]:
         if state is None:
-            return ZERO, None
+            return 0, None
         percepts, actions, mass = state
         if len(actions) == len(percepts):
             return mass, (percepts, actions + (symbol,), mass)
-        mass *= self._conditional_row(percepts, actions)[symbol]
-        return (mass, (percepts + (symbol,), actions, mass)) if mass else (ZERO, None)
+        row = self._numerators.get((percepts, actions))
+        mass *= (self._default_numerators[1] if row is None else row)[symbol]
+        return (mass, (percepts + (symbol,), actions, mass)) if mass else (0, None)
 
 
 def table_component(definition: Mapping[str, Any]) -> JointSemimeasure | ChronEnv:
@@ -650,6 +742,7 @@ def contexts(nu: JointSemimeasure | ChronEnv, depth: int) -> Iterator[Any]:
 
 
 Step = Callable[[Any, int], tuple[Any, Any]]
+_mass = itemgetter(0)  # of a walk node (mass, state)
 
 
 def _count_contexts(nu: JointSemimeasure | ChronEnv, depth: int) -> int:
@@ -685,11 +778,13 @@ def walk(
     n_actions, n_percepts = nu.action_arity, nu.percept_arity
     actions_range, percepts_range = range(n_actions), range(n_percepts)
     offsets = [_count_contexts(nu, t - 1) for t in range(depth + 1)]
+    percept_strings = [n_percepts**t for t in range(depth + 1)]
     # Rows keep their contexts; sharing one tuple per action string, as the
     # contexts loop did, keeps the report as small as before.
     action_strings: dict[tuple[int, ...], tuple[int, ...]] = {}
     # (level, action-string index, percept-string index, context, node)
     stack = [(0, 0, 0, () if joint else ((), ()), root)]
+    push = stack.append
     while stack:
         t, a_index, p_index, context, node = stack.pop()
         last = t == depth
@@ -699,33 +794,27 @@ def walk(
         elif joint:
             kids = [step(state, s) for s in range(nu.arity_at(t))]
         else:
-            kids = [
-                [step(pending, e) for e in percepts_range]
-                for pending in (step(state, a)[1] for a in actions_range)
-            ]
-        index = a_index if joint else a_index * n_percepts**t + p_index
+            kids = []
+            for a in actions_range:
+                pending = step(state, a)[1]
+                kids.append([step(pending, e) for e in percepts_range])
+        index = a_index if joint else a_index * percept_strings[t] + p_index
         yield offsets[t] + index, context, node, kids
         if last:
             continue
         if joint:
             arity = nu.arity_at(t)
             for s, child in enumerate(kids):
-                stack.append((t + 1, a_index * arity + s, 0, context + (s,), child))
+                push((t + 1, a_index * arity + s, 0, context + (s,), child))
             continue
         e, a = context
         for a_next, per_action in enumerate(kids):
             actions = a + (a_next,)
             actions = action_strings.setdefault(actions, actions)
+            a_child = a_index * n_actions + a_next
+            p_child = p_index * n_percepts
             for e_next, child in enumerate(per_action):
-                stack.append(
-                    (
-                        t + 1,
-                        a_index * n_actions + a_next,
-                        p_index * n_percepts + e_next,
-                        (e + (e_next,), actions),
-                        child,
-                    )
-                )
+                push((t + 1, a_child, p_child + e_next, (e + (e_next,), actions), child))
 
 
 @dataclass(frozen=True)
@@ -739,6 +828,16 @@ class MismatchRow:
     @property
     def verdict(self) -> str:
         return "equal" if self.lhs == self.rhs else "mismatch"
+
+
+def exact_mass(nu: JointSemimeasure | ChronEnv, n: int, mass: Any) -> Fraction:
+    """The exact mass a walk numerator of ``nu`` at a context of ``n`` symbols
+    stands for. Every reader of walk masses outside the checkers converts
+    here before it divides."""
+    scale = nu.scale(n)
+    if scale == 1 and isinstance(mass, Fraction):
+        return mass
+    return Fraction(mass, scale)
 
 
 def compare(
@@ -770,17 +869,16 @@ def compare(
     else:
         rhs_mass, rhs_state = rhs.root()
         root = ((lhs_mass, rhs_mass), (lhs_state, rhs_state))
+    joint = isinstance(lhs, JointSemimeasure)
     slots: list[MismatchRow | None] = [None] * _count_contexts(lhs, depth)
     for order, context, (masses, _), _ in walk(lhs, depth, root, step, last_children=False):
         if masses is not None:
-            slots[order] = MismatchRow(context, *masses)
+            n = len(context) if joint else 2 * len(context[1])
+            slots[order] = MismatchRow(
+                context, exact_mass(lhs, n, masses[0]), exact_mass(rhs, n, masses[1])
+            )
     rows = [row for row in slots if row is not None]
     return rows, len(slots) - len(rows)
-
-
-def _total(masses: list) -> Prob:
-    """Exact sum of a non-empty list of masses, without a ZERO start."""
-    return sum(masses[1:], masses[0])
 
 
 def max_ratio(rows: Iterable[MismatchRow]) -> tuple[Fraction | None, Any]:
@@ -819,46 +917,82 @@ class CheckRow:
         return "violation"
 
 
-@dataclass(frozen=True)
+# A checked row as the walk leaves it: (context, lhs numerator, rhs
+# numerator, level), level = (lhs scale, rhs scale, rhs scale // lhs scale).
+Entry = tuple[Any, Any, Any, tuple[int, int, int]]
+
+
+@dataclass(frozen=True, eq=False)
 class CheckReport:
     """Deterministic report of an exhaustive defining-condition check.
 
-    Each row's verdict is read once, when the first count is asked for; a
-    report whose counts are never read never compares its rows.
+    The rows are kept as walk numerators; their verdicts are counted once,
+    at construction, by comparing lhs * (rhs scale // lhs scale) with rhs.
+    ``rows`` builds the exact :class:`CheckRow` tuple when first read, and
+    ``violations`` builds only the violating rows. Two reports are equal
+    when their exact rows and every other field are.
     """
 
     kind: str
     depth: int
     root_mass: Fraction
-    rows: tuple[CheckRow, ...]
     monotone_violations: tuple[Any, ...]
     declared_measure: bool
-    _counts: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    entries: Sequence[Entry] = field(repr=False)
 
-    def _verdict_counts(self) -> tuple[tuple[CheckRow, ...], int, int]:
-        """(violation rows, strict count, equal count)."""
-        if self._counts is None:
-            verdicts = [r.verdict for r in self.rows]
-            violations = tuple(r for r, v in zip(self.rows, verdicts) if v == "violation")
-            counts = (violations, verdicts.count("strict"), verdicts.count("equal"))
-            object.__setattr__(self, "_counts", counts)
-        return self._counts
+    def __post_init__(self):
+        strict = equal = 0
+        bad = []
+        for slot, (_, lhs, rhs, level) in enumerate(self.entries):
+            gain = level[2]
+            lhs = lhs if gain == 1 else lhs * gain
+            if lhs > rhs:
+                strict += 1
+            elif lhs == rhs:
+                equal += 1
+            else:
+                bad.append(slot)
+        object.__setattr__(self, "_tally", (strict, equal, tuple(bad)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CheckReport):
+            return NotImplemented
+        fields = ("kind", "depth", "root_mass", "monotone_violations", "declared_measure", "rows")
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
+
+    @staticmethod
+    def _row(entry: Entry) -> CheckRow:
+        context, lhs, rhs, (scale, child_scale, _) = entry
+        return CheckRow(context, Fraction(lhs, scale), Fraction(rhs, child_scale))
+
+    @property
+    def contexts(self) -> int:
+        """How many rows were checked (``len(rows)``, without building them)."""
+        return len(self.entries)
+
+    @property
+    def rows(self) -> tuple[CheckRow, ...]:
+        rows = self.__dict__.get("_rows")
+        if rows is None:
+            rows = tuple(map(self._row, self.entries))
+            object.__setattr__(self, "_rows", rows)
+        return rows
 
     @property
     def violations(self) -> tuple[CheckRow, ...]:
-        return self._verdict_counts()[0]
+        return tuple(self._row(self.entries[slot]) for slot in self._tally[2])
 
     @property
     def strict_rows(self) -> int:
-        return self._verdict_counts()[1]
+        return self._tally[0]
 
     @property
     def equal_rows(self) -> int:
-        return self._verdict_counts()[2]
+        return self._tally[1]
 
     @property
     def ok(self) -> bool:
-        return not self.violations and not self.monotone_violations and self.root_mass <= 1
+        return not self._tally[2] and not self.monotone_violations and self.root_mass <= 1
 
     @property
     def declaration_verified(self) -> bool | None:
@@ -870,6 +1004,13 @@ class CheckReport:
         return True if self.strict_rows > 0 else None
 
 
+def _levels(nu: JointSemimeasure | ChronEnv, depth: int, width: int) -> list[tuple[int, int, int]]:
+    """The row level of each checked depth t: a context of ``width * t`` symbols
+    against its children ``width`` symbols further."""
+    scales = [nu.scale(width * t) for t in range(depth + 2)]
+    return [(scales[t], scales[t + 1], scales[t + 1] // scales[t]) for t in range(depth + 1)]
+
+
 def check_semimeasure(nu: JointSemimeasure, depth: int) -> CheckReport:
     """Exhaustively check subadditivity (and monotonicity) up to ``depth``.
 
@@ -877,22 +1018,26 @@ def check_semimeasure(nu: JointSemimeasure, depth: int) -> CheckReport:
     of its one-symbol extensions. Violations are data, not failures; rows are
     ordered lexicographically by (length, symbols).
     """
-    rows: list[Any] = [None] * _count_contexts(nu, depth)
+    entries: list[Any] = [None] * _count_contexts(nu, depth)
     monotone_bad: list[tuple[int, Any]] = []
+    levels = _levels(nu, depth, 1)
     root = nu.root()
     for order, x, (lhs, _), kids in walk(nu, depth, root, nu.extend):
-        rows[order] = CheckRow(x, lhs, _total([m for m, _ in kids]))
-        for s, (cm, _) in enumerate(kids):
-            if cm > lhs:
-                monotone_bad.append((order, x + (s,)))
+        level = levels[len(x)]
+        masses = list(map(_mass, kids))
+        entries[order] = (x, lhs, sum(masses), level)
+        if level[2] != 1:
+            lhs *= level[2]
+        if max(masses) > lhs:
+            monotone_bad.extend((order, x + (s,)) for s, m in enumerate(masses) if m > lhs)
     monotone_bad.sort(key=lambda item: item[0])  # stable: symbol order within a context
     return CheckReport(
         kind="semimeasure",
         depth=depth,
-        root_mass=root[0],
-        rows=tuple(rows),
+        root_mass=Fraction(root[0], levels[0][0]),
         monotone_violations=tuple(item for _, item in monotone_bad),
         declared_measure=nu.declared_measure,
+        entries=entries,
     )
 
 
@@ -904,30 +1049,39 @@ def check_chronological(nu: ChronEnv, depth: int) -> CheckReport:
     :func:`contexts` order.
     """
     n_actions = nu.action_arity
-    rows: list[Any] = [None] * (_count_contexts(nu, depth) * n_actions)
+    entries: list[Any] = [None] * (_count_contexts(nu, depth) * n_actions)
     monotone_bad: list[tuple[int, Any]] = []
+    levels = _levels(nu, depth, 2)
     root = nu.root()
     for order, (e, a), (lhs, _), per_action in walk(nu, depth, root, nu.extend):
+        level = levels[len(a)]
+        scaled = lhs if level[2] == 1 else lhs * level[2]
+        first = order * n_actions
         for a_next, kids in enumerate(per_action):
-            slot = order * n_actions + a_next
-            rows[slot] = CheckRow((e, a, a_next), lhs, _total([m for m, _ in kids]))
-            for e_next, (cm, _) in enumerate(kids):
-                if cm > lhs:
-                    monotone_bad.append((slot, (e + (e_next,), a + (a_next,))))
+            slot = first + a_next
+            masses = list(map(_mass, kids))
+            entries[slot] = ((e, a, a_next), lhs, sum(masses), level)
+            if max(masses) > scaled:
+                monotone_bad.extend(
+                    (slot, (e + (e_next,), a + (a_next,)))
+                    for e_next, m in enumerate(masses)
+                    if m > scaled
+                )
     monotone_bad.sort(key=lambda item: item[0])  # stable: percept order within a row
     return CheckReport(
         kind="chronological",
         depth=depth,
-        root_mass=root[0],
-        rows=tuple(rows),
+        root_mass=Fraction(root[0], levels[0][0]),
         monotone_violations=tuple(item for _, item in monotone_bad),
         declared_measure=nu.declared_measure,
+        entries=entries,
     )
 
 
 def check_policy(pi: Policy, depth: int, percept_arity: int = 2) -> CheckReport:
     """Chronological condition with action/percept roles swapped."""
-    rows: list[CheckRow] = []
+    entries: list[Entry] = []
+    exact = (1, 1, 1)  # policy weights are exact masses already
     for t in range(depth):
         for actions in product(range(pi.action_arity), repeat=t):
             for percepts in product(range(percept_arity), repeat=t):
@@ -935,12 +1089,12 @@ def check_policy(pi: Policy, depth: int, percept_arity: int = 2) -> CheckReport:
                 children = [
                     pi.weight(actions + (a,), percepts) for a in range(pi.action_arity)
                 ]
-                rows.append(CheckRow((actions, percepts), lhs, sum(children, ZERO)))
+                entries.append(((actions, percepts), lhs, sum(children, ZERO), exact))
     return CheckReport(
         kind="policy",
         depth=depth,
         root_mass=pi.weight((), ()),
-        rows=tuple(rows),
         monotone_violations=(),
         declared_measure=False,
+        entries=entries,
     )

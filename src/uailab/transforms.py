@@ -12,6 +12,9 @@ to sum to 1 (Solomonoff normalization).
 
 A view walks its base: each of its steps takes O(1) base steps. A dual's walk
 recomputes ``Policy.weight`` at each action, whatever the kind of policy.
+Views, duals and normalized predictors keep ``Fraction`` masses (scale 1):
+they divide, or weigh by a policy, so they convert their base's numerators
+with :func:`~uailab.semimeasure.exact_mass`.
 """
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ from .semimeasure import (
     Policy,
     StationaryPolicy,
     compare,
+    exact_mass,
     max_ratio,
     walk,
 )
@@ -79,7 +83,8 @@ class EnvView(ChronEnv):
         if denom == 0:
             raise UndefinedConditionalError(prefix, "env view")
         base_mass, base_state = self.base.extend(base_state, symbol)
-        mass *= base_mass / denom
+        n = len(prefix)  # the pending prefix, its action included
+        mass *= exact_mass(self.base, n + 1, base_mass) / exact_mass(self.base, n, denom)
         return mass, (mass, base_state, None, prefix + (symbol,))
 
 
@@ -119,7 +124,7 @@ class DualJoint(JointSemimeasure):
         if nu_state is None:
             return ZERO, None
         # (actions, percepts, policy weight, env state)
-        return w * nu_mass, ((), (), w, nu_state)
+        return w * exact_mass(self.nu, 0, nu_mass), ((), (), w, nu_state)
 
     def extend(self, state: Any, symbol: int) -> tuple[Prob, Any]:
         if state is None:
@@ -135,7 +140,8 @@ class DualJoint(JointSemimeasure):
         nu_mass, nu_state = self.nu.extend(nu_state, symbol)
         if nu_state is None:
             return ZERO, None
-        return w * nu_mass, (actions, percepts, w, nu_state)
+        n = len(actions) + len(percepts)
+        return w * exact_mass(self.nu, n, nu_mass), (actions, percepts, w, nu_state)
 
 
 def dual(nu: ChronEnv, pi: Policy) -> DualJoint:
@@ -206,14 +212,15 @@ class NormalizedPredictor(JointSemimeasure):
         if state is None:
             return ZERO, None
         mass, base_state, x, memo = state
+        n = len(x) + 1
         if not memo:  # siblings share one evaluation of the base children
             kids = [self.base.extend(base_state, s) for s in range(self.arity_at(len(x)))]
-            memo.append((kids, sum((m for m, _ in kids), ZERO)))
+            memo.append((kids, exact_mass(self.base, n, sum(m for m, _ in kids))))
         kids, total = memo[0]
         if total == 0:
             raise NormalizationError(x)
         base_mass, base_state = kids[symbol]
-        mass *= base_mass / total
+        mass *= exact_mass(self.base, n, base_mass) / total
         return (mass, (mass, base_state, x + (symbol,), [])) if mass else (ZERO, None)
 
 
@@ -316,12 +323,15 @@ def check_normalization_dominance(
         if raw_prefix == 0:
             skipped += 1
             continue
-        total = sum((m for m, _ in kids), ZERO)
+        n = len(x)
+        prefix_mass = exact_mass(nu, n, raw_prefix)
+        total = exact_mass(nu, n + 1, sum(m for m, _ in kids))
         for s, (mass, _) in enumerate(kids):
             if total == 0:
                 skipped += 1
                 continue
-            raw, hatted = mass / raw_prefix, mass / total
+            mass = exact_mass(nu, n + 1, mass)
+            raw, hatted = mass / prefix_mass, mass / total
             if hatted < raw:
                 found.append((order, MismatchRow((x, s), raw, hatted)))
     found.sort(key=lambda item: item[0])  # stable: symbol order within a context

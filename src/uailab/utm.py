@@ -57,7 +57,7 @@ from functools import cache
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from .core import ZERO, ComponentFormatError, Prob, frac_str
 from .semimeasure import ChronEnv, JointSemimeasure
@@ -313,13 +313,44 @@ class ChronEnumApprox(ChronEnv):
 
     Masses for a length-t query use the action tape truncated to t: the
     machine may only see actions up to time t before emitting percept t.
-    Tables per action string are computed lazily and memoized.
+    Tables per action string are computed lazily and memoized. Every mass is
+    a multiple of 8**-(program_bits // 3), the walk's scale, so the walk
+    reads integer numerators off the same tables; a tape's first query goes
+    through ``eval``, which enumerates it.
     """
 
     def __init__(self, program_bits: int, steps: int):
         self.program_bits = program_bits
         self.steps = steps
         self.tables: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+        self._unit = 8 ** (program_bits // OPCODE_BITS)
+
+    def scale(self, n: int) -> int:
+        return self._unit
+
+    def _numerator(self, mass: Fraction) -> int | Fraction:
+        """``mass`` over the scale; a denominator that does not divide it
+        (only a damaged cache entry has one) stays an exact Fraction."""
+        whole, rest = divmod(self._unit, mass.denominator)
+        return mass * self._unit if rest else mass.numerator * whole
+
+    def root(self) -> tuple[int | Fraction, Any]:
+        mass = self._numerator(self.eval((), ()))
+        return mass, ((), (), mass)  # (percepts, actions, mass)
+
+    def extend(self, state: Any, symbol: int) -> tuple[int | Fraction, Any]:
+        if len(state) == 3:  # a complete history: the action's table joins the state
+            percepts, actions, mass = state
+            actions += (symbol,)
+            return mass, (percepts, actions, mass, self.tables.get(actions))
+        percepts, actions, mass, table = state
+        percepts += (symbol,)
+        if table is None:
+            self.eval(percepts, actions)  # enumerates the tape
+            table = self.tables[actions]
+        value = table.get(percepts)
+        mass = 0 if value is None else self._numerator(value)
+        return mass, (percepts, actions, mass)
 
     def _table_for(self, actions: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
         table = self.tables.get(actions)

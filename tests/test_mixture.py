@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from uailab.core import EMPTY_HISTORY, History, UndefinedConditionalError
+from uailab.core import ComponentFormatError, EMPTY_HISTORY, History, UndefinedConditionalError
 from uailab.mixture import (
     EnvMixture,
     JointMixture,
@@ -15,6 +15,10 @@ from uailab.mixture import (
     uniform_prior,
 )
 from uailab.semimeasure import (
+    IIDEnv,
+    MixturePolicy,
+    NoisyCopyEnv,
+    ProductJoint,
     check_chronological,
     check_semimeasure,
     constant_policy,
@@ -197,3 +201,20 @@ def test_eval_at_budget_sums_the_components_at_that_budget():
         for budget in (0, 3, 6, 50):
             want = F(1, 2) * joint.eval_at_budget(x, budget) + F(1, 2) * F(1, 2) ** len(x)
             assert joint_mix.eval_at_budget(x, budget) == want
+
+
+def test_mixtures_reject_members_of_another_kind_or_alphabet():
+    three_actions = ProductJoint((F(1, 3),) * 3, (F(1, 2), F(1, 2)))
+    half = [F(1, 2), F(1, 2)]
+    # Read from the first member, the arity would skip action 2 (or index past 2).
+    for members in ([uniform_measure(), three_actions], [three_actions, uniform_measure()]):
+        with pytest.raises(ComponentFormatError, match="one alphabet"):
+            JointMixture(members, half)
+    with pytest.raises(ComponentFormatError, match="one alphabet"):
+        EnvMixture([uniform_env(), IIDEnv((F(1, 3),) * 3)], half)
+    with pytest.raises(ComponentFormatError, match="is not a JointSemimeasure"):
+        JointMixture([uniform_measure(), NoisyCopyEnv()], half)
+    with pytest.raises(ComponentFormatError, match="is not a ChronEnv"):
+        EnvMixture([mu_id(), copy_machine()], half)
+    with pytest.raises(ComponentFormatError, match="one action arity"):
+        MixturePolicy((uniform_policy(3), uniform_policy(2)), (F(1, 2), F(1, 2)))

@@ -79,17 +79,24 @@ def test_checker_reports_violation_at_root():
     assert report.violations[0].rhs == F(11, 10)
 
 
-def test_report_reads_each_verdict_once(monkeypatch):
-    reads = []
-    verdict = CheckRow.verdict.fget
+def test_report_counts_build_no_rows(monkeypatch):
+    built, reads = [], []
+    init, verdict = CheckRow.__init__, CheckRow.verdict.fget
+    monkeypatch.setattr(CheckRow, "__init__", lambda row, *a: built.append(a) or init(row, *a))
     counted = property(lambda row: reads.append(row) or verdict(row))
     monkeypatch.setattr(CheckRow, "verdict", counted)
-    report = check_chronological(mu_id(), 2)
-    assert reads == []  # nothing compared until a count is asked for
-    for _ in range(3):
-        report.violations, report.strict_rows, report.equal_rows, report.ok
-        report.declaration_verified
-    assert len(reads) == len(report.rows)
+    bad = RawEnv({((), ()): F(1), ((0,), (0,)): F(3, 5), ((1,), (0,)): F(3, 5)})
+    for report in (check_chronological(mu_id(), 2), check_chronological(bad, 1)):
+        for _ in range(3):
+            report.strict_rows, report.equal_rows, report.ok, report.declaration_verified
+        assert built == [] and reads == []  # counts come from the walk's numerators
+        assert report.contexts == len(report.rows) == len(built)
+        assert report.rows is report.rows  # built once
+        assert (report.strict_rows, report.equal_rows, len(report.violations)) == tuple(
+            [r.verdict for r in report.rows].count(v) for v in ("strict", "equal", "violation")
+        )
+        built.clear(), reads.clear()
+    assert [r.context for r in report.violations] == [((), (), 0)]
 
 
 def test_mu_id_chronological_equality_depth_4():

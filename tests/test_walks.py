@@ -35,7 +35,7 @@ from uailab.core import (
     UndefinedConditionalError,
     history_from_symbols,
 )
-from uailab.experiments import scenario_mixtures
+from uailab.experiments import builtin_components, scenario_mixtures
 from uailab.mixture import (
     EnvMixture,
     JointMixture,
@@ -67,13 +67,25 @@ from uailab.semimeasure import (
     uniform_measure,
 )
 from uailab.transforms import check_normalization_dominance, dual, env, normalize
-from uailab.utm import enumerate_joint
+from uailab.utm import ChronEnumApprox, JointEnumApprox, enumerate_joint
 
 F = Fraction
 UNDEFINED = (UndefinedConditionalError, NormalizationError)
 
-# Binary conditional rows: measures, defective rows and dead ends.
-ROWS = [(0, 0), (1, 0), (0, 1), (F(1, 2), F(1, 2)), (F(1, 4), F(1, 2)), (F(1, 3), F(1, 3))]
+# Binary conditional rows: measures, defective rows and dead ends, and
+# denominators (7, 97, the prime 2**31 - 1) that make the lcm scales large.
+P31 = 2**31 - 1
+ROWS = [
+    (0, 0),
+    (1, 0),
+    (0, 1),
+    (F(1, 2), F(1, 2)),
+    (F(1, 4), F(1, 2)),
+    (F(1, 3), F(1, 3)),
+    (F(1, 7), F(80, 97)),
+    (F(3, 7), F(4, 7)),
+    (F(1, P31), F(6, 7)),
+]
 JOINT_KEYS = [x for n in range(5) for x in product((0, 1), repeat=n)]
 ENV_KEYS = [
     (e, a)
@@ -82,7 +94,15 @@ ENV_KEYS = [
     for a in product((0, 1), repeat=t + 1)
 ]
 PAIRS = st.sampled_from(
-    [(F(1, 2), F(1, 2)), (1, 0), (F(1, 4), F(3, 4)), (F(1, 3), F(1, 3)), (0, 0)]
+    [
+        (F(1, 2), F(1, 2)),
+        (1, 0),
+        (F(1, 4), F(3, 4)),
+        (F(1, 3), F(1, 3)),
+        (0, 0),
+        (F(2, 7), F(5, 97)),
+        (F(P31 - 1, P31), F(1, P31)),
+    ]
 )
 
 
@@ -149,11 +169,21 @@ def outcome(fn, *args):
         return type(exc)
 
 
+def walk_value(nu, n, mass):
+    """The exact value of a walk mass at a context of ``n`` symbols, after
+    checking the scale contract there: ``scale(n)`` is a positive int that
+    divides ``scale(n + 1)``, and the mass is an int or a Fraction."""
+    scale = nu.scale(n)
+    assert type(scale) is int and scale > 0 and nu.scale(n + 1) % scale == 0, (nu, n)
+    assert type(mass) in (int, Fraction), (nu, n, mass)  # never a bool or a float
+    return Fraction(mass, scale)
+
+
 def assert_walk_matches_eval(nu, depth):
     """Walk every context up to ``depth``, comparing each step with ``eval``."""
     mass, state = nu.root()
     if isinstance(nu, JointSemimeasure):
-        assert mass == nu.eval(())
+        assert walk_value(nu, 0, mass) == nu.eval(())
 
         def visit(state, x):
             for s in range(nu.arity_at(len(x))):
@@ -162,27 +192,29 @@ def assert_walk_matches_eval(nu, depth):
                 if isinstance(want, type):
                     assert got is want, (x, s)
                     continue
-                assert got[0] == want, (x, s)
+                assert walk_value(nu, len(x) + 1, got[0]) == want, (x, s)
                 if len(x) + 1 < depth:
                     visit(got[1], x + (s,))
 
         visit(state, ())
         return
-    assert mass == nu.eval((), ())
+    assert walk_value(nu, 0, mass) == nu.eval((), ())
 
     def visit_env(state, mass, percepts, actions):
+        n = 2 * len(actions)
         for a in range(nu.action_arity):
             pending_mass, pending = nu.extend(state, a)
-            assert pending_mass == mass  # an action moves no mass
+            # An action moves no mass, and no scale.
+            assert pending_mass == mass and nu.scale(n + 1) == nu.scale(n)
             for e in range(nu.percept_arity):
                 want = outcome(nu.eval, percepts + (e,), actions + (a,))
                 got = outcome(nu.extend, pending, e)
                 if isinstance(want, type):
                     assert got is want, (percepts, actions, a, e)
                     continue
-                assert got[0] == want, (percepts, actions, a, e)
+                assert walk_value(nu, n + 2, got[0]) == want, (percepts, actions, a, e)
                 if len(actions) + 1 < depth:
-                    visit_env(got[1], want, percepts + (e,), actions + (a,))
+                    visit_env(got[1], got[0], percepts + (e,), actions + (a,))
 
     visit_env(state, mass, (), ())
 
@@ -396,6 +428,7 @@ def assert_check_matches_scratch(nu, depth):
         assert report is want
         return
     root, rows, bad = want
+    assert report.contexts == len(report.rows)
     assert report.root_mass == root
     assert [(r.context, r.lhs, r.rhs) for r in report.rows] == rows
     assert list(report.monotone_violations) == bad
@@ -492,11 +525,21 @@ def test_walks_equal_their_from_scratch_loops(joint, joint2, nu, nu2, filler):
     pi = StationaryPolicy(filler)
     joint_mix = JointMixture([joint, joint2, EvalOnlyJoint(joint2)], [F(1, 4), F(1, 2), F(1, 4)])
     env_mix = EnvMixture([nu, nu2], [F(1, 3), F(2, 3)])
+    # Integer members next to a Fraction one: the mixture's numerators are Fractions.
+    mixed_env = EnvMixture([nu, EvalOnlyEnv(nu2), IIDEnv(filler)], [F(1, 7), F(2, 97), F(1, 2)])
     for component in (joint, joint_mix, dual(env_mix, pi), normalize(joint_mix)):
         assert_check_matches_scratch(component, 5)
-    for component in (nu, env_mix, IIDEnv((F(1, 4), F(1, 4), F(1, 2))), EvalOnlyEnv(env_mix)):
+    for component in (
+        nu,
+        env_mix,
+        mixed_env,
+        IIDEnv((F(1, 4), F(1, 4), F(1, 2))),
+        EvalOnlyEnv(env_mix),
+    ):
         assert_check_matches_scratch(component, 3)
     assert_compare_matches_scratch(env(joint_mix), env_mix, 3)
+    assert_compare_matches_scratch(mixed_env, env(joint_mix), 3)
+    assert_compare_matches_scratch(joint_mix, dual(mixed_env, pi), 5)
     assert_compare_matches_scratch(env(dual(nu, pi)), nu, 3)
     assert_compare_matches_scratch(joint_mix, dual(env_mix, pi), 5)
     assert_compare_matches_scratch(EvalOnlyEnv(env(joint)), env(joint2), 3)
@@ -591,6 +634,38 @@ def test_one_step_values_on_shipped_beliefs():
     # The identity environment never answers action 1 with percept 0.
     with pytest.raises(UndefinedConditionalError):
         one_step_action_values(mu_id(), History((1,), (0,)))
+
+
+def test_shipped_components_keep_the_scale_contract():
+    """Every built-in, shipped mixture and enumeration: integer numerators over
+    a scale that divides the next one, equal to ``eval`` everywhere walked."""
+    shipped = dict(builtin_components())
+    for name, mdef in scenario_mixtures().items():
+        shipped.update({f"{name}:joint": mdef.joint, f"{name}:env": mdef.chron})
+    shipped["enumerate_joint"] = enumerate_joint(9, 200, 6)
+    shipped["ChronEnumApprox"] = ChronEnumApprox(9, 200)
+    for name, nu in shipped.items():
+        if nu is None:
+            continue
+        integer = not isinstance(nu, JointEnumApprox)  # the joint enumeration keeps scale 1
+        assert (type(nu.root()[0]) is int) == integer, name
+        assert_walk_matches_eval(nu, 4 if isinstance(nu, JointSemimeasure) else 3)
+    # The scale is the product form: D_a**ceil(n/2) * D_p**floor(n/2).
+    nu = ProductJoint((F(1, 3), F(2, 3)), (F(1, 7), F(1, 2)))
+    assert [nu.scale(n) for n in range(5)] == [1, 3, 42, 126, 1764]
+    assert [ChronEnumApprox(10, 200).scale(n) for n in (0, 7)] == [8**3, 8**3]
+    mixture = EnvMixture([NoisyCopyEnv(F(1, 2), F(1, 3)), IIDEnv((F(1, 5),) * 2)], [F(1, 4)] * 2)
+    assert [mixture.scale(n) for n in range(5)] == [4, 4, 120, 120, 3600]
+
+
+def test_enumeration_walk_keeps_a_value_off_its_scale_exact():
+    # A damaged cache entry can hold a rational whose denominator does not
+    # divide 8**(L // 3); the walk then carries it as a Fraction numerator.
+    approx = ChronEnumApprox(9, 200)
+    approx.tables[(1,)] = {(1,): F(1, 3)}
+    pending = approx.extend(approx.root()[1], 1)[1]
+    mass = approx.extend(pending, 1)[0]
+    assert mass == F(8**3, 3) and walk_value(approx, 2, mass) == approx.eval((1,), (1,))
 
 
 # ---------------------------------------------------------------------------
