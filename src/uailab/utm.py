@@ -31,7 +31,12 @@ output cap, suspends awaiting input, or would fetch beyond the length
 budget. Masses are nondecreasing in both the length and step budgets. One
 depth-first walk with integer weights serves both modes; a chronological
 walk branches on each action READA reads, so it yields every tape of a
-length at once.
+length at once. The walk for tape length t returns the nodes its output
+cap stopped (runs whose output reached t, and runs awaiting an action they
+could read at t); the walk for length t + 1 resumes from exactly those
+nodes, re-running each from its start state, so across lengths 0, 1, ...
+each node of the opcode tree is walked once (only the stopped nodes'
+segments run again).
 
 Worked example programs (lengths on the frozen machine):
 
@@ -41,10 +46,11 @@ Worked example programs (lengths on the frozen machine):
 
 At desk scale, joint enumeration reaches program_bits 24 in seconds and
 chronological checks reach program_bits 18 at depth 7; each 3 more bits
-cost 3-5x (measured limits in docs/machine.md). Each table is one cache
-entry, memoized in-process by its name and stored on disk keyed by
-(definition hash, budgets); UAILAB_CACHE_DIR is the only switch (empty
-disables the disk cache). See docs/cache_format.md.
+cost 3-5x (measured limits in docs/machine.md). A joint table, the tables
+of every tape of one length, and each prefix table of ``enumerate_chron``
+are one cache entry each, memoized in-process by name and stored on disk
+keyed by (definition hash, budgets); UAILAB_CACHE_DIR is the only switch
+(empty disables the disk cache). See docs/cache_format.md.
 """
 from __future__ import annotations
 
@@ -82,6 +88,8 @@ PROGRAM_COMPLEMENT = "011100010110"
 
 CACHE_ENV_VAR = "UAILAB_CACHE_DIR"
 CACHE_FORMAT = 1
+
+Table = dict[tuple[int, ...], Fraction]  # output string -> mass
 
 
 @dataclass(frozen=True)
@@ -202,9 +210,42 @@ def run_program(
         )
 
 
+def _pack(stopped: bytearray, node: tuple) -> None:
+    """Push a walk node onto ``stopped``: its opcodes, output, actions read
+    and step count, then a trailer of pc, reg and the four lengths."""
+    ops, pc, reg, steps, out, _, reads = node
+    step_bytes = steps.to_bytes((steps.bit_length() + 7) // 8, "little")
+    stopped += bytes(ops + out + reads)
+    stopped += step_bytes
+    stopped += bytes((pc, reg, len(ops), len(out), len(reads), len(step_bytes)))
+
+
+def _unpack(stopped: bytearray) -> tuple:
+    """Pop the last node pushed onto ``stopped``, as a walk node."""
+    pc, reg, n_ops, n_out, n_reads, n_steps = stopped[-6:]
+    start = len(stopped) - 6 - n_ops - n_out - n_reads - n_steps
+    body = bytes(stopped[start:-6])
+    del stopped[start:]
+    reads_at = n_ops + n_out
+    steps_at = reads_at + n_reads
+    return (
+        tuple(body[:n_ops]),
+        pc,
+        reg,
+        int.from_bytes(body[steps_at:], "little"),
+        tuple(body[n_ops:reads_at]),
+        n_reads,
+        tuple(body[reads_at:steps_at]),
+    )
+
+
 def _walk(
-    max_ops: int, max_steps: int, cap: int, tape: tuple[int, ...] | None
-) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+    max_ops: int,
+    max_steps: int,
+    cap: int,
+    tape: tuple[int, ...] | None,
+    starts: bytearray | None = None,
+) -> tuple[dict[tuple[tuple[int, ...], tuple[int, ...]], int], bytearray]:
     """Masses of every counted run, in units of 8**-max_ops, from one walk.
 
     Runs follow ``tape``; with ``tape=None`` a run branches into both action
@@ -214,13 +255,23 @@ def _walk(
     below it; output is append-only, so the node adds that weight to each
     output prefix of length 1..cap first reached in its segment, and every
     counted run adds its weight to the empty prefix when it ends.
+
+    The walk starts at the root, or at the packed nodes ``starts``, which
+    it pops one at a time. With ``tape=None`` it also returns, packed as
+    they started, the nodes the cap stopped: runs whose output reached the
+    cap and runs awaiting an action they could read at the cap. A walk at
+    cap + 1 differs from this one only from those nodes down, so resuming
+    from them yields every output prefix of length cap + 1 (and shorter
+    prefixes only along their re-run segments).
     """
     weights = [8 ** (max_ops - n) for n in range(max_ops + 1)]
     masses: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    stopped = bytearray()
     # (ops, pc, reg, steps, output, actions read, actions chosen at branches)
-    stack: list[tuple] = [((), 0, 0, 0, (), 0, ())]
-    while stack:
-        ops, pc, reg, steps, out, nread, reads = stack.pop()
+    stack: list[tuple] = [((), 0, 0, 0, (), 0, ())] if starts is None else []
+    while stack or starts:
+        node = stack.pop() if stack else _unpack(starts)
+        ops, pc, reg, steps, out, nread, reads = node
         w = weights[len(ops)]
         buf = list(out)
         status, pc, reg, steps, nread = _run_segment(
@@ -239,30 +290,40 @@ def _walk(
             if not ops:
                 continue  # a zero-bit run is not a program
             # otherwise boundary suspension: counted with its output so far
-        elif status == "awaiting_input" and tape is None and nread <= len(buf) < cap:
-            # READA has already counted its step; each branch resumes past it.
-            snapshot = tuple(buf)
-            stack.extend(
-                (ops, pc + 1, a, steps, snapshot, nread + 1, reads + (a,)) for a in (0, 1)
-            )
-            continue
+        elif tape is None and (
+            status == "output_limit" or status == "awaiting_input" and nread <= len(buf)
+        ):
+            if len(buf) < cap:
+                # READA has already counted its step; each branch resumes past it.
+                snapshot = tuple(buf)
+                stack.extend(
+                    (ops, pc + 1, a, steps, snapshot, nread + 1, reads + (a,)) for a in (0, 1)
+                )
+                continue
+            _pack(stopped, node)
         key = (reads, ())
         masses[key] = masses.get(key, 0) + w
-    return masses
+    return masses, stopped
 
 
 def _walk_tables(
-    program_bits: int, steps: int, cap: int, tape: tuple[int, ...] | None
-) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
-    """Mass tables keyed by action tape, from one :func:`_walk`.
+    program_bits: int,
+    steps: int,
+    cap: int,
+    tape: tuple[int, ...] | None,
+    starts: bytearray | None = None,
+) -> tuple[dict[tuple[int, ...], Table], bytearray]:
+    """Mass tables keyed by action tape from one :func:`_walk`, and the
+    nodes the cap stopped.
 
     Along a given tape, an output prefix of length k belongs to the tape's
     prefix ``tape[:k]``; with ``tape=None`` the tables are those of every
     tape of length ``cap``, each summing the branches it extends.
     """
     max_ops = program_bits // OPCODE_BITS
+    masses, stopped = _walk(max_ops, steps, cap, tape, starts)
     counts: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for (reads, out), mass in _walk(max_ops, steps, cap, tape).items():
+    for (reads, out), mass in masses.items():
         if tape is not None:
             tapes = [tape[: len(out)]]
         elif len(out) == cap:
@@ -272,11 +333,18 @@ def _walk_tables(
         for actions in tapes:
             table = counts.setdefault(actions, {})
             table[out] = table.get(out, 0) + mass
+    del masses  # freed before the Fraction tables are built
     denominator = 8**max_ops
-    return {
+    tables = {
         actions: {out: Fraction(mass, denominator) for out, mass in table.items()}
         for actions, table in counts.items()
     }
+    return tables, stopped
+
+
+def _check_program_bits(program_bits: int) -> None:
+    if program_bits < 0:
+        raise ComponentFormatError(f"program_bits must be >= 0, got {program_bits}")
 
 
 class JointEnumApprox(JointSemimeasure):
@@ -313,17 +381,21 @@ class ChronEnumApprox(ChronEnv):
 
     Masses for a length-t query use the action tape truncated to t: the
     machine may only see actions up to time t before emitting percept t.
-    Tables per action string are computed lazily and memoized. Every mass is
+    ``tables`` holds the tables of the tapes asked for so far; a tape's first
+    query goes through ``eval``, which takes its table from the cache entry
+    of every tape of that length (:meth:`_walk_tapes`). Every mass is
     a multiple of 8**-(program_bits // 3), the walk's scale, so the walk
-    reads integer numerators off the same tables; a tape's first query goes
-    through ``eval``, which enumerates it.
+    reads integer numerators off the same tables.
     """
 
     def __init__(self, program_bits: int, steps: int):
+        _check_program_bits(program_bits)
         self.program_bits = program_bits
         self.steps = steps
         self.tables: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
         self._unit = 8 ** (program_bits // OPCODE_BITS)
+        # (cap, packed nodes it stopped) of this environment's last walk
+        self._stopped: tuple[int, bytearray] | None = None
 
     def scale(self, n: int) -> int:
         return self._unit
@@ -355,9 +427,28 @@ class ChronEnumApprox(ChronEnv):
     def _table_for(self, actions: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
         table = self.tables.get(actions)
         if table is None:
-            table = _chron_table(self.program_bits, self.steps, actions)
-            self.tables[actions] = table
+            t = len(actions)
+            tables = _stored(
+                f"chron_L{self.program_bits}_S{self.steps}_T{t}",
+                [self.program_bits, self.steps, t],
+                lambda: self._walk_tapes(t),
+                "tables",
+            )
+            table = self.tables[actions] = tables.get(actions, {})
         return table
+
+    def _walk_tapes(self, t: int) -> dict[tuple[int, ...], Table]:
+        """The tables of every tape of length t. The walk resumes from the
+        nodes this environment's walk for length t - 1 stopped, if that was
+        its last walk, so across lengths 0, 1, ... each node of the opcode
+        tree is walked once; otherwise it starts at the root."""
+        cap, starts = self._stopped or (None, None)
+        self._stopped = None  # the walk consumes them; one cut short leaves none
+        tables, stopped = _walk_tables(
+            self.program_bits, self.steps, t, None, starts if cap == t - 1 else None
+        )
+        self._stopped = (t, stopped)
+        return tables
 
     def eval(self, percepts: tuple[int, ...], actions: tuple[int, ...]) -> Prob:
         percepts, actions = tuple(percepts), tuple(actions)
@@ -376,8 +467,7 @@ class ChronEnumApprox(ChronEnv):
 # Cache (versioned; invalidated by machine definition changes)
 # ---------------------------------------------------------------------------
 
-_MEMO: dict[str, dict] = {}  # tables by cache entry name
-_MEMO_WALK: dict[tuple[int, int, int], dict] = {}  # every tape of one length
+_MEMO: dict[str, dict] = {}  # payloads by cache entry name
 
 
 def _cache_dir() -> Path | None:
@@ -396,8 +486,17 @@ def _cache_path(name: str) -> Path | None:
     return base / f"{MACHINE_HASH[:12]}_{name}.json"
 
 
-def _cache_read(name: str, budgets: list[int]) -> dict[tuple[int, ...], Fraction] | None:
-    """The cached table, or None when the entry is missing, stale or damaged."""
+def _encode(table: Table) -> dict[str, str]:
+    return {_string_key(k): frac_str(v) for k, v in table.items()}
+
+
+def _decode(table: dict[str, str]) -> Table:
+    return {_key_string(k): Fraction(v) for k, v in table.items()}
+
+
+def _cache_read(name: str, budgets: list[int], field: str) -> dict | None:
+    """The cached ``table`` (or ``tables``, one table per tape), or None when
+    the entry is missing, stale or damaged."""
     path = _cache_path(name)
     if path is None or not path.exists():
         return None
@@ -405,27 +504,29 @@ def _cache_read(name: str, budgets: list[int]) -> dict[tuple[int, ...], Fraction
         payload = json.loads(path.read_text())
     except (OSError, ValueError):
         return None
-    if not isinstance(payload, dict) or not isinstance(payload.get("table"), dict):
+    if not isinstance(payload, dict) or not isinstance(payload.get(field), dict):
         return None
     stamp = (payload.get("format"), payload.get("machine"), payload.get("budgets"))
     if stamp != (CACHE_FORMAT, MACHINE_HASH, budgets):
         return None
     try:
-        return {_key_string(k): Fraction(v) for k, v in payload["table"].items()}
-    except (ValueError, TypeError, ZeroDivisionError):  # a non-digit key, a non-rational value
+        if field == "table":
+            return _decode(payload["table"])
+        return {_key_string(k): _decode(table) for k, table in payload["tables"].items()}
+    # a non-digit key, a non-rational value, a tape table that is not an object
+    except (ValueError, TypeError, ZeroDivisionError, AttributeError):
         return None
 
 
-def _cache_write(name: str, budgets: list[int], table: dict[tuple[int, ...], Fraction]) -> None:
+def _cache_write(name: str, budgets: list[int], field: str, value: dict) -> None:
     path = _cache_path(name)
     if path is None:
         return
-    payload = {
-        "format": CACHE_FORMAT,
-        "machine": MACHINE_HASH,
-        "budgets": budgets,
-        "table": {_string_key(k): frac_str(v) for k, v in table.items()},
-    }
+    if field == "table":
+        encoded = _encode(value)
+    else:
+        encoded = {_string_key(k): _encode(table) for k, table in value.items()}
+    payload = {"format": CACHE_FORMAT, "machine": MACHINE_HASH, "budgets": budgets, field: encoded}
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -437,17 +538,17 @@ def _cache_write(name: str, budgets: list[int], table: dict[tuple[int, ...], Fra
 
 
 def _stored(
-    name: str, budgets: list[int], compute: Callable[[], dict]
-) -> dict[tuple[int, ...], Fraction]:
-    """One cache entry's table from the memo, the disk cache, or else ``compute()``."""
-    table = _MEMO.get(name)
-    if table is None:
-        table = _cache_read(name, budgets)
-        if table is None:
-            table = compute()
-            _cache_write(name, budgets, table)
-        _MEMO[name] = table
-    return table
+    name: str, budgets: list[int], compute: Callable[[], dict], field: str = "table"
+) -> dict:
+    """One cache entry's payload from the memo, the disk cache, or else ``compute()``."""
+    value = _MEMO.get(name)
+    if value is None:
+        value = _cache_read(name, budgets, field)
+        if value is None:
+            value = compute()
+            _cache_write(name, budgets, field, value)
+        _MEMO[name] = value
+    return value
 
 
 def _string_key(x: tuple[int, ...]) -> str:
@@ -465,55 +566,38 @@ def enumerate_joint(program_bits: int, steps: int, max_len: int = 16) -> JointEn
     max_len 16, program_bits 24 takes seconds and under 30 MB; each 3 more
     bits cost 3-5x (docs/machine.md).
     """
+    _check_program_bits(program_bits)
     table = _stored(
         f"joint_L{program_bits}_S{steps}_D{max_len}",
         [program_bits, steps, max_len],
         # No actions: READA always suspends, and every prefix up to max_len counts.
-        lambda: _walk_tables(program_bits, steps, max_len, ()).get((), {}),
+        lambda: _walk_tables(program_bits, steps, max_len, ())[0].get((), {}),
     )
     return JointEnumApprox(program_bits, steps, max_len, table)
-
-
-def _tape_length_tables(program_bits: int, steps: int, t: int) -> dict:
-    """The tables of every action tape of length t, from one memoized walk."""
-    key = (program_bits, steps, t)
-    tables = _MEMO_WALK.get(key)
-    if tables is None:
-        tables = _MEMO_WALK[key] = _walk_tables(program_bits, steps, t, None)
-    return tables
-
-
-def _chron_table(
-    program_bits: int,
-    steps: int,
-    actions: tuple[int, ...],
-    walk: Callable[[], dict] | None = None,
-) -> dict[tuple[int, ...], Fraction]:
-    """One tape's table from the memo, the cache, or else a walk.
-
-    ``walk()`` returns the tables of a walk that covers ``actions``; the
-    default is the walk over every tape of the same length.
-    """
-    walk = walk or (lambda: _tape_length_tables(program_bits, steps, len(actions)))
-    name = f"chron_L{program_bits}_S{steps}_A{_string_key(actions) or 'empty'}"
-    return _stored(name, [program_bits, steps], lambda: walk().get(actions, {}))
 
 
 def enumerate_chron(program_bits: int, steps: int, actions: Sequence[int]) -> ChronEnumApprox:
     """Chronological enumeration primed for the given action string.
 
     The returned environment answers any (percepts, actions) query; prefixes
-    of ``actions`` are enumerated eagerly, by one walk along the whole tape.
+    of ``actions`` are enumerated eagerly, by one walk along the whole tape,
+    and each is its own cache entry.
     """
     approx = ChronEnumApprox(program_bits, steps)
     tape = tuple(actions)
-    walk = cache(lambda: _walk_tables(program_bits, steps, len(tape), tape))
+    if any(a not in (0, 1) for a in tape):
+        raise ComponentFormatError(f"actions must be 0 or 1, got {tape}")
+    walk = cache(lambda: _walk_tables(program_bits, steps, len(tape), tape)[0])
     for t in range(len(tape) + 1):
-        approx.tables[tape[:t]] = _chron_table(program_bits, steps, tape[:t], walk)
+        prefix = tape[:t]
+        approx.tables[prefix] = _stored(
+            f"chron_L{program_bits}_S{steps}_A{_string_key(prefix) or 'empty'}",
+            [program_bits, steps],
+            lambda: walk().get(prefix, {}),
+        )
     return approx
 
 
 def clear_memo() -> None:
     """Drop in-process enumeration memos (disk cache untouched)."""
     _MEMO.clear()
-    _MEMO_WALK.clear()

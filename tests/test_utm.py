@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -291,17 +292,16 @@ def test_walk_matches_leaf_oracle_at_15_bits():
     clear_memo()
 
 
-# Names and bytes the per-leaf enumerator wrote for these two calls: a file
-# per requested tape (the depth-3 check also asks length-4 tapes) and one
-# joint file, hashed as name, NUL, bytes, NUL in name order.
+# Names and bytes of the cache entries these two calls write: one per tape
+# length the depth-3 check asks (0 to 4, each holding every tape of that
+# length) and one joint file, hashed as name, NUL, bytes, NUL in name order.
+# The joint file's bytes are still those the per-leaf enumerator wrote.
 PINNED_CACHE_NAMES = sorted(
     [f"{MACHINE_HASH[:12]}_joint_L6_S60_D6.json"]
-    + [
-        f"{MACHINE_HASH[:12]}_chron_L9_S200_A{''.join(map(str, tape)) or 'empty'}.json"
-        for tape in tapes_upto(4)
-    ]
+    + [f"{MACHINE_HASH[:12]}_chron_L9_S200_T{t}.json" for t in range(5)]
 )
-PINNED_CACHE_SHA256 = "0c745a575764b8c0451036e191363ed3f7116c388508f45b5def2ab6317ceeb1"
+PINNED_CACHE_SHA256 = "5a9ec82380c716bb1f271ccc5aba2e30805a5d2e6abbff4525cda3e72e44a785"
+PINNED_JOINT_SHA256 = "89495a7b32e195ff4657680fab25ab7005db17e84f58a6ef0c929d6e2af6bcb8"
 
 
 def test_cache_files_match_the_leaf_enumerator(cache_dir):
@@ -315,6 +315,18 @@ def test_cache_files_match_the_leaf_enumerator(cache_dir):
     for name in names:
         digest.update(name.encode() + b"\0" + (cache_dir / name).read_bytes() + b"\0")
     assert digest.hexdigest() == PINNED_CACHE_SHA256
+    joint = cache_dir / f"{MACHINE_HASH[:12]}_joint_L6_S60_D6.json"
+    assert hashlib.sha256(joint.read_bytes()).hexdigest() == PINNED_JOINT_SHA256
+    for t in range(5):
+        path = cache_dir / f"{MACHINE_HASH[:12]}_chron_L9_S200_T{t}.json"
+        payload = json.loads(path.read_text())
+        tables = {
+            tuple(map(int, tape)): {tuple(map(int, k)): F(v) for k, v in table.items()}
+            for tape, table in payload["tables"].items()
+        }
+        assert set(tables) <= set(product((0, 1), repeat=t)), t
+        for tape in product((0, 1), repeat=t):
+            assert tables.get(tape, {}) == oracle_chron(9, 200, tape), tape
 
 
 def test_clear_memo_forces_a_new_walk(monkeypatch):
@@ -323,15 +335,17 @@ def test_clear_memo_forces_a_new_walk(monkeypatch):
     monkeypatch.setattr(utm, "_walk", lambda *args: calls.append(args) or walk(*args))
     clear_memo()
     approx = ChronEnumApprox(6, 60)
-    approx.eval((0, 0), (1, 1))
-    approx.eval((1, 0), (1, 0))  # same length: served by the same walk
+    approx.eval((0, 0), (1, 1))  # length 2: a walk from the root
+    approx.eval((1, 0), (1, 0))  # same length: served by the same entry
+    approx.eval((1, 0, 0), (1, 1, 0))  # length 3: resumes the length-2 walk
     enumerate_joint(6, 60, max_len=4)
     enumerate_joint(6, 60, max_len=4)
-    assert len(calls) == 2
+    # (cap, walked from the root) per walk
+    assert [(args[2], args[4] is None) for args in calls] == [(2, True), (3, False), (4, True)]
     clear_memo()
-    ChronEnumApprox(6, 60).eval((0, 0), (1, 1))
+    ChronEnumApprox(6, 60).eval((0, 0, 0), (1, 1, 1))  # a new environment walks from the root
     enumerate_joint(6, 60, max_len=4)
-    assert len(calls) == 4
+    assert [(args[2], args[4] is None) for args in calls[3:]] == [(3, True), (4, True)]
     clear_memo()
 
 
@@ -367,3 +381,109 @@ def test_damaged_cache_entry_is_recomputed(cache_dir, monkeypatch, kind, damage)
     assert _enumerate(kind) == expected
     assert path.read_text() == good  # the damaged entry was rewritten
     clear_memo()
+
+
+# The same damages, adapted to the nested ``tables`` of a per-length entry.
+TABLES_DAMAGE = {
+    "bad_value": lambda payload: {
+        **payload,
+        "tables": {a: {k: "oops" for k in t} for a, t in payload["tables"].items()},
+    },
+    "table_is_list": lambda payload: {
+        **payload,
+        "tables": {a: list(t) for a, t in payload["tables"].items()},
+    },
+    "tables_is_list": lambda payload: {**payload, "tables": list(payload["tables"].values())},
+    "payload_is_list": lambda payload: [payload],
+    "non_digit_key": lambda payload: {
+        **payload,
+        "tables": {a: {"0x": "1/2", **t} for a, t in payload["tables"].items()},
+    },
+    "non_digit_tape": lambda payload: {**payload, "tables": {"0x": {}, **payload["tables"]}},
+}
+
+
+def _length_two_tables():
+    approx = ChronEnumApprox(9, 200)
+    return {tape: approx._table_for(tape) for tape in product((0, 1), repeat=2)}
+
+
+@pytest.mark.parametrize("damage", sorted(TABLES_DAMAGE))
+def test_damaged_length_entry_is_recomputed(cache_dir, monkeypatch, damage):
+    clear_memo()
+    monkeypatch.setenv(CACHE_ENV_VAR, "")  # the cache switched off
+    expected = _length_two_tables()
+    assert expected == {tape: oracle_chron(9, 200, tape) for tape in expected}
+    clear_memo()
+    monkeypatch.setenv(CACHE_ENV_VAR, str(cache_dir))
+    _length_two_tables()
+    (path,) = cache_dir.glob("*chron_L9_S200_T2.json")
+    good = path.read_text()
+    path.write_text(json.dumps(TABLES_DAMAGE[damage](json.loads(good))))
+    clear_memo()
+    assert _length_two_tables() == expected
+    assert path.read_text() == good  # the damaged entry was rewritten
+    clear_memo()
+
+
+@pytest.mark.parametrize("steps", [0, 1, 5, 60, 200])
+@pytest.mark.parametrize("bits", [0, 3, 6, 9, 12, 15])
+def test_resumed_walk_matches_leaf_oracle(cache_dir, monkeypatch, bits, steps):
+    expected = {tape: oracle_chron(bits, steps, tape) for tape in tapes_upto(6)}
+    ascending = list(expected)
+    shuffled = ascending[:]
+    random.Random(100 * bits + steps).shuffle(shuffled)
+
+    def check(sequence, clear_between_lengths=False):
+        approx = ChronEnumApprox(bits, steps)
+        for tape in sequence:
+            if clear_between_lengths and tape == (0,) * len(tape):
+                clear_memo()
+            assert approx._table_for(tape) == expected[tape], tape
+        assert list(approx.tables) == sequence  # only the requested tapes
+        clear_memo()
+
+    monkeypatch.setenv(CACHE_ENV_VAR, "")
+    clear_memo()
+    check(ascending)
+    check(ascending[::-1])
+    check(shuffled)
+    check(ascending, clear_between_lengths=True)
+    # A cache that holds lengths 1, 3 and 4 only: lengths 0, 2 and 5 walk
+    # from the root, 6 resumes 5, and the rest are read from disk.
+    monkeypatch.setenv(CACHE_ENV_VAR, str(cache_dir))
+    for t in (1, 3, 4):
+        ChronEnumApprox(bits, steps)._table_for((0,) * t)
+        clear_memo()
+    assert len(list(cache_dir.iterdir())) == 3
+    check(ascending)
+    assert len(list(cache_dir.iterdir())) == 7
+
+
+def test_enumerate_chron_rejects_non_binary_actions():
+    with pytest.raises(ComponentFormatError, match="actions"):
+        enumerate_chron(6, 60, (2,))
+    with pytest.raises(ComponentFormatError, match="actions"):
+        enumerate_chron(6, 60, (1, 0, -1))
+
+
+def test_negative_program_bits_rejected():
+    with pytest.raises(ComponentFormatError, match="program_bits"):
+        enumerate_joint(-3, 60, max_len=4)
+    with pytest.raises(ComponentFormatError, match="program_bits"):
+        ChronEnumApprox(-3, 60).eval((), ())
+    with pytest.raises(ComponentFormatError, match="program_bits"):
+        enumerate_chron(-1, 60, (1,))
+
+
+def test_packed_nodes_pop_back_in_reverse_order():
+    nodes = [
+        ((), 0, 0, 0, (), 0, ()),
+        ((3, 7, 0), 2, 1, 255, (1, 0), 1, (1,)),
+        ((1, 2, 3, 4, 5, 6, 7), 7, 0, 70_000, (0,) * 9, 3, (1, 1, 0)),
+    ]
+    stopped = bytearray()
+    for node in nodes:
+        utm._pack(stopped, node)
+    assert [utm._unpack(stopped) for _ in nodes] == nodes[::-1]
+    assert stopped == bytearray()
