@@ -36,7 +36,12 @@ cap stopped (runs whose output reached t, and runs awaiting an action they
 could read at t); the walk for length t + 1 resumes from exactly those
 nodes, re-running each from its start state, so across lengths 0, 1, ...
 each node of the opcode tree is walked once (only the stopped nodes'
-segments run again).
+segments run again). A run carries its output as one integer code, the
+symbols under a leading 1 bit (the empty output is 1), so emitting a
+symbol is ``code = 2 * code + bit`` and an output prefix of k symbols is a
+right shift. The walk keys masses by code and decodes each code into its
+output tuple once, when it builds the table entry; a stopped node stores
+the code's bytes.
 
 Worked example programs (lengths on the frozen machine):
 
@@ -44,13 +49,14 @@ Worked example programs (lengths on the frozen machine):
     echo           011010110       (9 bits)   percept t = action t
     complement     011100010110    (12 bits)  percept t = 1 - action t
 
-At desk scale, joint enumeration reaches program_bits 24 in seconds and
-chronological checks reach program_bits 18 at depth 7; each 3 more bits
-cost 3-5x (measured limits in docs/machine.md). A joint table, the tables
-of every tape of one length, and each prefix table of ``enumerate_chron``
-are one cache entry each, memoized in-process by name and stored on disk
-keyed by (definition hash, budgets); UAILAB_CACHE_DIR is the only switch
-(empty disables the disk cache). See docs/cache_format.md.
+At desk scale, joint enumeration reaches program_bits 24 in about 3 s and
+chronological checks reach program_bits 18 at depth 7 in about 5 s; each
+3 more bits cost 3-5x (measured limits in docs/machine.md). A joint table,
+the tables of every tape of one length, and each prefix table of
+``enumerate_chron`` are one cache entry each, memoized in-process by name
+and stored on disk keyed by (definition hash, budgets); UAILAB_CACHE_DIR
+is the only switch (empty disables the disk cache). See
+docs/cache_format.md.
 """
 from __future__ import annotations
 
@@ -58,6 +64,7 @@ import hashlib
 import json
 import os
 import tempfile
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
@@ -126,53 +133,71 @@ def _run_segment(
     pc: int,
     reg: int,
     steps: int,
-    out: list[int],
+    code: int,
+    n_out: int,
     nread: int,
     tape: Sequence[int] | None,
     max_steps: int,
     max_output: int | None,
-) -> tuple[str, int, int, int, int]:
-    """Advance until a fetch is needed or the run ends; ``out`` is mutated.
+) -> tuple[str, int, int, int, int, int, int]:
+    """Advance until a fetch is needed or the run ends.
 
-    Returns (status, pc, reg, steps, nread) with status "fetch" when the
-    next opcode must be materialized (pc is the resume point).
+    The output so far is ``code``, its ``n_out`` symbols under a leading 1
+    bit (the empty output is 1). Returns (status, pc, reg, steps, code,
+    n_out, nread) with status "fetch" when the next opcode must be
+    materialized (pc is the resume point).
     """
     n = len(ops)
+    # Each symbol takes a step, so a run never emits more than max_steps.
+    limit = max_steps + 1 if max_output is None else max_output
     while True:
         if steps >= max_steps:
-            return "step_limit", pc, reg, steps, nread
+            return "step_limit", pc, reg, steps, code, n_out, nread
         if pc >= n:
-            return "fetch", pc, reg, steps, nread
+            return "fetch", pc, reg, steps, code, n_out, nread
         op = ops[pc]
-        if op == SKIP0 and reg == 0 and pc + 1 >= n:
-            # The skipped slot occupies program bits: materialize it first.
-            return "fetch", pc, reg, steps, nread
-        steps += 1
-        if op == OUT0 or op == OUT1:
-            out.append(op)  # opcode value doubles as the emitted symbol
+        # Branches in order of how often enumeration runs execute them.
+        if op <= OUTR:
+            steps += 1
+            # OUT0 and OUT1 emit their own opcode value
+            code = 2 * code + (reg if op == OUTR else op)
+            n_out += 1
             pc += 1
-            if max_output is not None and len(out) >= max_output:
-                return "output_limit", pc, reg, steps, nread
-        elif op == OUTR:
-            out.append(reg)
+            if n_out >= limit:
+                return "output_limit", pc, reg, steps, code, n_out, nread
+        elif op == SKIP0:
+            if reg:
+                pc += 1
+            elif pc + 1 < n:
+                pc += 2
+            else:
+                # The skipped slot occupies program bits: materialize it first.
+                return "fetch", pc, reg, steps, code, n_out, nread
+            steps += 1
+        elif op == JBACK:
+            steps += 1
+            pc = 0
+        elif op == FLIP:
+            steps += 1
+            reg ^= 1
             pc += 1
-            if max_output is not None and len(out) >= max_output:
-                return "output_limit", pc, reg, steps, nread
         elif op == READA:
-            if tape is None or nread >= len(tape) or nread > len(out):
-                return "awaiting_input", pc, reg, steps, nread
+            steps += 1
+            if tape is None or nread >= len(tape) or nread > n_out:
+                return "awaiting_input", pc, reg, steps, code, n_out, nread
             reg = tape[nread]
             nread += 1
             pc += 1
-        elif op == FLIP:
-            reg ^= 1
-            pc += 1
-        elif op == SKIP0:
-            pc += 2 if reg == 0 else 1
-        elif op == JBACK:
-            pc = 0
         else:  # HALT
-            return "halted", pc, reg, steps, nread
+            return "halted", pc, reg, steps + 1, code, n_out, nread
+
+
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _output(code: int) -> tuple[int, ...]:
+    """The output symbols that ``code`` holds under its leading 1 bit."""
+    return tuple(bin(code)[3:].encode().translate(_DIGIT_VALUES))
 
 
 def run_program(
@@ -190,11 +215,10 @@ def run_program(
     available = _decode_ops(bits)
     tape = tuple(actions) if actions is not None else None
     ops: list[int] = []
-    pc, reg, steps, nread = 0, 0, 0, 0
-    out: list[int] = []
+    pc, reg, steps, code, n_out, nread = 0, 0, 0, 1, 0, 0
     while True:
-        status, pc, reg, steps, nread = _run_segment(
-            ops, pc, reg, steps, out, nread, tape, max_steps, max_output
+        status, pc, reg, steps, code, n_out, nread = _run_segment(
+            ops, pc, reg, steps, code, n_out, nread, tape, max_steps, max_output
         )
         if status == "fetch":
             if len(ops) < len(available):
@@ -202,7 +226,7 @@ def run_program(
                 continue
             status = "program_exhausted"
         return RunResult(
-            output=tuple(out),
+            output=_output(code),
             consumed_bits=OPCODE_BITS * len(ops),
             status=status,
             steps=steps,
@@ -211,32 +235,39 @@ def run_program(
 
 
 def _pack(stopped: bytearray, node: tuple) -> None:
-    """Push a walk node onto ``stopped``: its opcodes, output, actions read
-    and step count, then a trailer of pc, reg and the four lengths."""
-    ops, pc, reg, steps, out, _, reads = node
+    """Push a walk node onto ``stopped``: its opcodes, actions read, output
+    code and step count, then a trailer of pc, reg and the four lengths."""
+    ops, pc, reg, steps, code, _, _, reads = node
+    code_bytes = code.to_bytes((code.bit_length() + 7) // 8, "little")
     step_bytes = steps.to_bytes((steps.bit_length() + 7) // 8, "little")
-    stopped += bytes(ops + out + reads)
+    stopped += bytes(ops + reads)
+    stopped += code_bytes
     stopped += step_bytes
-    stopped += bytes((pc, reg, len(ops), len(out), len(reads), len(step_bytes)))
+    stopped += bytes((pc, reg, len(ops), len(reads), len(code_bytes), len(step_bytes)))
 
 
 def _unpack(stopped: bytearray) -> tuple:
     """Pop the last node pushed onto ``stopped``, as a walk node."""
-    pc, reg, n_ops, n_out, n_reads, n_steps = stopped[-6:]
-    start = len(stopped) - 6 - n_ops - n_out - n_reads - n_steps
+    pc, reg, n_ops, n_reads, n_code, n_steps = stopped[-6:]
+    start = len(stopped) - 6 - n_ops - n_reads - n_code - n_steps
     body = bytes(stopped[start:-6])
     del stopped[start:]
-    reads_at = n_ops + n_out
-    steps_at = reads_at + n_reads
+    code_at = n_ops + n_reads
+    steps_at = code_at + n_code
+    code = int.from_bytes(body[code_at:steps_at], "little")
     return (
         tuple(body[:n_ops]),
         pc,
         reg,
         int.from_bytes(body[steps_at:], "little"),
-        tuple(body[n_ops:reads_at]),
+        code,
+        code.bit_length() - 1,
         n_reads,
-        tuple(body[reads_at:steps_at]),
+        tuple(body[n_ops:code_at]),
     )
+
+
+_FETCHED = tuple((op,) for op in range(8))  # each opcode a fetch can append
 
 
 def _walk(
@@ -245,16 +276,17 @@ def _walk(
     cap: int,
     tape: tuple[int, ...] | None,
     starts: bytearray | None = None,
-) -> tuple[dict[tuple[tuple[int, ...], tuple[int, ...]], int], bytearray]:
+) -> tuple[dict[tuple[int, ...], dict[int, int]], bytearray]:
     """Masses of every counted run, in units of 8**-max_ops, from one walk.
 
     Runs follow ``tape``; with ``tape=None`` a run branches into both action
-    values wherever READA may read a fresh action below the output cap. Keys
-    are (actions chosen at those branches, output prefix). A node of n
+    values wherever READA may read a fresh action below the output cap. The
+    masses are keyed by the actions chosen at those branches, then by the
+    output prefix's code (its symbols under a leading 1 bit). A node of n
     opcodes carries 8**(max_ops - n), the total weight of the counted runs
     below it; output is append-only, so the node adds that weight to each
     output prefix of length 1..cap first reached in its segment, and every
-    counted run adds its weight to the empty prefix when it ends.
+    counted run adds its weight to the empty prefix (code 1) when it ends.
 
     The walk starts at the root, or at the packed nodes ``starts``, which
     it pops one at a time. With ``tape=None`` it also returns, packed as
@@ -265,44 +297,47 @@ def _walk(
     prefixes only along their re-run segments).
     """
     weights = [8 ** (max_ops - n) for n in range(max_ops + 1)]
-    masses: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    masses: defaultdict[tuple[int, ...], defaultdict[int, int]] = defaultdict(
+        lambda: defaultdict(int)
+    )
     stopped = bytearray()
-    # (ops, pc, reg, steps, output, actions read, actions chosen at branches)
-    stack: list[tuple] = [((), 0, 0, 0, (), 0, ())] if starts is None else []
+    # (ops, pc, reg, steps, output code, output length, actions read,
+    #  actions chosen at branches)
+    stack: list[tuple] = [((), 0, 0, 0, 1, 0, 0, ())] if starts is None else []
     while stack or starts:
         node = stack.pop() if stack else _unpack(starts)
-        ops, pc, reg, steps, out, nread, reads = node
+        ops, pc, reg, steps, code, n_start, nread, reads = node
         w = weights[len(ops)]
-        buf = list(out)
-        status, pc, reg, steps, nread = _run_segment(
-            ops, pc, reg, steps, buf, nread, reads if tape is None else tape, max_steps, cap
+        inputs = reads if tape is None else tape
+        status, pc, reg, steps, code, n_out, nread = _run_segment(
+            ops, pc, reg, steps, code, n_start, nread, inputs, max_steps, cap
         )
-        for k in range(len(out) + 1, min(len(buf), cap) + 1):
-            key = (reads, tuple(buf[:k]))
-            masses[key] = masses.get(key, 0) + w
+        top = n_out if n_out < cap else cap
+        if top > n_start:
+            by_code = masses[reads]
+            # shortest new prefix first, as the tables list them
+            for shift in range(n_out - n_start - 1, n_out - top - 1, -1):
+                by_code[code >> shift] += w
         if status == "fetch":
             if len(ops) < max_ops:
-                snapshot = tuple(buf)
-                stack.extend(
-                    (ops + (op,), pc, reg, steps, snapshot, nread, reads) for op in range(8)
-                )
+                stack += [
+                    (ops + op, pc, reg, steps, code, n_out, nread, reads) for op in _FETCHED
+                ]
                 continue
             if not ops:
                 continue  # a zero-bit run is not a program
             # otherwise boundary suspension: counted with its output so far
         elif tape is None and (
-            status == "output_limit" or status == "awaiting_input" and nread <= len(buf)
+            status == "output_limit" or status == "awaiting_input" and nread <= n_out
         ):
-            if len(buf) < cap:
+            if n_out < cap:
                 # READA has already counted its step; each branch resumes past it.
-                snapshot = tuple(buf)
                 stack.extend(
-                    (ops, pc + 1, a, steps, snapshot, nread + 1, reads + (a,)) for a in (0, 1)
+                    (ops, pc + 1, a, steps, code, n_out, nread + 1, reads + (a,)) for a in (0, 1)
                 )
                 continue
             _pack(stopped, node)
-        key = (reads, ())
-        masses[key] = masses.get(key, 0) + w
+        masses[reads][1] += w
     return masses, stopped
 
 
@@ -318,27 +353,31 @@ def _walk_tables(
 
     Along a given tape, an output prefix of length k belongs to the tape's
     prefix ``tape[:k]``; with ``tape=None`` the tables are those of every
-    tape of length ``cap``, each summing the branches it extends.
+    tape of length ``cap``, each summing the branches it extends. Each
+    output code is decoded once per table entry.
     """
     max_ops = program_bits // OPCODE_BITS
     masses, stopped = _walk(max_ops, steps, cap, tape, starts)
-    counts: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for (reads, out), mass in masses.items():
-        if tape is not None:
-            tapes = [tape[: len(out)]]
-        elif len(out) == cap:
-            tapes = [reads + rest for rest in product((0, 1), repeat=cap - len(reads))]
-        else:
-            continue
-        for actions in tapes:
-            table = counts.setdefault(actions, {})
-            table[out] = table.get(out, 0) + mass
-    del masses  # freed before the Fraction tables are built
+    tables: dict[tuple[int, ...], dict] = {}
+    for reads, by_code in masses.items():
+        for code, mass in by_code.items():
+            n_out = code.bit_length() - 1
+            if tape is not None:
+                tapes = [tape[:n_out]]
+            elif n_out == cap:
+                tapes = [reads + rest for rest in product((0, 1), repeat=cap - len(reads))]
+            else:
+                continue
+            out = _output(code)
+            for actions in tapes:
+                table = tables.setdefault(actions, {})
+                table[out] = table.get(out, 0) + mass
+        by_code.clear()  # decoded: released before any Fraction entry exists
+    del masses
     denominator = 8**max_ops
-    tables = {
-        actions: {out: Fraction(mass, denominator) for out, mass in table.items()}
-        for actions, table in counts.items()
-    }
+    for table in tables.values():
+        for out, mass in table.items():
+            table[out] = Fraction(mass, denominator)
     return tables, stopped
 
 
@@ -563,10 +602,12 @@ def enumerate_joint(program_bits: int, steps: int, max_len: int = 16) -> JointEn
     """Enumerate all programs within the budgets into a joint mass table.
 
     One depth-first walk with integer weights and no leaf list. At
-    max_len 16, program_bits 24 takes seconds and under 30 MB; each 3 more
-    bits cost 3-5x (docs/machine.md).
+    max_len 16, program_bits 24 takes about 3 s and under 30 MB; each 3
+    more bits cost 4-5x (docs/machine.md).
     """
     _check_program_bits(program_bits)
+    if max_len < 0:
+        raise ComponentFormatError(f"max_len must be >= 0, got {max_len}")
     table = _stored(
         f"joint_L{program_bits}_S{steps}_D{max_len}",
         [program_bits, steps, max_len],

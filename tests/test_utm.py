@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
+from typing import Sequence
 
 import pytest
 
@@ -11,11 +12,18 @@ from uailab.core import ComponentFormatError
 from uailab.semimeasure import check_chronological, check_semimeasure
 from uailab.utm import (
     CACHE_ENV_VAR,
+    FLIP,
+    JBACK,
     MACHINE_DEFINITION,
     MACHINE_HASH,
+    OUT0,
+    OUT1,
+    OUTR,
     PROGRAM_COMPLEMENT,
     PROGRAM_CONST0,
     PROGRAM_ECHO,
+    READA,
+    SKIP0,
     ChronEnumApprox,
     clear_memo,
     enumerate_chron,
@@ -211,9 +219,92 @@ def test_bad_program_strings_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Reference oracle: the per-leaf enumerator the walk replaced, kept frozen.
-# It lists every counted run, then adds 2^-(bits) per leaf and output prefix.
+# Reference oracles, kept frozen: the list-based interpreter the integer-coded
+# one replaced, a step-by-step run on it, and the per-leaf enumerator the walk
+# replaced. The leaf enumerator lists every counted run, then adds 2^-(bits)
+# per leaf and output prefix.
 # ---------------------------------------------------------------------------
+
+
+def frozen_run_segment(
+    ops: Sequence[int],
+    pc: int,
+    reg: int,
+    steps: int,
+    out: list[int],
+    nread: int,
+    tape: Sequence[int] | None,
+    max_steps: int,
+    max_output: int | None,
+) -> tuple[str, int, int, int, int]:
+    """Advance until a fetch is needed or the run ends; ``out`` is mutated.
+
+    Returns (status, pc, reg, steps, nread) with status "fetch" when the
+    next opcode must be materialized (pc is the resume point).
+    """
+    n = len(ops)
+    while True:
+        if steps >= max_steps:
+            return "step_limit", pc, reg, steps, nread
+        if pc >= n:
+            return "fetch", pc, reg, steps, nread
+        op = ops[pc]
+        if op == SKIP0 and reg == 0 and pc + 1 >= n:
+            # The skipped slot occupies program bits: materialize it first.
+            return "fetch", pc, reg, steps, nread
+        steps += 1
+        if op == OUT0 or op == OUT1:
+            out.append(op)  # opcode value doubles as the emitted symbol
+            pc += 1
+            if max_output is not None and len(out) >= max_output:
+                return "output_limit", pc, reg, steps, nread
+        elif op == OUTR:
+            out.append(reg)
+            pc += 1
+            if max_output is not None and len(out) >= max_output:
+                return "output_limit", pc, reg, steps, nread
+        elif op == READA:
+            if tape is None or nread >= len(tape) or nread > len(out):
+                return "awaiting_input", pc, reg, steps, nread
+            reg = tape[nread]
+            nread += 1
+            pc += 1
+        elif op == FLIP:
+            reg ^= 1
+            pc += 1
+        elif op == SKIP0:
+            pc += 2 if reg == 0 else 1
+        elif op == JBACK:
+            pc = 0
+        else:  # HALT
+            return "halted", pc, reg, steps, nread
+
+
+def frozen_run(bits, actions, max_steps, max_output):
+    """run_program's fields from the frozen interpreter, fetching one opcode
+    at a time from the bit list ``bits``."""
+    available = [
+        (bits[i] << 2) | (bits[i + 1] << 1) | bits[i + 2] for i in range(0, len(bits) - 2, 3)
+    ]
+    tape = tuple(actions) if actions is not None else None
+    ops, out = [], []
+    pc, reg, steps, nread = 0, 0, 0, 0
+    while True:
+        status, pc, reg, steps, nread = frozen_run_segment(
+            ops, pc, reg, steps, out, nread, tape, max_steps, max_output
+        )
+        if status == "fetch":
+            if len(ops) < len(available):
+                ops.append(available[len(ops)])
+                continue
+            status = "program_exhausted"
+        return {
+            "output": tuple(out),
+            "consumed_bits": 3 * len(ops),
+            "status": status,
+            "steps": steps,
+            "actions_read": nread,
+        }
 
 
 def oracle_leaves(max_ops, max_steps, tape, max_output):
@@ -222,7 +313,7 @@ def oracle_leaves(max_ops, max_steps, tape, max_output):
     while stack:
         ops, pc, reg, steps, out, nread = stack.pop()
         buf = list(out)
-        status, pc2, reg2, steps2, nread2 = utm._run_segment(
+        status, pc2, reg2, steps2, nread2 = frozen_run_segment(
             ops, pc, reg, steps, buf, nread, tape, max_steps, max_output
         )
         if status == "fetch":
@@ -289,6 +380,75 @@ def test_walk_matches_leaf_oracle_at_15_bits():
     primed = enumerate_chron(15, 200, (1, 0, 1))
     for t in range(4):
         assert primed.tables[(1, 0, 1)[:t]] == approx.tables[(1, 0, 1)[:t]]
+    clear_memo()
+
+
+def test_joint_table_lists_prefixes_in_first_reach_order(monkeypatch):
+    # The leaf oracle lists each output prefix with the first counted run
+    # that outputs it, shortest first. The walk reaches the same prefixes in
+    # the same order, except the empty one, which it lists when the first
+    # run ends, after that run's own prefixes.
+    monkeypatch.setenv(CACHE_ENV_VAR, "")
+    for bits, steps, max_len in ((9, 60, 6), (12, 200, 8), (15, 200, 32)):
+        clear_memo()
+        listed = list(oracle_joint(bits, steps, max_len))
+        _, first_output = oracle_leaves(bits // 3, steps, None, max_len)[0]
+        first_run = min(len(first_output), max_len)
+        expected = listed[1 : 1 + first_run] + [()] + listed[1 + first_run :]
+        assert list(enumerate_joint(bits, steps, max_len).table) == expected, bits
+    clear_memo()
+
+
+def _opcode_bits(*ops):
+    return [(op >> shift) & 1 for op in ops for shift in (2, 1, 0)]
+
+
+# Loops that run until a budget stops them: silent ones, and ones that emit
+# one symbol or more per pass (OUTR FLIP alternates; echo needs actions).
+JBACK_LOOPS = [
+    _opcode_bits(JBACK),
+    _opcode_bits(FLIP, JBACK),
+    _opcode_bits(SKIP0, FLIP, JBACK),
+    _opcode_bits(OUT0, JBACK),
+    _opcode_bits(OUT1, OUT0, JBACK),
+    _opcode_bits(OUTR, FLIP, JBACK),
+    _opcode_bits(READA, OUTR, JBACK),
+    _opcode_bits(FLIP, SKIP0, OUT1, OUTR, JBACK),
+]
+
+
+def _random_programs(rng, count):
+    for _ in range(count):
+        kind = rng.randrange(3)
+        if kind == 0:  # any bit string, partial opcodes included
+            yield [rng.randrange(2) for _ in range(rng.randrange(46))]
+        elif kind == 1:  # a shipped loop, then more bits it may never read
+            yield rng.choice(JBACK_LOOPS) + [rng.randrange(2) for _ in range(rng.randrange(7))]
+        else:  # random opcodes closed by JBACK
+            body = [rng.randrange(8) for _ in range(rng.randrange(1, 7))]
+            yield _opcode_bits(*body, JBACK)
+
+
+def test_run_program_matches_frozen_step_by_step_run():
+    rng = random.Random(20261018)
+    longest = 0
+    for program in _random_programs(rng, 240):
+        n_actions = rng.randrange(13)
+        tape = None if rng.random() < 0.25 else [rng.randrange(2) for _ in range(n_actions)]
+        for max_steps in (0, 1, 2, 7, 60, 200, 1000):
+            for max_output in (None, 0, 1, 2, 16):
+                result = run_program(program, tape, max_steps, max_output)
+                expected = frozen_run(program, tape, max_steps, max_output)
+                assert vars(result) == expected, (program, tape, max_steps, max_output)
+                longest = max(longest, len(result.output))
+    assert longest > 64  # output codes past 2**64 were compared too
+
+
+@pytest.mark.parametrize("bits, steps, max_len", [(15, 200, 32), (18, 200, 24)])
+def test_walk_matches_leaf_oracle_at_long_output_caps(monkeypatch, bits, steps, max_len):
+    monkeypatch.setenv(CACHE_ENV_VAR, "")
+    clear_memo()
+    assert enumerate_joint(bits, steps, max_len).table == oracle_joint(bits, steps, max_len)
     clear_memo()
 
 
@@ -476,11 +636,22 @@ def test_negative_program_bits_rejected():
         enumerate_chron(-1, 60, (1,))
 
 
+def test_negative_max_len_rejected_before_any_walk(cache_dir, monkeypatch):
+    monkeypatch.setattr(utm, "_walk", lambda *args: pytest.fail("walked"))
+    clear_memo()
+    with pytest.raises(ComponentFormatError, match="max_len"):
+        enumerate_joint(6, 60, -1)
+    assert list(cache_dir.iterdir()) == []
+    assert not utm._MEMO
+
+
 def test_packed_nodes_pop_back_in_reverse_order():
+    # (ops, pc, reg, steps, output code, output length, actions read, actions chosen)
     nodes = [
-        ((), 0, 0, 0, (), 0, ()),
-        ((3, 7, 0), 2, 1, 255, (1, 0), 1, (1,)),
-        ((1, 2, 3, 4, 5, 6, 7), 7, 0, 70_000, (0,) * 9, 3, (1, 1, 0)),
+        ((), 0, 0, 0, 1, 0, 0, ()),
+        ((3, 7, 0), 2, 1, 255, 0b110, 2, 1, (1,)),
+        ((1, 2, 3, 4, 5, 6, 7), 7, 0, 70_000, 2**9, 9, 3, (1, 1, 0)),
+        ((6, 5, 4), 1, 1, 256, 2**72 + 0b101, 72, 2, (0, 1)),
     ]
     stopped = bytearray()
     for node in nodes:
