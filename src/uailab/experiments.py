@@ -319,7 +319,7 @@ def validate_config_dict(raw: dict) -> list[str]:
     if not errors and "mixture" in raw:
         try:
             mixture_from_dict(raw["mixture"])
-        except ValueError as exc:  # ComponentFormatError, or int() on a table field
+        except ValueError as exc:  # ComponentFormatError
             errors.append(f"mixture: {exc}")
     return errors
 

@@ -16,16 +16,19 @@ Finite tables reach the limit at k=0; machine enumerations at finite budget.
 Walks share prefixes: ``root()`` gives the empty context's mass and a walk
 state, and ``extend(state, symbol)`` gives the mass and state one symbol
 further, always equal to ``eval`` of that context. The default state is the
-context itself, evaluated from scratch; built-in components override both
-so that a step costs O(1) per component. Environments take the action and
-the percept of a step as two symbols; after an action the mass is the
-unchanged mass of the complete prefix. A state of None is a dead context:
-its mass and that of every extension is zero, and ``extend(None, s)`` is
-``(0, None)``; only overrides whose zero mass is absorbing return it. An
-``UndefinedConditionalError`` from ``extend`` means every extension of that
-context is undefined too. Every exhaustive check is one depth-first
-:func:`walk` that files its rows by each context's position in
-:func:`contexts` order; states live only inside one walk.
+context itself, evaluated from scratch. The six built-in components share
+two walks that cost O(1) per step: one step rule for the product and echo
+components (an action's mass fixed, a percept's chosen by the pending
+action) and one table walk for both table kinds (a row per interleaved
+context). Environments take the action and the percept of a step as two
+symbols, and walk as joint components whose every action weighs 1: after
+an action the mass is the unchanged mass of the complete prefix. A state
+of None is a dead context: its mass and that of every extension is zero,
+and ``extend(None, s)`` is ``(0, None)``; only overrides whose zero mass is
+absorbing return it. An ``UndefinedConditionalError`` from ``extend`` means
+every extension of that context is undefined too. Every exhaustive check
+is one depth-first :func:`walk` that files its rows by each context's
+position in :func:`contexts` order; states live only inside one walk.
 
 Walk masses are numerators over a declared scale: a mass returned for a
 context of n symbols stands for ``Fraction(mass, nu.scale(n))``, where
@@ -240,28 +243,65 @@ class _ProductScale:
 
     ``_bases`` = (D_a, D_p): every action mass is a numerator over D_a, every
     percept mass one over D_p, so scale(n) = D_a**ceil(n/2) * D_p**floor(n/2).
-    ``_steps`` holds those numerators for components with one row per kind.
     """
 
     _bases: tuple[int, int]
-    _steps: tuple[tuple[int, ...], tuple[int, ...]]  # action and percept numerators
-
-    def _fix_steps(self, action_probs: Sequence[Fraction], percept_probs: Sequence[Fraction]):
-        """Set ``_bases`` and ``_steps`` from the action and percept masses."""
-        rows = (tuple(action_probs), tuple(percept_probs))
-        if any(type(p) not in (int, Fraction) for row in rows for p in row):
-            raise ComponentFormatError(f"symbol masses must be exact rationals, got {rows!r}")
-        bases = tuple(math.lcm(*(p.denominator for p in row)) for row in rows)
-        object.__setattr__(self, "_bases", bases)
-        object.__setattr__(self, "_steps", tuple(_over(r, d) for r, d in zip(rows, bases)))
 
     def scale(self, n: int) -> int:
         d_a, d_p = self._bases
         return d_a ** ((n + 1) // 2) * d_p ** (n // 2)
 
 
+class _StepRule(_ProductScale):
+    """Walk of the product and echo components, joint and environment: an
+    action's mass is fixed, and a percept's depends only on the pending action.
+
+    ``_steps`` holds the action numerators over D_a and, for each pending
+    action, the percept numerators over D_p. An environment has no action
+    row: each action weighs 1 over D_a = 1. The walk state is (mass, pending
+    action), the action None after a percept.
+    """
+
+    _steps: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
+
+    def _fix_steps(
+        self, action_probs: Sequence[Fraction] | None, percept_rows: Sequence[Sequence[Fraction]]
+    ):
+        """Check every row (exact, >= 0, sum <= 1), then set ``_bases``,
+        ``_steps`` and ``declared_measure`` (every row sums to 1)."""
+        percepts = [tuple(row) for row in percept_rows]
+        rows = percepts if action_probs is None else [tuple(action_probs), *percepts]
+        for row in rows:
+            if any(type(p) not in (int, Fraction) for p in row):
+                raise ComponentFormatError(f"symbol masses must be exact rationals, got {row!r}")
+            if any(p < 0 for p in row) or sum(row) > 1:
+                raise ComponentFormatError(
+                    f"symbol masses must be >= 0 and sum to <= 1, got {row!r}"
+                )
+        actions = (ONE,) * self.action_arity if action_probs is None else rows[0]
+        d_a = math.lcm(*(p.denominator for p in actions))
+        d_p = math.lcm(*(p.denominator for row in percepts for p in row))
+        steps = (_over(actions, d_a), tuple(_over(row, d_p) for row in percepts))
+        object.__setattr__(self, "_bases", (d_a, d_p))
+        object.__setattr__(self, "_steps", steps)
+        object.__setattr__(self, "declared_measure", all(sum(row) == 1 for row in rows))
+
+    def root(self) -> tuple[int, Any]:
+        return 1, (1, None)  # (mass, pending action)
+
+    def extend(self, state: Any, symbol: int) -> tuple[int, Any]:
+        if state is None:
+            return 0, None
+        mass, action = state
+        if action is None:
+            mass *= self._steps[0][symbol]
+            return (mass, (mass, symbol)) if mass else (0, None)
+        mass *= self._steps[1][action][symbol]
+        return (mass, (mass, None)) if mass else (0, None)
+
+
 @dataclass(frozen=True)
-class ProductJoint(_ProductScale, JointSemimeasure):
+class ProductJoint(_StepRule, JointSemimeasure):
     """Position-wise independent symbol masses: nu(x) = prod p_pos(x_i).
 
     A measure iff the masses sum to 1 at both action and percept positions;
@@ -272,10 +312,7 @@ class ProductJoint(_ProductScale, JointSemimeasure):
     percept_probs: tuple[Fraction, ...] = (HALF, HALF)
 
     def __post_init__(self):
-        for probs in (self.action_probs, self.percept_probs):
-            if any(p < 0 for p in probs) or sum(probs) > 1:
-                raise ComponentFormatError("symbol masses must be >= 0 and sum to <= 1")
-        self._fix_steps(self.action_probs, self.percept_probs)
+        self._fix_steps(self.action_probs, (self.percept_probs,) * len(self.action_probs))
 
     @property
     def action_arity(self) -> int:  # type: ignore[override]
@@ -285,10 +322,6 @@ class ProductJoint(_ProductScale, JointSemimeasure):
     def percept_arity(self) -> int:  # type: ignore[override]
         return len(self.percept_probs)
 
-    @property
-    def declared_measure(self) -> bool:  # type: ignore[override]
-        return sum(self.action_probs) == 1 and sum(self.percept_probs) == 1
-
     def eval(self, x: tuple[int, ...]) -> Prob:
         out = ONE
         for i, sym in enumerate(x):
@@ -296,16 +329,6 @@ class ProductJoint(_ProductScale, JointSemimeasure):
             if out == 0:
                 return ZERO
         return out
-
-    def root(self) -> tuple[int, Any]:
-        return 1, (0, 1)  # (length, mass)
-
-    def extend(self, state: Any, symbol: int) -> tuple[int, Any]:
-        if state is None:
-            return 0, None
-        n, mass = state
-        mass *= self._steps[n % 2][symbol]
-        return (mass, (n + 1, mass)) if mass else (0, None)
 
 
 def uniform_measure(action_arity: int = 2, percept_arity: int = 2) -> ProductJoint:
@@ -322,7 +345,7 @@ def defective_uniform(symbol_mass: Fraction = Fraction(1, 4)) -> ProductJoint:
 
 
 @dataclass(frozen=True)
-class ActionEchoJoint(_ProductScale, JointSemimeasure):
+class ActionEchoJoint(_StepRule, JointSemimeasure):
     """Uniform actions; percept echoes the preceding action (binary).
 
     The percept matches the action with mass ``match`` and mismatches with
@@ -336,13 +359,8 @@ class ActionEchoJoint(_ProductScale, JointSemimeasure):
     mismatch: Fraction = ZERO
 
     def __post_init__(self):
-        if self.match < 0 or self.mismatch < 0 or self.match + self.mismatch > 1:
-            raise ComponentFormatError("match/mismatch masses must be >= 0, sum <= 1")
-        self._fix_steps((HALF, HALF), (self.match, self.mismatch))
-
-    @property
-    def declared_measure(self) -> bool:  # type: ignore[override]
-        return self.match + self.mismatch == 1
+        rows = ((self.match, self.mismatch), (self.mismatch, self.match))
+        self._fix_steps((HALF, HALF), rows)
 
     def eval(self, x: tuple[int, ...]) -> Prob:
         out = ONE
@@ -353,19 +371,6 @@ class ActionEchoJoint(_ProductScale, JointSemimeasure):
                 if out == 0:
                     return ZERO
         return out
-
-    def root(self) -> tuple[int, Any]:
-        return 1, (1, None)  # (mass, pending action)
-
-    def extend(self, state: Any, symbol: int) -> tuple[int, Any]:
-        if state is None:
-            return 0, None
-        mass, action = state
-        if action is None:  # the action's 1/2 over D_a = 2 is a numerator of 1
-            return mass, (mass, symbol)
-        match, mismatch = self._steps[1]
-        mass *= match if symbol == action else mismatch
-        return (mass, (mass, None)) if mass else (0, None)
 
 
 def copy_machine() -> ActionEchoJoint:
@@ -389,7 +394,7 @@ def leaky_copy(match: Fraction = Fraction(3, 4)) -> ActionEchoJoint:
 
 
 @dataclass(frozen=True)
-class NoisyCopyEnv(_ProductScale, ChronEnv):
+class NoisyCopyEnv(_StepRule, ChronEnv):
     """Binary env emitting e_t = a_t with mass ``match``, 1-a_t with ``mismatch``.
 
     History-independent; match=1 is the identity environment (the percept
@@ -400,13 +405,7 @@ class NoisyCopyEnv(_ProductScale, ChronEnv):
     mismatch: Fraction = ZERO
 
     def __post_init__(self):
-        if self.match < 0 or self.mismatch < 0 or self.match + self.mismatch > 1:
-            raise ComponentFormatError("match/mismatch masses must be >= 0, sum <= 1")
-        self._fix_steps((), (self.match, self.mismatch))
-
-    @property
-    def declared_measure(self) -> bool:  # type: ignore[override]
-        return self.match + self.mismatch == 1
+        self._fix_steps(None, ((self.match, self.mismatch), (self.mismatch, self.match)))
 
     def eval(self, percepts: tuple[int, ...], actions: tuple[int, ...]) -> Prob:
         if len(percepts) != len(actions):
@@ -417,19 +416,6 @@ class NoisyCopyEnv(_ProductScale, ChronEnv):
             if out == 0:
                 return ZERO
         return out
-
-    def root(self) -> tuple[int, Any]:
-        return 1, (1, None)  # (mass, pending action)
-
-    def extend(self, state: Any, symbol: int) -> tuple[int, Any]:
-        if state is None:
-            return 0, None
-        mass, action = state
-        if action is None:
-            return mass, (mass, symbol)
-        match, mismatch = self._steps[1]
-        mass *= match if symbol == action else mismatch
-        return (mass, (mass, None)) if mass else (0, None)
 
 
 def mu_id() -> NoisyCopyEnv:
@@ -447,23 +433,17 @@ def complement_env() -> NoisyCopyEnv:
 
 
 @dataclass(frozen=True)
-class IIDEnv(_ProductScale, ChronEnv):
+class IIDEnv(_StepRule, ChronEnv):
     """Action-independent i.i.d. percept distribution."""
 
     percept_probs: tuple[Fraction, ...] = (HALF, HALF)
 
     def __post_init__(self):
-        if any(p < 0 for p in self.percept_probs) or sum(self.percept_probs) > 1:
-            raise ComponentFormatError("percept masses must be >= 0 and sum to <= 1")
-        self._fix_steps((), self.percept_probs)
+        self._fix_steps(None, (self.percept_probs,) * self.action_arity)
 
     @property
     def percept_arity(self) -> int:  # type: ignore[override]
         return len(self.percept_probs)
-
-    @property
-    def declared_measure(self) -> bool:  # type: ignore[override]
-        return sum(self.percept_probs) == 1
 
     def eval(self, percepts: tuple[int, ...], actions: tuple[int, ...]) -> Prob:
         if len(percepts) != len(actions):
@@ -474,18 +454,6 @@ class IIDEnv(_ProductScale, ChronEnv):
             if out == 0:
                 return ZERO
         return out
-
-    def root(self) -> tuple[int, Any]:
-        return 1, (1, False)  # (mass, action pending)
-
-    def extend(self, state: Any, symbol: int) -> tuple[int, Any]:
-        if state is None:
-            return 0, None
-        mass, pending = state
-        if not pending:
-            return mass, (mass, True)
-        mass *= self._steps[1][symbol]
-        return (mass, (mass, False)) if mass else (0, None)
 
 
 def uniform_env(percept_arity: int = 2) -> IIDEnv:
@@ -521,40 +489,20 @@ def _default_row(default: str, arity: int) -> tuple[Fraction, ...]:
     return tuple(ZERO for _ in range(arity))
 
 
-def _numerator_rows(
-    rows: Mapping[Any, tuple[Fraction, ...]],
-    defaults: tuple[tuple[Fraction, ...], tuple[Fraction, ...]],
-    parity: Callable[[Any], int],
-) -> tuple:
-    """(D_a and D_p, numerator rows, default numerator rows) of a table.
+class _TableWalk(_ProductScale):
+    """Constructor and walk of the table components.
 
-    ``parity(key)`` is 0 for an action row and 1 for a percept row;
-    ``defaults`` holds the action and percept rows beyond the table. Each D
-    is the lcm of the denominators of its rows, the default row's included.
-    """
-    bases = tuple(
-        math.lcm(
-            *(p.denominator for key, row in rows.items() if parity(key) == k for p in row),
-            *(p.denominator for p in defaults[k]),
-        )
-        for k in (0, 1)
-    )
-    numerators = {key: _over(row, bases[parity(key)]) for key, row in rows.items()}
-    return bases, numerators, tuple(_over(row, d) for row, d in zip(defaults, bases))
-
-
-class TableJoint(_ProductScale, JointSemimeasure):
-    """Joint semimeasure from an explicit conditional table.
-
-    ``rows`` maps a context string (tuple of symbol indices) to the
-    conditional masses of the next symbol. Beyond the defined contexts the
-    component extends by ``default``: "uniform" (proper conditionals) or
-    "halt" (all further mass 0, making defectiveness explicit).
+    ``rows`` maps a context to the conditional masses of the symbol after it.
+    The walk keys each row's numerators over D_a or D_p at the interleaved
+    context before that symbol: an environment's percept row at the pending
+    prefix ``a1 e1 ... at``. Beyond the table the walk extends by the default
+    rule, except at an environment's actions, which have no rows and weigh 1
+    each. The walk state is (interleaved context, mass).
     """
 
     def __init__(
         self,
-        rows: Mapping[tuple[int, ...], Sequence[Fraction]],
+        rows: Mapping[Any, Sequence[Fraction]],
         default: str = "halt",
         action_arity: int = 2,
         percept_arity: int = 2,
@@ -566,15 +514,60 @@ class TableJoint(_ProductScale, JointSemimeasure):
         self.percept_arity = percept_arity
         self.default = default
         self.declared_measure = declared_measure
-        self.rows = {
-            tuple(ctx): _check_row(tuple(ctx), row, self.arity_at(len(ctx)))
-            for ctx, row in rows.items()
-        }
-        self._bases, self._numerators, self._default_numerators = _numerator_rows(
-            self.rows,
-            (_default_row(default, action_arity), _default_row(default, percept_arity)),
-            lambda ctx: len(ctx) % 2,
+        arities = (action_arity, percept_arity)
+        self.rows = {}
+        by_prefix = {}
+        for context, row in rows.items():
+            key, prefix = self._keys(context)
+            if not all(type(s) is int and 0 <= s < arities[i % 2] for i, s in enumerate(prefix)):
+                raise ComponentFormatError(
+                    f"context {key!r} holds a symbol outside the alphabet "
+                    f"of {action_arity} actions and {percept_arity} percepts"
+                )
+            self.rows[key] = by_prefix[prefix] = _check_row(key, row, arities[len(prefix) % 2])
+        env = isinstance(self, ChronEnv)
+        defaults = (
+            (ONE,) * action_arity if env else _default_row(default, action_arity),
+            _default_row(default, percept_arity),
         )
+        # D_a and D_p: the lcm of the denominators of the rows at even and at
+        # odd prefix lengths, the default row's included.
+        self._bases = tuple(
+            math.lcm(
+                *(p.denominator for x, row in by_prefix.items() if len(x) % 2 == k for p in row),
+                *(p.denominator for p in defaults[k]),
+            )
+            for k in (0, 1)
+        )
+        self._numerators = {x: _over(row, self._bases[len(x) % 2]) for x, row in by_prefix.items()}
+        self._default_numerators = tuple(map(_over, defaults, self._bases))
+
+    def root(self) -> tuple[int, Any]:
+        return 1, ((), 1)  # (interleaved context, mass)
+
+    def extend(self, state: Any, symbol: int) -> tuple[int, Any]:
+        if state is None:
+            return 0, None
+        x, mass = state
+        row = self._numerators.get(x)
+        mass *= (self._default_numerators[len(x) % 2] if row is None else row)[symbol]
+        return (mass, (x + (symbol,), mass)) if mass else (0, None)
+
+
+class TableJoint(_TableWalk, JointSemimeasure):
+    """Joint semimeasure from an explicit conditional table.
+
+    ``rows`` maps a context string (tuple of symbol indices) to the
+    conditional masses of the next symbol. Beyond the defined contexts the
+    component extends by ``default``: "uniform" (proper conditionals) or
+    "halt" (all further mass 0, making defectiveness explicit).
+    """
+
+    @staticmethod
+    def _keys(context: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(rows key, interleaved prefix) of a context: the same tuple."""
+        x = tuple(context)
+        return x, x
 
     def _conditional_row(self, ctx: tuple[int, ...]) -> tuple[Fraction, ...]:
         row = self.rows.get(ctx)
@@ -588,19 +581,8 @@ class TableJoint(_ProductScale, JointSemimeasure):
                 return ZERO
         return out
 
-    def root(self) -> tuple[int, Any]:
-        return 1, ((), 1)  # (context, mass)
 
-    def extend(self, state: Any, symbol: int) -> tuple[int, Any]:
-        if state is None:
-            return 0, None
-        x, mass = state
-        row = self._numerators.get(x)
-        mass *= (self._default_numerators[len(x) % 2] if row is None else row)[symbol]
-        return (mass, (x + (symbol,), mass)) if mass else (0, None)
-
-
-class TableEnv(_ProductScale, ChronEnv):
+class TableEnv(_TableWalk, ChronEnv):
     """Chronological environment from an explicit conditional table.
 
     ``rows`` maps (percept prefix, action prefix including the current
@@ -608,32 +590,16 @@ class TableEnv(_ProductScale, ChronEnv):
     contexts, extends by the declared default rule.
     """
 
-    def __init__(
-        self,
-        rows: Mapping[tuple[tuple[int, ...], tuple[int, ...]], Sequence[Fraction]],
-        default: str = "halt",
-        action_arity: int = 2,
-        percept_arity: int = 2,
-        declared_measure: bool = False,
-    ):
-        if default not in ("halt", "uniform"):
-            raise ComponentFormatError(f"unknown default rule {default!r}")
-        self.action_arity = action_arity
-        self.percept_arity = percept_arity
-        self.default = default
-        self.declared_measure = declared_measure
-        self.rows = {}
-        for (e_ctx, a_ctx), row in rows.items():
-            key = (tuple(e_ctx), tuple(a_ctx))
-            if len(key[1]) != len(key[0]) + 1:
-                raise ComponentFormatError(
-                    f"context {key!r} must supply one more action than percepts"
-                )
-            self.rows[key] = _check_row(key, row, percept_arity)
-        # Every row is a percept row: the action side of the scale stays 1.
-        self._bases, self._numerators, self._default_numerators = _numerator_rows(
-            self.rows, ((), _default_row(default, percept_arity)), lambda key: 1
-        )
+    @staticmethod
+    def _keys(context: tuple[Sequence[int], Sequence[int]]) -> tuple[tuple, tuple[int, ...]]:
+        """(rows key, interleaved prefix ``a1 e1 ... at``) of a context."""
+        percepts, actions = map(tuple, context)
+        if len(actions) != len(percepts) + 1:
+            raise ComponentFormatError(
+                f"context {(percepts, actions)!r} must supply one more action than percepts"
+            )
+        steps = tuple(s for step in zip(actions, percepts) for s in step)
+        return (percepts, actions), steps + actions[-1:]
 
     def _conditional_row(
         self, e_ctx: tuple[int, ...], a_ctx: tuple[int, ...]
@@ -651,18 +617,11 @@ class TableEnv(_ProductScale, ChronEnv):
                 return ZERO
         return out
 
-    def root(self) -> tuple[int, Any]:
-        return 1, ((), (), 1)  # (percepts, actions, mass)
 
-    def extend(self, state: Any, symbol: int) -> tuple[int, Any]:
-        if state is None:
-            return 0, None
-        percepts, actions, mass = state
-        if len(actions) == len(percepts):
-            return mass, (percepts, actions + (symbol,), mass)
-        row = self._numerators.get((percepts, actions))
-        mass *= (self._default_numerators[1] if row is None else row)[symbol]
-        return (mass, (percepts + (symbol,), actions, mass)) if mass else (0, None)
+def _symbols(context: str) -> tuple:
+    """The symbols of a context string; a character that is not a digit stays
+    as it is, for the table constructor to reject."""
+    return tuple(int(c) if c.isdecimal() else c for c in context)
 
 
 def table_component(definition: Mapping[str, Any]) -> JointSemimeasure | ChronEnv:
@@ -701,20 +660,13 @@ def table_component(definition: Mapping[str, Any]) -> JointSemimeasure | ChronEn
             f"rational strings, got {conditionals!r}"
         )
     if kind == "joint_table":
-        rows = {
-            tuple(int(c) for c in ctx): [prob(v) for v in row]
-            for ctx, row in conditionals.items()
-        }
+        rows = {_symbols(ctx): row for ctx, row in conditionals.items()}
         return TableJoint(rows, default, action_arity, percept_arity, declared)
     if kind == "env_table":
-        rows = {}
-        for ctx, row in conditionals.items():
-            e_part, _, a_part = ctx.partition("|")
-            key = (
-                tuple(int(c) for c in e_part),
-                tuple(int(c) for c in a_part),
-            )
-            rows[key] = [prob(v) for v in row]
+        rows = {
+            tuple(map(_symbols, ctx.partition("|")[::2])): row
+            for ctx, row in conditionals.items()
+        }
         return TableEnv(rows, default, action_arity, percept_arity, declared)
     raise ComponentFormatError(f"unknown component kind {kind!r}")
 

@@ -18,11 +18,13 @@ is always a prefix of the output after k+1 steps, and identical inputs and
 budgets give identical runs. A program is charged only for the bits it
 actually reads (consumed prefix), which makes the counted program set
 prefix-free by construction. Runs that consumed zero bits are not programs
-and are never counted, so a zero-bit length budget yields the empty
-enumeration. READA may read action k only when at most k-1 percepts are
-still owed (actions_read <= outputs so far); earlier or unavailable reads
-suspend the run, which then contributes only its output so far. Joint
-enumeration supplies no action tape, so READA always suspends there.
+and are never counted, so a zero-bit length budget, or a zero step budget
+(every run stops before its first fetch), yields the empty enumeration;
+a negative budget is rejected. READA may read action k only when at most
+k-1 percepts are still owed (actions_read <= outputs so far); earlier or
+unavailable reads suspend the run, which then contributes only its output
+so far. Joint enumeration supplies no action tape, so READA always
+suspends there.
 
 Enumeration explores the opcode tree lazily: a run branches 8 ways whenever
 it fetches a fresh opcode, and becomes a counted leaf of weight
@@ -324,8 +326,6 @@ def _walk(
                     (ops + op, pc, reg, steps, code, n_out, nread, reads) for op in _FETCHED
                 ]
                 continue
-            if not ops:
-                continue  # a zero-bit run is not a program
             # otherwise boundary suspension: counted with its output so far
         elif tape is None and (
             status == "output_limit" or status == "awaiting_input" and nread <= n_out
@@ -337,7 +337,8 @@ def _walk(
                 )
                 continue
             _pack(stopped, node)
-        masses[reads][1] += w
+        if ops:  # a zero-bit run is not a program, whatever ends it
+            masses[reads][1] += w
     return masses, stopped
 
 
@@ -381,9 +382,11 @@ def _walk_tables(
     return tables, stopped
 
 
-def _check_program_bits(program_bits: int) -> None:
+def _check_budgets(program_bits: int, steps: int) -> None:
     if program_bits < 0:
         raise ComponentFormatError(f"program_bits must be >= 0, got {program_bits}")
+    if steps < 0:
+        raise ComponentFormatError(f"steps must be >= 0, got {steps}")
 
 
 class JointEnumApprox(JointSemimeasure):
@@ -428,7 +431,7 @@ class ChronEnumApprox(ChronEnv):
     """
 
     def __init__(self, program_bits: int, steps: int):
-        _check_program_bits(program_bits)
+        _check_budgets(program_bits, steps)
         self.program_bits = program_bits
         self.steps = steps
         self.tables: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
@@ -605,7 +608,7 @@ def enumerate_joint(program_bits: int, steps: int, max_len: int = 16) -> JointEn
     max_len 16, program_bits 24 takes about 3 s and under 30 MB; each 3
     more bits cost 4-5x (docs/machine.md).
     """
-    _check_program_bits(program_bits)
+    _check_budgets(program_bits, steps)
     if max_len < 0:
         raise ComponentFormatError(f"max_len must be >= 0, got {max_len}")
     table = _stored(

@@ -326,6 +326,18 @@ BAD_TABLE_FIELDS = {
     "declared_measure_string": ("declared_measure", {"declared_measure": "false"}),
     "declared_measure_number": ("declared_measure", {"declared_measure": 1}),
     "declared_measure_null": ("declared_measure", {"declared_measure": None}),
+    # a context outside the alphabet, or with a character that is no digit
+    "context_action": ("context (7,) holds", {"conditionals": {"7": ["1/2", "1/2"]}}),
+    "context_percept": ("context (0, 2) holds", {"conditionals": {"02": ["1/2", "1/2"]}}),
+    "context_letter": ("context (0, 'x') holds", {"conditionals": {"0x": ["1/2", "1/2"]}}),
+    "env_context": (
+        "context ((5,), (9, 2)) holds",
+        {"kind": "env_table", "conditionals": {"5|92": ["1/2", "1/2"]}},
+    ),
+    "env_context_letter": (
+        "context ((), ('a',)) holds",
+        {"kind": "env_table", "conditionals": {"|a": ["1/2", "1/2"]}},
+    ),
 }
 
 

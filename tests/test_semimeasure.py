@@ -266,6 +266,25 @@ def test_table_env_context_shape_enforced():
 
 
 @pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda: TableJoint({(2,): (F(1, 2), F(1, 2))}), "(2,)"),
+        (lambda: TableJoint({(0, 1): (1, 0)}, percept_arity=1), "(0, 1)"),
+        (lambda: TableJoint({(0, -1): (1, 0)}), "(0, -1)"),
+        (lambda: TableEnv({((), (2,)): (1, 0)}), "((), (2,))"),
+        (lambda: TableEnv({((3,), (0, 1)): (1, 0)}), "((3,), (0, 1))"),
+        (lambda: TableEnv({((0,), (1, 2)): (1, 0, 0)}, percept_arity=3), "((0,), (1, 2))"),
+    ],
+)
+def test_table_context_outside_the_alphabet_rejected(build, named):
+    with pytest.raises(ComponentFormatError, match="outside the alphabet") as err:
+        build()
+    assert named in str(err.value)
+    # The same symbols inside a larger alphabet are accepted.
+    assert TableJoint({(2,): (1,)}, "uniform", 3, 1).eval((2, 0)) == F(1, 3)
+
+
+@pytest.mark.parametrize(
     "build",
     [
         lambda: StationaryPolicy((F(-1, 2), F(3, 2))),

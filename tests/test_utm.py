@@ -324,7 +324,7 @@ def oracle_leaves(max_ops, max_steps, tape, max_output):
             snapshot = tuple(buf)
             for k in range(8):
                 stack.append((ops + (k,), pc2, reg2, steps2, snapshot, nread2))
-        else:
+        elif ops:
             leaves.append((len(ops), tuple(buf)))
     return leaves
 
@@ -634,6 +634,32 @@ def test_negative_program_bits_rejected():
         ChronEnumApprox(-3, 60).eval((), ())
     with pytest.raises(ComponentFormatError, match="program_bits"):
         enumerate_chron(-1, 60, (1,))
+
+
+def test_negative_steps_rejected_before_any_walk(cache_dir, monkeypatch):
+    monkeypatch.setattr(utm, "_walk", lambda *args: pytest.fail("walked"))
+    clear_memo()
+    for build in (
+        lambda: enumerate_joint(6, -5, 4),
+        lambda: ChronEnumApprox(6, -5),
+        lambda: enumerate_chron(6, -1, (1,)),
+    ):
+        with pytest.raises(ComponentFormatError, match="steps"):
+            build()
+    assert list(cache_dir.iterdir()) == []
+    assert not utm._MEMO
+
+
+def test_zero_steps_give_the_empty_enumeration(monkeypatch):
+    # Every run stops at the step limit before its first fetch: zero bits.
+    monkeypatch.setenv(CACHE_ENV_VAR, "")
+    clear_memo()
+    assert enumerate_joint(6, 0, 4).table == {}
+    assert enumerate_joint(0, 0, 4).table == {}
+    approx = ChronEnumApprox(6, 0)
+    assert approx.eval((), ()) == 0 and approx.eval((0,), (1,)) == 0
+    assert enumerate_chron(6, 0, (1, 0)).tables == {(): {}, (1,): {}, (1, 0): {}}
+    clear_memo()
 
 
 def test_negative_max_len_rejected_before_any_walk(cache_dir, monkeypatch):

@@ -7,6 +7,7 @@ adversary traces and the domination probe) must give exactly what its
 former from-scratch loop gave. The loops are kept here, frozen, as the
 reference.
 """
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -86,12 +87,32 @@ ROWS = [
     (F(3, 7), F(4, 7)),
     (F(1, P31), F(6, 7)),
 ]
+# Ternary rows, for the actions of the three-action components and the
+# percepts of a three-percept environment.
+ROWS3 = [
+    (0, 0, 0),
+    (1, 0, 0),
+    (0, 0, 1),
+    (F(1, 3), F(1, 3), F(1, 3)),
+    (F(1, 2), F(1, 4), F(1, 4)),
+    (F(1, 4), 0, F(1, 2)),
+    (F(1, 7), F(80, 97), 0),
+    (F(1, P31), F(6, 7), F(1, 97)),
+]
 JOINT_KEYS = [x for n in range(5) for x in product((0, 1), repeat=n)]
 ENV_KEYS = [
     (e, a)
     for t in range(3)
     for e in product((0, 1), repeat=t)
     for a in product((0, 1), repeat=t + 1)
+]
+# Keys over three actions and two percepts.
+JOINT_KEYS3 = [x for n in range(5) for x in product(*([range(3), range(2)] * 2)[:n])]
+ENV_KEYS3 = [
+    (e, a)
+    for t in range(3)
+    for e in product((0, 1), repeat=t)
+    for a in product((0, 1, 2), repeat=t + 1)
 ]
 PAIRS = st.sampled_from(
     [
@@ -106,10 +127,17 @@ PAIRS = st.sampled_from(
 )
 
 
-def tables(cls, keys):
+def tables(cls, keys, action_arity=2):
+    """Tables over ``keys`` with binary percepts; a joint table's action rows
+    have ``action_arity`` entries."""
+
+    def row(key):
+        action_row = action_arity == 3 and cls is TableJoint and len(key) % 2 == 0
+        return st.sampled_from(ROWS3 if action_row else ROWS)
+
     return st.builds(
-        lambda rows, default: cls(dict(zip(keys, rows)), default),
-        st.lists(st.sampled_from(ROWS), min_size=len(keys), max_size=len(keys)),
+        lambda rows, default: cls(dict(zip(keys, rows)), default, action_arity),
+        st.tuples(*map(row, keys)),
         st.sampled_from(["halt", "uniform"]),
     )
 
@@ -656,6 +684,72 @@ def test_shipped_components_keep_the_scale_contract():
     assert [ChronEnumApprox(10, 200).scale(n) for n in (0, 7)] == [8**3, 8**3]
     mixture = EnvMixture([NoisyCopyEnv(F(1, 2), F(1, 3)), IIDEnv((F(1, 5),) * 2)], [F(1, 4)] * 2)
     assert [mixture.scale(n) for n in range(5)] == [4, 4, 120, 120, 3600]
+
+
+def product_bases(nu):
+    """(D_a, D_p) of a built-in component, from its ``Fraction`` rows: the lcm
+    of the denominators of every action row and of every percept row, a
+    table's default rows included."""
+
+    def lcm(*rows):
+        return math.lcm(*(F(p).denominator for row in rows for p in row))
+
+    if isinstance(nu, ProductJoint):
+        return lcm(nu.action_probs), lcm(nu.percept_probs)
+    if isinstance(nu, (ActionEchoJoint, NoisyCopyEnv)):
+        return (2 if isinstance(nu, ActionEchoJoint) else 1), lcm((nu.match, nu.mismatch))
+    if isinstance(nu, IIDEnv):
+        return 1, lcm(nu.percept_probs)
+    # a "uniform" default row has denominator arity, a "halt" one 1
+    d_a, d_p = (nu.action_arity, nu.percept_arity) if nu.default == "uniform" else (1, 1)
+    if isinstance(nu, TableEnv):
+        return 1, math.lcm(d_p, lcm(*nu.rows.values()))
+    return (
+        math.lcm(d_a, lcm(*(row for x, row in nu.rows.items() if len(x) % 2 == 0))),
+        math.lcm(d_p, lcm(*(row for x, row in nu.rows.items() if len(x) % 2 == 1))),
+    )
+
+
+def assert_product_scale(nu):
+    d_a, d_p = product_bases(nu)
+    want = [d_a ** ((n + 1) // 2) * d_p ** (n // 2) for n in range(7)]
+    assert [nu.scale(n) for n in range(7)] == want, nu
+
+
+def test_builtin_components_keep_the_product_scale():
+    for nu in builtin_components().values():
+        assert_product_scale(nu)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    tables(TableJoint, JOINT_KEYS3, 3),
+    tables(TableJoint, JOINT_KEYS3, 3),
+    tables(TableEnv, ENV_KEYS3, 3),
+    tables(TableEnv, ENV_KEYS3, 3),
+    tables(TableJoint, JOINT_KEYS),
+    tables(TableEnv, ENV_KEYS),
+    st.sampled_from(ROWS3),
+    st.sampled_from(ROWS3),
+    PAIRS,
+)
+def test_shared_walks_beyond_the_binary_alphabet(
+    joint, joint2, nu, nu2, binary_joint, binary_nu, row, row2, pair
+):
+    product3 = ProductJoint(row, pair)
+    iid, iid2 = IIDEnv(row), IIDEnv(row2)
+    for component in (joint, nu, product3, iid, binary_joint, binary_nu):
+        assert_product_scale(component)
+    for component in (
+        joint,
+        nu,
+        product3,
+        iid,
+        JointMixture([joint, joint2, product3, EvalOnlyJoint(joint)], [F(1, 4)] * 4),
+        EnvMixture([nu, nu2, EvalOnlyEnv(nu)], [F(1, 3), F(1, 2), F(1, 7)]),
+        EnvMixture([iid, iid2, EvalOnlyEnv(iid)], [F(1, 2), F(1, 4), F(1, 4)]),
+    ):
+        assert_walk_matches_eval(component, 4)
 
 
 def test_enumeration_walk_keeps_a_value_off_its_scale_exact():
