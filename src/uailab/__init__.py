@@ -42,7 +42,6 @@ from .semimeasure import (
     check_semimeasure,
     compare,
     complement_env,
-    constant_env,
     constant_policy,
     contexts,
     copy_machine,

@@ -12,7 +12,8 @@ assumed. Traces walk the predictor: one move is two ``extend`` steps.
 
 Domination probes report the exact max ratio mu/xi over all strings to a
 depth, with witnesses; ratios against zero are reported as unbounded
-witnesses, never silently skipped. A probe is one :func:`compare` walk.
+witnesses, never silently skipped. A probe is one :func:`compare` walk, and
+counts the contexts where mu or xi is undefined.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .core import ONE, UndefinedConditionalError
-from .semimeasure import ChronEnv, JointSemimeasure, compare, contexts, exact_mass, max_ratio
+from .semimeasure import ChronEnv, JointSemimeasure, compare, exact_mass, max_ratio
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,8 @@ class DominationReport:
     """Exact max of mu/xi over the probed region, with witness.
 
     ``unbounded_witnesses`` lists contexts where mu > 0 while xi = 0 (no
-    finite constant works); 0/0 contexts are skipped and counted. Used both
+    finite constant works); 0/0 contexts are skipped and counted, as are the
+    contexts where mu is undefined and the others where xi is. Used both
     to confirm inclusion domination (mixtures dominate their components by
     1/weight) and to search for failures in the opposite direction.
     """
@@ -136,6 +138,8 @@ class DominationReport:
     unbounded_witnesses: tuple
     skipped_zero_zero: int
     contexts_checked: int
+    undefined_mu: int
+    undefined_xi: int
 
 
 def domination_probe(
@@ -147,15 +151,11 @@ def domination_probe(
 
     Both arguments must be the same kind: joint semimeasures are compared on
     interleaved strings, environments on percept/action pairs for every
-    action string. Where mu or xi is undefined, the probe raises.
+    action string.
     """
     if isinstance(mu, JointSemimeasure) != isinstance(xi, JointSemimeasure):
         raise TypeError("domination_probe needs two components of the same kind")
-    rows, skipped = compare(mu, xi, depth)
-    if skipped:
-        found = {r.witness for r in rows}
-        first = next(c for c in contexts(mu, depth) if c not in found)
-        raise UndefinedConditionalError(first, f"domination probe; {skipped} such contexts")
+    rows, undefined_mu, undefined_xi = compare(mu, xi, depth)
     best, witness = max_ratio(r for r in rows if r.rhs != 0)
     return DominationReport(
         depth=depth,
@@ -164,4 +164,6 @@ def domination_probe(
         unbounded_witnesses=tuple(r.witness for r in rows if r.rhs == 0 and r.lhs != 0),
         skipped_zero_zero=sum(1 for r in rows if r.rhs == 0 and r.lhs == 0),
         contexts_checked=len(rows),
+        undefined_mu=undefined_mu,
+        undefined_xi=undefined_xi,
     )

@@ -11,6 +11,12 @@ which coincides with the classical expectimax recursion for measures and
 extends it to strictly defective beliefs (missing mass earns zero reward).
 Ties are always broken by the fixed alphabet order, smallest action first,
 identically in expectimax and in the brute-force policy-enumeration oracle.
+
+An action is undefined at a node where the belief is undefined (see
+:mod:`uailab.semimeasure`) at the action or at one of its percepts. Planners
+leave undefined actions out of the max, and the one-step rule out of its map.
+A node below the root with no defined action adds no further reward; a root
+with none, or an undefined history, raises ``UndefinedConditionalError``.
 """
 from __future__ import annotations
 
@@ -65,39 +71,52 @@ def policy_value(
     return recurse(history.actions, history.percepts, horizon)
 
 
-def _state_at(nu: ChronEnv, history: History) -> tuple[Any, Any]:
-    """The walk node (mass numerator, state) of ``nu`` after a complete ``history``."""
-    if len(history.actions) != len(history.percepts):
-        raise ComponentFormatError("planning starts from a complete history")
-    node = nu.root()
-    for a, e in zip(history.actions, history.percepts):
-        node = nu.extend(nu.extend(node[1], a)[1], e)
-    return node
-
-
-def _expectimax_value(
+def _action_values(
     nu: ChronEnv, state: Any, n: int, remaining: int, percepts: PerceptAlphabet
-) -> tuple[Fraction, int]:
-    """(best value-to-go, lexicographically smallest maximizing action) from
-    the walk state of a complete history of ``n`` symbols."""
-    best_value: Fraction | None = None
-    best_action = 0
+) -> dict[int, Fraction]:
+    """Expectimax value-to-go of each defined action from the walk state of a
+    complete history of ``n`` symbols."""
+    values = {}
     for a in range(nu.action_arity):
-        pending = nu.extend(state, a)[1]
+        try:
+            pending = nu.extend(state, a)[1]
+            kids = [nu.extend(pending, e) for e in range(nu.percept_arity)]
+        except UndefinedConditionalError:
+            continue  # an undefined action has no value
         total = ZERO
-        for e in range(nu.percept_arity):
-            mass, child = nu.extend(pending, e)
+        for e, (mass, child) in enumerate(kids):
             if mass == 0:
                 continue  # extensions carry zero mass too (monotonicity)
             reward = percepts.reward(e)
             if reward:
                 total += reward * exact_mass(nu, n + 2, mass)
             if remaining > 1:
-                total += _expectimax_value(nu, child, n + 2, remaining - 1, percepts)[0]
-        if best_value is None or total > best_value:
-            best_value, best_action = total, a
-    assert best_value is not None
-    return best_value, best_action
+                below = _action_values(nu, child, n + 2, remaining - 1, percepts)
+                total += max(below.values(), default=ZERO)  # none defined: no further reward
+        values[a] = total
+    return values
+
+
+def _plan(
+    nu: ChronEnv, history: History, horizon: int, percepts: PerceptAlphabet
+) -> tuple[Any, dict[int, Fraction]]:
+    """(mass numerator of a complete ``history``, value of each defined action
+    over ``horizon`` steps); an error naming the history where none is defined."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if len(history.actions) != len(history.percepts):
+        raise ComponentFormatError("planning starts from a complete history")
+    values: dict[int, Fraction] = {}
+    try:
+        mass, state = nu.root()
+        for a, e in zip(history.actions, history.percepts):
+            mass, state = nu.extend(nu.extend(state, a)[1], e)
+        values = _action_values(nu, state, 2 * len(history.actions), horizon, percepts)
+    except UndefinedConditionalError:
+        pass  # an undefined history has no defined action
+    if not values:
+        raise UndefinedConditionalError((history.percepts, history.actions), "no defined action")
+    return mass, values
 
 
 def expectimax_action(
@@ -106,16 +125,9 @@ def expectimax_action(
     horizon: int = 1,
     percepts: PerceptAlphabet = BINARY_PERCEPTS,
 ) -> int:
-    """Action attaining the expectimax optimum over the remaining horizon.
-
-    Exact arithmetic throughout; undefined conditionals along explored
-    branches (possible for lazily-derived environment views) propagate as
-    errors naming the branch.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    n = 2 * len(history.actions)
-    return _expectimax_value(nu, _state_at(nu, history)[1], n, horizon, percepts)[1]
+    """Action attaining the expectimax optimum over the remaining horizon."""
+    values = _plan(nu, history, horizon, percepts)[1]
+    return max(values, key=values.__getitem__)  # the first maximum: the smallest action
 
 
 def expectimax_value(
@@ -125,8 +137,7 @@ def expectimax_value(
     percepts: PerceptAlphabet = BINARY_PERCEPTS,
 ) -> Fraction:
     """Optimal expected return over the remaining horizon."""
-    n = 2 * len(history.actions)
-    return _expectimax_value(nu, _state_at(nu, history)[1], n, horizon, percepts)[0]
+    return max(_plan(nu, history, horizon, percepts)[1].values())
 
 
 def joint_aixi_action(
@@ -161,27 +172,15 @@ def one_step_action_values(
 ) -> dict[int, Fraction]:
     """Action-value map from one-step lookahead on conditional percept mass.
 
-    action -> sum_e reward(e) * belief(e | history, action); errors if the
-    history has zero mass under the belief (conditionals undefined). Every
-    conditional is one walk step from the history's node.
+    action -> sum_e reward(e) * belief(e | history, action) for each defined
+    action; errors if the history has zero mass under the belief
+    (conditionals undefined).
     """
-    mass, state = _state_at(belief, history)
+    mass, values = _plan(belief, history, 1, percepts)
     if mass == 0:
         raise UndefinedConditionalError((history.percepts, history.actions))
-    n = 2 * len(history.actions)
-    mass = exact_mass(belief, n, mass)
-    values = {}
-    for a in range(belief.action_arity):
-        pending = belief.extend(state, a)[1]
-        masses = (belief.extend(pending, e)[0] for e in range(belief.percept_arity))
-        values[a] = sum(
-            (
-                percepts.reward(e) * (exact_mass(belief, n + 2, m) / mass)
-                for e, m in enumerate(masses)
-            ),
-            ZERO,
-        )
-    return values
+    mass = exact_mass(belief, 2 * len(history.actions), mass)
+    return {a: v / mass for a, v in values.items()}
 
 
 def one_step_action(
@@ -195,8 +194,7 @@ def one_step_action(
     mass: the shared denominator does not move the argmax.
     """
     values = one_step_action_values(belief, history, percepts)
-    best = max(values.values())
-    return min(a for a, v in values.items() if v == best)
+    return max(values, key=values.__getitem__)
 
 
 def brute_force_action(
@@ -211,7 +209,8 @@ def brute_force_action(
     histories (relative to the root) to actions; enumeration order puts the
     root action in the most significant position so the first policy
     attaining the maximum has the lexicographically smallest root action —
-    the same tie rule expectimax uses.
+    the same tie rule expectimax uses. A policy that picks an undefined
+    action at a reached node where some action is defined is left out.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -222,25 +221,38 @@ def brute_force_action(
         frontier = [s + (e,) for s in frontier for e in range(nu.percept_arity)]
     index = {node: i for i, node in enumerate(nodes)}
 
-    def value_of(assignment: tuple[int, ...]) -> Fraction:
-        def recurse(rel: tuple[int, ...], actions, percs, remaining) -> Fraction:
-            a = assignment[index[rel]]
-            total = ZERO
-            for e in range(nu.percept_arity):
-                mass = nu.eval(percs + (e,), actions + (a,))
-                if mass == 0:
-                    continue
-                total += percepts.reward(e) * mass
-                if remaining > 1:
-                    total += recurse(rel + (e,), actions + (a,), percs + (e,), remaining - 1)
-            return total
+    def masses(actions, percs, a) -> list[Fraction] | None:
+        """The mass of each percept after action ``a``; None where ``a`` is undefined."""
+        try:
+            return [nu.eval(percs + (e,), actions + (a,)) for e in range(nu.percept_arity)]
+        except UndefinedConditionalError:
+            return None
 
-        return recurse((), history.actions, history.percepts, horizon)
+    def value(assignment, rel, actions, percs, remaining) -> Fraction | None:
+        """The policy's value from node ``rel``; None where it is left out."""
+        a = assignment[index[rel]]
+        row = masses(actions, percs, a)
+        if row is None:  # with no defined action, no further reward
+            defined = any(masses(actions, percs, b) is not None for b in range(nu.action_arity))
+            return None if defined else ZERO
+        total = ZERO
+        for e, mass in enumerate(row):
+            if mass == 0:
+                continue
+            total += percepts.reward(e) * mass
+            if remaining > 1:
+                rest = value(assignment, rel + (e,), actions + (a,), percs + (e,), remaining - 1)
+                if rest is None:
+                    return None
+                total += rest
+        return total
 
     best_value: Fraction | None = None
     best_root = 0
     for assignment in product(range(nu.action_arity), repeat=len(nodes)):
-        v = value_of(assignment)
-        if best_value is None or v > best_value:
+        v = value(assignment, (), history.actions, history.percepts, horizon)
+        if v is not None and (best_value is None or v > best_value):
             best_value, best_root = v, assignment[0]
+    if masses(history.actions, history.percepts, best_root) is None:
+        raise UndefinedConditionalError((history.percepts, history.actions), "no defined action")
     return best_root

@@ -34,12 +34,12 @@ class UndefinedConditionalError(ZeroDivisionError):
         super().__init__(f"conditional undefined at zero-mass context {context!r}{suffix}")
 
 
-class NormalizationError(ZeroDivisionError):
-    """All one-symbol continuations of a context have zero mass."""
+class NormalizationError(UndefinedConditionalError):
+    """All one-symbol continuations of a context have zero mass, so its
+    normalized conditionals are undefined."""
 
     def __init__(self, context: Any):
-        self.context = context
-        super().__init__(f"normalization undefined: zero continuation mass at {context!r}")
+        super().__init__(context, "normalization: zero continuation mass")
 
 
 class ComponentFormatError(ValueError):

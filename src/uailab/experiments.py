@@ -565,7 +565,9 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
             for row in non_factored.env_rows
         ],
     )
-    lines.append("factoring: identities exact for factored priors; counterexample witnessed")
+    exact = "exact" if all(row[-1] == "ok" for row in fact_rows[:-1]) else "VIOLATED"
+    witnessed = "witnessed" if witness else "MISSING"
+    lines.append(f"factoring: identities {exact} for factored priors; counterexample {witnessed}")
 
     # Predictive/posterior consistency for every joint scenario mixture.
     cons_rows = []
@@ -580,7 +582,9 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
         ("mixture", "depth", "mismatches"),
         cons_rows,
     )
-    lines.append("predictive vs posterior-weighted conditionals: exact agreement")
+    mismatched = sum(row[-1] for row in cons_rows)
+    agreement = f"{mismatched} MISMATCHES" if mismatched else "exact agreement"
+    lines.append(f"predictive vs posterior-weighted conditionals: {agreement}")
 
     code = 0 if failures == 0 else 1
     lines.append(f"total failures: {failures}")
@@ -1075,7 +1079,8 @@ def _scenario_agents(cfg: ScenarioConfig) -> ScenarioOutcome:
         f"decision matrix over {len(histories)} histories x horizons 1..{horizon}: "
         f"{agreements}/{len(rows)} agreements (descriptive; equality is not asserted)"
     )
-    lines.append("one-step rule equals expectimax at horizon 1 (verified)")
+    verified = f"FAILED at {failures} histories" if failures else "verified"
+    lines.append(f"one-step rule equals expectimax at horizon 1 ({verified})")
     return ScenarioOutcome(0 if failures == 0 else 1, lines)
 
 

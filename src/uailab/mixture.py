@@ -53,7 +53,7 @@ def _validate_weights(components: Sequence, weights: Sequence[Fraction]) -> None
 
 
 class _Mixture:
-    """Construction, the walk and the budgeted sum shared by both mixture kinds.
+    """Construction and the walk shared by both mixture kinds.
 
     The walk state is (length, mass, parts): parts holds (index, weighted
     mass, state) for every component whose own state is not dead, where the
@@ -154,12 +154,6 @@ class _Mixture:
                 mass += m
                 parts.append((i, m, s))
         return (mass, (n + 1, mass, tuple(parts))) if parts else (0, None)
-
-    def eval_at_budget(self, *args) -> Prob:
-        """sum_i w_i nu_i at the budget; ``args`` are a context and a budget."""
-        return sum(
-            (w * c.eval_at_budget(*args) for c, w in zip(self.components, self.weights)), ZERO
-        )
 
 
 class JointMixture(_Mixture, JointSemimeasure):

@@ -9,9 +9,6 @@ violation as data (never as an exception).
 
 Components declare whether they are measures (equality everywhere) or
 strictly defective; checkers verify the declaration up to the checked depth.
-Lower semicomputability is realized operationally: every component exposes
-``eval_at_budget(x, k)``, nondecreasing in k with ``eval`` as its limit.
-Finite tables reach the limit at k=0; machine enumerations at finite budget.
 
 Walks share prefixes: ``root()`` gives the empty context's mass and a walk
 state, and ``extend(state, symbol)`` gives the mass and state one symbol
@@ -25,10 +22,15 @@ symbols, and walk as joint components whose every action weighs 1: after
 an action the mass is the unchanged mass of the complete prefix. A state
 of None is a dead context: its mass and that of every extension is zero,
 and ``extend(None, s)`` is ``(0, None)``; only overrides whose zero mass is
-absorbing return it. An ``UndefinedConditionalError`` from ``extend`` means
-every extension of that context is undefined too. Every exhaustive check
-is one depth-first :func:`walk` that files its rows by each context's
-position in :func:`contexts` order; states live only inside one walk.
+absorbing return it. Every exhaustive check is one depth-first :func:`walk`
+that files its rows by each context's position in :func:`contexts` order;
+states live only inside one walk.
+
+A context is *undefined* for a component when its ``root`` or ``extend``
+raises ``UndefinedConditionalError`` or its subclass ``NormalizationError``;
+every extension of an undefined context is undefined too. Readers leave
+undefined contexts out instead of raising: :func:`compare` counts them per
+side, and the planners leave undefined actions out (see :mod:`uailab.agents`).
 
 Walk masses are numerators over a declared scale: a mass returned for a
 context of n symbols stands for ``Fraction(mass, nu.scale(n))``, where
@@ -84,10 +86,6 @@ class JointSemimeasure(abc.ABC):
     def eval(self, x: tuple[int, ...]) -> Prob:
         """Exact mass of the interleaved string x."""
 
-    def eval_at_budget(self, x: tuple[int, ...], budget: int) -> Prob:
-        """Lower approximation at the given budget; defaults to the limit."""
-        return self.eval(x)
-
     def root(self) -> tuple[Prob, Any]:
         """(mass, walk state) of the empty string."""
         return self.eval(()), ()
@@ -115,11 +113,6 @@ class ChronEnv(abc.ABC):
     @abc.abstractmethod
     def eval(self, percepts: tuple[int, ...], actions: tuple[int, ...]) -> Prob:
         """Exact mass of producing ``percepts`` under ``actions`` (equal lengths)."""
-
-    def eval_at_budget(
-        self, percepts: tuple[int, ...], actions: tuple[int, ...], budget: int
-    ) -> Prob:
-        return self.eval(percepts, actions)
 
     def root(self) -> tuple[Prob, Any]:
         """(mass, walk state) of the empty history."""
@@ -460,12 +453,6 @@ def uniform_env(percept_arity: int = 2) -> IIDEnv:
     return IIDEnv(tuple(Fraction(1, percept_arity) for _ in range(percept_arity)))
 
 
-def constant_env(symbol: int, percept_arity: int = 2) -> IIDEnv:
-    """Deterministic environment that always emits ``symbol``."""
-    probs = tuple(ONE if e == symbol else ZERO for e in range(percept_arity))
-    return IIDEnv(probs)
-
-
 # ---------------------------------------------------------------------------
 # Explicit finite tables
 # ---------------------------------------------------------------------------
@@ -794,14 +781,15 @@ def exact_mass(nu: JointSemimeasure | ChronEnv, n: int, mass: Any) -> Fraction:
 
 def compare(
     lhs: JointSemimeasure | ChronEnv, rhs: JointSemimeasure | ChronEnv, depth: int
-) -> tuple[list[MismatchRow], int]:
+) -> tuple[list[MismatchRow], int, int]:
     """Evaluate both sides at every context of ``lhs`` up to ``depth``.
 
-    Returns (rows in :func:`contexts` order, count of contexts skipped
-    because ``lhs`` is undefined there). An error raised by ``rhs``
-    propagates. Both sides walk together; ``rhs`` is never extended where
-    ``lhs`` is undefined.
+    Returns (rows in :func:`contexts` order, count of contexts where ``lhs``
+    is undefined, count of the others where ``rhs`` is undefined). Both
+    sides walk together; ``rhs`` is never extended where ``lhs`` or ``rhs``
+    is undefined.
     """
+    no_rhs = object()  # the rhs state at and below a context where rhs is undefined
 
     def step(state: Any, symbol: int) -> tuple[Any, Any]:
         if state is None:  # lhs undefined here and below
@@ -811,26 +799,36 @@ def compare(
             lhs_mass, lhs_state = lhs.extend(lhs_state, symbol)
         except UndefinedConditionalError:
             return None, None
-        rhs_mass, rhs_state = rhs.extend(rhs_state, symbol)
+        if rhs_state is no_rhs:
+            return (lhs_mass, None), (lhs_state, no_rhs)
+        try:
+            rhs_mass, rhs_state = rhs.extend(rhs_state, symbol)
+        except UndefinedConditionalError:
+            return (lhs_mass, None), (lhs_state, no_rhs)
         return (lhs_mass, rhs_mass), (lhs_state, rhs_state)
 
+    root: tuple = (None, None)  # lhs undefined at the root
     try:
         lhs_mass, lhs_state = lhs.root()
-    except UndefinedConditionalError:
-        root: tuple = (None, None)
-    else:
+        root = ((lhs_mass, None), (lhs_state, no_rhs))  # rhs undefined unless it returns
         rhs_mass, rhs_state = rhs.root()
         root = ((lhs_mass, rhs_mass), (lhs_state, rhs_state))
+    except UndefinedConditionalError:
+        pass
     joint = isinstance(lhs, JointSemimeasure)
     slots: list[MismatchRow | None] = [None] * _count_contexts(lhs, depth)
+    lhs_undefined = rhs_undefined = 0
     for order, context, (masses, _), _ in walk(lhs, depth, root, step, last_children=False):
-        if masses is not None:
+        if masses is None:
+            lhs_undefined += 1
+        elif masses[1] is None:
+            rhs_undefined += 1
+        else:
             n = len(context) if joint else 2 * len(context[1])
             slots[order] = MismatchRow(
                 context, exact_mass(lhs, n, masses[0]), exact_mass(rhs, n, masses[1])
             )
-    rows = [row for row in slots if row is not None]
-    return rows, len(slots) - len(rows)
+    return [row for row in slots if row is not None], lhs_undefined, rhs_undefined
 
 
 def max_ratio(rows: Iterable[MismatchRow]) -> tuple[Fraction | None, Any]:

@@ -3,9 +3,11 @@
 ``env`` turns a joint history distribution into an environment by stripping
 its action conditionals: env(nu)(e_1:t || a_1:t) = prod_i nu(e_i | h_<i a_i).
 It is computed lazily per query because well-definedness (positive
-conditioning prefixes) is a per-prefix condition; undefined conditionals are
-hard errors. ``dual`` goes the other way, combining an environment with a
-policy into the history distribution they induce. ``chron_to_joint`` is the
+conditioning prefixes) is a per-prefix condition. A view raises where its
+conditional is undefined, and readers such as :func:`compare` count those
+contexts instead (see :mod:`uailab.semimeasure`). ``dual`` goes the other
+way, combining an environment with a policy into the history distribution
+they induce. ``chron_to_joint`` is the
 semimeasure representation of an environment with a configurable action
 filler (uniform by default). ``normalize`` rescales one-symbol conditionals
 to sum to 1 (Solomonoff normalization).
@@ -75,7 +77,7 @@ class EnvView(ChronEnv):
         if denom is None:
             try:
                 denom, base_state = self.base.extend(base_state, symbol)
-            except (UndefinedConditionalError, NormalizationError) as exc:
+            except UndefinedConditionalError as exc:
                 denom = exc  # ``eval`` raises it with the percept, so it waits
             return mass, (mass, base_state, denom, prefix + (symbol,))
         if isinstance(denom, ZeroDivisionError):
@@ -235,7 +237,7 @@ class FactoringReport:
 
     ``joint_rows``: mixture-of-duals vs dual-of-mixtures as joint values.
     ``env_rows``: env of the dual mixture vs the direct environment mixture
-    on positive contexts (zero-mass contexts are skipped and counted).
+    on positive contexts (undefined contexts are skipped and counted).
     """
 
     depth: int
@@ -277,13 +279,13 @@ def factoring_check(
     pair_mix = dual_mixture(envs, env_weights, policies, policy_weights, pair_weights)
     direct = EnvMixture(envs, env_weights)
     factored = dual(direct, MixturePolicy(tuple(policies), tuple(policy_weights)))
-    joint_rows, _ = compare(pair_mix, factored, depth)
-    env_rows, skipped = compare(env(pair_mix), direct, depth // 2)
+    joint_rows, _, _ = compare(pair_mix, factored, depth)
+    env_rows, *undefined = compare(env(pair_mix), direct, depth // 2)
     return FactoringReport(
         depth=depth,
         joint_rows=tuple(joint_rows),
         env_rows=tuple(env_rows),
-        skipped_env_contexts=skipped,
+        skipped_env_contexts=sum(undefined),
     )
 
 
@@ -292,10 +294,10 @@ def check_env_dual_roundtrip(
 ) -> tuple[list[MismatchRow], int]:
     """env(dual(nu, pi)) == nu on every positive context, exhaustively.
 
-    Returns (mismatch rows, contexts skipped for zero mass).
+    Returns (mismatch rows, contexts skipped where either side is undefined).
     """
-    rows, skipped = compare(env(dual(nu, pi)), nu, depth)
-    return [r for r in rows if r.verdict == "mismatch"], skipped
+    rows, *undefined = compare(env(dual(nu, pi)), nu, depth)
+    return [r for r in rows if r.verdict == "mismatch"], sum(undefined)
 
 
 def check_representation_roundtrip(
@@ -370,7 +372,7 @@ def env_view_ratio_probe(
     from .mixture import EnvMixture, dual_mixture
 
     pair_mix = dual_mixture(envs, env_weights, policies, policy_weights, pair_weights)
-    compared, skipped = compare(env(pair_mix), EnvMixture(envs, env_weights), depth)
+    compared, *undefined = compare(env(pair_mix), EnvMixture(envs, env_weights), depth)
     rows = tuple(r for r in compared if r.rhs != 0)
     best, witness = max_ratio(rows)
     return RatioProbeReport(
@@ -378,5 +380,5 @@ def env_view_ratio_probe(
         max_ratio=best,
         witness=witness,
         rows=rows,
-        skipped_contexts=skipped + len(compared) - len(rows),
+        skipped_contexts=sum(undefined) + len(compared) - len(rows),
     )

@@ -397,9 +397,7 @@ class JointEnumApprox(JointSemimeasure):
     budgets; evaluation beyond ``max_len`` raises rather than guessing.
     """
 
-    def __init__(self, program_bits: int, steps: int, max_len: int, table: dict):
-        self.program_bits = program_bits
-        self.steps = steps
+    def __init__(self, max_len: int, table: dict):
         self.max_len = max_len
         self.table = table
         self.declared_measure = False
@@ -410,12 +408,6 @@ class JointEnumApprox(JointSemimeasure):
                 f"string of length {len(x)} beyond recorded depth {self.max_len}"
             )
         return self.table.get(tuple(x), ZERO)
-
-    def eval_at_budget(self, x: tuple[int, ...], budget: int) -> Prob:
-        capped = enumerate_joint(
-            min(self.program_bits, budget), min(self.steps, budget), self.max_len
-        )
-        return capped.eval(x)
 
 
 class ChronEnumApprox(ChronEnv):
@@ -497,12 +489,6 @@ class ChronEnumApprox(ChronEnv):
         if len(percepts) != len(actions):
             raise ComponentFormatError("percept/action strings must have equal length")
         return self._table_for(actions).get(percepts, ZERO)
-
-    def eval_at_budget(
-        self, percepts: tuple[int, ...], actions: tuple[int, ...], budget: int
-    ) -> Prob:
-        capped = ChronEnumApprox(min(self.program_bits, budget), min(self.steps, budget))
-        return capped.eval(percepts, actions)
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +603,7 @@ def enumerate_joint(program_bits: int, steps: int, max_len: int = 16) -> JointEn
         # No actions: READA always suspends, and every prefix up to max_len counts.
         lambda: _walk_tables(program_bits, steps, max_len, ())[0].get((), {}),
     )
-    return JointEnumApprox(program_bits, steps, max_len, table)
+    return JointEnumApprox(max_len, table)
 
 
 def enumerate_chron(program_bits: int, steps: int, actions: Sequence[int]) -> ChronEnumApprox:

@@ -19,6 +19,7 @@ from uailab.semimeasure import (
     ChronEnv,
     IIDEnv,
     NoisyCopyEnv,
+    TableJoint,
     constant_policy,
     copy_machine,
     mu_id,
@@ -182,8 +183,61 @@ def test_one_step_agrees_with_expectimax_at_horizon_one():
 
 def test_expectimax_action_validates_horizon():
     assert expectimax_action(mu_id(), EMPTY_HISTORY, 2) == 1
-    with pytest.raises(ValueError):
-        expectimax_action(mu_id(), EMPTY_HISTORY, 0)
+    for planner in (expectimax_action, expectimax_value):
+        for horizon in (0, -3):
+            with pytest.raises(ValueError):
+                planner(mu_id(), EMPTY_HISTORY, horizon)
+
+
+def planned(planner, *args):
+    """``planner(*args)``, or the type of the error it raised."""
+    try:
+        return planner(*args)
+    except ZeroDivisionError as exc:
+        return type(exc)
+
+
+def test_planners_leave_undefined_actions_out():
+    # The view of this table gives action 1 zero mass after (0, 0), both
+    # actions after (0, 1), and action 0 after (1, 1): undefined actions.
+    joint = TableJoint(
+        {
+            (): (F(1, 2), F(1, 2)),
+            (1,): (F(1, 4), F(3, 4)),
+            (0, 0): (F(1), F(0)),
+            (0, 1): (F(0), F(0)),
+            (1, 1): (F(0), F(1)),
+        },
+        "uniform",
+    )
+    belief = env(joint)
+    for h in histories_to_depth(2):
+        x = h.symbols()
+        # Some root action is defined: every pending prefix up to it has joint mass.
+        live = all(joint.eval(x[: i + 1]) for i in range(0, len(x), 2)) and any(
+            joint.eval(x + (a,)) for a in (0, 1)
+        )
+        for m in (1, 2, 3):
+            got = planned(expectimax_action, belief, h, m)
+            assert got == planned(brute_force_action, MemoEnv(belief), h, m), (h, m)
+            assert (got in (0, 1)) if live else (got is UndefinedConditionalError), (h, m)
+    assert expectimax_action(belief, History((1,), (1,)), 1) == 1  # 0 is undefined there
+    assert set(one_step_action_values(belief, History((0,), (0,)))) == {0}
+    assert one_step_action(belief, History((1,), (1,))) == 1
+    assert one_step_action(belief, EMPTY_HISTORY) == expectimax_action(belief, EMPTY_HISTORY, 1)
+    # Every root action undefined: every planner raises the same error.
+    nowhere = env(TableJoint({(): (F(0), F(0))}, "uniform"))
+    for planner, args in (
+        (expectimax_action, (nowhere, EMPTY_HISTORY, 2)),
+        (expectimax_value, (nowhere, EMPTY_HISTORY, 2)),
+        (brute_force_action, (nowhere, EMPTY_HISTORY, 2)),
+        (one_step_action_values, (nowhere, EMPTY_HISTORY)),
+        (expectimax_action, (belief, History((0,), (1,)), 1)),
+        (brute_force_action, (belief, History((0,), (1,)), 1)),
+        (one_step_action_values, (belief, History((0,), (1,)))),
+    ):
+        with pytest.raises(UndefinedConditionalError):
+            planner(*args)
 
 
 def test_expectimax_on_defective_belief_uses_received_mass():

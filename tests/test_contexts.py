@@ -7,7 +7,7 @@ plain ``itertools.product`` loops on random tables.
 from fractions import Fraction
 from itertools import product
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uailab.core import UndefinedConditionalError
@@ -74,33 +74,40 @@ def test_max_ratio_keeps_the_first_maximum():
 
 @settings(max_examples=60, deadline=None)
 @given(tables(TableJoint, JOINT_KEYS), tables(TableEnv, ENV_KEYS), FILLERS)
+# The view gives action 0 no mass after (0, 1): undefined at two contexts.
+@example(TableJoint({(0, 1): (0, 1)}, "uniform"), TableEnv({}, "uniform"), (1, 0))
 def test_compare_equals_a_plain_product_loop(joint, nu, filler):
     pi = StationaryPolicy(filler)
 
-    # Environment contexts; lhs is undefined wherever a pending prefix is dead.
-    lhs = env(joint)
-    expected, expected_skipped = [], 0
-    for t in range(3):
-        for actions in product(range(2), repeat=t):
-            for percepts in product(range(2), repeat=t):
-                try:
-                    value = lhs.eval(percepts, actions)
-                except UndefinedConditionalError:
-                    expected_skipped += 1
-                    continue
-                expected.append(((percepts, actions), value, nu.eval(percepts, actions)))
-    rows, skipped = compare(lhs, nu, 2)
-    assert [(r.witness, r.lhs, r.rhs) for r in rows] == expected
-    assert skipped == expected_skipped
+    # Environment contexts; the view is undefined wherever a pending prefix
+    # is dead, as lhs and as rhs.
+    view = env(joint)
+    for lhs, rhs in ((view, nu), (nu, view)):
+        expected, lhs_undefined, rhs_undefined = [], 0, 0
+        for t in range(3):
+            for actions in product(range(2), repeat=t):
+                for percepts in product(range(2), repeat=t):
+                    try:
+                        value = lhs.eval(percepts, actions)
+                    except UndefinedConditionalError:
+                        lhs_undefined += 1
+                        continue
+                    try:
+                        expected.append(((percepts, actions), value, rhs.eval(percepts, actions)))
+                    except UndefinedConditionalError:
+                        rhs_undefined += 1
+        rows, *undefined = compare(lhs, rhs, 2)
+        assert [(r.witness, r.lhs, r.rhs) for r in rows] == expected
+        assert undefined == [lhs_undefined, rhs_undefined]
 
     # Joint contexts.
     rhs = dual(nu, pi)
     expected = [
         (x, joint.eval(x), rhs.eval(x)) for n in range(5) for x in product(range(2), repeat=n)
     ]
-    rows, skipped = compare(joint, rhs, 4)
+    rows, *undefined = compare(joint, rhs, 4)
     assert [(r.witness, r.lhs, r.rhs) for r in rows] == expected
-    assert skipped == 0
+    assert undefined == [0, 0]
 
     mismatches, _ = check_env_dual_roundtrip(nu, pi, 3)
     assert mismatches == []

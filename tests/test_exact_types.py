@@ -104,13 +104,13 @@ def test_compare_and_probes_return_fractions():
     full = uniform_measure()  # positive everywhere: its view is always defined
     for mu in ENVS:
         for xi in (mu_id(), ENVS[-1], env(full)):
-            rows, _ = compare(mu, xi, 2)
+            rows, _, _ = compare(mu, xi, 2)
             assert_rows_exact(rows)
         assert_exact(domination_probe(mu, env(full), 2).max_ratio)
         assert_rows_exact(check_env_dual_roundtrip(mu, uniform_policy(), 2)[0])
     for mu in JOINTS:
         assert_exact(domination_probe(mu, full, 3).max_ratio)
-        rows, _ = compare(env(mu), env(full), 2)
+        rows, _, _ = compare(env(mu), env(full), 2)
         assert_rows_exact(rows)
     envs, weights = [mu_id(), uniform_env()], [F(1, 2), F(1, 2)]
     probe = env_view_ratio_probe(envs, weights, [uniform_policy()], [F(1)], 2)

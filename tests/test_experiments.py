@@ -389,6 +389,29 @@ def test_thm11_names_both_lengths_when_it_skips_the_oracle(tmp_path):
     assert "oracle comparison skipped" not in summary_body(default)
 
 
+def test_sanity_summary_says_what_the_run_found(tmp_path, monkeypatch):
+    # At transform depth 1 the non-factored prior has no witness yet.
+    budgets = {"depth": 2, "transform_depth": 1, "consistency_depth": 1}
+    mismatch = [(((0,), 1), F(1, 2), F(1, 3))]
+    monkeypatch.setattr(experiments, "check_predictive_consistency", lambda *args: mismatch)
+    assert run_scenario(ScenarioConfig("sanity_checks", tmp_path, budgets=budgets)) == 1
+    assert "MISSING-WITNESS" in (tmp_path / "factoring_checks.csv").read_text()
+    body = summary_body(tmp_path)
+    assert "factoring: identities exact for factored priors; counterexample MISSING" in body
+    assert "conditionals: 4 MISMATCHES" in body
+    assert "witnessed" not in body and "exact agreement" not in body
+
+
+def test_agents_summary_says_what_the_run_found(tmp_path, monkeypatch):
+    wrong = lambda belief, h: 1 - experiments.expectimax_action(belief, h, 1)  # noqa: E731
+    monkeypatch.setattr(experiments, "one_step_action", wrong)
+    cfg = ScenarioConfig("agents_compare", tmp_path, budgets={"horizon": 1})
+    assert run_scenario(cfg) == 1
+    body = summary_body(tmp_path)
+    assert "one-step rule equals expectimax at horizon 1 (FAILED at 42 histories)" in body
+    assert "(verified)" not in body
+
+
 def test_thm10_with_an_empty_trace_exits_0(tmp_path, capsys):
     from uailab import cli
 

@@ -29,7 +29,6 @@ from uailab.semimeasure import (
     uniform_policy,
 )
 from uailab.adversary import domination_probe
-from uailab.utm import ChronEnumApprox, enumerate_joint
 
 F = Fraction
 
@@ -186,21 +185,6 @@ def test_weight_validation():
         JointMixture([uniform_measure(), uniform_measure()], [F(3, 4), F(1, 2)])
     with pytest.raises(Exception):
         EnvMixture([mu_id()], [F(1), F(1)])
-
-
-def test_eval_at_budget_sums_the_components_at_that_budget():
-    # Budget 3 admits only 3-bit programs: below the limit of 9-bit ones.
-    chron = ChronEnumApprox(9, 200)
-    env_mix = EnvMixture([chron, mu_id()], [F(1, 2), F(1, 2)])
-    assert (chron.eval_at_budget((1,), (1,), 3), chron.eval((1,), (1,))) == (F(1, 8), F(7, 32))
-    assert EnvMixture([chron], [F(1)]).eval_at_budget((1,), (1,), 3) == F(1, 8)
-    assert env_mix.eval_at_budget((1,), (1,), 3) == F(1, 16) + F(1, 2)
-    joint = enumerate_joint(9, 200, 4)
-    joint_mix = JointMixture([joint, uniform_measure()], [F(1, 2), F(1, 2)])
-    for x in [(), (1,), (1, 1), (0, 1, 0)]:
-        for budget in (0, 3, 6, 50):
-            want = F(1, 2) * joint.eval_at_budget(x, budget) + F(1, 2) * F(1, 2) ** len(x)
-            assert joint_mix.eval_at_budget(x, budget) == want
 
 
 def test_mixtures_reject_members_of_another_kind_or_alphabet():

@@ -22,7 +22,6 @@ from uailab.semimeasure import (
     constant_policy,
     copy_machine,
     defective_uniform,
-    leaky_copy,
     mu_id,
     table_component,
     uniform_env,
@@ -241,13 +240,6 @@ def test_policies_satisfy_swapped_chronological_condition():
     ):
         report = check_policy(pi, 3)
         assert report.ok, pi
-
-
-def test_eval_at_budget_is_limit_for_tables():
-    nu = leaky_copy()
-    for x in [(1,), (1, 1), (0, 0, 1, 1)]:
-        for budget in (0, 1, 5):
-            assert nu.eval_at_budget(x, budget) == nu.eval(x)
 
 
 def test_echo_like_components_match_and_mismatch():

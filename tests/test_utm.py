@@ -171,14 +171,6 @@ def test_const0_lower_bounds_the_joint_mixture():
         assert approx.eval((0,) * length) >= F(1, 64)
 
 
-def test_eval_at_budget_monotone_with_limit():
-    approx = enumerate_joint(6, 50, max_len=6)
-    for x in [(), (0,), (0, 0), (1, 1)]:
-        values = [approx.eval_at_budget(x, k) for k in (0, 3, 6, 20, 50, 100)]
-        assert all(a <= b for a, b in zip(values, values[1:]))
-        assert values[-1] == approx.eval(x)
-
-
 def test_eval_beyond_recorded_depth_raises():
     approx = enumerate_joint(6, 50, max_len=4)
     with pytest.raises(ComponentFormatError):

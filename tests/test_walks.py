@@ -23,7 +23,12 @@ from uailab.adversary import (
     domination_probe,
     greedy_antipredict,
 )
-from uailab.agents import expectimax_action, expectimax_value, one_step_action_values
+from uailab.agents import (
+    expectimax_action,
+    expectimax_value,
+    joint_aixi_action,
+    one_step_action_values,
+)
 from uailab.core import (
     BINARY_PERCEPTS,
     EMPTY_HISTORY,
@@ -277,15 +282,18 @@ def eval_at(nu, context):
 
 
 def scratch_compare(lhs, rhs, depth):
-    rows, skipped = [], 0
+    rows, lhs_undefined, rhs_undefined = [], 0, 0
     for context in contexts(lhs, depth):
         try:
             value = eval_at(lhs, context)
-        except UndefinedConditionalError:
-            skipped += 1
+        except UNDEFINED:
+            lhs_undefined += 1
             continue
-        rows.append((context, value, eval_at(rhs, context)))
-    return rows, skipped
+        try:
+            rows.append((context, value, eval_at(rhs, context)))
+        except UNDEFINED:
+            rhs_undefined += 1
+    return rows, lhs_undefined, rhs_undefined
 
 
 def scratch_dominance(nu, depth):
@@ -326,37 +334,51 @@ def scratch_consistency(mixture, depth):
     return mismatches
 
 
+def scratch_percept_masses(nu, actions, percs, a):
+    """The mass of each percept after action ``a``; None where ``a`` is undefined."""
+    try:
+        return [nu.eval(percs + (e,), actions + (a,)) for e in range(nu.percept_arity)]
+    except UNDEFINED:
+        return None
+
+
 def scratch_expectimax(nu, actions, percs, remaining):
+    """(value, action); (None, 0) where no action is defined."""
     best_value, best_action = None, 0
     for a in range(nu.action_arity):
+        masses = scratch_percept_masses(nu, actions, percs, a)
+        if masses is None:
+            continue
         total = ZERO
-        for e in range(nu.percept_arity):
-            mass = nu.eval(percs + (e,), actions + (a,))
+        for e, mass in enumerate(masses):
             if mass == 0:
                 continue
             total += BINARY_PERCEPTS.reward(e) * mass
             if remaining > 1:
-                total += scratch_expectimax(nu, actions + (a,), percs + (e,), remaining - 1)[0]
+                rest = scratch_expectimax(nu, actions + (a,), percs + (e,), remaining - 1)[0]
+                total += ZERO if rest is None else rest
         if best_value is None or total > best_value:
             best_value, best_action = total, a
     return best_value, best_action
 
 
 def scratch_one_step_values(belief, history, percepts):
-    """``one_step_action_values`` through the former ``ChronEnv.conditional``."""
-
-    def conditional(action, percept):
+    """``one_step_action_values`` through the former ``ChronEnv.conditional``,
+    over the defined actions."""
+    try:
         denom = belief.eval(history.percepts, history.actions)
-        if denom == 0:
-            raise UndefinedConditionalError((history.percepts, history.actions))
-        return belief.eval(history.percepts + (percept,), history.actions + (action,)) / denom
-
-    return {
-        a: sum(
-            (percepts.reward(e) * conditional(a, e) for e in range(belief.percept_arity)), ZERO
-        )
-        for a in range(belief.action_arity)
-    }
+    except UNDEFINED:
+        denom = 0
+    if denom == 0:
+        raise UndefinedConditionalError((history.percepts, history.actions))
+    values = {}
+    for a in range(belief.action_arity):
+        masses = scratch_percept_masses(belief, history.actions, history.percepts, a)
+        if masses is not None:
+            values[a] = sum((percepts.reward(e) * (m / denom) for e, m in enumerate(masses)), ZERO)
+    if not values:
+        raise UndefinedConditionalError((history.percepts, history.actions))
+    return values
 
 
 def scratch_copy_conditional(xi, prefix, action):
@@ -403,7 +425,8 @@ def scratch_copy_trace(xi, actions):
 
 
 def scratch_probe(mu, xi, depth):
-    rows = [MismatchRow(c, eval_at(mu, c), eval_at(xi, c)) for c in contexts(mu, depth)]
+    compared, undefined_mu, undefined_xi = scratch_compare(mu, xi, depth)
+    rows = [MismatchRow(*row) for row in compared]
     best, witness = max_ratio(r for r in rows if r.rhs != 0)
     return DominationReport(
         depth=depth,
@@ -412,6 +435,8 @@ def scratch_probe(mu, xi, depth):
         unbounded_witnesses=tuple(r.witness for r in rows if r.rhs == 0 and r.lhs != 0),
         skipped_zero_zero=sum(1 for r in rows if r.rhs == 0 and r.lhs == 0),
         contexts_checked=len(rows),
+        undefined_mu=undefined_mu,
+        undefined_xi=undefined_xi,
     )
 
 
@@ -432,20 +457,10 @@ def assert_adversary_matches_scratch(xi, steps, actions):
     assert copy_conditional_trace(xi, actions) == scratch_copy_trace(xi, actions)
 
 
-def assert_probe_matches_scratch(mu, xi, depth, same_error=True):
-    """The same report, or an error of the same type, in both directions.
-
-    Without ``same_error`` both sides need only raise: a view undefined in
-    two ways (a zero-mass prefix and an unnormalizable context) raises the
-    kind the walk meets first, which need not be the first in contexts order.
-    """
+def assert_probe_matches_scratch(mu, xi, depth):
+    """The same report in both directions."""
     for lhs, rhs in ((mu, xi), (xi, mu)):
-        got = outcome(domination_probe, lhs, rhs, depth)
-        want = outcome(scratch_probe, lhs, rhs, depth)
-        if isinstance(want, type) and not same_error:
-            assert isinstance(got, type), (lhs, rhs)
-        else:
-            assert got == want, (lhs, rhs)
+        assert domination_probe(lhs, rhs, depth) == scratch_probe(lhs, rhs, depth), (lhs, rhs)
 
 
 def assert_check_matches_scratch(nu, depth):
@@ -469,21 +484,17 @@ def assert_check_matches_scratch(nu, depth):
 
 
 def assert_compare_matches_scratch(lhs, rhs, depth):
-    got = outcome(compare, lhs, rhs, depth)
-    want = outcome(scratch_compare, lhs, rhs, depth)
-    if isinstance(want, type):  # rhs undefined where lhs is defined: propagates
-        assert got is want
-        return
-    rows, skipped = got
-    assert ([(r.witness, r.lhs, r.rhs) for r in rows], skipped) == want
+    rows, lhs_undefined, rhs_undefined = compare(lhs, rhs, depth)
+    got = ([(r.witness, r.lhs, r.rhs) for r in rows], lhs_undefined, rhs_undefined)
+    assert got == scratch_compare(lhs, rhs, depth)
 
 
 def assert_expectimax_matches_scratch(nu, history, horizon):
-    want = outcome(scratch_expectimax, nu, history.actions, history.percepts, horizon)
+    want = scratch_expectimax(nu, history.actions, history.percepts, horizon)
     value = outcome(expectimax_value, nu, history, horizon)
     action = outcome(expectimax_action, nu, history, horizon)
-    if isinstance(want, type):
-        assert value is want and action is want
+    if want[0] is None:  # no defined root action
+        assert value is action is UndefinedConditionalError
     else:
         assert (value, action) == want
 
@@ -599,7 +610,7 @@ def test_adversary_and_probe_equal_their_from_scratch_loops(joint, joint2, nu, a
     assert_probe_matches_scratch(env(full), env(joint2), 2)
     assert_probe_matches_scratch(env(full), env_mix, 3)
     assert_probe_matches_scratch(env(joint_mix), env_mix, 2)
-    assert_probe_matches_scratch(env(normalize(joint_mix)), EvalOnlyEnv(env_mix), 2, False)
+    assert_probe_matches_scratch(env(normalize(joint_mix)), EvalOnlyEnv(env_mix), 2)
 
 
 def test_adversary_and_probe_on_an_enumerated_mixture():
@@ -610,14 +621,28 @@ def test_adversary_and_probe_on_an_enumerated_mixture():
     assert_probe_matches_scratch(approx, uniform_measure(), 6)
     assert_probe_matches_scratch(env(approx), mu_id(), 3)
     assert_probe_matches_scratch(env(approx), env(normalize(approx)), 3)
+    # Enumerated xi gives some actions zero mass, so its view is undefined there.
+    chron, view = ChronEnumApprox(9, 200), env(enumerate_joint(9, 200, 10))
+    assert_probe_matches_scratch(chron, view, 4)
+    assert domination_probe(chron, view, 4).undefined_xi > 0
 
 
-def test_probe_raises_where_mu_is_undefined():
-    # env(copy_machine()) conditions on a zero-mass prefix after a mismatch.
-    for probe in (domination_probe, scratch_probe):
-        with pytest.raises(UndefinedConditionalError):
-            probe(env(copy_machine()), mu_id(), 2)
+def test_probe_counts_where_mu_or_xi_is_undefined():
+    # env(copy_machine()) conditions on a zero-mass prefix after a mismatch:
+    # 8 of the 21 contexts to depth 2 extend a mismatched first step.
+    report = domination_probe(env(copy_machine()), mu_id(), 2)
+    assert report == scratch_probe(env(copy_machine()), mu_id(), 2)
+    assert (report.contexts_checked, report.undefined_mu, report.undefined_xi) == (13, 8, 0)
+    report = domination_probe(mu_id(), env(copy_machine()), 2)
+    assert report == scratch_probe(mu_id(), env(copy_machine()), 2)
+    assert (report.contexts_checked, report.undefined_mu, report.undefined_xi) == (13, 0, 8)
     assert domination_probe(mu_id(), env(copy_machine()), 1).contexts_checked == 5
+
+
+def test_joint_aixi_plans_on_an_enumerated_mixture():
+    # The view of enumerated xi leaves some actions undefined below the root.
+    assert joint_aixi_action(enumerate_joint(15, 200, 8), EMPTY_HISTORY, 4) in (0, 1)
+    assert_expectimax_matches_scratch(env(enumerate_joint(15, 200, 8)), EMPTY_HISTORY, 4)
 
 
 THIRDS = PerceptAlphabet(
@@ -772,8 +797,8 @@ def test_eval_only_subclass_gives_the_same_results():
     for belief in (mdef.chron, env(mdef.joint)):
         plain = EvalOnlyEnv(belief)
         assert check_chronological(plain, 3) == check_chronological(belief, 3)
-        rows, skipped = compare(plain, belief, 3)
-        assert skipped == 0 and all(r.verdict == "equal" for r in rows)
+        rows, lhs_undefined, rhs_undefined = compare(plain, belief, 3)
+        assert lhs_undefined == rhs_undefined == 0 and all(r.verdict == "equal" for r in rows)
         assert compare(plain, mdef.chron, 3) == compare(belief, mdef.chron, 3)
         for history in (EMPTY_HISTORY, History((1,), (1,)), History((0, 1), (1, 1))):
             for horizon in (1, 2, 3):
