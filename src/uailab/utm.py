@@ -51,9 +51,9 @@ Worked example programs (lengths on the frozen machine):
     echo           011010110       (9 bits)   percept t = action t
     complement     011100010110    (12 bits)  percept t = 1 - action t
 
-At desk scale, joint enumeration reaches program_bits 24 in about 3 s and
-chronological checks reach program_bits 18 at depth 7 in about 5 s; each
-3 more bits cost 3-5x (measured limits in docs/machine.md). A joint table,
+At desk scale, joint enumeration reaches program_bits 24 in about 2 s and
+chronological checks reach program_bits 18 at depth 7 in about 4 s; each
+3 more bits cost 3-6x (measured limits in docs/machine.md). A joint table,
 the tables of every tape of one length, and each prefix table of
 ``enumerate_chron`` are one cache entry each, memoized in-process by name
 and stored on disk keyed by (definition hash, budgets); UAILAB_CACHE_DIR
@@ -290,6 +290,12 @@ def _walk(
     output prefix of length 1..cap first reached in its segment, and every
     counted run adds its weight to the empty prefix (code 1) when it ends.
 
+    The children of a node one opcode short of the length budget can never
+    fetch, so the walk settles all eight where their parent fetches. Each
+    ends after its opcode, an OUT child with one more symbol, except JBACK,
+    which runs on: in place along a tape, before the OUT children, so every
+    prefix keeps its first-reach place; pushed in a chronological walk.
+
     The walk starts at the root, or at the packed nodes ``starts``, which
     it pops one at a time. With ``tape=None`` it also returns, packed as
     they started, the nodes the cap stopped: runs whose output reached the
@@ -321,10 +327,39 @@ def _walk(
             for shift in range(n_out - n_start - 1, n_out - top - 1, -1):
                 by_code[code >> shift] += w
         if status == "fetch":
-            if len(ops) < max_ops:
+            if len(ops) + 1 < max_ops:
                 stack += [
                     (ops + op, pc, reg, steps, code, n_out, nread, reads) for op in _FETCHED
                 ]
+                continue
+            if len(ops) < max_ops:
+                # Settle the eight children in the order the stack would pop
+                # them: HALT, JBACK, SKIP0, FLIP, READA, OUTR, OUT1, OUT0.
+                by_code = masses[reads]
+                if pc < len(ops):  # SKIP0 skips the new slot: every child ends silent
+                    by_code[1] += 8
+                    continue
+                branches = tape is None and nread <= n_out < cap  # READA's action branches
+                # Every child is a run counted here but a pushed JBACK and READA's branches.
+                by_code[1] += 8 - (tape is None) - branches
+                jback = (ops + _FETCHED[JBACK], pc, reg, steps, code, n_out, nread, reads)
+                if tape is not None:  # JBACK alone runs on, and lists its prefixes first
+                    *_, j_code, j_out, _ = _run_segment(*jback[:7], tape, max_steps, cap)
+                    for shift in range(j_out - n_out - 1, j_out - min(j_out, cap) - 1, -1):
+                        by_code[j_code >> shift] += 1
+                else:
+                    stack.append(jback)
+                    if branches:  # each branch ends silent under its action
+                        masses[reads + (0,)][1] += 1
+                        masses[reads + (1,)][1] += 1
+                    elif nread <= n_out:  # READA could read at the cap
+                        _pack(stopped, (ops + _FETCHED[READA],) + jback[1:])
+                    if n_out + 1 >= cap:  # each OUT child reaches the cap
+                        for op in (OUTR, OUT1, OUT0):
+                            _pack(stopped, (ops + _FETCHED[op],) + jback[1:])
+                if n_out < cap:  # OUTR emits reg before OUT1 and OUT0 emit their bits
+                    by_code[2 * code + reg] += 2
+                    by_code[2 * code + 1 - reg] += 1
                 continue
             # otherwise boundary suspension: counted with its output so far
         elif tape is None and (
@@ -591,7 +626,7 @@ def enumerate_joint(program_bits: int, steps: int, max_len: int = 16) -> JointEn
     """Enumerate all programs within the budgets into a joint mass table.
 
     One depth-first walk with integer weights and no leaf list. At
-    max_len 16, program_bits 24 takes about 3 s and under 30 MB; each 3
+    max_len 16, program_bits 24 takes about 2 s and under 30 MB; each 3
     more bits cost 4-5x (docs/machine.md).
     """
     _check_budgets(program_bits, steps)

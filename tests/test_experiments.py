@@ -5,6 +5,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -451,6 +452,26 @@ def test_thm8_trace_that_stops_early_mismatches(tmp_path, monkeypatch):
     cfg = ScenarioConfig("thm8_gap", tmp_path, budgets={"trace_steps": 5})
     assert run_scenario(cfg) == 1
     assert "MISMATCH against the committed oracle run" in summary_body(tmp_path)
+
+
+def test_thm8_summary_reports_steps_below_the_weight_bound(tmp_path, monkeypatch):
+    real = experiments.load_derived
+    monkeypatch.setattr(experiments, "load_derived", lambda name: {**real(name), "w_id": "1"})
+    cfg = ScenarioConfig("thm8_gap", tmp_path, budgets={"trace_steps": 5})
+    assert run_scenario(cfg) == 1
+    body = summary_body(tmp_path)
+    assert "identity-env weight bound w_id = 1/1 FAILED at 5 of 5 steps" in body
+    assert "held" not in body
+
+
+def test_thm7_summary_reports_products_the_env_view_disagrees_with(tmp_path, monkeypatch):
+    disagrees = SimpleNamespace(eval=lambda percepts, actions: F(-1))
+    monkeypatch.setattr(experiments, "env", lambda joint: disagrees)
+    cfg = ScenarioConfig("thm7_drop", tmp_path, budgets={"trace_steps": 4})
+    assert run_scenario(cfg) == 1
+    body = summary_body(tmp_path)
+    assert "telescoping products FAILED at 4 of 4 steps" in body
+    assert "recorded exactly" not in body
 
 
 def test_conditional_stats_under_spawn_equal_one_job():

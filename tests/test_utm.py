@@ -6,6 +6,8 @@ from itertools import product
 from typing import Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uailab import utm
 from uailab.core import ComponentFormatError
@@ -343,7 +345,11 @@ def tapes_upto(n):
         yield from product((0, 1), repeat=t)
 
 
-@pytest.mark.parametrize("steps", [0, 1, 5, 60, 200])
+# Step budgets 2, 3 and 7 stop runs on the last level of the opcode tree,
+# where the walk settles the eight children of a node without running them;
+# at 3 bits the root's children are that level, and max_len 0 caps every
+# output child at once.
+@pytest.mark.parametrize("steps", [0, 1, 2, 3, 5, 7, 60, 200])
 @pytest.mark.parametrize("bits", [0, 3, 6, 9, 12])
 def test_walk_matches_leaf_oracle(bits, steps):
     clear_memo()
@@ -372,7 +378,23 @@ def test_walk_matches_leaf_oracle_at_15_bits():
     primed = enumerate_chron(15, 200, (1, 0, 1))
     for t in range(4):
         assert primed.tables[(1, 0, 1)[:t]] == approx.tables[(1, 0, 1)[:t]]
+    for tape in ((1, 0, 1, 1, 0, 0), (0, 1, 1, 0, 1, 0)):
+        clear_memo()
+        primed = enumerate_chron(15, 200, tape)
+        for t in range(7):
+            assert primed.tables[tape[:t]] == oracle_chron(15, 200, tape[:t]), tape[:t]
     clear_memo()
+
+
+def first_reach_order(bits, steps, max_len):
+    """The walk's key order for a joint table: the leaf oracle's, with the
+    empty prefix moved behind the first counted run's own prefixes."""
+    listed = list(oracle_joint(bits, steps, max_len))
+    if not listed:
+        return []
+    _, first_output = oracle_leaves(bits // 3, steps, None, max_len)[0]
+    first_run = min(len(first_output), max_len)
+    return listed[1 : 1 + first_run] + [()] + listed[1 + first_run :]
 
 
 def test_joint_table_lists_prefixes_in_first_reach_order(monkeypatch):
@@ -383,11 +405,32 @@ def test_joint_table_lists_prefixes_in_first_reach_order(monkeypatch):
     monkeypatch.setenv(CACHE_ENV_VAR, "")
     for bits, steps, max_len in ((9, 60, 6), (12, 200, 8), (15, 200, 32)):
         clear_memo()
-        listed = list(oracle_joint(bits, steps, max_len))
-        _, first_output = oracle_leaves(bits // 3, steps, None, max_len)[0]
-        first_run = min(len(first_output), max_len)
-        expected = listed[1 : 1 + first_run] + [()] + listed[1 + first_run :]
+        expected = first_reach_order(bits, steps, max_len)
         assert list(enumerate_joint(bits, steps, max_len).table) == expected, bits
+    clear_memo()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bits=st.integers(0, 12),
+    steps=st.sampled_from([*range(9), 60, 200]),
+    max_len=st.integers(0, 8),
+    tape=st.none() | st.lists(st.integers(0, 1), max_size=8).map(tuple),
+)
+def test_walk_matches_leaf_oracle_on_drawn_budgets(bits, steps, max_len, tape):
+    clear_memo()
+    if tape is None:
+        table = enumerate_joint(bits, steps, max_len).table
+        assert table == oracle_joint(bits, steps, max_len)
+        assert list(table) == first_reach_order(bits, steps, max_len)
+    else:
+        # The played walk follows the tape; the chronological one branches.
+        primed = enumerate_chron(bits, steps, tape)
+        approx = ChronEnumApprox(bits, steps)
+        for t in range(len(tape) + 1):
+            expected = oracle_chron(bits, steps, tape[:t])
+            assert primed.tables[tape[:t]] == expected, t
+            assert approx._table_for(tape[:t]) == expected, t
     clear_memo()
 
 
@@ -498,6 +541,20 @@ def test_clear_memo_forces_a_new_walk(monkeypatch):
     ChronEnumApprox(6, 60).eval((0, 0, 0), (1, 1, 1))  # a new environment walks from the root
     enumerate_joint(6, 60, max_len=4)
     assert [(args[2], args[4] is None) for args in calls[3:]] == [(3, True), (4, True)]
+    clear_memo()
+
+
+def test_walk_runs_no_segment_for_most_of_the_last_level(monkeypatch):
+    # Of this walk's 7,953 nodes, 5,756 sit on the last level of the opcode
+    # tree and are settled where their parent fetches, without a segment run:
+    # all there but the JBACK children. A walk that stops folding shows here.
+    calls = []
+    run = utm._run_segment
+    monkeypatch.setattr(utm, "_run_segment", lambda *args: calls.append(args) or run(*args))
+    monkeypatch.setenv(CACHE_ENV_VAR, "")
+    clear_memo()
+    enumerate_joint(15, 200, 16)
+    assert len(calls) == 2_197
     clear_memo()
 
 
