@@ -2,10 +2,10 @@
 
 Planning uses full-width expectimax over exact masses — no sampling, no
 pruning beyond zero-mass branches — at cost O((|A||E|)^m) nodes. The
-recursion walks the belief from the history's state, one ``extend`` per
-node, so a node costs O(1) per mixture component for the built-in beliefs
-and their environment views instead of a from-scratch evaluation of its
-whole prefix. The objective weights each
+recursions of expectimax and ``policy_value`` walk the belief from the
+history's state, one ``extend`` per node, so a node costs O(1) per mixture
+component for the built-in beliefs and their environment views instead of a
+from-scratch evaluation of its whole prefix. The objective weights each
 step's reward by the unnormalized mass at the time the reward is received,
 which coincides with the classical expectimax recursion for measures and
 extends it to strictly defective beliefs (missing mass earns zero reward).
@@ -47,28 +47,47 @@ def policy_value(
     """Exact expected return of a policy over ``horizon`` further steps.
 
     Sums reward(e_t) * pi(a_1:t || e_<t) * nu(e_1:t || a_1:t) over all
-    continuations of ``history``; zero-mass branches are pruned without
-    evaluating deeper (their rewards weigh nothing).
+    continuations of ``history``, walking ``nu`` from the history's state;
+    zero-mass branches are pruned without extending deeper (their rewards
+    weigh nothing). An undefined history raises at the first action the
+    policy weighs.
     """
 
-    def recurse(actions: tuple[int, ...], percs: tuple[int, ...], remaining: int) -> Fraction:
+    def recurse(state: Any, actions: tuple, percs: tuple, remaining: int) -> Fraction:
         total = ZERO
         for a in range(nu.action_arity):
             w = pi.weight(actions + (a,), percs)
             if w == 0:
                 continue
+            if isinstance(state, UndefinedConditionalError):
+                raise state
+            pending = nu.extend(state, a)[1]
             for e in range(nu.percept_arity):
-                mass = nu.eval(percs + (e,), actions + (a,))
+                mass, child = nu.extend(pending, e)
                 if mass == 0:
                     continue
-                total += percepts.reward(e) * w * mass
+                total += percepts.reward(e) * w * exact_mass(nu, 2 * len(actions) + 2, mass)
                 if remaining > 1:
-                    total += recurse(actions + (a,), percs + (e,), remaining - 1)
+                    total += recurse(child, actions + (a,), percs + (e,), remaining - 1)
         return total
 
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    return recurse(history.actions, history.percepts, horizon)
+    try:
+        state = _history_node(nu, history)[1]
+    except UndefinedConditionalError as exc:
+        state = exc  # raised only if the policy weighs an action after it
+    return recurse(state, history.actions, history.percepts, horizon)
+
+
+def _history_node(nu: ChronEnv, history: History) -> tuple[Any, Any]:
+    """(mass, walk state) of a complete ``history``."""
+    if len(history.actions) != len(history.percepts):
+        raise ComponentFormatError("planning starts from a complete history")
+    mass, state = nu.root()
+    for a, e in zip(history.actions, history.percepts):
+        mass, state = nu.extend(nu.extend(state, a)[1], e)
+    return mass, state
 
 
 def _action_values(
@@ -104,13 +123,9 @@ def _plan(
     over ``horizon`` steps); an error naming the history where none is defined."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if len(history.actions) != len(history.percepts):
-        raise ComponentFormatError("planning starts from a complete history")
     values: dict[int, Fraction] = {}
     try:
-        mass, state = nu.root()
-        for a, e in zip(history.actions, history.percepts):
-            mass, state = nu.extend(nu.extend(state, a)[1], e)
+        mass, state = _history_node(nu, history)
         values = _action_values(nu, state, 2 * len(history.actions), horizon, percepts)
     except UndefinedConditionalError:
         pass  # an undefined history has no defined action

@@ -3,11 +3,11 @@
 A mixture is a weighted component list with all weights positive and summing
 to at most 1 (deficient priors allowed; shipped scenarios use weights as
 given). Mixtures of joint components are joint semimeasures; mixtures of
-environments are chronological environments. ``posterior_weights`` and
-``predictive`` evaluate one history from scratch. A mixture's walk state
-carries every live component's weighted mass, so walks read the
-unnormalized posterior w_i nu_i(prefix) at each node without re-evaluating
-the prefix.
+environments are chronological environments. A mixture's ``eval`` is the
+fold of its walk. ``posterior_weights`` and ``predictive`` evaluate one
+history by such point queries. A mixture's walk state carries every live
+component's weighted mass, so walks read the unnormalized posterior
+w_i nu_i(prefix) at each node without re-evaluating the prefix.
 
 A mixture's walk scale is the lcm of its components' scales times the lcm
 of its weights' denominators, so with integer components its masses are
@@ -25,7 +25,6 @@ from .core import (
     ZERO,
     ComponentFormatError,
     History,
-    Prob,
     UndefinedConditionalError,
 )
 from .semimeasure import ChronEnv, JointSemimeasure, Policy, exact_mass, walk
@@ -162,8 +161,7 @@ class JointMixture(_Mixture, JointSemimeasure):
     components: tuple[JointSemimeasure, ...]
     _kind = JointSemimeasure
 
-    def eval(self, x: tuple[int, ...]) -> Prob:
-        return sum((w * c.eval(x) for c, w in zip(self.components, self.weights)), ZERO)
+    eval = JointSemimeasure.fold
 
 
 class EnvMixture(_Mixture, ChronEnv):
@@ -174,11 +172,7 @@ class EnvMixture(_Mixture, ChronEnv):
     _kind = ChronEnv
     _actions_keep_mass = True
 
-    def eval(self, percepts: tuple[int, ...], actions: tuple[int, ...]) -> Prob:
-        return sum(
-            (w * c.eval(percepts, actions) for c, w in zip(self.components, self.weights)),
-            ZERO,
-        )
+    eval = ChronEnv.fold
 
 
 def dual_mixture(
@@ -233,16 +227,12 @@ class PosteriorState:
     posterior: tuple[Fraction, ...]
 
 
-def _pending_prefix(h: History, action: int) -> tuple[int, ...]:
-    return h.with_action(action).symbols()
-
-
 def posterior_weights(mixture: JointMixture, h: History, action: int) -> PosteriorState:
     """History-conditional component weights under the mixture.
 
     Errors on a zero-probability prefix: the posterior is undefined there.
     """
-    prefix = _pending_prefix(h, action)
+    prefix = h.with_action(action).symbols()
     masses = tuple(c.eval(prefix) for c in mixture.components)
     total = sum((w * m for w, m in zip(mixture.weights, masses)), ZERO)
     if total == 0:
@@ -263,7 +253,7 @@ def predictive(mixture: JointMixture, h: History, action: int) -> dict[int, Frac
     Equals the posterior-weighted component conditionals (checked exactly by
     the test suite over all histories to depth 4).
     """
-    prefix = _pending_prefix(h, action)
+    prefix = h.with_action(action).symbols()
     denom = mixture.eval(prefix)
     if denom == 0:
         raise UndefinedConditionalError(prefix, "predictive distribution")

@@ -12,19 +12,22 @@ strictly defective; checkers verify the declaration up to the checked depth.
 
 Walks share prefixes: ``root()`` gives the empty context's mass and a walk
 state, and ``extend(state, symbol)`` gives the mass and state one symbol
-further, always equal to ``eval`` of that context. The default state is the
-context itself, evaluated from scratch. The six built-in components share
-two walks that cost O(1) per step: one step rule for the product and echo
-components (an action's mass fixed, a percept's chosen by the pending
-action) and one table walk for both table kinds (a row per interleaved
-context). Environments take the action and the percept of a step as two
-symbols, and walk as joint components whose every action weighs 1: after
-an action the mass is the unchanged mass of the complete prefix. A state
-of None is a dead context: its mass and that of every extension is zero,
-and ``extend(None, s)`` is ``(0, None)``; only overrides whose zero mass is
-absorbing return it. Every exhaustive check is one depth-first :func:`walk`
-that files its rows by each context's position in :func:`contexts` order;
-states live only inside one walk.
+further. A component has one evaluator: either ``eval``, walked by defaults
+whose state is the context itself, evaluated from scratch, or ``root``,
+``extend`` and ``scale`` with ``eval = JointSemimeasure.fold`` (or
+``ChronEnv.fold``), which walks to the context after rejecting any symbol
+outside the alphabet. The six built-in components share two walks that cost
+O(1) per step: one step rule for the product and echo components (an
+action's mass fixed, a percept's chosen by the pending action) and one table
+walk for both table kinds (a row per interleaved context). Environments take
+the action and the percept of a step as two symbols, and walk as joint
+components whose every action weighs 1: after an action the mass is the
+unchanged mass of the complete prefix. A state of None is a dead context:
+its mass and that of every extension is zero, and ``extend(None, s)`` is
+``(0, None)``; only overrides whose zero mass is absorbing return it. Every
+exhaustive check is one depth-first :func:`walk` that files its rows by each
+context's position in :func:`contexts` order; states live only inside one
+walk.
 
 A context is *undefined* for a component when its ``root`` or ``extend``
 raises ``UndefinedConditionalError`` or its subclass ``NormalizationError``;
@@ -86,6 +89,10 @@ class JointSemimeasure(abc.ABC):
     def eval(self, x: tuple[int, ...]) -> Prob:
         """Exact mass of the interleaved string x."""
 
+    def fold(self, x: tuple[int, ...]) -> Prob:
+        """Exact mass of x by one walk: ``root``, then ``extend`` over x."""
+        return _fold(self, x, x)
+
     def root(self) -> tuple[Prob, Any]:
         """(mass, walk state) of the empty string."""
         return self.eval(()), ()
@@ -114,6 +121,13 @@ class ChronEnv(abc.ABC):
     def eval(self, percepts: tuple[int, ...], actions: tuple[int, ...]) -> Prob:
         """Exact mass of producing ``percepts`` under ``actions`` (equal lengths)."""
 
+    def fold(self, percepts: tuple[int, ...], actions: tuple[int, ...]) -> Prob:
+        """Exact mass by one walk: ``root``, then ``extend`` over a1 e1 ... at et."""
+        if len(percepts) != len(actions):
+            raise ComponentFormatError("percept/action strings must have equal length")
+        x = tuple(s for step in zip(actions, percepts) for s in step)
+        return _fold(self, (percepts, actions), x)
+
     def root(self) -> tuple[Prob, Any]:
         """(mass, walk state) of the empty history."""
         mass = self.eval((), ())
@@ -132,6 +146,27 @@ class ChronEnv(abc.ABC):
     def scale(self, n: int) -> int:
         """Denominator of the walk masses of contexts of ``n`` symbols."""
         return 1
+
+
+def _check_alphabet(nu: JointSemimeasure | ChronEnv, context: Any, x: Sequence) -> None:
+    """Reject a symbol of the interleaved string ``x`` of ``context`` that is
+    not an int of the alphabet, naming its position in x."""
+    arities = (nu.action_arity, nu.percept_arity)
+    for i, s in enumerate(x):
+        if type(s) is not int or not 0 <= s < arities[i % 2]:
+            raise ComponentFormatError(
+                f"context {context!r} holds {s!r} at position {i}, outside the alphabet "
+                f"of {arities[0]} actions and {arities[1]} percepts"
+            )
+
+
+def _fold(nu: JointSemimeasure | ChronEnv, context: Any, x: tuple[int, ...]) -> Prob:
+    """The exact mass of the interleaved string ``x`` of ``context`` by one walk."""
+    _check_alphabet(nu, context, x)
+    mass, state = nu.root()
+    for s in x:
+        mass, state = nu.extend(state, s)
+    return exact_mass(nu, len(x), mass)
 
 
 class Policy(abc.ABC):
@@ -315,13 +350,7 @@ class ProductJoint(_StepRule, JointSemimeasure):
     def percept_arity(self) -> int:  # type: ignore[override]
         return len(self.percept_probs)
 
-    def eval(self, x: tuple[int, ...]) -> Prob:
-        out = ONE
-        for i, sym in enumerate(x):
-            out *= self.action_probs[sym] if i % 2 == 0 else self.percept_probs[sym]
-            if out == 0:
-                return ZERO
-        return out
+    eval = JointSemimeasure.fold
 
 
 def uniform_measure(action_arity: int = 2, percept_arity: int = 2) -> ProductJoint:
@@ -355,15 +384,7 @@ class ActionEchoJoint(_StepRule, JointSemimeasure):
         rows = ((self.match, self.mismatch), (self.mismatch, self.match))
         self._fix_steps((HALF, HALF), rows)
 
-    def eval(self, x: tuple[int, ...]) -> Prob:
-        out = ONE
-        for i in range(0, len(x), 2):
-            out *= HALF
-            if i + 1 < len(x):
-                out *= self.match if x[i + 1] == x[i] else self.mismatch
-                if out == 0:
-                    return ZERO
-        return out
+    eval = JointSemimeasure.fold
 
 
 def copy_machine() -> ActionEchoJoint:
@@ -400,15 +421,7 @@ class NoisyCopyEnv(_StepRule, ChronEnv):
     def __post_init__(self):
         self._fix_steps(None, ((self.match, self.mismatch), (self.mismatch, self.match)))
 
-    def eval(self, percepts: tuple[int, ...], actions: tuple[int, ...]) -> Prob:
-        if len(percepts) != len(actions):
-            raise ComponentFormatError("percept/action strings must have equal length")
-        out = ONE
-        for e, a in zip(percepts, actions):
-            out *= self.match if e == a else self.mismatch
-            if out == 0:
-                return ZERO
-        return out
+    eval = ChronEnv.fold
 
 
 def mu_id() -> NoisyCopyEnv:
@@ -438,15 +451,7 @@ class IIDEnv(_StepRule, ChronEnv):
     def percept_arity(self) -> int:  # type: ignore[override]
         return len(self.percept_probs)
 
-    def eval(self, percepts: tuple[int, ...], actions: tuple[int, ...]) -> Prob:
-        if len(percepts) != len(actions):
-            raise ComponentFormatError("percept/action strings must have equal length")
-        out = ONE
-        for e in percepts:
-            out *= self.percept_probs[e]
-            if out == 0:
-                return ZERO
-        return out
+    eval = ChronEnv.fold
 
 
 def uniform_env(percept_arity: int = 2) -> IIDEnv:
@@ -506,11 +511,7 @@ class _TableWalk(_ProductScale):
         by_prefix = {}
         for context, row in rows.items():
             key, prefix = self._keys(context)
-            if not all(type(s) is int and 0 <= s < arities[i % 2] for i, s in enumerate(prefix)):
-                raise ComponentFormatError(
-                    f"context {key!r} holds a symbol outside the alphabet "
-                    f"of {action_arity} actions and {percept_arity} percepts"
-                )
+            _check_alphabet(self, key, prefix)
             self.rows[key] = by_prefix[prefix] = _check_row(key, row, arities[len(prefix) % 2])
         env = isinstance(self, ChronEnv)
         defaults = (
@@ -556,17 +557,7 @@ class TableJoint(_TableWalk, JointSemimeasure):
         x = tuple(context)
         return x, x
 
-    def _conditional_row(self, ctx: tuple[int, ...]) -> tuple[Fraction, ...]:
-        row = self.rows.get(ctx)
-        return _default_row(self.default, self.arity_at(len(ctx))) if row is None else row
-
-    def eval(self, x: tuple[int, ...]) -> Prob:
-        out = ONE
-        for i, sym in enumerate(x):
-            out *= self._conditional_row(x[:i])[sym]
-            if out == 0:
-                return ZERO
-        return out
+    eval = JointSemimeasure.fold
 
 
 class TableEnv(_TableWalk, ChronEnv):
@@ -588,21 +579,7 @@ class TableEnv(_TableWalk, ChronEnv):
         steps = tuple(s for step in zip(actions, percepts) for s in step)
         return (percepts, actions), steps + actions[-1:]
 
-    def _conditional_row(
-        self, e_ctx: tuple[int, ...], a_ctx: tuple[int, ...]
-    ) -> tuple[Fraction, ...]:
-        row = self.rows.get((e_ctx, a_ctx))
-        return _default_row(self.default, self.percept_arity) if row is None else row
-
-    def eval(self, percepts: tuple[int, ...], actions: tuple[int, ...]) -> Prob:
-        if len(percepts) != len(actions):
-            raise ComponentFormatError("percept/action strings must have equal length")
-        out = ONE
-        for i, e in enumerate(percepts):
-            out *= self._conditional_row(percepts[:i], actions[: i + 1])[e]
-            if out == 0:
-                return ZERO
-        return out
+    eval = ChronEnv.fold
 
 
 def _symbols(context: str) -> tuple:
@@ -713,6 +690,8 @@ def walk(
     action], sharing each pending action. Only the open path is held, never
     a whole level.
     """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     joint = isinstance(nu, JointSemimeasure)
     n_actions, n_percepts = nu.action_arity, nu.percept_arity
     actions_range, percepts_range = range(n_actions), range(n_percepts)
@@ -1030,6 +1009,8 @@ def check_chronological(nu: ChronEnv, depth: int) -> CheckReport:
 
 def check_policy(pi: Policy, depth: int, percept_arity: int = 2) -> CheckReport:
     """Chronological condition with action/percept roles swapped."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     entries: list[Entry] = []
     exact = (1, 1, 1)  # policy weights are exact masses already
     for t in range(depth):

@@ -12,7 +12,9 @@ semimeasure representation of an environment with a configurable action
 filler (uniform by default). ``normalize`` rescales one-symbol conditionals
 to sum to 1 (Solomonoff normalization).
 
-A view walks its base: each of its steps takes O(1) base steps. A dual's walk
+Views, duals and normalized predictors evaluate only by walking: ``eval`` is
+the fold of the walk (``ChronEnv.fold`` or ``JointSemimeasure.fold``). A view
+walks its base: each of its steps takes O(1) base steps. A dual's walk
 recomputes ``Policy.weight`` at each action, whatever the kind of policy.
 Views, duals and normalized predictors keep ``Fraction`` masses (scale 1):
 they divide, or weigh by a policy, so they convert their base's numerators
@@ -55,18 +57,7 @@ class EnvView(ChronEnv):
         self.percept_arity = base.percept_arity
         self.declared_measure = False
 
-    def eval(self, percepts: tuple[int, ...], actions: tuple[int, ...]) -> Prob:
-        if len(percepts) != len(actions):
-            raise ComponentFormatError("percept/action strings must have equal length")
-        out = ONE
-        prefix: tuple[int, ...] = ()
-        for a, e in zip(actions, percepts):
-            denom = self.base.eval(prefix + (a,))
-            if denom == 0:
-                raise UndefinedConditionalError(prefix + (a,), "env view")
-            out *= self.base.eval(prefix + (a, e)) / denom
-            prefix = prefix + (a, e)
-        return out
+    eval = ChronEnv.fold
 
     def root(self) -> tuple[Prob, Any]:
         # (mass, base state, base mass of the pending prefix or None, prefix)
@@ -78,7 +69,7 @@ class EnvView(ChronEnv):
             try:
                 denom, base_state = self.base.extend(base_state, symbol)
             except UndefinedConditionalError as exc:
-                denom = exc  # ``eval`` raises it with the percept, so it waits
+                denom = exc  # an action moves no mass: raised with the percept
             return mass, (mass, base_state, denom, prefix + (symbol,))
         if isinstance(denom, ZeroDivisionError):
             raise denom
@@ -110,13 +101,7 @@ class DualJoint(JointSemimeasure):
         self.percept_arity = nu.percept_arity
         self.declared_measure = False
 
-    def eval(self, x: tuple[int, ...]) -> Prob:
-        actions = x[0::2]
-        percepts = x[1::2]
-        w = self.pi.weight(actions, percepts)
-        if w == 0:
-            return ZERO
-        return w * self.nu.eval(percepts, actions[: len(percepts)])
+    eval = JointSemimeasure.fold
 
     def root(self) -> tuple[Prob, Any]:
         w = self.pi.weight((), ())  # below 1 for a deficient policy mixture
@@ -198,13 +183,7 @@ class NormalizedPredictor(JointSemimeasure):
             raise NormalizationError(x)
         return masses[symbol] / total
 
-    def eval(self, x: tuple[int, ...]) -> Prob:
-        out = ONE
-        for i in range(len(x)):
-            out *= self.conditional(x[:i], x[i])
-            if out == 0:
-                return ZERO
-        return out
+    eval = JointSemimeasure.fold
 
     def root(self) -> tuple[Prob, Any]:
         # (mass, base state, context, memo of the base children and their sum)

@@ -13,12 +13,23 @@ from uailab.agents import (
     one_step_action_values,
     policy_value,
 )
-from uailab.core import EMPTY_HISTORY, History, UndefinedConditionalError
-from uailab.mixture import JointMixture
+from uailab.core import (
+    BINARY_PERCEPTS,
+    EMPTY_HISTORY,
+    ZERO,
+    History,
+    PerceptAlphabet,
+    PerceptSymbol,
+    UndefinedConditionalError,
+)
+from uailab.mixture import EnvMixture, JointMixture
 from uailab.semimeasure import (
     ChronEnv,
+    DeterministicPolicy,
     IIDEnv,
+    MixturePolicy,
     NoisyCopyEnv,
+    StationaryPolicy,
     TableJoint,
     constant_policy,
     copy_machine,
@@ -92,13 +103,80 @@ def test_policy_value_deterministic_two_steps():
 
 
 def test_policy_value_zero_reward_percepts():
-    from uailab.core import PerceptAlphabet, PerceptSymbol
-
     zero = PerceptAlphabet(
         symbols=(PerceptSymbol("a", F(0)), PerceptSymbol("b", F(0))),
         reward_bounds=(F(0), F(0)),
     )
     assert policy_value(uniform_policy(), mu_id(), 3, percepts=zero) == 0
+
+
+def scratch_policy_value(pi, nu, horizon, percepts=BINARY_PERCEPTS, history=EMPTY_HISTORY):
+    """The former ``policy_value``, frozen: one ``eval`` of the whole prefix
+    per node instead of one walk step."""
+
+    def recurse(actions, percs, remaining):
+        total = ZERO
+        for a in range(nu.action_arity):
+            w = pi.weight(actions + (a,), percs)
+            if w == 0:
+                continue
+            for e in range(nu.percept_arity):
+                mass = nu.eval(percs + (e,), actions + (a,))
+                if mass == 0:
+                    continue
+                total += percepts.reward(e) * w * mass
+                if remaining > 1:
+                    total += recurse(actions + (a,), percs + (e,), remaining - 1)
+        return total
+
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    return recurse(history.actions, history.percepts, horizon)
+
+
+def valued(fn, *args):
+    """``fn(*args)``, or the type of the error it raised."""
+    try:
+        return fn(*args)
+    except (ZeroDivisionError, ValueError) as exc:
+        return type(exc)
+
+
+def test_policy_value_walk_equals_the_frozen_recursion():
+    copy_uniform = JointMixture([copy_machine(), uniform_measure()], [F(1, 2), F(1, 2)])
+    beliefs = [
+        mu_id(),
+        NoisyCopyEnv(F(3, 4), F(1, 4)),
+        env(copy_uniform),
+        EnvMixture(
+            [mu_id(), NoisyCopyEnv(F(3, 4), F(1, 4)), IIDEnv((F(1, 4), F(1, 2)))],
+            [F(1, 4), F(1, 2), F(1, 8)],
+        ),
+        env(copy_machine()),  # undefined after a mismatched step
+    ]
+    policies = [
+        uniform_policy(),
+        constant_policy(1),
+        StationaryPolicy((F(1, 3), F(0))),
+        DeterministicPolicy(lambda h: h.percepts[-1] if h.percepts else 0),  # reads the history
+        MixturePolicy((uniform_policy(), constant_policy(0)), (F(1, 4), F(1, 2))),
+    ]
+    thirds = PerceptAlphabet((PerceptSymbol(0, F(1, 3)), PerceptSymbol(1, F(1))), (F(0), F(1)))
+    raised = set()
+    for nu in beliefs:
+        for pi in policies:
+            for h in histories_to_depth(2):
+                for horizon in (1, 2, 3):
+                    for percepts in (BINARY_PERCEPTS, thirds):
+                        args = (pi, nu, horizon, percepts, h)
+                        got = valued(policy_value, *args)
+                        assert got == valued(scratch_policy_value, *args), (nu, h, horizon)
+                        if isinstance(got, type):
+                            raised.add(got)
+    assert raised == {UndefinedConditionalError}
+    for horizon in (0, -1):
+        with pytest.raises(ValueError):
+            policy_value(uniform_policy(), mu_id(), horizon)
 
 
 def test_expectimax_mu_id_prefers_copy_reward():

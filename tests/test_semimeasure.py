@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from uailab.core import ComponentFormatError
+from uailab.mixture import EnvMixture, JointMixture
 from uailab.semimeasure import (
     ActionEchoJoint,
     CheckRow,
@@ -18,6 +19,7 @@ from uailab.semimeasure import (
     check_chronological,
     check_policy,
     check_semimeasure,
+    compare,
     complement_env,
     constant_policy,
     copy_machine,
@@ -28,6 +30,7 @@ from uailab.semimeasure import (
     uniform_measure,
     uniform_policy,
 )
+from uailab.transforms import env
 
 F = Fraction
 
@@ -290,3 +293,42 @@ def test_table_context_outside_the_alphabet_rejected(build, named):
 def test_bad_policies_are_rejected_at_construction(build):
     with pytest.raises(ComponentFormatError):
         build()
+
+
+def test_point_queries_reject_symbols_outside_the_alphabet():
+    """-1 and the arity at an action and at a percept position: never Python's
+    negative indexing, never a bare IndexError."""
+    mixture = JointMixture([copy_machine(), uniform_measure()], [F(1, 2), F(1, 2)])
+    joints = [uniform_measure(), TableJoint({(): (F(1, 2), F(1, 4))}, "uniform"), mixture]
+    envs = [
+        mu_id(),
+        TableEnv({}, "uniform"),
+        EnvMixture([mu_id(), uniform_env()], [F(1, 2), F(1, 2)]),
+        env(mixture),
+    ]
+    for nu in joints:
+        for bad in (-1, 2):
+            for x, position in (((bad,), 0), ((0, 1, 1, bad), 3)):
+                with pytest.raises(ComponentFormatError, match="outside the alphabet") as err:
+                    nu.eval(x)
+                assert f"context {x!r}" in str(err.value)
+                assert f"position {position}" in str(err.value)
+    for nu in envs:
+        for bad in (-1, 2):
+            for context, position in ((((0, bad), (0, 0)), 3), (((0, 0), (bad, 0)), 0)):
+                with pytest.raises(ComponentFormatError, match="outside the alphabet") as err:
+                    nu.eval(*context)
+                assert f"context {context!r}" in str(err.value)
+                assert f"position {position}" in str(err.value)
+
+
+def test_negative_depth_is_rejected():
+    for check, args in (
+        (check_semimeasure, (copy_machine(), -1)),
+        (check_chronological, (mu_id(), -1)),
+        (compare, (mu_id(), mu_id(), -1)),
+        (check_policy, (uniform_policy(), -1)),
+    ):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            check(*args)
+    assert check_policy(uniform_policy(), 0).contexts == 0

@@ -1,11 +1,15 @@
-"""Prefix-sharing walks against the from-scratch ``eval`` oracle.
+"""Prefix-sharing walks against frozen from-scratch oracles.
 
-Every ``root``/``extend`` override must give exactly ``eval`` at every
-context, and every walk-based routine (the exhaustive checkers, ``compare``,
-the predictive-consistency check, normalization dominance, expectimax, the
+A component that walks evaluates by folding its walk (``eval`` is
+``JointSemimeasure.fold`` or ``ChronEnv.fold``), so its ``eval`` cannot be
+the reference for its walk. The from-scratch ``eval`` bodies those classes
+had are kept here, frozen, as :func:`scratch_eval`. Every ``root``/``extend``
+step and every fold must give exactly the frozen body at every context, and
+every walk-based routine (the exhaustive checkers, ``compare``, the
+predictive-consistency check, normalization dominance, expectimax, the
 adversary traces and the domination probe) must give exactly what its
-former from-scratch loop gave. The loops are kept here, frozen, as the
-reference.
+former from-scratch loop gave. The loops are kept here too, and read their
+masses from :func:`scratch_eval`, never from a fold.
 """
 import math
 from fractions import Fraction
@@ -32,6 +36,8 @@ from uailab.agents import (
 from uailab.core import (
     BINARY_PERCEPTS,
     EMPTY_HISTORY,
+    HALF,
+    ONE,
     ZERO,
     ComponentFormatError,
     History,
@@ -39,15 +45,12 @@ from uailab.core import (
     PerceptAlphabet,
     PerceptSymbol,
     UndefinedConditionalError,
-    history_from_symbols,
 )
 from uailab.experiments import builtin_components, scenario_mixtures
 from uailab.mixture import (
     EnvMixture,
     JointMixture,
     check_predictive_consistency,
-    posterior_weights,
-    predictive,
 )
 from uailab.semimeasure import (
     ActionEchoJoint,
@@ -62,6 +65,7 @@ from uailab.semimeasure import (
     StationaryPolicy,
     TableEnv,
     TableJoint,
+    _default_row,
     check_chronological,
     check_semimeasure,
     compare,
@@ -72,7 +76,15 @@ from uailab.semimeasure import (
     mu_id,
     uniform_measure,
 )
-from uailab.transforms import check_normalization_dominance, dual, env, normalize
+from uailab.transforms import (
+    DualJoint,
+    EnvView,
+    NormalizedPredictor,
+    check_normalization_dominance,
+    dual,
+    env,
+    normalize,
+)
 from uailab.utm import ChronEnumApprox, JointEnumApprox, enumerate_joint
 
 F = Fraction
@@ -157,7 +169,7 @@ class EvalOnlyJoint(JointSemimeasure):
         self.declared_measure = base.declared_measure
 
     def eval(self, x):
-        return self.base.eval(x)
+        return scratch_eval(self.base, x)
 
 
 class EvalOnlyEnv(ChronEnv):
@@ -170,7 +182,7 @@ class EvalOnlyEnv(ChronEnv):
         self.declared_measure = base.declared_measure
 
     def eval(self, percepts, actions):
-        return self.base.eval(percepts, actions)
+        return scratch_eval(self.base, percepts, actions)
 
 
 class Flicker(JointSemimeasure):
@@ -194,6 +206,161 @@ class FlickerEnv(ChronEnv):
         return F(0) if len(actions) % 2 else F(1, 4) ** len(actions)
 
 
+# ---------------------------------------------------------------------------
+# Frozen from-scratch evaluators (the reference for every walk and fold)
+# ---------------------------------------------------------------------------
+# The ``eval`` bodies of the eleven folding classes before ``eval`` became
+# the fold of their walk, verbatim but for ``scratch_eval(c, ...)`` in place
+# of a nested ``c.eval(...)``, so that no oracle reads a walk.
+
+
+def product_joint_eval(self, x):
+    out = ONE
+    for i, sym in enumerate(x):
+        out *= self.action_probs[sym] if i % 2 == 0 else self.percept_probs[sym]
+        if out == 0:
+            return ZERO
+    return out
+
+
+def action_echo_joint_eval(self, x):
+    out = ONE
+    for i in range(0, len(x), 2):
+        out *= HALF
+        if i + 1 < len(x):
+            out *= self.match if x[i + 1] == x[i] else self.mismatch
+            if out == 0:
+                return ZERO
+    return out
+
+
+def noisy_copy_env_eval(self, percepts, actions):
+    if len(percepts) != len(actions):
+        raise ComponentFormatError("percept/action strings must have equal length")
+    out = ONE
+    for e, a in zip(percepts, actions):
+        out *= self.match if e == a else self.mismatch
+        if out == 0:
+            return ZERO
+    return out
+
+
+def iid_env_eval(self, percepts, actions):
+    if len(percepts) != len(actions):
+        raise ComponentFormatError("percept/action strings must have equal length")
+    out = ONE
+    for e in percepts:
+        out *= self.percept_probs[e]
+        if out == 0:
+            return ZERO
+    return out
+
+
+def table_joint_conditional_row(self, ctx):
+    row = self.rows.get(ctx)
+    return _default_row(self.default, self.arity_at(len(ctx))) if row is None else row
+
+
+def table_joint_eval(self, x):
+    out = ONE
+    for i, sym in enumerate(x):
+        out *= table_joint_conditional_row(self, x[:i])[sym]
+        if out == 0:
+            return ZERO
+    return out
+
+
+def table_env_conditional_row(self, e_ctx, a_ctx):
+    row = self.rows.get((e_ctx, a_ctx))
+    return _default_row(self.default, self.percept_arity) if row is None else row
+
+
+def table_env_eval(self, percepts, actions):
+    if len(percepts) != len(actions):
+        raise ComponentFormatError("percept/action strings must have equal length")
+    out = ONE
+    for i, e in enumerate(percepts):
+        out *= table_env_conditional_row(self, percepts[:i], actions[: i + 1])[e]
+        if out == 0:
+            return ZERO
+    return out
+
+
+def joint_mixture_eval(self, x):
+    return sum((w * scratch_eval(c, x) for c, w in zip(self.components, self.weights)), ZERO)
+
+
+def env_mixture_eval(self, percepts, actions):
+    return sum(
+        (w * scratch_eval(c, percepts, actions) for c, w in zip(self.components, self.weights)),
+        ZERO,
+    )
+
+
+def env_view_eval(self, percepts, actions):
+    if len(percepts) != len(actions):
+        raise ComponentFormatError("percept/action strings must have equal length")
+    out = ONE
+    prefix = ()
+    for a, e in zip(actions, percepts):
+        denom = scratch_eval(self.base, prefix + (a,))
+        if denom == 0:
+            raise UndefinedConditionalError(prefix + (a,), "env view")
+        out *= scratch_eval(self.base, prefix + (a, e)) / denom
+        prefix = prefix + (a, e)
+    return out
+
+
+def dual_joint_eval(self, x):
+    actions = x[0::2]
+    percepts = x[1::2]
+    w = self.pi.weight(actions, percepts)
+    if w == 0:
+        return ZERO
+    return w * scratch_eval(self.nu, percepts, actions[: len(percepts)])
+
+
+def normalized_conditional(self, x, symbol):
+    """``NormalizedPredictor.conditional``, reading the frozen base."""
+    arity = self.arity_at(len(x))
+    masses = [scratch_eval(self.base, x + (s,)) for s in range(arity)]
+    total = sum(masses, ZERO)
+    if total == 0:
+        raise NormalizationError(x)
+    return masses[symbol] / total
+
+
+def normalized_predictor_eval(self, x):
+    out = ONE
+    for i in range(len(x)):
+        out *= normalized_conditional(self, x[:i], x[i])
+        if out == 0:
+            return ZERO
+    return out
+
+
+FROZEN = {
+    ProductJoint: product_joint_eval,
+    ActionEchoJoint: action_echo_joint_eval,
+    NoisyCopyEnv: noisy_copy_env_eval,
+    IIDEnv: iid_env_eval,
+    TableJoint: table_joint_eval,
+    TableEnv: table_env_eval,
+    JointMixture: joint_mixture_eval,
+    EnvMixture: env_mixture_eval,
+    EnvView: env_view_eval,
+    DualJoint: dual_joint_eval,
+    NormalizedPredictor: normalized_predictor_eval,
+}
+
+
+def scratch_eval(nu, *context):
+    """``nu`` at one context by its frozen body; a class that keeps its own
+    ``eval`` (the enumerations and the doubles here) answers for itself."""
+    body = FROZEN.get(type(nu))
+    return nu.eval(*context) if body is None else body(nu, *context)
+
+
 def outcome(fn, *args):
     """The value of ``fn(*args)``, or the type of the undefinedness it raised."""
     try:
@@ -213,14 +380,17 @@ def walk_value(nu, n, mass):
 
 
 def assert_walk_matches_eval(nu, depth):
-    """Walk every context up to ``depth``, comparing each step with ``eval``."""
+    """Walk every context up to ``depth``, comparing each step and ``eval``
+    (the fold, for a component that walks) with the frozen body; where the
+    body raises, both raise the same type, and nothing below is compared."""
     mass, state = nu.root()
     if isinstance(nu, JointSemimeasure):
-        assert walk_value(nu, 0, mass) == nu.eval(())
+        assert walk_value(nu, 0, mass) == scratch_eval(nu, ()) == nu.eval(())
 
         def visit(state, x):
             for s in range(nu.arity_at(len(x))):
-                want = outcome(nu.eval, x + (s,))
+                want = outcome(scratch_eval, nu, x + (s,))
+                assert outcome(nu.eval, x + (s,)) == want, (x, s)
                 got = outcome(nu.extend, state, s)
                 if isinstance(want, type):
                     assert got is want, (x, s)
@@ -231,7 +401,7 @@ def assert_walk_matches_eval(nu, depth):
 
         visit(state, ())
         return
-    assert walk_value(nu, 0, mass) == nu.eval((), ())
+    assert walk_value(nu, 0, mass) == scratch_eval(nu, (), ()) == nu.eval((), ())
 
     def visit_env(state, mass, percepts, actions):
         n = 2 * len(actions)
@@ -240,7 +410,8 @@ def assert_walk_matches_eval(nu, depth):
             # An action moves no mass, and no scale.
             assert pending_mass == mass and nu.scale(n + 1) == nu.scale(n)
             for e in range(nu.percept_arity):
-                want = outcome(nu.eval, percepts + (e,), actions + (a,))
+                want = outcome(scratch_eval, nu, percepts + (e,), actions + (a,))
+                assert outcome(nu.eval, percepts + (e,), actions + (a,)) == want
                 got = outcome(nu.extend, pending, e)
                 if isinstance(want, type):
                     assert got is want, (percepts, actions, a, e)
@@ -262,23 +433,24 @@ def scratch_check(nu, depth):
     rows, bad = [], []
     if isinstance(nu, JointSemimeasure):
         for x in contexts(nu, depth):
-            lhs = nu.eval(x)
-            kids = [nu.eval(x + (s,)) for s in range(nu.arity_at(len(x)))]
+            lhs = scratch_eval(nu, x)
+            kids = [scratch_eval(nu, x + (s,)) for s in range(nu.arity_at(len(x)))]
             rows.append((x, lhs, sum(kids, ZERO)))
             bad.extend(x + (s,) for s, m in enumerate(kids) if m > lhs)
-        return nu.eval(()), rows, bad
+        return scratch_eval(nu, ()), rows, bad
     for e, a in contexts(nu, depth):
-        lhs = nu.eval(e, a)
+        lhs = scratch_eval(nu, e, a)
         for a2 in range(nu.action_arity):
-            kids = [nu.eval(e + (e2,), a + (a2,)) for e2 in range(nu.percept_arity)]
+            kids = [scratch_eval(nu, e + (e2,), a + (a2,)) for e2 in range(nu.percept_arity)]
             rows.append(((e, a, a2), lhs, sum(kids, ZERO)))
             bad.extend((e + (e2,), a + (a2,)) for e2, m in enumerate(kids) if m > lhs)
-    return nu.eval((), ()), rows, bad
+    return scratch_eval(nu, (), ()), rows, bad
 
 
 def eval_at(nu, context):
     """``nu`` at one context of the kind :func:`contexts` yields for it."""
-    return nu.eval(context) if isinstance(nu, JointSemimeasure) else nu.eval(*context)
+    joint = isinstance(nu, JointSemimeasure)
+    return scratch_eval(nu, context) if joint else scratch_eval(nu, *context)
 
 
 def scratch_compare(lhs, rhs, depth):
@@ -300,14 +472,14 @@ def scratch_dominance(nu, depth):
     hat = normalize(nu)
     violations, skipped = [], 0
     for x in contexts(nu, depth):
-        raw_prefix = nu.eval(x)
+        raw_prefix = scratch_eval(nu, x)
         if raw_prefix == 0:
             skipped += 1
             continue
         for s in range(nu.arity_at(len(x))):
-            raw = nu.eval(x + (s,)) / raw_prefix
+            raw = scratch_eval(nu, x + (s,)) / raw_prefix
             try:
-                hatted = hat.conditional(x, s)
+                hatted = normalized_conditional(hat, x, s)
             except NormalizationError:
                 skipped += 1
                 continue
@@ -317,27 +489,31 @@ def scratch_dominance(nu, depth):
 
 
 def scratch_consistency(mixture, depth):
+    """The former loop over ``posterior_weights`` and ``predictive``, with
+    their bodies inlined to read the frozen masses."""
     mismatches = []
     for prefix in contexts(mixture, 2 * depth + 1):
-        if len(prefix) % 2 == 0 or mixture.eval(prefix) == 0:
+        if len(prefix) % 2 == 0 or scratch_eval(mixture, prefix) == 0:
             continue
-        h, a = history_from_symbols(prefix[:-1]), prefix[-1]
-        state = posterior_weights(mixture, h, a)
-        lhs_map = predictive(mixture, h, a)
+        masses = [scratch_eval(c, prefix) for c in mixture.components]
+        total = sum((w * m for w, m in zip(mixture.weights, masses)), ZERO)
+        posterior = [w * m / total for w, m in zip(mixture.weights, masses)]
+        denom = scratch_eval(mixture, prefix)
         for e in range(mixture.percept_arity):
+            lhs = scratch_eval(mixture, prefix + (e,)) / denom
             rhs = ZERO
             for i, c in enumerate(mixture.components):
-                if state.posterior[i] != 0:
-                    rhs += state.posterior[i] * (c.eval(prefix + (e,)) / state.component_masses[i])
-            if lhs_map[e] != rhs:
-                mismatches.append(((prefix, e), lhs_map[e], rhs))
+                if posterior[i] != 0:
+                    rhs += posterior[i] * (scratch_eval(c, prefix + (e,)) / masses[i])
+            if lhs != rhs:
+                mismatches.append(((prefix, e), lhs, rhs))
     return mismatches
 
 
 def scratch_percept_masses(nu, actions, percs, a):
     """The mass of each percept after action ``a``; None where ``a`` is undefined."""
     try:
-        return [nu.eval(percs + (e,), actions + (a,)) for e in range(nu.percept_arity)]
+        return [scratch_eval(nu, percs + (e,), actions + (a,)) for e in range(nu.percept_arity)]
     except UNDEFINED:
         return None
 
@@ -366,7 +542,7 @@ def scratch_one_step_values(belief, history, percepts):
     """``one_step_action_values`` through the former ``ChronEnv.conditional``,
     over the defined actions."""
     try:
-        denom = belief.eval(history.percepts, history.actions)
+        denom = scratch_eval(belief, history.percepts, history.actions)
     except UNDEFINED:
         denom = 0
     if denom == 0:
@@ -383,10 +559,10 @@ def scratch_one_step_values(belief, history, percepts):
 
 def scratch_copy_conditional(xi, prefix, action):
     pending = prefix + (action,)
-    denom = xi.eval(pending)
+    denom = scratch_eval(xi, pending)
     if denom == 0:
         raise UndefinedConditionalError(pending, "copy conditional")
-    return xi.eval(pending + (action,)) / denom
+    return scratch_eval(xi, pending + (action,)) / denom
 
 
 def scratch_greedy(xi, steps):
@@ -526,7 +702,7 @@ def test_every_walk_step_equals_eval(joint, joint2, nu, nu2, pair, filler):
         [nu, nu2, NoisyCopyEnv(*pair), IIDEnv(filler), EvalOnlyEnv(nu)], [F(1, 5)] * 5
     )
     # A zero that is not absorbing keeps its component in the mixture walk.
-    assert_walk_matches_eval(JointMixture([joint, Flicker()], [F(1, 2), F(1, 2)]), 4)
+    assert_walk_matches_eval(JointMixture([joint, Flicker()], [F(1, 2), F(1, 2)]), 5)
     assert_walk_matches_eval(EnvMixture([nu, FlickerEnv()], [F(1, 2), F(1, 2)]), 3)
     for component in (
         joint,
@@ -691,7 +867,8 @@ def test_one_step_values_on_shipped_beliefs():
 
 def test_shipped_components_keep_the_scale_contract():
     """Every built-in, shipped mixture and enumeration: integer numerators over
-    a scale that divides the next one, equal to ``eval`` everywhere walked."""
+    a scale that divides the next one, equal to the frozen body everywhere
+    walked, as the fold is."""
     shipped = dict(builtin_components())
     for name, mdef in scenario_mixtures().items():
         shipped.update({f"{name}:joint": mdef.joint, f"{name}:env": mdef.chron})
@@ -702,7 +879,7 @@ def test_shipped_components_keep_the_scale_contract():
             continue
         integer = not isinstance(nu, JointEnumApprox)  # the joint enumeration keeps scale 1
         assert (type(nu.root()[0]) is int) == integer, name
-        assert_walk_matches_eval(nu, 4 if isinstance(nu, JointSemimeasure) else 3)
+        assert_walk_matches_eval(nu, 5 if isinstance(nu, JointSemimeasure) else 3)
     # The scale is the product form: D_a**ceil(n/2) * D_p**floor(n/2).
     nu = ProductJoint((F(1, 3), F(2, 3)), (F(1, 7), F(1, 2)))
     assert [nu.scale(n) for n in range(5)] == [1, 3, 42, 126, 1764]
@@ -774,7 +951,7 @@ def test_shared_walks_beyond_the_binary_alphabet(
         EnvMixture([nu, nu2, EvalOnlyEnv(nu)], [F(1, 3), F(1, 2), F(1, 7)]),
         EnvMixture([iid, iid2, EvalOnlyEnv(iid)], [F(1, 2), F(1, 4), F(1, 4)]),
     ):
-        assert_walk_matches_eval(component, 4)
+        assert_walk_matches_eval(component, 5 if isinstance(component, JointSemimeasure) else 4)
 
 
 def test_enumeration_walk_keeps_a_value_off_its_scale_exact():
