@@ -123,10 +123,7 @@ class ChronEnv(abc.ABC):
 
     def fold(self, percepts: tuple[int, ...], actions: tuple[int, ...]) -> Prob:
         """Exact mass by one walk: ``root``, then ``extend`` over a1 e1 ... at et."""
-        if len(percepts) != len(actions):
-            raise ComponentFormatError("percept/action strings must have equal length")
-        x = tuple(s for step in zip(actions, percepts) for s in step)
-        return _fold(self, (percepts, actions), x)
+        return _fold(self, (percepts, actions), _history(percepts, actions))
 
     def root(self) -> tuple[Prob, Any]:
         """(mass, walk state) of the empty history."""
@@ -158,6 +155,13 @@ def _check_alphabet(nu: JointSemimeasure | ChronEnv, context: Any, x: Sequence) 
                 f"context {context!r} holds {s!r} at position {i}, outside the alphabet "
                 f"of {arities[0]} actions and {arities[1]} percepts"
             )
+
+
+def _history(percepts: Sequence[int], actions: Sequence[int]) -> tuple[int, ...]:
+    """The interleaved string a1 e1 ... at et of a history of equal lengths."""
+    if len(percepts) != len(actions):
+        raise ComponentFormatError("percept/action strings must have equal length")
+    return tuple(s for step in zip(actions, percepts) for s in step)
 
 
 def _fold(nu: JointSemimeasure | ChronEnv, context: Any, x: tuple[int, ...]) -> Prob:

@@ -41,6 +41,7 @@ from .semimeasure import (
     MixturePolicy,
     Policy,
     StationaryPolicy,
+    _check_alphabet,
     compare,
     exact_mass,
     max_ratio,
@@ -176,8 +177,9 @@ class NormalizedPredictor(JointSemimeasure):
         self.declared_measure = True
 
     def conditional(self, x: tuple[int, ...], symbol: int) -> Prob:
-        arity = self.arity_at(len(x))
-        masses = [self.base.eval(x + (s,)) for s in range(arity)]
+        x = tuple(x)
+        _check_alphabet(self, x + (symbol,), x + (symbol,))
+        masses = [self.base.eval(x + (s,)) for s in range(self.arity_at(len(x)))]
         total = sum(masses, ZERO)
         if total == 0:
             raise NormalizationError(x)

@@ -57,8 +57,10 @@ chronological checks reach program_bits 18 at depth 7 in about 4 s; each
 the tables of every tape of one length, and each prefix table of
 ``enumerate_chron`` are one cache entry each, memoized in-process by name
 and stored on disk keyed by (definition hash, budgets); UAILAB_CACHE_DIR
-is the only switch (empty disables the disk cache). See
-docs/cache_format.md.
+is the only switch (empty disables the disk cache). A file stores the
+walk's integer numerators as they are, under a SHA-256 of their bytes that
+a read checks before it parses; each entry becomes its ``Fraction`` once,
+in place when computed. See docs/cache_format.md.
 """
 from __future__ import annotations
 
@@ -74,8 +76,8 @@ from itertools import product
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from .core import ZERO, ComponentFormatError, Prob, frac_str
-from .semimeasure import ChronEnv, JointSemimeasure
+from .core import ZERO, ComponentFormatError, Prob
+from .semimeasure import ChronEnv, JointSemimeasure, _check_alphabet, _history
 
 OUT0, OUT1, OUTR, READA, FLIP, SKIP0, JBACK, HALT = range(8)
 OPCODE_BITS = 3
@@ -96,9 +98,10 @@ PROGRAM_ECHO = "011010110"
 PROGRAM_COMPLEMENT = "011100010110"
 
 CACHE_ENV_VAR = "UAILAB_CACHE_DIR"
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 Table = dict[tuple[int, ...], Fraction]  # output string -> mass
+Numerators = dict[tuple[int, ...], int]  # output string -> mass over the walk's scale
 
 
 @dataclass(frozen=True)
@@ -194,7 +197,9 @@ def _run_segment(
             return "halted", pc, reg, steps + 1, code, n_out, nread
 
 
-_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+# Symbol values and their digits, for output codes and cache keys alike.
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+_DIGIT_CHARS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 def _output(code: int) -> tuple[int, ...]:
@@ -383,18 +388,18 @@ def _walk_tables(
     cap: int,
     tape: tuple[int, ...] | None,
     starts: bytearray | None = None,
-) -> tuple[dict[tuple[int, ...], Table], bytearray]:
+) -> tuple[dict[tuple[int, ...], Numerators], bytearray]:
     """Mass tables keyed by action tape from one :func:`_walk`, and the
-    nodes the cap stopped.
+    nodes the cap stopped. Each mass is an integer numerator over the walk's
+    scale 8**(program_bits // 3); :func:`_stored` turns it into a Fraction.
 
     Along a given tape, an output prefix of length k belongs to the tape's
     prefix ``tape[:k]``; with ``tape=None`` the tables are those of every
     tape of length ``cap``, each summing the branches it extends. Each
     output code is decoded once per table entry.
     """
-    max_ops = program_bits // OPCODE_BITS
-    masses, stopped = _walk(max_ops, steps, cap, tape, starts)
-    tables: dict[tuple[int, ...], dict] = {}
+    masses, stopped = _walk(program_bits // OPCODE_BITS, steps, cap, tape, starts)
+    tables: dict[tuple[int, ...], Numerators] = {}
     for reads, by_code in masses.items():
         for code, mass in by_code.items():
             n_out = code.bit_length() - 1
@@ -408,12 +413,7 @@ def _walk_tables(
             for actions in tapes:
                 table = tables.setdefault(actions, {})
                 table[out] = table.get(out, 0) + mass
-        by_code.clear()  # decoded: released before any Fraction entry exists
-    del masses
-    denominator = 8**max_ops
-    for table in tables.values():
-        for out, mass in table.items():
-            table[out] = Fraction(mass, denominator)
+        by_code.clear()  # decoded: released before the next branch's entries exist
     return tables, stopped
 
 
@@ -438,11 +438,13 @@ class JointEnumApprox(JointSemimeasure):
         self.declared_measure = False
 
     def eval(self, x: tuple[int, ...]) -> Prob:
+        x = tuple(x)
         if len(x) > self.max_len:
             raise ComponentFormatError(
                 f"string of length {len(x)} beyond recorded depth {self.max_len}"
             )
-        return self.table.get(tuple(x), ZERO)
+        _check_alphabet(self, x, x)
+        return self.table.get(x, ZERO)
 
 
 class ChronEnumApprox(ChronEnv):
@@ -469,17 +471,15 @@ class ChronEnumApprox(ChronEnv):
     def scale(self, n: int) -> int:
         return self._unit
 
-    def _numerator(self, mass: Fraction) -> int | Fraction:
-        """``mass`` over the scale; a denominator that does not divide it
-        (only a damaged cache entry has one) stays an exact Fraction."""
-        whole, rest = divmod(self._unit, mass.denominator)
-        return mass * self._unit if rest else mass.numerator * whole
+    def _numerator(self, mass: Fraction) -> int:
+        """``mass`` over the scale, which every table entry divides."""
+        return mass.numerator * (self._unit // mass.denominator)
 
-    def root(self) -> tuple[int | Fraction, Any]:
+    def root(self) -> tuple[int, Any]:
         mass = self._numerator(self.eval((), ()))
         return mass, ((), (), mass)  # (percepts, actions, mass)
 
-    def extend(self, state: Any, symbol: int) -> tuple[int | Fraction, Any]:
+    def extend(self, state: Any, symbol: int) -> tuple[int, Any]:
         if len(state) == 3:  # a complete history: the action's table joins the state
             percepts, actions, mass = state
             actions += (symbol,)
@@ -506,7 +506,7 @@ class ChronEnumApprox(ChronEnv):
             table = self.tables[actions] = tables.get(actions, {})
         return table
 
-    def _walk_tapes(self, t: int) -> dict[tuple[int, ...], Table]:
+    def _walk_tapes(self, t: int) -> dict[tuple[int, ...], Numerators]:
         """The tables of every tape of length t. The walk resumes from the
         nodes this environment's walk for length t - 1 stopped, if that was
         its last walk, so across lengths 0, 1, ... each node of the opcode
@@ -521,8 +521,7 @@ class ChronEnumApprox(ChronEnv):
 
     def eval(self, percepts: tuple[int, ...], actions: tuple[int, ...]) -> Prob:
         percepts, actions = tuple(percepts), tuple(actions)
-        if len(percepts) != len(actions):
-            raise ComponentFormatError("percept/action strings must have equal length")
+        _check_alphabet(self, (percepts, actions), _history(percepts, actions))
         return self._table_for(actions).get(percepts, ZERO)
 
 
@@ -549,52 +548,96 @@ def _cache_path(name: str) -> Path | None:
     return base / f"{MACHINE_HASH[:12]}_{name}.json"
 
 
-def _encode(table: Table) -> dict[str, str]:
-    return {_string_key(k): frac_str(v) for k, v in table.items()}
+def _string_key(x: tuple[int, ...]) -> str:
+    return bytes(x).translate(_DIGIT_CHARS).decode()
 
 
-def _decode(table: dict[str, str]) -> Table:
-    return {_key_string(k): Fraction(v) for k, v in table.items()}
+def _key_string(key: str) -> tuple[int, ...]:
+    return tuple(key.encode().translate(_DIGIT_VALUES))
+
+
+class _Masses(dict):
+    """The mass of each numerator over the walk's scale for ``program_bits``,
+    built on first use: a table's entries share a few hundred numerators."""
+
+    def __init__(self, program_bits: int):
+        self.unit = 8 ** (program_bits // OPCODE_BITS)
+
+    def __missing__(self, n: int) -> Fraction:
+        mass = self[n] = Fraction(n, self.unit)
+        return mass
+
+
+def _header(budgets: list[int], field: str, digest: str) -> bytes:
+    """The bytes of an entry's file before the value of ``field``: the other
+    fields, as ``json.dumps(payload, sort_keys=True)`` writes them."""
+    stamp = {"budgets": budgets, "format": CACHE_FORMAT, "machine": MACHINE_HASH, "sha256": digest}
+    return f'{json.dumps(stamp, sort_keys=True)[:-1]}, "{field}": '.encode()
+
+
+def _digit_keyed(value: Any) -> bool:
+    """Whether ``value`` as read is an object whose keys hold only digits."""
+    return isinstance(value, dict) and not "".join(value).strip("0123456789")
+
+
+def _decode(table: Any, masses: _Masses) -> Table:
+    """A table of numerators as read, with output keys and their masses;
+    a ValueError unless it is an object of digit keys and int values."""
+    if not _digit_keyed(table) or not set(map(type, table.values())) <= {int}:
+        raise ValueError("not a table of numerators")
+    return {_key_string(k): masses[n] for k, n in table.items()}
 
 
 def _cache_read(name: str, budgets: list[int], field: str) -> dict | None:
     """The cached ``table`` (or ``tables``, one table per tape), or None when
-    the entry is missing, stale or damaged."""
+    the entry is missing, stale or damaged.
+
+    The other fields must be the bytes this library writes for ``budgets``,
+    and ``sha256`` the hash of the value's bytes as read."""
     path = _cache_path(name)
-    if path is None or not path.exists():
+    if path is None:
         return None
     try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
+        data = path.read_bytes()
+    except OSError:
         return None
-    if not isinstance(payload, dict) or not isinstance(payload.get(field), dict):
+    start = len(_header(budgets, field, "0" * 64))
+    body = data[start:-1]
+    if data[-1:] != b"}" or data[:start] != _header(budgets, field, hashlib.sha256(body).hexdigest()):
         return None
-    stamp = (payload.get("format"), payload.get("machine"), payload.get("budgets"))
-    if stamp != (CACHE_FORMAT, MACHINE_HASH, budgets):
-        return None
+    masses = _Masses(budgets[0])
     try:
+        value = json.loads(body)
         if field == "table":
-            return _decode(payload["table"])
-        return {_key_string(k): _decode(table) for k, table in payload["tables"].items()}
-    # a non-digit key, a non-rational value, a tape table that is not an object
-    except (ValueError, TypeError, ZeroDivisionError, AttributeError):
+            return _decode(value, masses)
+        if not _digit_keyed(value):
+            raise ValueError("not an object of tape tables")
+        return {_key_string(k): _decode(table, masses) for k, table in value.items()}
+    except ValueError:
         return None
+
+
+def _dumped(table: dict[tuple[int, ...], Any]) -> str:
+    """``table`` as ``json.dumps(..., sort_keys=True)`` writes it, keyed by
+    digit strings. A key's closing quote sorts below every digit, so the
+    entries sort as their keys do."""
+    return "{%s}" % ", ".join(sorted(f'"{_string_key(k)}": {v}' for k, v in table.items()))
 
 
 def _cache_write(name: str, budgets: list[int], field: str, value: dict) -> None:
     path = _cache_path(name)
     if path is None:
         return
-    if field == "table":
-        encoded = _encode(value)
-    else:
-        encoded = {_string_key(k): _encode(table) for k, table in value.items()}
-    payload = {"format": CACHE_FORMAT, "machine": MACHINE_HASH, "budgets": budgets, field: encoded}
+    if field == "tables":
+        value = {actions: _dumped(table) for actions, table in value.items()}
+    body = _dumped(value).encode()
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_header(budgets, field, hashlib.sha256(body).hexdigest()))
+            fh.write(body)
+            fh.write(b"}")
         os.replace(tmp, path)
     except OSError:
         pass  # cache is an optimization; never fail the computation
@@ -603,23 +646,23 @@ def _cache_write(name: str, budgets: list[int], field: str, value: dict) -> None
 def _stored(
     name: str, budgets: list[int], compute: Callable[[], dict], field: str = "table"
 ) -> dict:
-    """One cache entry's payload from the memo, the disk cache, or else ``compute()``."""
+    """One cache entry's payload from the memo, the disk cache, or else ``compute()``.
+
+    ``compute`` returns integer numerators over the walk's scale for
+    ``budgets[0]`` program bits; they are written as they are, then each
+    turns into its mass in place."""
     value = _MEMO.get(name)
     if value is None:
         value = _cache_read(name, budgets, field)
         if value is None:
             value = compute()
             _cache_write(name, budgets, field, value)
+            masses = _Masses(budgets[0])
+            for table in [value] if field == "table" else value.values():
+                for out, n in table.items():
+                    table[out] = masses[n]
         _MEMO[name] = value
     return value
-
-
-def _string_key(x: tuple[int, ...]) -> str:
-    return "".join(str(s) for s in x)
-
-
-def _key_string(key: str) -> tuple[int, ...]:
-    return tuple(int(c) for c in key)
 
 
 def enumerate_joint(program_bits: int, steps: int, max_len: int = 16) -> JointEnumApprox:

@@ -110,6 +110,16 @@ def test_chron_to_joint_rejects_a_bad_filler(filler):
         chron_to_joint(mu_id(), filler)
 
 
+def test_normalized_conditional_rejects_symbols_outside_the_alphabet():
+    predictor = normalize(uniform_measure())
+    for x, bad in (((), -1), ((), 2), ((0,), -1), ((0,), 2)):
+        with pytest.raises(ComponentFormatError, match="outside the alphabet") as err:
+            predictor.conditional(x, bad)
+        assert f"context {x + (bad,)!r}" in str(err.value)
+        assert f"position {len(x)}" in str(err.value)
+    assert predictor.conditional((0,), 1) == F(1, 2)
+
+
 def test_normalize_oracle_values():
     # Conditionals (1/4, 1/4) rescale to (1/2, 1/2).
     hat = normalize(defective_uniform(F(1, 4)))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uailab import utm
-from uailab.core import ComponentFormatError
+from uailab.core import ComponentFormatError, frac_str
 from uailab.semimeasure import check_chronological, check_semimeasure
 from uailab.utm import (
     CACHE_ENV_VAR,
@@ -177,6 +177,25 @@ def test_eval_beyond_recorded_depth_raises():
     approx = enumerate_joint(6, 50, max_len=4)
     with pytest.raises(ComponentFormatError):
         approx.eval((0,) * 5)
+
+
+def test_enumerations_reject_symbols_outside_the_alphabet():
+    joint = enumerate_joint(6, 60, max_len=4)
+    for bad in (-1, 2):
+        for x, position in (((bad,), 0), ((0, bad), 1)):
+            with pytest.raises(ComponentFormatError, match="outside the alphabet") as err:
+                joint.eval(x)
+            assert f"context {x!r}" in str(err.value)
+            assert f"position {position}" in str(err.value)
+    approx = ChronEnumApprox(6, 60)
+    for bad in (-1, 2, 5):
+        for context, position in ((((0,), (bad,)), 0), (((bad,), (0,)), 1)):
+            with pytest.raises(ComponentFormatError, match="outside the alphabet") as err:
+                approx.eval(*context)
+            assert f"context {context!r}" in str(err.value)
+            assert f"position {position}" in str(err.value)
+    assert approx.tables == {}  # rejected before any tape's table is filed
+    clear_memo()
 
 
 def test_machine_definition_frozen():
@@ -490,13 +509,17 @@ def test_walk_matches_leaf_oracle_at_long_output_caps(monkeypatch, bits, steps, 
 # Names and bytes of the cache entries these two calls write: one per tape
 # length the depth-3 check asks (0 to 4, each holding every tape of that
 # length) and one joint file, hashed as name, NUL, bytes, NUL in name order.
-# The joint file's bytes are still those the per-leaf enumerator wrote.
 PINNED_CACHE_NAMES = sorted(
     [f"{MACHINE_HASH[:12]}_joint_L6_S60_D6.json"]
     + [f"{MACHINE_HASH[:12]}_chron_L9_S200_T{t}.json" for t in range(5)]
 )
-PINNED_CACHE_SHA256 = "5a9ec82380c716bb1f271ccc5aba2e30805a5d2e6abbff4525cda3e72e44a785"
-PINNED_JOINT_SHA256 = "89495a7b32e195ff4657680fab25ab7005db17e84f58a6ef0c929d6e2af6bcb8"
+PINNED_CACHE_SHA256 = "34d9708cdf7d99409297bd71f66c93b85e5bf67c3eb8e4aabc95791a6aee0fc6"
+PINNED_JOINT_SHA256 = "275e767848cb298f672d015ac174457012dbf93368e8b52089d607f0f752fddb"
+
+
+def _numerators(table, bits):
+    """A cache file's table of integer numerators, as exact masses."""
+    return {tuple(map(int, k)): F(n, 8 ** (bits // 3)) for k, n in table.items()}
 
 
 def test_cache_files_match_the_leaf_enumerator(cache_dir):
@@ -512,11 +535,12 @@ def test_cache_files_match_the_leaf_enumerator(cache_dir):
     assert digest.hexdigest() == PINNED_CACHE_SHA256
     joint = cache_dir / f"{MACHINE_HASH[:12]}_joint_L6_S60_D6.json"
     assert hashlib.sha256(joint.read_bytes()).hexdigest() == PINNED_JOINT_SHA256
+    assert _numerators(json.loads(joint.read_text())["table"], 6) == oracle_joint(6, 60, 6)
     for t in range(5):
         path = cache_dir / f"{MACHINE_HASH[:12]}_chron_L9_S200_T{t}.json"
         payload = json.loads(path.read_text())
         tables = {
-            tuple(map(int, tape)): {tuple(map(int, k)): F(v) for k, v in table.items()}
+            tuple(map(int, tape)): _numerators(table, 9)
             for tape, table in payload["tables"].items()
         }
         assert set(tables) <= set(product((0, 1), repeat=t)), t
@@ -632,6 +656,151 @@ def test_damaged_length_entry_is_recomputed(cache_dir, monkeypatch, damage):
     clear_memo()
     assert _length_two_tables() == expected
     assert path.read_text() == good  # the damaged entry was rewritten
+    clear_memo()
+
+
+def _fill_cache():
+    """Every kind of cache entry at small budgets: a joint file, the
+    per-length files of lengths 0 to 2 and the prefix files of a tape."""
+    approx = ChronEnumApprox(9, 200)
+    lengths = {tape: approx._table_for(tape) for t in range(3) for tape in product((0, 1), repeat=t)}
+    return enumerate_joint(6, 60, max_len=6).table, lengths, enumerate_chron(9, 200, (1, 0)).tables
+
+
+def _cache_bytes(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def _tables_in(path):
+    payload = json.loads(path.read_text())
+    return [payload["table"]] if "table" in payload else list(payload["tables"].values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_damaged_cache_file_is_a_miss(tmp_path_factory, data):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(CACHE_ENV_VAR, "")
+        clear_memo()
+        expected = _fill_cache()
+        cache_dir = tmp_path_factory.mktemp("cache")
+        mp.setenv(CACHE_ENV_VAR, str(cache_dir))
+        clear_memo()
+        _fill_cache()
+        good = _cache_bytes(cache_dir)
+        name = data.draw(st.sampled_from(sorted(good)), label="file")
+        raw = good[name]
+        damage = data.draw(st.sampled_from(["flip", "truncate", "delete"]), label="damage")
+        if damage == "flip":
+            at = data.draw(st.integers(0, len(raw) - 1), label="at")
+            mask = data.draw(st.integers(1, 255), label="mask")
+            raw = raw[:at] + bytes([raw[at] ^ mask]) + raw[at + 1 :]
+        elif damage == "truncate":
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            payload = json.loads(raw)
+            tables = [payload["table"]] if "table" in payload else list(payload["tables"].values())
+            table = data.draw(st.sampled_from(tables), label="table")
+            del table[data.draw(st.sampled_from(sorted(table)), label="entry")]
+            raw = json.dumps(payload, sort_keys=True).encode()
+        (cache_dir / name).write_bytes(raw)
+        clear_memo()
+        assert _fill_cache() == expected
+        assert _cache_bytes(cache_dir) == good  # the damaged file was rewritten
+        clear_memo()
+
+
+def test_format_one_file_is_a_miss(cache_dir):
+    clear_memo()
+    good = enumerate_joint(6, 60, 4).table
+    (path,) = cache_dir.glob("*joint_L6_S60_D4.json")
+    written = path.read_text()
+    payload = json.loads(written)
+    # The same entry as format 1 wrote it: exact "num/den" strings, no checksum.
+    old = {k: payload[k] for k in ("budgets", "machine")}
+    old["format"] = 1
+    old["table"] = {k: frac_str(F(n, 8**2)) for k, n in payload["table"].items()}
+    path.write_text(json.dumps(old, sort_keys=True))
+    clear_memo()
+    assert enumerate_joint(6, 60, 4).table == good
+    assert path.read_text() == written
+    # A format-1 entry written while zero-bit runs still counted (mass 1 at
+    # the empty output) is a miss as well, rewritten empty.
+    stale = cache_dir / f"{MACHINE_HASH[:12]}_joint_L6_S0_D4.json"
+    old = {"budgets": [6, 0, 4], "format": 1, "machine": MACHINE_HASH, "table": {"": "1/1"}}
+    stale.write_text(json.dumps(old, sort_keys=True))
+    clear_memo()
+    assert enumerate_joint(6, 0, 4).table == {}
+    assert json.loads(stale.read_text())["format"] == utm.CACHE_FORMAT == 2
+    clear_memo()
+
+
+# Values behind a matching checksum that are still no table of numerators.
+FORGED = {
+    "bool_value": lambda table: {**table, "0": True},
+    "string_value": lambda table: {**table, "0": "17"},
+    "float_value": lambda table: {**table, "0": 17.0},
+    "non_digit_key": lambda table: {**table, "0x": 1},
+    "table_is_list": lambda table: list(table.values()),
+}
+
+
+@pytest.mark.parametrize("kind", ["joint", "length"])
+@pytest.mark.parametrize("forge", sorted(FORGED))
+def test_forged_checksum_over_a_bad_table_is_a_miss(cache_dir, kind, forge):
+    read = (lambda: enumerate_joint(6, 60, max_len=6).table) if kind == "joint" else _length_two_tables
+    clear_memo()
+    expected = read()
+    (path,) = cache_dir.glob("*joint_L6_S60_D6.json" if kind == "joint" else "*chron_L9_S200_T2.json")
+    good = path.read_text()
+    payload = json.loads(good)
+    if kind == "joint":
+        value = payload["table"] = FORGED[forge](payload["table"])
+    else:
+        value = payload["tables"]
+        value["01"] = FORGED[forge](value["01"])
+    payload["sha256"] = hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+    path.write_text(json.dumps(payload, sort_keys=True))
+    clear_memo()
+    assert read() == expected
+    assert path.read_text() == good
+    clear_memo()
+
+
+def test_cache_files_are_what_json_dumps_writes(cache_dir):
+    clear_memo()
+    _fill_cache()
+    for name, raw in _cache_bytes(cache_dir).items():
+        payload = json.loads(raw)
+        assert raw == json.dumps(payload, sort_keys=True).encode(), name
+        field = list(payload)[-1]  # the value sorts last
+        assert field in ("table", "tables"), name
+        marker = f', "{field}": '.encode()
+        body = raw[raw.index(marker) + len(marker) : -1]
+        assert hashlib.sha256(body).hexdigest() == payload["sha256"], name
+    clear_memo()
+
+
+def test_warm_reads_walk_nothing_and_parse_no_strings(cache_dir, monkeypatch):
+    clear_memo()
+    cold = (
+        enumerate_joint(9, 60, max_len=6).table,
+        check_chronological(ChronEnumApprox(9, 200), 3),
+        enumerate_chron(9, 200, (1, 0, 1)).tables,
+    )
+    monkeypatch.setattr(utm, "_walk", lambda *args: pytest.fail("walked on a warm read"))
+    clear_memo()
+    warm = (
+        enumerate_joint(9, 60, max_len=6).table,
+        check_chronological(ChronEnumApprox(9, 200), 3),
+        enumerate_chron(9, 200, (1, 0, 1)).tables,
+    )
+    assert warm == cold
+    paths = list(cache_dir.iterdir())
+    assert len(paths) == 1 + 5 + 4
+    for path in paths:
+        for table in _tables_in(path):
+            assert {type(n) for n in table.values()} <= {int}, path.name
     clear_memo()
 
 

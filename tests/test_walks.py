@@ -954,16 +954,6 @@ def test_shared_walks_beyond_the_binary_alphabet(
         assert_walk_matches_eval(component, 5 if isinstance(component, JointSemimeasure) else 4)
 
 
-def test_enumeration_walk_keeps_a_value_off_its_scale_exact():
-    # A damaged cache entry can hold a rational whose denominator does not
-    # divide 8**(L // 3); the walk then carries it as a Fraction numerator.
-    approx = ChronEnumApprox(9, 200)
-    approx.tables[(1,)] = {(1,): F(1, 3)}
-    pending = approx.extend(approx.root()[1], 1)[1]
-    mass = approx.extend(pending, 1)[0]
-    assert mass == F(8**3, 3) and walk_value(approx, 2, mass) == approx.eval((1,), (1,))
-
-
 # ---------------------------------------------------------------------------
 # An eval-only environment takes the default walk and agrees everywhere
 # ---------------------------------------------------------------------------
