@@ -27,7 +27,7 @@ from .core import (
     History,
     UndefinedConditionalError,
 )
-from .semimeasure import ChronEnv, JointSemimeasure, Policy, exact_mass, walk
+from .semimeasure import ChronEnv, JointSemimeasure, Policy, _context_at, exact_mass, walk
 
 
 def uniform_prior(n: int) -> tuple[Fraction, ...]:
@@ -275,10 +275,9 @@ def check_predictive_consistency(
     prefixes; empty means exact agreement everywhere. Both sides read the
     per-component masses of one mixture walk.
     """
-    found: list[tuple[int, tuple, Fraction, Fraction]] = []
+    found: list[tuple[int, int, Fraction, Fraction]] = []  # (slot, percept, lhs, rhs)
     root = mixture.root()
-    for order, prefix, (mass, state), kids in walk(mixture, 2 * depth + 1, root, mixture.extend):
-        n = len(prefix)
+    for slot, n, (mass, state), kids in walk(mixture, 2 * depth + 1, root, mixture.extend):
         if n % 2 == 0 or mass == 0:
             continue
         total = exact_mass(mixture, n, mass)
@@ -292,6 +291,6 @@ def check_predictive_consistency(
                 if post != 0:
                     rhs += post * (exact_mass(mixture, n + 1, child.get(i, 0)) / w_nu)
             if lhs != rhs:
-                found.append((order, (prefix, e), lhs, rhs))
-    found.sort(key=lambda item: item[0])  # stable: percept order within a prefix
-    return [item[1:] for item in found]
+                found.append((slot, e, lhs, rhs))
+    found.sort()  # by (slot, percept), which no two mismatches share
+    return [((_context_at(mixture, slot), e), lhs, rhs) for slot, e, lhs, rhs in found]

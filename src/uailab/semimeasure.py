@@ -25,9 +25,11 @@ components whose every action weighs 1: after an action the mass is the
 unchanged mass of the complete prefix. A state of None is a dead context:
 its mass and that of every extension is zero, and ``extend(None, s)`` is
 ``(0, None)``; only overrides whose zero mass is absorbing return it. Every
-exhaustive check is one depth-first :func:`walk` that files its rows by each
-context's position in :func:`contexts` order; states live only inside one
-walk.
+exhaustive check is one depth-first :func:`walk`, which addresses each
+context by its *slot*, its position in :func:`contexts` order, and builds no
+context. A check files numerators into flat columns by slot, and a context
+is derived from its slot only where a row, a violation or a witness is read.
+States live only inside one walk.
 
 A context is *undefined* for a component when its ``root`` or ``extend``
 raises ``UndefinedConditionalError`` or its subclass ``NormalizationError``;
@@ -54,10 +56,11 @@ from __future__ import annotations
 
 import abc
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from operator import itemgetter
+from functools import partial
+from itertools import accumulate, chain, compress, product, repeat, starmap
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
@@ -649,31 +652,65 @@ def contexts(nu: JointSemimeasure | ChronEnv, depth: int) -> Iterator[Any]:
 
     Joint components yield interleaved strings of length <= depth, ordered
     by (length, symbols); environments yield (percepts, actions) pairs of
-    t <= depth steps, ordered by (t, actions, percepts).
+    t <= depth steps, ordered by (t, actions, percepts). A context's
+    position in this order is its *slot*.
     """
-    if isinstance(nu, JointSemimeasure):
-        for n in range(depth + 1):
-            yield from product(*(range(nu.arity_at(pos)) for pos in range(n)))
-        return
+    return _contexts(_alphabet(nu), depth)
+
+
+# (joint, action arity, percept arity): all that the contexts of a component
+# depend on.
+_Alphabet = tuple[bool, int, int]
+
+
+def _alphabet(nu: JointSemimeasure | ChronEnv) -> _Alphabet:
+    return isinstance(nu, JointSemimeasure), nu.action_arity, nu.percept_arity
+
+
+def _contexts(alphabet: _Alphabet, depth: int) -> Iterator[Any]:
+    joint, n_actions, n_percepts = alphabet
     for t in range(depth + 1):
-        for actions in product(range(nu.action_arity), repeat=t):
-            for percepts in product(range(nu.percept_arity), repeat=t):
+        if joint:
+            yield from product(*(range(n_percepts if pos % 2 else n_actions) for pos in range(t)))
+            continue
+        for actions in product(range(n_actions), repeat=t):
+            for percepts in product(range(n_percepts), repeat=t):
                 yield percepts, actions
 
 
+def _widths(alphabet: _Alphabet, depth: int) -> list[int]:
+    """How many contexts each level 0..depth holds."""
+    joint, n_actions, n_percepts = alphabet
+    if not joint:
+        return [(n_actions * n_percepts) ** t for t in range(depth + 1)]
+    widths, width = [], 1
+    for t in range(depth + 1):
+        widths.append(width)
+        width *= n_percepts if t % 2 else n_actions
+    return widths
+
+
+def _context_at(nu: JointSemimeasure | ChronEnv, slot: int) -> Any:
+    """The context of ``nu`` at position ``slot`` of :func:`contexts` order."""
+    joint, n_actions, n_percepts = _alphabet(nu)
+    t, width = 0, 1
+    while slot >= width:
+        slot -= width
+        width *= (n_percepts if t % 2 else n_actions) if joint else n_actions * n_percepts
+        t += 1
+    # The slot within level t in a mixed radix, most significant digit first:
+    # a joint context's symbols, or an environment's t actions, then t percepts.
+    if joint:
+        bases = [n_percepts if pos % 2 else n_actions for pos in range(t)]
+    else:
+        bases = [n_actions] * t + [n_percepts] * t
+    digits = [0] * len(bases)
+    for pos in range(len(bases) - 1, -1, -1):
+        slot, digits[pos] = divmod(slot, bases[pos])
+    return tuple(digits) if joint else (tuple(digits[t:]), tuple(digits[:t]))
+
+
 Step = Callable[[Any, int], tuple[Any, Any]]
-_mass = itemgetter(0)  # of a walk node (mass, state)
-
-
-def _count_contexts(nu: JointSemimeasure | ChronEnv, depth: int) -> int:
-    """How many contexts :func:`contexts` yields up to ``depth``."""
-    if isinstance(nu, JointSemimeasure):
-        total, level = 0, 1
-        for n in range(depth + 1):
-            total += level
-            level *= nu.arity_at(n)
-        return total
-    return sum((nu.action_arity * nu.percept_arity) ** t for t in range(depth + 1))
 
 
 def walk(
@@ -682,61 +719,63 @@ def walk(
     root: tuple[Any, Any],
     step: Step,
     last_children: bool = True,
-) -> Iterator[tuple[int, Any, tuple[Any, Any], list | None]]:
-    """Every context of ``nu`` up to ``depth`` with its walk node, depth first.
+) -> Iterator[tuple[int, int, tuple[Any, Any], list | None]]:
+    """Every context of ``nu`` up to ``depth`` by its slot, depth first.
 
-    Yields (order, context, node, kids) from ``root``; a node is a (mass,
-    state) pair. ``order`` is the context's position in :func:`contexts`
-    order, so callers file results into flat lists by it. ``kids`` are the
-    node's one-context extensions by ``step``, computed once and then
-    walked (None at level ``depth`` unless ``last_children``): joint kinds
-    give [node per next symbol], environments [[node per percept] per
-    action], sharing each pending action. Only the open path is held, never
-    a whole level.
+    Yields (slot, t, node, kids) from ``root``; a node is a (mass, state)
+    pair. ``slot`` is the context's position in :func:`contexts` order, so
+    callers file results into flat columns by it, and ``t`` its level (its
+    symbols, or an environment's steps). The walk builds no context:
+    :func:`_context_at` derives one from its slot where a caller needs it.
+    ``kids`` are the node's one-context extensions by ``step``, computed
+    once and then walked (None at level ``depth`` unless ``last_children``):
+    joint kinds give [node per next symbol], environments [[node per
+    percept] per action], sharing each pending action. Only the open path
+    is held, never a whole level.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    joint = isinstance(nu, JointSemimeasure)
-    n_actions, n_percepts = nu.action_arity, nu.percept_arity
+    alphabet = _alphabet(nu)
+    joint, n_actions, n_percepts = alphabet
     actions_range, percepts_range = range(n_actions), range(n_percepts)
-    offsets = [_count_contexts(nu, t - 1) for t in range(depth + 1)]
+    offsets = [0, *accumulate(_widths(alphabet, depth))]
+    # An environment's index within level t is a_index * P**t + p_index, its
+    # action and percept strings read as numbers.
     percept_strings = [n_percepts**t for t in range(depth + 1)]
-    # Rows keep their contexts; sharing one tuple per action string, as the
-    # contexts loop did, keeps the report as small as before.
-    action_strings: dict[tuple[int, ...], tuple[int, ...]] = {}
-    # (level, action-string index, percept-string index, context, node)
-    stack = [(0, 0, 0, () if joint else ((), ()), root)]
-    push = stack.append
+    stack = [(0, 0, root)]  # (level, index within the level, node)
+    pop, extend = stack.pop, stack.extend
     while stack:
-        t, a_index, p_index, context, node = stack.pop()
-        last = t == depth
+        t, index, node = pop()
+        if t == depth and not last_children:
+            yield offsets[t] + index, t, node, None
+            continue
         state = node[1]
-        if last and not last_children:
-            kids = None
-        elif joint:
-            kids = [step(state, s) for s in range(nu.arity_at(t))]
-        else:
-            kids = []
-            for a in actions_range:
-                pending = step(state, a)[1]
-                kids.append([step(pending, e) for e in percepts_range])
-        index = a_index if joint else a_index * percept_strings[t] + p_index
-        yield offsets[t] + index, context, node, kids
-        if last:
-            continue
+        # Plain loops below: a comprehension costs one more call per node.
         if joint:
-            arity = nu.arity_at(t)
-            for s, child in enumerate(kids):
-                push((t + 1, a_index * arity + s, 0, context + (s,), child))
+            arity = n_percepts if t % 2 else n_actions
+            kids = []
+            for s in range(arity):
+                kids.append(step(state, s))
+            yield offsets[t] + index, t, node, kids
+            if t < depth:
+                first = index * arity
+                extend(zip(repeat(t + 1), range(first, first + arity), kids))
             continue
-        e, a = context
-        for a_next, per_action in enumerate(kids):
-            actions = a + (a_next,)
-            actions = action_strings.setdefault(actions, actions)
-            a_child = a_index * n_actions + a_next
-            p_child = p_index * n_percepts
-            for e_next, child in enumerate(per_action):
-                push((t + 1, a_child, p_child + e_next, (e + (e_next,), actions), child))
+        kids = []
+        for a in actions_range:
+            pending = step(state, a)[1]
+            per_action = []
+            for e in percepts_range:
+                per_action.append(step(pending, e))
+            kids.append(per_action)
+        yield offsets[t] + index, t, node, kids
+        if t < depth:
+            a_index, p_index = divmod(index, percept_strings[t])
+            width = percept_strings[t + 1]
+            first = a_index * n_actions * width + p_index * n_percepts
+            for per_action in kids:
+                extend(zip(repeat(t + 1), range(first, first + n_percepts), per_action))
+                first += width
 
 
 @dataclass(frozen=True)
@@ -769,8 +808,9 @@ def compare(
 
     Returns (rows in :func:`contexts` order, count of contexts where ``lhs``
     is undefined, count of the others where ``rhs`` is undefined). Both
-    sides walk together; ``rhs`` is never extended where ``lhs`` or ``rhs``
-    is undefined.
+    sides walk together, their masses filed by slot; ``rhs`` is never
+    extended where ``lhs`` or ``rhs`` is undefined. The rows take their
+    contexts from :func:`contexts` order once the walk ends.
     """
     no_rhs = object()  # the rhs state at and below a context where rhs is undefined
 
@@ -798,20 +838,24 @@ def compare(
         root = ((lhs_mass, rhs_mass), (lhs_state, rhs_state))
     except UndefinedConditionalError:
         pass
-    joint = isinstance(lhs, JointSemimeasure)
-    slots: list[MismatchRow | None] = [None] * _count_contexts(lhs, depth)
+    alphabet = _alphabet(lhs)
+    pairs: list[tuple[Any, Any] | None] = [None] * sum(_widths(alphabet, depth))
     lhs_undefined = rhs_undefined = 0
-    for order, context, (masses, _), _ in walk(lhs, depth, root, step, last_children=False):
+    for slot, _, (masses, _), _ in walk(lhs, depth, root, step, last_children=False):
         if masses is None:
             lhs_undefined += 1
         elif masses[1] is None:
             rhs_undefined += 1
         else:
-            n = len(context) if joint else 2 * len(context[1])
-            slots[order] = MismatchRow(
-                context, exact_mass(lhs, n, masses[0]), exact_mass(rhs, n, masses[1])
+            pairs[slot] = masses
+    rows = []
+    for context, masses in zip(_contexts(alphabet, depth), pairs):
+        if masses is not None:
+            n = len(context) if alphabet[0] else 2 * len(context[1])
+            rows.append(
+                MismatchRow(context, exact_mass(lhs, n, masses[0]), exact_mass(rhs, n, masses[1]))
             )
-    return [row for row in slots if row is not None], lhs_undefined, rhs_undefined
+    return rows, lhs_undefined, rhs_undefined
 
 
 def max_ratio(rows: Iterable[MismatchRow]) -> tuple[Fraction | None, Any]:
@@ -850,20 +894,24 @@ class CheckRow:
         return "violation"
 
 
-# A checked row as the walk leaves it: (context, lhs numerator, rhs
-# numerator, level), level = (lhs scale, rhs scale, rhs scale // lhs scale).
-Entry = tuple[Any, Any, Any, tuple[int, int, int]]
+def _exact_row(context: Any, lhs: Any, rhs: Any, scale: int) -> CheckRow:
+    return CheckRow(context, Fraction(lhs, scale), Fraction(rhs, scale))
 
 
 @dataclass(frozen=True, eq=False)
 class CheckReport:
     """Deterministic report of an exhaustive defining-condition check.
 
-    The rows are kept as walk numerators; their verdicts are counted once,
-    at construction, by comparing lhs * (rhs scale // lhs scale) with rhs.
-    ``rows`` builds the exact :class:`CheckRow` tuple when first read, and
-    ``violations`` builds only the violating rows. Two reports are equal
-    when their exact rows and every other field are.
+    Rows are kept as two flat numerator columns indexed by row slot, the
+    row's position in report order: ``lhs`` holds each prefix's numerator
+    and ``rhs`` its children's summed numerators, both over the children's
+    scale, which ``levels`` gives per checked depth as (rows, scale). The
+    verdicts are counted once, at construction, from the columns alone. A
+    row's context is derived from its slot only when ``rows`` or
+    ``violations`` is read: ``row_contexts()`` yields every row's context
+    in slot order. ``rows`` builds the exact :class:`CheckRow` tuple when
+    first read, and ``violations`` only the violating rows. Two reports are
+    equal when their exact rows and every other field are.
     """
 
     kind: str
@@ -871,21 +919,15 @@ class CheckReport:
     root_mass: Fraction
     monotone_violations: tuple[Any, ...]
     declared_measure: bool
-    entries: Sequence[Entry] = field(repr=False)
+    lhs: Sequence = field(repr=False)
+    rhs: Sequence = field(repr=False)
+    levels: Sequence[tuple[int, int]] = field(repr=False)
+    row_contexts: Callable[[], Iterator[Any]] = field(repr=False)
 
     def __post_init__(self):
-        strict = equal = 0
-        bad = []
-        for slot, (_, lhs, rhs, level) in enumerate(self.entries):
-            gain = level[2]
-            lhs = lhs if gain == 1 else lhs * gain
-            if lhs > rhs:
-                strict += 1
-            elif lhs == rhs:
-                equal += 1
-            else:
-                bad.append(slot)
-        object.__setattr__(self, "_tally", (strict, equal, tuple(bad)))
+        strict = sum(map(operator.gt, self.lhs, self.rhs))
+        equal = sum(map(operator.eq, self.lhs, self.rhs))
+        object.__setattr__(self, "_tally", (strict, equal, len(self.lhs) - strict - equal))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CheckReport):
@@ -893,27 +935,30 @@ class CheckReport:
         fields = ("kind", "depth", "root_mass", "monotone_violations", "declared_measure", "rows")
         return all(getattr(self, f) == getattr(other, f) for f in fields)
 
-    @staticmethod
-    def _row(entry: Entry) -> CheckRow:
-        context, lhs, rhs, (scale, child_scale, _) = entry
-        return CheckRow(context, Fraction(lhs, scale), Fraction(rhs, child_scale))
+    def _columns(self) -> Iterator[tuple[Any, Any, Any, int]]:
+        """(context, lhs, rhs, scale) of every row, in slot order."""
+        scales = chain.from_iterable(repeat(scale, n) for n, scale in self.levels)
+        return zip(self.row_contexts(), self.lhs, self.rhs, scales)
 
     @property
     def contexts(self) -> int:
         """How many rows were checked (``len(rows)``, without building them)."""
-        return len(self.entries)
+        return len(self.lhs)
 
     @property
     def rows(self) -> tuple[CheckRow, ...]:
         rows = self.__dict__.get("_rows")
         if rows is None:
-            rows = tuple(map(self._row, self.entries))
+            rows = tuple(starmap(_exact_row, self._columns()))
             object.__setattr__(self, "_rows", rows)
         return rows
 
     @property
     def violations(self) -> tuple[CheckRow, ...]:
-        return tuple(self._row(self.entries[slot]) for slot in self._tally[2])
+        if not self._tally[2]:
+            return ()
+        bad = map(operator.lt, self.lhs, self.rhs)
+        return tuple(starmap(_exact_row, compress(self._columns(), bad)))
 
     @property
     def strict_rows(self) -> int:
@@ -937,13 +982,6 @@ class CheckReport:
         return True if self.strict_rows > 0 else None
 
 
-def _levels(nu: JointSemimeasure | ChronEnv, depth: int, width: int) -> list[tuple[int, int, int]]:
-    """The row level of each checked depth t: a context of ``width * t`` symbols
-    against its children ``width`` symbols further."""
-    scales = [nu.scale(width * t) for t in range(depth + 2)]
-    return [(scales[t], scales[t + 1], scales[t + 1] // scales[t]) for t in range(depth + 1)]
-
-
 def check_semimeasure(nu: JointSemimeasure, depth: int) -> CheckReport:
     """Exhaustively check subadditivity (and monotonicity) up to ``depth``.
 
@@ -951,27 +989,7 @@ def check_semimeasure(nu: JointSemimeasure, depth: int) -> CheckReport:
     of its one-symbol extensions. Violations are data, not failures; rows are
     ordered lexicographically by (length, symbols).
     """
-    entries: list[Any] = [None] * _count_contexts(nu, depth)
-    monotone_bad: list[tuple[int, Any]] = []
-    levels = _levels(nu, depth, 1)
-    root = nu.root()
-    for order, x, (lhs, _), kids in walk(nu, depth, root, nu.extend):
-        level = levels[len(x)]
-        masses = list(map(_mass, kids))
-        entries[order] = (x, lhs, sum(masses), level)
-        if level[2] != 1:
-            lhs *= level[2]
-        if max(masses) > lhs:
-            monotone_bad.extend((order, x + (s,)) for s, m in enumerate(masses) if m > lhs)
-    monotone_bad.sort(key=lambda item: item[0])  # stable: symbol order within a context
-    return CheckReport(
-        kind="semimeasure",
-        depth=depth,
-        root_mass=Fraction(root[0], levels[0][0]),
-        monotone_violations=tuple(item for _, item in monotone_bad),
-        declared_measure=nu.declared_measure,
-        entries=entries,
-    )
+    return _check(nu, depth)
 
 
 def check_chronological(nu: ChronEnv, depth: int) -> CheckReport:
@@ -979,57 +997,93 @@ def check_chronological(nu: ChronEnv, depth: int) -> CheckReport:
 
     For every (e, a) pair with t <= depth and every next action a', verifies
     nu(e || a) >= sum_e' nu(e e' || a a'). One row per (e, a, a'), in
-    :func:`contexts` order.
+    :func:`contexts` order; the row of (e, a, a') has slot
+    ``slot(e, a) * |A| + a'``.
     """
-    n_actions = nu.action_arity
-    entries: list[Any] = [None] * (_count_contexts(nu, depth) * n_actions)
-    monotone_bad: list[tuple[int, Any]] = []
-    levels = _levels(nu, depth, 2)
+    return _check(nu, depth)
+
+
+def _check_rows(alphabet: _Alphabet, depth: int) -> Iterator[Any]:
+    """The row contexts of :func:`_check` in slot order: each joint context,
+    or (e, a, a') for each environment context (e, a) and next action a'."""
+    if alphabet[0]:
+        return _contexts(alphabet, depth)
+    next_actions = range(alphabet[1])
+    return ((e, a, a_next) for e, a in _contexts(alphabet, depth) for a_next in next_actions)
+
+
+def _check(nu: JointSemimeasure | ChronEnv, depth: int) -> CheckReport:
+    """The one walk of both checks: a row per joint context, or per
+    environment context and next action, holds the context's numerator
+    against the summed numerators of its children."""
+    alphabet = _alphabet(nu)
+    joint = alphabet[0]
+    fan = 1 if joint else nu.action_arity  # rows per context
+    widths = [width * fan for width in _widths(alphabet, depth)]
+    lhs_column: list[Any] = [None] * sum(widths)
+    rhs_column: list[Any] = [None] * len(lhs_column)
+    witnesses: list[tuple[int, int]] = []  # (row, symbol) of a child above its prefix
+    # A context's numerator times its level's gain is over its children's scale.
+    scales = [nu.scale((1 if joint else 2) * t) for t in range(depth + 2)]
+    gains = [scales[t + 1] // scales[t] for t in range(depth + 1)]
     root = nu.root()
-    for order, (e, a), (lhs, _), per_action in walk(nu, depth, root, nu.extend):
-        level = levels[len(a)]
-        scaled = lhs if level[2] == 1 else lhs * level[2]
-        first = order * n_actions
-        for a_next, kids in enumerate(per_action):
-            slot = first + a_next
-            masses = list(map(_mass, kids))
-            entries[slot] = ((e, a, a_next), lhs, sum(masses), level)
-            if max(masses) > scaled:
-                monotone_bad.extend(
-                    (slot, (e + (e_next,), a + (a_next,)))
-                    for e_next, m in enumerate(masses)
-                    if m > scaled
-                )
-    monotone_bad.sort(key=lambda item: item[0])  # stable: percept order within a row
+    for slot, t, (lhs, _), kids in walk(nu, depth, root, nu.extend):
+        if gains[t] != 1:
+            lhs *= gains[t]
+        row = slot * fan
+        for group in (kids,) if joint else kids:
+            rhs, above = 0, False
+            for mass, _ in group:  # a plain loop: no list, no comprehension per row
+                rhs += mass
+                if mass > lhs:
+                    above = True
+            lhs_column[row] = lhs
+            rhs_column[row] = rhs
+            if above:
+                witnesses.extend((row, s) for s, (m, _) in enumerate(group) if m > lhs)
+            row += 1
+    witnesses.sort()  # symbol order within a row
+    monotone = []
+    for row, s in witnesses:
+        x = _context_at(nu, row // fan)
+        monotone.append(x + (s,) if joint else (x[0] + (s,), x[1] + (row % fan,)))
     return CheckReport(
-        kind="chronological",
+        kind="semimeasure" if joint else "chronological",
         depth=depth,
-        root_mass=Fraction(root[0], levels[0][0]),
-        monotone_violations=tuple(item for _, item in monotone_bad),
+        root_mass=exact_mass(nu, 0, root[0]),
+        monotone_violations=tuple(monotone),
         declared_measure=nu.declared_measure,
-        entries=entries,
+        lhs=lhs_column,
+        rhs=rhs_column,
+        levels=tuple(zip(widths, scales[1:])),
+        row_contexts=partial(_check_rows, alphabet, depth),
     )
+
+
+def _policy_rows(alphabet: _Alphabet, depth: int) -> Iterator[tuple]:
+    """The (actions, percepts) row contexts of a policy check: histories of
+    t < depth steps, in :func:`contexts` order."""
+    return ((actions, percepts) for percepts, actions in _contexts(alphabet, depth - 1))
 
 
 def check_policy(pi: Policy, depth: int, percept_arity: int = 2) -> CheckReport:
     """Chronological condition with action/percept roles swapped."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    entries: list[Entry] = []
-    exact = (1, 1, 1)  # policy weights are exact masses already
-    for t in range(depth):
-        for actions in product(range(pi.action_arity), repeat=t):
-            for percepts in product(range(percept_arity), repeat=t):
-                lhs = pi.weight(actions, percepts[: max(0, t - 1)])
-                children = [
-                    pi.weight(actions + (a,), percepts) for a in range(pi.action_arity)
-                ]
-                entries.append(((actions, percepts), lhs, sum(children, ZERO), exact))
+    alphabet = (False, pi.action_arity, percept_arity)
+    lhs_column, rhs_column = [], []
+    for actions, percepts in _policy_rows(alphabet, depth):
+        lhs_column.append(pi.weight(actions, percepts[: max(0, len(actions) - 1)]))
+        children = [pi.weight(actions + (a,), percepts) for a in range(pi.action_arity)]
+        rhs_column.append(sum(children, ZERO))
     return CheckReport(
         kind="policy",
         depth=depth,
         root_mass=pi.weight((), ()),
         monotone_violations=(),
         declared_measure=False,
-        entries=entries,
+        lhs=lhs_column,
+        rhs=rhs_column,
+        levels=((len(lhs_column), 1),),  # policy weights are exact masses already
+        row_contexts=partial(_policy_rows, alphabet, depth),
     )

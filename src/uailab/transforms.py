@@ -42,6 +42,7 @@ from .semimeasure import (
     Policy,
     StationaryPolicy,
     _check_alphabet,
+    _context_at,
     compare,
     exact_mass,
     max_ratio,
@@ -300,13 +301,12 @@ def check_normalization_dominance(
     ``nu`` gives both: the normalized conditional of x s is nu(x s) over
     the summed one-symbol extensions of x, as in :class:`NormalizedPredictor`.
     """
-    found: list[tuple[int, MismatchRow]] = []
+    found: list[tuple[int, int, Fraction, Fraction]] = []  # (slot, symbol, raw, hatted)
     skipped = 0
-    for order, x, (raw_prefix, _), kids in walk(nu, depth, nu.root(), nu.extend):
+    for slot, n, (raw_prefix, _), kids in walk(nu, depth, nu.root(), nu.extend):
         if raw_prefix == 0:
             skipped += 1
             continue
-        n = len(x)
         prefix_mass = exact_mass(nu, n, raw_prefix)
         total = exact_mass(nu, n + 1, sum(m for m, _ in kids))
         for s, (mass, _) in enumerate(kids):
@@ -316,9 +316,10 @@ def check_normalization_dominance(
             mass = exact_mass(nu, n + 1, mass)
             raw, hatted = mass / prefix_mass, mass / total
             if hatted < raw:
-                found.append((order, MismatchRow((x, s), raw, hatted)))
-    found.sort(key=lambda item: item[0])  # stable: symbol order within a context
-    return [row for _, row in found], skipped
+                found.append((slot, s, raw, hatted))
+    found.sort()  # by (slot, symbol), which no two rows share
+    rows = [MismatchRow((_context_at(nu, slot), s), raw, hatted) for slot, s, raw, hatted in found]
+    return rows, skipped
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,16 @@ right shift. The walk keys masses by code and decodes each code into its
 output tuple once, when it builds the table entry; a stopped node stores
 the code's bytes.
 
+The interpreter fast-forwards laps. When JBACK lands at pc 0 with the
+register and action count of an earlier landing in the same segment, the
+run read no action in between, so it repeats that lap exactly until a
+budget stops it: each lap takes the same steps and appends the same k
+symbols. The interpreter adds whole laps at once (steps, and the lap's
+last k symbols repeated onto the code), leaving the last one or two to run
+step by step, so status, pc, register and steps are those of the plain
+run. One landing is kept per register value, which catches laps of one or
+two landings.
+
 Worked example programs (lengths on the frozen machine):
 
     constant-zero  000110          (6 bits)   output 000...
@@ -155,6 +165,7 @@ def _run_segment(
     n = len(ops)
     # Each symbol takes a step, so a run never emits more than max_steps.
     limit = max_steps + 1 if max_output is None else max_output
+    landings: list[tuple[int, int, int] | None] = [None, None]  # by register value
     while True:
         if steps >= max_steps:
             return "step_limit", pc, reg, steps, code, n_out, nread
@@ -182,6 +193,24 @@ def _run_segment(
         elif op == JBACK:
             steps += 1
             pc = 0
+            # Back at pc 0 with the register and reads of an earlier landing,
+            # the run repeats that lap exactly until a budget stops it: skip
+            # whole laps, leaving the last one or two to run step by step.
+            seen = landings[reg]
+            if seen is not None and seen[0] == nread:
+                lap, k = steps - seen[1], n_out - seen[2]
+                laps = (max_steps - steps) // lap
+                if k:
+                    laps = min(laps, (limit - 1 - n_out) // k)
+                if laps > 1:
+                    laps -= 1
+                    steps += lap * laps
+                    if k:  # the lap's k symbols, repeated
+                        span = k * laps
+                        block = code & ((1 << k) - 1)
+                        code = code << span | block * ((1 << span) - 1) // ((1 << k) - 1)
+                        n_out += span
+            landings[reg] = (nread, steps, n_out)
         elif op == FLIP:
             steps += 1
             reg ^= 1

@@ -1,8 +1,9 @@
-"""The shared context enumerator and the exact compare primitive.
+"""The shared context enumerator, the walk and the exact compare primitive.
 
-Every exhaustive check walks ``contexts`` and most compare through
-``compare``; these tests pin their order contract and check both against
-plain ``itertools.product`` loops on random tables.
+Every exhaustive check walks contexts by their slot, their position in
+``contexts`` order, and most compare through ``compare``; these tests pin
+the order contract, the slot-to-context inverse and the walk's slots, and
+check ``compare`` against plain ``itertools.product`` loops on random tables.
 """
 from fractions import Fraction
 from itertools import product
@@ -18,9 +19,11 @@ from uailab.semimeasure import (
     StationaryPolicy,
     TableEnv,
     TableJoint,
+    _context_at,
     compare,
     contexts,
     max_ratio,
+    walk,
 )
 from uailab.transforms import check_env_dual_roundtrip, dual, env
 
@@ -111,3 +114,49 @@ def test_compare_equals_a_plain_product_loop(joint, nu, filler):
 
     mismatches, _ = check_env_dual_roundtrip(nu, pi, 3)
     assert mismatches == []
+
+
+ALPHABETS = st.tuples(st.booleans(), st.sampled_from([2, 3]), st.sampled_from([2, 3]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ALPHABETS, st.integers(0, 4))
+def test_slot_to_context_inverts_contexts_order(alphabet, depth):
+    joint, n_actions, n_percepts = alphabet
+    cls = TableJoint if joint else TableEnv
+    nu = cls({}, "uniform", n_actions, n_percepts)
+    every = list(contexts(nu, depth))
+    assert [_context_at(nu, slot) for slot in range(len(every))] == every
+
+
+@settings(max_examples=40, deadline=None)
+@given(ALPHABETS, st.integers(0, 4), st.booleans())
+def test_walk_yields_each_slot_once_with_its_context_node(alphabet, depth, last_children):
+    # A step whose state is the interleaved string walked so far, so each
+    # node names the context it belongs to.
+    joint, n_actions, n_percepts = alphabet
+    cls = TableJoint if joint else TableEnv
+    nu = cls({}, "uniform", n_actions, n_percepts)
+    every = list(contexts(nu, depth))
+    nodes = {}
+    for slot, t, (mass, x), kids in walk(
+        nu, depth, (0, ()), lambda x, s: (len(x) + 1, x + (s,)), last_children
+    ):
+        assert slot not in nodes
+        nodes[slot] = x
+        assert mass == len(x) == (t if joint else 2 * t)
+        if t == depth and not last_children:
+            assert kids is None
+        elif joint:
+            assert [kid[1] for kid in kids] == [x + (s,) for s in range(nu.arity_at(t))]
+        else:
+            assert [[kid[1] for kid in per] for per in kids] == [
+                [x + (a, e) for e in range(n_percepts)] for a in range(n_actions)
+            ]
+    assert sorted(nodes) == list(range(len(every)))
+    if joint:
+        assert [nodes[slot] for slot in range(len(every))] == every
+    else:
+        assert [nodes[slot] for slot in range(len(every))] == [
+            tuple(s for step in zip(a, e) for s in step) for e, a in every
+        ]

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from uailab import semimeasure
 from uailab.core import ComponentFormatError
 from uailab.mixture import EnvMixture, JointMixture
 from uailab.semimeasure import (
@@ -79,6 +80,31 @@ def test_checker_reports_violation_at_root():
     assert not report.ok
     assert report.violations[0].context == ()
     assert report.violations[0].rhs == F(11, 10)
+
+
+def test_report_fields_but_rows_build_no_check_row(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a CheckRow was built")
+
+    monkeypatch.setattr(semimeasure, "CheckRow", no_rows)
+    bad_env = RawEnv({((), ()): F(1), ((0,), (0,)): F(3, 5), ((1,), (0,)): F(3, 5)})
+    reports = [
+        check_semimeasure(uniform_measure(), 4),
+        check_semimeasure(RawJoint({(): F(1, 4), (0,): F(1, 2)}), 2),  # not monotone
+        check_chronological(NoisyCopyEnv(F(3, 4), F(1, 4)), 3),
+        check_chronological(bad_env, 1),  # violates the condition
+        check_policy(uniform_policy(3), 3),
+    ]
+    for report in reports:
+        report.contexts, report.strict_rows, report.equal_rows
+        report.ok, report.declaration_verified, report.monotone_violations
+        if report.ok:
+            assert report.violations == ()
+    with pytest.raises(AssertionError, match="a CheckRow was built"):
+        reports[3].violations
+    with pytest.raises(AssertionError, match="a CheckRow was built"):
+        reports[0].rows
+    assert reports[1].monotone_violations == ((0,),)
 
 
 def test_report_counts_build_no_rows(monkeypatch):

@@ -6,7 +6,7 @@ from itertools import product
 from typing import Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uailab import utm
@@ -15,6 +15,7 @@ from uailab.semimeasure import check_chronological, check_semimeasure
 from uailab.utm import (
     CACHE_ENV_VAR,
     FLIP,
+    HALT,
     JBACK,
     MACHINE_DEFINITION,
     MACHINE_HASH,
@@ -496,6 +497,43 @@ def test_run_program_matches_frozen_step_by_step_run():
                 assert vars(result) == expected, (program, tape, max_steps, max_output)
                 longest = max(longest, len(result.output))
     assert longest > 64  # output codes past 2**64 were compared too
+
+
+# Programs that lap: JBACK returns to pc 0 with the register and reads of an
+# earlier landing, so the interpreter skips whole laps. Silent laps, laps of
+# two landings (the register flips each pass), and laps that emit.
+LAPS = [
+    (JBACK,),
+    (FLIP, JBACK),
+    (SKIP0, FLIP, JBACK),
+    (FLIP, OUTR, JBACK),
+    (OUT1, OUT0, JBACK),
+    (OUTR, FLIP, OUTR, JBACK),
+    (FLIP, SKIP0, OUT1, OUTR, JBACK),
+    (READA, OUTR, JBACK),
+]
+LAP_BODIES = st.sampled_from(LAPS) | st.lists(
+    st.sampled_from([OUT0, OUT1, OUTR, READA, FLIP, SKIP0, HALT]), max_size=5
+).map(lambda body: (*body, JBACK))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    LAP_BODIES,
+    st.none() | st.lists(st.integers(0, 1), max_size=8),
+    st.integers(0, 1000),
+    st.none() | st.integers(0, 64),
+)
+# The output cap falls on the last symbol of a lap: the 10th lap of OUT1 OUT0.
+@example((OUT1, OUT0, JBACK), None, 1000, 20)
+@example((FLIP, OUTR, JBACK), None, 1000, 7)
+# The step budget ends exactly where a lap does.
+@example((FLIP, JBACK), None, 600, None)
+@example((FLIP, OUTR, JBACK), [], 999, 64)
+def test_lap_fast_forward_matches_frozen_step_by_step_run(body, tape, max_steps, max_output):
+    program = _opcode_bits(*body)
+    result = run_program(program, tape, max_steps, max_output)
+    assert vars(result) == frozen_run(program, tape, max_steps, max_output)
 
 
 @pytest.mark.parametrize("bits, steps, max_len", [(15, 200, 32), (18, 200, 24)])
