@@ -100,7 +100,6 @@ class MixtureDef:
     name: str
     joint: JointMixture | None
     chron: EnvMixture | None
-    note: str
 
 
 def scenario_mixtures() -> dict[str, MixtureDef]:
@@ -149,30 +148,12 @@ def scenario_mixtures() -> dict[str, MixtureDef]:
         names=("leaky_copy", "defective_uniform"),
     )
     return {
-        "copy_vs_uniform": MixtureDef(
-            "copy_vs_uniform",
-            copy_uniform_joint,
-            copy_uniform_chron,
-            "copy machine against the uniform measure, both views",
-        ),
-        "adversary_rich": MixtureDef(
-            "adversary_rich",
-            adversary_joint,
-            adversary_chron,
-            "joint class preferring non-copy patterns vs an env class holding the identity env at weight 1/2",
-        ),
+        "copy_vs_uniform": MixtureDef("copy_vs_uniform", copy_uniform_joint, copy_uniform_chron),
+        "adversary_rich": MixtureDef("adversary_rich", adversary_joint, adversary_chron),
         "learnable_deterministic": MixtureDef(
-            "learnable_deterministic",
-            learnable_joint,
-            learnable_chron,
-            "deterministic identity and complement environments in class",
+            "learnable_deterministic", learnable_joint, learnable_chron
         ),
-        "halting_contrast": MixtureDef(
-            "halting_contrast",
-            halting_joint,
-            None,
-            "strictly defective class: the best copier leaks mass every step",
-        ),
+        "halting_contrast": MixtureDef("halting_contrast", halting_joint, None),
     }
 
 
@@ -237,8 +218,8 @@ def mixture_from_dict(definition: dict) -> MixtureDef:
         raise ComponentFormatError("mixture must be all-joint or all-environment")
     name = definition.get("name", "custom")
     if joints:
-        return MixtureDef(name, JointMixture(joints, weights), None, "user mixture")
-    return MixtureDef(name, None, EnvMixture(chrons, weights), "user mixture")
+        return MixtureDef(name, JointMixture(joints, weights), None)
+    return MixtureDef(name, None, EnvMixture(chrons, weights))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +299,10 @@ def validate_config_dict(raw: dict) -> list[str]:
         )
     if not errors and "mixture" in raw:
         try:
-            mixture_from_dict(raw["mixture"])
+            if raw["scenario"] != "thm7_drop":
+                errors.append(f"mixture: only thm7_drop reads one, not {raw['scenario']}")
+            elif mixture_from_dict(raw["mixture"]).joint is None:
+                errors.append("mixture: thm7_drop needs a joint mixture")
         except ValueError as exc:  # ComponentFormatError
             errors.append(f"mixture: {exc}")
     return errors
@@ -629,8 +613,6 @@ def _scenario_thm7(cfg: ScenarioConfig) -> ScenarioOutcome:
         if cfg.mixture is not None
         else scenario_mixtures()["adversary_rich"]
     )
-    if mdef.joint is None:
-        raise ConfigError("thm7_drop needs a joint mixture")
     trace = greedy_antipredict(mdef.joint, steps)
     _write_csv(cfg.out_dir / "trace_finite.csv", _TRACE_HEADER, _trace_rows(trace))
 

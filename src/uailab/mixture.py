@@ -7,7 +7,10 @@ environments are chronological environments. A mixture's ``eval`` is the
 fold of its walk. ``posterior_weights`` and ``predictive`` evaluate one
 history by such point queries. A mixture's walk state carries every live
 component's weighted mass, so walks read the unnormalized posterior
-w_i nu_i(prefix) at each node without re-evaluating the prefix.
+w_i nu_i(prefix) at each node without re-evaluating the prefix. So
+:func:`check_predictive_consistency` reads both faces of the predictive
+identity off one walk: they differ exactly by the child mass of the
+components whose weighted mass at the prefix is 0.
 
 A mixture's walk scale is the lcm of its components' scales times the lcm
 of its weights' denominators, so with integer components its masses are
@@ -268,29 +271,29 @@ def check_predictive_consistency(
     """Mismatches between the two faces of the predictive conditional.
 
     For every complete history to ``depth``, action, and percept with a
-    positive pending prefix: the mixture conditional xi(e | prefix) must
-    equal the posterior-weighted component conditionals (components with
-    zero posterior contribute nothing). Returns mismatch triples
-    (witness, lhs, rhs) in the :func:`contexts` order of the pending
-    prefixes; empty means exact agreement everywhere. Both sides read the
-    per-component masses of one mixture walk.
+    positive pending prefix x: the mixture conditional xi(e | x) must equal
+    the posterior-weighted component conditionals, which leave out the
+    components of zero posterior. Both faces read one mixture walk, where
+    w_i nu_i(x) / xi(x) times w_i nu_i(x e) / w_i nu_i(x) is w_i nu_i(x e) / xi(x),
+    so they differ exactly by the child mass of the live components whose
+    weighted mass w_i nu_i(x) is 0, an integer sum. Returns mismatch triples
+    (witness, xi(x e) / xi(x), the same without that mass) in the
+    :func:`contexts` order of the pending prefixes; empty means agreement.
     """
     found: list[tuple[int, int, Fraction, Fraction]] = []  # (slot, percept, lhs, rhs)
     root = mixture.root()
     for slot, n, (mass, state), kids in walk(mixture, 2 * depth + 1, root, mixture.extend):
         if n % 2 == 0 or mass == 0:
             continue
-        total = exact_mass(mixture, n, mass)
-        weighted = [(i, exact_mass(mixture, n, m)) for i, m, _ in state[2]]  # w_i nu_i
-        posterior = [(w_nu / total, i, w_nu) for i, w_nu in weighted]
+        zero = {i for i, m, _ in state[2] if m == 0}  # live components of zero posterior
+        if not zero:
+            continue
         for e, (child_mass, child_state) in enumerate(kids):
-            child = {i: m for i, m, _ in child_state[2]} if child_state else {}
-            lhs = exact_mass(mixture, n + 1, child_mass) / total
-            rhs = ZERO
-            for post, i, w_nu in posterior:
-                if post != 0:
-                    rhs += post * (exact_mass(mixture, n + 1, child.get(i, 0)) / w_nu)
-            if lhs != rhs:
+            gained = sum(m for i, m, _ in child_state[2] if i in zero) if child_state else 0
+            if gained:
+                total = exact_mass(mixture, n, mass)
+                lhs = exact_mass(mixture, n + 1, child_mass) / total
+                rhs = exact_mass(mixture, n + 1, child_mass - gained) / total
                 found.append((slot, e, lhs, rhs))
     found.sort()  # by (slot, percept), which no two mismatches share
     return [((_context_at(mixture, slot), e), lhs, rhs) for slot, e, lhs, rhs in found]

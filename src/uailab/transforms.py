@@ -18,12 +18,16 @@ walks its base: each of its steps takes O(1) base steps. A dual's walk
 recomputes ``Policy.weight`` at each action, whatever the kind of policy.
 Views, duals and normalized predictors keep ``Fraction`` masses (scale 1):
 they divide, or weigh by a policy, so they convert their base's numerators
-with :func:`~uailab.semimeasure.exact_mass`.
+with :func:`~uailab.semimeasure.exact_mass`. Normalization can lower a
+conditional nu(s | x) only where nu(x) > 0, nu(x s) > 0 and the children
+of x outweigh x, where the semimeasure condition fails: so
+:func:`check_normalization_dominance` reads the semimeasure check's rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Any, Sequence
 
 from .core import (
@@ -41,12 +45,12 @@ from .semimeasure import (
     MixturePolicy,
     Policy,
     StationaryPolicy,
+    _check,
     _check_alphabet,
     _context_at,
     compare,
     exact_mass,
     max_ratio,
-    walk,
 )
 
 
@@ -294,31 +298,29 @@ def check_normalization_dominance(
 ) -> tuple[list[MismatchRow], int]:
     """Normalized conditionals never fall below the raw ones, pointwise.
 
-    The normalizing denominator of a semimeasure is at most 1, so wherever
-    both sides are defined the normalized conditional must be >= the raw
-    conditional. Returns (violation rows carrying (raw, normalized), count
-    of contexts skipped because either side was undefined). One walk of
-    ``nu`` gives both: the normalized conditional of x s is nu(x s) over
-    the summed one-symbol extensions of x, as in :class:`NormalizedPredictor`.
+    The normalized conditional of x s, nu(x s) over the summed children of
+    x as in :class:`NormalizedPredictor`, falls below the raw nu(x s) / nu(x)
+    for nonnegative masses exactly where nu(x) > 0, nu(x s) > 0 and the
+    children of x outweigh x. So the semimeasure check's rows decide it, and
+    only those rare contexts are folded again, for their rows. Returns
+    (rows carrying (raw, normalized), contexts skipped as undefined: each x
+    with nu(x) = 0 once, each child of an x whose children sum to 0).
     """
-    found: list[tuple[int, int, Fraction, Fraction]] = []  # (slot, symbol, raw, hatted)
+    report = _check(nu, depth)
+    rows: list[MismatchRow] = []
     skipped = 0
-    for slot, n, (raw_prefix, _), kids in walk(nu, depth, nu.root(), nu.extend):
-        if raw_prefix == 0:
-            skipped += 1
-            continue
-        prefix_mass = exact_mass(nu, n, raw_prefix)
-        total = exact_mass(nu, n + 1, sum(m for m, _ in kids))
-        for s, (mass, _) in enumerate(kids):
-            if total == 0:
-                skipped += 1
-                continue
-            mass = exact_mass(nu, n + 1, mass)
-            raw, hatted = mass / prefix_mass, mass / total
-            if hatted < raw:
-                found.append((slot, s, raw, hatted))
-    found.sort()  # by (slot, symbol), which no two rows share
-    rows = [MismatchRow((_context_at(nu, slot), s), raw, hatted) for slot, s, raw, hatted in found]
+    columns = enumerate(zip(report.lhs, report.rhs))
+    for t, (width, scale) in enumerate(report.levels):
+        arity = nu.arity_at(t)
+        for slot, (prefix, total) in islice(columns, width):
+            if prefix == 0 or total == 0:
+                skipped += 1 if prefix == 0 else arity
+            elif prefix < total:
+                x = _context_at(nu, slot)
+                for s in range(arity):
+                    mass = nu.fold(x + (s,)) * scale  # over the columns' scale
+                    if mass:
+                        rows.append(MismatchRow((x, s), mass / prefix, mass / total))
     return rows, skipped
 
 

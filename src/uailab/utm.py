@@ -458,7 +458,8 @@ class JointEnumApprox(JointSemimeasure):
 
     mass(x) sums 2^-(bits) over counted runs whose output extends x, for
     every x up to ``max_len`` symbols. Masses are nondecreasing in both
-    budgets; evaluation beyond ``max_len`` raises rather than guessing.
+    budgets; evaluation beyond ``max_len`` raises rather than guessing. The
+    walk reads the table, whose masses are ``Fraction`` (scale 1).
     """
 
     def __init__(self, max_len: int, table: dict):
@@ -466,14 +467,18 @@ class JointEnumApprox(JointSemimeasure):
         self.table = table
         self.declared_measure = False
 
-    def eval(self, x: tuple[int, ...]) -> Prob:
-        x = tuple(x)
+    eval = JointSemimeasure.fold
+
+    def root(self) -> tuple[Prob, Any]:
+        return self.table.get((), ZERO), ()
+
+    def extend(self, state: tuple[int, ...], symbol: int) -> tuple[Prob, Any]:
+        x = state + (symbol,)
         if len(x) > self.max_len:
             raise ComponentFormatError(
                 f"string of length {len(x)} beyond recorded depth {self.max_len}"
             )
-        _check_alphabet(self, x, x)
-        return self.table.get(x, ZERO)
+        return self.table.get(x, ZERO), x
 
 
 class ChronEnumApprox(ChronEnv):
@@ -549,6 +554,8 @@ class ChronEnumApprox(ChronEnv):
         return tables
 
     def eval(self, percepts: tuple[int, ...], actions: tuple[int, ...]) -> Prob:
+        """Not the fold of the walk: ``extend`` enters here to enumerate a
+        tape it has no table for, so a fold would recurse through it."""
         percepts, actions = tuple(percepts), tuple(actions)
         _check_alphabet(self, (percepts, actions), _history(percepts, actions))
         return self._table_for(actions).get(percepts, ZERO)

@@ -240,6 +240,8 @@ BAD_MIXTURES = {
     "missing_weights": {"components": [{"builtin": "copy_machine"}]},
     "zero_denominator": {"components": [{"builtin": "copy_machine"}], "weights": ["1/0"]},
     "builtin_not_a_string": {"components": [{"builtin": ["copy_machine"]}], "weights": ["1"]},
+    # thm7_drop plays its adversary against a joint mixture only
+    "all_environment": {"components": [{"builtin": "mu_id"}], "weights": ["1"]},
 }
 
 
@@ -266,14 +268,26 @@ def test_bad_mixture_input_exits_2_without_traceback(tmp_path, case, command):
     assert "mixture" in result.stderr
 
 
-def _cli_exit_and_stderr(capsys, command, config, out):
+def _cli_exit_and_stderr(capsys, command, config, out, scenario="thm7_drop"):
     from uailab import cli
 
     if command == "check":
         code = cli.main(["check", "--config", str(config)])
     else:
-        code = cli.main(["run", "thm7_drop", "--config", str(config), "--out", str(out)])
+        code = cli.main(["run", scenario, "--config", str(config), "--out", str(out)])
     return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_mixture_for_a_scenario_that_reads_none_exits_2(tmp_path, capsys, command):
+    # thm8_gap reads no mixture: a run would ignore it without a word.
+    mixture = {"components": [{"builtin": "copy_machine"}], "weights": ["1"]}
+    raw = {"schema_version": SCHEMA_VERSION, "scenario": "thm8_gap", "mixture": mixture}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    code, err = _cli_exit_and_stderr(capsys, command, config, tmp_path / "o", "thm8_gap")
+    assert (code, err) == (2, "config error: mixture: only thm7_drop reads one, not thm8_gap\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["check", "run"])
@@ -526,6 +540,10 @@ def test_random_configs_exit_0_1_or_2(scenario, budgets, mixture):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(raw))
-        assert cli.main(["check", "--config", str(config)]) in (0, 2)
+        checked = cli.main(["check", "--config", str(config)])
+        assert checked in (0, 2)
         out = str(Path(tmp) / "out")
-        assert cli.main(["run", scenario, "--config", str(config), "--out", out]) in (0, 1, 2)
+        ran = cli.main(["run", scenario, "--config", str(config), "--out", out])
+        assert ran in (0, 1, 2)
+        # `check` catches every configuration error that `run` reports
+        assert checked == 2 or ran != 2

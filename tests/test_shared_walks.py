@@ -39,6 +39,7 @@ FOLDED = {
     "EnvView",
     "DualJoint",
     "NormalizedPredictor",
+    "JointEnumApprox",
 }
 
 

@@ -176,8 +176,11 @@ def test_const0_lower_bounds_the_joint_mixture():
 
 def test_eval_beyond_recorded_depth_raises():
     approx = enumerate_joint(6, 50, max_len=4)
-    with pytest.raises(ComponentFormatError):
+    with pytest.raises(ComponentFormatError, match="string of length 5 beyond recorded depth 4"):
         approx.eval((0,) * 5)
+    check_semimeasure(approx, 3)  # its children are recorded
+    with pytest.raises(ComponentFormatError, match="beyond recorded depth 4"):
+        check_semimeasure(approx, 4)
 
 
 def test_enumerations_reject_symbols_outside_the_alphabet():
