@@ -16,7 +16,7 @@ from .core import (
     PerceptSymbol,
     Prob,
     UndefinedConditionalError,
-    exact,
+    exact_masses,
     frac_str,
     history_from_symbols,
     prob,

@@ -1,9 +1,11 @@
 """Exact probabilities, alphabets, and alternating action/percept histories.
 
 Every probability in this package is an exact nonnegative rational
-(`fractions.Fraction`). Floats are rejected at construction sites: verdicts
+(`fractions.Fraction`). Floats are rejected at construction: verdicts
 about subadditivity, domination, and convergence must never be rounding
-artifacts. Floats appear only in emitted CSV columns explicitly suffixed
+artifacts. ``prob`` parses one value, and ``exact_masses`` is the one rule
+every component, policy and mixture constructor applies to its masses or
+weights. Floats appear only in emitted CSV columns explicitly suffixed
 ``_float``.
 
 All types here are immutable values and safe to share across workers.
@@ -73,11 +75,23 @@ def prob(value: int | str | Fraction, *, top: Fraction | None = ONE) -> Fraction
     return out
 
 
-def exact(value: int | str | Fraction) -> Fraction:
-    """Exact rational without the [0, 1] bound (rewards, ratios)."""
-    if isinstance(value, float):
-        raise ComponentFormatError(f"floats are not exact: {value!r}")
-    return Fraction(value.strip()) if isinstance(value, str) else Fraction(value)
+def exact_masses(row: Iterable, what: str, *, items: int | None = None) -> tuple[Fraction, ...]:
+    """``row`` as ``Fraction``s, checked by the one rule for exact masses and weights.
+
+    Every entry is an ``int`` or a ``Fraction``, never a bool, float or string
+    (parse text with :func:`prob`); none is negative; the row sums to at most 1.
+    Given ``items``, the row is a weight list: one positive weight per item,
+    and at least one item. ``what`` names the row in the error.
+    """
+    row = tuple(row)
+    if any(type(p) not in (int, Fraction) for p in row):
+        raise ComponentFormatError(f"{what} must be ints or Fractions, got {row!r}")
+    if items is not None and not 0 < items == len(row):
+        raise ComponentFormatError(f"{what}: {len(row)} for {items} items, need one per item")
+    if min(row, default=0) < 0 or (items and min(row) == 0) or sum(row) > 1:
+        sign, shown = "> 0" if items else ">= 0", ", ".join(map(str, row))
+        raise ComponentFormatError(f"{what} must be {sign} and sum to <= 1, got {shown}")
+    return tuple(map(Fraction, row))
 
 
 def frac_str(value: Fraction) -> str:

@@ -1141,12 +1141,16 @@ def claim_map() -> dict[str, tuple[str, ...]]:
 
 
 def run_scenario(cfg: ScenarioConfig) -> int:
-    """Execute a scenario, emit its CSVs and summary, return the exit code."""
-    info = SCENARIOS.get(cfg.scenario)
-    if info is None:
-        raise ConfigError(
-            f"unknown scenario {cfg.scenario!r}; available: {', '.join(sorted(SCENARIOS))}"
-        )
+    """Execute a scenario, emit its CSVs and summary, return the exit code.
+
+    The config is checked first by :func:`validate_config_dict`, as if it
+    were read from a file, so a config built in Python meets the same rules.
+    """
+    fields = {k: v for k, v in vars(cfg).items() if k != "out_dir" and v is not None}
+    errors = validate_config_dict({"schema_version": SCHEMA_VERSION, **fields})
+    if errors:
+        raise ConfigError("; ".join(errors))
+    info = SCENARIOS[cfg.scenario]
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # e.g. a file in the way

@@ -1,13 +1,15 @@
 """Finite Bayesian mixtures over joint or chronological components.
 
-A mixture is a weighted component list with all weights positive and summing
-to at most 1 (deficient priors allowed; shipped scenarios use weights as
-given). Mixtures of joint components are joint semimeasures; mixtures of
-environments are chronological environments. A mixture's ``eval`` is the
-fold of its walk. ``posterior_weights`` and ``predictive`` evaluate one
-history by such point queries. A mixture's walk state carries every live
-component's weighted mass, so walks read the unnormalized posterior
-w_i nu_i(prefix) at each node without re-evaluating the prefix. So
+A mixture is a weighted component list whose weights pass
+:func:`uailab.core.exact_masses`: one positive ``int`` or ``Fraction`` per
+component, summing to at most 1 (deficient priors allowed; shipped scenarios
+use weights as given), kept as ``Fraction``s. Mixtures of joint components
+are joint semimeasures; mixtures of environments are chronological
+environments. A mixture's ``eval`` is the fold of its walk.
+``posterior_weights`` and ``predictive`` evaluate one history by such point
+queries. A mixture's walk state carries every live component's weighted
+mass, so walks read the unnormalized posterior w_i nu_i(prefix) at each
+node without re-evaluating the prefix. So
 :func:`check_predictive_consistency` reads both faces of the predictive
 identity off one walk: they differ exactly by the child mass of the
 components whose weighted mass at the prefix is 0.
@@ -29,6 +31,7 @@ from .core import (
     ComponentFormatError,
     History,
     UndefinedConditionalError,
+    exact_masses,
 )
 from .semimeasure import ChronEnv, JointSemimeasure, Policy, _context_at, exact_mass, walk
 
@@ -41,17 +44,6 @@ def uniform_prior(n: int) -> tuple[Fraction, ...]:
 def harmonic_prior(n: int) -> tuple[Fraction, ...]:
     """w_i = 1/(i(i+1)) for enumeration-ordered components; sums to n/(n+1)."""
     return tuple(Fraction(1, i * (i + 1)) for i in range(1, n + 1))
-
-
-def _validate_weights(components: Sequence, weights: Sequence[Fraction]) -> None:
-    if len(components) != len(weights):
-        raise ComponentFormatError("component/weight length mismatch")
-    if not components:
-        raise ComponentFormatError("mixture needs at least one component")
-    if any(w <= 0 for w in weights):
-        raise ComponentFormatError("mixture weights must be > 0")
-    if sum(weights) > 1:
-        raise ComponentFormatError("mixture weights must sum to <= 1")
 
 
 class _Mixture:
@@ -77,7 +69,7 @@ class _Mixture:
         weights: Sequence[Fraction],
         names: Sequence[str] | None = None,
     ):
-        _validate_weights(components, weights)
+        self.weights = exact_masses(weights, "mixture weights", items=len(components))
         for c in components:
             if not isinstance(c, self._kind):
                 raise ComponentFormatError(
@@ -86,7 +78,6 @@ class _Mixture:
         if len({(c.action_arity, c.percept_arity) for c in components}) > 1:
             raise ComponentFormatError("mixed components must share one alphabet")
         self.components = tuple(components)
-        self.weights = tuple(weights)
         self.names = tuple(names) if names else tuple(
             f"{self.name_prefix}_{i}" for i in range(len(self.components))
         )
@@ -95,7 +86,7 @@ class _Mixture:
         self.declared_measure = all(c.declared_measure for c in self.components) and (
             sum(self.weights) == 1
         )
-        self._weight_scale = math.lcm(*(Fraction(w).denominator for w in self.weights))
+        self._weight_scale = math.lcm(*(w.denominator for w in self.weights))
         self._levels: list[tuple[int, tuple]] = []
 
     def _level(self, n: int) -> tuple[int, tuple]:
@@ -107,7 +98,7 @@ class _Mixture:
             lcm = math.lcm(*member)
             factors = tuple(
                 w.numerator * (self._weight_scale // w.denominator) * (lcm // s)
-                for w, s in zip(map(Fraction, self.weights), member)
+                for w, s in zip(self.weights, member)
             )
             levels.append((self._weight_scale * lcm, factors))
         return levels[n]
@@ -195,23 +186,19 @@ def dual_mixture(
     """
     from .transforms import dual
 
-    _validate_weights(envs, env_weights)
-    _validate_weights(policies, policy_weights)
-    components: list[JointSemimeasure] = []
-    weights: list[Fraction] = []
-    names: list[str] = []
-    for j, nu in enumerate(envs):
-        for k, pi in enumerate(policies):
-            if pair_weights is None:
-                w = policy_weights[k] * env_weights[j]
-            else:
-                w = pair_weights.get((j, k), ZERO)
-                if w == 0:
-                    continue
-            components.append(dual(nu, pi))
-            weights.append(w)
-            names.append(f"dual_env{j}_policy{k}")
-    return JointMixture(components, weights, names)
+    env_weights = exact_masses(env_weights, "env weights", items=len(envs))
+    policy_weights = exact_masses(policy_weights, "policy weights", items=len(policies))
+    if pair_weights is None:
+        pair_weights = {
+            (j, k): v * p for j, v in enumerate(env_weights) for k, p in enumerate(policy_weights)
+        }
+    grid = dict(zip(pair_weights, exact_masses(pair_weights.values(), "pair weights")))
+    pairs = [(j, k) for j in range(len(envs)) for k in range(len(policies)) if grid.get((j, k))]
+    return JointMixture(
+        [dual(envs[j], policies[k]) for j, k in pairs],
+        [grid[pair] for pair in pairs],
+        [f"dual_env{j}_policy{k}" for j, k in pairs],
+    )
 
 
 @dataclass(frozen=True)

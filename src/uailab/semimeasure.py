@@ -9,6 +9,9 @@ violation as data (never as an exception).
 
 Components declare whether they are measures (equality everywhere) or
 strictly defective; checkers verify the declaration up to the checked depth.
+Every component and policy constructor checks its masses or weights with
+:func:`uailab.core.exact_masses`, which rejects a bool, float or string;
+``table_component`` parses its JSON strings with :func:`uailab.core.prob` first.
 
 Walks share prefixes: ``root()`` gives the empty context's mass and a walk
 state, and ``extend(state, symbol)`` gives the mass and state one symbol
@@ -71,7 +74,7 @@ from .core import (
     History,
     Prob,
     UndefinedConditionalError,
-    frac_str,
+    exact_masses,
     prob,
 )
 
@@ -212,8 +215,7 @@ class StationaryPolicy(Policy):
     probs: tuple[Fraction, ...] = (HALF, HALF)
 
     def __post_init__(self):
-        if any(p < 0 for p in self.probs) or sum(self.probs) > 1:
-            raise ComponentFormatError("action masses must be >= 0 and sum to <= 1")
+        object.__setattr__(self, "probs", exact_masses(self.probs, "action masses"))
 
     @property
     def action_arity(self) -> int:  # type: ignore[override]
@@ -242,12 +244,8 @@ class MixturePolicy(Policy):
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if len(self.policies) != len(self.weights):
-            raise ComponentFormatError("policy/weight length mismatch")
-        if not self.policies:
-            raise ComponentFormatError("policy mixture needs at least one policy")
-        if any(w <= 0 for w in self.weights) or sum(self.weights) > 1:
-            raise ComponentFormatError("policy weights must be positive and sum to <= 1")
+        weights = exact_masses(self.weights, "policy weights", items=len(self.policies))
+        object.__setattr__(self, "weights", weights)
         if len({p.action_arity for p in self.policies}) > 1:
             raise ComponentFormatError("mixed policies must share one action arity")
 
@@ -302,18 +300,12 @@ class _StepRule(_ProductScale):
     def _fix_steps(
         self, action_probs: Sequence[Fraction] | None, percept_rows: Sequence[Sequence[Fraction]]
     ):
-        """Check every row (exact, >= 0, sum <= 1), then set ``_bases``,
+        """Check every row by :func:`exact_masses`, then set ``_bases``,
         ``_steps`` and ``declared_measure`` (every row sums to 1)."""
-        percepts = [tuple(row) for row in percept_rows]
-        rows = percepts if action_probs is None else [tuple(action_probs), *percepts]
-        for row in rows:
-            if any(type(p) not in (int, Fraction) for p in row):
-                raise ComponentFormatError(f"symbol masses must be exact rationals, got {row!r}")
-            if any(p < 0 for p in row) or sum(row) > 1:
-                raise ComponentFormatError(
-                    f"symbol masses must be >= 0 and sum to <= 1, got {row!r}"
-                )
-        actions = (ONE,) * self.action_arity if action_probs is None else rows[0]
+        percepts = [exact_masses(row, "percept masses") for row in percept_rows]
+        given = [] if action_probs is None else [exact_masses(action_probs, "action masses")]
+        actions = given[0] if given else (ONE,) * self.action_arity  # an env's actions weigh 1
+        rows = given + percepts
         d_a = math.lcm(*(p.denominator for p in actions))
         d_p = math.lcm(*(p.denominator for row in percepts for p in row))
         steps = (_over(actions, d_a), tuple(_over(row, d_p) for row in percepts))
@@ -471,14 +463,9 @@ def uniform_env(percept_arity: int = 2) -> IIDEnv:
 
 
 def _check_row(context: Any, row: Sequence[Fraction], arity: int) -> tuple[Fraction, ...]:
-    vals = tuple(prob(v) for v in row)
-    if len(vals) != arity:
-        raise ComponentFormatError(f"row at context {context!r} has arity {len(vals)} != {arity}")
-    if sum(vals) > 1:
-        raise ComponentFormatError(
-            f"conditionals at context {context!r} sum to {frac_str(sum(vals))} > 1"
-        )
-    return vals
+    if len(row) != arity:
+        raise ComponentFormatError(f"row at context {context!r} has arity {len(row)} != {arity}")
+    return exact_masses(row, f"conditionals at context {context!r}")
 
 
 def _default_row(default: str, arity: int) -> tuple[Fraction, ...]:
@@ -630,6 +617,7 @@ def table_component(definition: Mapping[str, Any]) -> JointSemimeasure | ChronEn
             "conditionals must be an object mapping context strings to arrays of "
             f"rational strings, got {conditionals!r}"
         )
+    conditionals = {ctx: tuple(map(prob, row)) for ctx, row in conditionals.items()}
     if kind == "joint_table":
         rows = {_symbols(ctx): row for ctx, row in conditionals.items()}
         return TableJoint(rows, default, action_arity, percept_arity, declared)

@@ -6,6 +6,14 @@ that slipped past the conversion would be a float; here every checker,
 ``compare``, the probes, expectimax, the one-step values, both adversary
 traces and thm11's conditional statistics run on the shipped components and
 mixtures, and every exact value they return is checked for its type.
+
+Floats stay out at construction too. Every component, policy and mixture
+constructor applies one rule, ``core.exact_masses``, to its masses or
+weights: an entry is an ``int`` or a ``Fraction``, never a bool, float or
+string; none is negative; a row sums to at most 1; and a weight list has
+one positive weight per item and at least one item. Each constructor is
+given each kind of bad value here and must raise ``ComponentFormatError``;
+what it accepts it keeps as ``Fraction``s.
 """
 from fractions import Fraction
 
@@ -13,16 +21,32 @@ import pytest
 
 from uailab.adversary import copy_conditional_trace, domination_probe, greedy_antipredict
 from uailab.agents import expectimax_value, one_step_action_values
-from uailab.core import History
+from uailab.core import ComponentFormatError, History
 from uailab.experiments import _conditional_stats, builtin_components, scenario_mixtures
-from uailab.mixture import EnvMixture, check_predictive_consistency
+from uailab.mixture import (
+    EnvMixture,
+    JointMixture,
+    check_predictive_consistency,
+    dual_mixture,
+    posterior_weights,
+)
 from uailab.semimeasure import (
+    ActionEchoJoint,
     ChronEnv,
+    IIDEnv,
     JointSemimeasure,
+    MixturePolicy,
+    NoisyCopyEnv,
+    ProductJoint,
+    StationaryPolicy,
+    TableEnv,
+    TableJoint,
     check_chronological,
     check_policy,
     check_semimeasure,
     compare,
+    constant_policy,
+    copy_machine,
     mu_id,
     uniform_env,
     uniform_measure,
@@ -31,6 +55,7 @@ from uailab.semimeasure import (
 from uailab.transforms import (
     check_env_dual_roundtrip,
     check_normalization_dominance,
+    chron_to_joint,
     env,
     env_view_ratio_probe,
     factoring_check,
@@ -148,3 +173,85 @@ def test_adversary_traces_and_thm11_stats_return_fractions():
             for normalized in (False, True):
                 mins, maxs = _conditional_stats(mdef.joint, ("identity",), 3, 1, normalized)
                 assert_exact(*mins, *maxs)
+
+
+POLICIES = (uniform_policy(), constant_policy(0))
+JOINT_PAIR = (copy_machine(), uniform_measure())
+ENV_PAIR = (mu_id(), uniform_env())
+HALVES = (F(1, 2), F(1, 2))
+
+# Each builds one constructor from a row of two masses.
+MASS_ROWS = {
+    "ProductJoint": lambda row: ProductJoint(row, HALVES),
+    "ActionEchoJoint": lambda row: ActionEchoJoint(*row),
+    "NoisyCopyEnv": lambda row: NoisyCopyEnv(*row),
+    "IIDEnv": IIDEnv,
+    "TableJoint": lambda row: TableJoint({(): row}),
+    "TableEnv": lambda row: TableEnv({((), (0,)): row}),
+    "StationaryPolicy": StationaryPolicy,
+    "chron_to_joint filler": lambda row: chron_to_joint(mu_id(), row),
+    # A missing pair weighs 0, so the pair grid is a row of masses, not a weight list.
+    "dual_mixture pair weights": lambda row: dual_mixture(
+        [mu_id()], [1], POLICIES, HALVES, dict(zip([(0, 0), (0, 1)], row))
+    ),
+}
+BAD_ROWS = {
+    "float": (0.5, F(1, 4)),
+    "bool": (True, F(0)),
+    "negative": (F(-1, 4), F(1, 2)),
+    "sum 5/4": (F(3, 4), F(1, 2)),
+}
+
+# Each builds one constructor from a weight list over its first n items.
+WEIGHT_LISTS = {
+    "MixturePolicy": lambda w, n: MixturePolicy(POLICIES[:n], w),
+    "JointMixture": lambda w, n: JointMixture(JOINT_PAIR[:n], w),
+    "EnvMixture": lambda w, n: EnvMixture(ENV_PAIR[:n], w),
+    "dual_mixture env weights": lambda w, n: dual_mixture(ENV_PAIR[:n], w, POLICIES, HALVES),
+    "dual_mixture policy weights": lambda w, n: dual_mixture([mu_id()], [1], POLICIES[:n], w),
+}
+BAD_WEIGHTS = {
+    "float": ((0.5, F(1, 4)), 2),
+    "bool": ((True,), 1),  # True would pass as the weight 1
+    "negative": ((F(-1, 4), F(1, 2)), 2),
+    "sum 5/4": ((F(3, 4), F(1, 2)), 2),
+    "zero": ((F(1, 2), 0), 2),
+    "length mismatch": ((F(1, 2),), 2),
+    "no items": ((), 0),
+}
+BAD_CASES = {
+    **{
+        f"{name}-{bad}": (build, (row,))
+        for name, build in MASS_ROWS.items()
+        for bad, row in BAD_ROWS.items()
+    },
+    **{
+        f"{name}-{bad}": (build, args)
+        for name, build in WEIGHT_LISTS.items()
+        for bad, args in BAD_WEIGHTS.items()
+    },
+}
+
+
+@pytest.mark.parametrize("case", BAD_CASES)
+def test_every_constructor_rejects_inexact_or_invalid_masses(case):
+    build, args = BAD_CASES[case]
+    with pytest.raises(ComponentFormatError):
+        build(*args)
+
+
+def test_constructors_keep_fractions():
+    policy = StationaryPolicy((1, 0))
+    assert policy.probs == (F(1), F(0))
+    assert_exact(*policy.probs, policy.weight((0, 0), (0,)))
+    joint = JointMixture(JOINT_PAIR[:1], (1,))
+    for built in (
+        joint,
+        EnvMixture(ENV_PAIR[:1], [1]),
+        dual_mixture([mu_id()], [1], POLICIES[:1], [1]),
+        MixturePolicy(POLICIES[:1], (1,)),
+    ):
+        assert built.weights == (F(1),)
+        assert_exact(*built.weights)
+    state = posterior_weights(joint, History(), 0)
+    assert_exact(state.mixture_mass, *state.posterior)

@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
 import tempfile
@@ -34,10 +35,14 @@ F = Fraction
 
 
 def run_cli(*args, **kwargs):
+    # The child imports the uailab this process imported, installed or not.
+    src = str(Path(experiments.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "uailab.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
         **kwargs,
     )
 
@@ -72,6 +77,24 @@ def test_unknown_scenario_lists_available(tmp_path):
         run_scenario(ScenarioConfig("mystery", tmp_path))
     for name in SCENARIOS:
         assert name in str(err.value)
+
+
+ENV_MIXTURE = {"components": [{"builtin": "mu_id"}], "weights": ["1"]}
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (dict(scenario="thm8_gap", mixture=ENV_MIXTURE), "only thm7_drop reads one"),
+        (dict(scenario="thm7_drop", mixture=ENV_MIXTURE), "thm7_drop needs a joint mixture"),
+        (dict(scenario="thm8_gap", budgets={"trace_steps": -1}), "budgets/trace_steps"),
+    ],
+)
+def test_run_scenario_checks_a_config_built_in_python(tmp_path, cfg, message):
+    # The rules of validate_config_dict hold without config_from_dict too.
+    with pytest.raises(ConfigError, match=message):
+        run_scenario(ScenarioConfig(out_dir=tmp_path / "out", **cfg))
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_list_names_all_scenarios():
