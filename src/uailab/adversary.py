@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .core import ONE, UndefinedConditionalError
-from .semimeasure import ChronEnv, JointSemimeasure, compare, exact_mass, max_ratio
+from .semimeasure import ChronEnv, JointSemimeasure, compare, max_ratio, times_ratio
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def _copy_step(xi: JointSemimeasure, n: int, state: Any, action: int) -> tuple[F
     if denom == 0:
         raise UndefinedConditionalError(action, "copy conditional of the pending action")
     mass, child = xi.extend(pending, action)
-    return exact_mass(xi, n + 2, mass) / exact_mass(xi, n + 1, denom), child
+    return times_ratio(xi, ONE, mass, n + 2, denom, n + 1), child
 
 
 def greedy_antipredict(xi: JointSemimeasure, steps: int) -> AdversaryTrace:

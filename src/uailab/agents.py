@@ -34,7 +34,7 @@ from .core import (
     UndefinedConditionalError,
 )
 from .semimeasure import ChronEnv, JointSemimeasure, Policy, exact_mass
-from .transforms import env
+from .transforms import dual, env
 
 
 def policy_value(
@@ -47,40 +47,34 @@ def policy_value(
     """Exact expected return of a policy over ``horizon`` further steps.
 
     Sums reward(e_t) * pi(a_1:t || e_<t) * nu(e_1:t || a_1:t) over all
-    continuations of ``history``, walking ``nu`` from the history's state;
-    zero-mass branches are pruned without extending deeper (their rewards
-    weigh nothing). An undefined history raises at the first action the
-    policy weighs.
+    continuations of ``history``: the masses of ``dual(nu, pi)``, walked from
+    the history's state. Branches of zero mass, the policy's zero weight
+    included, are pruned without extending deeper (their rewards weigh
+    nothing), so an undefined history raises only where the policy weighs it.
     """
+    joint = dual(nu, pi)
 
-    def recurse(state: Any, actions: tuple, percs: tuple, remaining: int) -> Fraction:
+    def recurse(state: Any, n: int, remaining: int) -> Fraction:
         total = ZERO
         for a in range(nu.action_arity):
-            w = pi.weight(actions + (a,), percs)
-            if w == 0:
+            pending = joint.extend(state, a)[1]
+            if pending is None:  # the policy weighs a 0, or the context is dead
                 continue
-            if isinstance(state, UndefinedConditionalError):
-                raise state
-            pending = nu.extend(state, a)[1]
             for e in range(nu.percept_arity):
-                mass, child = nu.extend(pending, e)
+                mass, child = joint.extend(pending, e)
                 if mass == 0:
                     continue
-                total += percepts.reward(e) * w * exact_mass(nu, 2 * len(actions) + 2, mass)
+                total += percepts.reward(e) * exact_mass(joint, n + 2, mass)
                 if remaining > 1:
-                    total += recurse(child, actions + (a,), percs + (e,), remaining - 1)
+                    total += recurse(child, n + 2, remaining - 1)
         return total
 
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    try:
-        state = _history_node(nu, history)[1]
-    except UndefinedConditionalError as exc:
-        state = exc  # raised only if the policy weighs an action after it
-    return recurse(state, history.actions, history.percepts, horizon)
+    return recurse(_history_node(joint, history)[1], 2 * len(history.actions), horizon)
 
 
-def _history_node(nu: ChronEnv, history: History) -> tuple[Any, Any]:
+def _history_node(nu: ChronEnv | JointSemimeasure, history: History) -> tuple[Any, Any]:
     """(mass, walk state) of a complete ``history``."""
     if len(history.actions) != len(history.percepts):
         raise ComponentFormatError("planning starts from a complete history")

@@ -83,7 +83,10 @@ def exact_masses(row: Iterable, what: str, *, items: int | None = None) -> tuple
     Given ``items``, the row is a weight list: one positive weight per item,
     and at least one item. ``what`` names the row in the error.
     """
-    row = tuple(row)
+    try:
+        row = tuple(row)
+    except TypeError:
+        raise ComponentFormatError(f"{what} must be a sequence, got {row!r}") from None
     if any(type(p) not in (int, Fraction) for p in row):
         raise ComponentFormatError(f"{what} must be ints or Fractions, got {row!r}")
     if items is not None and not 0 < items == len(row):

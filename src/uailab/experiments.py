@@ -42,10 +42,10 @@ from .semimeasure import (
     contexts,
     copy_machine,
     defective_uniform,
-    exact_mass,
     leaky_copy,
     mu_id,
     table_component,
+    times_ratio,
     uniform_env,
     uniform_measure,
     uniform_policy,
@@ -380,15 +380,14 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
 
     # Defining conditions for every built-in component and scenario mixture.
     rows = []
+    mixtures = scenario_mixtures()
     subjects: list[tuple[str, Any]] = list(builtin_components().items())
-    for mdef in scenario_mixtures().values():
+    for mdef in mixtures.values():
         if mdef.joint is not None:
             subjects.append((f"mixture:{mdef.name}:joint", mdef.joint))
         if mdef.chron is not None:
             subjects.append((f"mixture:{mdef.name}:env", mdef.chron))
-    subjects.append(
-        ("normalized:copy_vs_uniform", normalize(scenario_mixtures()["copy_vs_uniform"].joint))
-    )
+    subjects.append(("normalized:copy_vs_uniform", normalize(mixtures["copy_vs_uniform"].joint)))
     for name, component in subjects:
         if isinstance(component, JointSemimeasure):
             report = check_semimeasure(component, depth)
@@ -470,9 +469,8 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
         mismatches, skipped = check_representation_roundtrip(nu, None, tdepth)
         failures += len(mismatches)
         transform_rows.append(("representation_roundtrip", name, tdepth, len(mismatches), skipped))
-    for mdef in scenario_mixtures().values():
-        if mdef.joint is None:
-            continue
+    joints = [mdef for mdef in mixtures.values() if mdef.joint is not None]
+    for mdef in joints:
         violations, skipped = check_normalization_dominance(mdef.joint, tdepth)
         failures += len(violations)
         transform_rows.append(
@@ -555,9 +553,7 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
 
     # Predictive/posterior consistency for every joint scenario mixture.
     cons_rows = []
-    for mdef in scenario_mixtures().values():
-        if mdef.joint is None:
-            continue
+    for mdef in joints:
         mismatches = check_predictive_consistency(mdef.joint, cdepth)
         failures += len(mismatches)
         cons_rows.append((mdef.name, cdepth, len(mismatches)))
@@ -840,11 +836,11 @@ def _conditional_stats_chunk(args) -> tuple[list[Fraction], list[Fraction]]:
             if normalized:
                 kids = [mixture.extend(pending, e) for e in range(mixture.percept_arity)]
                 correct, child = kids[correct_percept]
-                denom = exact_mass(mixture, 2 * t + 2, sum(m for m, _ in kids))
+                denom, m = sum(m for m, _ in kids), 2 * t + 2
             else:
                 correct, child = mixture.extend(pending, correct_percept)
-                denom = exact_mass(mixture, 2 * t + 1, pending_mass)
-            cond = exact_mass(mixture, 2 * t + 2, correct) / denom
+                denom, m = pending_mass, 2 * t + 1
+            cond = times_ratio(mixture, ONE, correct, 2 * t + 2, denom, m)
             if cond < mins[t]:
                 mins[t] = cond
             if cond > maxs[t]:

@@ -27,13 +27,14 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .core import (
+    ONE,
     ZERO,
     ComponentFormatError,
     History,
     UndefinedConditionalError,
     exact_masses,
 )
-from .semimeasure import ChronEnv, JointSemimeasure, Policy, _context_at, exact_mass, walk
+from .semimeasure import ChronEnv, JointSemimeasure, Policy, _context_at, times_ratio, walk
 
 
 def uniform_prior(n: int) -> tuple[Fraction, ...]:
@@ -78,6 +79,7 @@ class _Mixture:
         if len({(c.action_arity, c.percept_arity) for c in components}) > 1:
             raise ComponentFormatError("mixed components must share one alphabet")
         self.components = tuple(components)
+        self._extends = tuple(c.extend for c in self.components)  # bound once, called per step
         self.names = tuple(names) if names else tuple(
             f"{self.name_prefix}_{i}" for i in range(len(self.components))
         )
@@ -127,11 +129,11 @@ class _Mixture:
         if state is None:
             return 0, None
         n, mass, old_parts = state
-        components = self.components
+        extends = self._extends
         parts = []
         if self._actions_keep_mass and n % 2 == 0:
             for i, weighted, s in old_parts:
-                s = components[i].extend(s, symbol)[1]
+                s = extends[i](s, symbol)[1]
                 if s is not None:
                     parts.append((i, weighted, s))
             if len(parts) == len(old_parts):
@@ -141,7 +143,7 @@ class _Mixture:
         factors = (levels[n + 1] if n + 1 < len(levels) else self._level(n + 1))[1]
         mass = 0
         for i, _, s in old_parts:
-            m, s = components[i].extend(s, symbol)
+            m, s = extends[i](s, symbol)
             if s is not None:
                 m *= factors[i]
                 mass += m
@@ -181,8 +183,8 @@ def dual_mixture(
     With the default factored prior, the pair (nu_j, pi_k) gets weight
     policy_weights[k] * env_weights[j] (agent and environment independent).
     An explicit non-factored ``pair_weights`` grid (keyed by (env index,
-    policy index), missing entries meaning zero) is accepted for
-    counterexample construction.
+    policy index), missing entries meaning zero, a key off the grid an
+    error) is accepted for counterexample construction.
     """
     from .transforms import dual
 
@@ -193,7 +195,11 @@ def dual_mixture(
             (j, k): v * p for j, v in enumerate(env_weights) for k, p in enumerate(policy_weights)
         }
     grid = dict(zip(pair_weights, exact_masses(pair_weights.values(), "pair weights")))
-    pairs = [(j, k) for j in range(len(envs)) for k in range(len(policies)) if grid.get((j, k))]
+    pairs = [(j, k) for j in range(len(envs)) for k in range(len(policies))]
+    outside = sorted(grid.keys() - set(pairs), key=repr)
+    if outside:
+        raise ComponentFormatError(f"pair weights keyed outside the (env, policy) grid: {outside}")
+    pairs = [pair for pair in pairs if grid.get(pair)]
     return JointMixture(
         [dual(envs[j], policies[k]) for j, k in pairs],
         [grid[pair] for pair in pairs],
@@ -278,9 +284,8 @@ def check_predictive_consistency(
         for e, (child_mass, child_state) in enumerate(kids):
             gained = sum(m for i, m, _ in child_state[2] if i in zero) if child_state else 0
             if gained:
-                total = exact_mass(mixture, n, mass)
-                lhs = exact_mass(mixture, n + 1, child_mass) / total
-                rhs = exact_mass(mixture, n + 1, child_mass - gained) / total
+                lhs = times_ratio(mixture, ONE, child_mass, n + 1, mass, n)
+                rhs = times_ratio(mixture, ONE, child_mass - gained, n + 1, mass, n)
                 found.append((slot, e, lhs, rhs))
     found.sort()  # by (slot, percept), which no two mismatches share
     return [((_context_at(mixture, slot), e), lhs, rhs) for slot, e, lhs, rhs in found]

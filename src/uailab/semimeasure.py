@@ -48,10 +48,11 @@ scale(2t)``). The default scale is 1, so a component that keeps ``Fraction``
 masses needs no override. Built-ins whose masses are products of fixed
 rationals use ``D_a**ceil(n/2) * D_p**floor(n/2)``, with D the lcm of the
 action (D_a) or percept (D_p) masses' denominators, and return ``int``
-numerators, so a step is one integer product. The checkers compare a
-context's numerator times ``scale(n') // scale(n)`` with the sum of its
-children's numerators in ``int``; every other reader converts a mass with
-:func:`exact_mass` before dividing (``int / int`` is a float).
+numerators, so a step is one integer product (a stationary policy too).
+The checkers compare a context's numerator times ``scale(n') // scale(n)``
+with the sum of its children's numerators in ``int``; every other reader
+converts a mass with :func:`exact_mass`, or a ratio with :func:`times_ratio`,
+before dividing (``int / int`` is a float).
 
 All components are immutable after construction; evaluation is pure.
 """
@@ -179,12 +180,34 @@ def _fold(nu: JointSemimeasure | ChronEnv, context: Any, x: tuple[int, ...]) -> 
     return exact_mass(nu, len(x), mass)
 
 
+def _over(row: Sequence[Fraction], d: int) -> tuple[int, ...]:
+    """Numerators of exact masses over a common denominator ``d``."""
+    return tuple(p.numerator * (d // p.denominator) for p in row)
+
+
+class _ProductScale:
+    """Walk scale of a component or policy whose steps multiply by rationals
+    fixed at construction (its symbol masses, or a table's conditionals).
+
+    ``_bases`` = (D_a, D_p): every action mass is a numerator over D_a, every
+    percept mass one over D_p, so scale(n) = D_a**ceil(n/2) * D_p**floor(n/2).
+    """
+
+    _bases: tuple[int, int]
+
+    def scale(self, n: int) -> int:
+        d_a, d_p = self._bases
+        return d_a ** ((n + 1) // 2) * d_p ** (n // 2)
+
+
 class Policy(abc.ABC):
     """A policy, evaluable as a chronological semimeasure over actions.
 
     ``weight(actions, percepts)`` is the joint probability of emitting the
     action prefix given the percepts seen before each action; only
-    ``percepts[:len(actions) - 1]`` is consulted.
+    ``percepts[:len(actions) - 1]`` is consulted. The policy walks as an
+    environment does, the roles swapped: over a1 e1 a2 ..., an action moves
+    the mass and a percept keeps it. The defaults fold ``weight`` at scale 1.
     """
 
     action_arity: int = 2
@@ -192,6 +215,24 @@ class Policy(abc.ABC):
     @abc.abstractmethod
     def weight(self, actions: tuple[int, ...], percepts: tuple[int, ...]) -> Prob:
         ...
+
+    def root(self) -> tuple[Prob, Any]:
+        """(weight, walk state) of the empty history."""
+        mass = self.weight((), ())
+        return mass, ((), (), mass)
+
+    def extend(self, state: Any, symbol: int) -> tuple[Prob, Any]:
+        """(weight, walk state) one symbol further: an action, or its percept."""
+        actions, percepts, mass = state
+        if len(actions) > len(percepts):
+            return mass, (actions, percepts + (symbol,), mass)
+        actions += (symbol,)
+        mass = self.weight(actions, percepts)
+        return mass, (actions, percepts, mass)
+
+    def scale(self, n: int) -> int:
+        """Denominator of the walk weights of histories of ``n`` symbols."""
+        return 1
 
 
 class DeterministicPolicy(Policy):
@@ -209,13 +250,21 @@ class DeterministicPolicy(Policy):
 
 
 @dataclass(frozen=True)
-class StationaryPolicy(Policy):
-    """History-independent action distribution (sums to <= 1)."""
+class StationaryPolicy(_ProductScale, Policy):
+    """History-independent action distribution (sums to <= 1).
+
+    Its walk weighs each action by its numerator over D, the lcm of the
+    probabilities' denominators: the product scale, with D_a = D and D_p = 1.
+    """
 
     probs: tuple[Fraction, ...] = (HALF, HALF)
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", exact_masses(self.probs, "action masses"))
+        probs = exact_masses(self.probs, "action masses")
+        d = math.lcm(*(p.denominator for p in probs))
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "_bases", (d, 1))
+        object.__setattr__(self, "_numerators", _over(probs, d))
 
     @property
     def action_arity(self) -> int:  # type: ignore[override]
@@ -226,6 +275,15 @@ class StationaryPolicy(Policy):
         for a in actions:
             out *= self.probs[a]
         return out
+
+    def root(self) -> tuple[int, Any]:
+        return 1, (1, False)  # (weight, action pending)
+
+    def extend(self, state: Any, symbol: int) -> tuple[int, Any]:
+        mass, pending = state
+        if not pending:
+            mass *= self._numerators[symbol]
+        return mass, (mass, not pending)
 
 
 def uniform_policy(action_arity: int = 2) -> StationaryPolicy:
@@ -263,26 +321,6 @@ class MixturePolicy(Policy):
 # ---------------------------------------------------------------------------
 # Built-in joint components
 # ---------------------------------------------------------------------------
-
-
-def _over(row: Sequence[Fraction], d: int) -> tuple[int, ...]:
-    """Numerators of exact masses over a common denominator ``d``."""
-    return tuple(p.numerator * (d // p.denominator) for p in row)
-
-
-class _ProductScale:
-    """Walk scale of a component whose steps multiply by rationals fixed at
-    construction (its symbol masses, or a table's conditionals).
-
-    ``_bases`` = (D_a, D_p): every action mass is a numerator over D_a, every
-    percept mass one over D_p, so scale(n) = D_a**ceil(n/2) * D_p**floor(n/2).
-    """
-
-    _bases: tuple[int, int]
-
-    def scale(self, n: int) -> int:
-        d_a, d_p = self._bases
-        return d_a ** ((n + 1) // 2) * d_p ** (n // 2)
 
 
 class _StepRule(_ProductScale):
@@ -787,6 +825,14 @@ def exact_mass(nu: JointSemimeasure | ChronEnv, n: int, mass: Any) -> Fraction:
     if scale == 1 and isinstance(mass, Fraction):
         return mass
     return Fraction(mass, scale)
+
+
+def times_ratio(
+    nu: JointSemimeasure | ChronEnv, running: Fraction, num: Any, n: int, den: Any, m: int
+) -> Fraction:
+    """``running`` times the walk mass ``num`` of ``nu`` at ``n`` symbols over
+    its walk mass ``den`` at ``m``: one ``Fraction``, built from the products."""
+    return Fraction(running.numerator * num * nu.scale(m), running.denominator * den * nu.scale(n))
 
 
 def compare(

@@ -14,11 +14,11 @@ to sum to 1 (Solomonoff normalization).
 
 Views, duals and normalized predictors evaluate only by walking: ``eval`` is
 the fold of the walk (``ChronEnv.fold`` or ``JointSemimeasure.fold``). A view
-walks its base: each of its steps takes O(1) base steps. A dual's walk
-recomputes ``Policy.weight`` at each action, whatever the kind of policy.
-Views, duals and normalized predictors keep ``Fraction`` masses (scale 1):
-they divide, or weigh by a policy, so they convert their base's numerators
-with :func:`~uailab.semimeasure.exact_mass`. Normalization can lower a
+walks its base: each of its steps takes O(1) base steps. A dual's walk is the
+product of its policy's walk and its environment's, and so is its scale.
+Views and normalized predictors divide, so they keep ``Fraction`` masses
+(scale 1), one per conditional: :func:`~uailab.semimeasure.times_ratio`
+builds it from their base's numerators. Normalization can lower a
 conditional nu(s | x) only where nu(x) > 0, nu(x s) > 0 and the children
 of x outweigh x, where the semimeasure condition fails: so
 :func:`check_normalization_dominance` reads the semimeasure check's rows.
@@ -49,8 +49,9 @@ from .semimeasure import (
     _check_alphabet,
     _context_at,
     compare,
-    exact_mass,
     max_ratio,
+    times_ratio,
+    uniform_policy,
 )
 
 
@@ -83,7 +84,7 @@ class EnvView(ChronEnv):
             raise UndefinedConditionalError(prefix, "env view")
         base_mass, base_state = self.base.extend(base_state, symbol)
         n = len(prefix)  # the pending prefix, its action included
-        mass *= exact_mass(self.base, n + 1, base_mass) / exact_mass(self.base, n, denom)
+        mass = times_ratio(self.base, mass, base_mass, n + 1, denom, n)
         return mass, (mass, base_state, None, prefix + (symbol,))
 
 
@@ -98,6 +99,8 @@ class DualJoint(JointSemimeasure):
     Joint value on a complete prefix: pi(a_1:t || e_<t) * nu(e_1:t || a_1:t);
     on a pending action the policy factor includes the pending action. No
     positivity requirement: products of unconditional values, no division.
+    Its walk is the product of the policy's walk and the environment's: the
+    state pairs theirs, and the mass and scale multiply.
     """
 
     def __init__(self, nu: ChronEnv, pi: Policy):
@@ -109,32 +112,21 @@ class DualJoint(JointSemimeasure):
 
     eval = JointSemimeasure.fold
 
-    def root(self) -> tuple[Prob, Any]:
-        w = self.pi.weight((), ())  # below 1 for a deficient policy mixture
-        if w == 0:
-            return ZERO, None
-        nu_mass, nu_state = self.nu.root()
-        if nu_state is None:
-            return ZERO, None
-        # (actions, percepts, policy weight, env state)
-        return w * exact_mass(self.nu, 0, nu_mass), ((), (), w, nu_state)
+    # The environment never steps where the policy weighs 0.
+    def root(self) -> tuple[Any, Any]:
+        pi_mass, pi_state = self.pi.root()  # below 1 for a deficient policy mixture
+        nu_mass, nu_state = self.nu.root() if pi_mass else (0, None)
+        return (0, None) if nu_state is None else (pi_mass * nu_mass, (pi_state, nu_state))
 
-    def extend(self, state: Any, symbol: int) -> tuple[Prob, Any]:
+    def extend(self, state: Any, symbol: int) -> tuple[Any, Any]:
         if state is None:
-            return ZERO, None
-        actions, percepts, w, nu_state = state
-        if len(actions) == len(percepts):
-            actions += (symbol,)
-            w = self.pi.weight(actions, percepts)
-            if w == 0:
-                return ZERO, None
-        else:
-            percepts += (symbol,)  # the weight reads no percept after the last action
-        nu_mass, nu_state = self.nu.extend(nu_state, symbol)
-        if nu_state is None:
-            return ZERO, None
-        n = len(actions) + len(percepts)
-        return w * exact_mass(self.nu, n, nu_mass), (actions, percepts, w, nu_state)
+            return 0, None
+        pi_mass, pi_state = self.pi.extend(state[0], symbol)
+        nu_mass, nu_state = self.nu.extend(state[1], symbol) if pi_mass else (0, None)
+        return (0, None) if nu_state is None else (pi_mass * nu_mass, (pi_state, nu_state))
+
+    def scale(self, n: int) -> int:
+        return self.pi.scale(n) * self.nu.scale(n)
 
 
 def dual(nu: ChronEnv, pi: Policy) -> DualJoint:
@@ -152,16 +144,12 @@ def chron_to_joint(
     resulting joint semimeasure recovers nu under ``env`` wherever positivity
     holds; percepts in action positions are impossible by History typing.
     """
-    if action_filler is None:
-        filler = StationaryPolicy(
-            tuple(Fraction(1, nu.action_arity) for _ in range(nu.action_arity))
+    arity = nu.action_arity
+    filler = uniform_policy(arity) if action_filler is None else StationaryPolicy(action_filler)
+    if filler.action_arity != arity:
+        raise ComponentFormatError(
+            f"action filler has {filler.action_arity} entries for {arity} actions"
         )
-    else:
-        filler = StationaryPolicy(tuple(action_filler))
-        if filler.action_arity != nu.action_arity:
-            raise ComponentFormatError(
-                f"action filler has {filler.action_arity} entries for {nu.action_arity} actions"
-            )
     return DualJoint(nu, filler)
 
 
@@ -203,12 +191,12 @@ class NormalizedPredictor(JointSemimeasure):
         n = len(x) + 1
         if not memo:  # siblings share one evaluation of the base children
             kids = [self.base.extend(base_state, s) for s in range(self.arity_at(len(x)))]
-            memo.append((kids, exact_mass(self.base, n, sum(m for m, _ in kids))))
+            memo.append((kids, sum(m for m, _ in kids)))
         kids, total = memo[0]
         if total == 0:
             raise NormalizationError(x)
         base_mass, base_state = kids[symbol]
-        mass *= exact_mass(self.base, n, base_mass) / total
+        mass = times_ratio(self.base, mass, base_mass, n, total, n)
         return (mass, (mass, base_state, x + (symbol,), [])) if mass else (ZERO, None)
 
 

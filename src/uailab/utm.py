@@ -43,7 +43,8 @@ symbols under a leading 1 bit (the empty output is 1), so emitting a
 symbol is ``code = 2 * code + bit`` and an output prefix of k symbols is a
 right shift. The walk keys masses by code and decodes each code into its
 output tuple once, when it builds the table entry; a stopped node stores
-the code's bytes.
+the code's bytes. ``ChronEnumApprox``'s own walk codes its percept string
+and action tape the same way, and reads each tape's numerators by code.
 
 The interpreter fast-forwards laps. When JBACK lands at pc 0 with the
 register and action count of an earlier landing in the same segment, the
@@ -489,8 +490,10 @@ class ChronEnumApprox(ChronEnv):
     ``tables`` holds the tables of the tapes asked for so far; a tape's first
     query goes through ``eval``, which takes its table from the cache entry
     of every tape of that length (:meth:`_walk_tapes`). Every mass is
-    a multiple of 8**-(program_bits // 3), the walk's scale, so the walk
-    reads integer numerators off the same tables.
+    a multiple of 8**-(program_bits // 3), the walk's scale. The walk carries
+    the percept string and the action tape as codes (symbols under a leading
+    1 bit, as outputs are coded) and reads each tape's numerators by percept
+    code, from a private copy of its table that ``eval`` files with it.
     """
 
     def __init__(self, program_bits: int, steps: int):
@@ -498,6 +501,8 @@ class ChronEnumApprox(ChronEnv):
         self.program_bits = program_bits
         self.steps = steps
         self.tables: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+        self._codes: dict[int, dict[int, int]] = {}  # tape code -> percept code -> numerator
+        self._code_of = _Codes()
         self._unit = 8 ** (program_bits // OPCODE_BITS)
         # (cap, packed nodes it stopped) of this environment's last walk
         self._stopped: tuple[int, bytearray] | None = None
@@ -505,29 +510,27 @@ class ChronEnumApprox(ChronEnv):
     def scale(self, n: int) -> int:
         return self._unit
 
-    def _numerator(self, mass: Fraction) -> int:
-        """``mass`` over the scale, which every table entry divides."""
-        return mass.numerator * (self._unit // mass.denominator)
-
     def root(self) -> tuple[int, Any]:
-        mass = self._numerator(self.eval((), ()))
-        return mass, ((), (), mass)  # (percepts, actions, mass)
+        self.eval((), ())  # the first query of the empty tape enumerates it
+        mass = self._codes[1].get(1, 0)
+        return mass, (1, 1, mass)  # (percept code, tape code, mass)
 
     def extend(self, state: Any, symbol: int) -> tuple[int, Any]:
         if len(state) == 3:  # a complete history: the action's table joins the state
-            percepts, actions, mass = state
-            actions += (symbol,)
-            return mass, (percepts, actions, mass, self.tables.get(actions))
-        percepts, actions, mass, table = state
-        percepts += (symbol,)
+            code, tape, mass = state
+            tape = 2 * tape + symbol
+            return mass, (code, tape, mass, self._codes.get(tape))
+        code, tape, mass, table = state
+        code = 2 * code + symbol
         if table is None:
-            self.eval(percepts, actions)  # enumerates the tape
-            table = self.tables[actions]
-        value = table.get(percepts)
-        mass = 0 if value is None else self._numerator(value)
-        return mass, (percepts, actions, mass)
+            self.eval(_output(code), _output(tape))  # the walk's first query of the tape
+            table = self._codes[tape]
+        mass = table.get(code, 0)
+        return mass, (code, tape, mass)
 
     def _table_for(self, actions: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+        """Tape ``actions``'s table, enumerated if no table holds it yet, and
+        the walk's copy of it, numerators by percept code."""
         table = self.tables.get(actions)
         if table is None:
             t = len(actions)
@@ -538,6 +541,12 @@ class ChronEnumApprox(ChronEnv):
                 "tables",
             )
             table = self.tables[actions] = tables.get(actions, {})
+        code_of, unit = self._code_of, self._unit
+        tape = code_of[actions]
+        if tape not in self._codes:
+            self._codes[tape] = {
+                code_of[out]: m.numerator * (unit // m.denominator) for out, m in table.items()
+            }
         return table
 
     def _walk_tapes(self, t: int) -> dict[tuple[int, ...], Numerators]:
@@ -590,6 +599,15 @@ def _string_key(x: tuple[int, ...]) -> str:
 
 def _key_string(key: str) -> tuple[int, ...]:
     return tuple(key.encode().translate(_DIGIT_VALUES))
+
+
+class _Codes(dict):
+    """The code of each binary string, built on first use: the tables of
+    every tape of one length share their output strings."""
+
+    def __missing__(self, symbols: tuple[int, ...]) -> int:
+        code = self[symbols] = int("1" + _string_key(symbols), 2)
+        return code
 
 
 class _Masses(dict):

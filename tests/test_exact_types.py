@@ -240,6 +240,34 @@ def test_every_constructor_rejects_inexact_or_invalid_masses(case):
         build(*args)
 
 
+# Each is given a mass row or weight list that is not a sequence at all.
+NOT_SEQUENCES = {
+    "StationaryPolicy": lambda: StationaryPolicy(5),
+    "IIDEnv": lambda: IIDEnv(5),
+    "chron_to_joint filler": lambda: chron_to_joint(mu_id(), 5),
+    "MixturePolicy": lambda: MixturePolicy(POLICIES, 5),
+    "JointMixture": lambda: JointMixture(JOINT_PAIR, 5),
+    "dual_mixture env weights": lambda: dual_mixture(ENV_PAIR, None, POLICIES, HALVES),
+}
+
+
+@pytest.mark.parametrize("case", NOT_SEQUENCES)
+def test_a_mass_row_that_is_not_a_sequence_is_rejected(case):
+    with pytest.raises(ComponentFormatError, match="must be a sequence"):
+        NOT_SEQUENCES[case]()
+
+
+def test_pair_weights_off_the_grid_are_rejected():
+    # (3, 0) names no environment: the grid's weights sum to 1, but the
+    # mixture would keep only the (0, 0) half.
+    grid = {(0, 0): F(1, 2), (3, 0): F(1, 2)}
+    with pytest.raises(ComponentFormatError, match="outside the"):
+        dual_mixture([mu_id()], [1], [uniform_policy()], [1], grid)
+    with pytest.raises(ComponentFormatError, match="outside the"):
+        dual_mixture([mu_id()], [1], POLICIES, HALVES, {(0, 2): F(1, 2)})
+    assert dual_mixture([mu_id()], [1], POLICIES, HALVES, {(0, 1): F(1, 2)}).weights == (F(1, 2),)
+
+
 def test_constructors_keep_fractions():
     policy = StationaryPolicy((1, 0))
     assert policy.probs == (F(1), F(0))

@@ -5,6 +5,11 @@ components, joint and environment, take ``root`` and ``extend`` from the step
 rule; both table kinds take them from the table walk. A built-in that defines
 its own walk again fails here.
 
+Policies walk too, as environments with the roles swapped: the stationary
+policy by its own integer walk, every other policy by the ``Policy``
+defaults, which fold ``weight``. A dual's walk is the product of its
+policy's and its environment's, and so is its scale.
+
 A component defines either ``eval``, and walks by the ABC defaults, or its
 walk with ``eval`` bound to the ABC's fold. The fold-bound classes are listed
 here, so a new component picks a side on purpose; none of them may take the
@@ -12,12 +17,23 @@ ABC's default walk, which calls ``eval`` and would recurse forever.
 """
 import inspect
 import sys
+from fractions import Fraction as F
 
 import pytest
 
 import uailab  # noqa: F401  (loads every submodule)
 from uailab import semimeasure
-from uailab.semimeasure import ChronEnv, JointSemimeasure
+from uailab.semimeasure import (
+    ChronEnv,
+    DeterministicPolicy,
+    JointSemimeasure,
+    MixturePolicy,
+    NoisyCopyEnv,
+    Policy,
+    StationaryPolicy,
+    constant_policy,
+)
+from uailab.transforms import dual
 
 RULES = {
     semimeasure.ProductJoint: semimeasure._StepRule,
@@ -82,3 +98,29 @@ def test_a_component_without_eval_or_a_walk_cannot_be_built(abc):
     bare = type("Bare", (abc,), {})
     with pytest.raises(TypeError):
         bare()
+
+
+WALK = ("root", "extend", "scale")
+
+
+def test_only_the_stationary_policy_walks_by_its_own_rule():
+    for cls in (DeterministicPolicy, MixturePolicy):
+        for name in WALK:
+            assert getattr(cls, name) is vars(Policy)[name], (cls, name)
+    for name in ("root", "extend"):
+        assert name in vars(StationaryPolicy), name
+    # D**ceil(n/2): the product scale of the components, with D_p = 1.
+    assert StationaryPolicy.scale is vars(semimeasure._ProductScale)["scale"]
+
+
+def test_policy_and_dual_walks_keep_their_scales():
+    pi = StationaryPolicy((F(1, 3), F(1, 2)))  # numerators 2 and 3 over D = 6
+    assert [pi.scale(n) for n in range(6)] == [1, 6, 6, 36, 36, 216]
+    masses, (mass, state) = [], pi.root()
+    for symbol in (1, 0, 0, 1, 1):  # an action moves the weight, a percept keeps it
+        mass, state = pi.extend(state, symbol)
+        masses.append(mass)
+    assert masses == [3, 3, 6, 6, 18]
+    nu = NoisyCopyEnv(F(3, 4), F(1, 4))  # scale 4**floor(n/2)
+    assert [dual(nu, pi).scale(n) for n in range(5)] == [1, 6, 24, 144, 576]
+    assert [dual(nu, constant_policy(0)).scale(n) for n in range(5)] == [1, 1, 4, 4, 16]

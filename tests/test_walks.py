@@ -10,6 +10,11 @@ predictive-consistency check, normalization dominance, expectimax, the
 adversary traces and the domination probe) must give exactly what its
 former from-scratch loop gave. The loops are kept here too, and read their
 masses from :func:`scratch_eval`, never from a fold.
+
+The steps of the environment view, the normalized predictor and the dual
+are also held, step by step, to their former bodies, which converted each
+mass with ``exact_mass`` and divided (a dual weighed each action by
+``Policy.weight``). A policy's walk folds to its ``weight``.
 """
 import math
 from fractions import Fraction
@@ -46,7 +51,7 @@ from uailab.core import (
     PerceptSymbol,
     UndefinedConditionalError,
 )
-from uailab.experiments import builtin_components, scenario_mixtures
+from uailab.experiments import _enum_budget_grid, builtin_components, scenario_mixtures
 from uailab.mixture import (
     EnvMixture,
     JointMixture,
@@ -72,6 +77,7 @@ from uailab.semimeasure import (
     constant_policy,
     contexts,
     copy_machine,
+    exact_mass,
     max_ratio,
     mu_id,
     uniform_measure,
@@ -85,7 +91,7 @@ from uailab.transforms import (
     env,
     normalize,
 )
-from uailab.utm import ChronEnumApprox, JointEnumApprox, enumerate_joint
+from uailab.utm import CACHE_ENV_VAR, ChronEnumApprox, JointEnumApprox, clear_memo, enumerate_joint
 
 F = Fraction
 UNDEFINED = (UndefinedConditionalError, NormalizationError)
@@ -997,3 +1003,257 @@ def test_non_semimeasures_report_the_same_violations():
     mismatches = check_predictive_consistency(mixture, 2)
     assert len(mismatches) > 2
     assert mismatches == scratch_consistency(mixture, 2)
+
+
+# ---------------------------------------------------------------------------
+# Transform steps against their frozen two-division bodies
+# ---------------------------------------------------------------------------
+# The ``root``/``extend`` bodies of the view, the normalized predictor and the
+# dual before each conditional became one Fraction and the dual the product
+# of two walks, verbatim but for the component passed as an argument. Each
+# steps its base's walk, as the current bodies do.
+
+
+def old_env_view_root(view):
+    return ONE, (ONE, view.base.root()[1], None, ())
+
+
+def old_env_view_extend(view, state, symbol):
+    mass, base_state, denom, prefix = state
+    if denom is None:
+        try:
+            denom, base_state = view.base.extend(base_state, symbol)
+        except UndefinedConditionalError as exc:
+            denom = exc  # an action moves no mass: raised with the percept
+        return mass, (mass, base_state, denom, prefix + (symbol,))
+    if isinstance(denom, ZeroDivisionError):
+        raise denom
+    if denom == 0:
+        raise UndefinedConditionalError(prefix, "env view")
+    base_mass, base_state = view.base.extend(base_state, symbol)
+    n = len(prefix)  # the pending prefix, its action included
+    mass *= exact_mass(view.base, n + 1, base_mass) / exact_mass(view.base, n, denom)
+    return mass, (mass, base_state, None, prefix + (symbol,))
+
+
+def old_normalized_root(hat):
+    return ONE, (ONE, hat.base.root()[1], (), [])
+
+
+def old_normalized_extend(hat, state, symbol):
+    if state is None:
+        return ZERO, None
+    mass, base_state, x, memo = state
+    n = len(x) + 1
+    if not memo:  # siblings share one evaluation of the base children
+        kids = [hat.base.extend(base_state, s) for s in range(hat.arity_at(len(x)))]
+        memo.append((kids, exact_mass(hat.base, n, sum(m for m, _ in kids))))
+    kids, total = memo[0]
+    if total == 0:
+        raise NormalizationError(x)
+    base_mass, base_state = kids[symbol]
+    mass *= exact_mass(hat.base, n, base_mass) / total
+    return (mass, (mass, base_state, x + (symbol,), [])) if mass else (ZERO, None)
+
+
+def old_dual_root(joint):
+    w = joint.pi.weight((), ())  # below 1 for a deficient policy mixture
+    if w == 0:
+        return ZERO, None
+    nu_mass, nu_state = joint.nu.root()
+    if nu_state is None:
+        return ZERO, None
+    # (actions, percepts, policy weight, env state)
+    return w * exact_mass(joint.nu, 0, nu_mass), ((), (), w, nu_state)
+
+
+def old_dual_extend(joint, state, symbol):
+    if state is None:
+        return ZERO, None
+    actions, percepts, w, nu_state = state
+    if len(actions) == len(percepts):
+        actions += (symbol,)
+        w = joint.pi.weight(actions, percepts)
+        if w == 0:
+            return ZERO, None
+    else:
+        percepts += (symbol,)  # the weight reads no percept after the last action
+    nu_mass, nu_state = joint.nu.extend(nu_state, symbol)
+    if nu_state is None:
+        return ZERO, None
+    n = len(actions) + len(percepts)
+    return w * exact_mass(joint.nu, n, nu_mass), (actions, percepts, w, nu_state)
+
+
+FROZEN_STEPS = {
+    EnvView: (old_env_view_root, old_env_view_extend),
+    NormalizedPredictor: (old_normalized_root, old_normalized_extend),
+    DualJoint: (old_dual_root, old_dual_extend),
+}
+
+
+def assert_steps_match_frozen(nu, depth):
+    """Walk ``nu`` and its frozen steps side by side to ``depth`` symbols: the
+    same exact mass at every context, or an undefinedness of the same type
+    (nothing below it is compared)."""
+    frozen_root, frozen_extend = FROZEN_STEPS[type(nu)]
+    arities = (nu.action_arity, nu.percept_arity)
+
+    def visit(state, old_state, n):
+        for s in range(arities[n % 2]):
+            got = outcome(nu.extend, state, s)
+            want = outcome(frozen_extend, nu, old_state, s)
+            if isinstance(want, type):
+                assert got is want, (n, s)
+                continue
+            assert walk_value(nu, n + 1, got[0]) == want[0], (n, s)
+            if n + 1 < depth:
+                visit(got[1], want[1], n + 1)
+
+    (mass, state), (old_mass, old_state) = nu.root(), frozen_root(nu)
+    assert walk_value(nu, 0, mass) == old_mass
+    visit(state, old_state, 0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    tables(TableJoint, JOINT_KEYS),
+    tables(TableEnv, ENV_KEYS),
+    tables(TableEnv, ENV_KEYS),
+    PAIRS,
+    PAIRS,
+    st.sampled_from(ROWS3),
+)
+def test_transform_steps_equal_their_frozen_two_division_steps(joint, nu, nu2, pair, filler, row3):
+    pi = StationaryPolicy(filler)
+    echo = DeterministicPolicy(lambda h: h.percepts[-1] if h.percepts else 1)
+    deficient = MixturePolicy((pi, echo), (F(1, 4), F(1, 2)))
+    # Integer members next to a Fraction one (scale 1): Fraction numerators.
+    mix = JointMixture([joint, EvalOnlyJoint(joint), ProductJoint(pair, filler)], [F(1, 3)] * 3)
+    env_mix = EnvMixture([nu, nu2, EvalOnlyEnv(nu)], [F(1, 4), F(1, 2), F(1, 4)])
+    for view in (
+        env(joint),
+        env(EvalOnlyJoint(joint)),
+        env(mix),
+        env(dual(nu, pi)),
+        env(dual(env_mix, deficient)),
+        env(normalize(joint)),
+    ):
+        assert_steps_match_frozen(view, 6)
+    for hat in (normalize(joint), normalize(EvalOnlyJoint(joint)), normalize(mix)):
+        assert_steps_match_frozen(hat, 6)
+    assert_steps_match_frozen(normalize(dual(nu, pi)), 6)
+    for policy in (pi, echo, deficient, constant_policy(0)):
+        for base in (nu, env_mix, env(joint), env(mix), IIDEnv(filler)):
+            assert_steps_match_frozen(dual(base, policy), 6)
+    # Three actions, over the view of a three-action product.
+    assert_steps_match_frozen(dual(env(uniform_measure(3)), StationaryPolicy(row3)), 6)
+
+
+def test_transform_steps_on_an_enumerated_mixture():
+    approx = enumerate_joint(9, 200, 8)  # Fraction masses at scale 1
+    chron = ChronEnumApprox(9, 200)  # integer numerators over 8**3
+    assert_steps_match_frozen(env(approx), 8)
+    assert_steps_match_frozen(normalize(approx), 8)
+    assert_steps_match_frozen(dual(chron, StationaryPolicy((F(1, 3), F(2, 3)))), 6)
+    assert_steps_match_frozen(env(dual(chron, constant_policy(1))), 6)
+
+
+# ---------------------------------------------------------------------------
+# Policy walks fold to the weight
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def action_probs(draw, arity):
+    """Exact action probabilities summing to at most 1: raw fractions,
+    rescaled to sum 1 where they sum above it."""
+    raw = draw(st.lists(st.fractions(0, 1, max_denominator=10**4), min_size=arity, max_size=arity))
+    total = sum(raw, ZERO)
+    return tuple(p / total if total > 1 else p for p in raw)
+
+
+def assert_policy_folds_to_weight(pi, depth, percept_arity=2):
+    """Walk ``pi`` over every interleaved history to ``depth`` symbols: its
+    walk masses keep the scale contract and equal ``weight`` everywhere."""
+    arities = (pi.action_arity, percept_arity)
+
+    def visit(state, x):
+        for s in range(arities[len(x) % 2]):
+            y = x + (s,)
+            mass, child = pi.extend(state, s)
+            assert walk_value(pi, len(y), mass) == pi.weight(y[0::2], y[1::2]), y
+            if len(y) < depth:
+                visit(child, y)
+
+    mass, state = pi.root()
+    assert walk_value(pi, 0, mass) == pi.weight((), ())
+    visit(state, ())
+
+
+@settings(max_examples=15, deadline=None)
+@given(action_probs(2), action_probs(3), st.sampled_from(ROWS3), st.integers(0, 2))
+def test_every_policy_walk_folds_to_its_weight(probs2, probs3, row3, action):
+    pi2, pi3 = StationaryPolicy(probs2), StationaryPolicy(probs3)
+    echo = DeterministicPolicy(lambda h: h.percepts[-1] if h.percepts else 1)
+    constant = constant_policy(action, 3)
+    for pi in (
+        pi2,
+        pi3,
+        StationaryPolicy(row3),
+        echo,
+        constant,
+        MixturePolicy((pi2, echo), (F(1, 3), F(1, 2))),
+        MixturePolicy((pi3, constant, StationaryPolicy(row3)), (F(1, 4), F(1, 4), F(1, 2))),
+    ):
+        assert_policy_folds_to_weight(pi, 6)
+    assert_policy_folds_to_weight(pi3, 5, percept_arity=3)
+
+
+# ---------------------------------------------------------------------------
+# The chronological enumeration's walk against its eval
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.sampled_from(_enum_budget_grid(10, 200)),
+    st.booleans(),
+    st.lists(st.lists(st.integers(0, 1), max_size=6).map(tuple), max_size=3),
+    st.lists(st.integers(0, 1), max_size=6).map(tuple),
+)
+def test_chronological_enumeration_walk_equals_eval(
+    tmp_path_factory, budget, cached, asked, primed
+):
+    """At every context to depth 6 of the sanity budget grid, with the cache
+    off and warm: tapes first asked through ``eval`` and tapes primed by
+    ``enumerate_chron`` hold tables the walk has not read yet."""
+    from uailab.utm import enumerate_chron
+
+    bits, steps = budget
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(CACHE_ENV_VAR, str(tmp_path_factory.mktemp("cache")) if cached else "")
+        clear_memo()
+        if cached:  # fill the cache, then read it back
+            check_chronological(ChronEnumApprox(bits, steps), 3)
+            clear_memo()
+        approx = enumerate_chron(bits, steps, primed) if primed else ChronEnumApprox(bits, steps)
+        for tape in asked:
+            approx.eval((0,) * len(tape), tape)
+        oracle = ChronEnumApprox(bits, steps)
+        mass, state = approx.root()
+
+        def visit(state, percepts, actions):
+            for a in range(2):
+                pending = approx.extend(state, a)[1]
+                for e in range(2):
+                    mass, child = approx.extend(pending, e)
+                    context = (percepts + (e,), actions + (a,))
+                    assert walk_value(approx, 2 * len(actions) + 2, mass) == oracle.eval(*context)
+                    assert approx.eval(*context) == oracle.eval(*context)
+                    if len(actions) + 1 < 6:
+                        visit(child, *context)
+
+        assert walk_value(approx, 0, mass) == oracle.eval((), ())
+        visit(state, (), ())
+        clear_memo()
