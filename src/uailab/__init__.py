@@ -71,7 +71,6 @@ from .transforms import (
     EnvView,
     FactoringReport,
     NormalizedPredictor,
-    RatioProbeReport,
     check_env_dual_roundtrip,
     check_normalization_dominance,
     check_representation_roundtrip,

@@ -996,7 +996,10 @@ def _scenario_conj9(cfg: ScenarioConfig) -> ScenarioOutcome:
                     d,
                     *_exact_float(probe.max_ratio),
                     probe.witness,
-                    probe.skipped_contexts,
+                    probe.undefined_mu
+                    + probe.undefined_xi
+                    + len(probe.unbounded_witnesses)
+                    + probe.skipped_zero_zero,
                 )
             )
     _write_csv(

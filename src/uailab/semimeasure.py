@@ -615,9 +615,9 @@ class TableEnv(_TableWalk, ChronEnv):
 
 
 def _symbols(context: str) -> tuple:
-    """The symbols of a context string; a character that is not a digit stays
-    as it is, for the table constructor to reject."""
-    return tuple(int(c) if c.isdecimal() else c for c in context)
+    """The symbols of a context string; a character other than an ASCII digit
+    0-9 stays as it is, for the table constructor to reject."""
+    return tuple(int(c) if "0" <= c <= "9" else c for c in context)
 
 
 def table_component(definition: Mapping[str, Any]) -> JointSemimeasure | ChronEnv:
@@ -636,6 +636,11 @@ def table_component(definition: Mapping[str, Any]) -> JointSemimeasure | ChronEn
         raise ComponentFormatError(
             f"alphabet must be an object of positive integer arities, got {alphabet!r}"
         )
+    for key in alphabet:
+        if key not in ("actions", "percepts"):
+            raise ComponentFormatError(
+                f"alphabet has unknown key {key!r}; expected actions and percepts"
+            )
     action_arity = alphabet.get("actions", 2)
     percept_arity = alphabet.get("percepts", 2)
     default = definition.get("default_rule", "halt")

@@ -30,6 +30,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Any, Sequence
 
+from .adversary import DominationReport, domination_probe
 from .core import (
     ONE,
     ZERO,
@@ -46,10 +47,8 @@ from .semimeasure import (
     Policy,
     StationaryPolicy,
     _check,
-    _check_alphabet,
     _context_at,
     compare,
-    max_ratio,
     times_ratio,
     uniform_policy,
 )
@@ -168,15 +167,6 @@ class NormalizedPredictor(JointSemimeasure):
         self.action_arity = base.action_arity
         self.percept_arity = base.percept_arity
         self.declared_measure = True
-
-    def conditional(self, x: tuple[int, ...], symbol: int) -> Prob:
-        x = tuple(x)
-        _check_alphabet(self, x + (symbol,), x + (symbol,))
-        masses = [self.base.eval(x + (s,)) for s in range(self.arity_at(len(x)))]
-        total = sum(masses, ZERO)
-        if total == 0:
-            raise NormalizationError(x)
-        return masses[symbol] / total
 
     eval = JointSemimeasure.fold
 
@@ -312,22 +302,6 @@ def check_normalization_dominance(
     return rows, skipped
 
 
-@dataclass(frozen=True)
-class RatioProbeReport:
-    """Max exact ratio of env-of-mixture over mixture-of-envs, with witness.
-
-    Records evidence only (no pass/fail): whether the environment-side
-    mixture dominates the environment view of the joint mixture with a
-    scenario-computable constant is recorded, not asserted.
-    """
-
-    depth: int
-    max_ratio: Fraction | None
-    witness: tuple | None
-    rows: tuple[MismatchRow, ...]
-    skipped_contexts: int
-
-
 def env_view_ratio_probe(
     envs: Sequence[ChronEnv],
     env_weights: Sequence[Fraction],
@@ -335,22 +309,13 @@ def env_view_ratio_probe(
     policy_weights: Sequence[Fraction],
     depth: int,
     pair_weights: dict[tuple[int, int], Fraction] | None = None,
-) -> RatioProbeReport:
-    """Compare env(joint mixture) against the direct environment mixture.
+) -> DominationReport:
+    """Domination probe of env(joint mixture) over the direct environment mixture.
 
-    lhs = env(sum_pairs w dual(nu, pi)), rhs = sum_nu w_nu nu. Contexts where
-    either side is undefined or rhs is 0 are skipped and counted.
+    mu = env(sum_pairs w dual(nu, pi)), xi = sum_nu w_nu nu, with the counts
+    :func:`~uailab.adversary.domination_probe` reports.
     """
     from .mixture import EnvMixture, dual_mixture
 
     pair_mix = dual_mixture(envs, env_weights, policies, policy_weights, pair_weights)
-    compared, *undefined = compare(env(pair_mix), EnvMixture(envs, env_weights), depth)
-    rows = tuple(r for r in compared if r.rhs != 0)
-    best, witness = max_ratio(rows)
-    return RatioProbeReport(
-        depth=depth,
-        max_ratio=best,
-        witness=witness,
-        rows=rows,
-        skipped_contexts=sum(undefined) + len(compared) - len(rows),
-    )
+    return domination_probe(env(pair_mix), EnvMixture(envs, env_weights), depth)

@@ -140,7 +140,9 @@ def test_compare_and_probes_return_fractions():
     envs, weights = [mu_id(), uniform_env()], [F(1, 2), F(1, 2)]
     probe = env_view_ratio_probe(envs, weights, [uniform_policy()], [F(1)], 2)
     assert_exact(probe.max_ratio)
-    assert_rows_exact(probe.rows)
+    pair_mix = dual_mixture(envs, weights, [uniform_policy()], [F(1)])
+    rows, _, _ = compare(env(pair_mix), EnvMixture(envs, weights), 2)
+    assert_rows_exact(rows)
     report = factoring_check(envs, weights, [uniform_policy()], [F(1)], 3)
     assert_rows_exact(report.joint_rows + report.env_rows)
 

@@ -360,6 +360,7 @@ BAD_TABLE_FIELDS = {
     "alphabet_list": ("alphabet", {"alphabet": ["2"]}),
     "alphabet_zero": ("alphabet", {"alphabet": {"actions": 0}}),
     "alphabet_string": ("alphabet", {"alphabet": {"percepts": "2"}}),
+    "alphabet_typo": ("alphabet has unknown key 'percept'", {"alphabet": {"percept": 3}}),
     "default_rule_number": ("default_rule", {"default_rule": 3}),
     "declared_measure_string": ("declared_measure", {"declared_measure": "false"}),
     "declared_measure_number": ("declared_measure", {"declared_measure": 1}),
@@ -368,6 +369,15 @@ BAD_TABLE_FIELDS = {
     "context_action": ("context (7,) holds", {"conditionals": {"7": ["1/2", "1/2"]}}),
     "context_percept": ("context (0, 2) holds", {"conditionals": {"02": ["1/2", "1/2"]}}),
     "context_letter": ("context (0, 'x') holds", {"conditionals": {"0x": ["1/2", "1/2"]}}),
+    # digits outside 0-9: Arabic-Indic and fullwidth one
+    "context_arabic_indic": (
+        "context ('\u0661',) holds",
+        {"conditionals": {"\u0661": ["1", "0"]}},
+    ),
+    "context_fullwidth": (
+        "context (0, '\uff11') holds",
+        {"conditionals": {"0\uff11": ["1", "0"]}},
+    ),
     "env_context": (
         "context ((5,), (9, 2)) holds",
         {"kind": "env_table", "conditionals": {"5|92": ["1/2", "1/2"]}},
@@ -375,6 +385,10 @@ BAD_TABLE_FIELDS = {
     "env_context_letter": (
         "context ((), ('a',)) holds",
         {"kind": "env_table", "conditionals": {"|a": ["1/2", "1/2"]}},
+    ),
+    "env_context_fullwidth": (
+        "context ((), ('\uff11',)) holds",
+        {"kind": "env_table", "conditionals": {"|\uff11": ["1/2", "1/2"]}},
     ),
 }
 

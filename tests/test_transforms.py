@@ -3,11 +3,15 @@ from itertools import product
 
 import pytest
 
+from uailab.adversary import domination_probe
 from uailab.core import ComponentFormatError, NormalizationError, UndefinedConditionalError
-from uailab.mixture import EnvMixture, JointMixture
+from uailab.experiments import pair_scenarios
+from uailab.mixture import EnvMixture, JointMixture, dual_mixture
 from uailab.semimeasure import (
     NoisyCopyEnv,
+    TableJoint,
     check_semimeasure,
+    compare,
     complement_env,
     constant_policy,
     copy_machine,
@@ -110,21 +114,21 @@ def test_chron_to_joint_rejects_a_bad_filler(filler):
         chron_to_joint(mu_id(), filler)
 
 
-def test_normalized_conditional_rejects_symbols_outside_the_alphabet():
+def test_normalized_eval_rejects_symbols_outside_the_alphabet():
     predictor = normalize(uniform_measure())
     for x, bad in (((), -1), ((), 2), ((0,), -1), ((0,), 2)):
         with pytest.raises(ComponentFormatError, match="outside the alphabet") as err:
-            predictor.conditional(x, bad)
+            predictor.eval(x + (bad,))
         assert f"context {x + (bad,)!r}" in str(err.value)
         assert f"position {len(x)}" in str(err.value)
-    assert predictor.conditional((0,), 1) == F(1, 2)
+    assert predictor.eval((0, 1)) == F(1, 4)
 
 
 def test_normalize_oracle_values():
     # Conditionals (1/4, 1/4) rescale to (1/2, 1/2).
     hat = normalize(defective_uniform(F(1, 4)))
-    assert hat.conditional((), 0) == F(1, 2)
-    assert hat.conditional((), 1) == F(1, 2)
+    assert hat.eval((0,)) == F(1, 2)
+    assert hat.eval((1,)) == F(1, 2)
     # A proper measure is left unchanged.
     hat_uni = normalize(uniform_measure())
     for length in range(4):
@@ -133,10 +137,16 @@ def test_normalize_oracle_values():
 
 
 def test_normalize_zero_continuation_errors():
-    dead = JointMixture([copy_machine()], [F(1)])
-    hat = normalize(dead)
-    with pytest.raises(NormalizationError):
-        hat.conditional((1, 0), 0)  # all continuations of a dead branch
+    # The copy machine's dead branch already weighs 0, so its walk stops
+    # before it would divide by the branch's zero continuation mass.
+    dead = normalize(JointMixture([copy_machine()], [F(1)]))
+    assert dead.eval((1, 0, 0)) == 0
+    # A live context whose continuations all halt has no normalized
+    # conditional.
+    halting = normalize(TableJoint({(): (F(1, 2), F(1, 2))}))
+    with pytest.raises(NormalizationError) as err:
+        halting.eval((0, 0))
+    assert err.value.context == (0,)
 
 
 def test_normalized_predictor_is_a_measure():
@@ -196,24 +206,45 @@ def test_factoring_fails_with_witness_for_non_factored_prior():
     assert row.rhs == F(3, 4)
 
 
+# conj9_search's hetero pair and its diagonal grid, which glues mu_id to
+# always-1 and the uniform environment to the uniform policy.
+HETERO = pair_scenarios()["hetero_pair"]
+HETERO_GRID = (HETERO.envs, HETERO.env_weights, HETERO.policies, HETERO.policy_weights)
+DIAGONAL = {(0, 0): F(1, 2), (1, 1): F(1, 2)}
+
+
 def test_env_view_ratio_probe_records_excess():
     # A non-product mixture (each env glued to its own policy) makes the
     # joint view exceed the env mixture: actions are evidence about the env.
-    report = env_view_ratio_probe(
-        (mu_id(), uniform_env()),
-        (F(1, 2), F(1, 2)),
-        (constant_policy(1), uniform_policy()),
-        (F(1, 2), F(1, 2)),
-        depth=2,
-        pair_weights={(0, 0): F(1, 2), (1, 1): F(1, 2)},
-    )
+    report = env_view_ratio_probe(*HETERO_GRID, depth=2, pair_weights=DIAGONAL)
     assert report.max_ratio is not None
     assert report.max_ratio > 1
     # Hand-checked: conditioning on action 1 shifts belief toward the
     # identity env, lifting the copy conditional to 5/6 against 3/4.
-    row = next(r for r in report.rows if r.witness == ((1,), (1,)))
+    pair_mix = dual_mixture(*HETERO_GRID, DIAGONAL)
+    rows, _, _ = compare(env(pair_mix), EnvMixture(HETERO.envs, HETERO.env_weights), 2)
+    row = next(r for r in rows if r.witness == ((1,), (1,)))
     assert row.lhs == F(5, 6)
     assert row.rhs == F(3, 4)
+
+
+@pytest.mark.parametrize("pair_weights", [None, DIAGONAL], ids=["factored", "diagonal"])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_env_view_ratio_probe_is_the_domination_probe(pair_weights, depth):
+    report = env_view_ratio_probe(*HETERO_GRID, depth, pair_weights=pair_weights)
+    pair_mix = dual_mixture(*HETERO_GRID, pair_weights)
+    direct = EnvMixture(HETERO.envs, HETERO.env_weights)
+    assert report == domination_probe(env(pair_mix), direct, depth)
+    # The four skip counts add up to every compared context without a
+    # finite ratio: the "skipped" column of env_view_ratio.csv.
+    compared, *undefined = compare(env(pair_mix), direct, depth)
+    finite = [r for r in compared if r.rhs != 0]
+    assert (
+        report.undefined_mu
+        + report.undefined_xi
+        + len(report.unbounded_witnesses)
+        + report.skipped_zero_zero
+    ) == sum(undefined) + len(compared) - len(finite)
 
 
 def test_env_view_ratio_probe_is_one_for_shared_policy():
