@@ -29,7 +29,6 @@ from .semimeasure import (
     IIDEnv,
     JointSemimeasure,
     MismatchRow,
-    MixturePolicy,
     NoisyCopyEnv,
     Policy,
     ProductJoint,
@@ -58,9 +57,9 @@ from .semimeasure import (
 from .mixture import (
     EnvMixture,
     JointMixture,
+    MixturePolicy,
     PosteriorState,
     check_predictive_consistency,
-    dual_mixture,
     harmonic_prior,
     posterior_weights,
     predictive,
@@ -76,6 +75,7 @@ from .transforms import (
     check_representation_roundtrip,
     chron_to_joint,
     dual,
+    dual_mixture,
     env,
     env_view_ratio_probe,
     factoring_check,

@@ -48,12 +48,11 @@ class ComponentFormatError(ValueError):
     """A component or mixture definition violates its format contract."""
 
 
-def prob(value: int | str | Fraction, *, top: Fraction | None = ONE) -> Fraction:
-    """Build an exact nonnegative rational, rejecting floats.
+def prob(value: int | str | Fraction) -> Fraction:
+    """Build an exact probability in [0, 1], rejecting floats.
 
-    Accepts ints, Fractions, and strings like "3/4", "2", or "0.25" (parsed
-    exactly). ``top`` bounds the value from above (default 1, pass None for
-    unbounded quantities such as rewards or ratios).
+    Accepts ints, Fractions, and strings like "3/4", "1", or "0.25" (parsed
+    exactly).
     """
     if isinstance(value, bool):
         raise ComponentFormatError("bool is not a probability")
@@ -70,8 +69,8 @@ def prob(value: int | str | Fraction, *, top: Fraction | None = ONE) -> Fraction
         raise ComponentFormatError(f"cannot interpret {value!r} as an exact rational")
     if out < 0:
         raise ComponentFormatError(f"negative probability {out}")
-    if top is not None and out > top:
-        raise ComponentFormatError(f"probability {out} exceeds {top}")
+    if out > 1:
+        raise ComponentFormatError(f"probability {out} exceeds 1")
     return out
 
 

@@ -34,6 +34,7 @@ from .semimeasure import (
     JointSemimeasure,
     NoisyCopyEnv,
     Policy,
+    _reject_unknown_keys,
     anticopy_machine,
     check_chronological,
     check_semimeasure,
@@ -198,6 +199,7 @@ def mixture_from_dict(definition: dict) -> MixtureDef:
 
     def build(entry: dict):
         if "builtin" in entry:
+            _reject_unknown_keys("builtin component entry", entry, ("builtin",))
             name = entry["builtin"]
             if not isinstance(name, str):
                 raise ComponentFormatError(
@@ -757,7 +759,8 @@ def _scenario_thm10(cfg: ScenarioConfig) -> ScenarioOutcome:
     lines: list[str] = []
     failures = 0
 
-    main = normalize(scenario_mixtures()["copy_vs_uniform"].joint)
+    mixtures = scenario_mixtures()
+    main = normalize(mixtures["copy_vs_uniform"].joint)
     main_trace = copy_conditional_trace(main, actions)
     _write_csv(cfg.out_dir / "normalized_main.csv", _TRACE_HEADER, _trace_rows(main_trace))
     conds = [s.conditional for s in main_trace.steps]
@@ -770,7 +773,7 @@ def _scenario_thm10(cfg: ScenarioConfig) -> ScenarioOutcome:
         f"final={frac_str(conds[-1]) if conds else 'none (empty trace)'}"
     )
 
-    contrast = scenario_mixtures()["halting_contrast"].joint
+    contrast = mixtures["halting_contrast"].joint
     raw_trace = copy_conditional_trace(contrast, actions)
     _write_csv(cfg.out_dir / "contrast_unnormalized.csv", _TRACE_HEADER, _trace_rows(raw_trace))
     bound = prob(derived["contrast_bound"])
@@ -888,7 +891,8 @@ def _scenario_thm11(cfg: ScenarioConfig) -> ScenarioOutcome:
     lines: list[str] = []
     failures = 0
 
-    main = scenario_mixtures()["learnable_deterministic"].joint
+    mixtures = scenario_mixtures()
+    main = mixtures["learnable_deterministic"].joint
     assert main is not None
     mins, maxs = _conditional_stats(main, ("identity", "complement"), n, cfg.jobs, True)
     _write_stats(cfg.out_dir / "normalized_min_conditionals.csv", mins, maxs)
@@ -911,7 +915,7 @@ def _scenario_thm11(cfg: ScenarioConfig) -> ScenarioOutcome:
         f"{t_star}: {ok}"
     )
 
-    contrast = scenario_mixtures()["halting_contrast"].joint
+    contrast = mixtures["halting_contrast"].joint
     assert contrast is not None
     raw_mins, raw_maxs = _conditional_stats(contrast, ("identity",), n, cfg.jobs, False)
     _write_stats(cfg.out_dir / "unnormalized_contrast_conditionals.csv", raw_mins, raw_maxs)
@@ -934,8 +938,9 @@ def _scenario_conj9(cfg: ScenarioConfig) -> ScenarioOutcome:
     depth = cfg.budget("probe_depth")
     lines: list[str] = []
     rows = []
+    mixtures = scenario_mixtures()
     for name in ("copy_vs_uniform", "adversary_rich"):
-        mdef = scenario_mixtures()[name]
+        mdef = mixtures[name]
         assert mdef.joint is not None and mdef.chron is not None
         joint_view = env(mdef.joint)
         for d in range(1, depth + 1):
@@ -1022,8 +1027,9 @@ def _scenario_agents(cfg: ScenarioConfig) -> ScenarioOutcome:
     rows = []
     failures = 0
     agreements = 0
+    mixtures = scenario_mixtures()
     for name in ("copy_vs_uniform", "adversary_rich"):
-        mdef = scenario_mixtures()[name]
+        mdef = mixtures[name]
         assert mdef.joint is not None and mdef.chron is not None
         # Every complete history of at most two steps.
         histories = [history_from_symbols(x) for x in contexts(mdef.joint, 4) if len(x) % 2 == 0]

@@ -1,11 +1,12 @@
-"""Finite Bayesian mixtures over joint or chronological components.
+"""Finite Bayesian mixtures over joint components, environments or policies.
 
 A mixture is a weighted component list whose weights pass
 :func:`uailab.core.exact_masses`: one positive ``int`` or ``Fraction`` per
 component, summing to at most 1 (deficient priors allowed; shipped scenarios
 use weights as given), kept as ``Fraction``s. Mixtures of joint components
 are joint semimeasures; mixtures of environments are chronological
-environments. A mixture's ``eval`` is the fold of its walk.
+environments; mixtures of policies are policies. The three kinds share one
+walk, and a mixture's ``eval`` (a policy mixture's ``weight``) is its fold.
 ``posterior_weights`` and ``predictive`` evaluate one history by such point
 queries. A mixture's walk state carries every live component's weighted
 mass, so walks read the unnormalized posterior w_i nu_i(prefix) at each
@@ -48,7 +49,7 @@ def harmonic_prior(n: int) -> tuple[Fraction, ...]:
 
 
 class _Mixture:
-    """Construction and the walk shared by both mixture kinds.
+    """Construction and the walk shared by the three mixture kinds.
 
     The walk state is (length, mass, parts): parts holds (index, weighted
     mass, state) for every component whose own state is not dead, where the
@@ -61,8 +62,9 @@ class _Mixture:
     weights: tuple[Fraction, ...]
     name_prefix = "component"
     _kind: type = object
-    # An environment's action moves neither its mass nor its scale.
-    _actions_keep_mass = False
+    # The parity of the positions whose symbol moves no member's mass nor
+    # scale: an environment's actions (0), a policy's percepts (1).
+    _kept_parity: int | None = None
 
     def __init__(
         self,
@@ -131,7 +133,7 @@ class _Mixture:
         n, mass, old_parts = state
         extends = self._extends
         parts = []
-        if self._actions_keep_mass and n % 2 == 0:
+        if n % 2 == self._kept_parity:
             for i, weighted, s in old_parts:
                 s = extends[i](s, symbol)[1]
                 if s is not None:
@@ -166,45 +168,18 @@ class EnvMixture(_Mixture, ChronEnv):
     components: tuple[ChronEnv, ...]
     name_prefix = "env"
     _kind = ChronEnv
-    _actions_keep_mass = True
+    _kept_parity = 0
 
     eval = ChronEnv.fold
 
 
-def dual_mixture(
-    envs: Sequence[ChronEnv],
-    env_weights: Sequence[Fraction],
-    policies: Sequence[Policy],
-    policy_weights: Sequence[Fraction],
-    pair_weights: dict[tuple[int, int], Fraction] | None = None,
-) -> JointMixture:
-    """Mixture over dual(env, policy) for all pairs.
+class MixturePolicy(_Mixture, Policy):
+    """zeta(a_1:t || e_<t) = sum_i w_i pi_i(a_1:t || e_<t), itself a policy."""
 
-    With the default factored prior, the pair (nu_j, pi_k) gets weight
-    policy_weights[k] * env_weights[j] (agent and environment independent).
-    An explicit non-factored ``pair_weights`` grid (keyed by (env index,
-    policy index), missing entries meaning zero, a key off the grid an
-    error) is accepted for counterexample construction.
-    """
-    from .transforms import dual
-
-    env_weights = exact_masses(env_weights, "env weights", items=len(envs))
-    policy_weights = exact_masses(policy_weights, "policy weights", items=len(policies))
-    if pair_weights is None:
-        pair_weights = {
-            (j, k): v * p for j, v in enumerate(env_weights) for k, p in enumerate(policy_weights)
-        }
-    grid = dict(zip(pair_weights, exact_masses(pair_weights.values(), "pair weights")))
-    pairs = [(j, k) for j in range(len(envs)) for k in range(len(policies))]
-    outside = sorted(grid.keys() - set(pairs), key=repr)
-    if outside:
-        raise ComponentFormatError(f"pair weights keyed outside the (env, policy) grid: {outside}")
-    pairs = [pair for pair in pairs if grid.get(pair)]
-    return JointMixture(
-        [dual(envs[j], policies[k]) for j, k in pairs],
-        [grid[pair] for pair in pairs],
-        [f"dual_env{j}_policy{k}" for j, k in pairs],
-    )
+    components: tuple[Policy, ...]
+    name_prefix = "policy"
+    _kind = Policy
+    _kept_parity = 1
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ further. A component has one evaluator: either ``eval``, walked by defaults
 whose state is the context itself, evaluated from scratch, or ``root``,
 ``extend`` and ``scale`` with ``eval = JointSemimeasure.fold`` (or
 ``ChronEnv.fold``), which walks to the context after rejecting any symbol
-outside the alphabet. The six built-in components share two walks that cost
+outside the alphabet. A policy has only its walk, and its ``weight`` is the
+fold of that walk. The six built-in components share two walks that cost
 O(1) per step: one step rule for the product and echo components (an
 action's mass fixed, a percept's chosen by the pending action) and one table
 walk for both table kinds (a row per interleaved context). Environments take
@@ -152,7 +153,7 @@ class ChronEnv(abc.ABC):
         return 1
 
 
-def _check_alphabet(nu: JointSemimeasure | ChronEnv, context: Any, x: Sequence) -> None:
+def _check_alphabet(nu: JointSemimeasure | ChronEnv | Policy, context: Any, x: Sequence) -> None:
     """Reject a symbol of the interleaved string ``x`` of ``context`` that is
     not an int of the alphabet, naming its position in x."""
     arities = (nu.action_arity, nu.percept_arity)
@@ -171,7 +172,7 @@ def _history(percepts: Sequence[int], actions: Sequence[int]) -> tuple[int, ...]
     return tuple(s for step in zip(actions, percepts) for s in step)
 
 
-def _fold(nu: JointSemimeasure | ChronEnv, context: Any, x: tuple[int, ...]) -> Prob:
+def _fold(nu: JointSemimeasure | ChronEnv | Policy, context: Any, x: tuple[int, ...]) -> Prob:
     """The exact mass of the interleaved string ``x`` of ``context`` by one walk."""
     _check_alphabet(nu, context, x)
     mass, state = nu.root()
@@ -203,50 +204,57 @@ class _ProductScale:
 class Policy(abc.ABC):
     """A policy, evaluable as a chronological semimeasure over actions.
 
-    ``weight(actions, percepts)`` is the joint probability of emitting the
-    action prefix given the percepts seen before each action; only
-    ``percepts[:len(actions) - 1]`` is consulted. The policy walks as an
-    environment does, the roles swapped: over a1 e1 a2 ..., an action moves
-    the mass and a percept keeps it. The defaults fold ``weight`` at scale 1.
+    A policy walks as an environment does, the roles swapped: over a1 e1 a2
+    ..., an action moves the weight; a percept moves neither it nor the scale
+    (default 1). A policy reads any percept alphabet (its percept arity is
+    infinite) and declares no measure.
     """
 
     action_arity: int = 2
+    percept_arity = math.inf
+    declared_measure = False
 
     @abc.abstractmethod
-    def weight(self, actions: tuple[int, ...], percepts: tuple[int, ...]) -> Prob:
-        ...
-
     def root(self) -> tuple[Prob, Any]:
         """(weight, walk state) of the empty history."""
-        mass = self.weight((), ())
-        return mass, ((), (), mass)
 
+    @abc.abstractmethod
     def extend(self, state: Any, symbol: int) -> tuple[Prob, Any]:
         """(weight, walk state) one symbol further: an action, or its percept."""
-        actions, percepts, mass = state
-        if len(actions) > len(percepts):
-            return mass, (actions, percepts + (symbol,), mass)
-        actions += (symbol,)
-        mass = self.weight(actions, percepts)
-        return mass, (actions, percepts, mass)
 
     def scale(self, n: int) -> int:
         """Denominator of the walk weights of histories of ``n`` symbols."""
         return 1
 
+    def weight(self, actions: tuple[int, ...], percepts: tuple[int, ...]) -> Prob:
+        """Probability of emitting ``actions`` given the percepts before each, by
+        one walk over a1 e1 ... at: only ``percepts[:len(actions) - 1]`` is read."""
+        t = max(len(actions) - 1, 0)
+        x = _history(percepts[:t], actions[:t]) + tuple(actions[t:])
+        return _fold(self, (actions, percepts), x)
+
 
 class DeterministicPolicy(Policy):
-    """Total function from histories to actions, wrapped as a policy."""
+    """Total function from histories to actions, wrapped as a policy. Its walk
+    state is the history (actions, percepts): an action step calls ``fn`` once,
+    and the context is dead where ``fn`` chose another action."""
 
     def __init__(self, fn: Callable[[History], int], action_arity: int = 2):
         self.fn = fn
         self.action_arity = action_arity
 
-    def weight(self, actions: tuple[int, ...], percepts: tuple[int, ...]) -> Prob:
-        for i, a in enumerate(actions):
-            if self.fn(History(actions[:i], percepts[:i])) != a:
-                return ZERO
-        return ONE
+    def root(self) -> tuple[int, Any]:
+        return 1, ((), ())
+
+    def extend(self, state: Any, symbol: int) -> tuple[int, Any]:
+        if state is None:
+            return 0, None
+        actions, percepts = state
+        if len(actions) > len(percepts):
+            return 1, (actions, percepts + (symbol,))
+        if self.fn(History(actions, percepts)) != symbol:
+            return 0, None
+        return 1, (actions + (symbol,), percepts)
 
 
 @dataclass(frozen=True)
@@ -270,12 +278,6 @@ class StationaryPolicy(_ProductScale, Policy):
     def action_arity(self) -> int:  # type: ignore[override]
         return len(self.probs)
 
-    def weight(self, actions: tuple[int, ...], percepts: tuple[int, ...]) -> Prob:
-        out = ONE
-        for a in actions:
-            out *= self.probs[a]
-        return out
-
     def root(self) -> tuple[int, Any]:
         return 1, (1, False)  # (weight, action pending)
 
@@ -292,30 +294,6 @@ def uniform_policy(action_arity: int = 2) -> StationaryPolicy:
 
 def constant_policy(action: int, action_arity: int = 2) -> DeterministicPolicy:
     return DeterministicPolicy(lambda h: action, action_arity)
-
-
-@dataclass(frozen=True)
-class MixturePolicy(Policy):
-    """Weighted mixture of policies, mixed at the joint-value level."""
-
-    policies: tuple[Policy, ...]
-    weights: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        weights = exact_masses(self.weights, "policy weights", items=len(self.policies))
-        object.__setattr__(self, "weights", weights)
-        if len({p.action_arity for p in self.policies}) > 1:
-            raise ComponentFormatError("mixed policies must share one action arity")
-
-    @property
-    def action_arity(self) -> int:  # type: ignore[override]
-        return self.policies[0].action_arity
-
-    def weight(self, actions: tuple[int, ...], percepts: tuple[int, ...]) -> Prob:
-        return sum(
-            (w * p.weight(actions, percepts) for p, w in zip(self.policies, self.weights)),
-            ZERO,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -620,14 +598,25 @@ def _symbols(context: str) -> tuple:
     return tuple(int(c) if "0" <= c <= "9" else c for c in context)
 
 
+def _reject_unknown_keys(what: str, mapping: Mapping[str, Any], known: Sequence[str]) -> None:
+    """Name the first key of a parsed JSON object that is not in ``known``."""
+    for key in mapping:
+        if key not in known:
+            raise ComponentFormatError(
+                f"{what} has unknown key {key!r}; expected {', '.join(known)}"
+            )
+
+
 def table_component(definition: Mapping[str, Any]) -> JointSemimeasure | ChronEnv:
     """Build a table component from a parsed definition dict.
 
     Expected fields: kind ("joint_table" | "env_table"), alphabet
     ({"actions": n, "percepts": n}), conditionals, default_rule,
-    declared_measure. See docs/component_format.md for the exact schema;
-    conditional values are exact rational strings, never floats.
+    declared_measure, and no other. See docs/component_format.md for the exact
+    schema; conditional values are exact rational strings, never floats.
     """
+    fields = ("kind", "alphabet", "conditionals", "default_rule", "declared_measure")
+    _reject_unknown_keys("table component", definition, fields)
     kind = definition.get("kind")
     alphabet = definition.get("alphabet", {})
     if not isinstance(alphabet, dict) or not all(
@@ -636,11 +625,7 @@ def table_component(definition: Mapping[str, Any]) -> JointSemimeasure | ChronEn
         raise ComponentFormatError(
             f"alphabet must be an object of positive integer arities, got {alphabet!r}"
         )
-    for key in alphabet:
-        if key not in ("actions", "percepts"):
-            raise ComponentFormatError(
-                f"alphabet has unknown key {key!r}; expected actions and percepts"
-            )
+    _reject_unknown_keys("alphabet", alphabet, ("actions", "percepts"))
     action_arity = alphabet.get("actions", 2)
     percept_arity = alphabet.get("percepts", 2)
     default = definition.get("default_rule", "halt")
@@ -822,7 +807,7 @@ class MismatchRow:
         return "equal" if self.lhs == self.rhs else "mismatch"
 
 
-def exact_mass(nu: JointSemimeasure | ChronEnv, n: int, mass: Any) -> Fraction:
+def exact_mass(nu: JointSemimeasure | ChronEnv | Policy, n: int, mass: Any) -> Fraction:
     """The exact mass a walk numerator of ``nu`` at a context of ``n`` symbols
     stands for. Every reader of walk masses outside the checkers converts
     here before it divides."""

@@ -7,10 +7,11 @@ conditioning prefixes) is a per-prefix condition. A view raises where its
 conditional is undefined, and readers such as :func:`compare` count those
 contexts instead (see :mod:`uailab.semimeasure`). ``dual`` goes the other
 way, combining an environment with a policy into the history distribution
-they induce. ``chron_to_joint`` is the
-semimeasure representation of an environment with a configurable action
-filler (uniform by default). ``normalize`` rescales one-symbol conditionals
-to sum to 1 (Solomonoff normalization).
+they induce, and ``dual_mixture`` mixes the duals of every (environment,
+policy) pair. ``chron_to_joint`` is the semimeasure representation of an
+environment with a configurable action filler (uniform by default).
+``normalize`` rescales one-symbol conditionals to sum to 1 (Solomonoff
+normalization).
 
 Views, duals and normalized predictors evaluate only by walking: ``eval`` is
 the fold of the walk (``ChronEnv.fold`` or ``JointSemimeasure.fold``). A view
@@ -38,12 +39,13 @@ from .core import (
     NormalizationError,
     Prob,
     UndefinedConditionalError,
+    exact_masses,
 )
+from .mixture import EnvMixture, JointMixture, MixturePolicy
 from .semimeasure import (
     ChronEnv,
     JointSemimeasure,
     MismatchRow,
-    MixturePolicy,
     Policy,
     StationaryPolicy,
     _check,
@@ -131,6 +133,40 @@ class DualJoint(JointSemimeasure):
 def dual(nu: ChronEnv, pi: Policy) -> DualJoint:
     """Combine an environment and a policy into their history distribution."""
     return DualJoint(nu, pi)
+
+
+def dual_mixture(
+    envs: Sequence[ChronEnv],
+    env_weights: Sequence[Fraction],
+    policies: Sequence[Policy],
+    policy_weights: Sequence[Fraction],
+    pair_weights: dict[tuple[int, int], Fraction] | None = None,
+) -> JointMixture:
+    """Mixture over dual(env, policy) for all pairs.
+
+    With the default factored prior, the pair (nu_j, pi_k) gets weight
+    policy_weights[k] * env_weights[j] (agent and environment independent).
+    An explicit non-factored ``pair_weights`` grid (keyed by (env index,
+    policy index), missing entries meaning zero, a key off the grid an
+    error) is accepted for counterexample construction.
+    """
+    env_weights = exact_masses(env_weights, "env weights", items=len(envs))
+    policy_weights = exact_masses(policy_weights, "policy weights", items=len(policies))
+    if pair_weights is None:
+        pair_weights = {
+            (j, k): v * p for j, v in enumerate(env_weights) for k, p in enumerate(policy_weights)
+        }
+    grid = dict(zip(pair_weights, exact_masses(pair_weights.values(), "pair weights")))
+    pairs = [(j, k) for j in range(len(envs)) for k in range(len(policies))]
+    outside = sorted(grid.keys() - set(pairs), key=repr)
+    if outside:
+        raise ComponentFormatError(f"pair weights keyed outside the (env, policy) grid: {outside}")
+    pairs = [pair for pair in pairs if grid.get(pair)]
+    return JointMixture(
+        [dual(envs[j], policies[k]) for j, k in pairs],
+        [grid[pair] for pair in pairs],
+        [f"dual_env{j}_policy{k}" for j, k in pairs],
+    )
 
 
 def chron_to_joint(
@@ -238,8 +274,6 @@ def factoring_check(
     contexts. Both hold exactly for factored pair weights w[nu,pi] =
     policy_w * env_w; a deliberately non-factored grid produces witnesses.
     """
-    from .mixture import EnvMixture, dual_mixture
-
     pair_mix = dual_mixture(envs, env_weights, policies, policy_weights, pair_weights)
     direct = EnvMixture(envs, env_weights)
     factored = dual(direct, MixturePolicy(tuple(policies), tuple(policy_weights)))
@@ -315,7 +349,5 @@ def env_view_ratio_probe(
     mu = env(sum_pairs w dual(nu, pi)), xi = sum_nu w_nu nu, with the counts
     :func:`~uailab.adversary.domination_probe` reports.
     """
-    from .mixture import EnvMixture, dual_mixture
-
     pair_mix = dual_mixture(envs, env_weights, policies, policy_weights, pair_weights)
     return domination_probe(env(pair_mix), EnvMixture(envs, env_weights), depth)

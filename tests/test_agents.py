@@ -22,12 +22,11 @@ from uailab.core import (
     PerceptSymbol,
     UndefinedConditionalError,
 )
-from uailab.mixture import EnvMixture, JointMixture
+from uailab.mixture import EnvMixture, JointMixture, MixturePolicy
 from uailab.semimeasure import (
     ChronEnv,
     DeterministicPolicy,
     IIDEnv,
-    MixturePolicy,
     NoisyCopyEnv,
     StationaryPolicy,
     TableJoint,
@@ -177,6 +176,23 @@ def test_policy_value_walk_equals_the_frozen_recursion():
     for horizon in (0, -1):
         with pytest.raises(ValueError):
             policy_value(uniform_policy(), mu_id(), horizon)
+
+
+def test_a_deterministic_policy_is_asked_once_per_action_node():
+    """A re-planning agent wrapped as a policy plans once per action node of
+    the ``policy_value`` recursion, not once per action of every prefix."""
+    calls = []
+
+    def echo(h):
+        calls.append(h)
+        return h.percepts[-1] if h.percepts else 0
+
+    value = policy_value(DeterministicPolicy(echo), NoisyCopyEnv(F(3, 4), F(1, 4)), 8)
+    assert value == F(1793, 512)
+    # Both percepts stay live, so t steps in there are 2**t histories, each
+    # with two action nodes: 2 * (2**8 - 1) nodes in all.
+    assert len(calls) == 2 * (2**8 - 1) == 510
+    assert len(set(calls)) == 2**8 - 1
 
 
 def test_expectimax_mu_id_prefers_copy_reward():

@@ -73,10 +73,9 @@ def test_prob_rejects_floats_and_negatives():
     with pytest.raises(ComponentFormatError):
         prob(-1)
     with pytest.raises(ComponentFormatError):
-        prob("3/2")  # above the default top of 1
+        prob("3/2")  # above 1
     assert prob("3/4") == F(3, 4)
     assert prob("0.25") == F(1, 4)
-    assert prob("3/2", top=None) == F(3, 2)
 
 
 @pytest.mark.parametrize("text", ["abc", "1/0", "", "1/2/3"])

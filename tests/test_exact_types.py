@@ -26,8 +26,8 @@ from uailab.experiments import _conditional_stats, builtin_components, scenario_
 from uailab.mixture import (
     EnvMixture,
     JointMixture,
+    MixturePolicy,
     check_predictive_consistency,
-    dual_mixture,
     posterior_weights,
 )
 from uailab.semimeasure import (
@@ -35,7 +35,6 @@ from uailab.semimeasure import (
     ChronEnv,
     IIDEnv,
     JointSemimeasure,
-    MixturePolicy,
     NoisyCopyEnv,
     ProductJoint,
     StationaryPolicy,
@@ -56,6 +55,7 @@ from uailab.transforms import (
     check_env_dual_roundtrip,
     check_normalization_dominance,
     chron_to_joint,
+    dual_mixture,
     env,
     env_view_ratio_probe,
     factoring_check,

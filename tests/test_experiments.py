@@ -79,6 +79,17 @@ def test_unknown_scenario_lists_available(tmp_path):
         assert name in str(err.value)
 
 
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_each_scenario_builds_the_shipped_mixtures_once(tmp_path, monkeypatch, scenario):
+    calls = []
+    build = experiments.scenario_mixtures
+    monkeypatch.setattr(experiments, "scenario_mixtures", lambda: calls.append(1) or build())
+    small = {"depth": 2, "transform_depth": 2, "consistency_depth": 1, "probe_depth": 1}
+    small.update(horizon=1, sequence_length=4, normalized_trace_len=2, trace_steps=2)
+    run_scenario(ScenarioConfig(scenario, tmp_path, budgets=small))
+    assert len(calls) == 1
+
+
 ENV_MIXTURE = {"components": [{"builtin": "mu_id"}], "weights": ["1"]}
 
 
@@ -361,6 +372,15 @@ BAD_TABLE_FIELDS = {
     "alphabet_zero": ("alphabet", {"alphabet": {"actions": 0}}),
     "alphabet_string": ("alphabet", {"alphabet": {"percepts": "2"}}),
     "alphabet_typo": ("alphabet has unknown key 'percept'", {"alphabet": {"percept": 3}}),
+    "field_typo": (
+        "table component has unknown key 'conditional'",
+        {"conditional": {"": ["1", "0"]}, "default rule": "uniform"},
+    ),
+    # a builtin reference holds nothing but its name
+    "builtin_with_table_fields": (
+        "builtin component entry has unknown key 'kind'",
+        {"builtin": "copy_machine"},
+    ),
     "default_rule_number": ("default_rule", {"default_rule": 3}),
     "declared_measure_string": ("declared_measure", {"declared_measure": "false"}),
     "declared_measure_number": ("declared_measure", {"declared_measure": 1}),

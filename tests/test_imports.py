@@ -2,7 +2,8 @@
 
 Stdlib-only stand-in for a linter's unused-import and unused-private-name
 rules. ``__init__.py`` is exempt from the import rule: its imports are the
-package's re-exports.
+package's re-exports. Every import from within the package sits at module
+top level, so the modules import one another one way, visibly.
 """
 import ast
 from pathlib import Path
@@ -53,6 +54,17 @@ def unreferenced_private_names(source: str) -> list[str]:
     return found
 
 
+def nested_package_imports(source: str) -> list[str]:
+    """``from .x import`` statements anywhere but at module top level."""
+    tree = ast.parse(source)
+    top = set(map(id, tree.body))
+    return [
+        f"line {node.lineno}: from {'.' * node.level}{node.module or ''}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and id(node) not in top
+    ]
+
+
 def test_checker_flags_an_unused_name():
     source = "import os\nfrom json import dumps, loads\nfrom .x import y as z\nloads('1')\n"
     assert unused_imports(source) == ["line 2: dumps", "line 1: os", "line 3: z"]
@@ -69,6 +81,15 @@ def test_checker_flags_an_unreferenced_private_name():
     assert unreferenced_private_names(source) == ["line 1: _A", "line 4: _f", "line 8: _C"]
 
 
+def test_checker_flags_a_nested_package_import():
+    source = (
+        "from .a import b\nimport json\n"
+        "def f():\n    from .c import d\n    import os\n    return b, d, os\n"
+        "class K:\n    from . import e\n"
+    )
+    assert nested_package_imports(source) == ["line 4: from .c", "line 8: from ."]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text()) == []
@@ -77,3 +98,8 @@ def test_module_uses_every_import(module):
 @pytest.mark.parametrize("module", ["__init__.py", *MODULES])
 def test_module_references_every_private_name(module):
     assert unreferenced_private_names((SRC / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", ["__init__.py", *MODULES])
+def test_package_imports_sit_at_module_top_level(module):
+    assert nested_package_imports((SRC / module).read_text()) == []

@@ -7,8 +7,8 @@ from uailab.core import ComponentFormatError, EMPTY_HISTORY, History, UndefinedC
 from uailab.mixture import (
     EnvMixture,
     JointMixture,
+    MixturePolicy,
     check_predictive_consistency,
-    dual_mixture,
     harmonic_prior,
     posterior_weights,
     predictive,
@@ -16,7 +16,6 @@ from uailab.mixture import (
 )
 from uailab.semimeasure import (
     IIDEnv,
-    MixturePolicy,
     NoisyCopyEnv,
     ProductJoint,
     check_chronological,
@@ -29,6 +28,7 @@ from uailab.semimeasure import (
     uniform_policy,
 )
 from uailab.adversary import domination_probe
+from uailab.transforms import dual_mixture
 
 F = Fraction
 
@@ -200,5 +200,7 @@ def test_mixtures_reject_members_of_another_kind_or_alphabet():
         JointMixture([uniform_measure(), NoisyCopyEnv()], half)
     with pytest.raises(ComponentFormatError, match="is not a ChronEnv"):
         EnvMixture([mu_id(), copy_machine()], half)
-    with pytest.raises(ComponentFormatError, match="one action arity"):
+    with pytest.raises(ComponentFormatError, match="one alphabet"):
         MixturePolicy((uniform_policy(3), uniform_policy(2)), (F(1, 2), F(1, 2)))
+    with pytest.raises(ComponentFormatError, match="is not a Policy"):
+        MixturePolicy((uniform_policy(), mu_id()), half)

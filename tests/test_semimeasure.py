@@ -5,13 +5,12 @@ import pytest
 
 from uailab import semimeasure
 from uailab.core import ComponentFormatError
-from uailab.mixture import EnvMixture, JointMixture
+from uailab.mixture import EnvMixture, JointMixture, MixturePolicy
 from uailab.semimeasure import (
     ActionEchoJoint,
     CheckRow,
     ChronEnv,
     JointSemimeasure,
-    MixturePolicy,
     NoisyCopyEnv,
     StationaryPolicy,
     TableEnv,

@@ -5,10 +5,12 @@ components, joint and environment, take ``root`` and ``extend`` from the step
 rule; both table kinds take them from the table walk. A built-in that defines
 its own walk again fails here.
 
-Policies walk too, as environments with the roles swapped: the stationary
-policy by its own integer walk, every other policy by the ``Policy``
-defaults, which fold ``weight``. A dual's walk is the product of its
-policy's and its environment's, and so is its scale.
+Policies walk too, as environments with the roles swapped, and have no
+other evaluator: ``Policy`` has no default walk, and its ``weight`` is the
+one fold of every policy's walk. The stationary and deterministic policies
+walk by their own rules, and a policy mixture by the walk every mixture
+kind shares. A dual's walk is the product of its policy's and its
+environment's, and so is its scale.
 
 A component defines either ``eval``, and walks by the ABC defaults, or its
 walk with ``eval`` bound to the ABC's fold. The fold-bound classes are listed
@@ -22,12 +24,13 @@ from fractions import Fraction as F
 import pytest
 
 import uailab  # noqa: F401  (loads every submodule)
-from uailab import semimeasure
+from uailab import mixture, semimeasure
+from uailab.core import ONE
+from uailab.mixture import EnvMixture, JointMixture, MixturePolicy
 from uailab.semimeasure import (
     ChronEnv,
     DeterministicPolicy,
     JointSemimeasure,
-    MixturePolicy,
     NoisyCopyEnv,
     Policy,
     StationaryPolicy,
@@ -93,7 +96,7 @@ def test_fold_bound_classes_walk_by_their_own_rule():
     assert bound == FOLDED
 
 
-@pytest.mark.parametrize("abc", [JointSemimeasure, ChronEnv], ids=lambda abc: abc.__name__)
+@pytest.mark.parametrize("abc", [JointSemimeasure, ChronEnv, Policy], ids=lambda abc: abc.__name__)
 def test_a_component_without_eval_or_a_walk_cannot_be_built(abc):
     bare = type("Bare", (abc,), {})
     with pytest.raises(TypeError):
@@ -103,14 +106,35 @@ def test_a_component_without_eval_or_a_walk_cannot_be_built(abc):
 WALK = ("root", "extend", "scale")
 
 
-def test_only_the_stationary_policy_walks_by_its_own_rule():
-    for cls in (DeterministicPolicy, MixturePolicy):
-        for name in WALK:
-            assert getattr(cls, name) is vars(Policy)[name], (cls, name)
-    for name in ("root", "extend"):
-        assert name in vars(StationaryPolicy), name
+def test_a_policy_evaluates_only_by_its_walk():
+    # A policy that defines only ``weight`` has no walk, and cannot be built.
+    weight_only = type("WeightOnly", (Policy,), {"weight": lambda self, a, e: ONE})
+    with pytest.raises(TypeError):
+        weight_only()
+    policies = [cls for cls in uailab_classes() if issubclass(cls, Policy)]
+    assert {cls.__name__ for cls in policies} == {
+        "Policy",
+        "DeterministicPolicy",
+        "StationaryPolicy",
+        "MixturePolicy",
+    }
+    for cls in policies:
+        assert cls.weight is vars(Policy)["weight"], cls
+    for cls in (DeterministicPolicy, StationaryPolicy):
+        for name in ("root", "extend"):
+            assert name in vars(cls), (cls, name)
+    assert DeterministicPolicy.scale is vars(Policy)["scale"]
     # D**ceil(n/2): the product scale of the components, with D_p = 1.
     assert StationaryPolicy.scale is vars(semimeasure._ProductScale)["scale"]
+
+
+def test_one_walk_serves_the_three_mixture_kinds():
+    for cls in (JointMixture, EnvMixture, MixturePolicy):
+        for name in WALK:
+            assert getattr(cls, name) is vars(mixture._Mixture)[name], (cls, name)
+    # The positions whose symbol moves no member's mass: an environment's
+    # actions, a policy's percepts, none of a joint component's.
+    assert [cls._kept_parity for cls in (JointMixture, EnvMixture, MixturePolicy)] == [None, 0, 1]
 
 
 def test_policy_and_dual_walks_keep_their_scales():

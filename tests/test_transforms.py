@@ -6,7 +6,7 @@ import pytest
 from uailab.adversary import domination_probe
 from uailab.core import ComponentFormatError, NormalizationError, UndefinedConditionalError
 from uailab.experiments import pair_scenarios
-from uailab.mixture import EnvMixture, JointMixture, dual_mixture
+from uailab.mixture import EnvMixture, JointMixture
 from uailab.semimeasure import (
     NoisyCopyEnv,
     TableJoint,
@@ -28,6 +28,7 @@ from uailab.transforms import (
     check_representation_roundtrip,
     chron_to_joint,
     dual,
+    dual_mixture,
     env,
     env_view_ratio_probe,
     factoring_check,

@@ -13,8 +13,10 @@ masses from :func:`scratch_eval`, never from a fold.
 
 The steps of the environment view, the normalized predictor and the dual
 are also held, step by step, to their former bodies, which converted each
-mass with ``exact_mass`` and divided (a dual weighed each action by
-``Policy.weight``). A policy's walk folds to its ``weight``.
+mass with ``exact_mass`` and divided (a dual weighed each action by its
+policy's ``weight``). A policy's ``weight`` is the fold of its walk, so the
+``weight`` bodies the three policy classes had are frozen here too, and
+every policy walk step and fold must give exactly what they give.
 """
 import math
 from fractions import Fraction
@@ -55,6 +57,7 @@ from uailab.experiments import _enum_budget_grid, builtin_components, scenario_m
 from uailab.mixture import (
     EnvMixture,
     JointMixture,
+    MixturePolicy,
     check_predictive_consistency,
 )
 from uailab.semimeasure import (
@@ -64,7 +67,6 @@ from uailab.semimeasure import (
     IIDEnv,
     JointSemimeasure,
     MismatchRow,
-    MixturePolicy,
     NoisyCopyEnv,
     ProductJoint,
     StationaryPolicy,
@@ -216,8 +218,11 @@ class FlickerEnv(ChronEnv):
 # Frozen from-scratch evaluators (the reference for every walk and fold)
 # ---------------------------------------------------------------------------
 # The ``eval`` bodies of the eleven folding classes before ``eval`` became
-# the fold of their walk, verbatim but for ``scratch_eval(c, ...)`` in place
-# of a nested ``c.eval(...)``, so that no oracle reads a walk.
+# the fold of their walk, and the ``weight`` bodies of the three policy
+# classes before ``weight`` became the fold of theirs, verbatim but for
+# ``scratch_eval(c, ...)`` in place of a nested ``c.eval(...)`` or
+# ``p.weight(...)``, and a policy mixture's ``components`` in place of its
+# former ``policies``, so that no oracle reads a walk.
 
 
 def product_joint_eval(self, x):
@@ -320,7 +325,7 @@ def env_view_eval(self, percepts, actions):
 def dual_joint_eval(self, x):
     actions = x[0::2]
     percepts = x[1::2]
-    w = self.pi.weight(actions, percepts)
+    w = scratch_eval(self.pi, actions, percepts)
     if w == 0:
         return ZERO
     return w * scratch_eval(self.nu, percepts, actions[: len(percepts)])
@@ -345,6 +350,27 @@ def normalized_predictor_eval(self, x):
     return out
 
 
+def deterministic_policy_weight(self, actions, percepts):
+    for i, a in enumerate(actions):
+        if self.fn(History(actions[:i], percepts[:i])) != a:
+            return ZERO
+    return ONE
+
+
+def stationary_policy_weight(self, actions, percepts):
+    out = ONE
+    for a in actions:
+        out *= self.probs[a]
+    return out
+
+
+def mixture_policy_weight(self, actions, percepts):
+    return sum(
+        (w * scratch_eval(p, actions, percepts) for p, w in zip(self.components, self.weights)),
+        ZERO,
+    )
+
+
 FROZEN = {
     ProductJoint: product_joint_eval,
     ActionEchoJoint: action_echo_joint_eval,
@@ -357,12 +383,16 @@ FROZEN = {
     EnvView: env_view_eval,
     DualJoint: dual_joint_eval,
     NormalizedPredictor: normalized_predictor_eval,
+    DeterministicPolicy: deterministic_policy_weight,
+    StationaryPolicy: stationary_policy_weight,
+    MixturePolicy: mixture_policy_weight,
 }
 
 
 def scratch_eval(nu, *context):
-    """``nu`` at one context by its frozen body; a class that keeps its own
-    ``eval`` (the enumerations and the doubles here) answers for itself."""
+    """``nu`` at one context by its frozen body (a policy's at (actions,
+    percepts)); a class that keeps its own ``eval`` (the enumerations and
+    the doubles here) answers for itself."""
     body = FROZEN.get(type(nu))
     return nu.eval(*context) if body is None else body(nu, *context)
 
@@ -1057,7 +1087,7 @@ def old_normalized_extend(hat, state, symbol):
 
 
 def old_dual_root(joint):
-    w = joint.pi.weight((), ())  # below 1 for a deficient policy mixture
+    w = scratch_eval(joint.pi, (), ())  # below 1 for a deficient policy mixture
     if w == 0:
         return ZERO, None
     nu_mass, nu_state = joint.nu.root()
@@ -1073,7 +1103,7 @@ def old_dual_extend(joint, state, symbol):
     actions, percepts, w, nu_state = state
     if len(actions) == len(percepts):
         actions += (symbol,)
-        w = joint.pi.weight(actions, percepts)
+        w = scratch_eval(joint.pi, actions, percepts)
         if w == 0:
             return ZERO, None
     else:
@@ -1160,7 +1190,7 @@ def test_transform_steps_on_an_enumerated_mixture():
 
 
 # ---------------------------------------------------------------------------
-# Policy walks fold to the weight
+# Policy walks against their frozen weights
 # ---------------------------------------------------------------------------
 
 
@@ -1173,41 +1203,70 @@ def action_probs(draw, arity):
     return tuple(p / total if total > 1 else p for p in raw)
 
 
-def assert_policy_folds_to_weight(pi, depth, percept_arity=2):
-    """Walk ``pi`` over every interleaved history to ``depth`` symbols: its
-    walk masses keep the scale contract and equal ``weight`` everywhere."""
+@st.composite
+def history_readers(draw, arity):
+    """Deterministic policies that read the whole history: the action is a
+    drawn table's entry at a code of the actions and percepts so far."""
+    table = draw(st.lists(st.integers(0, arity - 1), min_size=7, max_size=7))
+    return DeterministicPolicy(
+        lambda h: table[(3 * sum(h.actions) + 2 * sum(h.percepts) + len(h.actions)) % 7], arity
+    )
+
+
+def assert_policy_walk_matches_frozen(pi, depth, percept_arity=2):
+    """Walk ``pi`` over every interleaved history to ``depth`` symbols: at
+    every node the walk weight keeps the scale contract, and it and
+    ``weight`` (the fold) equal the frozen weight body."""
     arities = (pi.action_arity, percept_arity)
 
     def visit(state, x):
         for s in range(arities[len(x) % 2]):
             y = x + (s,)
             mass, child = pi.extend(state, s)
-            assert walk_value(pi, len(y), mass) == pi.weight(y[0::2], y[1::2]), y
+            want = scratch_eval(pi, y[0::2], y[1::2])
+            assert walk_value(pi, len(y), mass) == pi.weight(y[0::2], y[1::2]) == want, y
             if len(y) < depth:
                 visit(child, y)
 
     mass, state = pi.root()
-    assert walk_value(pi, 0, mass) == pi.weight((), ())
+    assert walk_value(pi, 0, mass) == pi.weight((), ()) == scratch_eval(pi, (), ())
     visit(state, ())
 
 
 @settings(max_examples=15, deadline=None)
-@given(action_probs(2), action_probs(3), st.sampled_from(ROWS3), st.integers(0, 2))
-def test_every_policy_walk_folds_to_its_weight(probs2, probs3, row3, action):
+@given(
+    action_probs(2),
+    action_probs(3),
+    st.sampled_from(ROWS),
+    st.sampled_from(ROWS3),
+    history_readers(2),
+    history_readers(3),
+    st.integers(0, 2),
+)
+def test_every_policy_walk_equals_its_frozen_weight(
+    probs2, probs3, row2, row3, reader2, reader3, action
+):
     pi2, pi3 = StationaryPolicy(probs2), StationaryPolicy(probs3)
     echo = DeterministicPolicy(lambda h: h.percepts[-1] if h.percepts else 1)
     constant = constant_policy(action, 3)
+    deficient = MixturePolicy((pi2, echo, reader2), (F(1, 3), F(1, 4), F(1, 7)))
+    ternary = (pi3, constant, reader3, StationaryPolicy(row3))
     for pi in (
         pi2,
         pi3,
+        StationaryPolicy(row2),
         StationaryPolicy(row3),
         echo,
         constant,
-        MixturePolicy((pi2, echo), (F(1, 3), F(1, 2))),
-        MixturePolicy((pi3, constant, StationaryPolicy(row3)), (F(1, 4), F(1, 4), F(1, 2))),
+        reader2,
+        reader3,
+        deficient,
+        MixturePolicy(ternary, (F(1, 4), F(1, 4), F(1, 4), F(1, 8))),
+        MixturePolicy((deficient, StationaryPolicy(row2)), (F(1, 2), F(1, 3))),  # nested
     ):
-        assert_policy_folds_to_weight(pi, 6)
-    assert_policy_folds_to_weight(pi3, 5, percept_arity=3)
+        assert_policy_walk_matches_frozen(pi, 6)
+    for pi in (pi3, reader2, deficient):
+        assert_policy_walk_matches_frozen(pi, 5, percept_arity=3)
 
 
 # ---------------------------------------------------------------------------
