@@ -248,19 +248,20 @@ def check_predictive_consistency(
     (witness, xi(x e) / xi(x), the same without that mass) in the
     :func:`contexts` order of the pending prefixes; empty means agreement.
     """
-    found: list[tuple[int, int, Fraction, Fraction]] = []  # (slot, percept, lhs, rhs)
-    root = mixture.root()
-    for slot, n, (mass, state), kids in walk(mixture, 2 * depth + 1, root, mixture.extend):
-        if n % 2 == 0 or mass == 0:
-            continue
-        zero = {i for i, m, _ in state[2] if m == 0}  # live components of zero posterior
-        if not zero:
-            continue
-        for e, (child_mass, child_state) in enumerate(kids):
-            gained = sum(m for i, m, _ in child_state[2] if i in zero) if child_state else 0
-            if gained:
-                lhs = times_ratio(mixture, ONE, child_mass, n + 1, mass, n)
-                rhs = times_ratio(mixture, ONE, child_mass - gained, n + 1, mass, n)
-                found.append((slot, e, lhs, rhs))
-    found.sort()  # by (slot, percept), which no two mismatches share
-    return [((_context_at(mixture, slot), e), lhs, rhs) for slot, e, lhs, rhs in found]
+
+    def step(state: Any, symbol: int) -> tuple[Any, Any]:
+        """A pending prefix's state pairs the mixture's with its live components
+        of zero posterior; a percept after it files (lhs, rhs) where they differ."""
+        if len(state) == 3:  # a complete history (n, mass, parts): an action
+            mass, pending = mixture.extend(state, symbol)
+            return None, pending and (pending, mass and {i for i, m, _ in pending[2] if m == 0})
+        pending, zero = state
+        mass, child = mixture.extend(pending, symbol)
+        gained = zero and child and sum(m for i, m, _ in child[2] if i in zero)
+        n, denom, _ = pending
+        ratios = (mass, mass - gained) if gained else ()
+        return tuple(times_ratio(mixture, ONE, m, n + 1, denom, n) for m in ratios) or None, child
+
+    found = walk(mixture, 2 * depth + 2, (None, mixture.root()[1]), step)[0]
+    hits = [(_context_at(mixture, slot), pair) for slot, pair in enumerate(found) if pair]
+    return [((x[:-1], x[-1]), *pair) for x, pair in hits]

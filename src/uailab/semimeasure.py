@@ -28,11 +28,13 @@ the action and the percept of a step as two symbols, and walk as joint
 components whose every action weighs 1: after an action the mass is the
 unchanged mass of the complete prefix. A state of None is a dead context:
 its mass and that of every extension is zero, and ``extend(None, s)`` is
-``(0, None)``; only overrides whose zero mass is absorbing return it. Every
-exhaustive check is one depth-first :func:`walk`, which addresses each
-context by its *slot*, its position in :func:`contexts` order, and builds no
-context. A check files numerators into flat columns by slot, and a context
-is derived from its slot only where a row, a violation or a witness is read.
+``(0, None)``; only overrides whose zero mass is absorbing return it, and
+no walk steps below it. The package's one node loop is :func:`walk`: every
+exhaustive check, :func:`compare` and the predictive-consistency check is
+one depth-first walk, which addresses each context by its *slot*, its
+position in :func:`contexts` order, builds no context, and files each mass
+into flat columns by slot in the loop that steps to it. A context is
+derived from its slot only where a row, a violation or a witness is read.
 States live only inside one walk.
 
 A context is *undefined* for a component when its ``root`` or ``extend``
@@ -726,72 +728,86 @@ def _context_at(nu: JointSemimeasure | ChronEnv, slot: int) -> Any:
     return tuple(digits) if joint else (tuple(digits[t:]), tuple(digits[:t]))
 
 
-Step = Callable[[Any, int], tuple[Any, Any]]
-
-
 def walk(
     nu: JointSemimeasure | ChronEnv,
     depth: int,
     root: tuple[Any, Any],
-    step: Step,
-    last_children: bool = True,
-) -> Iterator[tuple[int, int, tuple[Any, Any], list | None]]:
-    """Every context of ``nu`` up to ``depth`` by its slot, depth first.
+    step: Callable[[Any, int], tuple[Any, Any]],
+    gains: Sequence[int] | None = None,
+) -> tuple[list, list, list]:
+    """Every context of ``nu`` up to ``depth``, depth first, in one loop.
 
-    Yields (slot, t, node, kids) from ``root``; a node is a (mass, state)
-    pair. ``slot`` is the context's position in :func:`contexts` order, so
-    callers file results into flat columns by it, and ``t`` its level (its
-    symbols, or an environment's steps). The walk builds no context:
-    :func:`_context_at` derives one from its slot where a caller needs it.
-    ``kids`` are the node's one-context extensions by ``step``, computed
-    once and then walked (None at level ``depth`` unless ``last_children``):
-    joint kinds give [node per next symbol], environments [[node per
-    percept] per action], sharing each pending action. Only the open path
-    is held, never a whole level.
+    From ``root``, the empty context's (mass, state), each node shallower
+    than ``depth`` (a check: to ``depth``) is popped once, and one pass of
+    ``step(state, symbol)`` files its children's masses: joint kinds by next
+    symbol, environments by action then percept. A context is filed at its
+    *slot*, its position in :func:`contexts` order (:func:`_context_at`
+    inverts it). No walk steps below a node whose state is None: the slots
+    below keep their column's first value. Returns (masses, [], []), every
+    context's mass by slot (None below a dead node); with ``gains``, a factor
+    per level, a check's rows (lhs, rhs, above) for the contexts to
+    ``depth``: a row per joint context, or per environment context and next
+    action at ``slot * fan + action``; lhs is the context's mass times its
+    level's gain, rhs its row's children summed, and above the (row, symbol)
+    of each child above lhs, unsorted.
+
+    Measured slower, so not to retry: a level-at-a-time walk by ``map`` (the
+    ``ChronEnumApprox(3, 60)`` check took 115 ms, not 19, as every pending
+    node queries its tape through ``eval``; mixtures gained nothing, and it
+    holds whole levels); flattened mixture states (``copy_vs_uniform`` env
+    check 46 ms, not 32); a mass column plus slice arithmetic (half this
+    loop's gain); and entering a tape's first query without ``eval``, which
+    hides the enumeration from a tracer's ``ChronEnumApprox.eval`` span.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    filing = gains is None
+    depth += not filing  # a check steps one level further, into its rows
     alphabet = _alphabet(nu)
     joint, n_actions, n_percepts = alphabet
-    actions_range, percepts_range = range(n_actions), range(n_percepts)
     offsets = [0, *accumulate(_widths(alphabet, depth))]
+    groups, fan = ((None,), 1) if joint else (range(n_actions), n_actions)
+    ranges = [range(n_percepts if t % 2 or not joint else n_actions) for t in range(depth)]
     # An environment's index within level t is a_index * P**t + p_index, its
     # action and percept strings read as numbers.
     percept_strings = [n_percepts**t for t in range(depth + 1)]
-    stack = [(0, 0, root)]  # (level, index within the level, node)
-    pop, extend = stack.pop, stack.extend
+    column = [None] * offsets[-1] if filing else [0] * (offsets[-2] * fan)
+    sums, above = [] if filing else column.copy(), []
+    column[0] = root[0]  # the root's mass, or a dead root's check row
+    stack = [(0, 0, *root)] if depth and root[1] is not None else []  # (level, index, mass, state)
+    pop, push = stack.pop, stack.append
     while stack:
-        t, index, node = pop()
-        if t == depth and not last_children:
-            yield offsets[t] + index, t, node, None
-            continue
-        state = node[1]
-        # Plain loops below: a comprehension costs one more call per node.
+        t, index, mass, state = pop()
+        level, deeper, symbols = offsets[t + 1], t + 1 < depth, ranges[t]
+        row = (offsets[t] + index) * fan
         if joint:
-            arity = n_percepts if t % 2 else n_actions
-            kids = []
-            for s in range(arity):
-                kids.append(step(state, s))
-            yield offsets[t] + index, t, node, kids
-            if t < depth:
-                first = index * arity
-                extend(zip(repeat(t + 1), range(first, first + arity), kids))
-            continue
-        kids = []
-        for a in actions_range:
-            pending = step(state, a)[1]
-            per_action = []
-            for e in percepts_range:
-                per_action.append(step(pending, e))
-            kids.append(per_action)
-        yield offsets[t] + index, t, node, kids
-        if t < depth:
+            first, stride = index * len(symbols), 0
+        else:
             a_index, p_index = divmod(index, percept_strings[t])
-            width = percept_strings[t + 1]
-            first = a_index * n_actions * width + p_index * n_percepts
-            for per_action in kids:
-                extend(zip(repeat(t + 1), range(first, first + n_percepts), per_action))
-                first += width
+            stride = percept_strings[t + 1]
+            first = a_index * n_actions * stride + p_index * n_percepts
+        if not filing and gains[t] != 1:
+            mass *= gains[t]
+        # Plain loops and branches: no list of children, no comprehension.
+        for a in groups:
+            pending = state if joint else step(state, a)[1]
+            total, index = 0, first
+            for s in symbols:
+                m, kid = step(pending, s)
+                if filing:
+                    column[level + index] = m
+                else:
+                    total += m
+                    if m > mass:
+                        above.append((row, s))
+                if deeper and kid is not None:
+                    push((t + 1, index, m, kid))
+                index += 1
+            if not filing:
+                column[row], sums[row] = mass, total
+            row += 1
+            first += stride
+    return column, sums, above
 
 
 @dataclass(frozen=True)
@@ -821,7 +837,10 @@ def times_ratio(
     nu: JointSemimeasure | ChronEnv, running: Fraction, num: Any, n: int, den: Any, m: int
 ) -> Fraction:
     """``running`` times the walk mass ``num`` of ``nu`` at ``n`` symbols over
-    its walk mass ``den`` at ``m``: one ``Fraction``, built from the products."""
+    its walk mass ``den`` at ``m``: one ``Fraction``, built from the products
+    (of the scales too, unless both masses are over one)."""
+    if n == m:
+        return Fraction(running.numerator * num, running.denominator * den)
     return Fraction(running.numerator * num * nu.scale(m), running.denominator * den * nu.scale(n))
 
 
@@ -833,8 +852,9 @@ def compare(
     Returns (rows in :func:`contexts` order, count of contexts where ``lhs``
     is undefined, count of the others where ``rhs`` is undefined). Both
     sides walk together, their masses filed by slot; ``rhs`` is never
-    extended where ``lhs`` or ``rhs`` is undefined. The rows take their
-    contexts from :func:`contexts` order once the walk ends.
+    extended where either side is undefined, nor is either side below a
+    context where ``lhs`` is: those slots count as undefined. The rows take
+    their contexts from :func:`contexts` order once the walk ends.
     """
     no_rhs = object()  # the rhs state at and below a context where rhs is undefined
 
@@ -846,13 +866,13 @@ def compare(
             lhs_mass, lhs_state = lhs.extend(lhs_state, symbol)
         except UndefinedConditionalError:
             return None, None
-        if rhs_state is no_rhs:
-            return (lhs_mass, None), (lhs_state, no_rhs)
-        try:
-            rhs_mass, rhs_state = rhs.extend(rhs_state, symbol)
-        except UndefinedConditionalError:
-            return (lhs_mass, None), (lhs_state, no_rhs)
-        return (lhs_mass, rhs_mass), (lhs_state, rhs_state)
+        if rhs_state is not no_rhs:
+            try:
+                rhs_mass, rhs_state = rhs.extend(rhs_state, symbol)
+                return (lhs_mass, rhs_mass), (lhs_state, rhs_state)
+            except UndefinedConditionalError:
+                pass
+        return (lhs_mass, None), (lhs_state, no_rhs)
 
     root: tuple = (None, None)  # lhs undefined at the root
     try:
@@ -863,23 +883,16 @@ def compare(
     except UndefinedConditionalError:
         pass
     alphabet = _alphabet(lhs)
-    pairs: list[tuple[Any, Any] | None] = [None] * sum(_widths(alphabet, depth))
-    lhs_undefined = rhs_undefined = 0
-    for slot, _, (masses, _), _ in walk(lhs, depth, root, step, last_children=False):
-        if masses is None:
-            lhs_undefined += 1
-        elif masses[1] is None:
-            rhs_undefined += 1
-        else:
-            pairs[slot] = masses
+    pairs = walk(lhs, depth, root, step)[0]
     rows = []
     for context, masses in zip(_contexts(alphabet, depth), pairs):
-        if masses is not None:
+        if masses is not None and masses[1] is not None:
             n = len(context) if alphabet[0] else 2 * len(context[1])
             rows.append(
                 MismatchRow(context, exact_mass(lhs, n, masses[0]), exact_mass(rhs, n, masses[1]))
             )
-    return rows, lhs_undefined, rhs_undefined
+    lhs_undefined = pairs.count(None)
+    return rows, lhs_undefined, len(pairs) - lhs_undefined - len(rows)
 
 
 def max_ratio(rows: Iterable[MismatchRow]) -> tuple[Fraction | None, Any]:
@@ -1043,34 +1056,16 @@ def _check(nu: JointSemimeasure | ChronEnv, depth: int) -> CheckReport:
     alphabet = _alphabet(nu)
     joint = alphabet[0]
     fan = 1 if joint else nu.action_arity  # rows per context
-    widths = [width * fan for width in _widths(alphabet, depth)]
-    lhs_column: list[Any] = [None] * sum(widths)
-    rhs_column: list[Any] = [None] * len(lhs_column)
-    witnesses: list[tuple[int, int]] = []  # (row, symbol) of a child above its prefix
     # A context's numerator times its level's gain is over its children's scale.
     scales = [nu.scale((1 if joint else 2) * t) for t in range(depth + 2)]
     gains = [scales[t + 1] // scales[t] for t in range(depth + 1)]
     root = nu.root()
-    for slot, t, (lhs, _), kids in walk(nu, depth, root, nu.extend):
-        if gains[t] != 1:
-            lhs *= gains[t]
-        row = slot * fan
-        for group in (kids,) if joint else kids:
-            rhs, above = 0, False
-            for mass, _ in group:  # a plain loop: no list, no comprehension per row
-                rhs += mass
-                if mass > lhs:
-                    above = True
-            lhs_column[row] = lhs
-            rhs_column[row] = rhs
-            if above:
-                witnesses.extend((row, s) for s, (m, _) in enumerate(group) if m > lhs)
-            row += 1
-    witnesses.sort()  # symbol order within a row
+    lhs_column, rhs_column, witnesses = walk(nu, depth, root, nu.extend, gains)
     monotone = []
-    for row, s in witnesses:
+    for row, s in sorted(witnesses):  # symbol order within a row
         x = _context_at(nu, row // fan)
         monotone.append(x + (s,) if joint else (x[0] + (s,), x[1] + (row % fan,)))
+    widths = [width * fan for width in _widths(alphabet, depth)]
     return CheckReport(
         kind="semimeasure" if joint else "chronological",
         depth=depth,

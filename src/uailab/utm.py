@@ -535,7 +535,7 @@ class ChronEnumApprox(ChronEnv):
         if table is None:
             t = len(actions)
             tables = _stored(
-                f"chron_L{self.program_bits}_S{self.steps}_T{t}",
+                "chron_L{}_S{}_T{}",
                 [self.program_bits, self.steps, t],
                 lambda: self._walk_tapes(t),
                 "tables",
@@ -698,13 +698,16 @@ def _cache_write(name: str, budgets: list[int], field: str, value: dict) -> None
 
 
 def _stored(
-    name: str, budgets: list[int], compute: Callable[[], dict], field: str = "table"
+    template: str, budgets: list[int], compute: Callable[[], dict], field: str = "table"
 ) -> dict:
     """One cache entry's payload from the memo, the disk cache, or else ``compute()``.
 
-    ``compute`` returns integer numerators over the walk's scale for
-    ``budgets[0]`` program bits; they are written as they are, then each
-    turns into its mass in place."""
+    The entry is ``template`` filled with ``budgets``, whose program bits
+    count whole opcodes only (no run fetches a bit past them: 9 and 10 bits
+    share an entry). ``compute`` returns integer numerators over the walk's
+    scale for them, written as they are, then turned into masses in place."""
+    budgets = [OPCODE_BITS * (budgets[0] // OPCODE_BITS), *budgets[1:]]
+    name = template.format(*budgets)
     value = _MEMO.get(name)
     if value is None:
         value = _cache_read(name, budgets, field)
@@ -730,7 +733,7 @@ def enumerate_joint(program_bits: int, steps: int, max_len: int = 16) -> JointEn
     if max_len < 0:
         raise ComponentFormatError(f"max_len must be >= 0, got {max_len}")
     table = _stored(
-        f"joint_L{program_bits}_S{steps}_D{max_len}",
+        "joint_L{}_S{}_D{}",
         [program_bits, steps, max_len],
         # No actions: READA always suspends, and every prefix up to max_len counts.
         lambda: _walk_tables(program_bits, steps, max_len, ())[0].get((), {}),
@@ -753,7 +756,7 @@ def enumerate_chron(program_bits: int, steps: int, actions: Sequence[int]) -> Ch
     for t in range(len(tape) + 1):
         prefix = tape[:t]
         approx.tables[prefix] = _stored(
-            f"chron_L{program_bits}_S{steps}_A{_string_key(prefix) or 'empty'}",
+            "chron_L{}_S{}_A" + (_string_key(prefix) or "empty"),
             [program_bits, steps],
             lambda: walk().get(prefix, {}),
         )

@@ -129,34 +129,44 @@ def test_slot_to_context_inverts_contexts_order(alphabet, depth):
     assert [_context_at(nu, slot) for slot in range(len(every))] == every
 
 
+def interleaved(nu, context):
+    """A context of ``nu`` as the symbols a walk steps through."""
+    if isinstance(nu, TableJoint):
+        return context
+    percepts, actions = context
+    return tuple(s for step in zip(actions, percepts) for s in step)
+
+
 @settings(max_examples=40, deadline=None)
-@given(ALPHABETS, st.integers(0, 4), st.booleans())
-def test_walk_yields_each_slot_once_with_its_context_node(alphabet, depth, last_children):
-    # A step whose state is the interleaved string walked so far, so each
-    # node names the context it belongs to.
+@given(ALPHABETS, st.integers(0, 4))
+def test_walk_yields_each_slot_once_with_its_context_node(alphabet, depth):
+    # A step whose mass and state are the interleaved string walked so far,
+    # so each slot holds the context it was filed for.
     joint, n_actions, n_percepts = alphabet
     cls = TableJoint if joint else TableEnv
     nu = cls({}, "uniform", n_actions, n_percepts)
-    every = list(contexts(nu, depth))
-    nodes = {}
-    for slot, t, (mass, x), kids in walk(
-        nu, depth, (0, ()), lambda x, s: (len(x) + 1, x + (s,)), last_children
-    ):
-        assert slot not in nodes
-        nodes[slot] = x
-        assert mass == len(x) == (t if joint else 2 * t)
-        if t == depth and not last_children:
-            assert kids is None
-        elif joint:
-            assert [kid[1] for kid in kids] == [x + (s,) for s in range(nu.arity_at(t))]
-        else:
-            assert [[kid[1] for kid in per] for per in kids] == [
-                [x + (a, e) for e in range(n_percepts)] for a in range(n_actions)
-            ]
-    assert sorted(nodes) == list(range(len(every)))
+    every = [interleaved(nu, context) for context in contexts(nu, depth)]
+    assert walk(nu, depth, ((), ()), lambda x, s: (x + (s,),) * 2) == (every, [], [])
+
+    # A state ending in symbol 1 is dead: nothing below it is stepped to.
+    def step(x, s):
+        if x is None:  # an environment's percepts after a dead action
+            return None, None
+        return x + (s,), (None if s == 1 else x + (s,))
+
+    masses = walk(nu, depth, ((), ()), step)[0]
+    assert masses == [x if 1 not in x[:-1] else None for x in every]
+
+    # Check rows, the mass a context's length: lhs is its row's context's
+    # length, rhs the summed lengths of the row's children, each above lhs.
+    gains = [1] * (depth + 1)
+    lhs, rhs, above = walk(nu, depth, (0, ()), lambda x, s: (len(x) + 1, x + (s,)), gains)
+    rows = [x for x in every for _ in range(1 if joint else n_actions)]
     if joint:
-        assert [nodes[slot] for slot in range(len(every))] == every
+        kids = [nu.arity_at(len(x)) for x in rows]
+        assert rhs == [n * (len(x) + 1) for n, x in zip(kids, rows)]
     else:
-        assert [nodes[slot] for slot in range(len(every))] == [
-            tuple(s for step in zip(a, e) for s in step) for e, a in every
-        ]
+        kids = [n_percepts] * len(rows)
+        assert rhs == [n_percepts * (len(x) + 2) for x in rows]
+    assert lhs == [len(x) for x in rows]
+    assert sorted(above) == [(row, s) for row, n in enumerate(kids) for s in range(n)]

@@ -589,6 +589,29 @@ def test_cache_files_match_the_leaf_enumerator(cache_dir):
             assert tables.get(tape, {}) == oracle_chron(9, 200, tape), tape
 
 
+def test_bits_past_the_last_whole_opcode_share_its_entries(cache_dir, monkeypatch):
+    # 9 and 10 bits are the same machine: 3 opcodes, scale 8**3.
+    walks = []
+    walk = utm._walk
+    monkeypatch.setattr(utm, "_walk", lambda *args: walks.append(args) or walk(*args))
+    clear_memo()
+    joint = [enumerate_joint(bits, 200, 4).table for bits in (9, 10)]
+    chron = [check_chronological(ChronEnumApprox(bits, 200), 2) for bits in (9, 10)]
+    primed = [enumerate_chron(bits, 200, (1, 0)).tables for bits in (9, 10, 11)]
+    clear_memo()
+    assert joint[0] == joint[1] and chron[0] == chron[1] and primed[0] == primed[1] == primed[2]
+    assert len(walks) == 1 + 4 + 1  # the joint table, tape lengths 0 to 3, the primed tape
+    names = sorted(p.name.split("_", 1)[1] for p in cache_dir.iterdir())
+    assert names == sorted(
+        ["joint_L9_S200_D4.json"]
+        + [f"chron_L9_S200_T{t}.json" for t in range(4)]
+        + [f"chron_L9_S200_A{key}.json" for key in ("empty", "1", "10")]
+    )
+    payload = json.loads((cache_dir / f"{MACHINE_HASH[:12]}_joint_L9_S200_D4.json").read_text())
+    assert payload["budgets"] == [9, 200, 4]
+    assert _numerators(payload["table"], 10) == joint[1] == oracle_joint(10, 200, 4)
+
+
 def test_clear_memo_forces_a_new_walk(monkeypatch):
     calls = []
     walk = utm._walk

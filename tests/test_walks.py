@@ -17,10 +17,17 @@ mass with ``exact_mass`` and divided (a dual weighed each action by its
 policy's ``weight``). A policy's ``weight`` is the fold of its walk, so the
 ``weight`` bodies the three policy classes had are frozen here too, and
 every policy walk step and fold must give exactly what they give.
+
+The walk itself was a generator whose readers looped over each node's
+children again. That generator and the check and compare bodies that read
+it are frozen here as well: the one walk loop must file exactly their
+columns, witnesses, rows and undefined counts, and raise the error kind
+they raised first.
 """
 import math
 from fractions import Fraction
-from itertools import product
+from functools import partial
+from itertools import accumulate, product, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -62,6 +69,7 @@ from uailab.mixture import (
 )
 from uailab.semimeasure import (
     ActionEchoJoint,
+    CheckReport,
     ChronEnv,
     DeterministicPolicy,
     IIDEnv,
@@ -72,7 +80,11 @@ from uailab.semimeasure import (
     StationaryPolicy,
     TableEnv,
     TableJoint,
+    _alphabet,
+    _check_rows,
+    _context_at,
     _default_row,
+    _widths,
     check_chronological,
     check_semimeasure,
     compare,
@@ -1033,6 +1045,9 @@ def test_non_semimeasures_report_the_same_violations():
     mismatches = check_predictive_consistency(mixture, 2)
     assert len(mismatches) > 2
     assert mismatches == scratch_consistency(mixture, 2)
+    # Alone, Flicker has no mass at a pending prefix: no conditional to compare.
+    alone = JointMixture([Flicker()], [1])
+    assert check_predictive_consistency(alone, 2) == scratch_consistency(alone, 2) == []
 
 
 # ---------------------------------------------------------------------------
@@ -1316,3 +1331,263 @@ def test_chronological_enumeration_walk_equals_eval(
         assert walk_value(approx, 0, mass) == oracle.eval((), ())
         visit(state, (), ())
         clear_memo()
+
+
+# ---------------------------------------------------------------------------
+# The generator walk and its two readers, frozen
+# ---------------------------------------------------------------------------
+# ``walk`` as the generator of (slot, t, node, kids) it was, and the
+# ``_check`` and ``compare`` bodies that read it, verbatim but for the names,
+# before both filled their columns inside the walk loop. They are the oracle
+# for the order of every step, each column, witness and row, and the
+# undefined counts.
+
+
+def generator_walk(nu, depth, root, step, last_children=True):
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    alphabet = _alphabet(nu)
+    joint, n_actions, n_percepts = alphabet
+    actions_range, percepts_range = range(n_actions), range(n_percepts)
+    offsets = [0, *accumulate(_widths(alphabet, depth))]
+    percept_strings = [n_percepts**t for t in range(depth + 1)]
+    stack = [(0, 0, root)]  # (level, index within the level, node)
+    pop, extend = stack.pop, stack.extend
+    while stack:
+        t, index, node = pop()
+        if t == depth and not last_children:
+            yield offsets[t] + index, t, node, None
+            continue
+        state = node[1]
+        if joint:
+            arity = n_percepts if t % 2 else n_actions
+            kids = []
+            for s in range(arity):
+                kids.append(step(state, s))
+            yield offsets[t] + index, t, node, kids
+            if t < depth:
+                first = index * arity
+                extend(zip(repeat(t + 1), range(first, first + arity), kids))
+            continue
+        kids = []
+        for a in actions_range:
+            pending = step(state, a)[1]
+            per_action = []
+            for e in percepts_range:
+                per_action.append(step(pending, e))
+            kids.append(per_action)
+        yield offsets[t] + index, t, node, kids
+        if t < depth:
+            a_index, p_index = divmod(index, percept_strings[t])
+            width = percept_strings[t + 1]
+            first = a_index * n_actions * width + p_index * n_percepts
+            for per_action in kids:
+                extend(zip(repeat(t + 1), range(first, first + n_percepts), per_action))
+                first += width
+
+
+def generator_check(nu, depth):
+    alphabet = _alphabet(nu)
+    joint = alphabet[0]
+    fan = 1 if joint else nu.action_arity  # rows per context
+    widths = [width * fan for width in _widths(alphabet, depth)]
+    lhs_column = [None] * sum(widths)
+    rhs_column = [None] * len(lhs_column)
+    witnesses = []  # (row, symbol) of a child above its prefix
+    scales = [nu.scale((1 if joint else 2) * t) for t in range(depth + 2)]
+    gains = [scales[t + 1] // scales[t] for t in range(depth + 1)]
+    root = nu.root()
+    for slot, t, (lhs, _), kids in generator_walk(nu, depth, root, nu.extend):
+        if gains[t] != 1:
+            lhs *= gains[t]
+        row = slot * fan
+        for group in (kids,) if joint else kids:
+            rhs, above = 0, False
+            for mass, _ in group:
+                rhs += mass
+                if mass > lhs:
+                    above = True
+            lhs_column[row] = lhs
+            rhs_column[row] = rhs
+            if above:
+                witnesses.extend((row, s) for s, (m, _) in enumerate(group) if m > lhs)
+            row += 1
+    witnesses.sort()
+    monotone = []
+    for row, s in witnesses:
+        x = _context_at(nu, row // fan)
+        monotone.append(x + (s,) if joint else (x[0] + (s,), x[1] + (row % fan,)))
+    return CheckReport(
+        kind="semimeasure" if joint else "chronological",
+        depth=depth,
+        root_mass=exact_mass(nu, 0, root[0]),
+        monotone_violations=tuple(monotone),
+        declared_measure=nu.declared_measure,
+        lhs=lhs_column,
+        rhs=rhs_column,
+        levels=tuple(zip(widths, scales[1:])),
+        row_contexts=partial(_check_rows, alphabet, depth),
+    )
+
+
+def generator_compare(lhs, rhs, depth):
+    no_rhs = object()
+
+    def step(state, symbol):
+        if state is None:
+            return None, None
+        lhs_state, rhs_state = state
+        try:
+            lhs_mass, lhs_state = lhs.extend(lhs_state, symbol)
+        except UndefinedConditionalError:
+            return None, None
+        if rhs_state is no_rhs:
+            return (lhs_mass, None), (lhs_state, no_rhs)
+        try:
+            rhs_mass, rhs_state = rhs.extend(rhs_state, symbol)
+        except UndefinedConditionalError:
+            return (lhs_mass, None), (lhs_state, no_rhs)
+        return (lhs_mass, rhs_mass), (lhs_state, rhs_state)
+
+    root = (None, None)
+    try:
+        lhs_mass, lhs_state = lhs.root()
+        root = ((lhs_mass, None), (lhs_state, no_rhs))
+        rhs_mass, rhs_state = rhs.root()
+        root = ((lhs_mass, rhs_mass), (lhs_state, rhs_state))
+    except UndefinedConditionalError:
+        pass
+    alphabet = _alphabet(lhs)
+    pairs = [None] * sum(_widths(alphabet, depth))
+    lhs_undefined = rhs_undefined = 0
+    for slot, _, (masses, _), _ in generator_walk(lhs, depth, root, step, last_children=False):
+        if masses is None:
+            lhs_undefined += 1
+        elif masses[1] is None:
+            rhs_undefined += 1
+        else:
+            pairs[slot] = masses
+    rows = []
+    for context, masses in zip(contexts(lhs, depth), pairs):
+        if masses is not None:
+            n = len(context) if alphabet[0] else 2 * len(context[1])
+            rows.append(
+                MismatchRow(context, exact_mass(lhs, n, masses[0]), exact_mass(rhs, n, masses[1]))
+            )
+    return rows, lhs_undefined, rhs_undefined
+
+
+def raised(fn, *args):
+    """The value of ``fn(*args)``, or the type of the error it raised:
+    undefinedness, or a fault of :class:`Faulty`."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def assert_check_matches_generator(nu, depth):
+    check = check_semimeasure if isinstance(nu, JointSemimeasure) else check_chronological
+    report, want = raised(check, nu, depth), raised(generator_check, nu, depth)
+    if isinstance(want, type):
+        assert report is want
+        return
+    assert report.lhs == want.lhs and report.rhs == want.rhs
+    assert report.levels == want.levels
+    assert report.monotone_violations == want.monotone_violations
+    assert report.root_mass == want.root_mass
+    assert report.rows == want.rows
+
+
+def assert_compare_matches_generator(lhs, rhs, depth):
+    for pair in ((lhs, rhs), (rhs, lhs)):
+        assert raised(compare, *pair, depth) == raised(generator_compare, *pair, depth), pair
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    tables(TableJoint, JOINT_KEYS),
+    tables(TableJoint, JOINT_KEYS),
+    tables(TableEnv, ENV_KEYS),
+    tables(TableEnv, ENV_KEYS),
+    PAIRS,
+)
+def test_fused_walk_equals_the_generator_walk(joint, joint2, nu, nu2, filler):
+    pi = StationaryPolicy(filler)
+    joint_mix = JointMixture([joint, joint2, EvalOnlyJoint(joint2)], [F(1, 4), F(1, 2), F(1, 4)])
+    env_mix = EnvMixture([nu, nu2, FlickerEnv()], [F(1, 3), F(1, 3), F(1, 3)])
+    for component in (
+        joint,
+        joint_mix,
+        dual(env_mix, pi),
+        normalize(joint),
+        JointMixture([joint, Flicker()], [F(1, 2), F(1, 2)]),
+        Overfull(),
+    ):
+        assert_check_matches_generator(component, 5)
+    for component in (nu, env_mix, EvalOnlyEnv(nu2), env(joint), env(normalize(joint2))):
+        assert_check_matches_generator(component, 3)
+    for lhs, rhs in (
+        (env(joint), nu),
+        (env(joint_mix), env(joint2)),
+        (env(normalize(joint)), env_mix),
+        (EvalOnlyEnv(env(joint)), FlickerEnv()),
+    ):
+        assert_compare_matches_generator(lhs, rhs, 3)
+    assert_compare_matches_generator(joint, dual(env(joint2), pi), 5)
+    assert_compare_matches_generator(normalize(joint), Flicker(), 5)
+
+
+class Faulty(JointSemimeasure):
+    """Halves per symbol, and raises the error mapped to any prefix of the
+    context, so a component can be undefined, or faulty, in two ways."""
+
+    def __init__(self, faults):
+        self.faults = faults
+
+    def eval(self, x):
+        for prefix, error in self.faults.items():
+            if x[: len(prefix)] == prefix:
+                raise error(x)
+        return F(1, 2) ** len(x)
+
+
+def test_compare_raises_the_kind_the_generator_walk_met_first():
+    for faults in (
+        {(0, 1): UndefinedConditionalError, (1, 1, 0): NormalizationError},
+        # Contexts order meets (0, 0) first; the walk, last symbol first, (1, 1).
+        {(0, 0): ValueError, (1, 1): TypeError},
+        {(1,): UndefinedConditionalError, (0, 1, 1): NormalizationError, (0, 0, 1): KeyError},
+    ):
+        assert_compare_matches_generator(Faulty(faults), uniform_measure(), 4)
+        assert_compare_matches_generator(env(Faulty(faults)), NoisyCopyEnv(), 2)
+    faulty = Faulty({(0, 0): ValueError, (1, 1): TypeError})
+    assert raised(compare, faulty, uniform_measure(), 3) is TypeError
+
+
+class Recording(JointSemimeasure):
+    """Walks ``base`` by the default steps, whose state is the context, and
+    records each context it steps to."""
+
+    def __init__(self, base, steps):
+        self.base, self.steps = base, steps
+
+    def eval(self, x):
+        return self.base.eval(x)
+
+    def extend(self, state, symbol):
+        self.steps.append(state + (symbol,))
+        return super().extend(state, symbol)
+
+
+def test_compare_extends_neither_side_below_an_undefined_lhs():
+    steps = []
+    lhs = Recording(Faulty({(0, 1): UndefinedConditionalError}), steps)
+    rhs = Recording(Faulty({}), steps)
+    rows, lhs_undefined, rhs_undefined = compare(lhs, rhs, 5)
+    # (0, 1) and its 2 + 4 + 8 extensions to length 5.
+    assert (lhs_undefined, rhs_undefined, len(rows)) == (15, 0, 63 - 15)
+    assert (0, 1) in steps
+    assert not [x for x in steps if x[:2] == (0, 1) and len(x) > 2]
+    assert steps.count((0, 1)) == 1  # rhs never steps where lhs is undefined
+    assert compare(lhs, rhs, 5) == generator_compare(lhs, rhs, 5)
