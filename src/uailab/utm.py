@@ -42,19 +42,20 @@ segments run again). A run carries its output as one integer code, the
 symbols under a leading 1 bit (the empty output is 1), so emitting a
 symbol is ``code = 2 * code + bit`` and an output prefix of k symbols is a
 right shift. The walk keys masses by code and decodes each code into its
-output tuple once, when it builds the table entry; a stopped node stores
-the code's bytes. ``ChronEnumApprox``'s own walk codes its percept string
-and action tape the same way, and reads each tape's numerators by code.
+output tuple once, when it builds the table entry; a stopped node is one
+fixed-width record that holds the code's bytes. ``ChronEnumApprox``'s own
+walk codes its percept string and action tape the same way, and reads each
+tape's numerators by code.
 
 The interpreter fast-forwards laps. When JBACK lands at pc 0 with the
-register and action count of an earlier landing in the same segment, the
-run read no action in between, so it repeats that lap exactly until a
-budget stops it: each lap takes the same steps and appends the same k
-symbols. The interpreter adds whole laps at once (steps, and the lap's
-last k symbols repeated onto the code), leaving the last one or two to run
-step by step, so status, pc, register and steps are those of the plain
-run. One landing is kept per register value, which catches laps of one or
-two landings.
+register and action count of an earlier landing in the same segment, or
+with register 0 and no action read, as the run started, the run read no
+action in between, so it repeats that lap exactly until a budget stops it:
+each lap takes the same steps and appends the same k symbols. The
+interpreter adds whole laps at once (steps, and the lap's last k symbols
+repeated onto the code), leaving the last one or two to run step by step,
+so status, pc, register and steps are those of the plain run. One landing
+is kept per register value, which catches laps of one or two landings.
 
 Worked example programs (lengths on the frozen machine):
 
@@ -62,8 +63,8 @@ Worked example programs (lengths on the frozen machine):
     echo           011010110       (9 bits)   percept t = action t
     complement     011100010110    (12 bits)  percept t = 1 - action t
 
-At desk scale, joint enumeration reaches program_bits 24 in about 2 s and
-chronological checks reach program_bits 18 at depth 7 in about 4 s; each
+At desk scale, joint enumeration reaches program_bits 24 in about 1.5 s
+and chronological checks reach program_bits 18 at depth 7 in about 4 s; each
 3 more bits cost 3-6x (measured limits in docs/machine.md). A joint table,
 the tables of every tape of one length, and each prefix table of
 ``enumerate_chron`` are one cache entry each, memoized in-process by name
@@ -78,6 +79,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import tempfile
 from collections import defaultdict
 from dataclasses import dataclass
@@ -166,7 +168,9 @@ def _run_segment(
     n = len(ops)
     # Each symbol takes a step, so a run never emits more than max_steps.
     limit = max_steps + 1 if max_output is None else max_output
-    landings: list[tuple[int, int, int] | None] = [None, None]  # by register value
+    # (reads, steps, output length) at pc 0, by register value; every run
+    # starts at pc 0 with register 0, no reads and no output
+    landings: list[tuple[int, int, int] | None] = [(0, 0, 0), None]
     while True:
         if steps >= max_steps:
             return "step_limit", pc, reg, steps, code, n_out, nread
@@ -227,6 +231,31 @@ def _run_segment(
             return "halted", pc, reg, steps + 1, code, n_out, nread
 
 
+def _back_at_start(
+    code: int, n_out: int, steps: int, max_steps: int, cap: int
+) -> tuple[int, int] | None:
+    """(code, n_out) at the end of a run that a JBACK fetched at ``steps``
+    returns to the start state (pc 0, register 0, no reads), or None when
+    the interpreter must decide.
+
+    From there the run repeats its first ``steps`` steps and the JBACK as
+    laps, each appending the ``n_out`` symbols of ``code`` again, until a
+    budget stops it. A silent run ends with the output it has. Otherwise
+    the output reaches the cap within the first ``steps`` steps of a lap,
+    so it is the first ``cap`` symbols of the repetition when the step
+    budget surely covers those steps.
+    """
+    if not n_out:
+        return code, n_out
+    laps = -(-(cap - n_out) // n_out)
+    if steps + laps * (steps + 1) > max_steps:
+        return None
+    span = (laps + 1) * n_out
+    block = code - (1 << n_out)  # the lap's symbols
+    repeated = (1 << span) + block * ((1 << span) - 1) // ((1 << n_out) - 1)
+    return repeated >> (span - cap), cap
+
+
 # Symbol values and their digits, for output codes and cache keys alike.
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 _DIGIT_CHARS = bytes.maketrans(bytes(range(10)), b"0123456789")
@@ -271,36 +300,53 @@ def run_program(
         )
 
 
-def _pack(stopped: bytearray, node: tuple) -> None:
-    """Push a walk node onto ``stopped``: its opcodes, actions read, output
-    code and step count, then a trailer of pc, reg and the four lengths."""
+@cache
+def _record(max_ops: int, max_steps: int, cap: int) -> tuple[struct.Struct, int, int]:
+    """The fixed-width record of a node that a walk with these budgets
+    stops, with the widths of its code and step fields: the opcodes and the
+    actions read, each padded and followed by its count, the output code's
+    and the step count's bytes, then pc and reg. ``s`` fields pad and
+    truncate silently, so each width holds its field's bound: a stopped
+    node has at most max_ops opcodes, reads at most cap actions, and holds
+    code < 2**(cap + 1) and steps <= max_steps."""
+    code_width = cap // 8 + 1
+    step_width = (max_steps.bit_length() + 7) // 8
+    layout = struct.Struct(f"={max_ops}sB{cap}sB{code_width}s{step_width}sBB")
+    return layout, code_width, step_width
+
+
+def _pack(stopped: bytearray, record: tuple[struct.Struct, int, int], node: tuple) -> None:
+    """Push a walk node onto ``stopped`` as one ``record``."""
     ops, pc, reg, steps, code, _, _, reads = node
-    code_bytes = code.to_bytes((code.bit_length() + 7) // 8, "little")
-    step_bytes = steps.to_bytes((steps.bit_length() + 7) // 8, "little")
-    stopped += bytes(ops + reads)
-    stopped += code_bytes
-    stopped += step_bytes
-    stopped += bytes((pc, reg, len(ops), len(reads), len(code_bytes), len(step_bytes)))
-
-
-def _unpack(stopped: bytearray) -> tuple:
-    """Pop the last node pushed onto ``stopped``, as a walk node."""
-    pc, reg, n_ops, n_reads, n_code, n_steps = stopped[-6:]
-    start = len(stopped) - 6 - n_ops - n_reads - n_code - n_steps
-    body = bytes(stopped[start:-6])
-    del stopped[start:]
-    code_at = n_ops + n_reads
-    steps_at = code_at + n_code
-    code = int.from_bytes(body[code_at:steps_at], "little")
-    return (
-        tuple(body[:n_ops]),
+    layout, code_width, step_width = record
+    stopped += layout.pack(
+        bytes(ops),
+        len(ops),
+        bytes(reads),
+        len(reads),
+        code.to_bytes(code_width, "little"),
+        steps.to_bytes(step_width, "little"),
         pc,
         reg,
-        int.from_bytes(body[steps_at:], "little"),
+    )
+
+
+def _unpack(stopped: bytearray, record: tuple[struct.Struct, int, int]) -> tuple:
+    """Pop the last ``record`` pushed onto ``stopped``, as a walk node."""
+    layout = record[0]
+    start = len(stopped) - layout.size
+    ops, n_ops, reads, n_reads, code, steps, pc, reg = layout.unpack_from(stopped, start)
+    del stopped[start:]
+    code = int.from_bytes(code, "little")
+    return (
+        tuple(ops[:n_ops]),
+        pc,
+        reg,
+        int.from_bytes(steps, "little"),
         code,
         code.bit_length() - 1,
         n_reads,
-        tuple(body[n_ops:code_at]),
+        tuple(reads[:n_reads]),
     )
 
 
@@ -329,26 +375,33 @@ def _walk(
     fetch, so the walk settles all eight where their parent fetches. Each
     ends after its opcode, an OUT child with one more symbol, except JBACK,
     which runs on: in place along a tape, before the OUT children, so every
-    prefix keeps its first-reach place; pushed in a chronological walk.
+    prefix keeps its first-reach place; pushed in a chronological walk. In
+    place, a JBACK that returns the run to its start state settles by
+    shifts when the budgets allow (:func:`_back_at_start`); any other runs
+    through the interpreter.
 
-    The walk starts at the root, or at the packed nodes ``starts``, which
-    it pops one at a time. With ``tape=None`` it also returns, packed as
-    they started, the nodes the cap stopped: runs whose output reached the
-    cap and runs awaiting an action they could read at the cap. A walk at
-    cap + 1 differs from this one only from those nodes down, so resuming
-    from them yields every output prefix of length cap + 1 (and shorter
-    prefixes only along their re-run segments).
+    The walk starts at the root, or at the nodes ``starts``, records of the
+    walk at cap - 1 (:func:`_record`), which it pops one at a time. With
+    ``tape=None`` it also returns, packed as they started in records of
+    this walk's budgets, the nodes the cap stopped: runs whose output
+    reached the cap and runs awaiting an action they could read at the cap.
+    A walk at cap + 1 differs from this one only from those nodes down, so
+    resuming from them yields every output prefix of length cap + 1 (and
+    shorter prefixes only along their re-run segments).
     """
     weights = [8 ** (max_ops - n) for n in range(max_ops + 1)]
     masses: defaultdict[tuple[int, ...], defaultdict[int, int]] = defaultdict(
         lambda: defaultdict(int)
     )
     stopped = bytearray()
+    record = _record(max_ops, max_steps, cap)
+    # the walk at cap - 1 packed the starts
+    start_record = None if starts is None else _record(max_ops, max_steps, cap - 1)
     # (ops, pc, reg, steps, output code, output length, actions read,
     #  actions chosen at branches)
     stack: list[tuple] = [((), 0, 0, 0, 1, 0, 0, ())] if starts is None else []
     while stack or starts:
-        node = stack.pop() if stack else _unpack(starts)
+        node = stack.pop() if stack else _unpack(starts, start_record)
         ops, pc, reg, steps, code, n_start, nread, reads = node
         w = weights[len(ops)]
         inputs = reads if tape is None else tape
@@ -379,7 +432,10 @@ def _walk(
                 by_code[1] += 8 - (tape is None) - branches
                 jback = (ops + _FETCHED[JBACK], pc, reg, steps, code, n_out, nread, reads)
                 if tape is not None:  # JBACK alone runs on, and lists its prefixes first
-                    *_, j_code, j_out, _ = _run_segment(*jback[:7], tape, max_steps, cap)
+                    settled = None
+                    if reg == nread == 0:  # JBACK returns the run to its start state
+                        settled = _back_at_start(code, n_out, steps, max_steps, cap)
+                    j_code, j_out = settled or _run_segment(*jback[:7], tape, max_steps, cap)[4:6]
                     for shift in range(j_out - n_out - 1, j_out - min(j_out, cap) - 1, -1):
                         by_code[j_code >> shift] += 1
                 else:
@@ -388,10 +444,10 @@ def _walk(
                         masses[reads + (0,)][1] += 1
                         masses[reads + (1,)][1] += 1
                     elif nread <= n_out:  # READA could read at the cap
-                        _pack(stopped, (ops + _FETCHED[READA],) + jback[1:])
+                        _pack(stopped, record, (ops + _FETCHED[READA],) + jback[1:])
                     if n_out + 1 >= cap:  # each OUT child reaches the cap
                         for op in (OUTR, OUT1, OUT0):
-                            _pack(stopped, (ops + _FETCHED[op],) + jback[1:])
+                            _pack(stopped, record, (ops + _FETCHED[op],) + jback[1:])
                 if n_out < cap:  # OUTR emits reg before OUT1 and OUT0 emit their bits
                     by_code[2 * code + reg] += 2
                     by_code[2 * code + 1 - reg] += 1
@@ -406,7 +462,7 @@ def _walk(
                     (ops, pc + 1, a, steps, code, n_out, nread + 1, reads + (a,)) for a in (0, 1)
                 )
                 continue
-            _pack(stopped, node)
+            _pack(stopped, record, node)
         if ops:  # a zero-bit run is not a program, whatever ends it
             masses[reads][1] += w
     return masses, stopped
@@ -726,7 +782,7 @@ def enumerate_joint(program_bits: int, steps: int, max_len: int = 16) -> JointEn
     """Enumerate all programs within the budgets into a joint mass table.
 
     One depth-first walk with integer weights and no leaf list. At
-    max_len 16, program_bits 24 takes about 2 s and under 30 MB; each 3
+    max_len 16, program_bits 24 takes about 1.5 s and under 30 MB; each 3
     more bits cost 4-5x (docs/machine.md).
     """
     _check_budgets(program_bits, steps)

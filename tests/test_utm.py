@@ -539,6 +539,72 @@ def test_lap_fast_forward_matches_frozen_step_by_step_run(body, tape, max_steps,
     assert vars(result) == frozen_run(program, tape, max_steps, max_output)
 
 
+def _jback_child(ops, tape, max_steps, cap):
+    """The state at which the run of ``ops`` fetches past its end, as the
+    walk hands it to a JBACK child, when the JBACK returns it to the start
+    state (register 0, no reads); else None."""
+    status, pc, reg, steps, code, n_out, nread = utm._run_segment(
+        ops, 0, 0, 0, 1, 0, 0, tape, max_steps, cap
+    )
+    if status == "fetch" and pc == len(ops) and reg == 0 == nread:
+        return steps, code, n_out
+    return None
+
+
+def _settled_and_run(ops, tape, max_steps, cap):
+    """The start-state settle of the JBACK child of ``ops`` and the
+    interpreter's (code, n_out) for the same child."""
+    steps, code, n_out = _jback_child(ops, tape, max_steps, cap)
+    run = utm._run_segment(
+        ops + (JBACK,), len(ops), 0, steps, code, n_out, 0, tape, max_steps, cap
+    )
+    return utm._back_at_start(code, n_out, steps, max_steps, cap), run[4:6]
+
+
+def test_start_state_settle_matches_the_interpreter():
+    # Every program of up to three opcodes whose JBACK child is back at the
+    # start state, on tapes that block and allow reads: where the settle
+    # answers, it is the interpreter's answer.
+    settled = declined = 0
+    for n in range(4):
+        for ops in product(range(8), repeat=n):
+            for tape in ((), (1, 0, 1)):
+                for max_steps in (1, 2, 3, 5, 7, 12, 60, 200):
+                    for cap in range(9):
+                        if _jback_child(ops, tape, max_steps, cap) is None:
+                            continue
+                        got, run = _settled_and_run(ops, tape, max_steps, cap)
+                        if got is None:
+                            declined += 1
+                        else:
+                            assert got == run, (ops, tape, max_steps, cap)
+                            settled += 1
+    assert settled > 1_000 and declined > 100
+
+
+@pytest.mark.parametrize(
+    "ops, max_steps, cap, settled, run",
+    [
+        # silent laps end with their output, whatever the budgets
+        ((), 60, 6, (1, 0), (1, 0)),
+        ((FLIP, FLIP), 3, 4, (1, 0), (1, 0)),
+        ((FLIP, FLIP), 200, 0, (1, 0), (1, 0)),
+        # max_len 0: only a silent run fetches
+        ((), 1, 0, (1, 0), (1, 0)),
+        # 1 + 4 * 2 steps: the budget covers the lap that reaches the cap
+        ((OUT0,), 9, 5, (0b100000, 5), (0b100000, 5)),
+        ((OUT1, OUT0, FLIP, FLIP), 19, 7, (0b11010101, 7), (0b11010101, 7)),
+        ((OUT1, OUTR), 5, 3, (0b1101, 3), (0b1101, 3)),
+        # one step short the interpreter decides: the step budget stops
+        # the last symbol of OUT0, but not that of OUT1 OUT0 FLIP FLIP
+        ((OUT0,), 8, 5, None, (0b10000, 4)),
+        ((OUT1, OUT0, FLIP, FLIP), 18, 7, None, (0b11010101, 7)),
+    ],
+)
+def test_start_state_settle_at_its_budget_bounds(ops, max_steps, cap, settled, run):
+    assert _settled_and_run(ops, (), max_steps, cap) == (settled, run)
+
+
 @pytest.mark.parametrize("bits, steps, max_len", [(15, 200, 32), (18, 200, 24)])
 def test_walk_matches_leaf_oracle_at_long_output_caps(monkeypatch, bits, steps, max_len):
     monkeypatch.setenv(CACHE_ENV_VAR, "")
@@ -635,14 +701,16 @@ def test_clear_memo_forces_a_new_walk(monkeypatch):
 def test_walk_runs_no_segment_for_most_of_the_last_level(monkeypatch):
     # Of this walk's 7,953 nodes, 5,756 sit on the last level of the opcode
     # tree and are settled where their parent fetches, without a segment run:
-    # all there but the JBACK children. A walk that stops folding shows here.
+    # all there but the JBACK children. Of those 724, the 454 that JBACK
+    # returns to the start state settle by shifts too. A walk that stops
+    # folding, or stops settling them, shows here.
     calls = []
     run = utm._run_segment
     monkeypatch.setattr(utm, "_run_segment", lambda *args: calls.append(args) or run(*args))
     monkeypatch.setenv(CACHE_ENV_VAR, "")
     clear_memo()
     enumerate_joint(15, 200, 16)
-    assert len(calls) == 2_197
+    assert len(calls) == 1_743
     clear_memo()
 
 
@@ -961,8 +1029,72 @@ def test_packed_nodes_pop_back_in_reverse_order():
         ((1, 2, 3, 4, 5, 6, 7), 7, 0, 70_000, 2**9, 9, 3, (1, 1, 0)),
         ((6, 5, 4), 1, 1, 256, 2**72 + 0b101, 72, 2, (0, 1)),
     ]
+    # each field at its bound: 7 opcodes, 70,000 steps, a 72-symbol code
+    record = utm._record(7, 70_000, 72)
     stopped = bytearray()
     for node in nodes:
-        utm._pack(stopped, node)
-    assert [utm._unpack(stopped) for _ in nodes] == nodes[::-1]
+        utm._pack(stopped, record, node)
+    assert len(stopped) == 4 * record[0].size
+    assert [utm._unpack(stopped, record) for _ in nodes] == nodes[::-1]
     assert stopped == bytearray()
+
+
+# The variable-length packing the fixed-width records replaced, kept frozen:
+# opcodes, actions, the code's and the step count's bytes, then a trailer of
+# pc, reg and the four lengths.
+def frozen_pack(stopped, node):
+    ops, pc, reg, steps, code, _, _, reads = node
+    code_bytes = code.to_bytes((code.bit_length() + 7) // 8, "little")
+    step_bytes = steps.to_bytes((steps.bit_length() + 7) // 8, "little")
+    stopped += bytes(ops + reads)
+    stopped += code_bytes
+    stopped += step_bytes
+    stopped += bytes((pc, reg, len(ops), len(reads), len(code_bytes), len(step_bytes)))
+
+
+def frozen_unpack(stopped):
+    pc, reg, n_ops, n_reads, n_code, n_steps = stopped[-6:]
+    start = len(stopped) - 6 - n_ops - n_reads - n_code - n_steps
+    body = bytes(stopped[start:-6])
+    del stopped[start:]
+    code_at = n_ops + n_reads
+    steps_at = code_at + n_code
+    code = int.from_bytes(body[code_at:steps_at], "little")
+    return (
+        tuple(body[:n_ops]),
+        pc,
+        reg,
+        int.from_bytes(body[steps_at:], "little"),
+        code,
+        code.bit_length() - 1,
+        n_reads,
+        tuple(body[n_ops:code_at]),
+    )
+
+
+@pytest.mark.parametrize("steps", [60, 200, 1000])
+@pytest.mark.parametrize("bits", [6, 9, 12, 15])
+def test_records_pop_the_nodes_the_frozen_packing_round_trips(monkeypatch, bits, steps):
+    # Chronological walks at caps 0 to 6, each resuming the last: the nodes
+    # each walk stops, popped from its records, are the nodes it packed as
+    # the frozen packing gives them back, in the same order.
+    packed = []
+    pack = utm._pack
+    def recording_pack(stopped, record, node):
+        packed.append(node)
+        pack(stopped, record, node)
+
+    monkeypatch.setattr(utm, "_pack", recording_pack)
+    starts, compared = None, 0
+    for cap in range(7):
+        packed.clear()
+        _, stopped = utm._walk(bits // 3, steps, cap, None, starts)
+        frozen = bytearray()
+        for node in packed:
+            frozen_pack(frozen, node)
+        expected = [frozen_unpack(frozen) for _ in packed]
+        records, record = bytearray(stopped), utm._record(bits // 3, steps, cap)
+        assert len(records) == len(packed) * record[0].size, cap
+        assert [utm._unpack(records, record) for _ in packed] == expected, cap
+        starts, compared = stopped, compared + len(packed)
+    assert compared >= 10
