@@ -33,7 +33,9 @@ no walk steps below it. The package's one node loop is :func:`walk`: every
 exhaustive check, :func:`compare` and the predictive-consistency check is
 one depth-first walk, which addresses each context by its *slot*, its
 position in :func:`contexts` order, builds no context, and files each mass
-into flat columns by slot in the loop that steps to it. A context is
+into flat columns by slot in the loop that steps to it. The policy check
+is one more reader of the check walk: it folds the rows of a policy's
+environment-mode check, walked over the alphabet it is given. A context is
 derived from its slot only where a row, a violation or a witness is read.
 States live only inside one walk.
 
@@ -64,7 +66,7 @@ from __future__ import annotations
 import abc
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, chain, compress, product, repeat, starmap
@@ -238,25 +240,34 @@ class Policy(abc.ABC):
 
 class DeterministicPolicy(Policy):
     """Total function from histories to actions, wrapped as a policy. Its walk
-    state is the history (actions, percepts): an action step calls ``fn`` once,
-    and the context is dead where ``fn`` chose another action."""
+    state is the history and a cell its sibling actions share: the first asks
+    ``fn`` once, and the context is dead where ``fn`` chose another action. An
+    action outside ``range(action_arity)`` is a ``ComponentFormatError``."""
 
     def __init__(self, fn: Callable[[History], int], action_arity: int = 2):
+        if type(action_arity) is not int or action_arity < 1:
+            raise ComponentFormatError(f"action_arity must be a positive int, got {action_arity!r}")
         self.fn = fn
         self.action_arity = action_arity
 
     def root(self) -> tuple[int, Any]:
-        return 1, ((), ())
+        return 1, ((), (), [])  # (actions, percepts, fn's action once asked)
 
     def extend(self, state: Any, symbol: int) -> tuple[int, Any]:
         if state is None:
             return 0, None
-        actions, percepts = state
+        actions, percepts, chosen = state
         if len(actions) > len(percepts):
-            return 1, (actions, percepts + (symbol,))
-        if self.fn(History(actions, percepts)) != symbol:
-            return 0, None
-        return 1, (actions + (symbol,), percepts)
+            return 1, (actions, percepts + (symbol,), [])
+        if not chosen:  # siblings share one call of fn
+            h = History(actions, percepts)
+            action = self.fn(h)
+            if action not in range(self.action_arity):
+                raise ComponentFormatError(
+                    f"policy chose {action!r} at {h!r}, outside range({self.action_arity})"
+                )
+            chosen.append(action)
+        return (1, (actions + (symbol,), percepts, chosen)) if chosen[0] == symbol else (0, None)
 
 
 @dataclass(frozen=True)
@@ -271,6 +282,8 @@ class StationaryPolicy(_ProductScale, Policy):
 
     def __post_init__(self):
         probs = exact_masses(self.probs, "action masses")
+        if not probs:
+            raise ComponentFormatError("a policy needs at least one action mass")
         d = math.lcm(*(p.denominator for p in probs))
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "_bases", (d, 1))
@@ -295,6 +308,8 @@ def uniform_policy(action_arity: int = 2) -> StationaryPolicy:
 
 
 def constant_policy(action: int, action_arity: int = 2) -> DeterministicPolicy:
+    if action not in range(action_arity):
+        raise ComponentFormatError(f"constant action {action!r} is outside range({action_arity})")
     return DeterministicPolicy(lambda h: action, action_arity)
 
 
@@ -681,7 +696,9 @@ def contexts(nu: JointSemimeasure | ChronEnv, depth: int) -> Iterator[Any]:
 _Alphabet = tuple[bool, int, int]
 
 
-def _alphabet(nu: JointSemimeasure | ChronEnv) -> _Alphabet:
+def _alphabet(nu: JointSemimeasure | ChronEnv | _Alphabet) -> _Alphabet:
+    if isinstance(nu, tuple):  # an alphabet is its own
+        return nu
     return isinstance(nu, JointSemimeasure), nu.action_arity, nu.percept_arity
 
 
@@ -708,7 +725,7 @@ def _widths(alphabet: _Alphabet, depth: int) -> list[int]:
     return widths
 
 
-def _context_at(nu: JointSemimeasure | ChronEnv, slot: int) -> Any:
+def _context_at(nu: JointSemimeasure | ChronEnv | _Alphabet, slot: int) -> Any:
     """The context of ``nu`` at position ``slot`` of :func:`contexts` order."""
     joint, n_actions, n_percepts = _alphabet(nu)
     t, width = 0, 1
@@ -729,13 +746,13 @@ def _context_at(nu: JointSemimeasure | ChronEnv, slot: int) -> Any:
 
 
 def walk(
-    nu: JointSemimeasure | ChronEnv,
+    nu: JointSemimeasure | ChronEnv | _Alphabet,
     depth: int,
     root: tuple[Any, Any],
     step: Callable[[Any, int], tuple[Any, Any]],
     gains: Sequence[int] | None = None,
 ) -> tuple[list, list, list]:
-    """Every context of ``nu`` up to ``depth``, depth first, in one loop.
+    """Every context of ``nu`` (or of its alphabet) to ``depth``, depth first, in one loop.
 
     From ``root``, the empty context's (mass, state), each node shallower
     than ``depth`` (a check: to ``depth``) is popped once, and one pass of
@@ -1049,21 +1066,23 @@ def _check_rows(alphabet: _Alphabet, depth: int) -> Iterator[Any]:
     return ((e, a, a_next) for e, a in _contexts(alphabet, depth) for a_next in next_actions)
 
 
-def _check(nu: JointSemimeasure | ChronEnv, depth: int) -> CheckReport:
-    """The one walk of both checks: a row per joint context, or per
-    environment context and next action, holds the context's numerator
-    against the summed numerators of its children."""
-    alphabet = _alphabet(nu)
+def _check(
+    nu: JointSemimeasure | ChronEnv | Policy, depth: int, alphabet: _Alphabet | None = None
+) -> CheckReport:
+    """The one walk of every check, over ``alphabet`` (default: that of ``nu``):
+    a row per joint context, or per environment context and next action,
+    holds the context's numerator against the summed numerators of its children."""
+    alphabet = alphabet or _alphabet(nu)
     joint = alphabet[0]
-    fan = 1 if joint else nu.action_arity  # rows per context
+    fan = 1 if joint else alphabet[1]  # rows per context
     # A context's numerator times its level's gain is over its children's scale.
     scales = [nu.scale((1 if joint else 2) * t) for t in range(depth + 2)]
     gains = [scales[t + 1] // scales[t] for t in range(depth + 1)]
     root = nu.root()
-    lhs_column, rhs_column, witnesses = walk(nu, depth, root, nu.extend, gains)
+    lhs_column, rhs_column, witnesses = walk(alphabet, depth, root, nu.extend, gains)
     monotone = []
     for row, s in sorted(witnesses):  # symbol order within a row
-        x = _context_at(nu, row // fan)
+        x = _context_at(alphabet, row // fan)
         monotone.append(x + (s,) if joint else (x[0] + (s,), x[1] + (row % fan,)))
     widths = [width * fan for width in _widths(alphabet, depth)]
     return CheckReport(
@@ -1086,23 +1105,26 @@ def _policy_rows(alphabet: _Alphabet, depth: int) -> Iterator[tuple]:
 
 
 def check_policy(pi: Policy, depth: int, percept_arity: int = 2) -> CheckReport:
-    """Chronological condition with action/percept roles swapped."""
+    """Chronological condition with action/percept roles swapped, folded from the
+    environment-mode check to ``depth - 1``: the |P| children of its row (h, a) weigh
+    pi(h a), so h's row sums its |A| rows' rhs against |P| times their lhs."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    alphabet = (False, pi.action_arity, percept_arity)
-    lhs_column, rhs_column = [], []
-    for actions, percepts in _policy_rows(alphabet, depth):
-        lhs_column.append(pi.weight(actions, percepts[: max(0, len(actions) - 1)]))
-        children = [pi.weight(actions + (a,), percepts) for a in range(pi.action_arity)]
-        rhs_column.append(sum(children, ZERO))
-    return CheckReport(
+    if type(percept_arity) is not int or percept_arity < 1:
+        raise ValueError(f"percept_arity must be a positive int, got {percept_arity!r}")
+    fan, alphabet = pi.action_arity, (False, pi.action_arity, percept_arity)
+    rows = partial(_policy_rows, alphabet, depth)
+    if not depth:  # no history is shorter than the empty one: no rows
+        return CheckReport("policy", 0, _fold(pi, (), ()), (), False, [], [], (), rows)
+    report = _check(pi, depth - 1, alphabet)
+    return replace(
+        report,
         kind="policy",
         depth=depth,
-        root_mass=pi.weight((), ()),
-        monotone_violations=(),
+        monotone_violations=tuple((a, e[:-1]) for e, a in report.monotone_violations if not e[-1]),
         declared_measure=False,
-        lhs=lhs_column,
-        rhs=rhs_column,
-        levels=((len(lhs_column), 1),),  # policy weights are exact masses already
-        row_contexts=partial(_policy_rows, alphabet, depth),
+        lhs=[percept_arity * m for m in report.lhs[::fan]],
+        rhs=[sum(report.rhs[i : i + fan]) for i in range(0, len(report.rhs), fan)],
+        levels=tuple((n // fan, scale * percept_arity) for n, scale in report.levels),
+        row_contexts=rows,
     )

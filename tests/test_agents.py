@@ -17,6 +17,7 @@ from uailab.core import (
     BINARY_PERCEPTS,
     EMPTY_HISTORY,
     ZERO,
+    ComponentFormatError,
     History,
     PerceptAlphabet,
     PerceptSymbol,
@@ -101,6 +102,15 @@ def test_policy_value_deterministic_two_steps():
     assert policy_value(constant_policy(1), mu_id(), 2) == 2
 
 
+def test_policy_value_rejects_a_policy_action_outside_the_alphabet():
+    # constant_policy(5) used to weigh every action 0, for a value of 0.
+    with pytest.raises(ComponentFormatError, match="constant action 5"):
+        policy_value(constant_policy(5), mu_id(), 2)
+    with pytest.raises(ComponentFormatError) as err:
+        policy_value(DeterministicPolicy(lambda h: 5), mu_id(), 2)
+    assert f"chose 5 at {EMPTY_HISTORY!r}" in str(err.value)
+
+
 def test_policy_value_zero_reward_percepts():
     zero = PerceptAlphabet(
         symbols=(PerceptSymbol("a", F(0)), PerceptSymbol("b", F(0))),
@@ -178,9 +188,10 @@ def test_policy_value_walk_equals_the_frozen_recursion():
             policy_value(uniform_policy(), mu_id(), horizon)
 
 
-def test_a_deterministic_policy_is_asked_once_per_action_node():
-    """A re-planning agent wrapped as a policy plans once per action node of
-    the ``policy_value`` recursion, not once per action of every prefix."""
+def test_a_deterministic_policy_is_asked_once_per_history():
+    """A re-planning agent wrapped as a policy plans once per history of the
+    ``policy_value`` recursion, not once per action node: the actions of a
+    history share one answer."""
     calls = []
 
     def echo(h):
@@ -189,10 +200,9 @@ def test_a_deterministic_policy_is_asked_once_per_action_node():
 
     value = policy_value(DeterministicPolicy(echo), NoisyCopyEnv(F(3, 4), F(1, 4)), 8)
     assert value == F(1793, 512)
-    # Both percepts stay live, so t steps in there are 2**t histories, each
-    # with two action nodes: 2 * (2**8 - 1) nodes in all.
-    assert len(calls) == 2 * (2**8 - 1) == 510
-    assert len(set(calls)) == 2**8 - 1
+    # Both percepts stay live, so t steps in there are 2**t histories: 2**8 - 1
+    # histories in all, each asked once.
+    assert len(calls) == len(set(calls)) == 2**8 - 1 == 255
 
 
 def test_expectimax_mu_id_prefers_copy_reward():

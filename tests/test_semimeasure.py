@@ -4,12 +4,13 @@ from itertools import product
 import pytest
 
 from uailab import semimeasure
-from uailab.core import ComponentFormatError
+from uailab.core import ComponentFormatError, History
 from uailab.mixture import EnvMixture, JointMixture, MixturePolicy
 from uailab.semimeasure import (
     ActionEchoJoint,
     CheckRow,
     ChronEnv,
+    DeterministicPolicy,
     JointSemimeasure,
     NoisyCopyEnv,
     StationaryPolicy,
@@ -312,8 +313,20 @@ def test_table_context_outside_the_alphabet_rejected(build, named):
         lambda: MixturePolicy((), ()),
         lambda: MixturePolicy((uniform_policy(),), ()),
         lambda: MixturePolicy((uniform_policy(),), (F(0),)),
+        lambda: StationaryPolicy(()),
+        lambda: DeterministicPolicy(lambda h: 0, 0),
+        lambda: DeterministicPolicy(lambda h: 0, True),
     ],
-    ids=["negative_mass", "oversum", "empty_mixture", "weight_count", "zero_weight"],
+    ids=[
+        "negative_mass",
+        "oversum",
+        "empty_mixture",
+        "weight_count",
+        "zero_weight",
+        "no_actions",
+        "zero_arity",
+        "bool_arity",
+    ],
 )
 def test_bad_policies_are_rejected_at_construction(build):
     with pytest.raises(ComponentFormatError):
@@ -345,6 +358,35 @@ def test_point_queries_reject_symbols_outside_the_alphabet():
                     nu.eval(*context)
                 assert f"context {context!r}" in str(err.value)
                 assert f"position {position}" in str(err.value)
+
+
+@pytest.mark.parametrize("percept_arity", [0, -1, True, 1.5, "2", None])
+def test_check_policy_rejects_a_percept_arity_that_is_not_a_positive_int(percept_arity):
+    with pytest.raises(ValueError, match="percept_arity must be a positive int"):
+        check_policy(uniform_policy(), 2, percept_arity)
+    assert check_policy(uniform_policy(), 2, 1).contexts == 3
+
+
+@pytest.mark.parametrize("action, arity", [(5, 2), (2, 2), (-1, 2), (3, 3), (None, 2)])
+def test_constant_policy_rejects_an_action_outside_the_alphabet(action, arity):
+    with pytest.raises(ComponentFormatError, match=f"constant action {action!r} is outside"):
+        constant_policy(action, arity)
+
+
+def test_a_deterministic_policy_names_the_history_of_an_action_outside_the_alphabet():
+    # Action 2 of two, first chosen after the history a=0 e=1.
+    pi = DeterministicPolicy(lambda h: 2 if h.percepts == (1,) else 0)
+    assert check_policy(pi, 1).ok
+    with pytest.raises(ComponentFormatError, match="outside range\\(2\\)") as err:
+        check_policy(pi, 2)
+    assert repr(History((0,), (1,))) in str(err.value)
+    with pytest.raises(ComponentFormatError):
+        pi.weight((0, 0), (1,))
+    # The failed history stays failed: the next action asks again.
+    _, state = pi.extend(pi.extend(pi.root()[1], 0)[1], 1)
+    for action in (0, 1):
+        with pytest.raises(ComponentFormatError):
+            pi.extend(state, action)
 
 
 def test_negative_depth_is_rejected():

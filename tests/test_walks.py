@@ -16,7 +16,10 @@ are also held, step by step, to their former bodies, which converted each
 mass with ``exact_mass`` and divided (a dual weighed each action by its
 policy's ``weight``). A policy's ``weight`` is the fold of its walk, so the
 ``weight`` bodies the three policy classes had are frozen here too, and
-every policy walk step and fold must give exactly what they give.
+every policy walk step and fold must give exactly what they give. The
+policy check's former loop, which read ``weight`` 1 + |A| times a row, is
+frozen over those bodies, and the policy check, a fold of the environment
+check's walk, must give exactly its rows.
 
 The walk itself was a generator whose readers looped over each node's
 children again. That generator and the check and compare bodies that read
@@ -76,6 +79,7 @@ from uailab.semimeasure import (
     JointSemimeasure,
     MismatchRow,
     NoisyCopyEnv,
+    Policy,
     ProductJoint,
     StationaryPolicy,
     TableEnv,
@@ -84,8 +88,10 @@ from uailab.semimeasure import (
     _check_rows,
     _context_at,
     _default_row,
+    _policy_rows,
     _widths,
     check_chronological,
+    check_policy,
     check_semimeasure,
     compare,
     constant_policy,
@@ -95,6 +101,7 @@ from uailab.semimeasure import (
     max_ratio,
     mu_id,
     uniform_measure,
+    uniform_policy,
 )
 from uailab.transforms import (
     DualJoint,
@@ -1262,7 +1269,8 @@ def test_every_policy_walk_equals_its_frozen_weight(
     probs2, probs3, row2, row3, reader2, reader3, action
 ):
     pi2, pi3 = StationaryPolicy(probs2), StationaryPolicy(probs3)
-    echo = DeterministicPolicy(lambda h: h.percepts[-1] if h.percepts else 1)
+    # Repeats the last percept, mod 2: total on three percepts too.
+    echo = DeterministicPolicy(lambda h: h.percepts[-1] % 2 if h.percepts else 1)
     constant = constant_policy(action, 3)
     deficient = MixturePolicy((pi2, echo, reader2), (F(1, 3), F(1, 4), F(1, 7)))
     ternary = (pi3, constant, reader3, StationaryPolicy(row3))
@@ -1282,6 +1290,134 @@ def test_every_policy_walk_equals_its_frozen_weight(
         assert_policy_walk_matches_frozen(pi, 6)
     for pi in (pi3, reader2, deficient):
         assert_policy_walk_matches_frozen(pi, 5, percept_arity=3)
+
+
+# ---------------------------------------------------------------------------
+# The policy check against its frozen weight loop
+# ---------------------------------------------------------------------------
+
+
+class Doubling(Policy):
+    """Not monotone, though a percept keeps its weight: an action weighs its
+    probability, except the history's first action 1, which doubles the
+    weight. Its ``eval`` is the from-scratch weight."""
+
+    probs = (HALF, HALF)
+
+    def eval(self, actions, percepts):
+        out, doubled = ONE, False
+        for a in actions:
+            out *= 2 if a == 1 and not doubled else self.probs[a]
+            doubled = doubled or a == 1
+        return out
+
+    def root(self):
+        return ONE, (ONE, False, False)  # (weight, action pending, doubled)
+
+    def extend(self, state, symbol):
+        mass, pending, doubled = state
+        if not pending:
+            mass *= 2 if symbol == 1 and not doubled else self.probs[symbol]
+            doubled = doubled or symbol == 1
+        return mass, (mass, not pending, doubled)
+
+
+def scratch_policy_check(pi, depth, percept_arity=2):
+    """The former ``check_policy`` loop, verbatim but for the frozen weight
+    bodies in place of ``pi.weight``: it reported no monotone witness."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    alphabet = (False, pi.action_arity, percept_arity)
+    lhs_column, rhs_column = [], []
+    for actions, percepts in _policy_rows(alphabet, depth):
+        lhs_column.append(scratch_eval(pi, actions, percepts[: max(0, len(actions) - 1)]))
+        children = [scratch_eval(pi, actions + (a,), percepts) for a in range(pi.action_arity)]
+        rhs_column.append(sum(children, ZERO))
+    return CheckReport(
+        kind="policy",
+        depth=depth,
+        root_mass=scratch_eval(pi, (), ()),
+        monotone_violations=(),
+        declared_measure=False,
+        lhs=lhs_column,
+        rhs=rhs_column,
+        levels=((len(lhs_column), 1),),  # policy weights are exact masses already
+        row_contexts=partial(_policy_rows, alphabet, depth),
+    )
+
+
+def scratch_policy_witnesses(pi, depth, percept_arity):
+    """Every child h a that weighs more than its history h, (actions,
+    percepts) in row order, then by action: a scan of the frozen bodies."""
+    return [
+        (actions + (a,), percepts)
+        for actions, percepts in _policy_rows((False, pi.action_arity, percept_arity), depth)
+        for a in range(pi.action_arity)
+        if scratch_eval(pi, actions + (a,), percepts) > scratch_eval(pi, actions, percepts)
+    ]
+
+
+def assert_policy_check_matches_scratch(pi, depth, percept_arity):
+    got = check_policy(pi, depth, percept_arity)
+    want = scratch_policy_check(pi, depth, percept_arity)
+    assert (got.kind, got.depth, got.root_mass) == (want.kind, want.depth, want.root_mass)
+    assert got.rows == want.rows, (pi, depth, percept_arity)
+    assert (got.strict_rows, got.equal_rows, got.violations) == (
+        want.strict_rows,
+        want.equal_rows,
+        want.violations,
+    )
+    assert (got.ok, got.declaration_verified) == (want.ok, want.declaration_verified)
+    assert list(got.monotone_violations) == scratch_policy_witnesses(pi, depth, percept_arity)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    action_probs(2),
+    action_probs(3),
+    history_readers(2),
+    history_readers(3),
+    st.integers(0, 5),
+    st.integers(1, 3),
+)
+def test_policy_check_equals_its_frozen_weight_loop(
+    probs2, probs3, reader2, reader3, depth, percept_arity
+):
+    pi2, pi3, doubling = StationaryPolicy(probs2), StationaryPolicy(probs3), Doubling()
+    deficient = MixturePolicy((pi2, reader2, doubling), (F(1, 3), F(1, 4), F(1, 7)))
+    for pi in (pi2, reader2, doubling, deficient):
+        assert_policy_check_matches_scratch(pi, depth, percept_arity)
+    # The frozen loop costs the most below depth 4 of the nested mixture and
+    # of three actions (820 rows at three percepts), so these stop there.
+    ternary = MixturePolicy((pi3, reader3, constant_policy(2, 3)), (F(1, 2), F(1, 4), F(1, 8)))
+    for pi in (
+        MixturePolicy((deficient, constant_policy(1)), (F(1, 2), F(1, 3))),  # nested
+        pi3,
+        reader3,
+        ternary,
+    ):
+        assert_policy_check_matches_scratch(pi, min(depth, 4), percept_arity)
+
+
+@pytest.mark.parametrize("percept_arity", [1, 2, 3])
+def test_shipped_policy_checks_equal_the_frozen_weight_loop(percept_arity):
+    for pi in (
+        uniform_policy(),
+        uniform_policy(3),
+        constant_policy(0),
+        constant_policy(1),
+        DeterministicPolicy(lambda h: h.percepts[-1] % 2 if h.percepts else 0),
+        MixturePolicy((uniform_policy(), constant_policy(0)), (F(1, 4), F(1, 2))),
+    ):
+        for depth in range(6 if pi.action_arity == 2 else 5):
+            assert_policy_check_matches_scratch(pi, depth, percept_arity)
+
+
+def test_a_policy_that_is_not_monotone_has_its_witnesses():
+    # The former loop reported () for every policy, this one included.
+    report = check_policy(Doubling(), 3)
+    assert report.monotone_violations[:3] == (((1,), ()), ((0, 1), (0,)), ((0, 1), (1,)))
+    assert not report.ok and scratch_policy_check(Doubling(), 3).monotone_violations == ()
 
 
 # ---------------------------------------------------------------------------
