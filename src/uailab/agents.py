@@ -1,16 +1,18 @@
 """Finite-horizon value computation and expectimax action selection.
 
 Planning uses full-width expectimax over exact masses — no sampling, no
-pruning beyond zero-mass branches — at cost O((|A||E|)^m) nodes. The
-recursions of expectimax and ``policy_value`` walk the belief from the
-history's state, one ``extend`` per node, so a node costs O(1) per mixture
-component for the built-in beliefs and their environment views instead of a
-from-scratch evaluation of its whole prefix. The objective weights each
-step's reward by the unnormalized mass at the time the reward is received,
-which coincides with the classical expectimax recursion for measures and
-extends it to strictly defective beliefs (missing mass earns zero reward).
-Ties are always broken by the fixed alphabet order, smallest action first,
-identically in expectimax and in the brute-force policy-enumeration oracle.
+pruning beyond zero-mass branches — at cost O((|A||E|)^m) nodes. Expectimax
+and ``policy_value`` (on ``dual(nu, pi)``) are one recursion that folds the
+action values below each percept by their max or by the policy's sum. It
+walks from the history's state, which the checked fold walk reaches, one
+``extend`` per node: O(1) per mixture component for the built-in beliefs and
+their environment views, not a from-scratch evaluation of each prefix. The
+objective weights each step's reward by the unnormalized mass at the time
+the reward is received, which coincides with the classical expectimax
+recursion for measures and extends it to strictly defective beliefs (missing
+mass earns zero reward). Ties are always broken by the fixed alphabet order,
+smallest action first, identically in expectimax and in the brute-force
+policy-enumeration oracle.
 
 An action is undefined at a node where the belief is undefined (see
 :mod:`uailab.semimeasure`) at the action or at one of its percepts. Planners
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Any
+from typing import Any, Callable
 
 from .core import (
     BINARY_PERCEPTS,
@@ -33,7 +35,7 @@ from .core import (
     PerceptAlphabet,
     UndefinedConditionalError,
 )
-from .semimeasure import ChronEnv, JointSemimeasure, Policy, exact_mass
+from .semimeasure import ChronEnv, JointSemimeasure, Policy, _checked_walk, exact_mass
 from .transforms import dual, env
 
 
@@ -47,55 +49,39 @@ def policy_value(
     """Exact expected return of a policy over ``horizon`` further steps.
 
     Sums reward(e_t) * pi(a_1:t || e_<t) * nu(e_1:t || a_1:t) over all
-    continuations of ``history``: the masses of ``dual(nu, pi)``, walked from
-    the history's state. Branches of zero mass, the policy's zero weight
+    continuations of ``history``: the masses of ``dual(nu, pi)``, summed by the
+    expectimax recursion. Branches of zero mass, the policy's zero weight
     included, are pruned without extending deeper (their rewards weigh
     nothing), so an undefined history raises only where the policy weighs it.
     """
-    joint = dual(nu, pi)
-
-    def recurse(state: Any, n: int, remaining: int) -> Fraction:
-        total = ZERO
-        for a in range(nu.action_arity):
-            pending = joint.extend(state, a)[1]
-            if pending is None:  # the policy weighs a 0, or the context is dead
-                continue
-            for e in range(nu.percept_arity):
-                mass, child = joint.extend(pending, e)
-                if mass == 0:
-                    continue
-                total += percepts.reward(e) * exact_mass(joint, n + 2, mass)
-                if remaining > 1:
-                    total += recurse(child, n + 2, remaining - 1)
-        return total
-
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    return recurse(_history_node(joint, history)[1], 2 * len(history.actions), horizon)
+    joint = dual(nu, pi)
+    state, n = _history_node(joint, history)[1], 2 * len(history.actions)
+    return _total(*_action_values(joint, state, n, horizon, percepts, _total))
 
 
 def _history_node(nu: ChronEnv | JointSemimeasure, history: History) -> tuple[Any, Any]:
-    """(mass, walk state) of a complete ``history``."""
+    """(mass, walk state) of a complete ``history``, by the checked fold walk."""
     if len(history.actions) != len(history.percepts):
         raise ComponentFormatError("planning starts from a complete history")
-    mass, state = nu.root()
-    for a, e in zip(history.actions, history.percepts):
-        mass, state = nu.extend(nu.extend(state, a)[1], e)
-    return mass, state
+    return _checked_walk(nu, (history.percepts, history.actions), history.symbols())
 
 
 def _action_values(
-    nu: ChronEnv, state: Any, n: int, remaining: int, percepts: PerceptAlphabet
-) -> dict[int, Fraction]:
-    """Expectimax value-to-go of each defined action from the walk state of a
-    complete history of ``n`` symbols."""
-    values = {}
+    nu: Any, state: Any, n: int, remaining: int, percepts: PerceptAlphabet, fold: Callable
+) -> tuple[dict[int, Fraction], dict[int, UndefinedConditionalError]]:
+    """(value-to-go of each defined action, error of each undefined one) from
+    the walk state of a complete history of ``n`` symbols of a belief or a
+    dual; below each percept, its child's pair adds ``fold(values, errors)``."""
+    values, left_out = {}, {}
     for a in range(nu.action_arity):
         try:
             pending = nu.extend(state, a)[1]
             kids = [nu.extend(pending, e) for e in range(nu.percept_arity)]
-        except UndefinedConditionalError:
-            continue  # an undefined action has no value
+        except UndefinedConditionalError as error:
+            left_out[a] = error  # an undefined action has no value
+            continue
         total = ZERO
         for e, (mass, child) in enumerate(kids):
             if mass == 0:
@@ -104,10 +90,21 @@ def _action_values(
             if reward:
                 total += reward * exact_mass(nu, n + 2, mass)
             if remaining > 1:
-                below = _action_values(nu, child, n + 2, remaining - 1, percepts)
-                total += max(below.values(), default=ZERO)  # none defined: no further reward
+                total += fold(*_action_values(nu, child, n + 2, remaining - 1, percepts, fold))
         values[a] = total
-    return values
+    return values, left_out
+
+
+def _best(values: dict, left_out: dict) -> Fraction:
+    """Expectimax's fold: the best value (none defined: no further reward)."""
+    return max(values.values(), default=ZERO)
+
+
+def _total(values: dict, left_out: dict) -> Fraction:
+    """A policy's fold: the sum, or the first undefined action's error."""
+    for error in left_out.values():
+        raise error
+    return sum(values.values(), ZERO)
 
 
 def _plan(
@@ -120,7 +117,7 @@ def _plan(
     values: dict[int, Fraction] = {}
     try:
         mass, state = _history_node(nu, history)
-        values = _action_values(nu, state, 2 * len(history.actions), horizon, percepts)
+        values = _action_values(nu, state, 2 * len(history.actions), horizon, percepts, _best)[0]
     except UndefinedConditionalError:
         pass  # an undefined history has no defined action
     if not values:

@@ -35,7 +35,15 @@ from .core import (
     UndefinedConditionalError,
     exact_masses,
 )
-from .semimeasure import ChronEnv, JointSemimeasure, Policy, _context_at, times_ratio, walk
+from .semimeasure import (
+    ChronEnv,
+    JointSemimeasure,
+    Policy,
+    _checked_walk,
+    _context_at,
+    times_ratio,
+    walk,
+)
 
 
 def uniform_prior(n: int) -> tuple[Fraction, ...]:
@@ -222,14 +230,17 @@ def predictive(mixture: JointMixture, h: History, action: int) -> dict[int, Frac
     """Next-percept distribution e -> xi(prefix + e) / xi(prefix).
 
     Equals the posterior-weighted component conditionals (checked exactly by
-    the test suite over all histories to depth 4).
+    the test suite over all histories to depth 4). One checked walk reaches
+    the pending prefix, and one ``extend`` step each percept.
     """
     prefix = h.with_action(action).symbols()
-    denom = mixture.eval(prefix)
+    n = len(prefix)
+    denom, state = _checked_walk(mixture, prefix, prefix)
     if denom == 0:
         raise UndefinedConditionalError(prefix, "predictive distribution")
     return {
-        e: mixture.eval(prefix + (e,)) / denom for e in range(mixture.percept_arity)
+        e: times_ratio(mixture, ONE, mixture.extend(state, e)[0], n + 1, denom, n)
+        for e in range(mixture.percept_arity)
     }
 
 

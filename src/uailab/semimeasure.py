@@ -103,7 +103,7 @@ class JointSemimeasure(abc.ABC):
 
     def fold(self, x: tuple[int, ...]) -> Prob:
         """Exact mass of x by one walk: ``root``, then ``extend`` over x."""
-        return _fold(self, x, x)
+        return exact_mass(self, len(x), _checked_walk(self, x, x)[0])
 
     def root(self) -> tuple[Prob, Any]:
         """(mass, walk state) of the empty string."""
@@ -135,7 +135,8 @@ class ChronEnv(abc.ABC):
 
     def fold(self, percepts: tuple[int, ...], actions: tuple[int, ...]) -> Prob:
         """Exact mass by one walk: ``root``, then ``extend`` over a1 e1 ... at et."""
-        return _fold(self, (percepts, actions), _history(percepts, actions))
+        x = _history(percepts, actions)
+        return exact_mass(self, len(x), _checked_walk(self, (percepts, actions), x)[0])
 
     def root(self) -> tuple[Prob, Any]:
         """(mass, walk state) of the empty history."""
@@ -176,13 +177,14 @@ def _history(percepts: Sequence[int], actions: Sequence[int]) -> tuple[int, ...]
     return tuple(s for step in zip(actions, percepts) for s in step)
 
 
-def _fold(nu: JointSemimeasure | ChronEnv | Policy, context: Any, x: tuple[int, ...]) -> Prob:
-    """The exact mass of the interleaved string ``x`` of ``context`` by one walk."""
+def _checked_walk(nu: Any, context: Any, x: Sequence[int]) -> tuple[Prob, Any]:
+    """(walk mass, walk state) of the interleaved string ``x`` of ``context`` by
+    one walk, after rejecting any symbol outside the alphabet of ``nu``."""
     _check_alphabet(nu, context, x)
     mass, state = nu.root()
     for s in x:
         mass, state = nu.extend(state, s)
-    return exact_mass(nu, len(x), mass)
+    return mass, state
 
 
 def _over(row: Sequence[Fraction], d: int) -> tuple[int, ...]:
@@ -235,7 +237,7 @@ class Policy(abc.ABC):
         one walk over a1 e1 ... at: only ``percepts[:len(actions) - 1]`` is read."""
         t = max(len(actions) - 1, 0)
         x = _history(percepts[:t], actions[:t]) + tuple(actions[t:])
-        return _fold(self, (actions, percepts), x)
+        return exact_mass(self, len(x), _checked_walk(self, (actions, percepts), x)[0])
 
 
 class DeterministicPolicy(Policy):
@@ -338,6 +340,8 @@ class _StepRule(_ProductScale):
         percepts = [exact_masses(row, "percept masses") for row in percept_rows]
         given = [] if action_probs is None else [exact_masses(action_probs, "action masses")]
         actions = given[0] if given else (ONE,) * self.action_arity  # an env's actions weigh 1
+        if not actions or not all(percepts):
+            raise ComponentFormatError("a component needs at least one action and one percept")
         rows = given + percepts
         d_a = math.lcm(*(p.denominator for p in actions))
         d_p = math.lcm(*(p.denominator for row in percepts for p in row))
@@ -529,6 +533,10 @@ class _TableWalk(_ProductScale):
     ):
         if default not in ("halt", "uniform"):
             raise ComponentFormatError(f"unknown default rule {default!r}")
+        if not all(type(n) is int and n > 0 for n in (action_arity, percept_arity)):
+            raise ComponentFormatError(
+                f"arities must be positive ints, got {action_arity!r} and {percept_arity!r}"
+            )
         self.action_arity = action_arity
         self.percept_arity = percept_arity
         self.default = default
@@ -782,6 +790,8 @@ def walk(
     depth += not filing  # a check steps one level further, into its rows
     alphabet = _alphabet(nu)
     joint, n_actions, n_percepts = alphabet
+    if n_actions < 1 or n_percepts < 1:
+        raise ValueError(f"an alphabet of {n_actions} actions and {n_percepts} percepts is empty")
     offsets = [0, *accumulate(_widths(alphabet, depth))]
     groups, fan = ((None,), 1) if joint else (range(n_actions), n_actions)
     ranges = [range(n_percepts if t % 2 or not joint else n_actions) for t in range(depth)]
@@ -1115,7 +1125,8 @@ def check_policy(pi: Policy, depth: int, percept_arity: int = 2) -> CheckReport:
     fan, alphabet = pi.action_arity, (False, pi.action_arity, percept_arity)
     rows = partial(_policy_rows, alphabet, depth)
     if not depth:  # no history is shorter than the empty one: no rows
-        return CheckReport("policy", 0, _fold(pi, (), ()), (), False, [], [], (), rows)
+        root = exact_mass(pi, 0, pi.root()[0])
+        return CheckReport("policy", 0, root, (), False, [], [], (), rows)
     report = _check(pi, depth - 1, alphabet)
     return replace(
         report,

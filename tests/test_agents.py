@@ -163,29 +163,44 @@ def test_policy_value_walk_equals_the_frozen_recursion():
         ),
         env(copy_machine()),  # undefined after a mismatched step
     ]
+    nothing = StationaryPolicy((F(0), F(0)))  # weighs every action 0
     policies = [
         uniform_policy(),
         constant_policy(1),
         StationaryPolicy((F(1, 3), F(0))),
+        nothing,
         DeterministicPolicy(lambda h: h.percepts[-1] if h.percepts else 0),  # reads the history
         MixturePolicy((uniform_policy(), constant_policy(0)), (F(1, 4), F(1, 2))),
     ]
     thirds = PerceptAlphabet((PerceptSymbol(0, F(1, 3)), PerceptSymbol(1, F(1))), (F(0), F(1)))
+    shifted = PerceptAlphabet((PerceptSymbol(0, F(-1)), PerceptSymbol(1, F(0))), (F(-1), F(0)))
     raised = set()
     for nu in beliefs:
         for pi in policies:
             for h in histories_to_depth(2):
                 for horizon in (1, 2, 3):
-                    for percepts in (BINARY_PERCEPTS, thirds):
+                    for percepts in (BINARY_PERCEPTS, thirds, shifted):
                         args = (pi, nu, horizon, percepts, h)
                         got = valued(policy_value, *args)
                         assert got == valued(scratch_policy_value, *args), (nu, h, horizon)
+                        if pi is nothing:  # it never steps nu, so never raises
+                            assert got == 0, (nu, h, horizon)
                         if isinstance(got, type):
                             raised.add(got)
     assert raised == {UndefinedConditionalError}
     for horizon in (0, -1):
         with pytest.raises(ValueError):
             policy_value(uniform_policy(), mu_id(), horizon)
+    # A history outside the belief's alphabet is refused by name, never by IndexError.
+    for outside in (History((5,), (0,)), History((0, 1), (1, 2))):
+        for call in (
+            lambda h: policy_value(uniform_policy(), mu_id(), 1, BINARY_PERCEPTS, h),
+            lambda h: expectimax_action(mu_id(), h, 1),
+            lambda h: joint_aixi_action(copy_machine(), h, 1),
+            lambda h: one_step_action_values(mu_id(), h),
+        ):
+            with pytest.raises(ComponentFormatError, match="outside the alphabet"):
+                call(outside)
 
 
 def test_a_deterministic_policy_is_asked_once_per_history():

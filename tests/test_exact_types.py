@@ -12,8 +12,9 @@ constructor applies one rule, ``core.exact_masses``, to its masses or
 weights: an entry is an ``int`` or a ``Fraction``, never a bool, float or
 string; none is negative; a row sums to at most 1; and a weight list has
 one positive weight per item and at least one item. Each constructor is
-given each kind of bad value here and must raise ``ComponentFormatError``;
-what it accepts it keeps as ``Fraction``s.
+given each kind of bad value here, and the component constructors an
+alphabet with no action or no percept, and must raise
+``ComponentFormatError``; what it accepts it keeps as ``Fraction``s.
 """
 from fractions import Fraction
 
@@ -221,6 +222,17 @@ BAD_WEIGHTS = {
     "length mismatch": ((F(1, 2),), 2),
     "no items": ((), 0),
 }
+# Each builds one component over an alphabet with no action or no percept.
+EMPTY_ALPHABETS = {
+    "ProductJoint-no action": (ProductJoint, ((), HALVES)),
+    "ProductJoint-no percept": (ProductJoint, (HALVES, ())),
+    "IIDEnv-no percept": (IIDEnv, ((),)),
+    "TableJoint-no action": (TableJoint, ({}, "uniform", 0, 2)),
+    "TableJoint-no percept": (TableJoint, ({}, "uniform", 2, 0)),
+    "TableEnv-no action": (TableEnv, ({}, "uniform", 0, 2)),
+    "TableEnv-no percept": (TableEnv, ({}, "uniform", 2, 0)),
+    "TableEnv-arity True": (TableEnv, ({}, "uniform", True, 2)),
+}
 BAD_CASES = {
     **{
         f"{name}-{bad}": (build, (row,))
@@ -232,6 +244,7 @@ BAD_CASES = {
         for name, build in WEIGHT_LISTS.items()
         for bad, args in BAD_WEIGHTS.items()
     },
+    **EMPTY_ALPHABETS,
 }
 
 
@@ -240,6 +253,26 @@ def test_every_constructor_rejects_inexact_or_invalid_masses(case):
     build, args = BAD_CASES[case]
     with pytest.raises(ComponentFormatError):
         build(*args)
+
+
+def test_a_walk_over_an_alphabet_with_no_action_or_no_percept_is_refused():
+    # A subclass may set an empty alphabet the constructors refuse; the walk
+    # under every check refuses it instead of failing on an empty row column.
+    class NoAction(ChronEnv):
+        action_arity = 0
+
+        def eval(self, percepts, actions):
+            return Fraction(1)
+
+    class NoPercept(JointSemimeasure):
+        percept_arity = 0
+
+        def eval(self, x):
+            return Fraction(1)
+
+    for check, nu in ((check_chronological, NoAction()), (check_semimeasure, NoPercept())):
+        with pytest.raises(ValueError, match="is empty"):
+            check(nu, 2)
 
 
 # Each is given a mass row or weight list that is not a sequence at all.
