@@ -10,6 +10,12 @@ deliberately myopic: the asymptotic diagonal constructions are incomputable,
 and the greedy analog's drop thresholds are computed by oracle runs, never
 assumed. Traces walk the predictor: one move is two ``extend`` steps.
 
+Both traces are one loop: at each step it plays, among the move's actions
+with a defined copy-conditional, the one of least conditional — every action
+for the greedy adversary, the supplied one along a supplied sequence. Every
+action a trace may play, and its copy, must lie in the predictor's alphabet,
+so the greedy adversary refuses a predictor with more actions than percepts.
+
 Domination probes report the exact max ratio mu/xi over all strings to a
 depth, with witnesses; ratios against zero are reported as unbounded
 witnesses, never silently skipped. A probe is one :func:`compare` walk, and
@@ -19,10 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from itertools import repeat
+from typing import Any, Iterable, Sequence
 
 from .core import ONE, UndefinedConditionalError
-from .semimeasure import ChronEnv, JointSemimeasure, compare, max_ratio, times_ratio
+from .semimeasure import ChronEnv, JointSemimeasure, _check_alphabet, compare, max_ratio, times_ratio
 
 
 @dataclass(frozen=True)
@@ -56,15 +63,45 @@ class AdversaryTrace:
         return self.steps[-1].cumulative if self.steps else ONE
 
 
-def _copy_step(xi: JointSemimeasure, n: int, state: Any, action: int) -> tuple[Fraction, Any]:
-    """(xi(percept == action | prefix, action), state after the copy) from the
-    walk state of the played prefix of ``n`` symbols; error on a zero-mass
-    pending prefix."""
+def _copy_step(xi: JointSemimeasure, n: int, state: Any, action: int) -> tuple[Fraction, int, Any]:
+    """(xi(percept == action | prefix, action), action, state after the copy)
+    from the walk state of the played prefix of ``n`` symbols; error on a
+    zero-mass pending prefix."""
     denom, pending = xi.extend(state, action)
     if denom == 0:
         raise UndefinedConditionalError(action, "copy conditional of the pending action")
     mass, child = xi.extend(pending, action)
-    return times_ratio(xi, ONE, mass, n + 2, denom, n + 1), child
+    return times_ratio(xi, ONE, mass, n + 2, denom, n + 1), action, child
+
+
+def _copies(xi: JointSemimeasure, actions: Iterable[int]) -> tuple[int, ...]:
+    """The copy string a1 a1 a2 a2 ... of ``actions``, refused by position where
+    an action or its copy is outside the alphabet of ``xi``."""
+    copies = tuple(s for a in actions for s in (a, a))
+    _check_alphabet(xi, copies, copies)
+    return copies
+
+
+def _trace(xi: JointSemimeasure, moves: Iterable[Iterable[int]]) -> AdversaryTrace:
+    """The one copy-trace loop: step t plays the t-th move's defined action of
+    least copy-conditional, ties to the smallest; truncated when none is."""
+    trace: list[AdversaryStep] = []
+    state = xi.root()[1]
+    cumulative = ONE
+    for t, move in enumerate(moves, start=1):
+        candidates: list[tuple[Fraction, int, Any]] = []
+        for a in move:
+            try:
+                candidates.append(_copy_step(xi, 2 * (t - 1), state, a))
+            except UndefinedConditionalError:  # undefined or unnormalizable
+                pass
+        if candidates:
+            conditional, action, state = min(candidates)  # ties: smallest action
+            cumulative *= conditional
+            trace.append(AdversaryStep(t, action, conditional, cumulative))
+        if not candidates or cumulative == 0:
+            return AdversaryTrace(tuple(trace), truncated=True)
+    return AdversaryTrace(tuple(trace), truncated=False)
 
 
 def greedy_antipredict(xi: JointSemimeasure, steps: int) -> AdversaryTrace:
@@ -75,30 +112,10 @@ def greedy_antipredict(xi: JointSemimeasure, steps: int) -> AdversaryTrace:
     When no candidate remains (zero-mass prefix in every direction) the
     trace is truncated and flagged.
     """
-    trace: list[AdversaryStep] = []
-    state = xi.root()[1]
-    cumulative = ONE
-    for t in range(1, steps + 1):
-        candidates: list[tuple[Fraction, int, Any]] = []
-        for a in range(xi.action_arity):
-            try:
-                conditional, child = _copy_step(xi, 2 * (t - 1), state, a)
-            except UndefinedConditionalError:
-                continue
-            candidates.append((conditional, a, child))
-        if not candidates:
-            return AdversaryTrace(tuple(trace), truncated=True)
-        conditional, action, state = min(candidates)  # ties: smallest action
-        cumulative *= conditional
-        trace.append(AdversaryStep(t, action, conditional, cumulative))
-        if cumulative == 0:
-            return AdversaryTrace(tuple(trace), truncated=True)
-    return AdversaryTrace(tuple(trace), truncated=False)
+    return _trace(xi, repeat(_copies(xi, range(xi.action_arity))[::2], steps))
 
 
-def copy_conditional_trace(
-    xi: JointSemimeasure, actions: Sequence[int]
-) -> AdversaryTrace:
+def copy_conditional_trace(xi: JointSemimeasure, actions: Sequence[int]) -> AdversaryTrace:
     """Copy-conditionals of a predictor along a supplied action sequence.
 
     The percepts copy the actions (identity environment); the recorded
@@ -106,19 +123,7 @@ def copy_conditional_trace(
     i.e. its predictions at the percept positions. Accepts normalized
     predictors as well. Truncates with a flag on a zero-mass prefix.
     """
-    trace: list[AdversaryStep] = []
-    state = xi.root()[1]
-    cumulative = ONE
-    for t, a in enumerate(tuple(actions), start=1):
-        try:
-            conditional, state = _copy_step(xi, 2 * (t - 1), state, a)
-        except ZeroDivisionError:  # undefined or unnormalizable conditional
-            return AdversaryTrace(tuple(trace), truncated=True)
-        cumulative *= conditional
-        trace.append(AdversaryStep(t, a, conditional, cumulative))
-        if cumulative == 0:
-            return AdversaryTrace(tuple(trace), truncated=True)
-    return AdversaryTrace(tuple(trace), truncated=False)
+    return _trace(xi, ((a,) for a in _copies(xi, actions)[::2]))
 
 
 @dataclass(frozen=True)

@@ -103,8 +103,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg = config_from_dict(raw, out_dir=args.out)
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.out is None and "out_dir" not in raw:
-            cfg.out_dir = Path("uailab_runs") / cfg.scenario
         code = run_scenario(cfg)
     except (ConfigError, ComponentFormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -303,8 +303,10 @@ def validate_config_dict(raw: dict) -> list[str]:
         try:
             if raw["scenario"] != "thm7_drop":
                 errors.append(f"mixture: only thm7_drop reads one, not {raw['scenario']}")
-            elif mixture_from_dict(raw["mixture"]).joint is None:
+            elif (joint := mixture_from_dict(raw["mixture"]).joint) is None:
                 errors.append("mixture: thm7_drop needs a joint mixture")
+            else:
+                greedy_antipredict(joint, 0)  # the trace's alphabet rule, no steps
         except ValueError as exc:  # ComponentFormatError
             errors.append(f"mixture: {exc}")
     return errors
@@ -316,7 +318,7 @@ def config_from_dict(raw: dict, out_dir: Path | None = None) -> ScenarioConfig:
         raise ConfigError("; ".join(errors))
     return ScenarioConfig(
         scenario=raw["scenario"],
-        out_dir=Path(out_dir or raw.get("out_dir", "uailab_runs")),
+        out_dir=Path(out_dir or raw.get("out_dir", Path("uailab_runs") / raw["scenario"])),
         budgets=dict(raw.get("budgets", {})),
         jobs=int(raw.get("jobs", 1)),
         seed=raw.get("seed"),

@@ -881,8 +881,16 @@ def compare(
     sides walk together, their masses filed by slot; ``rhs`` is never
     extended where either side is undefined, nor is either side below a
     context where ``lhs`` is: those slots count as undefined. The rows take
-    their contexts from :func:`contexts` order once the walk ends.
+    their contexts from :func:`contexts` order once the walk ends. Two sides
+    over different alphabets are a ``ComponentFormatError``.
     """
+    alphabet = _alphabet(lhs)
+    if _alphabet(rhs) != alphabet:
+        lhs_name, rhs_name = (
+            f"{type(nu).__name__} of {nu.action_arity} actions and {nu.percept_arity} percepts"
+            for nu in (lhs, rhs)
+        )
+        raise ComponentFormatError(f"cannot compare {lhs_name} with {rhs_name}")
     no_rhs = object()  # the rhs state at and below a context where rhs is undefined
 
     def step(state: Any, symbol: int) -> tuple[Any, Any]:
@@ -909,7 +917,6 @@ def compare(
         root = ((lhs_mass, rhs_mass), (lhs_state, rhs_state))
     except UndefinedConditionalError:
         pass
-    alphabet = _alphabet(lhs)
     pairs = walk(lhs, depth, root, step)[0]
     rows = []
     for context, masses in zip(_contexts(alphabet, depth), pairs):

@@ -9,7 +9,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uailab import experiments
@@ -167,6 +167,9 @@ def test_config_defaults_and_overrides():
     )
     assert cfg.budget("trace_steps") == 7
     assert cfg.budget("depth") == DEFAULT_BUDGETS["depth"]
+    # Without out_dir each scenario writes to a directory of its own.
+    cfg = config_from_dict({"schema_version": 1, "scenario": "thm8_gap"})
+    assert cfg.out_dir == Path("uailab_runs") / "thm8_gap"
     with pytest.raises(ConfigError):
         config_from_dict({"schema_version": 1, "scenario": "thm7_drop", "jobs": 0})
 
@@ -269,6 +272,12 @@ def test_scenario_mixture_registry_views_align():
         assert rebuilt.eval(x) == cu.joint.components[0].eval(x)
 
 
+THREE_ACTIONS_TWO_PERCEPTS = {
+    "kind": "joint_table",
+    "alphabet": {"actions": 3, "percepts": 2},
+    "conditionals": {},
+    "default_rule": "uniform",
+}
 BAD_MIXTURES = {
     "unparsable_weight": {"components": [{"builtin": "copy_machine"}], "weights": ["abc"]},
     "missing_weights": {"components": [{"builtin": "copy_machine"}]},
@@ -276,6 +285,8 @@ BAD_MIXTURES = {
     "builtin_not_a_string": {"components": [{"builtin": ["copy_machine"]}], "weights": ["1"]},
     # thm7_drop plays its adversary against a joint mixture only
     "all_environment": {"components": [{"builtin": "mu_id"}], "weights": ["1"]},
+    # ... whose every action has a copy percept
+    "more_actions_than_percepts": {"components": [THREE_ACTIONS_TWO_PERCEPTS], "weights": ["1"]},
 }
 
 
@@ -567,7 +578,7 @@ MIXTURES = st.fixed_dictionaries(
     {
         "components": st.lists(
             st.sampled_from(sorted(builtin_components())).map(lambda n: {"builtin": n})
-            | st.just(JOINT_TABLE),
+            | st.sampled_from([JOINT_TABLE, THREE_ACTIONS_TWO_PERCEPTS]),
             min_size=1,
             max_size=3,
         ),
@@ -585,6 +596,11 @@ MIXTURES = st.fixed_dictionaries(
     st.sampled_from(sorted(SCENARIOS)),
     st.fixed_dictionaries({key: st.integers(0, 3) for key in DEFAULT_BUDGETS}),
     st.none() | MIXTURES,
+)
+@example(
+    "thm7_drop",
+    dict.fromkeys(DEFAULT_BUDGETS, 1),
+    {"components": [THREE_ACTIONS_TWO_PERCEPTS], "weights": ["1"]},
 )
 def test_random_configs_exit_0_1_or_2(scenario, budgets, mixture):
     """Every budget is drawn from 0..3: the runs stay short, and zero and

@@ -33,7 +33,7 @@ from functools import partial
 from itertools import accumulate, product, repeat
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from uailab.adversary import (
@@ -158,6 +158,10 @@ ENV_KEYS3 = [
     for e in product((0, 1), repeat=t)
     for a in product((0, 1, 2), repeat=t + 1)
 ]
+# A failing test here reports its first falsifying example unshrunk: each
+# shrink step walks the whole tree again through the frozen bodies, and the
+# shrinking alone took minutes before a report. Every example still runs.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 PAIRS = st.sampled_from(
     [
         (F(1, 2), F(1, 2)),
@@ -735,7 +739,7 @@ def assert_expectimax_matches_scratch(nu, history, horizon):
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, phases=NO_SHRINK)
 @given(
     tables(TableJoint, JOINT_KEYS),
     tables(TableJoint, JOINT_KEYS),
@@ -783,7 +787,7 @@ def test_every_walk_step_equals_eval(joint, joint2, nu, nu2, pair, filler):
         assert_walk_matches_eval(component, 3)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, phases=NO_SHRINK)
 @given(
     tables(TableJoint, JOINT_KEYS),
     tables(TableJoint, JOINT_KEYS),
@@ -822,7 +826,7 @@ def test_walks_equal_their_from_scratch_loops(joint, joint2, nu, nu2, filler):
             assert_expectimax_matches_scratch(belief, history, 3)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, phases=NO_SHRINK)
 @given(
     tables(TableJoint, JOINT_KEYS),
     tables(TableJoint, JOINT_KEYS),
@@ -882,7 +886,7 @@ THIRDS = PerceptAlphabet(
 PENDING = [History((1,), ()), History((0, 1), (1,))]
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, phases=NO_SHRINK)
 @given(
     tables(TableJoint, JOINT_KEYS),
     tables(TableEnv, ENV_KEYS),
@@ -978,7 +982,7 @@ def test_builtin_components_keep_the_product_scale():
         assert_product_scale(nu)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, phases=NO_SHRINK)
 @given(
     tables(TableJoint, JOINT_KEYS3, 3),
     tables(TableJoint, JOINT_KEYS3, 3),
@@ -1167,7 +1171,7 @@ def assert_steps_match_frozen(nu, depth):
     visit(state, old_state, 0)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, phases=NO_SHRINK)
 @given(
     tables(TableJoint, JOINT_KEYS),
     tables(TableEnv, ENV_KEYS),
@@ -1255,7 +1259,7 @@ def assert_policy_walk_matches_frozen(pi, depth, percept_arity=2):
     visit(state, ())
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, phases=NO_SHRINK)
 @given(
     action_probs(2),
     action_probs(3),
@@ -1371,7 +1375,7 @@ def assert_policy_check_matches_scratch(pi, depth, percept_arity):
     assert list(got.monotone_violations) == scratch_policy_witnesses(pi, depth, percept_arity)
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=8, deadline=None, phases=NO_SHRINK)
 @given(
     action_probs(2),
     action_probs(3),
@@ -1425,7 +1429,7 @@ def test_a_policy_that_is_not_monotone_has_its_witnesses():
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=12, deadline=None, phases=NO_SHRINK)
 @given(
     st.sampled_from(_enum_budget_grid(10, 200)),
     st.booleans(),
@@ -1640,7 +1644,7 @@ def assert_compare_matches_generator(lhs, rhs, depth):
         assert raised(compare, *pair, depth) == raised(generator_compare, *pair, depth), pair
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, phases=NO_SHRINK)
 @given(
     tables(TableJoint, JOINT_KEYS),
     tables(TableJoint, JOINT_KEYS),
