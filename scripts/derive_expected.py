@@ -92,7 +92,7 @@ def derive_thm10(length: int = 8) -> dict:
 
 def derive_thm11(n: int = 10) -> dict:
     main = scenario_mixtures()["learnable_deterministic"].joint
-    mins, _ = _conditional_stats(main, ("identity", "complement"), n, jobs=1, normalized=True)
+    [(mins, _)] = _conditional_stats([(main, ("identity", "complement"), True)], n, jobs=1)
     t_star = None
     epsilon = None
     for eps in (F(1, 32), F(1, 16), F(1, 8)):
@@ -106,7 +106,7 @@ def derive_thm11(n: int = 10) -> dict:
     assert t_star is not None and t_star <= 10, f"no (epsilon, t*) with t* <= 10 (mins={mins})"
 
     contrast = scenario_mixtures()["halting_contrast"].joint
-    _, raw_maxs = _conditional_stats(contrast, ("identity",), n, jobs=1, normalized=False)
+    [(_, raw_maxs)] = _conditional_stats([(contrast, ("identity",), False)], n, jobs=1)
     assert all(m <= ONE - epsilon for m in raw_maxs[t_star - 1 :]), (
         "contrast must fail the bound at every step from t*"
     )

@@ -37,6 +37,7 @@ from .semimeasure import (
     _reject_unknown_keys,
     anticopy_machine,
     check_chronological,
+    check_scope,
     check_semimeasure,
     complement_env,
     constant_policy,
@@ -60,7 +61,7 @@ from .transforms import (
     factoring_check,
     normalize,
 )
-from .utm import ChronEnumApprox, enumerate_joint
+from .utm import ChronEnumApprox, _whole_opcodes, enumerate_joint
 
 F = Fraction
 
@@ -392,27 +393,28 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
         if mdef.chron is not None:
             subjects.append((f"mixture:{mdef.name}:env", mdef.chron))
     subjects.append(("normalized:copy_vs_uniform", normalize(mixtures["copy_vs_uniform"].joint)))
-    for name, component in subjects:
-        if isinstance(component, JointSemimeasure):
-            report = check_semimeasure(component, depth)
-        else:
-            report = check_chronological(component, depth)
-        ok = report.ok and report.declaration_verified is not False
-        failures += 0 if ok else 1
-        rows.append(
-            (
-                name,
-                report.kind,
-                report.depth,
-                report.contexts,
-                len(report.violations),
-                report.strict_rows,
-                report.equal_rows,
-                frac_str(report.root_mass),
-                report.declared_measure,
-                "ok" if ok else "VIOLATION",
+    with check_scope([component for _, component in subjects], depth):
+        for name, component in subjects:
+            if isinstance(component, JointSemimeasure):
+                report = check_semimeasure(component, depth)
+            else:
+                report = check_chronological(component, depth)
+            ok = report.ok and report.declaration_verified is not False
+            failures += 0 if ok else 1
+            rows.append(
+                (
+                    name,
+                    report.kind,
+                    report.depth,
+                    report.contexts,
+                    len(report.violations),
+                    report.strict_rows,
+                    report.equal_rows,
+                    frac_str(report.root_mass),
+                    report.declared_measure,
+                    "ok" if ok else "VIOLATION",
+                )
             )
-        )
     _write_csv(
         cfg.out_dir / "component_checks.csv",
         (
@@ -433,10 +435,16 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
 
     # Enumeration approximations at a budget grid.
     enum_rows = []
+    machine, reports = None, ()
     for bits, steps in _enum_budget_grid(cfg.budget("program_bits"), cfg.budget("machine_steps")):
-        joint_report = check_semimeasure(enumerate_joint(bits, steps, max_len=depth + 2), depth)
-        chron_report = check_chronological(ChronEnumApprox(bits, steps), depth)
-        for mode, report in (("joint", joint_report), ("chron", chron_report)):
+        # Adjacent points of one machine (its bits in whole opcodes) share their checks.
+        if machine != (_whole_opcodes(bits), steps):
+            machine = (_whole_opcodes(bits), steps)
+            reports = (
+                check_semimeasure(enumerate_joint(bits, steps, max_len=depth + 2), depth),
+                check_chronological(ChronEnumApprox(bits, steps), depth),
+            )
+        for mode, report in zip(("joint", "chron"), reports):
             ok = report.ok
             failures += 0 if ok else 1
             enum_rows.append(
@@ -474,12 +482,13 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
         failures += len(mismatches)
         transform_rows.append(("representation_roundtrip", name, tdepth, len(mismatches), skipped))
     joints = [mdef for mdef in mixtures.values() if mdef.joint is not None]
-    for mdef in joints:
-        violations, skipped = check_normalization_dominance(mdef.joint, tdepth)
-        failures += len(violations)
-        transform_rows.append(
-            ("normalization_dominance", mdef.name, tdepth, len(violations), skipped)
-        )
+    with check_scope([mdef.joint for mdef in joints], tdepth):
+        for mdef in joints:
+            violations, skipped = check_normalization_dominance(mdef.joint, tdepth)
+            failures += len(violations)
+            transform_rows.append(
+                ("normalization_dominance", mdef.name, tdepth, len(violations), skipped)
+            )
     _write_csv(
         cfg.out_dir / "transform_checks.csv",
         ("check", "subject", "depth", "mismatches", "skipped"),
@@ -859,21 +868,22 @@ def _conditional_stats_chunk(args) -> tuple[list[Fraction], list[Fraction]]:
 
 
 def _conditional_stats(
-    mixture: JointSemimeasure,
-    env_kinds: Sequence[str],
-    n: int,
-    jobs: int,
-    normalized: bool,
-) -> tuple[list[Fraction], list[Fraction]]:
-    chunks = []
+    stats: Sequence[tuple[JointSemimeasure, Sequence[str], bool]], n: int, jobs: int
+) -> list[tuple[list[Fraction], list[Fraction]]]:
+    """Per-step (min, max) of each statistic (mixture, env kinds, normalized),
+    folded over its chunks: those of all of them go through one :func:`parallel_map`."""
     per_chunk = max(1, 2**n // max(1, jobs * 4))
-    for env_kind in env_kinds:
-        for start in range(0, 2**n, per_chunk):
-            chunks.append((mixture, env_kind, n, start, min(2**n, start + per_chunk), normalized))
-    results = parallel_map(_conditional_stats_chunk, chunks, jobs)
-    mins = [min(r[0][t] for r in results) for t in range(n)]
-    maxs = [max(r[1][t] for r in results) for t in range(n)]
-    return mins, maxs
+    chunks = [
+        (i, (mixture, env_kind, n, start, min(2**n, start + per_chunk), normalized))
+        for i, (mixture, env_kinds, normalized) in enumerate(stats)
+        for env_kind in env_kinds
+        for start in range(0, 2**n, per_chunk)
+    ]
+    results = parallel_map(_conditional_stats_chunk, [chunk for _, chunk in chunks], jobs)
+    folded = [([ONE] * n, [ZERO] * n) for _ in stats]
+    for (i, _), (mins, maxs) in zip(chunks, results):
+        folded[i] = (list(map(min, folded[i][0], mins)), list(map(max, folded[i][1], maxs)))
+    return folded
 
 
 def _write_stats(path: Path, mins: Sequence[Fraction], maxs: Sequence[Fraction]) -> None:
@@ -895,8 +905,11 @@ def _scenario_thm11(cfg: ScenarioConfig) -> ScenarioOutcome:
 
     mixtures = scenario_mixtures()
     main = mixtures["learnable_deterministic"].joint
-    assert main is not None
-    mins, maxs = _conditional_stats(main, ("identity", "complement"), n, cfg.jobs, True)
+    contrast = mixtures["halting_contrast"].joint
+    assert main is not None and contrast is not None
+    (mins, maxs), (raw_mins, raw_maxs) = _conditional_stats(
+        [(main, ("identity", "complement"), True), (contrast, ("identity",), False)], n, cfg.jobs
+    )
     _write_stats(cfg.out_dir / "normalized_min_conditionals.csv", mins, maxs)
     threshold = ONE - epsilon
     ok = all(mins[t] > threshold for t in range(t_star - 1, n))
@@ -917,9 +930,6 @@ def _scenario_thm11(cfg: ScenarioConfig) -> ScenarioOutcome:
         f"{t_star}: {ok}"
     )
 
-    contrast = mixtures["halting_contrast"].joint
-    assert contrast is not None
-    raw_mins, raw_maxs = _conditional_stats(contrast, ("identity",), n, cfg.jobs, False)
     _write_stats(cfg.out_dir / "unnormalized_contrast_conditionals.csv", raw_mins, raw_maxs)
     contrast_fails = all(raw_maxs[t] <= threshold for t in range(t_star - 1, n))
     if not contrast_fails:

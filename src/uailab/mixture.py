@@ -6,7 +6,8 @@ component, summing to at most 1 (deficient priors allowed; shipped scenarios
 use weights as given), kept as ``Fraction``s. Mixtures of joint components
 are joint semimeasures; mixtures of environments are chronological
 environments; mixtures of policies are policies. The three kinds share one
-walk, and a mixture's ``eval`` (a policy mixture's ``weight``) is its fold.
+walk, and a mixture's ``eval`` (a policy mixture's ``weight``) is its fold;
+its exhaustive check is not walked but summed from its members' checks.
 ``posterior_weights`` and ``predictive`` evaluate one history by such point
 queries. A mixture's walk state carries every live component's weighted
 mass, so walks read the unnormalized posterior w_i nu_i(prefix) at each
@@ -25,7 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from itertools import repeat
+from operator import add, mul
+from typing import Any, Callable, Sequence
 
 from .core import (
     ONE,
@@ -41,6 +44,8 @@ from .semimeasure import (
     Policy,
     _checked_walk,
     _context_at,
+    _history,
+    _widths,
     times_ratio,
     walk,
 )
@@ -117,6 +122,31 @@ class _Mixture:
 
     def scale(self, n: int) -> int:
         return self._level(n)[0]
+
+    def _check_columns(self, depth: int, alphabet: tuple, columns: Callable) -> tuple:
+        """The check's (lhs, rhs, witnesses) from the members' ``columns(c, depth,
+        alphabet)``: each level's lhs and rhs are theirs times the factors of
+        :meth:`_level` at the rows' children. A child outweighs its row only where
+        a member's does, so the mixture's child mass, folded, settles their witnesses."""
+        members = [columns(c, depth, alphabet) for c in self.components]
+        joint = alphabet[0]
+        fan, step = (1, 1) if joint else (alphabet[1], 2)
+        lhs, rhs, end = [], [], 0
+        for t, width in enumerate(_widths(alphabet, depth)):
+            start, end = end, end + width * fan
+            factors = self._level(step * (t + 1))[1]
+            for out, k in ((lhs, 0), (rhs, 1)):
+                level = map(mul, members[0][k][start:end], repeat(factors[0]))
+                for f, member in zip(factors[1:], members[1:]):
+                    level = map(add, level, map(mul, member[k][start:end], repeat(f)))
+                out.extend(level)
+        witnesses = []
+        for row, s in {w for member in members for w in member[2]}:
+            x = _context_at(alphabet, row // fan)
+            path = x + (s,) if joint else _history(*x) + (row % fan, s)
+            if _checked_walk(self, path, path)[0] > lhs[row]:
+                witnesses.append((row, s))
+        return lhs, rhs, witnesses
 
     def _node(self, n: int, parts: list) -> tuple[Any, Any]:
         if not parts:

@@ -101,10 +101,16 @@ class DualJoint(JointSemimeasure):
     on a pending action the policy factor includes the pending action. No
     positivity requirement: products of unconditional values, no division.
     Its walk is the product of the policy's walk and the environment's: the
-    state pairs theirs, and the mass and scale multiply.
+    state pairs theirs, and the mass and scale multiply. A policy of another
+    action arity is a ``ComponentFormatError``.
     """
 
     def __init__(self, nu: ChronEnv, pi: Policy):
+        if pi.action_arity != nu.action_arity:
+            raise ComponentFormatError(
+                f"{type(pi).__name__} of {pi.action_arity} actions cannot act in "
+                f"{type(nu).__name__} of {nu.action_arity} actions"
+            )
         self.nu = nu
         self.pi = pi
         self.action_arity = nu.action_arity
@@ -131,7 +137,8 @@ class DualJoint(JointSemimeasure):
 
 
 def dual(nu: ChronEnv, pi: Policy) -> DualJoint:
-    """Combine an environment and a policy into their history distribution."""
+    """Combine an environment and a policy of its action alphabet into their
+    history distribution."""
     return DualJoint(nu, pi)
 
 
@@ -179,13 +186,9 @@ def chron_to_joint(
     resulting joint semimeasure recovers nu under ``env`` wherever positivity
     holds; percepts in action positions are impossible by History typing.
     """
-    arity = nu.action_arity
-    filler = uniform_policy(arity) if action_filler is None else StationaryPolicy(action_filler)
-    if filler.action_arity != arity:
-        raise ComponentFormatError(
-            f"action filler has {filler.action_arity} entries for {arity} actions"
-        )
-    return DualJoint(nu, filler)
+    if action_filler is None:
+        return DualJoint(nu, uniform_policy(nu.action_arity))
+    return DualJoint(nu, StationaryPolicy(action_filler))
 
 
 class NormalizedPredictor(JointSemimeasure):

@@ -753,6 +753,11 @@ def _cache_write(name: str, budgets: list[int], field: str, value: dict) -> None
         pass  # cache is an optimization; never fail the computation
 
 
+def _whole_opcodes(program_bits: int) -> int:
+    """The program bits a budget's runs can read: whole opcodes only."""
+    return OPCODE_BITS * (program_bits // OPCODE_BITS)
+
+
 def _stored(
     template: str, budgets: list[int], compute: Callable[[], dict], field: str = "table"
 ) -> dict:
@@ -762,7 +767,7 @@ def _stored(
     count whole opcodes only (no run fetches a bit past them: 9 and 10 bits
     share an entry). ``compute`` returns integer numerators over the walk's
     scale for them, written as they are, then turned into masses in place."""
-    budgets = [OPCODE_BITS * (budgets[0] // OPCODE_BITS), *budgets[1:]]
+    budgets = [_whole_opcodes(budgets[0]), *budgets[1:]]
     name = template.format(*budgets)
     value = _MEMO.get(name)
     if value is None:

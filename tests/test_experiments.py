@@ -472,6 +472,22 @@ def test_thm11_names_both_lengths_when_it_skips_the_oracle(tmp_path):
     assert "oracle comparison skipped" not in summary_body(default)
 
 
+def test_thm11_maps_both_statistics_in_one_call(tmp_path, monkeypatch):
+    calls = []
+    real = experiments.parallel_map
+    counted = lambda fn, items, jobs: calls.append(items) or real(fn, items, jobs)  # noqa: E731
+    monkeypatch.setattr(experiments, "parallel_map", counted)
+    budgets = {"sequence_length": 4}
+    for jobs in (1, 2):
+        cfg = ScenarioConfig("thm11_convergence", tmp_path / str(jobs), budgets=budgets, jobs=jobs)
+        assert run_scenario(cfg) == 0
+    assert [sorted({(chunk[1], chunk[5]) for chunk in items}) for items in calls] == [
+        [("complement", True), ("identity", False), ("identity", True)]
+    ] * 2
+    for name in ("normalized_min_conditionals.csv", "unnormalized_contrast_conditionals.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
 def test_sanity_summary_says_what_the_run_found(tmp_path, monkeypatch):
     # At transform depth 1 the non-factored prior has no witness yet.
     budgets = {"depth": 2, "transform_depth": 1, "consistency_depth": 1}
@@ -557,13 +573,18 @@ def test_thm7_summary_reports_products_the_env_view_disagrees_with(tmp_path, mon
 
 
 def test_conditional_stats_under_spawn_equal_one_job():
-    mixture = scenario_mixtures()["learnable_deterministic"].joint
-    want = _conditional_stats(mixture, ("identity", "complement"), 4, 1, True)
+    mixtures = scenario_mixtures()
+    stats = [
+        (mixtures["learnable_deterministic"].joint, ("identity", "complement"), True),
+        (mixtures["halting_contrast"].joint, ("identity",), False),
+    ]
+    want = _conditional_stats(stats, 4, 1)
+    assert want == [_conditional_stats([stat], 4, 1)[0] for stat in stats]
     previous = multiprocessing.get_start_method(allow_none=True)
     multiprocessing.set_start_method("spawn", force=True)
     try:
         assert multiprocessing.get_start_method() == "spawn"
-        got = _conditional_stats(mixture, ("identity", "complement"), 4, 2, True)
+        got = _conditional_stats(stats, 4, 2)
     finally:
         multiprocessing.set_start_method(previous, force=True)
     assert got == want

@@ -1,0 +1,402 @@
+"""A mixture's check is the weighted sum of its members' check columns.
+
+``_check`` builds the report of a joint, environment or policy mixture from
+its members' columns instead of walking the mixture. The reference is a
+frozen copy of ``_check`` as it was before: one walk of the mixture's own
+``root`` and ``extend``. Every field, row, column and raised error type must
+be equal. The last tests guard what ``sanity_checks`` walks.
+"""
+from collections import Counter
+from fractions import Fraction
+from functools import partial
+from itertools import product
+
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from uailab import semimeasure
+from uailab.core import UndefinedConditionalError
+from uailab.experiments import ScenarioConfig, run_scenario, scenario_mixtures
+from uailab.mixture import EnvMixture, JointMixture, MixturePolicy, _Mixture
+from uailab.semimeasure import (
+    ChronEnv,
+    CheckReport,
+    DeterministicPolicy,
+    IIDEnv,
+    JointSemimeasure,
+    NoisyCopyEnv,
+    Policy,
+    ProductJoint,
+    StationaryPolicy,
+    TableEnv,
+    TableJoint,
+    _alphabet,
+    _check_rows,
+    _context_at,
+    _policy_rows,
+    _widths,
+    check_chronological,
+    check_policy,
+    check_scope,
+    check_semimeasure,
+    constant_policy,
+    copy_machine,
+    exact_mass,
+    mu_id,
+    uniform_env,
+    uniform_measure,
+    uniform_policy,
+    walk,
+)
+from uailab.transforms import env, normalize
+from uailab.utm import ChronEnumApprox, _whole_opcodes
+
+F = Fraction
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+
+
+# ---------------------------------------------------------------------------
+# The frozen oracle: the check as one walk of the mixture itself
+# ---------------------------------------------------------------------------
+
+
+def walked_check(nu, depth, alphabet=None):
+    """``_check`` before mixtures combined their members' columns, verbatim but
+    for its name: one walk of ``nu``'s own ``root`` and ``extend``."""
+    alphabet = alphabet or _alphabet(nu)
+    joint = alphabet[0]
+    fan = 1 if joint else alphabet[1]  # rows per context
+    scales = [nu.scale((1 if joint else 2) * t) for t in range(depth + 2)]
+    gains = [scales[t + 1] // scales[t] for t in range(depth + 1)]
+    root = nu.root()
+    lhs_column, rhs_column, witnesses = walk(alphabet, depth, root, nu.extend, gains)
+    monotone = []
+    for row, s in sorted(witnesses):  # symbol order within a row
+        x = _context_at(alphabet, row // fan)
+        monotone.append(x + (s,) if joint else (x[0] + (s,), x[1] + (row % fan,)))
+    widths = [width * fan for width in _widths(alphabet, depth)]
+    return CheckReport(
+        kind="semimeasure" if joint else "chronological",
+        depth=depth,
+        root_mass=exact_mass(nu, 0, root[0]),
+        monotone_violations=tuple(monotone),
+        declared_measure=nu.declared_measure,
+        lhs=lhs_column,
+        rhs=rhs_column,
+        levels=tuple(zip(widths, scales[1:])),
+        row_contexts=partial(_check_rows, alphabet, depth),
+    )
+
+
+def walked_policy_check(pi, depth, percept_arity=2):
+    """``check_policy`` before the change, folding :func:`walked_check`."""
+    fan, alphabet = pi.action_arity, (False, pi.action_arity, percept_arity)
+    rows = partial(_policy_rows, alphabet, depth)
+    if not depth:
+        root = exact_mass(pi, 0, pi.root()[0])
+        return CheckReport("policy", 0, root, (), False, [], [], (), rows)
+    report = walked_check(pi, depth - 1, alphabet)
+    return CheckReport(
+        kind="policy",
+        depth=depth,
+        root_mass=report.root_mass,
+        monotone_violations=tuple(
+            (a, e[:-1]) for e, a in report.monotone_violations if not e[-1]
+        ),
+        declared_measure=False,
+        lhs=[percept_arity * m for m in report.lhs[::fan]],
+        rhs=[sum(report.rhs[i : i + fan]) for i in range(0, len(report.rhs), fan)],
+        levels=tuple((n // fan, scale * percept_arity) for n, scale in report.levels),
+        row_contexts=rows,
+    )
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error type is part of the outcome
+        return type(exc)
+
+
+def assert_same_report(got, want):
+    if isinstance(want, type):
+        assert got is want
+        return
+    fields = ("kind", "depth", "root_mass", "monotone_violations", "declared_measure", "levels")
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+    assert list(got.lhs) == list(want.lhs)
+    assert list(got.rhs) == list(want.rhs)
+    assert got.rows == want.rows
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Test-only members: witnesses, Fraction masses, death at the root and mid-walk
+# ---------------------------------------------------------------------------
+
+
+class _Doubling:
+    """Not a semimeasure: symbol s multiplies the mass by s + 1 (except at the
+    positions ``kept`` moves no mass at), so every child of symbol 1 outweighs
+    its parent, a monotone witness. The mass starts at ``unit``, an int or (over
+    scale 1) a ``Fraction``; the walk is dead from length ``dies`` on, at the
+    root when it is 0."""
+
+    kept: int | None = None
+
+    def __init__(self, dies, unit=1):
+        self.dies, self.unit = dies, unit
+        self.declared_measure = False
+
+    def root(self):
+        return (self.unit, (0, self.unit)) if self.dies else (0, None)
+
+    def extend(self, state, symbol):
+        if state is None or state[0] + 1 >= self.dies:
+            return 0, None
+        n, mass = state
+        if n % 2 != self.kept:
+            mass *= symbol + 1
+        return mass, (n + 1, mass)
+
+
+class Doubling(_Doubling, JointSemimeasure):
+    eval = JointSemimeasure.fold
+
+
+class DoublingEnv(_Doubling, ChronEnv):
+    kept = 0
+    eval = ChronEnv.fold
+
+
+class DoublingPolicy(_Doubling, Policy):
+    kept = 1
+
+
+class FractionJoint(JointSemimeasure):
+    """A table's masses as ``Fraction``s, by the default walk (scale 1)."""
+
+    def __init__(self, base):
+        self.base = base
+        self.declared_measure = base.declared_measure
+
+    def eval(self, x):
+        return self.base.fold(x)
+
+
+class FractionEnv(ChronEnv):
+    def __init__(self, base):
+        self.base = base
+        self.declared_measure = base.declared_measure
+
+    def eval(self, percepts, actions):
+        return self.base.fold(percepts, actions)
+
+
+ROWS = [(0, 0), (1, 0), (0, 1), (F(1, 2), F(1, 2)), (F(1, 3), F(1, 2)), (F(3, 7), F(4, 7))]
+JOINT_KEYS = [x for n in range(4) for x in product((0, 1), repeat=n)]
+ENV_KEYS = [
+    (e, a)
+    for t in range(2)
+    for e in product((0, 1), repeat=t)
+    for a in product((0, 1), repeat=t + 1)
+]
+WEIGHTS = st.sampled_from([F(1, 2), F(1, 3), F(1, 4), F(1, 7), F(2, 97)])
+PAIRS = st.sampled_from([(F(1, 2), F(1, 2)), (1, 0), (F(1, 4), F(3, 4)), (F(1, 3), F(1, 3))])
+DEATHS = st.integers(0, 4)
+UNITS = st.sampled_from([1, 3, F(1, 3), F(5, 2)])
+
+
+def tables(cls, keys):
+    return st.builds(
+        lambda rows, default: cls(dict(zip(keys, rows)), default),
+        st.tuples(*(st.sampled_from(ROWS) for _ in keys)),
+        st.sampled_from(["halt", "uniform"]),
+    )
+
+
+def weights(n):
+    """n mixture weights summing to at most 1."""
+    return st.lists(WEIGHTS, min_size=n, max_size=n).map(lambda ws: [w / n for w in ws])
+
+
+@settings(max_examples=20, deadline=None, phases=NO_SHRINK)
+@given(
+    tables(TableJoint, JOINT_KEYS),
+    tables(TableJoint, JOINT_KEYS),
+    PAIRS,
+    DEATHS,
+    UNITS,
+    weights(6),
+    weights(2),
+)
+def test_joint_mixture_checks_equal_the_walked_mixture(joint, joint2, pair, dies, unit, ws, ws2):
+    members = [
+        joint,
+        FractionJoint(joint2),
+        ProductJoint(pair, pair),
+        Doubling(dies, unit),
+        Doubling(0),  # dead at the root
+        normalize(joint2),  # raises where joint2's children all weigh 0
+    ]
+    inner = JointMixture(members[:3], ws2 + [F(1, 4)])
+    for mixture in (
+        JointMixture(members, ws),
+        JointMixture(members[:4], ws[:4]),
+        JointMixture([inner, Doubling(dies, unit), copy_machine()], ws[:3]),  # nested
+        JointMixture([Doubling(0), Doubling(0)], ws2),  # dead everywhere
+    ):
+        for depth in (0, 1, 4):
+            assert_same_report(
+                outcome(check_semimeasure, mixture, depth), outcome(walked_check, mixture, depth)
+            )
+
+
+@settings(max_examples=20, deadline=None, phases=NO_SHRINK)
+@given(
+    tables(TableEnv, ENV_KEYS),
+    tables(TableEnv, ENV_KEYS),
+    tables(TableJoint, JOINT_KEYS),
+    PAIRS,
+    DEATHS,
+    UNITS,
+    weights(6),
+)
+def test_env_mixture_checks_equal_the_walked_mixture(nu, nu2, joint, pair, dies, unit, ws):
+    members = [
+        nu,
+        FractionEnv(nu2),
+        NoisyCopyEnv(*pair),
+        DoublingEnv(dies, unit),
+        DoublingEnv(0),
+        env(joint),  # undefined where joint's pending prefix weighs 0
+    ]
+    inner = EnvMixture(members[:3], ws[:3])
+    for mixture in (
+        EnvMixture(members, ws),
+        EnvMixture(members[:5], ws[:5]),
+        EnvMixture([inner, DoublingEnv(dies, unit), IIDEnv(pair)], ws[3:]),  # nested
+    ):
+        for depth in (0, 1, 3):
+            assert_same_report(
+                outcome(check_chronological, mixture, depth),
+                outcome(walked_check, mixture, depth),
+            )
+
+
+@settings(max_examples=20, deadline=None, phases=NO_SHRINK)
+@given(PAIRS, DEATHS, UNITS, weights(5), st.integers(1, 3))
+def test_policy_mixture_checks_equal_the_walked_mixture(pair, dies, unit, ws, percepts):
+    echo = DeterministicPolicy(lambda h: h.percepts[-1] % 2 if h.percepts else 1)
+    members = [
+        StationaryPolicy(pair),
+        echo,
+        DoublingPolicy(dies, unit),
+        DoublingPolicy(0),
+        constant_policy(0),
+    ]
+    inner = MixturePolicy(members[:2], ws[:2])
+    for mixture in (
+        MixturePolicy(members, ws),
+        MixturePolicy([inner, DoublingPolicy(dies, unit), uniform_policy()], ws[2:]),
+    ):
+        for depth in (0, 1, 3):
+            assert_same_report(
+                outcome(check_policy, mixture, depth, percepts),
+                outcome(walked_policy_check, mixture, depth, percepts),
+            )
+
+
+def test_shipped_mixture_checks_equal_the_walked_mixtures():
+    for mdef in scenario_mixtures().values():
+        if mdef.joint is not None:
+            assert_same_report(check_semimeasure(mdef.joint, 5), walked_check(mdef.joint, 5))
+        if mdef.chron is not None:
+            assert_same_report(check_chronological(mdef.chron, 4), walked_check(mdef.chron, 4))
+
+
+def test_a_combined_check_raises_what_the_walk_raises():
+    class Undefined(JointSemimeasure):
+        def eval(self, x):
+            if len(x) == 2:
+                raise UndefinedConditionalError(x, "test")
+            return F(1, 4) ** len(x)
+
+    mixture = JointMixture([uniform_measure(), Undefined()], [F(1, 2), F(1, 2)])
+    assert outcome(check_semimeasure, mixture, 1) is UndefinedConditionalError
+    assert outcome(walked_check, mixture, 1) is UndefinedConditionalError
+    assert_same_report(check_semimeasure(mixture, 0), walked_check(mixture, 0))
+    assert outcome(check_semimeasure, mixture, -1) is ValueError
+
+
+def test_a_witness_of_a_member_need_not_be_the_mixture_s():
+    # Doubling's child of symbol 1 outweighs its parent; mixed with a copy
+    # machine that weighs 0 there, it does not at the first percept.
+    mixture = JointMixture([Doubling(9), copy_machine()], [F(1, 100), F(99, 100)])
+    report = check_semimeasure(mixture, 3)
+    assert report == walked_check(mixture, 3)
+    assert check_semimeasure(Doubling(9), 3).monotone_violations[:2] == ((1,), (0, 1))
+    assert (1,) not in report.monotone_violations
+    assert report.monotone_violations  # deeper, the doubling mass wins
+
+
+def test_a_mixture_check_walks_only_its_members(monkeypatch):
+    walked = []
+    real = semimeasure.walk
+    monkeypatch.setattr(semimeasure, "walk", lambda *args: walked.append(args[3]) or real(*args))
+    mixture = EnvMixture([mu_id(), uniform_env(), mu_id()], [F(1, 4)] * 3)
+    assert check_chronological(mixture, 3) == walked_check(mixture, 3)
+    assert [step.__self__ for step in walked] == [mu_id(), uniform_env(), mu_id()]
+
+
+def test_a_scope_walks_each_distinct_check_once_and_lets_it_go(monkeypatch):
+    walked = []
+    real = semimeasure.walk
+    monkeypatch.setattr(semimeasure, "walk", lambda *args: walked.append(args[3]) or real(*args))
+    first = JointMixture([copy_machine(), uniform_measure()], [F(1, 2), F(1, 2)])
+    second = JointMixture([uniform_measure(), copy_machine()], [F(1, 4), F(3, 4)])
+    subjects = [copy_machine(), first, second]
+    with check_scope(subjects, 3):
+        reports = [check_semimeasure(nu, 3) for nu in subjects]
+        kept = semimeasure._kept.get()
+        assert kept[copy_machine(), 3, _alphabet(first)] == [0, None]  # let go at its last read
+    assert semimeasure._kept.get() == {}
+    assert reports == [walked_check(nu, 3) for nu in subjects]
+    assert sorted(map(repr, (step.__self__ for step in walked))) == sorted(
+        map(repr, (copy_machine(), uniform_measure()))
+    )
+
+
+# ---------------------------------------------------------------------------
+# What sanity_checks walks
+# ---------------------------------------------------------------------------
+
+
+def test_sanity_walks_each_distinct_check_once(tmp_path, monkeypatch):
+    checks = []
+    real = semimeasure.walk
+
+    def counted(nu, depth, root, step, gains=None):
+        if gains is not None:  # a check walk
+            checks.append((step.__self__, nu, depth))
+        return real(nu, depth, root, step, gains)
+
+    monkeypatch.setattr(semimeasure, "walk", counted)
+    budgets = {"depth": 3, "transform_depth": 2, "consistency_depth": 1, "program_bits": 10}
+    assert run_scenario(ScenarioConfig("sanity_checks", tmp_path, budgets=budgets)) == 0
+    assert not [nu for nu, _, _ in checks if isinstance(nu, _Mixture)]
+    assert [key for key, n in Counter(checks).items() if n > 1] == []
+    machines = [
+        (_whole_opcodes(nu.program_bits), nu.steps)
+        for nu, _, _ in checks
+        if isinstance(nu, ChronEnumApprox)
+    ]
+    assert sorted(machines) == [(3, 60), (6, 60), (6, 200), (9, 200)]
+    # Every grid point still writes its rows: the 10-bit ones repeat the 9-bit ones.
+    rows = (tmp_path / "enumeration_checks.csv").read_text().splitlines()[1:]
+    by_bits = {bits: [] for bits in ("9", "10")}
+    for row in rows:
+        mode, bits, *rest = row.split(",")
+        if bits in by_bits:
+            by_bits[bits].append((mode, *rest))
+    assert len(rows) == 10 and by_bits["9"] == by_bits["10"] and len(by_bits["9"]) == 2

@@ -115,6 +115,18 @@ def test_chron_to_joint_rejects_a_bad_filler(filler):
         chron_to_joint(mu_id(), filler)
 
 
+def test_dual_refuses_a_policy_of_another_action_arity():
+    message = "StationaryPolicy of 3 actions cannot act in NoisyCopyEnv of 2 actions"
+    with pytest.raises(ComponentFormatError, match=message):
+        dual(mu_id(), uniform_policy(3))
+
+
+def test_the_dual_roundtrip_refuses_a_policy_of_another_action_arity():
+    message = "StationaryPolicy of 1 actions cannot act in NoisyCopyEnv of 2 actions"
+    with pytest.raises(ComponentFormatError, match=message):
+        check_env_dual_roundtrip(mu_id(), uniform_policy(1), 2)
+
+
 def test_normalized_eval_rejects_symbols_outside_the_alphabet():
     predictor = normalize(uniform_measure())
     for x, bad in (((), -1), ((), 2), ((0,), -1), ((0,), 2)):
