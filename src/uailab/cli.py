@@ -83,14 +83,12 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "check":
         try:
-            raw = _load_raw_config(args.config, None)
+            errors = validate_config_dict(_load_raw_config(args.config, None))
         except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        errors = validate_config_dict(raw)
+            errors = [str(exc)]
+        for e in errors:
+            print(f"config error: {e}", file=sys.stderr)
         if errors:
-            for e in errors:
-                print(f"config error: {e}", file=sys.stderr)
             return 2
         print("config ok")
         return 0
@@ -99,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         raw = _load_raw_config(args.config, args.scenario)
         if args.jobs is not None:
-            raw["jobs"] = args.jobs  # validated against the schema's range
+            raw["jobs"] = args.jobs  # checked against the config's range
         cfg = config_from_dict(raw, out_dir=args.out)
         if args.seed is not None:
             cfg.seed = args.seed

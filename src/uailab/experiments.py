@@ -22,8 +22,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
-import jsonschema
-
 from .adversary import copy_conditional_trace, domination_probe, greedy_antipredict
 from .agents import dualistic_aixi_action, expectimax_action, joint_aixi_action, one_step_action
 from .core import ONE, ZERO, ComponentFormatError, frac_str, history_from_symbols, prob
@@ -193,20 +191,24 @@ def mixture_from_dict(definition: dict) -> MixtureDef:
     """Build a mixture from a scenario-file definition.
 
     Components are either {"builtin": name} references or inline table
-    component definitions; weights are exact rational strings. See the
-    "Mixture files" section of docs/scenario_format.md.
+    component definitions; weights are exact rational strings. Any other
+    shape is a ``ComponentFormatError`` (docs/scenario_format.md, "Mixture files").
     """
+    arrays = ("components", "weights")
+    if not isinstance(definition, dict) or any(type(definition.get(k)) is not list for k in arrays):
+        raise ComponentFormatError(f"mixture needs components and weights arrays: {definition!r}")
+    _reject_unknown_keys("mixture", definition, ("name", *arrays))
+    if not isinstance(name := definition.get("name", "custom"), str):
+        raise ComponentFormatError(f"mixture name must be a string, got {name!r}")
     registry = builtin_components()
 
     def build(entry: dict):
+        if not isinstance(entry, dict):
+            raise ComponentFormatError(f"mixture component must be an object, got {entry!r}")
         if "builtin" in entry:
             _reject_unknown_keys("builtin component entry", entry, ("builtin",))
             name = entry["builtin"]
-            if not isinstance(name, str):
-                raise ComponentFormatError(
-                    f"builtin must be a component name string, got {name!r}"
-                )
-            if name not in registry:
+            if not isinstance(name, str) or name not in registry:
                 raise ComponentFormatError(
                     f"unknown builtin {name!r}; available: {sorted(registry)}"
                 )
@@ -219,7 +221,6 @@ def mixture_from_dict(definition: dict) -> MixtureDef:
     chrons = [c for c in components if isinstance(c, ChronEnv)]
     if joints and chrons:
         raise ComponentFormatError("mixture must be all-joint or all-environment")
-    name = definition.get("name", "custom")
     if joints:
         return MixtureDef(name, JointMixture(joints, weights), None)
     return MixtureDef(name, None, EnvMixture(chrons, weights))
@@ -242,35 +243,14 @@ DEFAULT_BUDGETS: dict[str, int] = {
     "normalized_trace_len": 8,  # normalized-predictor trace length
 }
 
-CONFIG_SCHEMA: dict = {
-    "type": "object",
-    "required": ["schema_version", "scenario"],
-    "additionalProperties": False,
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "scenario": {"type": "string"},
-        "budgets": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                key: {"type": "integer", "minimum": 0, "maximum": 10**6}
-                for key in DEFAULT_BUDGETS
-            },
-        },
-        "mixture": {
-            "type": "object",
-            "required": ["components", "weights"],
-            "properties": {
-                "name": {"type": "string"},
-                "components": {"type": "array", "items": {"type": "object"}},
-                "weights": {"type": "array", "items": {"type": ["string", "integer"]}},
-            },
-        },
-        "jobs": {"type": "integer", "minimum": 1, "maximum": 64},
-        "seed": {"type": ["integer", "null"]},
-        "out_dir": {"type": "string"},
-    },
-}
+CONFIG_KEYS = ("schema_version", "scenario", "budgets", "mixture", "jobs", "seed", "out_dir")
+
+
+def _int_errors(path: str, value: Any, low: int, high: int) -> list[str]:
+    """A JSON integer in [low, high]: ``2.0`` and ``true`` are not integers."""
+    if type(value) is not int:
+        return [f"{path}: {value!r} is not of type 'integer'"]
+    return [] if low <= value <= high else [f"{path}: {value!r} is not in [{low}, {high}]"]
 
 
 @dataclass
@@ -288,28 +268,50 @@ class ScenarioConfig:
         return self.budgets.get(key, DEFAULT_BUDGETS[key])
 
 
-def validate_config_dict(raw: dict) -> list[str]:
-    """Schema diagnostics for a raw config dict (empty list = valid)."""
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = [
-        f"{'/'.join(str(p) for p in e.absolute_path) or '<root>'}: {e.message}"
-        for e in sorted(validator.iter_errors(raw), key=str)
-    ]
-    if not errors and raw.get("scenario") not in SCENARIOS:
-        errors.append(
-            f"scenario: unknown scenario {raw.get('scenario')!r}; "
-            f"available: {', '.join(sorted(SCENARIOS))}"
-        )
-    if not errors and "mixture" in raw:
-        try:
-            if raw["scenario"] != "thm7_drop":
-                errors.append(f"mixture: only thm7_drop reads one, not {raw['scenario']}")
-            elif (joint := mixture_from_dict(raw["mixture"]).joint) is None:
-                errors.append("mixture: thm7_drop needs a joint mixture")
-            else:
-                greedy_antipredict(joint, 0)  # the trace's alphabet rule, no steps
-        except ValueError as exc:  # ComponentFormatError
-            errors.append(f"mixture: {exc}")
+def validate_config_dict(raw: Any) -> list[str]:
+    """``path: message`` diagnostics for a raw config dict (empty list = valid).
+
+    The rules that join scenario and mixture wait for every other rule to hold."""
+    if not isinstance(raw, dict):
+        return [f"<root>: {raw!r} is not of type 'object'"]
+    required = ("schema_version", "scenario")
+    errors = [f"<root>: {k!r} is a required property" for k in required if k not in raw]
+    errors += [f"<root>: unknown key {k!r}" for k in raw if k not in CONFIG_KEYS]
+    version, scenario = raw.get("schema_version", SCHEMA_VERSION), raw.get("scenario")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        errors.append(f"schema_version: {SCHEMA_VERSION} was expected")
+    for key in ("scenario", "out_dir"):
+        if not isinstance(raw.get(key, ""), str):
+            errors.append(f"{key}: {raw[key]!r} is not of type 'string'")
+    if isinstance(scenario, str) and scenario not in SCENARIOS:
+        available = ", ".join(sorted(SCENARIOS))
+        errors.append(f"scenario: unknown scenario {scenario!r}; available: {available}")
+    budgets = raw.get("budgets", {})
+    if not isinstance(budgets, dict):
+        errors.append(f"budgets: {budgets!r} is not of type 'object'")
+        budgets = {}
+    for key, value in budgets.items():
+        if key not in DEFAULT_BUDGETS:
+            errors.append(f"budgets: unknown key {key!r}")
+        else:
+            errors += _int_errors(f"budgets/{key}", value, 0, 10**6)
+    if "jobs" in raw:
+        errors += _int_errors("jobs", raw["jobs"], 1, 64)
+    if raw.get("seed") is not None and type(raw["seed"]) is not int:
+        errors.append(f"seed: {raw['seed']!r} is not of type 'integer', 'null'")
+    if "mixture" not in raw:
+        return errors
+    try:
+        joint = mixture_from_dict(raw["mixture"]).joint
+        if errors:
+            return errors
+        if scenario != "thm7_drop":
+            return [f"mixture: only thm7_drop reads one, not {scenario}"]
+        if joint is None:
+            return ["mixture: thm7_drop needs a joint mixture"]
+        greedy_antipredict(joint, 0)  # the trace's alphabet rule, no steps
+    except ValueError as exc:  # ComponentFormatError
+        errors.append(f"mixture: {exc}")
     return errors
 
 
@@ -321,7 +323,7 @@ def config_from_dict(raw: dict, out_dir: Path | None = None) -> ScenarioConfig:
         scenario=raw["scenario"],
         out_dir=Path(out_dir or raw.get("out_dir", Path("uailab_runs") / raw["scenario"])),
         budgets=dict(raw.get("budgets", {})),
-        jobs=int(raw.get("jobs", 1)),
+        jobs=raw.get("jobs", 1),
         seed=raw.get("seed"),
         mixture=raw.get("mixture"),
     )

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from uailab import experiments
 from uailab.adversary import AdversaryTrace
+from uailab.core import ComponentFormatError
 from uailab.experiments import (
     DEFAULT_BUDGETS,
     SCENARIOS,
@@ -233,14 +234,14 @@ def test_custom_mixture_config_for_thm7(tmp_path):
 
 
 def test_mixture_from_dict_rejects_mixed_kinds():
-    with pytest.raises(Exception):
+    with pytest.raises(ComponentFormatError, match="all-joint or all-environment"):
         mixture_from_dict(
             {
                 "components": [{"builtin": "copy_machine"}, {"builtin": "mu_id"}],
                 "weights": ["1/2", "1/2"],
             }
         )
-    with pytest.raises(Exception):
+    with pytest.raises(ComponentFormatError, match="unknown builtin 'nope'"):
         mixture_from_dict({"components": [{"builtin": "nope"}], "weights": ["1"]})
 
 
@@ -287,7 +288,33 @@ BAD_MIXTURES = {
     "all_environment": {"components": [{"builtin": "mu_id"}], "weights": ["1"]},
     # ... whose every action has a copy percept
     "more_actions_than_percepts": {"components": [THREE_ACTIONS_TWO_PERCEPTS], "weights": ["1"]},
+    # the mixture's own shape
+    "not_an_object": ["copy_machine"],
+    "components_not_an_array": {"components": "x", "weights": ["1"]},
+    "component_not_an_object": {"components": ["copy_machine"], "weights": ["1"]},
+    "weights_not_an_array": {"components": [{"builtin": "copy_machine"}], "weights": "1"},
+    "weight_a_float": {"components": [{"builtin": "copy_machine"}], "weights": [1.0]},
+    "name_not_a_string": {"name": 5, "components": [{"builtin": "copy_machine"}], "weights": ["1"]},
+    "unknown_key": {"nmae": "typo", "components": [{"builtin": "copy_machine"}], "weights": ["1"]},
 }
+# What mixture_from_dict itself refuses, and the words that say why
+MALFORMED_MIXTURES = {
+    "not_an_object": "mixture needs components and weights arrays",
+    "missing_weights": "mixture needs components and weights arrays",
+    "components_not_an_array": "mixture needs components and weights arrays",
+    "weights_not_an_array": "mixture needs components and weights arrays",
+    "component_not_an_object": "mixture component must be an object, got 'copy_machine'",
+    "weight_a_float": "floats are not exact",
+    "name_not_a_string": "mixture name must be a string, got 5",
+    "unknown_key": "mixture has unknown key 'nmae'",
+    "builtin_not_a_string": "unknown builtin \\['copy_machine'\\]",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MIXTURES))
+def test_mixture_from_dict_refuses_malformed_input(case):
+    with pytest.raises(ComponentFormatError, match=MALFORMED_MIXTURES[case]):
+        mixture_from_dict(BAD_MIXTURES[case])
 
 
 @pytest.mark.parametrize("command", ["check", "run"])
@@ -343,6 +370,29 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, command, value):
     code, err = _cli_exit_and_stderr(capsys, command, config, tmp_path / "o")
     assert code == 2
     assert err == f"config error: <root>: {value!r} is not of type 'object'\n"
+
+
+# Where the config wants an integer, a JSON float or boolean is refused,
+# however integral: `2.0` once passed `check` and then crashed `run`.
+NOT_INTEGERS = [
+    *((f"budgets/{key}", value) for key in DEFAULT_BUDGETS for value in (2.0, True)),
+    *((key, value) for key in ("jobs", "seed") for value in (2.0, True)),
+    *(("schema_version", value) for value in (1.0, True)),
+]
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("path, value", NOT_INTEGERS)
+def test_float_or_bool_for_an_integer_exits_2_naming_it(tmp_path, capsys, command, path, value):
+    raw = {"schema_version": SCHEMA_VERSION, "scenario": "thm7_drop"}
+    budget = path.removeprefix("budgets/")
+    raw.update({"budgets": {budget: value}} if budget != path else {path: value})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    code, err = _cli_exit_and_stderr(capsys, command, config, tmp_path / "o")
+    assert code == 2
+    assert err.startswith(f"config error: {path}: ") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["check", "run"])

@@ -6,6 +6,9 @@ package's re-exports. Every import from within the package sits at module
 top level, so the modules import one another one way, visibly.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,3 +106,28 @@ def test_module_references_every_private_name(module):
 @pytest.mark.parametrize("module", ["__init__.py", *MODULES])
 def test_package_imports_sit_at_module_top_level(module):
     assert nested_package_imports((SRC / module).read_text()) == []
+
+
+def test_the_cli_loads_the_standard_library_only():
+    # `import uailab.cli` starts every command, so a third-party import there
+    # adds its load time and memory to every run.
+    probe = (
+        "import sys; before = set(sys.modules); import uailab.cli; "
+        "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
+    )
+    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout.split()
+    assert not {"jsonschema", "referencing", "rpds"} & set(loaded)
+    assert set(loaded) - sys.stdlib_module_names <= {"uailab", "__mp_main__"}, loaded
+
+
+def test_pyproject_lists_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text())
+    assert pyproject["project"]["dependencies"] == []
