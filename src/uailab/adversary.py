@@ -112,6 +112,8 @@ def greedy_antipredict(xi: JointSemimeasure, steps: int) -> AdversaryTrace:
     When no candidate remains (zero-mass prefix in every direction) the
     trace is truncated and flagged.
     """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     return _trace(xi, repeat(_copies(xi, range(xi.action_arity))[::2], steps))
 
 

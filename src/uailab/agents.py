@@ -57,14 +57,27 @@ def policy_value(
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     joint = dual(nu, pi)
-    state, n = _history_node(joint, history)[1], 2 * len(history.actions)
+    state, n = _history_node(joint, history, percepts)[1], 2 * len(history.actions)
     return _total(*_action_values(joint, state, n, horizon, percepts, _total))
 
 
-def _history_node(nu: ChronEnv | JointSemimeasure, history: History) -> tuple[Any, Any]:
-    """(mass, walk state) of a complete ``history``, by the checked fold walk."""
+def _check_percepts(nu: ChronEnv | JointSemimeasure, percepts: PerceptAlphabet) -> None:
+    """A reward for each of the belief's percepts, and for no other."""
+    if len(percepts.symbols) != nu.percept_arity:
+        raise ComponentFormatError(
+            f"percept alphabet has {len(percepts.symbols)} symbols, "
+            f"the belief {nu.percept_arity} percepts"
+        )
+
+
+def _history_node(
+    nu: ChronEnv | JointSemimeasure, history: History, percepts: PerceptAlphabet
+) -> tuple[Any, Any]:
+    """(mass, walk state) of a complete ``history``, by the checked fold walk,
+    for planning with the rewards of ``percepts``."""
     if len(history.actions) != len(history.percepts):
         raise ComponentFormatError("planning starts from a complete history")
+    _check_percepts(nu, percepts)
     return _checked_walk(nu, (history.percepts, history.actions), history.symbols())
 
 
@@ -116,7 +129,7 @@ def _plan(
         raise ValueError("horizon must be >= 1")
     values: dict[int, Fraction] = {}
     try:
-        mass, state = _history_node(nu, history)
+        mass, state = _history_node(nu, history, percepts)
         values = _action_values(nu, state, 2 * len(history.actions), horizon, percepts, _best)[0]
     except UndefinedConditionalError:
         pass  # an undefined history has no defined action
@@ -220,6 +233,7 @@ def brute_force_action(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    _check_percepts(nu, percepts)
     nodes: list[tuple[int, ...]] = []
     frontier: list[tuple[int, ...]] = [()]
     for _ in range(horizon):

@@ -79,6 +79,7 @@ def main(argv: list[str] | None = None) -> int:
             info = SCENARIOS[name]
             print(f"{name:20s} {info.description}")
             print(f"{'':20s} claims: {', '.join(info.claims)}")
+            print(f"{'':20s} budgets: {', '.join(f'{k}={v}' for k, v in info.budgets.items())}")
         return 0
 
     if args.command == "check":

@@ -121,10 +121,11 @@ class PerceptAlphabet:
             raise ComponentFormatError("percept alphabet must be non-empty")
         if len(set(self.symbols)) != len(self.symbols):
             raise ComponentFormatError("percept symbols must be distinct")
+        rewards = (*self.reward_bounds, *(s.reward for s in self.symbols))
+        if any(type(r) not in (int, Fraction) for r in rewards):  # exact_masses' rule, any sign
+            raise ComponentFormatError(f"rewards and bounds must be ints or Fractions: {rewards!r}")
         lo, hi = self.reward_bounds
         for s in self.symbols:
-            if isinstance(s.reward, float):
-                raise ComponentFormatError("rewards must be exact rationals")
             if not (lo <= s.reward <= hi):
                 raise ComponentFormatError(
                     f"reward {s.reward} outside declared range [{lo}, {hi}]"

@@ -230,19 +230,6 @@ def mixture_from_dict(definition: dict) -> MixtureDef:
 # Configuration
 # ---------------------------------------------------------------------------
 
-DEFAULT_BUDGETS: dict[str, int] = {
-    "depth": 6,  # exhaustive defining-condition checks
-    "transform_depth": 5,  # transform identity checks
-    "consistency_depth": 4,  # predictive/posterior consistency
-    "trace_steps": 20,  # adversary trace length
-    "program_bits": 10,  # enumeration length budget (limits: docs/machine.md)
-    "machine_steps": 200,  # enumeration step budget
-    "horizon": 3,  # planning horizon
-    "sequence_length": 10,  # exhaustive action-sequence length
-    "probe_depth": 4,  # domination probe depth
-    "normalized_trace_len": 8,  # normalized-predictor trace length
-}
-
 CONFIG_KEYS = ("schema_version", "scenario", "budgets", "mixture", "jobs", "seed", "out_dir")
 
 
@@ -265,7 +252,8 @@ class ScenarioConfig:
     mixture: dict | None = None
 
     def budget(self, key: str) -> int:
-        return self.budgets.get(key, DEFAULT_BUDGETS[key])
+        """The configured value, else the scenario's own default (undeclared: KeyError)."""
+        return self.budgets.get(key, SCENARIOS[self.scenario].budgets[key])
 
 
 def validate_config_dict(raw: Any) -> list[str]:
@@ -290,8 +278,9 @@ def validate_config_dict(raw: Any) -> list[str]:
     if not isinstance(budgets, dict):
         errors.append(f"budgets: {budgets!r} is not of type 'object'")
         budgets = {}
+    known = {key for info in SCENARIOS.values() for key in info.budgets}  # any scenario, any of them
     for key, value in budgets.items():
-        if key not in DEFAULT_BUDGETS:
+        if key not in known:
             errors.append(f"budgets: unknown key {key!r}")
         else:
             errors += _int_errors(f"budgets/{key}", value, 0, 10**6)
@@ -305,10 +294,11 @@ def validate_config_dict(raw: Any) -> list[str]:
         joint = mixture_from_dict(raw["mixture"]).joint
         if errors:
             return errors
-        if scenario != "thm7_drop":
-            return [f"mixture: only thm7_drop reads one, not {scenario}"]
+        readers = [name for name, info in SCENARIOS.items() if info.reads_mixture]
+        if scenario not in readers:
+            return [f"mixture: only {' and '.join(readers)} reads one, not {scenario}"]
         if joint is None:
-            return ["mixture: thm7_drop needs a joint mixture"]
+            return [f"mixture: {scenario} needs a joint mixture"]
         greedy_antipredict(joint, 0)  # the trace's alphabet rule, no steps
     except ValueError as exc:  # ComponentFormatError
         errors.append(f"mixture: {exc}")
@@ -1097,9 +1087,14 @@ def _scenario_agents(cfg: ScenarioConfig) -> ScenarioOutcome:
 
 @dataclass(frozen=True)
 class ScenarioInfo:
+    """A scenario's runner and claims, and all it reads: each budget key with
+    its default (docs/scenario_format.md), and whether it takes a mixture."""
+
     runner: Callable[[ScenarioConfig], ScenarioOutcome]
     claims: tuple[str, ...]
     description: str
+    budgets: dict[str, int]
+    reads_mixture: bool = False
 
 
 SCENARIOS: dict[str, ScenarioInfo] = {
@@ -1120,43 +1115,46 @@ SCENARIOS: dict[str, ScenarioInfo] = {
             "Eq. 10",
         ),
         "defining conditions, transform identities, factoring, and consistency suites",
+        dict(depth=6, transform_depth=5, consistency_depth=4, program_bits=10, machine_steps=200),
     ),
     "thm7_drop": ScenarioInfo(
         _scenario_thm7,
         ("Theorem 6", "Theorem 7", "Eq. 2", "Eq. 8"),
         "greedy adversary drives the joint-view copy product toward zero",
+        dict(trace_steps=20, program_bits=10, machine_steps=200),
+        reads_mixture=True,
     ),
     "thm8_gap": ScenarioInfo(
         _scenario_thm8,
         ("Theorem 8", "Eq. 3", "Eq. 10", "Def. 5"),
         "environment-side mixture keeps its identity-env floor while the joint view drops",
+        dict(trace_steps=20),
     ),
     "thm10_normalized": ScenarioInfo(
         _scenario_thm10,
         ("Theorem 10", "Eq. 11"),
         "normalization restores adversarial learning of checkable structure",
+        dict(normalized_trace_len=8),
     ),
     "thm11_convergence": ScenarioInfo(
         _scenario_thm11,
         ("Theorem 11", "Eq. 11"),
         "normalized predictor learns deterministic environments on every action sequence",
+        dict(sequence_length=10),
     ),
     "conj9_search": ScenarioInfo(
         _scenario_conj9,
         ("Conjecture 9", "Def. 5"),
         "exploratory domination-ratio sweeps in both directions",
+        dict(probe_depth=4),
     ),
     "agents_compare": ScenarioInfo(
         _scenario_agents,
         ("Eq. 5", "Eq. 6", "Eq. 9"),
         "joint-view, environment-view, and one-step agents on shared mixtures",
+        dict(horizon=3),
     ),
 }
-
-
-def claim_map() -> dict[str, tuple[str, ...]]:
-    """Scenario -> claim-catalog labels it exercises."""
-    return {name: info.claims for name, info in SCENARIOS.items()}
 
 
 def run_scenario(cfg: ScenarioConfig) -> int:
@@ -1183,7 +1181,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         f"claims: {', '.join(info.claims)}",
         f"description: {info.description}",
         f"seed: {cfg.seed}",
-        f"budgets: {json.dumps({k: cfg.budget(k) for k in sorted(DEFAULT_BUDGETS)}, sort_keys=True)}",
+        f"budgets: {json.dumps({k: cfg.budget(k) for k in info.budgets}, sort_keys=True)}",
         *outcome.lines,
         f"exit_code: {outcome.exit_code}",
     ]

@@ -289,6 +289,8 @@ def check_predictive_consistency(
     (witness, xi(x e) / xi(x), the same without that mass) in the
     :func:`contexts` order of the pending prefixes; empty means agreement.
     """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
 
     def step(state: Any, symbol: int) -> tuple[Any, Any]:
         """A pending prefix's state pairs the mixture's with its live components

@@ -300,6 +300,21 @@ def test_one_step_agrees_with_expectimax_at_horizon_one():
             assert greedy == expectimax_action(belief, h, 1), (name, h)
 
 
+@pytest.mark.parametrize("size", [1, 3])
+def test_planners_refuse_a_percept_alphabet_of_another_size(size):
+    # One symbol once escaped as IndexError, and three went unread without a word.
+    percepts = PerceptAlphabet(tuple(PerceptSymbol(i, F(0)) for i in range(size)), (F(0), F(0)))
+    for call in (
+        lambda: expectimax_value(mu_id(), EMPTY_HISTORY, 2, percepts),
+        lambda: expectimax_action(mu_id(), EMPTY_HISTORY, 2, percepts),
+        lambda: one_step_action(mu_id(), EMPTY_HISTORY, percepts),
+        lambda: policy_value(uniform_policy(), mu_id(), 2, percepts),
+        lambda: brute_force_action(mu_id(), EMPTY_HISTORY, 2, percepts),
+    ):
+        with pytest.raises(ComponentFormatError, match=f"has {size} symbols, the belief 2 "):
+            call()
+
+
 def test_expectimax_action_validates_horizon():
     assert expectimax_action(mu_id(), EMPTY_HISTORY, 2) == 1
     for planner in (expectimax_action, expectimax_value):

@@ -108,3 +108,14 @@ def test_percept_alphabet_validates_reward_range():
             symbols=(PerceptSymbol(None, F(2)),),
             reward_bounds=(F(0), F(1)),
         )
+    # ints and negative rewards are exact too
+    shifted = PerceptAlphabet((PerceptSymbol(0, -1), PerceptSymbol(1, F(-1, 2))), (-1, F(0)))
+    assert (shifted.reward(0), shifted.reward(1)) == (-1, F(-1, 2))
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1", None], ids=["bool", "float", "str", "none"])
+def test_percept_alphabet_rewards_and_bounds_are_exact(bad):
+    # A True reward and (0.0, 1.0) bounds were accepted; "1" and None escaped as TypeError.
+    for reward, bounds in ((bad, (0, 1)), (0, (bad, 1)), (0, (-1, bad))):
+        with pytest.raises(ComponentFormatError, match="must be ints or Fractions"):
+            PerceptAlphabet((PerceptSymbol(None, reward),), bounds)

@@ -16,14 +16,14 @@ from uailab import experiments
 from uailab.adversary import AdversaryTrace
 from uailab.core import ComponentFormatError
 from uailab.experiments import (
-    DEFAULT_BUDGETS,
     SCENARIOS,
     SCHEMA_VERSION,
     ConfigError,
     ScenarioConfig,
+    ScenarioInfo,
+    ScenarioOutcome,
     _conditional_stats,
     builtin_components,
-    claim_map,
     config_from_dict,
     load_derived,
     mixture_from_dict,
@@ -33,6 +33,12 @@ from uailab.experiments import (
 )
 
 F = Fraction
+
+# Every budget key some scenario declares; a config may give any of them to any scenario.
+BUDGET_KEYS = sorted({key for info in SCENARIOS.values() for key in info.budgets})
+# Small enough for every scenario to run in a moment.
+SMALL = {"depth": 2, "transform_depth": 2, "consistency_depth": 1, "probe_depth": 1}
+SMALL.update(horizon=1, sequence_length=4, normalized_trace_len=2, trace_steps=2)
 
 
 def run_cli(*args, **kwargs):
@@ -55,8 +61,8 @@ def summary_body(out_dir: Path) -> str:
     return "\n".join(lines[1:])
 
 
-def test_claim_map_covers_required_catalog():
-    covered = {label for labels in claim_map().values() for label in labels}
+def test_scenarios_cover_required_catalog():
+    covered = {label for info in SCENARIOS.values() for label in info.claims}
     required = (
         {f"Theorem {n}" for n in (6, 7, 8, 10, 11)}
         | {f"Eq. {n}" for n in range(1, 12)}
@@ -85,10 +91,43 @@ def test_each_scenario_builds_the_shipped_mixtures_once(tmp_path, monkeypatch, s
     calls = []
     build = experiments.scenario_mixtures
     monkeypatch.setattr(experiments, "scenario_mixtures", lambda: calls.append(1) or build())
-    small = {"depth": 2, "transform_depth": 2, "consistency_depth": 1, "probe_depth": 1}
-    small.update(horizon=1, sequence_length=4, normalized_trace_len=2, trace_steps=2)
-    run_scenario(ScenarioConfig(scenario, tmp_path, budgets=small))
+    run_scenario(ScenarioConfig(scenario, tmp_path, budgets=SMALL))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_each_scenario_reads_the_budgets_it_declares(tmp_path, monkeypatch, scenario):
+    asked = set()
+    real = ScenarioConfig.budget
+    monkeypatch.setattr(ScenarioConfig, "budget", lambda cfg, k: asked.add(k) or real(cfg, k))
+    SCENARIOS[scenario].runner(ScenarioConfig(scenario, tmp_path, budgets=SMALL))
+    assert asked == set(SCENARIOS[scenario].budgets)
+
+
+def test_a_new_scenario_and_its_budget_disturb_no_other(tmp_path, monkeypatch):
+    shipped = sorted(SCENARIOS)
+
+    def shipped_outputs(out: Path, budgets: dict) -> dict[str, str | bytes]:
+        outputs = {}
+        for scenario in shipped:
+            assert run_scenario(ScenarioConfig(scenario, out / scenario, budgets=budgets)) == 0
+            outputs[scenario] = summary_body(out / scenario)
+            for path in sorted((out / scenario).glob("*.csv")):
+                outputs[f"{scenario}/{path.name}"] = path.read_bytes()
+        return outputs
+
+    before = shipped_outputs(tmp_path / "before", {})
+    throwaway = ScenarioInfo(
+        lambda cfg: ScenarioOutcome(0, [f"read {cfg.budget('throwaway_key')}"]),
+        ("Eq. 1",),
+        "a scenario with a budget key of its own",
+        {"throwaway_key": 3},
+    )
+    monkeypatch.setitem(SCENARIOS, "throwaway", throwaway)
+    assert shipped_outputs(tmp_path / "after", {"throwaway_key": 5}) == before
+    assert run_scenario(ScenarioConfig("throwaway", tmp_path / "new")) == 0
+    body = summary_body(tmp_path / "new")
+    assert 'budgets: {"throwaway_key": 3}' in body and "read 3" in body
 
 
 ENV_MIXTURE = {"components": [{"builtin": "mu_id"}], "weights": ["1"]}
@@ -112,8 +151,10 @@ def test_run_scenario_checks_a_config_built_in_python(tmp_path, cfg, message):
 def test_cli_list_names_all_scenarios():
     result = run_cli("list")
     assert result.returncode == 0
-    for name in SCENARIOS:
+    for name, info in SCENARIOS.items():
         assert name in result.stdout
+        budgets = ", ".join(f"{key}={value}" for key, value in info.budgets.items())
+        assert f"{'':20s} budgets: {budgets}\n" in result.stdout
 
 
 def test_cli_unknown_scenario_exit_2(tmp_path):
@@ -167,7 +208,9 @@ def test_config_defaults_and_overrides():
         out_dir="somewhere",
     )
     assert cfg.budget("trace_steps") == 7
-    assert cfg.budget("depth") == DEFAULT_BUDGETS["depth"]
+    assert cfg.budget("program_bits") == SCENARIOS["thm7_drop"].budgets["program_bits"]
+    with pytest.raises(KeyError):
+        cfg.budget("depth")  # a key thm7_drop does not read has no default there
     # Without out_dir each scenario writes to a directory of its own.
     cfg = config_from_dict({"schema_version": 1, "scenario": "thm8_gap"})
     assert cfg.out_dir == Path("uailab_runs") / "thm8_gap"
@@ -375,7 +418,7 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, command, value):
 # Where the config wants an integer, a JSON float or boolean is refused,
 # however integral: `2.0` once passed `check` and then crashed `run`.
 NOT_INTEGERS = [
-    *((f"budgets/{key}", value) for key in DEFAULT_BUDGETS for value in (2.0, True)),
+    *((f"budgets/{key}", value) for key in BUDGET_KEYS for value in (2.0, True)),
     *((key, value) for key in ("jobs", "seed") for value in (2.0, True)),
     *(("schema_version", value) for value in (1.0, True)),
 ]
@@ -665,12 +708,12 @@ MIXTURES = st.fixed_dictionaries(
 @settings(max_examples=25, deadline=None)
 @given(
     st.sampled_from(sorted(SCENARIOS)),
-    st.fixed_dictionaries({key: st.integers(0, 3) for key in DEFAULT_BUDGETS}),
+    st.fixed_dictionaries({key: st.integers(0, 3) for key in BUDGET_KEYS}),
     st.none() | MIXTURES,
 )
 @example(
     "thm7_drop",
-    dict.fromkeys(DEFAULT_BUDGETS, 1),
+    dict.fromkeys(BUDGET_KEYS, 1),
     {"components": [THREE_ACTIONS_TWO_PERCEPTS], "weights": ["1"]},
 )
 def test_random_configs_exit_0_1_or_2(scenario, budgets, mixture):

@@ -4,8 +4,15 @@ from itertools import product
 import pytest
 
 from uailab import semimeasure
+from uailab.adversary import greedy_antipredict
 from uailab.core import ComponentFormatError, History
-from uailab.mixture import EnvMixture, JointMixture, MixturePolicy
+from uailab.mixture import (
+    EnvMixture,
+    JointMixture,
+    MixturePolicy,
+    check_predictive_consistency,
+    uniform_prior,
+)
 from uailab.semimeasure import (
     ActionEchoJoint,
     CheckRow,
@@ -390,12 +397,16 @@ def test_a_deterministic_policy_names_the_history_of_an_action_outside_the_alpha
 
 
 def test_negative_depth_is_rejected():
-    for check, args in (
-        (check_semimeasure, (copy_machine(), -1)),
-        (check_chronological, (mu_id(), -1)),
-        (compare, (mu_id(), mu_id(), -1)),
-        (check_policy, (uniform_policy(), -1)),
+    mixture = JointMixture([copy_machine(), uniform_measure()], uniform_prior(2))
+    for check, args, what in (
+        (check_semimeasure, (copy_machine(), -1), "depth"),
+        (check_chronological, (mu_id(), -1), "depth"),
+        (compare, (mu_id(), mu_id(), -1), "depth"),
+        (check_policy, (uniform_policy(), -1), "depth"),
+        # these two once returned nothing: "exact agreement", an empty trace
+        (check_predictive_consistency, (mixture, -1), "depth"),
+        (greedy_antipredict, (mixture, -3), "steps"),
     ):
-        with pytest.raises(ValueError, match="depth must be >= 0"):
+        with pytest.raises(ValueError, match=f"{what} must be >= 0"):
             check(*args)
     assert check_policy(uniform_policy(), 0).contexts == 0
