@@ -17,67 +17,47 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from uailab.adversary import copy_conditional_trace, greedy_antipredict
 from uailab.core import ONE, frac_str
-from uailab.experiments import _conditional_stats, scenario_mixtures
-from uailab.transforms import env, normalize
+from uailab.experiments import (
+    convergence_stats,
+    gap_entry,
+    gap_rows,
+    normalized_traces,
+    scenario_mixtures,
+)
 
 F = Fraction
 OUT = Path(__file__).resolve().parent.parent / "src" / "uailab" / "data" / "derived"
 
 
 def derive_thm8(trace_steps: int = 20) -> dict:
-    mixtures = scenario_mixtures()["adversary_rich"]
-    joint, chron = mixtures.joint, mixtures.chron
-    w_id = chron.weights[list(chron.names).index("mu_id")]
-    trace = greedy_antipredict(joint, trace_steps)
+    mdef = scenario_mixtures()["adversary_rich"]
+    w_id = mdef.chron.weights[list(mdef.chron.names).index("mu_id")]
+    trace, rows = gap_rows(mdef, trace_steps)
     assert not trace.truncated, "oracle trace must not truncate"
-    entries = []
-    previous_ratio = None
-    T = None
-    for step in trace.steps:
-        played = trace.actions[: step.t]
-        env_side = chron.eval(played, played)
+    for step, env_side, _ in rows:
         assert env_side >= w_id, f"identity floor violated at t={step.t}"
-        ratio = env_side / step.cumulative
-        assert previous_ratio is None or ratio > previous_ratio, (
-            f"ratio not strictly increasing at t={step.t}"
-        )
-        previous_ratio = ratio
-        if T is None and step.cumulative < w_id:
-            T = step.t
-        entries.append(
-            {
-                "t": step.t,
-                "action": step.action,
-                "conditional": frac_str(step.conditional),
-                "joint_view_product": frac_str(step.cumulative),
-                "env_view_value": frac_str(env_side),
-                "ratio": frac_str(ratio),
-            }
-        )
+    ratios = [ratio for _, _, ratio in rows]
+    assert all(b > a for a, b in zip(ratios, ratios[1:])), "ratio not strictly increasing"
+    T = next((step.t for step, _, _ in rows if step.cumulative < w_id), None)
     assert T is not None and T <= 30, f"drop below w_id not reached by step 30 (T={T})"
     return {
         "mixture": "adversary_rich",
         "w_id": frac_str(w_id),
         "T": T,
-        "trace": entries,
+        "trace": [gap_entry(*row) for row in rows],
     }
 
 
 def derive_thm10(length: int = 8) -> dict:
     actions = (1,) * length
-    main = normalize(scenario_mixtures()["copy_vs_uniform"].joint)
-    main_trace = copy_conditional_trace(main, actions)
+    main_trace, raw, hat = normalized_traces(scenario_mixtures(), actions)
     conds = [s.conditional for s in main_trace.steps]
     assert all(b > a for a, b in zip(conds, conds[1:])), "main trace must increase"
 
-    contrast = scenario_mixtures()["halting_contrast"].joint
     bound = F(3, 4)
-    raw = copy_conditional_trace(contrast, actions)
     assert all(s.conditional < bound for s in raw.steps), "contrast must stay below 3/4"
 
-    hat = copy_conditional_trace(normalize(contrast), actions)
     floor = bound  # normalization must lift the same mixture above the raw bound
     floor_step = next(s.t for s in hat.steps if s.conditional > floor)
     assert all(s.conditional > floor for s in hat.steps if s.t >= floor_step)
@@ -91,8 +71,7 @@ def derive_thm10(length: int = 8) -> dict:
 
 
 def derive_thm11(n: int = 10) -> dict:
-    main = scenario_mixtures()["learnable_deterministic"].joint
-    [(mins, _)] = _conditional_stats([(main, ("identity", "complement"), True)], n, jobs=1)
+    (mins, _), (_, raw_maxs) = convergence_stats(scenario_mixtures(), n, jobs=1)
     t_star = None
     epsilon = None
     for eps in (F(1, 32), F(1, 16), F(1, 8)):
@@ -104,9 +83,6 @@ def derive_thm11(n: int = 10) -> dict:
         if t_star is not None:
             break
     assert t_star is not None and t_star <= 10, f"no (epsilon, t*) with t* <= 10 (mins={mins})"
-
-    contrast = scenario_mixtures()["halting_contrast"].joint
-    [(_, raw_maxs)] = _conditional_stats([(contrast, ("identity",), False)], n, jobs=1)
     assert all(m <= ONE - epsilon for m in raw_maxs[t_star - 1 :]), (
         "contrast must fail the bound at every step from t*"
     )

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Any, Iterable, Sequence
 
-from .core import ONE, UndefinedConditionalError
+from .core import ONE, UndefinedConditionalError, count
 from .semimeasure import ChronEnv, JointSemimeasure, _check_alphabet, compare, max_ratio, times_ratio
 
 
@@ -112,9 +112,7 @@ def greedy_antipredict(xi: JointSemimeasure, steps: int) -> AdversaryTrace:
     When no candidate remains (zero-mass prefix in every direction) the
     trace is truncated and flagged.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    return _trace(xi, repeat(_copies(xi, range(xi.action_arity))[::2], steps))
+    return _trace(xi, repeat(_copies(xi, range(xi.action_arity))[::2], count(steps, "steps")))
 
 
 def copy_conditional_trace(xi: JointSemimeasure, actions: Sequence[int]) -> AdversaryTrace:

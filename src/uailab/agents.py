@@ -34,6 +34,7 @@ from .core import (
     History,
     PerceptAlphabet,
     UndefinedConditionalError,
+    count,
 )
 from .semimeasure import ChronEnv, JointSemimeasure, Policy, _checked_walk, exact_mass
 from .transforms import dual, env
@@ -54,8 +55,7 @@ def policy_value(
     included, are pruned without extending deeper (their rewards weigh
     nothing), so an undefined history raises only where the policy weighs it.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    count(horizon, "horizon", 1)
     joint = dual(nu, pi)
     state, n = _history_node(joint, history, percepts)[1], 2 * len(history.actions)
     return _total(*_action_values(joint, state, n, horizon, percepts, _total))
@@ -125,8 +125,7 @@ def _plan(
 ) -> tuple[Any, dict[int, Fraction]]:
     """(mass numerator of a complete ``history``, value of each defined action
     over ``horizon`` steps); an error naming the history where none is defined."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    count(horizon, "horizon", 1)
     values: dict[int, Fraction] = {}
     try:
         mass, state = _history_node(nu, history, percepts)
@@ -231,8 +230,7 @@ def brute_force_action(
     the same tie rule expectimax uses. A policy that picks an undefined
     action at a reached node where some action is defined is left out.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    count(horizon, "horizon", 1)
     _check_percepts(nu, percepts)
     nodes: list[tuple[int, ...]] = []
     frontier: list[tuple[int, ...]] = [()]

@@ -5,8 +5,8 @@ Every probability in this package is an exact nonnegative rational
 about subadditivity, domination, and convergence must never be rounding
 artifacts. ``prob`` parses one value, and ``exact_masses`` is the one rule
 every component, policy and mixture constructor applies to its masses or
-weights. Floats appear only in emitted CSV columns explicitly suffixed
-``_float``.
+weights; ``count`` is the one rule for every depth, horizon, budget, arity
+and symbol index. Floats appear only in CSV columns suffixed ``_float``.
 
 All types here are immutable values and safe to share across workers.
 """
@@ -96,6 +96,14 @@ def exact_masses(row: Iterable, what: str, *, items: int | None = None) -> tuple
     return tuple(map(Fraction, row))
 
 
+def count(value: Any, what: str, least: int = 0) -> int:
+    """``value`` checked by the one rule for counts: an ``int`` (never a bool,
+    float, string or None) of at least ``least``. ``what`` names it in the error."""
+    if type(value) is not int or value < least:
+        raise ComponentFormatError(f"{what} must be >= {least} (an int), got {value!r}")
+    return value
+
+
 def frac_str(value: Fraction) -> str:
     """Canonical "num/den" rendering used in CSV artifacts."""
     return f"{value.numerator}/{value.denominator}"
@@ -117,15 +125,20 @@ class PerceptAlphabet:
     reward_bounds: tuple[Fraction, Fraction]
 
     def __post_init__(self):
-        if not self.symbols:
-            raise ComponentFormatError("percept alphabet must be non-empty")
-        if len(set(self.symbols)) != len(self.symbols):
+        symbols, bounds = self.symbols, self.reward_bounds
+        if not isinstance(symbols, (tuple, list)) or not symbols or not all(
+            isinstance(s, PerceptSymbol) for s in symbols
+        ):
+            raise ComponentFormatError(f"percept alphabet needs PerceptSymbols, got {symbols!r}")
+        if not isinstance(bounds, (tuple, list)) or len(bounds) != 2:
+            raise ComponentFormatError(f"reward bounds must be a (low, high) pair, got {bounds!r}")
+        if len(set(symbols)) != len(symbols):
             raise ComponentFormatError("percept symbols must be distinct")
-        rewards = (*self.reward_bounds, *(s.reward for s in self.symbols))
+        rewards = (*bounds, *(s.reward for s in symbols))
         if any(type(r) not in (int, Fraction) for r in rewards):  # exact_masses' rule, any sign
             raise ComponentFormatError(f"rewards and bounds must be ints or Fractions: {rewards!r}")
-        lo, hi = self.reward_bounds
-        for s in self.symbols:
+        lo, hi = bounds
+        for s in symbols:
             if not (lo <= s.reward <= hi):
                 raise ComponentFormatError(
                     f"reward {s.reward} outside declared range [{lo}, {hi}]"
@@ -162,8 +175,7 @@ class History:
                 f"{len(self.percepts)} percepts"
             )
         for sym in (*self.actions, *self.percepts):
-            if not isinstance(sym, int) or sym < 0:
-                raise ComponentFormatError(f"symbol indices must be ints >= 0, got {sym!r}")
+            count(sym, "symbol index")
 
     @property
     def steps(self) -> int:

@@ -665,45 +665,43 @@ def load_derived(name: str) -> dict:
     return json.loads(path.read_text())
 
 
+def gap_rows(mdef: MixtureDef, steps: int) -> tuple[Any, list[tuple]]:
+    """The greedy anti-prediction trace of ``mdef``'s joint mixture for ``steps``
+    moves, and a row per step: (step, the chronological mixture's value of the
+    played copy pair, the ratio of that value to the joint view's product)."""
+    assert mdef.joint is not None and mdef.chron is not None
+    trace = greedy_antipredict(mdef.joint, steps)
+    played = [trace.actions[: step.t] for step in trace.steps]
+    env_sides = [mdef.chron.eval(actions, actions) for actions in played]
+    return trace, [(s, v, v / s.cumulative) for s, v in zip(trace.steps, env_sides)]
+
+
+def gap_entry(step: Any, env_side: Fraction, ratio: Fraction) -> dict:
+    """A gap row's committed form: one entry of the derived thm8 trace."""
+    keys = ("conditional", "joint_view_product", "env_view_value", "ratio")
+    exact = (step.conditional, step.cumulative, env_side, ratio)
+    return {"t": step.t, "action": step.action, **dict(zip(keys, map(frac_str, exact)))}
+
+
 def _scenario_thm8(cfg: ScenarioConfig) -> ScenarioOutcome:
     derived = load_derived("thm8_gap")
-    mixtures = scenario_mixtures()["adversary_rich"]
-    joint, chron = mixtures.joint, mixtures.chron
-    assert joint is not None and chron is not None
     w_id = prob(derived["w_id"])
     recorded_T = int(derived["T"])
     steps = max(cfg.budget("trace_steps"), recorded_T)
 
-    trace = greedy_antipredict(joint, steps)
+    _, gap = gap_rows(scenario_mixtures()["adversary_rich"], steps)
     lines: list[str] = []
-    failures = 0
-    rows = []
-    previous_ratio: Fraction | None = None
-    ratio_strictly_increasing = True
-    drop_step: int | None = None
-    for step in trace.steps:
-        played = trace.actions[: step.t]
-        env_side = chron.eval(played, played)
-        # The chronological mixture keeps the identity environment's full
-        # prior weight on every copy sequence: exact lower bound.
-        if env_side < w_id:
-            failures += 1
-        ratio = env_side / step.cumulative
-        if previous_ratio is not None and ratio <= previous_ratio:
-            ratio_strictly_increasing = False
-        previous_ratio = ratio
-        if drop_step is None and step.cumulative < w_id:
-            drop_step = step.t
-        rows.append(
-            (
-                step.t,
-                step.action,
-                frac_str(step.conditional),
-                *_exact_float(step.cumulative),
-                frac_str(env_side),
-                *_exact_float(ratio),
-            )
-        )
+    # The chronological mixture keeps the identity environment's full
+    # prior weight on every copy sequence: exact lower bound.
+    failures = sum(env_side < w_id for _, env_side, _ in gap)
+    ratios = [ratio for _, _, ratio in gap]
+    ratio_strictly_increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
+    drop_step = next((step.t for step, _, _ in gap if step.cumulative < w_id), None)
+    rows = [
+        (step.t, step.action, frac_str(step.conditional), *_exact_float(step.cumulative))
+        + (frac_str(env_side), *_exact_float(ratio))
+        for step, env_side, ratio in gap
+    ]
     _write_csv(
         cfg.out_dir / "gap_trace.csv",
         (
@@ -719,7 +717,7 @@ def _scenario_thm8(cfg: ScenarioConfig) -> ScenarioOutcome:
         rows,
     )
     # So far only the steps below the bound have counted as failures.
-    held = f"FAILED at {failures} of {len(trace.steps)} steps" if failures else "held at every step"
+    held = f"FAILED at {failures} of {len(gap)} steps" if failures else "held at every step"
     lines.append(f"identity-env weight bound w_id = {frac_str(w_id)} {held}")
     lines.append(f"joint-view product first below w_id at step {drop_step} (recorded T = {recorded_T})")
     lines.append(f"ratio env-view/joint-view strictly increasing: {ratio_strictly_increasing}")
@@ -730,19 +728,7 @@ def _scenario_thm8(cfg: ScenarioConfig) -> ScenarioOutcome:
         failures += 1
     # A shorter run is checked against the committed prefix of its length.
     committed = derived["trace"][:steps]
-    live = [(str(r[0]), str(r[1]), r[2], r[3], r[5], r[6]) for r in rows[: len(committed)]]
-    recorded = [
-        (
-            str(entry["t"]),
-            str(entry["action"]),
-            entry["conditional"],
-            entry["joint_view_product"],
-            entry["env_view_value"],
-            entry["ratio"],
-        )
-        for entry in committed
-    ]
-    if live != recorded:
+    if [gap_entry(*row) for row in gap[: len(committed)]] != committed:
         failures += 1
         lines.append("MISMATCH against the committed oracle run")
     else:
@@ -755,6 +741,15 @@ def _scenario_thm8(cfg: ScenarioConfig) -> ScenarioOutcome:
 # ---------------------------------------------------------------------------
 
 
+def normalized_traces(mixtures: dict[str, MixtureDef], actions: Sequence[int]) -> tuple:
+    """thm10's three copy-conditional traces along ``actions``: of the normalized
+    ``copy_vs_uniform`` joint mixture, then of the defective ``halting_contrast``
+    one, raw and normalized."""
+    contrast = mixtures["halting_contrast"].joint
+    predictors = (normalize(mixtures["copy_vs_uniform"].joint), contrast, normalize(contrast))
+    return tuple(copy_conditional_trace(xi, actions) for xi in predictors)
+
+
 def _scenario_thm10(cfg: ScenarioConfig) -> ScenarioOutcome:
     derived = load_derived("thm10_normalized")
     length = cfg.budget("normalized_trace_len")
@@ -762,9 +757,7 @@ def _scenario_thm10(cfg: ScenarioConfig) -> ScenarioOutcome:
     lines: list[str] = []
     failures = 0
 
-    mixtures = scenario_mixtures()
-    main = normalize(mixtures["copy_vs_uniform"].joint)
-    main_trace = copy_conditional_trace(main, actions)
+    main_trace, raw_trace, hat_trace = normalized_traces(scenario_mixtures(), actions)
     _write_csv(cfg.out_dir / "normalized_main.csv", _TRACE_HEADER, _trace_rows(main_trace))
     conds = [s.conditional for s in main_trace.steps]
     increasing = all(b > a for a, b in zip(conds, conds[1:]))
@@ -776,8 +769,6 @@ def _scenario_thm10(cfg: ScenarioConfig) -> ScenarioOutcome:
         f"final={frac_str(conds[-1]) if conds else 'none (empty trace)'}"
     )
 
-    contrast = mixtures["halting_contrast"].joint
-    raw_trace = copy_conditional_trace(contrast, actions)
     _write_csv(cfg.out_dir / "contrast_unnormalized.csv", _TRACE_HEADER, _trace_rows(raw_trace))
     bound = prob(derived["contrast_bound"])
     raw_ok = all(s.conditional < bound for s in raw_trace.steps)
@@ -787,7 +778,6 @@ def _scenario_thm10(cfg: ScenarioConfig) -> ScenarioOutcome:
         f"unnormalized defective contrast: every conditional < {frac_str(bound)}: {raw_ok}"
     )
 
-    hat_trace = copy_conditional_trace(normalize(contrast), actions)
     _write_csv(cfg.out_dir / "contrast_normalized.csv", _TRACE_HEADER, _trace_rows(hat_trace))
     floor = prob(derived["normalized_contrast_floor"])
     floor_step = int(derived["normalized_contrast_step"])
@@ -887,6 +877,19 @@ def _write_stats(path: Path, mins: Sequence[Fraction], maxs: Sequence[Fraction])
     )
 
 
+def convergence_stats(mixtures: dict[str, MixtureDef], n: int, jobs: int) -> list:
+    """thm11's two statistics over every action sequence of length ``n``: the
+    normalized ``learnable_deterministic`` joint mixture's against the identity
+    and complement environments, then the raw ``halting_contrast`` one's against
+    the identity environment (see :func:`_conditional_stats`)."""
+    main = mixtures["learnable_deterministic"].joint
+    contrast = mixtures["halting_contrast"].joint
+    assert main is not None and contrast is not None
+    return _conditional_stats(
+        [(main, ("identity", "complement"), True), (contrast, ("identity",), False)], n, jobs
+    )
+
+
 def _scenario_thm11(cfg: ScenarioConfig) -> ScenarioOutcome:
     derived = load_derived("thm11_convergence")
     n = cfg.budget("sequence_length")
@@ -895,13 +898,7 @@ def _scenario_thm11(cfg: ScenarioConfig) -> ScenarioOutcome:
     lines: list[str] = []
     failures = 0
 
-    mixtures = scenario_mixtures()
-    main = mixtures["learnable_deterministic"].joint
-    contrast = mixtures["halting_contrast"].joint
-    assert main is not None and contrast is not None
-    (mins, maxs), (raw_mins, raw_maxs) = _conditional_stats(
-        [(main, ("identity", "complement"), True), (contrast, ("identity",), False)], n, cfg.jobs
-    )
+    (mins, maxs), (raw_mins, raw_maxs) = convergence_stats(scenario_mixtures(), n, cfg.jobs)
     _write_stats(cfg.out_dir / "normalized_min_conditionals.csv", mins, maxs)
     threshold = ONE - epsilon
     ok = all(mins[t] > threshold for t in range(t_star - 1, n))

@@ -36,6 +36,7 @@ from .core import (
     ComponentFormatError,
     History,
     UndefinedConditionalError,
+    count,
     exact_masses,
 )
 from .semimeasure import (
@@ -45,6 +46,7 @@ from .semimeasure import (
     _checked_walk,
     _context_at,
     _history,
+    _uniform,
     _widths,
     times_ratio,
     walk,
@@ -53,12 +55,12 @@ from .semimeasure import (
 
 def uniform_prior(n: int) -> tuple[Fraction, ...]:
     """Default prior over a scenario's component list."""
-    return tuple(Fraction(1, n) for _ in range(n))
+    return _uniform(n, "n")
 
 
 def harmonic_prior(n: int) -> tuple[Fraction, ...]:
     """w_i = 1/(i(i+1)) for enumeration-ordered components; sums to n/(n+1)."""
-    return tuple(Fraction(1, i * (i + 1)) for i in range(1, n + 1))
+    return tuple(Fraction(1, i * (i + 1)) for i in range(1, count(n, "n", 1) + 1))
 
 
 class _Mixture:
@@ -289,8 +291,6 @@ def check_predictive_consistency(
     (witness, xi(x e) / xi(x), the same without that mass) in the
     :func:`contexts` order of the pending prefixes; empty means agreement.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
 
     def step(state: Any, symbol: int) -> tuple[Any, Any]:
         """A pending prefix's state pairs the mixture's with its live components
@@ -305,6 +305,6 @@ def check_predictive_consistency(
         ratios = (mass, mass - gained) if gained else ()
         return tuple(times_ratio(mixture, ONE, m, n + 1, denom, n) for m in ratios) or None, child
 
-    found = walk(mixture, 2 * depth + 2, (None, mixture.root()[1]), step)[0]
+    found = walk(mixture, 2 * count(depth, "depth") + 2, (None, mixture.root()[1]), step)[0]
     hits = [(_context_at(mixture, slot), pair) for slot, pair in enumerate(found) if pair]
     return [((x[:-1], x[-1]), *pair) for x, pair in hits]

@@ -84,6 +84,7 @@ from .core import (
     History,
     Prob,
     UndefinedConditionalError,
+    count,
     exact_masses,
     prob,
 )
@@ -251,10 +252,8 @@ class DeterministicPolicy(Policy):
     action outside ``range(action_arity)`` is a ``ComponentFormatError``."""
 
     def __init__(self, fn: Callable[[History], int], action_arity: int = 2):
-        if type(action_arity) is not int or action_arity < 1:
-            raise ComponentFormatError(f"action_arity must be a positive int, got {action_arity!r}")
         self.fn = fn
-        self.action_arity = action_arity
+        self.action_arity = count(action_arity, "action_arity", 1)
 
     def root(self) -> tuple[int, Any]:
         return 1, ((), (), [])  # (actions, percepts, fn's action once asked)
@@ -309,12 +308,17 @@ class StationaryPolicy(_ProductScale, Policy):
         return mass, (mass, not pending)
 
 
+def _uniform(arity: int, what: str) -> tuple[Fraction, ...]:
+    """``arity`` masses of 1/arity each, the arity checked by :func:`count`."""
+    return (Fraction(1, count(arity, what, 1)),) * arity
+
+
 def uniform_policy(action_arity: int = 2) -> StationaryPolicy:
-    return StationaryPolicy(tuple(Fraction(1, action_arity) for _ in range(action_arity)))
+    return StationaryPolicy(_uniform(action_arity, "action_arity"))
 
 
 def constant_policy(action: int, action_arity: int = 2) -> DeterministicPolicy:
-    if action not in range(action_arity):
+    if action not in range(count(action_arity, "action_arity", 1)):
         raise ComponentFormatError(f"constant action {action!r} is outside range({action_arity})")
     return DeterministicPolicy(lambda h: action, action_arity)
 
@@ -396,8 +400,7 @@ class ProductJoint(_StepRule, JointSemimeasure):
 def uniform_measure(action_arity: int = 2, percept_arity: int = 2) -> ProductJoint:
     """The uniform joint measure nu(x) = prod 1/arity."""
     return ProductJoint(
-        tuple(Fraction(1, action_arity) for _ in range(action_arity)),
-        tuple(Fraction(1, percept_arity) for _ in range(percept_arity)),
+        _uniform(action_arity, "action_arity"), _uniform(percept_arity, "percept_arity")
     )
 
 
@@ -495,7 +498,7 @@ class IIDEnv(_StepRule, ChronEnv):
 
 
 def uniform_env(percept_arity: int = 2) -> IIDEnv:
-    return IIDEnv(tuple(Fraction(1, percept_arity) for _ in range(percept_arity)))
+    return IIDEnv(_uniform(percept_arity, "percept_arity"))
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +514,7 @@ def _check_row(context: Any, row: Sequence[Fraction], arity: int) -> tuple[Fract
 
 def _default_row(default: str, arity: int) -> tuple[Fraction, ...]:
     """Conditional masses beyond the defined contexts under a default rule."""
-    if default == "uniform":
-        return tuple(Fraction(1, arity) for _ in range(arity))
-    return tuple(ZERO for _ in range(arity))
+    return _uniform(arity, "arity") if default == "uniform" else (ZERO,) * arity
 
 
 class _TableWalk(_ProductScale):
@@ -537,12 +538,8 @@ class _TableWalk(_ProductScale):
     ):
         if default not in ("halt", "uniform"):
             raise ComponentFormatError(f"unknown default rule {default!r}")
-        if not all(type(n) is int and n > 0 for n in (action_arity, percept_arity)):
-            raise ComponentFormatError(
-                f"arities must be positive ints, got {action_arity!r} and {percept_arity!r}"
-            )
-        self.action_arity = action_arity
-        self.percept_arity = percept_arity
+        self.action_arity = count(action_arity, "action_arity", 1)
+        self.percept_arity = count(percept_arity, "percept_arity", 1)
         self.default = default
         self.declared_measure = declared_measure
         arities = (action_arity, percept_arity)
@@ -700,7 +697,7 @@ def contexts(nu: JointSemimeasure | ChronEnv, depth: int) -> Iterator[Any]:
     t <= depth steps, ordered by (t, actions, percepts). A context's
     position in this order is its *slot*.
     """
-    return _contexts(_alphabet(nu), depth)
+    return _contexts(_alphabet(nu), count(depth, "depth"))
 
 
 # (joint, action arity, percept arity): all that the contexts of a component
@@ -791,10 +788,8 @@ def walk(
     keeping every check's columns to the end of a :func:`check_scope`
     (``claims_default`` peak RSS 30.4 MB, not 29.3, at the same time).
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     filing = gains is None
-    depth += not filing  # a check steps one level further, into its rows
+    depth = count(depth, "depth") + (not filing)  # a check steps one level further, into its rows
     alphabet = _alphabet(nu)
     joint, n_actions, n_percepts = alphabet
     if n_actions < 1 or n_percepts < 1:
@@ -1136,6 +1131,7 @@ def _check(
     numerator against the summed numerators of its children. The columns come
     from one walk, except a mixture's: its members' columns summed with its weights
     (see :func:`_columns`); the root's row holds the root mass over its gain."""
+    count(depth, "depth")
     alphabet = alphabet or _alphabet(nu)
     joint = alphabet[0]
     fan = 1 if joint else alphabet[1]  # rows per context
@@ -1169,10 +1165,8 @@ def check_policy(pi: Policy, depth: int, percept_arity: int = 2) -> CheckReport:
     """Chronological condition with action/percept roles swapped, folded from the
     environment-mode check to ``depth - 1``: the |P| children of its row (h, a) weigh
     pi(h a), so h's row sums its |A| rows' rhs against |P| times their lhs."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    if type(percept_arity) is not int or percept_arity < 1:
-        raise ValueError(f"percept_arity must be a positive int, got {percept_arity!r}")
+    count(depth, "depth")
+    count(percept_arity, "percept_arity", 1)
     fan, alphabet = pi.action_arity, (False, pi.action_arity, percept_arity)
     rows = partial(_policy_rows, alphabet, depth)
     if not depth:  # no history is shorter than the empty one: no rows

@@ -89,7 +89,7 @@ from itertools import product
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from .core import ZERO, ComponentFormatError, Prob
+from .core import ZERO, ComponentFormatError, Prob, count
 from .semimeasure import ChronEnv, JointSemimeasure, _check_alphabet, _history
 
 OUT0, OUT1, OUTR, READA, FLIP, SKIP0, JBACK, HALT = range(8)
@@ -128,15 +128,24 @@ class RunResult:
     actions_read: int
 
 
+def _bits(values: Sequence[int], what: str) -> tuple[int, ...]:
+    """``values`` checked by the one rule for bits, of a program or an action
+    tape: each is the ``int`` 0 or 1, never a bool, float or string."""
+    try:
+        bits = tuple(values)
+    except TypeError:
+        raise ComponentFormatError(f"{what} must be a sequence of bits, got {values!r}") from None
+    if any(type(b) is not int or b not in (0, 1) for b in bits):
+        raise ComponentFormatError(f"{what} must be bits, the ints 0 and 1, got {bits!r}")
+    return bits
+
+
 def _parse_bits(program: str | Sequence[int]) -> tuple[int, ...]:
     if isinstance(program, str):
         if any(c not in "01" for c in program):
             raise ComponentFormatError(f"program must be a bit string, got {program!r}")
         return tuple(int(c) for c in program)
-    bits = tuple(int(b) for b in program)
-    if any(b not in (0, 1) for b in bits):
-        raise ComponentFormatError("program bits must be 0 or 1")
-    return bits
+    return _bits(program, "program")
 
 
 def _decode_ops(bits: tuple[int, ...]) -> list[int]:
@@ -278,8 +287,11 @@ def run_program(
     budget. The result reports how many program bits were actually read.
     """
     bits = _parse_bits(program)
+    count(max_steps, "max_steps")
+    if max_output is not None:
+        count(max_output, "max_output")
     available = _decode_ops(bits)
-    tape = tuple(actions) if actions is not None else None
+    tape = _bits(actions, "run_program's actions") if actions is not None else None
     ops: list[int] = []
     pc, reg, steps, code, n_out, nread = 0, 0, 0, 1, 0, 0
     while True:
@@ -503,13 +515,6 @@ def _walk_tables(
     return tables, stopped
 
 
-def _check_budgets(program_bits: int, steps: int) -> None:
-    if program_bits < 0:
-        raise ComponentFormatError(f"program_bits must be >= 0, got {program_bits}")
-    if steps < 0:
-        raise ComponentFormatError(f"steps must be >= 0, got {steps}")
-
-
 class JointEnumApprox(JointSemimeasure):
     """Budget-bounded lower approximation of the program-weighted joint mixture.
 
@@ -553,9 +558,8 @@ class ChronEnumApprox(ChronEnv):
     """
 
     def __init__(self, program_bits: int, steps: int):
-        _check_budgets(program_bits, steps)
-        self.program_bits = program_bits
-        self.steps = steps
+        self.program_bits = count(program_bits, "program_bits")
+        self.steps = count(steps, "steps")
         self.tables: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
         self._codes: dict[int, dict[int, int]] = {}  # tape code -> percept code -> numerator
         self._code_of = _Codes()
@@ -790,12 +794,9 @@ def enumerate_joint(program_bits: int, steps: int, max_len: int = 16) -> JointEn
     max_len 16, program_bits 24 takes about 1.5 s and under 30 MB; each 3
     more bits cost 4-5x (docs/machine.md).
     """
-    _check_budgets(program_bits, steps)
-    if max_len < 0:
-        raise ComponentFormatError(f"max_len must be >= 0, got {max_len}")
     table = _stored(
         "joint_L{}_S{}_D{}",
-        [program_bits, steps, max_len],
+        [count(program_bits, "program_bits"), count(steps, "steps"), count(max_len, "max_len")],
         # No actions: READA always suspends, and every prefix up to max_len counts.
         lambda: _walk_tables(program_bits, steps, max_len, ())[0].get((), {}),
     )
@@ -810,9 +811,7 @@ def enumerate_chron(program_bits: int, steps: int, actions: Sequence[int]) -> Ch
     and each is its own cache entry.
     """
     approx = ChronEnumApprox(program_bits, steps)
-    tape = tuple(actions)
-    if any(a not in (0, 1) for a in tape):
-        raise ComponentFormatError(f"actions must be 0 or 1, got {tape}")
+    tape = _bits(actions, "enumerate_chron's actions")
     walk = cache(lambda: _walk_tables(program_bits, steps, len(tape), tape)[0])
     for t in range(len(tape) + 1):
         prefix = tape[:t]

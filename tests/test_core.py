@@ -113,6 +113,24 @@ def test_percept_alphabet_validates_reward_range():
     assert (shifted.reward(0), shifted.reward(1)) == (-1, F(-1, 2))
 
 
+@pytest.mark.parametrize(
+    "symbols, bounds, match",
+    [
+        ((PerceptSymbol(0, 0),), (0, 1, 2), "reward bounds must be a \\(low, high\\) pair"),
+        ((PerceptSymbol(0, 0),), None, "reward bounds must be a \\(low, high\\) pair"),
+        ((PerceptSymbol(0, 0),), 5, "reward bounds must be a \\(low, high\\) pair"),
+        ((0, 1), (0, 1), "percept alphabet needs PerceptSymbols"),
+        ((), (0, 1), "percept alphabet needs PerceptSymbols"),
+        (None, (0, 1), "percept alphabet needs PerceptSymbols"),
+    ],
+    ids=["three_bounds", "none_bounds", "int_bounds", "int_symbols", "no_symbols", "none_symbols"],
+)
+def test_percept_alphabet_refuses_a_malformed_shape_by_name(symbols, bounds, match):
+    # These escaped as ValueError (unpacking), TypeError and AttributeError.
+    with pytest.raises(ComponentFormatError, match=match):
+        PerceptAlphabet(symbols, bounds)
+
+
 @pytest.mark.parametrize("bad", [True, 1.0, "1", None], ids=["bool", "float", "str", "none"])
 def test_percept_alphabet_rewards_and_bounds_are_exact(bad):
     # A True reward and (0.0, 1.0) bounds were accepted; "1" and None escaped as TypeError.

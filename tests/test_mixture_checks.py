@@ -15,7 +15,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from uailab import semimeasure
-from uailab.core import UndefinedConditionalError
+from uailab.core import ComponentFormatError, UndefinedConditionalError
 from uailab.experiments import ScenarioConfig, run_scenario, scenario_mixtures
 from uailab.mixture import EnvMixture, JointMixture, MixturePolicy, _Mixture
 from uailab.semimeasure import (
@@ -326,7 +326,8 @@ def test_a_combined_check_raises_what_the_walk_raises():
     assert outcome(check_semimeasure, mixture, 1) is UndefinedConditionalError
     assert outcome(walked_check, mixture, 1) is UndefinedConditionalError
     assert_same_report(check_semimeasure(mixture, 0), walked_check(mixture, 0))
-    assert outcome(check_semimeasure, mixture, -1) is ValueError
+    depth_error = outcome(walked_check, mixture, -1)
+    assert outcome(check_semimeasure, mixture, -1) is depth_error is ComponentFormatError
 
 
 def test_a_witness_of_a_member_need_not_be_the_mixture_s():

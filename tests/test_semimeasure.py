@@ -369,7 +369,7 @@ def test_point_queries_reject_symbols_outside_the_alphabet():
 
 @pytest.mark.parametrize("percept_arity", [0, -1, True, 1.5, "2", None])
 def test_check_policy_rejects_a_percept_arity_that_is_not_a_positive_int(percept_arity):
-    with pytest.raises(ValueError, match="percept_arity must be a positive int"):
+    with pytest.raises(ComponentFormatError, match="percept_arity must be >= 1 \\(an int\\)"):
         check_policy(uniform_policy(), 2, percept_arity)
     assert check_policy(uniform_policy(), 2, 1).contexts == 3
 

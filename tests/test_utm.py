@@ -977,6 +977,24 @@ def test_enumerate_chron_rejects_non_binary_actions():
         enumerate_chron(6, 60, (1, 0, -1))
 
 
+@pytest.mark.parametrize(
+    "bad", [[2], ["1"], [True], [1.0], [0, -1], 5], ids=["two", "str", "bool", "float", "neg", "int"]
+)
+def test_programs_and_action_tapes_are_bits_by_one_rule(bad):
+    # [2] and ['1'] once escaped from run_program as IndexError and TypeError,
+    # [True] and [1.0] were read as bits, and enumerate_chron keyed its tables
+    # by (True,). Each refusal names the sequence that failed.
+    program = bad * 6 if isinstance(bad, list) else bad
+    for call, what in (
+        (lambda: run_program(program), "program"),
+        (lambda: run_program(PROGRAM_ECHO, actions=bad), "run_program's actions"),
+        (lambda: enumerate_chron(6, 60, bad), "enumerate_chron's actions"),
+    ):
+        with pytest.raises(ComponentFormatError, match=f"^{what} must be"):
+            call()
+    assert run_program([0, 1, 1, 0, 1, 0, 1, 1, 0], [1, 0]) == run_program(PROGRAM_ECHO, (1, 0))
+
+
 def test_negative_program_bits_rejected():
     with pytest.raises(ComponentFormatError, match="program_bits"):
         enumerate_joint(-3, 60, max_len=4)
