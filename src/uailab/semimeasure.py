@@ -249,7 +249,8 @@ class DeterministicPolicy(Policy):
     """Total function from histories to actions, wrapped as a policy. Its walk
     state is the history and a cell its sibling actions share: the first asks
     ``fn`` once, and the context is dead where ``fn`` chose another action. An
-    action outside ``range(action_arity)`` is a ``ComponentFormatError``."""
+    action that is not an ``int`` in ``range(action_arity)`` (a bool or a
+    float included) is a ``ComponentFormatError``."""
 
     def __init__(self, fn: Callable[[History], int], action_arity: int = 2):
         self.fn = fn
@@ -267,7 +268,7 @@ class DeterministicPolicy(Policy):
         if not chosen:  # siblings share one call of fn
             h = History(actions, percepts)
             action = self.fn(h)
-            if action not in range(self.action_arity):
+            if type(action) is not int or action not in range(self.action_arity):
                 raise ComponentFormatError(
                     f"policy chose {action!r} at {h!r}, outside range({self.action_arity})"
                 )
@@ -318,7 +319,7 @@ def uniform_policy(action_arity: int = 2) -> StationaryPolicy:
 
 
 def constant_policy(action: int, action_arity: int = 2) -> DeterministicPolicy:
-    if action not in range(count(action_arity, "action_arity", 1)):
+    if type(action) is not int or action not in range(count(action_arity, "action_arity", 1)):
         raise ComponentFormatError(f"constant action {action!r} is outside range({action_arity})")
     return DeterministicPolicy(lambda h: action, action_arity)
 

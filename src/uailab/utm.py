@@ -30,22 +30,22 @@ Enumeration explores the opcode tree lazily: a run branches 8 ways whenever
 it fetches a fresh opcode, and becomes a counted leaf of weight
 2^-(bits consumed) when it halts, exhausts the step budget, reaches the
 output cap, suspends awaiting input, or would fetch beyond the length
-budget. Masses are nondecreasing in both the length and step budgets. One
-depth-first walk with integer weights serves both modes; a chronological
-walk branches on each action READA reads, so it yields every tape of a
-length at once. The walk for tape length t returns the nodes its output
-cap stopped (runs whose output reached t, and runs awaiting an action they
-could read at t); the walk for length t + 1 resumes from exactly those
-nodes, re-running each from its start state, so across lengths 0, 1, ...
-each node of the opcode tree is walked once (only the stopped nodes'
-segments run again). A run carries its output as one integer code, the
-symbols under a leading 1 bit (the empty output is 1), so emitting a
-symbol is ``code = 2 * code + bit`` and an output prefix of k symbols is a
-right shift. The walk keys masses by code and decodes each code into its
-output tuple once, when it builds the table entry; a stopped node is one
-fixed-width record that holds the code's bytes. ``ChronEnumApprox``'s own
-walk codes its percept string and action tape the same way, and reads each
-tape's numerators by code.
+budget. Masses are nondecreasing in both the length and step budgets. A
+depth-first walk with integer weights serves the joint mode and a played
+tape. A chronological walk branches on each action READA reads, so it
+yields every tape of a length at once, and each ``ChronEnumApprox`` keeps
+its walk from one tape length to the next. There a node runs its segment
+once, with no output cap, and the prefix it reaches at each later length
+is a shift of its code; a run that can go on only past the length being
+built (its output has reached it) waits, parked as one fixed-width record,
+for the length that needs it. So across lengths 0, 1, ... each node of the
+opcode tree is interpreted once. A run carries its output as one integer
+code, the symbols under a leading 1 bit (the empty output is 1), so
+emitting a symbol is ``code = 2 * code + bit`` and an output prefix of k
+symbols is a right shift. The walks key masses by code and decode each
+code into its output tuple once, when they build the table entry.
+``ChronEnumApprox``'s own walk codes its percept string and action tape the
+same way, and reads each tape's numerators by code.
 
 The interpreter fast-forwards laps. When JBACK lands at pc 0 with the
 register and action count of an earlier landing in the same segment, or
@@ -63,13 +63,14 @@ Worked example programs (lengths on the frozen machine):
     echo           011010110       (9 bits)   percept t = action t
     complement     011100010110    (12 bits)  percept t = 1 - action t
 
-At desk scale, joint enumeration reaches program_bits 24 in about 1.5 s
-and chronological checks reach program_bits 18 at depth 7 in about 4 s; each
-3 more bits cost 3-6x (measured limits in docs/machine.md). A joint table,
-the tables of every tape of one length, and each prefix table of
-``enumerate_chron`` are one cache entry each, memoized in-process by name
-and stored on disk keyed by (definition hash, budgets); UAILAB_CACHE_DIR
-is the only switch (empty disables the disk cache). A file stores the
+At desk scale, joint enumeration reaches program_bits 24 in about 1.5 s,
+and chronological checks reach program_bits 18 at depth 7 in about 2.5 s
+and 21 at depth 5 in about 4 s; each 3 more bits cost 3-6x (measured
+limits in docs/machine.md). A joint table, the tables of every tape of
+one length, and each prefix table of ``enumerate_chron`` are one cache
+entry each, memoized in-process by name and stored on disk keyed by
+(definition hash, budgets); UAILAB_CACHE_DIR is the only switch (empty
+disables the disk cache). A file stores the
 walk's integer numerators as they are, under a SHA-256 of their bytes that
 a read checks before it parses; each entry becomes its ``Fraction`` once,
 in place when computed. See docs/cache_format.md.
@@ -314,24 +315,25 @@ def run_program(
 
 @cache
 def _record(max_ops: int, max_steps: int, cap: int) -> tuple[struct.Struct, int, int]:
-    """The fixed-width record of a node that a walk with these budgets
-    stops, with the widths of its code and step fields: the opcodes and the
-    actions read, each padded and followed by its count, the output code's
-    and the step count's bytes, then pc and reg. ``s`` fields pad and
-    truncate silently, so each width holds its field's bound: a stopped
-    node has at most max_ops opcodes, reads at most cap actions, and holds
-    code < 2**(cap + 1) and steps <= max_steps."""
+    """The fixed-width record of a run parked for ``cap`` under these
+    budgets, with the widths of its code and step fields: the opcodes and
+    the actions read, each padded and followed by its count, the output
+    code's and the step count's bytes, then pc and reg. ``s`` fields pad
+    and truncate silently, so each width holds its field's bound: a run
+    parked for cap has at most max_ops opcodes, has read at most cap
+    actions, and holds code < 2**cap (cap - 1 symbols) and steps <=
+    max_steps."""
     code_width = cap // 8 + 1
     step_width = (max_steps.bit_length() + 7) // 8
     layout = struct.Struct(f"={max_ops}sB{cap}sB{code_width}s{step_width}sBB")
     return layout, code_width, step_width
 
 
-def _pack(stopped: bytearray, record: tuple[struct.Struct, int, int], node: tuple) -> None:
-    """Push a walk node onto ``stopped`` as one ``record``."""
+def _pack(parked: bytearray, record: tuple[struct.Struct, int, int], node: tuple) -> None:
+    """Push a walk node onto ``parked`` as one ``record``."""
     ops, pc, reg, steps, code, _, _, reads = node
     layout, code_width, step_width = record
-    stopped += layout.pack(
+    parked += layout.pack(
         bytes(ops),
         len(ops),
         bytes(reads),
@@ -343,12 +345,12 @@ def _pack(stopped: bytearray, record: tuple[struct.Struct, int, int], node: tupl
     )
 
 
-def _unpack(stopped: bytearray, record: tuple[struct.Struct, int, int]) -> tuple:
-    """Pop the last ``record`` pushed onto ``stopped``, as a walk node."""
+def _unpack(parked: bytearray, record: tuple[struct.Struct, int, int]) -> tuple:
+    """Pop the last ``record`` pushed onto ``parked``, as a walk node."""
     layout = record[0]
-    start = len(stopped) - layout.size
-    ops, n_ops, reads, n_reads, code, steps, pc, reg = layout.unpack_from(stopped, start)
-    del stopped[start:]
+    start = len(parked) - layout.size
+    ops, n_ops, reads, n_reads, code, steps, pc, reg = layout.unpack_from(parked, start)
+    del parked[start:]
     code = int.from_bytes(code, "little")
     return (
         tuple(ops[:n_ops]),
@@ -365,154 +367,191 @@ def _unpack(stopped: bytearray, record: tuple[struct.Struct, int, int]) -> tuple
 _FETCHED = tuple((op,) for op in range(8))  # each opcode a fetch can append
 
 
-def _walk(
-    max_ops: int,
-    max_steps: int,
-    cap: int,
-    tape: tuple[int, ...] | None,
-    starts: bytearray | None = None,
-) -> tuple[dict[tuple[int, ...], dict[int, int]], bytearray]:
-    """Masses of every counted run, in units of 8**-max_ops, from one walk.
+def _walk(max_ops: int, max_steps: int, cap: int, tape: tuple[int, ...]) -> dict[int, int]:
+    """Masses of every counted run along ``tape``, in units of 8**-max_ops,
+    from one walk, keyed by the output prefix's code (its symbols under a
+    leading 1 bit).
 
-    Runs follow ``tape``; with ``tape=None`` a run branches into both action
-    values wherever READA may read a fresh action below the output cap. The
-    masses are keyed by the actions chosen at those branches, then by the
-    output prefix's code (its symbols under a leading 1 bit). A node of n
-    opcodes carries 8**(max_ops - n), the total weight of the counted runs
-    below it; output is append-only, so the node adds that weight to each
-    output prefix of length 1..cap first reached in its segment, and every
-    counted run adds its weight to the empty prefix (code 1) when it ends.
+    A node of n opcodes carries 8**(max_ops - n), the total weight of the
+    counted runs below it; output is append-only, so the node adds that
+    weight to each output prefix of length 1..cap first reached in its
+    segment, and every counted run adds its weight to the empty prefix
+    (code 1) when it ends.
 
     The children of a node one opcode short of the length budget can never
     fetch, so the walk settles all eight where their parent fetches. Each
     ends after its opcode, an OUT child with one more symbol, except JBACK,
-    which runs on: in place along a tape, before the OUT children, so every
-    prefix keeps its first-reach place; pushed in a chronological walk. In
-    place, a JBACK that returns the run to its start state settles by
-    shifts when the budgets allow (:func:`_back_at_start`); any other runs
-    through the interpreter.
-
-    The walk starts at the root, or at the nodes ``starts``, records of the
-    walk at cap - 1 (:func:`_record`), which it pops one at a time. With
-    ``tape=None`` it also returns, packed as they started in records of
-    this walk's budgets, the nodes the cap stopped: runs whose output
-    reached the cap and runs awaiting an action they could read at the cap.
-    A walk at cap + 1 differs from this one only from those nodes down, so
-    resuming from them yields every output prefix of length cap + 1 (and
-    shorter prefixes only along their re-run segments).
+    which runs on in place, before the OUT children, so every prefix keeps
+    its first-reach place. A JBACK that returns the run to its start state
+    settles by shifts when the budgets allow (:func:`_back_at_start`); any
+    other runs through the interpreter.
     """
     weights = [8 ** (max_ops - n) for n in range(max_ops + 1)]
-    masses: defaultdict[tuple[int, ...], defaultdict[int, int]] = defaultdict(
-        lambda: defaultdict(int)
-    )
-    stopped = bytearray()
-    record = _record(max_ops, max_steps, cap)
-    # the walk at cap - 1 packed the starts
-    start_record = None if starts is None else _record(max_ops, max_steps, cap - 1)
-    # (ops, pc, reg, steps, output code, output length, actions read,
-    #  actions chosen at branches)
-    stack: list[tuple] = [((), 0, 0, 0, 1, 0, 0, ())] if starts is None else []
-    while stack or starts:
-        node = stack.pop() if stack else _unpack(starts, start_record)
-        ops, pc, reg, steps, code, n_start, nread, reads = node
+    by_code: defaultdict[int, int] = defaultdict(int)
+    # (ops, pc, reg, steps, output code, output length, actions read)
+    stack: list[tuple] = [((), 0, 0, 0, 1, 0, 0)]
+    while stack:
+        ops, pc, reg, steps, code, n_start, nread = stack.pop()
         w = weights[len(ops)]
-        inputs = reads if tape is None else tape
         status, pc, reg, steps, code, n_out, nread = _run_segment(
-            ops, pc, reg, steps, code, n_start, nread, inputs, max_steps, cap
+            ops, pc, reg, steps, code, n_start, nread, tape, max_steps, cap
         )
         top = n_out if n_out < cap else cap
-        if top > n_start:
-            by_code = masses[reads]
-            # shortest new prefix first, as the tables list them
-            for shift in range(n_out - n_start - 1, n_out - top - 1, -1):
-                by_code[code >> shift] += w
+        # shortest new prefix first, as the tables list them
+        for shift in range(n_out - n_start - 1, n_out - top - 1, -1):
+            by_code[code >> shift] += w
         if status == "fetch":
             if len(ops) + 1 < max_ops:
-                stack += [
-                    (ops + op, pc, reg, steps, code, n_out, nread, reads) for op in _FETCHED
-                ]
+                stack += [(ops + op, pc, reg, steps, code, n_out, nread) for op in _FETCHED]
                 continue
             if len(ops) < max_ops:
-                # Settle the eight children in the order the stack would pop
-                # them: HALT, JBACK, SKIP0, FLIP, READA, OUTR, OUT1, OUT0.
-                by_code = masses[reads]
+                # Every child is a run counted here, JBACK too.
+                by_code[1] += 8
                 if pc < len(ops):  # SKIP0 skips the new slot: every child ends silent
-                    by_code[1] += 8
                     continue
-                branches = tape is None and nread <= n_out < cap  # READA's action branches
-                # Every child is a run counted here but a pushed JBACK and READA's branches.
-                by_code[1] += 8 - (tape is None) - branches
-                jback = (ops + _FETCHED[JBACK], pc, reg, steps, code, n_out, nread, reads)
-                if tape is not None:  # JBACK alone runs on, and lists its prefixes first
-                    settled = None
-                    if reg == nread == 0:  # JBACK returns the run to its start state
-                        settled = _back_at_start(code, n_out, steps, max_steps, cap)
-                    j_code, j_out = settled or _run_segment(*jback[:7], tape, max_steps, cap)[4:6]
-                    for shift in range(j_out - n_out - 1, j_out - min(j_out, cap) - 1, -1):
-                        by_code[j_code >> shift] += 1
-                else:
-                    stack.append(jback)
-                    if branches:  # each branch ends silent under its action
-                        masses[reads + (0,)][1] += 1
-                        masses[reads + (1,)][1] += 1
-                    elif nread <= n_out:  # READA could read at the cap
-                        _pack(stopped, record, (ops + _FETCHED[READA],) + jback[1:])
-                    if n_out + 1 >= cap:  # each OUT child reaches the cap
-                        for op in (OUTR, OUT1, OUT0):
-                            _pack(stopped, record, (ops + _FETCHED[op],) + jback[1:])
+                # JBACK runs on and lists its prefixes first.
+                settled = None
+                if reg == nread == 0:  # JBACK returns the run to its start state
+                    settled = _back_at_start(code, n_out, steps, max_steps, cap)
+                j_code, j_out = settled or _run_segment(
+                    ops + _FETCHED[JBACK], pc, reg, steps, code, n_out, nread, tape, max_steps, cap
+                )[4:6]
+                for shift in range(j_out - n_out - 1, j_out - min(j_out, cap) - 1, -1):
+                    by_code[j_code >> shift] += 1
                 if n_out < cap:  # OUTR emits reg before OUT1 and OUT0 emit their bits
                     by_code[2 * code + reg] += 2
                     by_code[2 * code + 1 - reg] += 1
                 continue
             # otherwise boundary suspension: counted with its output so far
-        elif tape is None and (
-            status == "output_limit" or status == "awaiting_input" and nread <= n_out
-        ):
-            if n_out < cap:
-                # READA has already counted its step; each branch resumes past it.
-                stack.extend(
-                    (ops, pc + 1, a, steps, code, n_out, nread + 1, reads + (a,)) for a in (0, 1)
-                )
-                continue
-            _pack(stopped, record, node)
         if ops:  # a zero-bit run is not a program, whatever ends it
-            masses[reads][1] += w
-    return masses, stopped
+            by_code[1] += w
+    return by_code
 
 
 def _walk_tables(
-    program_bits: int,
-    steps: int,
-    cap: int,
-    tape: tuple[int, ...] | None,
-    starts: bytearray | None = None,
-) -> tuple[dict[tuple[int, ...], Numerators], bytearray]:
-    """Mass tables keyed by action tape from one :func:`_walk`, and the
-    nodes the cap stopped. Each mass is an integer numerator over the walk's
-    scale 8**(program_bits // 3); :func:`_stored` turns it into a Fraction.
-
-    Along a given tape, an output prefix of length k belongs to the tape's
-    prefix ``tape[:k]``; with ``tape=None`` the tables are those of every
-    tape of length ``cap``, each summing the branches it extends. Each
-    output code is decoded once per table entry.
-    """
-    masses, stopped = _walk(program_bits // OPCODE_BITS, steps, cap, tape, starts)
+    program_bits: int, steps: int, cap: int, tape: tuple[int, ...]
+) -> dict[tuple[int, ...], Numerators]:
+    """Mass tables keyed by action tape from one :func:`_walk` along
+    ``tape``: an output prefix of length k belongs to the tape's prefix
+    ``tape[:k]``. Each mass is an integer numerator over the walk's scale
+    8**(program_bits // 3); :func:`_stored` turns it into a Fraction. Each
+    output code is decoded once."""
     tables: dict[tuple[int, ...], Numerators] = {}
-    for reads, by_code in masses.items():
-        for code, mass in by_code.items():
-            n_out = code.bit_length() - 1
-            if tape is not None:
-                tapes = [tape[:n_out]]
-            elif n_out == cap:
-                tapes = [reads + rest for rest in product((0, 1), repeat=cap - len(reads))]
-            else:
+    for code, mass in _walk(program_bits // OPCODE_BITS, steps, cap, tape).items():
+        out = _output(code)
+        tables.setdefault(tape[: len(out)], {})[out] = mass
+    return tables
+
+
+class _ChronWalk:
+    """The chronological walk of one environment, advanced from tape length
+    to tape length so that each node of the opcode tree runs its segment
+    once.
+
+    A run branches into both action values wherever READA may read a fresh
+    action, and a node runs its segment with no output cap, to a fetch, an
+    action it awaits, a halt or the step limit. Its weight goes to the
+    output prefixes the segment reaches, keyed by the actions chosen at the
+    branches, then by the prefix's code. Of a segment that ends at output
+    length N, the prefix of length t is ``code >> (N - t)``: the walk files
+    it at length t when the segment starts below t, and keeps the code for
+    the lengths above t that later calls ask. A fetch, or an action the run
+    may read, at N >= t continues only at length N + 1: the walk parks it,
+    as one :func:`_record`, until it reaches that length, and there pops
+    and continues each one. So the nodes a call runs are exactly those
+    whose segments start below its length and no earlier call ran.
+    """
+
+    def __init__(self, max_ops: int, max_steps: int):
+        self.max_ops, self.max_steps = max_ops, max_steps
+        self.cap = -1  # the last length walked; -1 until the root has run
+        self.parked: dict[int, bytearray] = {}  # records by the length that continues them
+        # actions chosen -> code -> weight, by output length, of the
+        # segments whose output passed the last length walked
+        self.future: dict[int, defaultdict[tuple[int, ...], defaultdict[int, int]]] = {}
+
+    def tables(self, t: int) -> dict[tuple[int, ...], Numerators]:
+        """The tables of every tape of length t, integer numerators over
+        8**max_ops by output string. A new walk takes any t and starts at
+        the root; otherwise t is ``self.cap + 1``."""
+        max_ops, max_steps, parked, future = self.max_ops, self.max_steps, self.parked, self.future
+        weights = [8 ** (max_ops - n) for n in range(max_ops + 1)]
+        masses: defaultdict[tuple[int, ...], defaultdict[int, int]] = defaultdict(
+            lambda: defaultdict(int)
+        )
+        for n_out, later in future.items():
+            for reads, by_code in later.items():
+                filed = masses[reads]
+                for code, w in by_code.items():
+                    filed[code >> (n_out - t)] += w
+        future.pop(t, None)
+        resumed, record = parked.pop(t, bytearray()), _record(max_ops, max_steps, t)
+        # (ops, pc, reg, steps, output code, output length, actions read,
+        #  actions chosen at branches)
+        stack: list[tuple] = [((), 0, 0, 0, 1, 0, 0, ())] if self.cap < 0 else []
+        while stack or resumed:
+            if not stack:
+                stack = self._continued(_unpack(resumed, record), t, masses)
                 continue
-            out = _output(code)
-            for actions in tapes:
-                table = tables.setdefault(actions, {})
-                table[out] = table.get(out, 0) + mass
-        by_code.clear()  # decoded: released before the next branch's entries exist
-    return tables, stopped
+            ops, pc, reg, steps, code, n_start, nread, reads = stack.pop()
+            status, pc, reg, steps, code, n_out, nread = _run_segment(
+                ops, pc, reg, steps, code, n_start, nread, reads, max_steps, None
+            )
+            if n_out >= t:
+                w = weights[len(ops)]
+                if n_start < t:
+                    masses[reads][code >> (n_out - t)] += w
+                if n_out > t:
+                    later = future.get(n_out)
+                    if later is None:
+                        later = future[n_out] = defaultdict(lambda: defaultdict(int))
+                    later[reads][code] += w
+            if status == "fetch" and len(ops) < max_ops or (
+                status == "awaiting_input" and nread <= n_out
+            ):
+                node = (ops, pc, reg, steps, code, n_out, nread, reads)
+                if n_out < t:
+                    stack += self._continued(node, t, masses)
+                else:
+                    waiting = parked.get(n_out + 1)
+                    if waiting is None:
+                        waiting = parked[n_out + 1] = bytearray()
+                    _pack(waiting, _record(max_ops, max_steps, n_out + 1), node)
+        if t == 0 and parked:
+            # The root forked: every run below it is counted, and each holds
+            # the empty output at length 0.
+            masses[()][1] = weights[0]
+        self.cap = t
+        tables: dict[tuple[int, ...], Numerators] = {}
+        for reads, by_code in masses.items():
+            tapes = [reads + rest for rest in product((0, 1), repeat=t - len(reads))]
+            for code, mass in by_code.items():
+                out = _output(code)
+                for actions in tapes:
+                    table = tables.setdefault(actions, {})
+                    table[out] = table.get(out, 0) + mass
+            by_code.clear()  # decoded: released before the next branch's entries exist
+        return tables
+
+    def _continued(self, node: tuple, t: int, masses: dict) -> list[tuple]:
+        """The nodes that continue ``node``, a run that stopped below output
+        length t at a fetch or at an action it may read. The children of a
+        node one opcode short of the length budget can never fetch, so it
+        settles them: the OUT children file their one symbol if it reaches
+        t, and only JBACK runs on."""
+        ops, pc, reg, steps, code, n_out, nread, reads = node
+        if pc < len(ops) and ops[pc] == READA:
+            # READA has already counted its step; each branch resumes past it.
+            return [(ops, pc + 1, a, steps, code, n_out, nread + 1, reads + (a,)) for a in (0, 1)]
+        if len(ops) + 1 < self.max_ops:
+            return [(ops + op, pc, reg, steps, code, n_out, nread, reads) for op in _FETCHED]
+        if pc < len(ops):  # SKIP0 skips the new slot: every child ends silent
+            return []
+        if n_out + 1 == t:  # OUTR emits reg before OUT1 and OUT0 emit their bits
+            by_code = masses[reads]
+            by_code[2 * code + reg] += 2
+            by_code[2 * code + 1 - reg] += 1
+        return [(ops + _FETCHED[JBACK], pc, reg, steps, code, n_out, nread, reads)]
 
 
 class JointEnumApprox(JointSemimeasure):
@@ -564,8 +603,7 @@ class ChronEnumApprox(ChronEnv):
         self._codes: dict[int, dict[int, int]] = {}  # tape code -> percept code -> numerator
         self._code_of = _Codes()
         self._unit = 8 ** (program_bits // OPCODE_BITS)
-        # (cap, packed nodes it stopped) of this environment's last walk
-        self._stopped: tuple[int, bytearray] | None = None
+        self._walker: _ChronWalk | None = None  # this environment's walk, kept across lengths
 
     def scale(self, n: int) -> int:
         return self._unit
@@ -610,16 +648,15 @@ class ChronEnumApprox(ChronEnv):
         return table
 
     def _walk_tapes(self, t: int) -> dict[tuple[int, ...], Numerators]:
-        """The tables of every tape of length t. The walk resumes from the
-        nodes this environment's walk for length t - 1 stopped, if that was
-        its last walk, so across lengths 0, 1, ... each node of the opcode
-        tree is walked once; otherwise it starts at the root."""
-        cap, starts = self._stopped or (None, None)
-        self._stopped = None  # the walk consumes them; one cut short leaves none
-        tables, stopped = _walk_tables(
-            self.program_bits, self.steps, t, None, starts if cap == t - 1 else None
-        )
-        self._stopped = (t, stopped)
+        """The tables of every tape of length t. This environment's walk
+        goes on from the last length it built if that is t - 1, so across
+        lengths 0, 1, ... each node of the opcode tree runs its segment
+        once; otherwise a new walk starts at the root."""
+        walker, self._walker = self._walker, None  # a walk cut short leaves none
+        if walker is None or walker.cap != t - 1:
+            walker = _ChronWalk(self.program_bits // OPCODE_BITS, self.steps)
+        tables = walker.tables(t)
+        self._walker = walker
         return tables
 
     def eval(self, percepts: tuple[int, ...], actions: tuple[int, ...]) -> Prob:
@@ -798,7 +835,7 @@ def enumerate_joint(program_bits: int, steps: int, max_len: int = 16) -> JointEn
         "joint_L{}_S{}_D{}",
         [count(program_bits, "program_bits"), count(steps, "steps"), count(max_len, "max_len")],
         # No actions: READA always suspends, and every prefix up to max_len counts.
-        lambda: _walk_tables(program_bits, steps, max_len, ())[0].get((), {}),
+        lambda: _walk_tables(program_bits, steps, max_len, ()).get((), {}),
     )
     return JointEnumApprox(max_len, table)
 
@@ -812,7 +849,7 @@ def enumerate_chron(program_bits: int, steps: int, actions: Sequence[int]) -> Ch
     """
     approx = ChronEnumApprox(program_bits, steps)
     tape = _bits(actions, "enumerate_chron's actions")
-    walk = cache(lambda: _walk_tables(program_bits, steps, len(tape), tape)[0])
+    walk = cache(lambda: _walk_tables(program_bits, steps, len(tape), tape))
     for t in range(len(tape) + 1):
         prefix = tape[:t]
         approx.tables[prefix] = _stored(

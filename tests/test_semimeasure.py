@@ -374,10 +374,20 @@ def test_check_policy_rejects_a_percept_arity_that_is_not_a_positive_int(percept
     assert check_policy(uniform_policy(), 2, 1).contexts == 3
 
 
-@pytest.mark.parametrize("action, arity", [(5, 2), (2, 2), (-1, 2), (3, 3), (None, 2)])
+@pytest.mark.parametrize(
+    "action, arity", [(5, 2), (2, 2), (-1, 2), (3, 3), (None, 2), (True, 2), (1.0, 2)]
+)
 def test_constant_policy_rejects_an_action_outside_the_alphabet(action, arity):
     with pytest.raises(ComponentFormatError, match=f"constant action {action!r} is outside"):
         constant_policy(action, arity)
+
+
+@pytest.mark.parametrize("action", [True, 1.0])
+def test_a_deterministic_policy_refuses_an_action_that_is_not_an_int(action):
+    # Both equal 1, so a range test alone let the policy play action 1.
+    pi = DeterministicPolicy(lambda h: action)
+    with pytest.raises(ComponentFormatError, match=f"policy chose {action!r} at .* outside range"):
+        pi.weight((1,), ())
 
 
 def test_a_deterministic_policy_names_the_history_of_an_action_outside_the_alphabet():

@@ -655,18 +655,36 @@ def test_cache_files_match_the_leaf_enumerator(cache_dir):
             assert tables.get(tape, {}) == oracle_chron(9, 200, tape), tape
 
 
+def record_walks(monkeypatch):
+    """(cap, walked from the root) of each walk, in order: the joint and
+    played walks of ``_walk``, which start at the root, and each length of
+    a chronological walk, which starts at the root on its first length."""
+    walks = []
+    walk, tables = utm._walk, utm._ChronWalk.tables
+    monkeypatch.setattr(utm, "_walk", lambda *args: walks.append((args[2], True)) or walk(*args))
+    monkeypatch.setattr(
+        utm._ChronWalk, "tables", lambda self, t: walks.append((t, self.cap < 0)) or tables(self, t)
+    )
+    return walks
+
+
+def forbid_walks(monkeypatch, why):
+    """Fail the test if any walk, joint, played or chronological, starts."""
+    monkeypatch.setattr(utm, "_walk", lambda *args: pytest.fail(why))
+    monkeypatch.setattr(utm._ChronWalk, "tables", lambda *args: pytest.fail(why))
+
+
 def test_bits_past_the_last_whole_opcode_share_its_entries(cache_dir, monkeypatch):
     # 9 and 10 bits are the same machine: 3 opcodes, scale 8**3.
-    walks = []
-    walk = utm._walk
-    monkeypatch.setattr(utm, "_walk", lambda *args: walks.append(args) or walk(*args))
+    walks = record_walks(monkeypatch)
     clear_memo()
     joint = [enumerate_joint(bits, 200, 4).table for bits in (9, 10)]
     chron = [check_chronological(ChronEnumApprox(bits, 200), 2) for bits in (9, 10)]
     primed = [enumerate_chron(bits, 200, (1, 0)).tables for bits in (9, 10, 11)]
     clear_memo()
     assert joint[0] == joint[1] and chron[0] == chron[1] and primed[0] == primed[1] == primed[2]
-    assert len(walks) == 1 + 4 + 1  # the joint table, tape lengths 0 to 3, the primed tape
+    # the joint table, tape lengths 0 to 3 in one walk, the primed tape
+    assert walks == [(4, True), (0, True), (1, False), (2, False), (3, False), (2, True)]
     names = sorted(p.name.split("_", 1)[1] for p in cache_dir.iterdir())
     assert names == sorted(
         ["joint_L9_S200_D4.json"]
@@ -679,9 +697,7 @@ def test_bits_past_the_last_whole_opcode_share_its_entries(cache_dir, monkeypatc
 
 
 def test_clear_memo_forces_a_new_walk(monkeypatch):
-    calls = []
-    walk = utm._walk
-    monkeypatch.setattr(utm, "_walk", lambda *args: calls.append(args) or walk(*args))
+    calls = record_walks(monkeypatch)
     clear_memo()
     approx = ChronEnumApprox(6, 60)
     approx.eval((0, 0), (1, 1))  # length 2: a walk from the root
@@ -689,12 +705,11 @@ def test_clear_memo_forces_a_new_walk(monkeypatch):
     approx.eval((1, 0, 0), (1, 1, 0))  # length 3: resumes the length-2 walk
     enumerate_joint(6, 60, max_len=4)
     enumerate_joint(6, 60, max_len=4)
-    # (cap, walked from the root) per walk
-    assert [(args[2], args[4] is None) for args in calls] == [(2, True), (3, False), (4, True)]
+    assert calls == [(2, True), (3, False), (4, True)]
     clear_memo()
     ChronEnumApprox(6, 60).eval((0, 0, 0), (1, 1, 1))  # a new environment walks from the root
     enumerate_joint(6, 60, max_len=4)
-    assert [(args[2], args[4] is None) for args in calls[3:]] == [(3, True), (4, True)]
+    assert calls[3:] == [(3, True), (4, True)]
     clear_memo()
 
 
@@ -711,6 +726,51 @@ def test_walk_runs_no_segment_for_most_of_the_last_level(monkeypatch):
     clear_memo()
     enumerate_joint(15, 200, 16)
     assert len(calls) == 1_743
+    clear_memo()
+
+
+@pytest.mark.parametrize("bits, depth, segments", [(12, 6, 5_952), (15, 5, 23_678)])
+def test_chronological_check_runs_each_node_once(monkeypatch, bits, depth, segments):
+    # The check asks tape lengths 0 to depth + 1 in turn, and one walk
+    # serves them all: no node's segment (opcodes, start pc, actions
+    # chosen) is interpreted twice, and the walk runs as many segments as
+    # one walk from the root at the deepest length.
+    starts = []
+    run = utm._run_segment
+    monkeypatch.setattr(
+        utm, "_run_segment", lambda *args: starts.append((args[0], args[1], args[7])) or run(*args)
+    )
+    monkeypatch.setenv(CACHE_ENV_VAR, "")
+    clear_memo()
+    assert check_chronological(ChronEnumApprox(bits, 200), depth).ok
+    assert len(set(starts)) == len(starts) == segments
+    clear_memo()
+
+
+def test_a_walk_cut_short_leaves_no_walk_behind(monkeypatch):
+    # A walk that raises in the middle of a length leaves the environment
+    # no walk to go on from: the next query walks from the root and answers
+    # as the leaf oracle does, at that length and the next.
+    monkeypatch.setenv(CACHE_ENV_VAR, "")
+    clear_memo()
+    approx = ChronEnumApprox(9, 200)
+    assert approx._table_for((1, 0)) == oracle_chron(9, 200, (1, 0))
+    walks = record_walks(monkeypatch)
+    run, runs = utm._run_segment, []
+
+    def cut_once(*args):
+        runs.append(args)
+        if len(runs) == 40:  # of the 45 segments the length-3 walk runs from length 2
+            raise RuntimeError("cut short")
+        return run(*args)
+
+    monkeypatch.setattr(utm, "_run_segment", cut_once)
+    with pytest.raises(RuntimeError, match="cut short"):
+        approx._table_for((1, 0, 1))
+    for tape in product((0, 1), repeat=3):
+        assert approx._table_for(tape) == oracle_chron(9, 200, tape), tape
+    assert approx._table_for((0, 1, 1, 0)) == oracle_chron(9, 200, (0, 1, 1, 0))
+    assert walks == [(3, False), (3, True), (4, False)]
     clear_memo()
 
 
@@ -920,7 +980,7 @@ def test_warm_reads_walk_nothing_and_parse_no_strings(cache_dir, monkeypatch):
         check_chronological(ChronEnumApprox(9, 200), 3),
         enumerate_chron(9, 200, (1, 0, 1)).tables,
     )
-    monkeypatch.setattr(utm, "_walk", lambda *args: pytest.fail("walked on a warm read"))
+    forbid_walks(monkeypatch, "walked on a warm read")
     clear_memo()
     warm = (
         enumerate_joint(9, 60, max_len=6).table,
@@ -1005,7 +1065,7 @@ def test_negative_program_bits_rejected():
 
 
 def test_negative_steps_rejected_before_any_walk(cache_dir, monkeypatch):
-    monkeypatch.setattr(utm, "_walk", lambda *args: pytest.fail("walked"))
+    forbid_walks(monkeypatch, "walked")
     clear_memo()
     for build in (
         lambda: enumerate_joint(6, -5, 4),
@@ -1031,7 +1091,7 @@ def test_zero_steps_give_the_empty_enumeration(monkeypatch):
 
 
 def test_negative_max_len_rejected_before_any_walk(cache_dir, monkeypatch):
-    monkeypatch.setattr(utm, "_walk", lambda *args: pytest.fail("walked"))
+    forbid_walks(monkeypatch, "walked")
     clear_memo()
     with pytest.raises(ComponentFormatError, match="max_len"):
         enumerate_joint(6, 60, -1)
@@ -1093,26 +1153,38 @@ def frozen_unpack(stopped):
 @pytest.mark.parametrize("steps", [60, 200, 1000])
 @pytest.mark.parametrize("bits", [6, 9, 12, 15])
 def test_records_pop_the_nodes_the_frozen_packing_round_trips(monkeypatch, bits, steps):
-    # Chronological walks at caps 0 to 6, each resuming the last: the nodes
-    # each walk stops, popped from its records, are the nodes it packed as
-    # the frozen packing gives them back, in the same order.
-    packed = []
-    pack = utm._pack
-    def recording_pack(stopped, record, node):
-        packed.append(node)
+    # One chronological walk at lengths 0 to 6, each going on from the
+    # last. Every record it parks pops the node packed there as the frozen
+    # packing gives it back, in the same order: those popped during the
+    # walk, and those still parked after it. No record waits for a length
+    # already walked.
+    mirrors = {}  # id of the records -> (the records, the same nodes packed frozen)
+    pack, unpack = utm._pack, utm._unpack
+    checked = 0
+
+    def mirrored_pack(stopped, record, node):
+        frozen_pack(mirrors.setdefault(id(stopped), (stopped, bytearray()))[1], node)
         pack(stopped, record, node)
 
-    monkeypatch.setattr(utm, "_pack", recording_pack)
-    starts, compared = None, 0
+    def checked_unpack(stopped, record):
+        nonlocal checked
+        node = unpack(stopped, record)
+        assert node == frozen_unpack(mirrors[id(stopped)][1])
+        checked += 1
+        return node
+
+    monkeypatch.setattr(utm, "_pack", mirrored_pack)
+    monkeypatch.setattr(utm, "_unpack", checked_unpack)
+    walker = utm._ChronWalk(bits // 3, steps)
     for cap in range(7):
-        packed.clear()
-        _, stopped = utm._walk(bits // 3, steps, cap, None, starts)
-        frozen = bytearray()
-        for node in packed:
-            frozen_pack(frozen, node)
-        expected = [frozen_unpack(frozen) for _ in packed]
-        records, record = bytearray(stopped), utm._record(bits // 3, steps, cap)
-        assert len(records) == len(packed) * record[0].size, cap
-        assert [utm._unpack(records, record) for _ in packed] == expected, cap
-        starts, compared = stopped, compared + len(packed)
-    assert compared >= 10
+        walker.tables(cap)
+        assert walker.cap == cap and all(length > cap for length in walker.parked), cap
+    for length, stopped in walker.parked.items():
+        records, record = bytearray(stopped), utm._record(bits // 3, steps, length)
+        frozen = bytearray(mirrors[id(stopped)][1])
+        assert len(records) % record[0].size == 0, length
+        while records:
+            assert unpack(records, record) == frozen_unpack(frozen), length
+            checked += 1
+        assert not frozen, length
+    assert checked >= 4  # 6 bits park four nodes
