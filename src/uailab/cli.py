@@ -5,7 +5,7 @@
     uailab check --config FILE
 
 Exit codes: 0 success, 1 an invariant violated where none was expected,
-2 configuration error. The enumeration cache directory is taken from the
+2 a configuration error or an unwritable output path. The enumeration cache directory is taken from the
 UAILAB_CACHE_DIR environment variable (set it empty to disable caching).
 """
 from __future__ import annotations

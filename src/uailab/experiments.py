@@ -8,8 +8,8 @@ regardless of the parallelism degree; only the summary's first line carries
 a timestamp. Exact values are emitted as "num/den" strings alongside float
 approximations (floats never feed back into any verdict).
 
-Exit codes: 0 success, 1 an invariant violated where none was expected,
-2 configuration error.
+Exit codes: 0 success, 1 a nonzero failure count (an invariant violated
+where none was expected), 2 a configuration error or an unwritable output path.
 """
 from __future__ import annotations
 
@@ -325,7 +325,6 @@ def config_from_dict(raw: dict, out_dir: Path | None = None) -> ScenarioConfig:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -352,10 +351,16 @@ def parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
         return pool.map(fn, items)
 
 
+Table = tuple[Sequence[str], list[tuple]]
+
+
 @dataclass
 class ScenarioOutcome:
-    exit_code: int
+    """A runner's summary lines, its CSV tables by file name in write order, and its failures."""
+
     lines: list[str]
+    tables: dict[str, Table]
+    failures: int
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +378,7 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
     tdepth = cfg.budget("transform_depth")
     cdepth = cfg.budget("consistency_depth")
     lines: list[str] = []
+    tables: dict[str, Table] = {}
     failures = 0
 
     # Defining conditions for every built-in component and scenario mixture.
@@ -407,8 +413,7 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
                     "ok" if ok else "VIOLATION",
                 )
             )
-    _write_csv(
-        cfg.out_dir / "component_checks.csv",
+    tables["component_checks.csv"] = (
         (
             "component",
             "check",
@@ -450,8 +455,7 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
                     "ok" if ok else "VIOLATION",
                 )
             )
-    _write_csv(
-        cfg.out_dir / "enumeration_checks.csv",
+    tables["enumeration_checks.csv"] = (
         ("mode", "program_bits", "machine_steps", "depth", "violations", "root_mass", "verdict"),
         enum_rows,
     )
@@ -481,8 +485,7 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
             transform_rows.append(
                 ("normalization_dominance", mdef.name, tdepth, len(violations), skipped)
             )
-    _write_csv(
-        cfg.out_dir / "transform_checks.csv",
+    tables["transform_checks.csv"] = (
         ("check", "subject", "depth", "mismatches", "skipped"),
         transform_rows,
     )
@@ -530,8 +533,7 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
             f"witness={witness}" if witness else "MISSING-WITNESS",
         )
     )
-    _write_csv(
-        cfg.out_dir / "factoring_checks.csv",
+    tables["factoring_checks.csv"] = (
         (
             "pair",
             "prior",
@@ -544,8 +546,7 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
         fact_rows,
     )
     # Row-level report of the counterexample (witness, lhs, rhs, verdict).
-    _write_csv(
-        cfg.out_dir / "factoring_witnesses.csv",
+    tables["factoring_witnesses.csv"] = (
         ("witness", "lhs", "rhs", "verdict"),
         [
             (row.witness, frac_str(row.lhs), frac_str(row.rhs), row.verdict)
@@ -562,18 +563,13 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
         mismatches = check_predictive_consistency(mdef.joint, cdepth)
         failures += len(mismatches)
         cons_rows.append((mdef.name, cdepth, len(mismatches)))
-    _write_csv(
-        cfg.out_dir / "consistency_checks.csv",
-        ("mixture", "depth", "mismatches"),
-        cons_rows,
-    )
+    tables["consistency_checks.csv"] = (("mixture", "depth", "mismatches"), cons_rows)
     mismatched = sum(row[-1] for row in cons_rows)
     agreement = f"{mismatched} MISMATCHES" if mismatched else "exact agreement"
     lines.append(f"predictive vs posterior-weighted conditionals: {agreement}")
 
-    code = 0 if failures == 0 else 1
     lines.append(f"total failures: {failures}")
-    return ScenarioOutcome(code, lines)
+    return ScenarioOutcome(lines, tables, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -597,13 +593,6 @@ _TRACE_HEADER = (
 )
 
 
-def _first_drop(trace, threshold: Fraction) -> int | None:
-    for step in trace.steps:
-        if step.cumulative < threshold:
-            return step.t
-    return None
-
-
 def _scenario_thm7(cfg: ScenarioConfig) -> ScenarioOutcome:
     steps = cfg.budget("trace_steps")
     lines: list[str] = []
@@ -615,7 +604,7 @@ def _scenario_thm7(cfg: ScenarioConfig) -> ScenarioOutcome:
         else scenario_mixtures()["adversary_rich"]
     )
     trace = greedy_antipredict(mdef.joint, steps)
-    _write_csv(cfg.out_dir / "trace_finite.csv", _TRACE_HEADER, _trace_rows(trace))
+    tables: dict[str, Table] = {"trace_finite.csv": (_TRACE_HEADER, _trace_rows(trace))}
 
     # Telescoping exactness: the recorded product equals the environment-view
     # value of the played (a, a) pair.
@@ -629,9 +618,8 @@ def _scenario_thm7(cfg: ScenarioConfig) -> ScenarioOutcome:
         f"final={frac_str(trace.final_product)}"
     )
     for threshold in (F(1, 2), F(1, 4), F(1, 8)):
-        lines.append(
-            f"  first step below {frac_str(threshold)}: {_first_drop(trace, threshold)}"
-        )
+        drop_step = next((step.t for step in trace.steps if step.cumulative < threshold), None)
+        lines.append(f"  first step below {frac_str(threshold)}: {drop_step}")
 
     # The same drop under program-enumeration approximations of growing class.
     enum_steps = cfg.budget("machine_steps")
@@ -641,7 +629,7 @@ def _scenario_thm7(cfg: ScenarioConfig) -> ScenarioOutcome:
             continue
         approx = enumerate_joint(bits, enum_steps, max_len=max_len)
         enum_trace = greedy_antipredict(approx, min(steps, max_len // 2))
-        _write_csv(cfg.out_dir / f"trace_enum_L{bits}.csv", _TRACE_HEADER, _trace_rows(enum_trace))
+        tables[f"trace_enum_L{bits}.csv"] = (_TRACE_HEADER, _trace_rows(enum_trace))
         lines.append(
             f"enumeration L={bits}, S={enum_steps}: {len(enum_trace.steps)} steps, "
             f"truncated={enum_trace.truncated}, final={frac_str(enum_trace.final_product)}"
@@ -650,7 +638,7 @@ def _scenario_thm7(cfg: ScenarioConfig) -> ScenarioOutcome:
         lines.append(f"telescoping products FAILED at {failures} of {len(trace.steps)} steps")
     else:
         lines.append("drop persists as the program class grows; products recorded exactly")
-    return ScenarioOutcome(0 if failures == 0 else 1, lines)
+    return ScenarioOutcome(lines, tables, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -687,10 +675,13 @@ def _scenario_thm8(cfg: ScenarioConfig) -> ScenarioOutcome:
     derived = load_derived("thm8_gap")
     w_id = prob(derived["w_id"])
     recorded_T = int(derived["T"])
-    steps = max(cfg.budget("trace_steps"), recorded_T)
-
-    _, gap = gap_rows(scenario_mixtures()["adversary_rich"], steps)
+    budget = cfg.budget("trace_steps")
+    steps = max(budget, recorded_T)
     lines: list[str] = []
+    if steps != budget:
+        lines.append(f"trace_steps {budget} raised to the recorded T = {recorded_T}")
+
+    trace, gap = gap_rows(scenario_mixtures()["adversary_rich"], steps)
     # The chronological mixture keeps the identity environment's full
     # prior weight on every copy sequence: exact lower bound.
     failures = sum(env_side < w_id for _, env_side, _ in gap)
@@ -698,12 +689,10 @@ def _scenario_thm8(cfg: ScenarioConfig) -> ScenarioOutcome:
     ratio_strictly_increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
     drop_step = next((step.t for step, _, _ in gap if step.cumulative < w_id), None)
     rows = [
-        (step.t, step.action, frac_str(step.conditional), *_exact_float(step.cumulative))
-        + (frac_str(env_side), *_exact_float(ratio))
-        for step, env_side, ratio in gap
+        (*row, frac_str(env_side), *_exact_float(ratio))
+        for row, (_, env_side, ratio) in zip(_trace_rows(trace), gap)
     ]
-    _write_csv(
-        cfg.out_dir / "gap_trace.csv",
+    gap_table = (
         (
             "t",
             "action",
@@ -733,7 +722,7 @@ def _scenario_thm8(cfg: ScenarioConfig) -> ScenarioOutcome:
         lines.append("MISMATCH against the committed oracle run")
     else:
         lines.append(f"trace matches the committed oracle run ({len(committed)} steps)")
-    return ScenarioOutcome(0 if failures == 0 else 1, lines)
+    return ScenarioOutcome(lines, {"gap_trace.csv": gap_table}, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -756,9 +745,13 @@ def _scenario_thm10(cfg: ScenarioConfig) -> ScenarioOutcome:
     actions = tuple(int(c) for c in derived["actions"])[:length]
     lines: list[str] = []
     failures = 0
+    if len(actions) != length:
+        lines.append(f"normalized_trace_len {length} capped at the {len(actions)} committed actions")
 
-    main_trace, raw_trace, hat_trace = normalized_traces(scenario_mixtures(), actions)
-    _write_csv(cfg.out_dir / "normalized_main.csv", _TRACE_HEADER, _trace_rows(main_trace))
+    traces = normalized_traces(scenario_mixtures(), actions)
+    names = ("normalized_main.csv", "contrast_unnormalized.csv", "contrast_normalized.csv")
+    tables = {name: (_TRACE_HEADER, _trace_rows(t)) for name, t in zip(names, traces)}
+    main_trace, raw_trace, hat_trace = traces
     conds = [s.conditional for s in main_trace.steps]
     increasing = all(b > a for a, b in zip(conds, conds[1:]))
     committed = [prob(c) for c in derived["main_conditionals"]][: len(conds)]
@@ -769,7 +762,6 @@ def _scenario_thm10(cfg: ScenarioConfig) -> ScenarioOutcome:
         f"final={frac_str(conds[-1]) if conds else 'none (empty trace)'}"
     )
 
-    _write_csv(cfg.out_dir / "contrast_unnormalized.csv", _TRACE_HEADER, _trace_rows(raw_trace))
     bound = prob(derived["contrast_bound"])
     raw_ok = all(s.conditional < bound for s in raw_trace.steps)
     if not raw_ok:
@@ -778,7 +770,6 @@ def _scenario_thm10(cfg: ScenarioConfig) -> ScenarioOutcome:
         f"unnormalized defective contrast: every conditional < {frac_str(bound)}: {raw_ok}"
     )
 
-    _write_csv(cfg.out_dir / "contrast_normalized.csv", _TRACE_HEADER, _trace_rows(hat_trace))
     floor = prob(derived["normalized_contrast_floor"])
     floor_step = int(derived["normalized_contrast_step"])
     hat_ok = all(
@@ -790,7 +781,7 @@ def _scenario_thm10(cfg: ScenarioConfig) -> ScenarioOutcome:
         f"normalizing the same mixture lifts conditionals above {frac_str(floor)} "
         f"from step {floor_step}: {hat_ok}"
     )
-    return ScenarioOutcome(0 if failures == 0 else 1, lines)
+    return ScenarioOutcome(lines, tables, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -868,10 +859,9 @@ def _conditional_stats(
     return folded
 
 
-def _write_stats(path: Path, mins: Sequence[Fraction], maxs: Sequence[Fraction]) -> None:
+def _stats_table(mins: Sequence[Fraction], maxs: Sequence[Fraction]) -> Table:
     """Per-step min and max conditionals, each as an exact and a float column."""
-    _write_csv(
-        path,
+    return (
         ("t", "min_conditional", "min_float", "max_conditional", "max_float"),
         [(t + 1, *_exact_float(mins[t]), *_exact_float(maxs[t])) for t in range(len(mins))],
     )
@@ -899,7 +889,10 @@ def _scenario_thm11(cfg: ScenarioConfig) -> ScenarioOutcome:
     failures = 0
 
     (mins, maxs), (raw_mins, raw_maxs) = convergence_stats(scenario_mixtures(), n, cfg.jobs)
-    _write_stats(cfg.out_dir / "normalized_min_conditionals.csv", mins, maxs)
+    tables = {
+        "normalized_min_conditionals.csv": _stats_table(mins, maxs),
+        "unnormalized_contrast_conditionals.csv": _stats_table(raw_mins, raw_maxs),
+    }
     threshold = ONE - epsilon
     ok = all(mins[t] > threshold for t in range(t_star - 1, n))
     if not ok:
@@ -919,7 +912,6 @@ def _scenario_thm11(cfg: ScenarioConfig) -> ScenarioOutcome:
         f"{t_star}: {ok}"
     )
 
-    _write_stats(cfg.out_dir / "unnormalized_contrast_conditionals.csv", raw_mins, raw_maxs)
     contrast_fails = all(raw_maxs[t] <= threshold for t in range(t_star - 1, n))
     if not contrast_fails:
         failures += 1
@@ -927,7 +919,7 @@ def _scenario_thm11(cfg: ScenarioConfig) -> ScenarioOutcome:
         "unnormalized defective contrast misses the same bound at every step "
         f"from {t_star}: {contrast_fails} (normalization is the difference)"
     )
-    return ScenarioOutcome(0 if failures == 0 else 1, lines)
+    return ScenarioOutcome(lines, tables, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -962,8 +954,8 @@ def _scenario_conj9(cfg: ScenarioConfig) -> ScenarioOutcome:
                         report.contexts_checked,
                     )
                 )
-    _write_csv(
-        cfg.out_dir / "domination_sweep.csv",
+    tables: dict[str, Table] = {}
+    tables["domination_sweep.csv"] = (
         (
             "mixture",
             "direction",
@@ -1008,13 +1000,12 @@ def _scenario_conj9(cfg: ScenarioConfig) -> ScenarioOutcome:
                     + probe.skipped_zero_zero,
                 )
             )
-    _write_csv(
-        cfg.out_dir / "env_view_ratio.csv",
+    tables["env_view_ratio.csv"] = (
         ("pair_weights", "depth", "max_ratio", "max_ratio_float", "witness", "skipped"),
         probe_rows,
     )
     lines.append("env-of-mixture vs mixture-of-envs ratio recorded per depth")
-    return ScenarioOutcome(0, lines)
+    return ScenarioOutcome(lines, tables, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1055,8 +1046,7 @@ def _scenario_agents(cfg: ScenarioConfig) -> ScenarioOutcome:
                         agree,
                     )
                 )
-    _write_csv(
-        cfg.out_dir / "decision_matrix.csv",
+    matrix = (
         (
             "mixture",
             "history",
@@ -1074,7 +1064,7 @@ def _scenario_agents(cfg: ScenarioConfig) -> ScenarioOutcome:
     )
     verified = f"FAILED at {failures} histories" if failures else "verified"
     lines.append(f"one-step rule equals expectimax at horizon 1 ({verified})")
-    return ScenarioOutcome(0 if failures == 0 else 1, lines)
+    return ScenarioOutcome(lines, {"decision_matrix.csv": matrix}, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -1155,7 +1145,7 @@ SCENARIOS: dict[str, ScenarioInfo] = {
 
 
 def run_scenario(cfg: ScenarioConfig) -> int:
-    """Execute a scenario, emit its CSVs and summary, return the exit code.
+    """Execute a scenario, then write its CSVs and summary; return the exit code.
 
     The config is checked first by :func:`validate_config_dict`, as if it
     were read from a file, so a config built in Python meets the same rules.
@@ -1170,7 +1160,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     except OSError as exc:  # e.g. a file in the way
         raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}")
     outcome = info.runner(cfg)
-    summary = cfg.out_dir / "summary.txt"
+    exit_code = 1 if outcome.failures else 0
     stamp = _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
     body = [
         f"# generated: {stamp}",
@@ -1180,7 +1170,14 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         f"seed: {cfg.seed}",
         f"budgets: {json.dumps({k: cfg.budget(k) for k in info.budgets}, sort_keys=True)}",
         *outcome.lines,
-        f"exit_code: {outcome.exit_code}",
+        f"exit_code: {exit_code}",
     ]
-    summary.write_text("\n".join(body) + "\n")
-    return outcome.exit_code
+    try:
+        for name, (header, rows) in outcome.tables.items():
+            path = cfg.out_dir / name
+            _write_csv(path, header, rows)
+        path = cfg.out_dir / "summary.txt"
+        path.write_text("\n".join(body) + "\n")
+    except OSError as exc:  # e.g. a directory in the way
+        raise ConfigError(f"cannot write output file {path}: {exc}")
+    return exit_code

@@ -117,8 +117,13 @@ def test_a_new_scenario_and_its_budget_disturb_no_other(tmp_path, monkeypatch):
         return outputs
 
     before = shipped_outputs(tmp_path / "before", {})
+
+    def runner(cfg):
+        key = cfg.budget("throwaway_key")
+        return ScenarioOutcome([f"read {key}"], {"throwaway.csv": (("key",), [(key,)])}, 0)
+
     throwaway = ScenarioInfo(
-        lambda cfg: ScenarioOutcome(0, [f"read {cfg.budget('throwaway_key')}"]),
+        runner,
         ("Eq. 1",),
         "a scenario with a budget key of its own",
         {"throwaway_key": 3},
@@ -128,6 +133,7 @@ def test_a_new_scenario_and_its_budget_disturb_no_other(tmp_path, monkeypatch):
     assert run_scenario(ScenarioConfig("throwaway", tmp_path / "new")) == 0
     body = summary_body(tmp_path / "new")
     assert 'budgets: {"throwaway_key": 3}' in body and "read 3" in body
+    assert (tmp_path / "new" / "throwaway.csv").read_bytes() == b"key\r\n3\r\n"
 
 
 ENV_MIXTURE = {"components": [{"builtin": "mu_id"}], "weights": ["1"]}
@@ -459,6 +465,52 @@ def test_out_path_that_cannot_be_a_directory_exits_2(tmp_path, capsys, below):
     code, err = _cli_exit_and_stderr(capsys, "run", config, out)
     assert code == 2
     assert err.startswith(f"config error: cannot create output directory {out}: ")
+
+
+@pytest.mark.parametrize(
+    "scenario, name", [("agents_compare", "decision_matrix.csv"), ("thm10_normalized", "summary.txt")]
+)
+def test_out_file_that_cannot_be_written_exits_2(tmp_path, capsys, scenario, name):
+    from uailab import cli
+
+    (tmp_path / name).mkdir()
+    assert cli.main(["run", scenario, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write output file {tmp_path / name}: ")
+
+
+def test_a_runner_that_raises_leaves_no_csv(tmp_path, monkeypatch):
+    def fails(*args, **kwargs):
+        raise RuntimeError("enumeration failed")
+
+    # sanity_checks enumerates after its component checks have their rows.
+    monkeypatch.setattr(experiments, "enumerate_joint", fails)
+    with pytest.raises(RuntimeError, match="enumeration failed"):
+        run_scenario(ScenarioConfig("sanity_checks", tmp_path, budgets=SMALL))
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_thm10_says_when_it_caps_its_trace_length(tmp_path):
+    actions = len(load_derived("thm10_normalized")["actions"])
+    cfg = ScenarioConfig("thm10_normalized", tmp_path, budgets={"normalized_trace_len": actions + 4})
+    assert run_scenario(cfg) == 0
+    line = f"normalized_trace_len {actions + 4} capped at the {actions} committed actions"
+    assert line in summary_body(tmp_path).splitlines()
+    assert len((tmp_path / "normalized_main.csv").read_text().splitlines()) == 1 + actions
+    default = tmp_path / "default"
+    assert run_scenario(ScenarioConfig("thm10_normalized", default)) == 0
+    assert "capped" not in summary_body(default)
+
+
+def test_thm8_says_when_it_raises_its_trace_steps(tmp_path):
+    recorded_T = int(load_derived("thm8_gap")["T"])
+    assert run_scenario(ScenarioConfig("thm8_gap", tmp_path, budgets={"trace_steps": 0})) == 0
+    line = f"trace_steps 0 raised to the recorded T = {recorded_T}"
+    assert line in summary_body(tmp_path).splitlines()
+    assert len((tmp_path / "gap_trace.csv").read_text().splitlines()) == 1 + recorded_T
+    default = tmp_path / "default"
+    assert run_scenario(ScenarioConfig("thm8_gap", default)) == 0
+    assert "raised" not in summary_body(default)
 
 
 def test_missing_config_keeps_its_message(tmp_path, capsys):
