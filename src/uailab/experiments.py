@@ -1170,6 +1170,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         f"seed: {cfg.seed}",
         f"budgets: {json.dumps({k: cfg.budget(k) for k in info.budgets}, sort_keys=True)}",
         *outcome.lines,
+        f"files: {', '.join(outcome.tables) or 'none'}",
         f"exit_code: {exit_code}",
     ]
     try:

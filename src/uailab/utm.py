@@ -30,20 +30,22 @@ Enumeration explores the opcode tree lazily: a run branches 8 ways whenever
 it fetches a fresh opcode, and becomes a counted leaf of weight
 2^-(bits consumed) when it halts, exhausts the step budget, reaches the
 output cap, suspends awaiting input, or would fetch beyond the length
-budget. Masses are nondecreasing in both the length and step budgets. A
-depth-first walk with integer weights serves the joint mode and a played
-tape. A chronological walk branches on each action READA reads, so it
-yields every tape of a length at once, and each ``ChronEnumApprox`` keeps
-its walk from one tape length to the next. There a node runs its segment
-once, with no output cap, and the prefix it reaches at each later length
-is a shift of its code; a run that can go on only past the length being
-built (its output has reached it) waits, parked as one fixed-width record,
-for the length that needs it. So across lengths 0, 1, ... each node of the
-opcode tree is interpreted once. A run carries its output as one integer
-code, the symbols under a leading 1 bit (the empty output is 1), so
-emitting a symbol is ``code = 2 * code + bit`` and an output prefix of k
-symbols is a right shift. The walks key masses by code and decode each
-code into its output tuple once, when they build the table entry.
+budget. Masses are nondecreasing in both the length and step budgets. One
+depth-first walk with integer weights serves every mode. Along a tape, the
+joint mode's empty one or a played one, a walk from the root files every
+prefix length at once. With no tape the walk branches on each action READA
+reads, so it yields every tape of a length at once, and each
+``ChronEnumApprox`` keeps its walk from one tape length to the next. There
+a node runs its segment once, with no output cap, and the prefix it
+reaches at each later length is a shift of its code; a run that can go on
+only past the length being built (its output has reached it) waits,
+parked as one fixed-width record, for the length that needs it. So across
+lengths 0, 1, ... each node of the opcode tree is interpreted once. A run
+carries its output as one integer code, the symbols under a leading 1 bit
+(the empty output is 1), so emitting a symbol is ``code = 2 * code + bit``
+and an output prefix of k symbols is a right shift. The walk keys masses
+by code and decodes each code into its output tuple once, when it builds
+the table entry.
 ``ChronEnumApprox``'s own walk codes its percept string and action tape the
 same way, and reads each tape's numerators by code.
 
@@ -367,114 +369,59 @@ def _unpack(parked: bytearray, record: tuple[struct.Struct, int, int]) -> tuple:
 _FETCHED = tuple((op,) for op in range(8))  # each opcode a fetch can append
 
 
-def _walk(max_ops: int, max_steps: int, cap: int, tape: tuple[int, ...]) -> dict[int, int]:
-    """Masses of every counted run along ``tape``, in units of 8**-max_ops,
-    from one walk, keyed by the output prefix's code (its symbols under a
-    leading 1 bit).
+class _Walk:
+    """The walk of the opcode tree under these budgets, along ``tape`` or,
+    with none, branching at READA; it files each run's weight by the
+    actions it read and the output prefixes its segments reach.
 
     A node of n opcodes carries 8**(max_ops - n), the total weight of the
-    counted runs below it; output is append-only, so the node adds that
-    weight to each output prefix of length 1..cap first reached in its
-    segment, and every counted run adds its weight to the empty prefix
-    (code 1) when it ends.
+    counted runs below it. Output is append-only, so a node adds its weight
+    to each output prefix first reached in its segment, keyed by the prefix's
+    code (its symbols under a leading 1 bit); a call for length t files the
+    lengths ``lo..t``, where ``lo`` is 0 along a tape and t with none. The
+    empty prefix gets the root's weight when the root forks, since every run
+    below it is counted.
+
+    Along a tape (``()`` for the joint mixture, where READA suspends, or the
+    played tape), one call from the root files every prefix length 0..t,
+    with segments capped at t. With no tape, a run branches into both action
+    values wherever READA may read a fresh action, segments run uncapped to
+    a fetch, an action the run awaits, a halt or the step limit, and the
+    walk is kept from one length to the next so that each node runs its
+    segment once. Of a segment that ends at output length N, the prefix of
+    length t is ``code >> (N - t)``; when N > t the walk keeps the code for
+    the lengths above t that later calls ask. A run that can go on only at
+    N >= t goes on only at length N + 1: the walk parks it, as one
+    :func:`_record`, until it reaches that length, and there pops and
+    continues each one. So the nodes a call runs are exactly those whose
+    segments start below its length and no earlier call ran.
 
     The children of a node one opcode short of the length budget can never
-    fetch, so the walk settles all eight where their parent fetches. Each
-    ends after its opcode, an OUT child with one more symbol, except JBACK,
-    which runs on in place, before the OUT children, so every prefix keeps
-    its first-reach place. A JBACK that returns the run to its start state
-    settles by shifts when the budgets allow (:func:`_back_at_start`); any
-    other runs through the interpreter.
-    """
-    weights = [8 ** (max_ops - n) for n in range(max_ops + 1)]
-    by_code: defaultdict[int, int] = defaultdict(int)
-    # (ops, pc, reg, steps, output code, output length, actions read)
-    stack: list[tuple] = [((), 0, 0, 0, 1, 0, 0)]
-    while stack:
-        ops, pc, reg, steps, code, n_start, nread = stack.pop()
-        w = weights[len(ops)]
-        status, pc, reg, steps, code, n_out, nread = _run_segment(
-            ops, pc, reg, steps, code, n_start, nread, tape, max_steps, cap
-        )
-        top = n_out if n_out < cap else cap
-        # shortest new prefix first, as the tables list them
-        for shift in range(n_out - n_start - 1, n_out - top - 1, -1):
-            by_code[code >> shift] += w
-        if status == "fetch":
-            if len(ops) + 1 < max_ops:
-                stack += [(ops + op, pc, reg, steps, code, n_out, nread) for op in _FETCHED]
-                continue
-            if len(ops) < max_ops:
-                # Every child is a run counted here, JBACK too.
-                by_code[1] += 8
-                if pc < len(ops):  # SKIP0 skips the new slot: every child ends silent
-                    continue
-                # JBACK runs on and lists its prefixes first.
-                settled = None
-                if reg == nread == 0:  # JBACK returns the run to its start state
-                    settled = _back_at_start(code, n_out, steps, max_steps, cap)
-                j_code, j_out = settled or _run_segment(
-                    ops + _FETCHED[JBACK], pc, reg, steps, code, n_out, nread, tape, max_steps, cap
-                )[4:6]
-                for shift in range(j_out - n_out - 1, j_out - min(j_out, cap) - 1, -1):
-                    by_code[j_code >> shift] += 1
-                if n_out < cap:  # OUTR emits reg before OUT1 and OUT0 emit their bits
-                    by_code[2 * code + reg] += 2
-                    by_code[2 * code + 1 - reg] += 1
-                continue
-            # otherwise boundary suspension: counted with its output so far
-        if ops:  # a zero-bit run is not a program, whatever ends it
-            by_code[1] += w
-    return by_code
-
-
-def _walk_tables(
-    program_bits: int, steps: int, cap: int, tape: tuple[int, ...]
-) -> dict[tuple[int, ...], Numerators]:
-    """Mass tables keyed by action tape from one :func:`_walk` along
-    ``tape``: an output prefix of length k belongs to the tape's prefix
-    ``tape[:k]``. Each mass is an integer numerator over the walk's scale
-    8**(program_bits // 3); :func:`_stored` turns it into a Fraction. Each
-    output code is decoded once."""
-    tables: dict[tuple[int, ...], Numerators] = {}
-    for code, mass in _walk(program_bits // OPCODE_BITS, steps, cap, tape).items():
-        out = _output(code)
-        tables.setdefault(tape[: len(out)], {})[out] = mass
-    return tables
-
-
-class _ChronWalk:
-    """The chronological walk of one environment, advanced from tape length
-    to tape length so that each node of the opcode tree runs its segment
-    once.
-
-    A run branches into both action values wherever READA may read a fresh
-    action, and a node runs its segment with no output cap, to a fetch, an
-    action it awaits, a halt or the step limit. Its weight goes to the
-    output prefixes the segment reaches, keyed by the actions chosen at the
-    branches, then by the prefix's code. Of a segment that ends at output
-    length N, the prefix of length t is ``code >> (N - t)``: the walk files
-    it at length t when the segment starts below t, and keeps the code for
-    the lengths above t that later calls ask. A fetch, or an action the run
-    may read, at N >= t continues only at length N + 1: the walk parks it,
-    as one :func:`_record`, until it reaches that length, and there pops
-    and continues each one. So the nodes a call runs are exactly those
-    whose segments start below its length and no earlier call ran.
+    fetch, so the walk settles all eight where their parent fetches. The
+    OUT children file their one symbol; only JBACK runs on. Along a tape it
+    runs in place, before the OUT children file, so every prefix keeps its
+    first-reach place, and a JBACK that returns the run to its start state
+    settles by shifts when the budgets allow (:func:`_back_at_start`). With
+    no tape it is pushed like any other node.
     """
 
-    def __init__(self, max_ops: int, max_steps: int):
-        self.max_ops, self.max_steps = max_ops, max_steps
+    def __init__(self, max_ops: int, max_steps: int, tape: tuple[int, ...] | None = None):
+        self.max_ops, self.max_steps, self.tape = max_ops, max_steps, tape
         self.cap = -1  # the last length walked; -1 until the root has run
         self.parked: dict[int, bytearray] = {}  # records by the length that continues them
-        # actions chosen -> code -> weight, by output length, of the
-        # segments whose output passed the last length walked
+        # actions read -> code -> weight, by output length, of the segments
+        # whose output passed the last length walked
         self.future: dict[int, defaultdict[tuple[int, ...], defaultdict[int, int]]] = {}
 
     def tables(self, t: int) -> dict[tuple[int, ...], Numerators]:
-        """The tables of every tape of length t, integer numerators over
-        8**max_ops by output string. A new walk takes any t and starts at
-        the root; otherwise t is ``self.cap + 1``."""
-        max_ops, max_steps, parked, future = self.max_ops, self.max_steps, self.parked, self.future
+        """The tables of every tape this call files, integer numerators over
+        8**max_ops by output string: along a tape, the tape's prefix of each
+        length 0..t; with none, every tape of length t. A new walk takes any
+        t and starts at the root; otherwise t is ``self.cap + 1``."""
+        max_ops, max_steps, tape, parked, future = (
+            self.max_ops, self.max_steps, self.tape, self.parked, self.future
+        )
+        lo, seg_cap = (t, None) if tape is None else (0, t)
         weights = [8 ** (max_ops - n) for n in range(max_ops + 1)]
         masses: defaultdict[tuple[int, ...], defaultdict[int, int]] = defaultdict(
             lambda: defaultdict(int)
@@ -487,71 +434,89 @@ class _ChronWalk:
         future.pop(t, None)
         resumed, record = parked.pop(t, bytearray()), _record(max_ops, max_steps, t)
         # (ops, pc, reg, steps, output code, output length, actions read,
-        #  actions chosen at branches)
-        stack: list[tuple] = [((), 0, 0, 0, 1, 0, 0, ())] if self.cap < 0 else []
+        #  the actions the run reads: the tape, or those chosen at branches)
+        stack: list[tuple] = [((), 0, 0, 0, 1, 0, 0, tape or ())] if self.cap < 0 else []
         while stack or resumed:
-            if not stack:
-                stack = self._continued(_unpack(resumed, record), t, masses)
-                continue
-            ops, pc, reg, steps, code, n_start, nread, reads = stack.pop()
-            status, pc, reg, steps, code, n_out, nread = _run_segment(
-                ops, pc, reg, steps, code, n_start, nread, reads, max_steps, None
-            )
-            if n_out >= t:
-                w = weights[len(ops)]
-                if n_start < t:
-                    masses[reads][code >> (n_out - t)] += w
-                if n_out > t:
-                    later = future.get(n_out)
-                    if later is None:
-                        later = future[n_out] = defaultdict(lambda: defaultdict(int))
-                    later[reads][code] += w
-            if status == "fetch" and len(ops) < max_ops or (
-                status == "awaiting_input" and nread <= n_out
-            ):
-                node = (ops, pc, reg, steps, code, n_out, nread, reads)
-                if n_out < t:
-                    stack += self._continued(node, t, masses)
-                else:
+            if stack:
+                ops, pc, reg, steps, code, n_start, nread, reads = stack.pop()
+                status, pc, reg, steps, code, n_out, nread = _run_segment(
+                    ops, pc, reg, steps, code, n_start, nread, reads, max_steps, seg_cap
+                )
+                if n_out >= lo and n_out > n_start:
+                    # Every node starts below t, so the segment reached new
+                    # lengths first..top: filed shortest first, as the
+                    # tables list them, and any past t kept for later calls.
+                    w = weights[len(ops)]
+                    first = n_start + 1 if n_start >= lo else lo
+                    top = n_out if n_out < t else t
+                    filed = masses[reads]
+                    if first == top:  # one length, as every segment of a tapeless walk files
+                        filed[code >> (n_out - top)] += w
+                    else:
+                        for shift in range(n_out - first, n_out - top - 1, -1):
+                            filed[code >> shift] += w
+                    if n_out > t:
+                        later = future.get(n_out)
+                        if later is None:
+                            later = future[n_out] = defaultdict(lambda: defaultdict(int))
+                        later[reads][code] += w
+                if not (
+                    status == "fetch" and len(ops) < max_ops
+                    or status == "awaiting_input" and nread <= n_out and tape is None
+                ):
+                    continue
+                if not ops and lo == 0:
+                    # The root forks: every run below it is counted, and
+                    # each holds the empty output.
+                    masses[reads][1] = weights[0]
+                if n_out >= t:
                     waiting = parked.get(n_out + 1)
                     if waiting is None:
                         waiting = parked[n_out + 1] = bytearray()
+                    node = (ops, pc, reg, steps, code, n_out, nread, reads)
                     _pack(waiting, _record(max_ops, max_steps, n_out + 1), node)
-        if t == 0 and parked:
-            # The root forked: every run below it is counted, and each holds
-            # the empty output at length 0.
-            masses[()][1] = weights[0]
+                    continue
+            else:
+                ops, pc, reg, steps, code, n_out, nread, reads = _unpack(resumed, record)
+            if pc < len(ops) and ops[pc] == READA:
+                # READA has already counted its step; each branch resumes past it.
+                stack += [
+                    (ops, pc + 1, a, steps, code, n_out, nread + 1, reads + (a,)) for a in (0, 1)
+                ]
+            elif len(ops) + 1 < max_ops:
+                stack += [(ops + op, pc, reg, steps, code, n_out, nread, reads) for op in _FETCHED]
+            elif pc == len(ops):  # else SKIP0 skips the new slot: every child ends silent
+                jback = ops + _FETCHED[JBACK]
+                if tape is None:
+                    stack.append((jback, pc, reg, steps, code, n_out, nread, reads))
+                else:
+                    settled = None
+                    if reg == nread == 0:  # JBACK returns the run to its start state
+                        settled = _back_at_start(code, n_out, steps, max_steps, t)
+                    j_code, j_out = settled or _run_segment(
+                        jback, pc, reg, steps, code, n_out, nread, reads, max_steps, t
+                    )[4:6]
+                    filed = masses[reads]
+                    for shift in range(j_out - n_out - 1, j_out - min(j_out, t) - 1, -1):
+                        filed[j_code >> shift] += 1
+                if n_out + 1 >= lo:  # OUTR emits reg before OUT1 and OUT0 emit their bits
+                    filed = masses[reads]
+                    filed[2 * code + reg] += 2
+                    filed[2 * code + 1 - reg] += 1
         self.cap = t
         tables: dict[tuple[int, ...], Numerators] = {}
         for reads, by_code in masses.items():
-            tapes = [reads + rest for rest in product((0, 1), repeat=t - len(reads))]
+            # The tapes an output of each length lo..t is filed under: the
+            # actions read before it, for every way a branch goes on to lo.
+            rests = list(product((0, 1), repeat=max(lo - len(reads), 0)))
+            keys = [[reads[:k] + rest for rest in rests] for k in range(lo, t + 1)]
             for code, mass in by_code.items():
                 out = _output(code)
-                for actions in tapes:
+                for actions in keys[len(out) - lo]:
                     table = tables.setdefault(actions, {})
                     table[out] = table.get(out, 0) + mass
             by_code.clear()  # decoded: released before the next branch's entries exist
         return tables
-
-    def _continued(self, node: tuple, t: int, masses: dict) -> list[tuple]:
-        """The nodes that continue ``node``, a run that stopped below output
-        length t at a fetch or at an action it may read. The children of a
-        node one opcode short of the length budget can never fetch, so it
-        settles them: the OUT children file their one symbol if it reaches
-        t, and only JBACK runs on."""
-        ops, pc, reg, steps, code, n_out, nread, reads = node
-        if pc < len(ops) and ops[pc] == READA:
-            # READA has already counted its step; each branch resumes past it.
-            return [(ops, pc + 1, a, steps, code, n_out, nread + 1, reads + (a,)) for a in (0, 1)]
-        if len(ops) + 1 < self.max_ops:
-            return [(ops + op, pc, reg, steps, code, n_out, nread, reads) for op in _FETCHED]
-        if pc < len(ops):  # SKIP0 skips the new slot: every child ends silent
-            return []
-        if n_out + 1 == t:  # OUTR emits reg before OUT1 and OUT0 emit their bits
-            by_code = masses[reads]
-            by_code[2 * code + reg] += 2
-            by_code[2 * code + 1 - reg] += 1
-        return [(ops + _FETCHED[JBACK], pc, reg, steps, code, n_out, nread, reads)]
 
 
 class JointEnumApprox(JointSemimeasure):
@@ -603,7 +568,7 @@ class ChronEnumApprox(ChronEnv):
         self._codes: dict[int, dict[int, int]] = {}  # tape code -> percept code -> numerator
         self._code_of = _Codes()
         self._unit = 8 ** (program_bits // OPCODE_BITS)
-        self._walker: _ChronWalk | None = None  # this environment's walk, kept across lengths
+        self._walker: _Walk | None = None  # this environment's walk, kept across lengths
 
     def scale(self, n: int) -> int:
         return self._unit
@@ -654,7 +619,7 @@ class ChronEnumApprox(ChronEnv):
         once; otherwise a new walk starts at the root."""
         walker, self._walker = self._walker, None  # a walk cut short leaves none
         if walker is None or walker.cap != t - 1:
-            walker = _ChronWalk(self.program_bits // OPCODE_BITS, self.steps)
+            walker = _Walk(self.program_bits // OPCODE_BITS, self.steps)
         tables = walker.tables(t)
         self._walker = walker
         return tables
@@ -835,7 +800,7 @@ def enumerate_joint(program_bits: int, steps: int, max_len: int = 16) -> JointEn
         "joint_L{}_S{}_D{}",
         [count(program_bits, "program_bits"), count(steps, "steps"), count(max_len, "max_len")],
         # No actions: READA always suspends, and every prefix up to max_len counts.
-        lambda: _walk_tables(program_bits, steps, max_len, ()).get((), {}),
+        lambda: _Walk(program_bits // OPCODE_BITS, steps, ()).tables(max_len).get((), {}),
     )
     return JointEnumApprox(max_len, table)
 
@@ -849,7 +814,7 @@ def enumerate_chron(program_bits: int, steps: int, actions: Sequence[int]) -> Ch
     """
     approx = ChronEnumApprox(program_bits, steps)
     tape = _bits(actions, "enumerate_chron's actions")
-    walk = cache(lambda: _walk_tables(program_bits, steps, len(tape), tape))
+    walk = cache(lambda: _Walk(program_bits // OPCODE_BITS, steps, tape).tables(len(tape)))
     for t in range(len(tape) + 1):
         prefix = tape[:t]
         approx.tables[prefix] = _stored(

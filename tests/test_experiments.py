@@ -479,6 +479,21 @@ def test_out_file_that_cannot_be_written_exits_2(tmp_path, capsys, scenario, nam
     assert err.startswith(f"config error: cannot write output file {tmp_path / name}: ")
 
 
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_summary_names_the_csvs_the_run_wrote(tmp_path, monkeypatch, scenario):
+    from uailab import cli
+
+    written = []
+    write = experiments._write_csv
+    record = lambda path, *rest: written.append(path.name) or write(path, *rest)  # noqa: E731
+    monkeypatch.setattr(experiments, "_write_csv", record)
+    out = tmp_path / "out"
+    assert cli.main(["run", scenario, "--out", str(out)]) == 0
+    files = [line for line in summary_body(out).splitlines() if line.startswith("files:")]
+    assert written and files == [f"files: {', '.join(written)}"]  # in write order
+    assert sorted(written) == sorted(p.name for p in out.iterdir() if p.name != "summary.txt")
+
+
 def test_a_runner_that_raises_leaves_no_csv(tmp_path, monkeypatch):
     def fails(*args, **kwargs):
         raise RuntimeError("enumeration failed")

@@ -1,10 +1,12 @@
-"""The context tree has one node loop: :func:`uailab.semimeasure.walk`.
+"""The context tree has one node loop, :func:`uailab.semimeasure.walk`, and
+the opcode tree one, ``uailab.utm._Walk.tables``.
 
 Stdlib-only rule in the style of ``test_imports.py``. A function runs its
 own node loop when a ``while`` loop in it pops a stack or a queue, by
 ``x.pop()`` or ``x.popleft()`` or by a name bound to either. In the modules
 whose readers walk contexts, only ``walk`` may; every check, comparison and
-probe reads the columns it files.
+probe reads the columns it files. In ``utm``, only ``tables`` may: the
+joint, played and chronological enumerations are modes of one walk.
 """
 import ast
 from pathlib import Path
@@ -12,7 +14,14 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "uailab"
-WALKING_MODULES = ["semimeasure.py", "mixture.py", "transforms.py", "adversary.py"]
+# the functions each module may run a node loop in
+LOOPS = {
+    "semimeasure.py": ["walk"],
+    "mixture.py": [],
+    "transforms.py": [],
+    "adversary.py": [],
+    "utm.py": ["tables"],
+}
 POPS = ("pop", "popleft")
 
 
@@ -81,7 +90,6 @@ def test_rule_flags_a_stack_loop_by_pop_or_its_alias():
     assert sorted(node_loops(source)) == ["check", "drain", "inner", "walk"]
 
 
-@pytest.mark.parametrize("module", WALKING_MODULES)
+@pytest.mark.parametrize("module", sorted(LOOPS))
 def test_only_the_walk_runs_a_node_loop(module):
-    expected = ["walk"] if module == "semimeasure.py" else []
-    assert node_loops((SRC / module).read_text()) == expected
+    assert node_loops((SRC / module).read_text()) == LOOPS[module]

@@ -656,22 +656,21 @@ def test_cache_files_match_the_leaf_enumerator(cache_dir):
 
 
 def record_walks(monkeypatch):
-    """(cap, walked from the root) of each walk, in order: the joint and
-    played walks of ``_walk``, which start at the root, and each length of
-    a chronological walk, which starts at the root on its first length."""
+    """(length, walked from the root) of each call of the one walk, in
+    order: the joint and played walks, which start at the root, and each
+    length of a chronological walk, which starts at the root on its first
+    length."""
     walks = []
-    walk, tables = utm._walk, utm._ChronWalk.tables
-    monkeypatch.setattr(utm, "_walk", lambda *args: walks.append((args[2], True)) or walk(*args))
+    tables = utm._Walk.tables
     monkeypatch.setattr(
-        utm._ChronWalk, "tables", lambda self, t: walks.append((t, self.cap < 0)) or tables(self, t)
+        utm._Walk, "tables", lambda self, t: walks.append((t, self.cap < 0)) or tables(self, t)
     )
     return walks
 
 
 def forbid_walks(monkeypatch, why):
     """Fail the test if any walk, joint, played or chronological, starts."""
-    monkeypatch.setattr(utm, "_walk", lambda *args: pytest.fail(why))
-    monkeypatch.setattr(utm._ChronWalk, "tables", lambda *args: pytest.fail(why))
+    monkeypatch.setattr(utm._Walk, "tables", lambda *args: pytest.fail(why))
 
 
 def test_bits_past_the_last_whole_opcode_share_its_entries(cache_dir, monkeypatch):
@@ -726,6 +725,22 @@ def test_walk_runs_no_segment_for_most_of_the_last_level(monkeypatch):
     clear_memo()
     enumerate_joint(15, 200, 16)
     assert len(calls) == 1_743
+    clear_memo()
+
+
+def test_played_walk_settles_its_last_level_along_the_tape(monkeypatch):
+    # Along a played tape the last level settles as in the joint walk: of
+    # its 1,282 JBACK children, which run in place, the 454 that JBACK
+    # returns to the start state settle by shifts, and the other 828 run
+    # capped at the tape's length. A walk that pushed them, or ran them
+    # all, shows here.
+    calls = []
+    run = utm._run_segment
+    monkeypatch.setattr(utm, "_run_segment", lambda *args: calls.append(args) or run(*args))
+    monkeypatch.setenv(CACHE_ENV_VAR, "")
+    clear_memo()
+    enumerate_chron(15, 200, (1, 0, 1, 1, 0, 0))
+    assert len(calls) == 2_989
     clear_memo()
 
 
@@ -1175,7 +1190,7 @@ def test_records_pop_the_nodes_the_frozen_packing_round_trips(monkeypatch, bits,
 
     monkeypatch.setattr(utm, "_pack", mirrored_pack)
     monkeypatch.setattr(utm, "_unpack", checked_unpack)
-    walker = utm._ChronWalk(bits // 3, steps)
+    walker = utm._Walk(bits // 3, steps)
     for cap in range(7):
         walker.tables(cap)
         assert walker.cap == cap and all(length > cap for length in walker.parked), cap
