@@ -332,6 +332,22 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
             writer.writerow([str(c) for c in row])
 
 
+def _stale_csvs(out_dir: Path, kept: Iterable[str]) -> list[Path]:
+    """The CSVs that the summary of an earlier run in ``out_dir`` names on
+    its ``files:`` line and that are not ``kept``: plain file names only,
+    so a summary can name nothing outside the directory."""
+    try:
+        lines = (out_dir / "summary.txt").read_text().splitlines()
+    except (OSError, UnicodeDecodeError):  # no earlier run, or no summary it wrote
+        return []
+    named = [line[len("files: ") :].split(", ") for line in lines if line.startswith("files: ")]
+    return [
+        out_dir / name
+        for name in (named[-1] if named else [])
+        if name.endswith(".csv") and name == Path(name).name and name not in kept
+    ]
+
+
 def _sym_str(symbols: Iterable[int]) -> str:
     return "".join(str(s) for s in symbols) or "eps"
 
@@ -1174,6 +1190,9 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         f"exit_code: {exit_code}",
     ]
     try:
+        # An earlier run into the same directory leaves no CSV this one does not write.
+        for path in _stale_csvs(cfg.out_dir, outcome.tables):
+            path.unlink(missing_ok=True)
         for name, (header, rows) in outcome.tables.items():
             path = cfg.out_dir / name
             _write_csv(path, header, rows)

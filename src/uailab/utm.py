@@ -31,21 +31,17 @@ it fetches a fresh opcode, and becomes a counted leaf of weight
 2^-(bits consumed) when it halts, exhausts the step budget, reaches the
 output cap, suspends awaiting input, or would fetch beyond the length
 budget. Masses are nondecreasing in both the length and step budgets. One
-depth-first walk with integer weights serves every mode. Along a tape, the
-joint mode's empty one or a played one, a walk from the root files every
-prefix length at once. With no tape the walk branches on each action READA
-reads, so it yields every tape of a length at once, and each
-``ChronEnumApprox`` keeps its walk from one tape length to the next. There
-a node runs its segment once, with no output cap, and the prefix it
-reaches at each later length is a shift of its code; a run that can go on
-only past the length being built (its output has reached it) waits,
-parked as one fixed-width record, for the length that needs it. So across
-lengths 0, 1, ... each node of the opcode tree is interpreted once. A run
-carries its output as one integer code, the symbols under a leading 1 bit
-(the empty output is 1), so emitting a symbol is ``code = 2 * code + bit``
-and an output prefix of k symbols is a right shift. The walk keys masses
-by code and decodes each code into its output tuple once, when it builds
-the table entry.
+depth-first walk with integer weights serves every mode (``_Walk``). Along
+a tape, the joint mode's empty one or a played one, a walk from the root
+files every prefix length at once. With no tape the walk branches on each
+action READA reads, so it yields every tape of a length at once, and each
+``ChronEnumApprox`` keeps its walk from one tape length to the next, so
+that each node of the opcode tree is interpreted once. A run carries its
+output as one integer code, the symbols under a leading 1 bit (the empty
+output is 1), so emitting a symbol is ``code = 2 * code + bit`` and an
+output prefix of k symbols is a right shift. The walk keys masses by code
+and decodes each code into its output tuple once, when it builds the table
+entry.
 ``ChronEnumApprox``'s own walk codes its percept string and action tape the
 same way, and reads each tape's numerators by code.
 
@@ -54,10 +50,11 @@ register and action count of an earlier landing in the same segment, or
 with register 0 and no action read, as the run started, the run read no
 action in between, so it repeats that lap exactly until a budget stops it:
 each lap takes the same steps and appends the same k symbols. The
-interpreter adds whole laps at once (steps, and the lap's last k symbols
-repeated onto the code), leaving the last one or two to run step by step,
-so status, pc, register and steps are those of the plain run. One landing
-is kept per register value, which catches laps of one or two landings.
+interpreter adds at once every whole lap that ends inside both budgets
+(steps, and the lap's last k symbols repeated onto the code) and runs on
+from pc 0, so status, pc, register and steps are those of the plain run.
+One landing is kept per register value, which catches laps of one or two
+landings.
 
 Worked example programs (lengths on the frozen machine):
 
@@ -65,7 +62,7 @@ Worked example programs (lengths on the frozen machine):
     echo           011010110       (9 bits)   percept t = action t
     complement     011100010110    (12 bits)  percept t = 1 - action t
 
-At desk scale, joint enumeration reaches program_bits 24 in about 1.5 s,
+At desk scale, joint enumeration reaches program_bits 24 in about 0.8 s,
 and chronological checks reach program_bits 18 at depth 7 in about 2.5 s
 and 21 at depth 5 in about 4 s; each 3 more bits cost 3-6x (measured
 limits in docs/machine.md). A joint table, the tables of every tape of
@@ -212,15 +209,15 @@ def _run_segment(
             pc = 0
             # Back at pc 0 with the register and reads of an earlier landing,
             # the run repeats that lap exactly until a budget stops it: skip
-            # whole laps, leaving the last one or two to run step by step.
+            # every whole lap that ends inside both budgets, so the run goes
+            # on from pc 0 as the plain run would.
             seen = landings[reg]
             if seen is not None and seen[0] == nread:
                 lap, k = steps - seen[1], n_out - seen[2]
                 laps = (max_steps - steps) // lap
                 if k:
                     laps = min(laps, (limit - 1 - n_out) // k)
-                if laps > 1:
-                    laps -= 1
+                if laps > 0:
                     steps += lap * laps
                     if k:  # the lap's k symbols, repeated
                         span = k * laps
@@ -396,22 +393,24 @@ class _Walk:
     continues each one. So the nodes a call runs are exactly those whose
     segments start below its length and no earlier call ran.
 
-    The children of a node one opcode short of the length budget can never
-    fetch, so the walk settles all eight where their parent fetches. The
-    OUT children file their one symbol; only JBACK runs on. Along a tape it
-    runs in place, before the OUT children file, so every prefix keeps its
-    first-reach place, and a JBACK that returns the run to its start state
-    settles by shifts when the budgets allow (:func:`_back_at_start`). With
-    no tape it is pushed like any other node.
+    Where a run fetches, each child takes its first step in place, as the
+    interpreter would, and is pushed with the status it stops in, to be
+    filed when it pops in its first-reach place; segments run only from the
+    root, from JBACK, back at pc 0, and past a READA a segment stopped at.
+    At the last level a child that would fetch again ends there: the OUTs
+    file their symbol at once and only JBACK runs on, in place along a tape,
+    first, as it would pop, settling by shifts from the start state
+    (:func:`_back_at_start`), and with no tape pushed, after the OUTs file.
     """
 
     def __init__(self, max_ops: int, max_steps: int, tape: tuple[int, ...] | None = None):
         self.max_ops, self.max_steps, self.tape = max_ops, max_steps, tape
         self.cap = -1  # the last length walked; -1 until the root has run
-        self.parked: dict[int, bytearray] = {}  # records by the length that continues them
+        # records by the length that continues them
+        self.parked: defaultdict[int, bytearray] = defaultdict(bytearray)
         # actions read -> code -> weight, by output length, of the segments
         # whose output passed the last length walked
-        self.future: dict[int, defaultdict[tuple[int, ...], defaultdict[int, int]]] = {}
+        self.future = defaultdict(lambda: defaultdict(lambda: defaultdict(int)))
 
     def tables(self, t: int) -> dict[tuple[int, ...], Numerators]:
         """The tables of every tape this call files, integer numerators over
@@ -433,15 +432,17 @@ class _Walk:
                     filed[code >> (n_out - t)] += w
         future.pop(t, None)
         resumed, record = parked.pop(t, bytearray()), _record(max_ops, max_steps, t)
-        # (ops, pc, reg, steps, output code, output length, actions read,
-        #  the actions the run reads: the tape, or those chosen at branches)
-        stack: list[tuple] = [((), 0, 0, 0, 1, 0, 0, tape or ())] if self.cap < 0 else []
+        # (ops, pc, reg, steps, output code, output length, actions read, the
+        #  actions the run reads: the tape, or those chosen at branches, then
+        #  the status and length a child's first step left, or None and the same)
+        stack: list[tuple] = [((), 0, 0, 0, 1, 0, 0, tape or (), None, 0)] if self.cap < 0 else []
         while stack or resumed:
             if stack:
-                ops, pc, reg, steps, code, n_start, nread, reads = stack.pop()
-                status, pc, reg, steps, code, n_out, nread = _run_segment(
-                    ops, pc, reg, steps, code, n_start, nread, reads, max_steps, seg_cap
-                )
+                ops, pc, reg, steps, code, n_start, nread, reads, status, n_out = stack.pop()
+                if status is None:
+                    status, pc, reg, steps, code, n_out, nread = _run_segment(
+                        ops, pc, reg, steps, code, n_start, nread, reads, max_steps, seg_cap
+                    )
                 if n_out >= lo and n_out > n_start:
                     # Every node starts below t, so the segment reached new
                     # lengths first..top: filed shortest first, as the
@@ -456,10 +457,7 @@ class _Walk:
                         for shift in range(n_out - first, n_out - top - 1, -1):
                             filed[code >> shift] += w
                     if n_out > t:
-                        later = future.get(n_out)
-                        if later is None:
-                            later = future[n_out] = defaultdict(lambda: defaultdict(int))
-                        later[reads][code] += w
+                        future[n_out][reads][code] += w
                 if not (
                     status == "fetch" and len(ops) < max_ops
                     or status == "awaiting_input" and nread <= n_out and tape is None
@@ -470,39 +468,66 @@ class _Walk:
                     # each holds the empty output.
                     masses[reads][1] = weights[0]
                 if n_out >= t:
-                    waiting = parked.get(n_out + 1)
-                    if waiting is None:
-                        waiting = parked[n_out + 1] = bytearray()
                     node = (ops, pc, reg, steps, code, n_out, nread, reads)
-                    _pack(waiting, _record(max_ops, max_steps, n_out + 1), node)
+                    _pack(parked[n_out + 1], _record(max_ops, max_steps, n_out + 1), node)
                     continue
             else:
                 ops, pc, reg, steps, code, n_out, nread, reads = _unpack(resumed, record)
             if pc < len(ops) and ops[pc] == READA:
                 # READA has already counted its step; each branch resumes past it.
                 stack += [
-                    (ops, pc + 1, a, steps, code, n_out, nread + 1, reads + (a,)) for a in (0, 1)
+                    (ops, pc + 1, a, steps, code, n_out, nread + 1, reads + (a,), None, n_out)
+                    for a in (0, 1)
                 ]
-            elif len(ops) + 1 < max_ops:
-                stack += [(ops + op, pc, reg, steps, code, n_out, nread, reads) for op in _FETCHED]
-            elif pc == len(ops):  # else SKIP0 skips the new slot: every child ends silent
-                jback = ops + _FETCHED[JBACK]
+                continue
+            s, n1 = steps + 1, n_out + 1
+            go = "fetch" if s < max_steps else "step_limit"
+            if pc < len(ops):  # SKIP0 steps over the new slot, whatever it holds
+                if len(ops) + 1 < max_ops:
+                    stack += [
+                        (ops + op, pc + 2, reg, s, code, n_out, nread, reads, go, n_out)
+                        for op in _FETCHED
+                    ]
+                continue
+            jback = ops + _FETCHED[JBACK]
+            if len(ops) + 1 == max_ops:
                 if tape is None:
-                    stack.append((jback, pc, reg, steps, code, n_out, nread, reads))
+                    stack.append((jback, pc, reg, steps, code, n_out, nread, reads, None, n_out))
                 else:
-                    settled = None
-                    if reg == nread == 0:  # JBACK returns the run to its start state
-                        settled = _back_at_start(code, n_out, steps, max_steps, t)
+                    # settled by shifts if JBACK returns the run to its start state
+                    settled = reg == nread == 0 and _back_at_start(code, n_out, steps, max_steps, t)
                     j_code, j_out = settled or _run_segment(
                         jback, pc, reg, steps, code, n_out, nread, reads, max_steps, t
                     )[4:6]
                     filed = masses[reads]
-                    for shift in range(j_out - n_out - 1, j_out - min(j_out, t) - 1, -1):
+                    for shift in range(j_out - n_out - 1, -1, -1):
                         filed[j_code >> shift] += 1
-                if n_out + 1 >= lo:  # OUTR emits reg before OUT1 and OUT0 emit their bits
+                if n1 >= lo:  # OUTR emits reg before OUT1 and OUT0 emit their bits
                     filed = masses[reads]
                     filed[2 * code + reg] += 2
                     filed[2 * code + 1 - reg] += 1
+                continue
+            emit = "output_limit" if n1 == seg_cap else go
+            stack += [
+                (ops + _FETCHED[OUT0], pc + 1, reg, s, 2 * code, n_out, nread, reads, emit, n1),
+                (ops + _FETCHED[OUT1], pc + 1, reg, s, 2 * code + 1, n_out, nread, reads, emit, n1),
+                (ops + _FETCHED[OUTR], pc + 1, reg, s, 2 * code + reg, n_out, nread, reads, emit, n1),
+            ]
+            # READA reads where it may: the tape's next action, or with none both
+            acts = () if nread > n_out else (0, 1) if tape is None else tape[nread : nread + 1]
+            if acts:
+                stack += [
+                    (ops + _FETCHED[READA], pc + 1, a, s, code, n_out, nread + 1,
+                     reads + (a,) if tape is None else reads, go, n_out)
+                    for a in acts
+                ]
+            stack += [
+                (ops + _FETCHED[FLIP], pc + 1, 1 - reg, s, code, n_out, nread, reads, go, n_out),
+                # with register 0, SKIP0 waits, steps unchanged, for the slot it skips
+                (ops + _FETCHED[SKIP0], pc + reg, reg, steps + reg, code, n_out, nread, reads,
+                 go if reg else "fetch", n_out),
+                (jback, pc, reg, steps, code, n_out, nread, reads, None, n_out),
+            ]
         self.cap = t
         tables: dict[tuple[int, ...], Numerators] = {}
         for reads, by_code in masses.items():
@@ -793,8 +818,8 @@ def enumerate_joint(program_bits: int, steps: int, max_len: int = 16) -> JointEn
     """Enumerate all programs within the budgets into a joint mass table.
 
     One depth-first walk with integer weights and no leaf list. At
-    max_len 16, program_bits 24 takes about 1.5 s and under 30 MB; each 3
-    more bits cost 4-5x (docs/machine.md).
+    max_len 16, program_bits 24 takes about 0.8 s and under 30 MB; each 3
+    more bits cost 5-6x (docs/machine.md).
     """
     table = _stored(
         "joint_L{}_S{}_D{}",

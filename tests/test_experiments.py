@@ -494,6 +494,30 @@ def test_summary_names_the_csvs_the_run_wrote(tmp_path, monkeypatch, scenario):
     assert sorted(written) == sorted(p.name for p in out.iterdir() if p.name != "summary.txt")
 
 
+def test_a_rerun_removes_the_csvs_only_the_earlier_run_wrote(tmp_path):
+    # thm7_drop writes one trace_enum CSV per program length it sweeps: at
+    # default budgets 3, 6 and 9 bits, at program_bits 3 only 3. A file the
+    # earlier summary does not name stays, and so does one it names that
+    # is not a plain CSV name in the directory.
+    out = tmp_path / "out"
+    assert run_scenario(ScenarioConfig("thm7_drop", out)) == 0
+    first = sorted(p.name for p in out.glob("*.csv"))
+    assert {"trace_enum_L6.csv", "trace_enum_L9.csv"} <= set(first)
+    (out / "notes.csv").write_text("mine\n")
+    assert run_scenario(ScenarioConfig("thm7_drop", out, budgets={"program_bits": 3})) == 0
+    files = [line for line in summary_body(out).splitlines() if line.startswith("files:")]
+    written = files[0][len("files: ") :].split(", ")
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(written + ["notes.csv"])
+    assert "trace_enum_L3.csv" in written and "trace_enum_L6.csv" not in written
+    # a hand-edited files: line names a file outside the directory, and one
+    # that is no CSV: neither is removed
+    (tmp_path / "outside.csv").write_text("keep\n")
+    summary = out / "summary.txt"
+    summary.write_text(summary.read_text().replace("files: ", "files: ../outside.csv, summary.txt, "))
+    assert run_scenario(ScenarioConfig("thm7_drop", out, budgets={"program_bits": 3})) == 0
+    assert (tmp_path / "outside.csv").read_text() == "keep\n" and (out / "notes.csv").exists()
+
+
 def test_a_runner_that_raises_leaves_no_csv(tmp_path, monkeypatch):
     def fails(*args, **kwargs):
         raise RuntimeError("enumeration failed")

@@ -533,6 +533,13 @@ LAP_BODIES = st.sampled_from(LAPS) | st.lists(
 # The step budget ends exactly where a lap does.
 @example((FLIP, JBACK), None, 600, None)
 @example((FLIP, OUTR, JBACK), [], 999, 64)
+# The whole laps jumped at once end exactly on the step budget, or exactly
+# one symbol short of the output cap, for a lap of one landing (OUT1 OUT0)
+# and of two (FLIP OUTR, whose register flips each pass).
+@example((OUT1, OUT0, JBACK), None, 300, None)
+@example((FLIP, OUTR, JBACK), None, 606, None)
+@example((OUT1, OUT0, JBACK), None, 1000, 21)
+@example((FLIP, OUTR, JBACK), None, 1000, 9)
 def test_lap_fast_forward_matches_frozen_step_by_step_run(body, tape, max_steps, max_output):
     program = _opcode_bits(*body)
     result = run_program(program, tape, max_steps, max_output)
@@ -713,18 +720,21 @@ def test_clear_memo_forces_a_new_walk(monkeypatch):
 
 
 def test_walk_runs_no_segment_for_most_of_the_last_level(monkeypatch):
-    # Of this walk's 7,953 nodes, 5,756 sit on the last level of the opcode
-    # tree and are settled where their parent fetches, without a segment run:
-    # all there but the JBACK children. Of those 724, the 454 that JBACK
-    # returns to the start state settle by shifts too. A walk that stops
-    # folding, or stops settling them, shows here.
+    # Every child takes its first step where its parent fetches, so only
+    # the root and the JBACK children, back at pc 0, run a segment: 162
+    # above the last level and 270 on it, where the other 454 of its 724
+    # JBACK children return the run to its start state and settle by
+    # shifts. The 1,310 children that used to run a segment for one step
+    # (the OUTs, FLIP, SKIP0, READA and HALT, and the children a SKIP0
+    # steps over) run none. A walk that interprets them again, or stops
+    # settling the last level, shows here.
     calls = []
     run = utm._run_segment
     monkeypatch.setattr(utm, "_run_segment", lambda *args: calls.append(args) or run(*args))
     monkeypatch.setenv(CACHE_ENV_VAR, "")
     clear_memo()
     enumerate_joint(15, 200, 16)
-    assert len(calls) == 1_743
+    assert len(calls) == 433
     clear_memo()
 
 
@@ -732,24 +742,31 @@ def test_played_walk_settles_its_last_level_along_the_tape(monkeypatch):
     # Along a played tape the last level settles as in the joint walk: of
     # its 1,282 JBACK children, which run in place, the 454 that JBACK
     # returns to the start state settle by shifts, and the other 828 run
-    # capped at the tape's length. A walk that pushed them, or ran them
-    # all, shows here.
+    # capped at the tape's length. Above it only the 247 JBACK children
+    # and the root run a segment: the 1,913 children that used to run one
+    # for a single step, READA reading the tape among them, take it where
+    # their parent fetches. A walk that pushed the last level's JBACK
+    # children, ran them all, or interprets single steps again, shows here.
     calls = []
     run = utm._run_segment
     monkeypatch.setattr(utm, "_run_segment", lambda *args: calls.append(args) or run(*args))
     monkeypatch.setenv(CACHE_ENV_VAR, "")
     clear_memo()
     enumerate_chron(15, 200, (1, 0, 1, 1, 0, 0))
-    assert len(calls) == 2_989
+    assert len(calls) == 1_076
     clear_memo()
 
 
-@pytest.mark.parametrize("bits, depth, segments", [(12, 6, 5_952), (15, 5, 23_678)])
+@pytest.mark.parametrize("bits, depth, segments", [(12, 6, 5_485), (15, 5, 20_504)])
 def test_chronological_check_runs_each_node_once(monkeypatch, bits, depth, segments):
     # The check asks tape lengths 0 to depth + 1 in turn, and one walk
     # serves them all: no node's segment (opcodes, start pc, actions
     # chosen) is interpreted twice, and the walk runs as many segments as
-    # one walk from the root at the deepest length.
+    # one walk from the root at the deepest length. Segments run from the
+    # root, from JBACK children and from the branches past a READA that a
+    # segment stopped at; the children that take one step where their
+    # parent fetches, the two branches past a freshly fetched READA among
+    # them, no longer reach the interpreter (467 and 3,174 fewer segments).
     starts = []
     run = utm._run_segment
     monkeypatch.setattr(
@@ -760,6 +777,48 @@ def test_chronological_check_runs_each_node_once(monkeypatch, bits, depth, segme
     assert check_chronological(ChronEnumApprox(bits, 200), depth).ok
     assert len(set(starts)) == len(starts) == segments
     clear_memo()
+
+
+def _segment_start(ops, pc, reg, nread, reads):
+    """Where a segment the walk runs starts: at the root, at a JBACK child,
+    back at pc 0 when it runs, or on a branch past a READA that a segment
+    stopped at, holding the action it read; else None."""
+    if not ops:
+        return "root"
+    if pc == len(ops) - 1 and ops[pc] == JBACK:
+        return "jback"
+    if pc and ops[pc - 1] == READA and nread and reg == reads[nread - 1]:
+        return "read"
+    return None
+
+
+@pytest.mark.parametrize(
+    "walk, starts",
+    [
+        (lambda: enumerate_joint(15, 200, 16), {"root", "jback"}),
+        (lambda: enumerate_chron(15, 200, (1, 0, 1, 1, 0, 0)), {"root", "jback"}),
+        (lambda: check_chronological(ChronEnumApprox(12, 200), 6), {"root", "jback", "read"}),
+    ],
+    ids=["joint", "played", "chronological"],
+)
+def test_only_jumps_and_branches_reach_the_interpreter(monkeypatch, walk, starts):
+    # Every other child takes its first step where its parent fetches: the
+    # OUTs, FLIP, SKIP0, READA along a tape or branching with none, and
+    # the children a SKIP0 steps over. A walk that hands one of them to the
+    # interpreter again shows here.
+    seen = []
+    run = utm._run_segment
+
+    def spy(ops, pc, reg, steps, code, n_out, nread, reads, max_steps, cap):
+        seen.append(_segment_start(ops, pc, reg, nread, reads))
+        return run(ops, pc, reg, steps, code, n_out, nread, reads, max_steps, cap)
+
+    monkeypatch.setattr(utm, "_run_segment", spy)
+    monkeypatch.setenv(CACHE_ENV_VAR, "")
+    clear_memo()
+    walk()
+    clear_memo()
+    assert None not in seen and set(seen) == starts
 
 
 def test_a_walk_cut_short_leaves_no_walk_behind(monkeypatch):
