@@ -79,7 +79,11 @@ def main(argv: list[str] | None = None) -> int:
             info = SCENARIOS[name]
             print(f"{name:20s} {info.description}")
             print(f"{'':20s} claims: {', '.join(info.claims)}")
-            print(f"{'':20s} budgets: {', '.join(f'{k}={v}' for k, v in info.budgets.items())}")
+            budgets = [
+                f"{k}={v}" + (f" (>= {info.least[k]})" if k in info.least else "")
+                for k, v in info.budgets.items()
+            ]
+            print(f"{'':20s} budgets: {', '.join(budgets)}")
         return 0
 
     if args.command == "check":

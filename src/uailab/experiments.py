@@ -103,47 +103,39 @@ class MixtureDef:
 
 
 def scenario_mixtures() -> dict[str, MixtureDef]:
-    """The shipped scenario mixtures (all weights exact, priors as given)."""
+    """The shipped scenario mixtures of the built-in components (all weights
+    exact, priors as given)."""
+    c = builtin_components()
     copy_uniform_joint = JointMixture(
-        [copy_machine(), uniform_measure()],
+        [c["copy_machine"], c["uniform_measure"]],
         uniform_prior(2),
         names=("copy", "uniform"),
     )
     copy_uniform_chron = EnvMixture(
-        [mu_id(), uniform_env()], uniform_prior(2), names=("mu_id", "uniform_env")
+        [c["mu_id"], c["uniform_env"]], uniform_prior(2), names=("mu_id", "uniform_env")
     )
     adversary_joint = JointMixture(
-        [
-            copy_machine(),
-            uniform_measure(),
-            anticopy_machine(),
-            ActionEchoJoint(F(3, 4), F(1, 4)),
-        ],
+        [c["copy_machine"], c["uniform_measure"], c["anticopy_machine"], c["noisy_copy_joint"]],
         (F(1, 8), F(3, 8), F(1, 8), F(3, 8)),
         names=("copy", "uniform", "anticopy", "noisy_copy"),
     )
     adversary_chron = EnvMixture(
-        [mu_id(), uniform_env(), NoisyCopyEnv(F(3, 4), F(1, 4))],
+        [c["mu_id"], c["uniform_env"], c["noisy_copy_env"]],
         (F(1, 2), F(1, 4), F(1, 4)),
         names=("mu_id", "uniform_env", "noisy_copy_env"),
     )
     learnable_joint = JointMixture(
-        [
-            copy_machine(),
-            anticopy_machine(),
-            uniform_measure(),
-            ActionEchoJoint(F(3, 4), F(1, 4)),
-        ],
+        [c["copy_machine"], c["anticopy_machine"], c["uniform_measure"], c["noisy_copy_joint"]],
         uniform_prior(4),
         names=("copy", "anticopy", "uniform", "noisy_copy"),
     )
     learnable_chron = EnvMixture(
-        [mu_id(), complement_env(), uniform_env(), NoisyCopyEnv(F(3, 4), F(1, 4))],
+        [c["mu_id"], c["complement_env"], c["uniform_env"], c["noisy_copy_env"]],
         uniform_prior(4),
         names=("mu_id", "complement", "uniform_env", "noisy_copy_env"),
     )
     halting_joint = JointMixture(
-        [leaky_copy(F(3, 4)), defective_uniform(F(1, 4))],
+        [c["leaky_copy"], c["defective_uniform"]],
         uniform_prior(2),
         names=("leaky_copy", "defective_uniform"),
     )
@@ -185,6 +177,11 @@ def pair_scenarios() -> dict[str, PairScenario]:
             (F(1, 2), F(1, 2)),
         ),
     }
+
+
+# Each environment of a pair glued to its own policy: pair weights that do not
+# factor, where the joint view's action evidence shows (the counterexample).
+_DIAGONAL_GRID = {(0, 0): F(1, 2), (1, 1): F(1, 2)}
 
 
 def mixture_from_dict(definition: dict) -> MixtureDef:
@@ -279,11 +276,13 @@ def validate_config_dict(raw: Any) -> list[str]:
         errors.append(f"budgets: {budgets!r} is not of type 'object'")
         budgets = {}
     known = {key for info in SCENARIOS.values() for key in info.budgets}  # any scenario, any of them
+    info = SCENARIOS.get(scenario) if isinstance(scenario, str) else None
+    least = info.least if info else {}  # the floors of this scenario alone
     for key, value in budgets.items():
         if key not in known:
             errors.append(f"budgets: unknown key {key!r}")
         else:
-            errors += _int_errors(f"budgets/{key}", value, 0, 10**6)
+            errors += _int_errors(f"budgets/{key}", value, least.get(key, 0), 10**6)
     if "jobs" in raw:
         errors += _int_errors("jobs", raw["jobs"], 1, 64)
     if raw.get("seed") is not None and type(raw["seed"]) is not int:
@@ -400,7 +399,8 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
     # Defining conditions for every built-in component and scenario mixture.
     rows = []
     mixtures = scenario_mixtures()
-    subjects: list[tuple[str, Any]] = list(builtin_components().items())
+    components = builtin_components()
+    subjects: list[tuple[str, Any]] = list(components.items())
     for mdef in mixtures.values():
         if mdef.joint is not None:
             subjects.append((f"mixture:{mdef.name}:joint", mdef.joint))
@@ -479,17 +479,18 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
 
     # Transform identities.
     transform_rows = []
+    mu, noisy = components["mu_id"], components["noisy_copy_env"]
     env_pairs = [
-        ("mu_id+uniform_policy", mu_id(), uniform_policy()),
-        ("uniform_env+uniform_policy", uniform_env(), uniform_policy()),
-        ("noisy_copy+uniform_policy", NoisyCopyEnv(F(3, 4), F(1, 4)), uniform_policy()),
-        ("mu_id+constant_policy", mu_id(), constant_policy(1)),
+        ("mu_id+uniform_policy", mu, uniform_policy()),
+        ("uniform_env+uniform_policy", components["uniform_env"], uniform_policy()),
+        ("noisy_copy+uniform_policy", noisy, uniform_policy()),
+        ("mu_id+constant_policy", mu, constant_policy(1)),
     ]
     for name, nu, pi in env_pairs:
         mismatches, skipped = check_env_dual_roundtrip(nu, pi, tdepth)
         failures += len(mismatches)
         transform_rows.append(("env_dual_roundtrip", name, tdepth, len(mismatches), skipped))
-    for name, nu in (("mu_id", mu_id()), ("noisy_copy", NoisyCopyEnv(F(3, 4), F(1, 4)))):
+    for name, nu in (("mu_id", mu), ("noisy_copy", noisy)):
         mismatches, skipped = check_representation_roundtrip(nu, None, tdepth)
         failures += len(mismatches)
         transform_rows.append(("representation_roundtrip", name, tdepth, len(mismatches), skipped))
@@ -507,48 +508,36 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
     )
     lines.append(f"transform identities: {len(transform_rows)} suites")
 
-    # Factoring: identities hold for factored priors, fail with witness otherwise.
+    # Factoring: the identities hold exactly under the factored prior of each
+    # pair, and the diagonal grid breaks them with a witness.
     pairs = pair_scenarios()
-    fact_rows = []
-    for pname, pair in pairs.items():
+    runs = [(name, pair, None) for name, pair in pairs.items()]
+    fact_rows, witnesses = [], []
+    for pname, pair, grid in [*runs, ("hetero_pair", pairs["hetero_pair"], _DIAGONAL_GRID)]:
         report = factoring_check(
-            pair.envs, pair.env_weights, pair.policies, pair.policy_weights, tdepth
+            pair.envs, pair.env_weights, pair.policies, pair.policy_weights, tdepth, grid
         )
-        failures += 0 if report.ok else 1
+        if grid is None:
+            ok, verdict = report.ok, "ok" if report.ok else "VIOLATION"
+        else:  # the counterexample must produce a witness
+            ok = bool(report.env_mismatches)
+            verdict = f"witness={report.env_mismatches[0].witness}" if ok else "MISSING-WITNESS"
+            witnesses = [
+                (row.witness, frac_str(row.lhs), frac_str(row.rhs), row.verdict)
+                for row in report.env_rows
+            ]
+        failures += 0 if ok else 1
         fact_rows.append(
             (
                 pname,
-                "factored",
+                "factored" if grid is None else "non_factored",
                 len(report.joint_rows),
                 len(report.joint_mismatches),
                 len(report.env_rows),
                 len(report.env_mismatches),
-                "ok" if report.ok else "VIOLATION",
+                verdict,
             )
         )
-    hetero = pairs["hetero_pair"]
-    non_factored = factoring_check(
-        hetero.envs,
-        hetero.env_weights,
-        hetero.policies,
-        hetero.policy_weights,
-        tdepth,
-        pair_weights={(0, 0): F(1, 2), (1, 1): F(1, 2)},
-    )
-    witness = non_factored.env_mismatches[0].witness if non_factored.env_mismatches else None
-    if not non_factored.env_mismatches:
-        failures += 1  # the counterexample must produce a witness
-    fact_rows.append(
-        (
-            "hetero_pair",
-            "non_factored",
-            len(non_factored.joint_rows),
-            len(non_factored.joint_mismatches),
-            len(non_factored.env_rows),
-            len(non_factored.env_mismatches),
-            f"witness={witness}" if witness else "MISSING-WITNESS",
-        )
-    )
     tables["factoring_checks.csv"] = (
         (
             "pair",
@@ -562,15 +551,9 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
         fact_rows,
     )
     # Row-level report of the counterexample (witness, lhs, rhs, verdict).
-    tables["factoring_witnesses.csv"] = (
-        ("witness", "lhs", "rhs", "verdict"),
-        [
-            (row.witness, frac_str(row.lhs), frac_str(row.rhs), row.verdict)
-            for row in non_factored.env_rows
-        ],
-    )
+    tables["factoring_witnesses.csv"] = (("witness", "lhs", "rhs", "verdict"), witnesses)
     exact = "exact" if all(row[-1] == "ok" for row in fact_rows[:-1]) else "VIOLATED"
-    witnessed = "witnessed" if witness else "MISSING"
+    witnessed = "MISSING" if fact_rows[-1][-1] == "MISSING-WITNESS" else "witnessed"
     lines.append(f"factoring: identities {exact} for factored priors; counterexample {witnessed}")
 
     # Predictive/posterior consistency for every joint scenario mixture.
@@ -991,10 +974,7 @@ def _scenario_conj9(cfg: ScenarioConfig) -> ScenarioOutcome:
     # action-evidence effect shows up.
     hetero = pair_scenarios()["hetero_pair"]
     probe_rows = []
-    for grid_name, pair_weights in (
-        ("factored", None),
-        ("diagonal", {(0, 0): F(1, 2), (1, 1): F(1, 2)}),
-    ):
+    for grid_name, pair_weights in (("factored", None), ("diagonal", _DIAGONAL_GRID)):
         for d in range(1, depth + 1):
             probe = env_view_ratio_probe(
                 hetero.envs,
@@ -1091,13 +1071,16 @@ def _scenario_agents(cfg: ScenarioConfig) -> ScenarioOutcome:
 @dataclass(frozen=True)
 class ScenarioInfo:
     """A scenario's runner and claims, and all it reads: each budget key with
-    its default (docs/scenario_format.md), and whether it takes a mixture."""
+    its default (docs/scenario_format.md), the least value of a key below
+    which its checks cannot hold (0 where none is given), and whether it
+    takes a mixture."""
 
     runner: Callable[[ScenarioConfig], ScenarioOutcome]
     claims: tuple[str, ...]
     description: str
     budgets: dict[str, int]
     reads_mixture: bool = False
+    least: dict[str, int] = field(default_factory=dict)
 
 
 SCENARIOS: dict[str, ScenarioInfo] = {
@@ -1119,6 +1102,9 @@ SCENARIOS: dict[str, ScenarioInfo] = {
         ),
         "defining conditions, transform identities, factoring, and consistency suites",
         dict(depth=6, transform_depth=5, consistency_depth=4, program_bits=10, machine_steps=200),
+        # The diagonal grid's first witness is an environment context of one
+        # step, which a joint depth of 2 reaches.
+        least=dict(transform_depth=2),
     ),
     "thm7_drop": ScenarioInfo(
         _scenario_thm7,

@@ -63,8 +63,8 @@ Worked example programs (lengths on the frozen machine):
     complement     011100010110    (12 bits)  percept t = 1 - action t
 
 At desk scale, joint enumeration reaches program_bits 24 in about 0.8 s,
-and chronological checks reach program_bits 18 at depth 7 in about 2.5 s
-and 21 at depth 5 in about 4 s; each 3 more bits cost 3-6x (measured
+and chronological checks reach program_bits 18 at depth 7 in about 1.5 s
+and 21 at depth 5 in about 2.5 s; each 3 more bits cost 3-6x (measured
 limits in docs/machine.md). A joint table, the tables of every tape of
 one length, and each prefix table of ``enumerate_chron`` are one cache
 entry each, memoized in-process by name and stored on disk keyed by
@@ -76,6 +76,7 @@ in place when computed. See docs/cache_format.md.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -775,13 +776,17 @@ def _cache_write(name: str, budgets: list[int], field: str, value: dict) -> None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    except OSError:
+        return  # cache is an optimization; never fail the computation
+    try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(_header(budgets, field, hashlib.sha256(body).hexdigest()))
             fh.write(body)
             fh.write(b"}")
         os.replace(tmp, path)
     except OSError:
-        pass  # cache is an optimization; never fail the computation
+        with contextlib.suppress(OSError):  # a failed write leaves no temp file
+            os.unlink(tmp)
 
 
 def _whole_opcodes(program_bits: int) -> int:

@@ -1,3 +1,4 @@
+import csv
 import json
 import multiprocessing
 import os
@@ -159,8 +160,12 @@ def test_cli_list_names_all_scenarios():
     assert result.returncode == 0
     for name, info in SCENARIOS.items():
         assert name in result.stdout
-        budgets = ", ".join(f"{key}={value}" for key, value in info.budgets.items())
+        budgets = ", ".join(
+            f"{key}={value}" + (f" (>= {info.least[key]})" if key in info.least else "")
+            for key, value in info.budgets.items()
+        )
         assert f"{'':20s} budgets: {budgets}\n" in result.stdout
+    assert "transform_depth=5 (>= 2)" in result.stdout
 
 
 def test_cli_unknown_scenario_exit_2(tmp_path):
@@ -673,16 +678,44 @@ def test_thm11_maps_both_statistics_in_one_call(tmp_path, monkeypatch):
 
 
 def test_sanity_summary_says_what_the_run_found(tmp_path, monkeypatch):
-    # At transform depth 1 the non-factored prior has no witness yet.
-    budgets = {"depth": 2, "transform_depth": 1, "consistency_depth": 1}
+    # With its grid dropped, the counterexample's run has the factored prior: no witness.
+    budgets = {"depth": 2, "transform_depth": 2, "consistency_depth": 1}
     mismatch = [(((0,), 1), F(1, 2), F(1, 3))]
     monkeypatch.setattr(experiments, "check_predictive_consistency", lambda *args: mismatch)
+    factoring = experiments.factoring_check
+    monkeypatch.setattr(experiments, "factoring_check", lambda *args: factoring(*args[:5]))
     assert run_scenario(ScenarioConfig("sanity_checks", tmp_path, budgets=budgets)) == 1
     assert "MISSING-WITNESS" in (tmp_path / "factoring_checks.csv").read_text()
     body = summary_body(tmp_path)
     assert "factoring: identities exact for factored priors; counterexample MISSING" in body
     assert "conditionals: 4 MISMATCHES" in body
     assert "witnessed" not in body and "exact agreement" not in body
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+def test_sanity_refuses_a_transform_depth_below_the_first_witness(tmp_path, depth):
+    config = tmp_path / "config.json"
+    raw = {"schema_version": 1, "scenario": "sanity_checks", "budgets": {"transform_depth": depth}}
+    config.write_text(json.dumps(raw))
+    for args in (("check",), ("run", "sanity_checks", "--out", str(tmp_path / "out"))):
+        result = run_cli(*args, "--config", str(config))
+        assert result.returncode == 2
+        assert f"budgets/transform_depth: {depth} is not in [2, " in result.stderr
+    assert not (tmp_path / "out").exists()
+    # The floor is sanity_checks' own: a budget set that serves every scenario still does.
+    assert validate_config_dict({**raw, "scenario": "conj9_search"}) == []
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4, 5])
+def test_sanity_witnesses_the_counterexample_from_the_least_transform_depth(tmp_path, depth):
+    budgets = {"depth": 1, "transform_depth": depth, "consistency_depth": 1, "program_bits": 3}
+    assert run_scenario(ScenarioConfig("sanity_checks", tmp_path, budgets=budgets)) == 0
+    with (tmp_path / "factoring_checks.csv").open(newline="") as fh:
+        rows = [(row[0], row[1], row[-1]) for row in list(csv.reader(fh))[1:]]
+    assert rows[:2] == [("factored_pair", "factored", "ok"), ("hetero_pair", "factored", "ok")]
+    (pair, prior, verdict), = rows[2:]
+    assert (pair, prior) == ("hetero_pair", "non_factored") and verdict.startswith("witness=(")
+    assert len((tmp_path / "factoring_witnesses.csv").read_text().splitlines()) > 1
 
 
 def test_agents_summary_says_what_the_run_found(tmp_path, monkeypatch):

@@ -228,6 +228,19 @@ def test_disk_cache_roundtrip(cache_dir):
     clear_memo()
 
 
+def test_a_failed_cache_write_leaves_no_temp_file(cache_dir, monkeypatch):
+    clear_memo()
+    monkeypatch.setenv(CACHE_ENV_VAR, "")  # the cache switched off
+    expected = enumerate_joint(6, 60, max_len=4).table
+    monkeypatch.setenv(CACHE_ENV_VAR, str(cache_dir))
+    (cache_dir / f"{MACHINE_HASH[:12]}_joint_L6_S60_D4.json").mkdir()  # in the entry's way
+    for _ in range(2):
+        clear_memo()
+        assert enumerate_joint(6, 60, max_len=4).table == expected
+    assert list(cache_dir.glob("*.tmp")) == []
+    clear_memo()
+
+
 def test_bad_program_strings_rejected():
     with pytest.raises(ComponentFormatError):
         run_program("01a")
