@@ -37,9 +37,9 @@ into flat columns by slot in the loop that steps to it. The policy check
 is one more reader of the check walk: it folds the rows of a policy's
 environment-mode check, walked over the alphabet it is given. A mixture's
 check walks only its members: its columns are the weighted sums of theirs,
-its witnesses settled exactly (:func:`_check`). A context is derived from
-its slot only where a row, a violation or a witness is read. States live
-only inside one walk.
+its witnesses settled exactly (:func:`_check`); ``ChronEnumApprox`` reads
+its check off its tables. A context is derived from its slot only where a
+row, a violation or a witness is read. States live only inside one walk.
 
 A context is *undefined* for a component when its ``root`` or ``extend``
 raises ``UndefinedConditionalError`` or its subclass ``NormalizationError``;
@@ -776,13 +776,13 @@ def walk(
     ``depth``: a row per joint context, or per environment context and next
     action at ``slot * fan + action``; lhs is the context's mass times its
     level's gain, rhs its row's children summed, and above the (row, symbol)
-    of each child above lhs, unsorted. A mixture's check is not walked: its
-    members' columns are summed (:func:`_check`).
+    of each child above lhs, unsorted. Neither a mixture's check nor a
+    ``ChronEnumApprox``'s is walked (:func:`_columns`).
 
-    Measured slower, so not to retry: a level-at-a-time walk by ``map`` (the
-    ``ChronEnumApprox(3, 60)`` check took 115 ms, not 19, as every pending
-    node queries its tape through ``eval``; mixtures gained nothing, and it
-    holds whole levels); flattened mixture states (``copy_vs_uniform`` env
+    Measured slower, so not to retry: a level-at-a-time walk by ``map`` (a
+    walked ``ChronEnumApprox(3, 60)`` check took 115 ms, not 19, as each
+    pending node queried its tape through ``eval``; mixtures gained nothing,
+    and it holds whole levels); flattened mixture states (``copy_vs_uniform`` env
     check 46 ms, not 32); a mass column plus slice arithmetic (half this
     loop's gain); entering a tape's first query without ``eval``, which
     hides the enumeration from a tracer's ``ChronEnumApprox.eval`` span; and
@@ -1108,7 +1108,7 @@ def check_scope(subjects: Iterable[JointSemimeasure | ChronEnv], depth: int) -> 
 
 def _columns(nu: Any, depth: int, alphabet: _Alphabet) -> tuple[list, list, list]:
     """(lhs, rhs, witnesses) of the check of ``nu`` as :func:`walk` files them, or
-    as a mixture's ``_check_columns`` combines them, or as a scope keeps them."""
+    as a mixture's or ``ChronEnumApprox``'s ``_check_columns`` does, or a scope keeps."""
     scope = _kept.get()
     kept = scope.get((nu, depth, alphabet), [0, None]) if scope else [0, None]
     columns = kept[1]

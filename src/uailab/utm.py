@@ -43,7 +43,10 @@ output prefix of k symbols is a right shift. The walk keys masses by code
 and decodes each code into its output tuple once, when it builds the table
 entry.
 ``ChronEnumApprox``'s own walk codes its percept string and action tape the
-same way, and reads each tape's numerators by code.
+same way, and reads each tape's numerators by code. Its chronological check
+visits no context: it files each row from the tapes' numerators, the
+nonzero entries only, and tells the opcode-tree walk the last length it
+asks, so that the walk parks no run past it.
 
 The interpreter fast-forwards laps. When JBACK lands at pc 0 with the
 register and action count of an earlier landing in the same segment, or
@@ -63,13 +66,13 @@ Worked example programs (lengths on the frozen machine):
     complement     011100010110    (12 bits)  percept t = 1 - action t
 
 At desk scale, joint enumeration reaches program_bits 24 in about 0.8 s,
-and chronological checks reach program_bits 18 at depth 7 in about 1.5 s
-and 21 at depth 5 in about 2.5 s; each 3 more bits cost 3-6x (measured
-limits in docs/machine.md). A joint table, the tables of every tape of
-one length, and each prefix table of ``enumerate_chron`` are one cache
-entry each, memoized in-process by name and stored on disk keyed by
-(definition hash, budgets); UAILAB_CACHE_DIR is the only switch (empty
-disables the disk cache). A file stores the
+and chronological checks reach program_bits 18 at depth 7 in about 1.1 s,
+21 at depth 5 in about 1.8 s and 24 at depth 5 in about 10 s; each 3 more
+bits cost 3-6x (measured limits in docs/machine.md). A joint table, the
+tables of every tape of one length, and each prefix table of
+``enumerate_chron`` are one cache entry each, memoized in-process by name
+and stored on disk keyed by (definition hash, budgets); UAILAB_CACHE_DIR
+is the only switch (empty disables the disk cache). A file stores the
 walk's integer numerators as they are, under a SHA-256 of their bytes that
 a read checks before it parses; each entry becomes its ``Fraction`` once,
 in place when computed. See docs/cache_format.md.
@@ -87,11 +90,12 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import product
+from math import inf
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .core import ZERO, ComponentFormatError, Prob, count
-from .semimeasure import ChronEnv, JointSemimeasure, _check_alphabet, _history
+from .semimeasure import ChronEnv, JointSemimeasure, _check_alphabet, _history, _widths
 
 OUT0, OUT1, OUTR, READA, FLIP, SKIP0, JBACK, HALT = range(8)
 OPCODE_BITS = 3
@@ -402,10 +406,15 @@ class _Walk:
     file their symbol at once and only JBACK runs on, in place along a tape,
     first, as it would pop, settling by shifts from the start state
     (:func:`_back_at_start`), and with no tape pushed, after the OUTs file.
+
+    A walk told the ``last`` length any call will ask parks a run only for a
+    length up to it, and keeps no code for later lengths once it reaches it.
     """
 
-    def __init__(self, max_ops: int, max_steps: int, tape: tuple[int, ...] | None = None):
-        self.max_ops, self.max_steps, self.tape = max_ops, max_steps, tape
+    def __init__(
+        self, max_ops: int, max_steps: int, tape: tuple[int, ...] | None = None, last: float = inf
+    ):
+        self.max_ops, self.max_steps, self.tape, self.last = max_ops, max_steps, tape, last
         self.cap = -1  # the last length walked; -1 until the root has run
         # records by the length that continues them
         self.parked: defaultdict[int, bytearray] = defaultdict(bytearray)
@@ -417,9 +426,10 @@ class _Walk:
         """The tables of every tape this call files, integer numerators over
         8**max_ops by output string: along a tape, the tape's prefix of each
         length 0..t; with none, every tape of length t. A new walk takes any
-        t and starts at the root; otherwise t is ``self.cap + 1``."""
-        max_ops, max_steps, tape, parked, future = (
-            self.max_ops, self.max_steps, self.tape, self.parked, self.future
+        t up to ``self.last`` and starts at the root; otherwise t is
+        ``self.cap + 1``."""
+        max_ops, max_steps, tape, last, parked, future = (
+            self.max_ops, self.max_steps, self.tape, self.last, self.parked, self.future
         )
         lo, seg_cap = (t, None) if tape is None else (0, t)
         weights = [8 ** (max_ops - n) for n in range(max_ops + 1)]
@@ -457,7 +467,7 @@ class _Walk:
                     else:
                         for shift in range(n_out - first, n_out - top - 1, -1):
                             filed[code >> shift] += w
-                    if n_out > t:
+                    if n_out > t < last:
                         future[n_out][reads][code] += w
                 if not (
                     status == "fetch" and len(ops) < max_ops
@@ -469,8 +479,9 @@ class _Walk:
                     # each holds the empty output.
                     masses[reads][1] = weights[0]
                 if n_out >= t:
-                    node = (ops, pc, reg, steps, code, n_out, nread, reads)
-                    _pack(parked[n_out + 1], _record(max_ops, max_steps, n_out + 1), node)
+                    if n_out < last:
+                        node = (ops, pc, reg, steps, code, n_out, nread, reads)
+                        _pack(parked[n_out + 1], _record(max_ops, max_steps, n_out + 1), node)
                     continue
             else:
                 ops, pc, reg, steps, code, n_out, nread, reads = _unpack(resumed, record)
@@ -584,7 +595,8 @@ class ChronEnumApprox(ChronEnv):
     a multiple of 8**-(program_bits // 3), the walk's scale. The walk carries
     the percept string and the action tape as codes (symbols under a leading
     1 bit, as outputs are coded) and reads each tape's numerators by percept
-    code, from a private copy of its table that ``eval`` files with it.
+    code, from a private copy of its table that ``eval`` files with it. A
+    check's rows come from those copies (:meth:`_check_columns`).
     """
 
     def __init__(self, program_bits: int, steps: int):
@@ -595,6 +607,7 @@ class ChronEnumApprox(ChronEnv):
         self._code_of = _Codes()
         self._unit = 8 ** (program_bits // OPCODE_BITS)
         self._walker: _Walk | None = None  # this environment's walk, kept across lengths
+        self._last: float = inf  # the last length a running check asks
 
     def scale(self, n: int) -> int:
         return self._unit
@@ -642,13 +655,54 @@ class ChronEnumApprox(ChronEnv):
         """The tables of every tape of length t. This environment's walk
         goes on from the last length it built if that is t - 1, so across
         lengths 0, 1, ... each node of the opcode tree runs its segment
-        once; otherwise a new walk starts at the root."""
+        once; otherwise a new walk starts at the root, told the last length
+        of a running check, and is dropped when it reaches it."""
         walker, self._walker = self._walker, None  # a walk cut short leaves none
         if walker is None or walker.cap != t - 1:
-            walker = _Walk(self.program_bits // OPCODE_BITS, self.steps)
+            walker = _Walk(self.program_bits // OPCODE_BITS, self.steps, last=self._last)
         tables = walker.tables(t)
-        self._walker = walker
+        if t < walker.last:  # a walk at its last length is done
+            self._walker = walker
         return tables
+
+    def _check_columns(self, depth: int, alphabet: tuple, columns: Callable) -> tuple:
+        """The check's (lhs, rhs, witnesses) as :func:`~uailab.semimeasure.walk`
+        files them, read from each tape's numerators instead of from every
+        context. The scale is constant, so the row (e, a, a') holds e's
+        numerator in a's table, and each entry e e' of the table of a a' adds
+        to that row's rhs, a witness where it exceeds the row's lhs. An absent
+        entry is zero: mass below a zero-mass context still lands in its row.
+        The tapes go in rising length, each first queried through ``eval``,
+        and a walk they start ends at depth + 1."""
+        codes, zeros = self._codes, (0,) * (depth + 1)
+
+        def table(tape: int) -> dict[int, int]:
+            if tape not in codes:
+                self.eval(zeros[: tape.bit_length() - 1], _output(tape))
+            return codes[tape]
+
+        lhs = [0] * (2 * sum(_widths(alphabet, depth)))
+        rhs, witnesses = lhs.copy(), []
+        self._last = depth + 1
+        try:
+            start = 0  # the slot of level t's first context
+            for t in range(depth + 1):
+                width = 1 << t
+                for tape in range(width, 2 * width):  # the codes of the tapes of length t
+                    base = start + (tape - width - 1) * width  # e's slot is base + its code
+                    for code, m in table(tape).items():
+                        row = 2 * (base + code)
+                        lhs[row] = lhs[row + 1] = m
+                    for a in (0, 1):
+                        for code, m in table(2 * tape + a).items():
+                            row = 2 * (base + (code >> 1)) + a
+                            rhs[row] += m
+                            if m > lhs[row]:
+                                witnesses.append((row, code & 1))
+                start += width * width
+        finally:
+            self._last = inf
+        return lhs, rhs, witnesses
 
     def eval(self, percepts: tuple[int, ...], actions: tuple[int, ...]) -> Prob:
         """Not the fold of the walk: ``extend`` enters here to enumerate a

@@ -4,13 +4,16 @@
 its members' columns instead of walking the mixture. The reference is a
 frozen copy of ``_check`` as it was before: one walk of the mixture's own
 ``root`` and ``extend``. Every field, row, column and raised error type must
-be equal. The last tests guard what ``sanity_checks`` walks.
+be equal. An enumerated environment's check is read from its tapes' tables
+instead, with the same walk as its reference. The last tests guard what
+``sanity_checks`` walks.
 """
 from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import product
 
+import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -49,7 +52,7 @@ from uailab.semimeasure import (
     walk,
 )
 from uailab.transforms import env, normalize
-from uailab.utm import ChronEnumApprox, _whole_opcodes
+from uailab.utm import ChronEnumApprox, _whole_opcodes, clear_memo
 
 F = Fraction
 NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
@@ -369,6 +372,87 @@ def test_a_scope_walks_each_distinct_check_once_and_lets_it_go(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# An enumerated environment's check, read from its tapes' tables
+# ---------------------------------------------------------------------------
+
+
+def walked_columns(nu, depth):
+    """The columns of the check of ``nu``, whose scale is constant, as one walk."""
+    return walk(_alphabet(nu), depth, nu.root(), nu.extend, [1] * (depth + 2))
+
+
+def filed_columns(nu, depth):
+    return nu._check_columns(depth, _alphabet(nu), semimeasure._columns)
+
+
+def assert_same_columns(got, want):
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    assert sorted(got[2]) == sorted(want[2])
+
+
+@pytest.mark.parametrize("steps", [5, 60, 200])
+@pytest.mark.parametrize("bits", range(0, 19, 3))
+def test_enumerated_check_columns_equal_the_walk(bits, steps):
+    # One environment through every depth: each deeper check starts a new
+    # walk from the root, as the last one ended at its own last length.
+    clear_memo()
+    approx = ChronEnumApprox(bits, steps)
+    for depth in range(7):
+        walked = walked_columns(ChronEnumApprox(bits, steps), depth)
+        assert_same_columns(filed_columns(approx, depth), walked)
+    clear_memo()
+
+
+CORRUPTIONS = st.lists(
+    # (tape length, tape, percepts, an existing entry's code?, mass above the parent's)
+    st.tuples(
+        st.integers(1, 5), st.integers(0, 31), st.integers(0, 31), st.booleans(), st.integers(1, 3)
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def corrupt(approx, corruptions):
+    """Raise entries of ``approx``'s code tables above their parents' masses:
+    existing children, or entries under a zero-mass parent."""
+    codes = approx._codes
+    for t, tape, percepts, existing, k in corruptions:
+        tape = (1 << t) + tape % (1 << t)  # a tape code of length t
+        entries = sorted(codes[tape])
+        if existing and entries:
+            code = entries[percepts % len(entries)]
+        else:
+            code = (1 << t) + percepts % (1 << t)
+        codes[tape][code] = codes[tape >> 1].get(code >> 1, 0) + k
+
+
+@settings(max_examples=30, deadline=None, phases=NO_SHRINK)
+@given(CORRUPTIONS)
+def test_corrupted_tables_give_the_walked_witnesses(corruptions):
+    approx = ChronEnumApprox(9, 200)
+    filed_columns(approx, 4)  # every tape up to length 5 has its code table
+    corrupt(approx, corruptions)
+    got = filed_columns(approx, 4)
+    assert got[2]  # the last raised entry outweighs its row
+    assert_same_columns(got, walked_columns(approx, 4))
+
+
+def test_a_mixture_with_an_enumerated_member_checks_as_walked():
+    broken = ChronEnumApprox(12, 200)
+    filed_columns(broken, 3)
+    # Each raised entry gains mass 1 (8**4 over the scale): more than the
+    # other members' weights, so the mixture's child outweighs its row too.
+    corrupt(broken, [(2, 1, 3, False, 8**4), (3, 5, 2, True, 8**4), (4, 0, 0, True, 8**4)])
+    for member in (ChronEnumApprox(12, 200), broken):
+        mixture = EnvMixture([member, mu_id(), uniform_env()], [F(1, 2), F(1, 4), F(1, 8)])
+        for depth in (0, 1, 3):
+            assert_same_report(check_chronological(mixture, depth), walked_check(mixture, depth))
+    assert check_chronological(mixture, 3).monotone_violations
+
+
+# ---------------------------------------------------------------------------
 # What sanity_checks walks
 # ---------------------------------------------------------------------------
 
@@ -382,16 +466,23 @@ def test_sanity_walks_each_distinct_check_once(tmp_path, monkeypatch):
             checks.append((step.__self__, nu, depth))
         return real(nu, depth, root, step, gains)
 
+    # An enumerated environment's check is filed from its tapes' tables, not walked.
+    filed = []
+    real_filed = ChronEnumApprox._check_columns
+
+    def filed_once(self, depth, alphabet, columns):
+        filed.append((self, depth))
+        return real_filed(self, depth, alphabet, columns)
+
     monkeypatch.setattr(semimeasure, "walk", counted)
+    monkeypatch.setattr(ChronEnumApprox, "_check_columns", filed_once)
     budgets = {"depth": 3, "transform_depth": 2, "consistency_depth": 1, "program_bits": 10}
     assert run_scenario(ScenarioConfig("sanity_checks", tmp_path, budgets=budgets)) == 0
     assert not [nu for nu, _, _ in checks if isinstance(nu, _Mixture)]
     assert [key for key, n in Counter(checks).items() if n > 1] == []
-    machines = [
-        (_whole_opcodes(nu.program_bits), nu.steps)
-        for nu, _, _ in checks
-        if isinstance(nu, ChronEnumApprox)
-    ]
+    assert not [nu for nu, _, _ in checks if isinstance(nu, ChronEnumApprox)]
+    assert len(set(filed)) == len(filed)
+    machines = [(_whole_opcodes(nu.program_bits), nu.steps) for nu, _ in filed]
     assert sorted(machines) == [(3, 60), (6, 60), (6, 200), (9, 200)]
     # Every grid point still writes its rows: the 10-bit ones repeat the 9-bit ones.
     rows = (tmp_path / "enumeration_checks.csv").read_text().splitlines()[1:]

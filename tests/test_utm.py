@@ -792,6 +792,30 @@ def test_chronological_check_runs_each_node_once(monkeypatch, bits, depth, segme
     clear_memo()
 
 
+@pytest.mark.parametrize("bits, depth, records", [(12, 6, 2_671), (15, 5, 9_037)])
+def test_chronological_check_parks_only_what_it_pops(monkeypatch, bits, depth, records):
+    # The check asks no length past depth + 1, so its walk parks no run for
+    # a longer one and pops every record it packs: a walk that did not know
+    # its last length packed 5,275 and 18,499. A longer query after it
+    # starts a new walk from the root and answers as a fresh environment.
+    packed, popped = [], []
+    pack, unpack = utm._pack, utm._unpack
+    monkeypatch.setattr(utm, "_pack", lambda *args: packed.append(1) or pack(*args))
+    monkeypatch.setattr(utm, "_unpack", lambda *args: popped.append(1) or unpack(*args))
+    monkeypatch.setenv(CACHE_ENV_VAR, "")
+    clear_memo()
+    approx = ChronEnumApprox(bits, 200)
+    assert check_chronological(approx, depth).ok
+    assert len(packed) == len(popped) == records
+    tapes = list(product((0, 1), repeat=depth + 2))
+    later = [approx.eval((1,) * (depth + 2), actions) for actions in tapes]
+    clear_memo()
+    fresh = ChronEnumApprox(bits, 200)
+    assert later == [fresh.eval((1,) * (depth + 2), actions) for actions in tapes]
+    assert {a: approx.tables[a] for a in tapes} == {a: fresh.tables[a] for a in tapes}
+    clear_memo()
+
+
 def _segment_start(ops, pc, reg, nread, reads):
     """Where a segment the walk runs starts: at the root, at a JBACK child,
     back at pc 0 when it runs, or on a branch past a READA that a segment
