@@ -39,14 +39,14 @@ action READA reads, so it yields every tape of a length at once, and each
 that each node of the opcode tree is interpreted once. A run carries its
 output as one integer code, the symbols under a leading 1 bit (the empty
 output is 1), so emitting a symbol is ``code = 2 * code + bit`` and an
-output prefix of k symbols is a right shift. The walk keys masses by code
-and decodes each code into its output tuple once, when it builds the table
-entry.
-``ChronEnumApprox``'s own walk codes its percept string and action tape the
-same way, and reads each tape's numerators by code. Its chronological check
-visits no context: it files each row from the tapes' numerators, the
-nonzero entries only, and tells the opcode-tree walk the last length it
-asks, so that the walk parks no run past it.
+output prefix of k symbols is a right shift. The walk files each tape's
+numerators over its scale by output code, under the tape's code; the cache,
+the memo and every reader hold them in that one form. ``ChronEnumApprox``'s
+own walk codes its percept string and action tape the same way. Its
+chronological check visits no context: it files each row from the tapes'
+numerators, the nonzero entries only, and tells the opcode-tree walk the
+last length it asks, so that the walk parks no run past it. The public
+``table`` and ``tables`` build each ``Fraction`` only when they are read.
 
 The interpreter fast-forwards laps. When JBACK lands at pc 0 with the
 register and action count of an earlier landing in the same segment, or
@@ -74,8 +74,8 @@ tables of every tape of one length, and each prefix table of
 and stored on disk keyed by (definition hash, budgets); UAILAB_CACHE_DIR
 is the only switch (empty disables the disk cache). A file stores the
 walk's integer numerators as they are, under a SHA-256 of their bytes that
-a read checks before it parses; each entry becomes its ``Fraction`` once,
-in place when computed. See docs/cache_format.md.
+a read checks before it parses, and a read builds no ``Fraction``. See
+docs/cache_format.md.
 """
 from __future__ import annotations
 
@@ -86,15 +86,15 @@ import os
 import struct
 import tempfile
 from collections import defaultdict
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from itertools import product
 from math import inf
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from .core import ZERO, ComponentFormatError, Prob, count
+from .core import ComponentFormatError, Prob, count
 from .semimeasure import ChronEnv, JointSemimeasure, _check_alphabet, _history, _widths
 
 OUT0, OUT1, OUTR, READA, FLIP, SKIP0, JBACK, HALT = range(8)
@@ -118,8 +118,7 @@ PROGRAM_COMPLEMENT = "011100010110"
 CACHE_ENV_VAR = "UAILAB_CACHE_DIR"
 CACHE_FORMAT = 2
 
-Table = dict[tuple[int, ...], Fraction]  # output string -> mass
-Numerators = dict[tuple[int, ...], int]  # output string -> mass over the walk's scale
+Numerators = dict[int, int]  # output code -> mass over the walk's scale
 
 
 @dataclass(frozen=True)
@@ -270,14 +269,17 @@ def _back_at_start(
     return repeated >> (span - cap), cap
 
 
-# Symbol values and their digits, for output codes and cache keys alike.
-_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
-_DIGIT_CHARS = bytes.maketrans(bytes(range(10)), b"0123456789")
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")  # a code's digits to its symbols
 
 
 def _output(code: int) -> tuple[int, ...]:
-    """The output symbols that ``code`` holds under its leading 1 bit."""
-    return tuple(bin(code)[3:].encode().translate(_DIGIT_VALUES))
+    """The symbols that ``code`` holds under its leading 1 bit."""
+    return tuple(bin(code)[3:].encode().translate(_BIT_VALUES))
+
+
+def _code(symbols: Iterable[int]) -> int:
+    """The code of a binary string: its symbols under a leading 1 bit."""
+    return int("1" + "".join(map(str, symbols)), 2)
 
 
 def run_program(
@@ -382,7 +384,8 @@ class _Walk:
     code (its symbols under a leading 1 bit); a call for length t files the
     lengths ``lo..t``, where ``lo`` is 0 along a tape and t with none. The
     empty prefix gets the root's weight when the root forks, since every run
-    below it is counted.
+    below it is counted. Each tape's table stays keyed by these codes, under
+    the tape's code: the form the cache, the memo and every reader keep.
 
     Along a tape (``()`` for the joint mixture, where READA suspends, or the
     played tape), one call from the root files every prefix length 0..t,
@@ -422,12 +425,12 @@ class _Walk:
         # whose output passed the last length walked
         self.future = defaultdict(lambda: defaultdict(lambda: defaultdict(int)))
 
-    def tables(self, t: int) -> dict[tuple[int, ...], Numerators]:
+    def tables(self, t: int) -> dict[int, Numerators]:
         """The tables of every tape this call files, integer numerators over
-        8**max_ops by output string: along a tape, the tape's prefix of each
-        length 0..t; with none, every tape of length t. A new walk takes any
-        t up to ``self.last`` and starts at the root; otherwise t is
-        ``self.cap + 1``."""
+        8**max_ops by output code, under the tape's code: along a tape, the
+        tape's prefix of each length 0..t; with none, every tape of length
+        t. A new walk takes any t up to ``self.last`` and starts at the
+        root; otherwise t is ``self.cap + 1``."""
         max_ops, max_steps, tape, last, parked, future = (
             self.max_ops, self.max_steps, self.tape, self.last, self.parked, self.future
         )
@@ -541,19 +544,48 @@ class _Walk:
                 (jback, pc, reg, steps, code, n_out, nread, reads, None, n_out),
             ]
         self.cap = t
-        tables: dict[tuple[int, ...], Numerators] = {}
+        tables: dict[int, Numerators] = {}
         for reads, by_code in masses.items():
             # The tapes an output of each length lo..t is filed under: the
             # actions read before it, for every way a branch goes on to lo.
-            rests = list(product((0, 1), repeat=max(lo - len(reads), 0)))
-            keys = [[reads[:k] + rest for rest in rests] for k in range(lo, t + 1)]
+            n, head, pad = len(reads), _code(reads), max(lo - len(reads), 0)
+            keys = [
+                [(head >> max(n - k, 0) << pad) + rest for rest in range(1 << pad)]
+                for k in range(lo, t + 1)
+            ]
             for code, mass in by_code.items():
-                out = _output(code)
-                for actions in keys[len(out) - lo]:
-                    table = tables.setdefault(actions, {})
-                    table[out] = table.get(out, 0) + mass
-            by_code.clear()  # decoded: released before the next branch's entries exist
+                for tape in keys[code.bit_length() - 1 - lo]:
+                    table = tables.setdefault(tape, {})
+                    table[code] = table.get(code, 0) + mass
+            by_code.clear()  # filed: released before the next branch's entries exist
         return tables
+
+
+def _masses(codes: Numerators, mass: Callable[[int], Fraction]) -> dict[tuple[int, ...], Fraction]:
+    """The table of ``codes`` as exact masses by output string, in its
+    order; ``mass`` builds one ``Fraction`` per distinct numerator."""
+    return {_output(code): mass(n) for code, n in codes.items()}
+
+
+class _Tables(Mapping):
+    """``ChronEnumApprox.tables``: a read-only view of the tables held by
+    tape code, each built as exact masses by percept string when read, with
+    one ``Fraction`` per distinct numerator across them. Counting and
+    listing the tapes builds none."""
+
+    def __init__(self, codes: dict[int, Numerators], unit: int):
+        self._codes, self._mass = codes, cache(lambda n: Fraction(n, unit))
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return map(_output, self._codes)
+
+    def __getitem__(self, key: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+        if not isinstance(key, tuple) or not set(key) <= {0, 1}:  # equal to no binary string
+            raise KeyError(key)
+        return _masses(self._codes[_code(map(int, key))], self._mass)
 
 
 class JointEnumApprox(JointSemimeasure):
@@ -562,26 +594,32 @@ class JointEnumApprox(JointSemimeasure):
     mass(x) sums 2^-(bits) over counted runs whose output extends x, for
     every x up to ``max_len`` symbols. Masses are nondecreasing in both
     budgets; evaluation beyond ``max_len`` raises rather than guessing. The
-    walk reads the table, whose masses are ``Fraction`` (scale 1).
+    walk reads the numerators by output code over ``unit``, the walk's
+    scale 8**(program_bits // 3), and its state is the code of the string
+    so far; ``table`` builds them as exact masses by output string.
     """
 
-    def __init__(self, max_len: int, table: dict):
-        self.max_len = max_len
-        self.table = table
+    def __init__(self, max_len: int, codes: Numerators, unit: int):
+        self.max_len, self._codes, self._unit = max_len, codes, unit
         self.declared_measure = False
 
     eval = JointSemimeasure.fold
 
-    def root(self) -> tuple[Prob, Any]:
-        return self.table.get((), ZERO), ()
+    @property
+    def table(self) -> dict[tuple[int, ...], Fraction]:
+        return _masses(self._codes, cache(lambda n: Fraction(n, self._unit)))
 
-    def extend(self, state: tuple[int, ...], symbol: int) -> tuple[Prob, Any]:
-        x = state + (symbol,)
-        if len(x) > self.max_len:
-            raise ComponentFormatError(
-                f"string of length {len(x)} beyond recorded depth {self.max_len}"
-            )
-        return self.table.get(x, ZERO), x
+    def scale(self, n: int) -> int:
+        return self._unit
+
+    def root(self) -> tuple[int, Any]:
+        return self._codes.get(1, 0), 1
+
+    def extend(self, state: int, symbol: int) -> tuple[int, Any]:
+        code, n = 2 * state + symbol, state.bit_length()
+        if n > self.max_len:
+            raise ComponentFormatError(f"string of length {n} beyond recorded depth {self.max_len}")
+        return self._codes.get(code, 0), code
 
 
 class ChronEnumApprox(ChronEnv):
@@ -589,25 +627,27 @@ class ChronEnumApprox(ChronEnv):
 
     Masses for a length-t query use the action tape truncated to t: the
     machine may only see actions up to time t before emitting percept t.
-    ``tables`` holds the tables of the tapes asked for so far; a tape's first
-    query goes through ``eval``, which takes its table from the cache entry
-    of every tape of that length (:meth:`_walk_tapes`). Every mass is
-    a multiple of 8**-(program_bits // 3), the walk's scale. The walk carries
-    the percept string and the action tape as codes (symbols under a leading
-    1 bit, as outputs are coded) and reads each tape's numerators by percept
-    code, from a private copy of its table that ``eval`` files with it. A
-    check's rows come from those copies (:meth:`_check_columns`).
+    A tape's first query goes through ``eval``, which takes its table from
+    the cache entry of every tape of that length (:meth:`_walk_tapes`). Each
+    table is that entry's own: numerators over 8**(program_bits // 3), the
+    walk's scale, by percept code, under the tape's code (symbols under a
+    leading 1 bit, as outputs are coded). The walk carries the percept
+    string and the action tape as codes and reads them, and so do a check's
+    rows (:meth:`_check_columns`). ``tables`` is their view, in the order the
+    tapes were asked, as exact masses by percept string under each tape.
     """
 
     def __init__(self, program_bits: int, steps: int):
         self.program_bits = count(program_bits, "program_bits")
         self.steps = count(steps, "steps")
-        self.tables: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-        self._codes: dict[int, dict[int, int]] = {}  # tape code -> percept code -> numerator
-        self._code_of = _Codes()
+        self._codes: dict[int, Numerators] = {}  # tape code -> percept code -> numerator
         self._unit = 8 ** (program_bits // OPCODE_BITS)
         self._walker: _Walk | None = None  # this environment's walk, kept across lengths
         self._last: float = inf  # the last length a running check asks
+
+    @property
+    def tables(self) -> Mapping[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
+        return _Tables(self._codes, self._unit)
 
     def scale(self, n: int) -> int:
         return self._unit
@@ -630,28 +670,7 @@ class ChronEnumApprox(ChronEnv):
         mass = table.get(code, 0)
         return mass, (code, tape, mass)
 
-    def _table_for(self, actions: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
-        """Tape ``actions``'s table, enumerated if no table holds it yet, and
-        the walk's copy of it, numerators by percept code."""
-        table = self.tables.get(actions)
-        if table is None:
-            t = len(actions)
-            tables = _stored(
-                "chron_L{}_S{}_T{}",
-                [self.program_bits, self.steps, t],
-                lambda: self._walk_tapes(t),
-                "tables",
-            )
-            table = self.tables[actions] = tables.get(actions, {})
-        code_of, unit = self._code_of, self._unit
-        tape = code_of[actions]
-        if tape not in self._codes:
-            self._codes[tape] = {
-                code_of[out]: m.numerator * (unit // m.denominator) for out, m in table.items()
-            }
-        return table
-
-    def _walk_tapes(self, t: int) -> dict[tuple[int, ...], Numerators]:
+    def _walk_tapes(self, t: int) -> dict[int, Numerators]:
         """The tables of every tape of length t. This environment's walk
         goes on from the last length it built if that is t - 1, so across
         lengths 0, 1, ... each node of the opcode tree runs its segment
@@ -706,10 +725,21 @@ class ChronEnumApprox(ChronEnv):
 
     def eval(self, percepts: tuple[int, ...], actions: tuple[int, ...]) -> Prob:
         """Not the fold of the walk: ``extend`` enters here to enumerate a
-        tape it has no table for, so a fold would recurse through it."""
+        tape it has no table for, so a fold would recurse through it. A new
+        tape's table is its length's cache entry's, built if none is held."""
         percepts, actions = tuple(percepts), tuple(actions)
         _check_alphabet(self, (percepts, actions), _history(percepts, actions))
-        return self._table_for(actions).get(percepts, ZERO)
+        tape = _code(actions)
+        table = self._codes.get(tape)
+        if table is None:
+            tables = _stored(
+                "chron_L{}_S{}_T{}",
+                [self.program_bits, self.steps, len(actions)],
+                lambda: self._walk_tapes(len(actions)),
+                "tables",
+            )
+            table = self._codes[tape] = tables.get(tape, {})
+        return Fraction(table.get(_code(percepts), 0), self._unit)
 
 
 # ---------------------------------------------------------------------------
@@ -735,35 +765,6 @@ def _cache_path(name: str) -> Path | None:
     return base / f"{MACHINE_HASH[:12]}_{name}.json"
 
 
-def _string_key(x: tuple[int, ...]) -> str:
-    return bytes(x).translate(_DIGIT_CHARS).decode()
-
-
-def _key_string(key: str) -> tuple[int, ...]:
-    return tuple(key.encode().translate(_DIGIT_VALUES))
-
-
-class _Codes(dict):
-    """The code of each binary string, built on first use: the tables of
-    every tape of one length share their output strings."""
-
-    def __missing__(self, symbols: tuple[int, ...]) -> int:
-        code = self[symbols] = int("1" + _string_key(symbols), 2)
-        return code
-
-
-class _Masses(dict):
-    """The mass of each numerator over the walk's scale for ``program_bits``,
-    built on first use: a table's entries share a few hundred numerators."""
-
-    def __init__(self, program_bits: int):
-        self.unit = 8 ** (program_bits // OPCODE_BITS)
-
-    def __missing__(self, n: int) -> Fraction:
-        mass = self[n] = Fraction(n, self.unit)
-        return mass
-
-
 def _header(budgets: list[int], field: str, digest: str) -> bytes:
     """The bytes of an entry's file before the value of ``field``: the other
     fields, as ``json.dumps(payload, sort_keys=True)`` writes them."""
@@ -771,17 +772,21 @@ def _header(budgets: list[int], field: str, digest: str) -> bytes:
     return f'{json.dumps(stamp, sort_keys=True)[:-1]}, "{field}": '.encode()
 
 
-def _digit_keyed(value: Any) -> bool:
-    """Whether ``value`` as read is an object whose keys hold only digits."""
-    return isinstance(value, dict) and not "".join(value).strip("0123456789")
+def _by_code(value: Any) -> dict[int, Any]:
+    """``value`` as read, keyed by the codes of its keys; a ValueError
+    unless it is an object whose keys hold only the digits 0 and 1."""
+    if not isinstance(value, dict) or "".join(value).strip("01"):
+        raise ValueError("not an object of binary keys")
+    return {int("1" + k, 2): v for k, v in value.items()}
 
 
-def _decode(table: Any, masses: _Masses) -> Table:
-    """A table of numerators as read, with output keys and their masses;
-    a ValueError unless it is an object of digit keys and int values."""
-    if not _digit_keyed(table) or not set(map(type, table.values())) <= {int}:
+def _decode(table: Any) -> Numerators:
+    """A table of numerators as read, keyed by output code; a ValueError
+    unless it is an object of binary keys and ints of at least 0, no bool."""
+    codes = _by_code(table)
+    if not set(map(type, codes.values())) <= {int} or min(codes.values(), default=0) < 0:
         raise ValueError("not a table of numerators")
-    return {_key_string(k): masses[n] for k, n in table.items()}
+    return codes
 
 
 def _cache_read(name: str, budgets: list[int], field: str) -> dict | None:
@@ -801,23 +806,20 @@ def _cache_read(name: str, budgets: list[int], field: str) -> dict | None:
     body = data[start:-1]
     if data[-1:] != b"}" or data[:start] != _header(budgets, field, hashlib.sha256(body).hexdigest()):
         return None
-    masses = _Masses(budgets[0])
     try:
         value = json.loads(body)
         if field == "table":
-            return _decode(value, masses)
-        if not _digit_keyed(value):
-            raise ValueError("not an object of tape tables")
-        return {_key_string(k): _decode(table, masses) for k, table in value.items()}
+            return _decode(value)
+        return {tape: _decode(table) for tape, table in _by_code(value).items()}
     except ValueError:
         return None
 
 
-def _dumped(table: dict[tuple[int, ...], Any]) -> str:
-    """``table`` as ``json.dumps(..., sort_keys=True)`` writes it, keyed by
-    digit strings. A key's closing quote sorts below every digit, so the
-    entries sort as their keys do."""
-    return "{%s}" % ", ".join(sorted(f'"{_string_key(k)}": {v}' for k, v in table.items()))
+def _dumped(table: dict[int, Any]) -> str:
+    """``table`` as ``json.dumps(..., sort_keys=True)`` writes it, each code
+    keyed by the digits of its symbols. A key's closing quote sorts below
+    every digit, so the entries sort as their keys do."""
+    return "{%s}" % ", ".join(sorted(f'"{bin(k)[3:]}": {v}' for k, v in table.items()))
 
 
 def _cache_write(name: str, budgets: list[int], field: str, value: dict) -> None:
@@ -825,7 +827,7 @@ def _cache_write(name: str, budgets: list[int], field: str, value: dict) -> None
     if path is None:
         return
     if field == "tables":
-        value = {actions: _dumped(table) for actions, table in value.items()}
+        value = {tape: _dumped(table) for tape, table in value.items()}
     body = _dumped(value).encode()
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -856,7 +858,7 @@ def _stored(
     The entry is ``template`` filled with ``budgets``, whose program bits
     count whole opcodes only (no run fetches a bit past them: 9 and 10 bits
     share an entry). ``compute`` returns integer numerators over the walk's
-    scale for them, written as they are, then turned into masses in place."""
+    scale by code for them, kept and written as they are."""
     budgets = [_whole_opcodes(budgets[0]), *budgets[1:]]
     name = template.format(*budgets)
     value = _MEMO.get(name)
@@ -865,10 +867,6 @@ def _stored(
         if value is None:
             value = compute()
             _cache_write(name, budgets, field, value)
-            masses = _Masses(budgets[0])
-            for table in [value] if field == "table" else value.values():
-                for out, n in table.items():
-                    table[out] = masses[n]
         _MEMO[name] = value
     return value
 
@@ -880,13 +878,13 @@ def enumerate_joint(program_bits: int, steps: int, max_len: int = 16) -> JointEn
     max_len 16, program_bits 24 takes about 0.8 s and under 30 MB; each 3
     more bits cost 5-6x (docs/machine.md).
     """
-    table = _stored(
+    codes = _stored(
         "joint_L{}_S{}_D{}",
         [count(program_bits, "program_bits"), count(steps, "steps"), count(max_len, "max_len")],
         # No actions: READA always suspends, and every prefix up to max_len counts.
-        lambda: _Walk(program_bits // OPCODE_BITS, steps, ()).tables(max_len).get((), {}),
+        lambda: _Walk(program_bits // OPCODE_BITS, steps, ()).tables(max_len).get(1, {}),
     )
-    return JointEnumApprox(max_len, table)
+    return JointEnumApprox(max_len, codes, 8 ** (program_bits // OPCODE_BITS))
 
 
 def enumerate_chron(program_bits: int, steps: int, actions: Sequence[int]) -> ChronEnumApprox:
@@ -900,9 +898,9 @@ def enumerate_chron(program_bits: int, steps: int, actions: Sequence[int]) -> Ch
     tape = _bits(actions, "enumerate_chron's actions")
     walk = cache(lambda: _Walk(program_bits // OPCODE_BITS, steps, tape).tables(len(tape)))
     for t in range(len(tape) + 1):
-        prefix = tape[:t]
-        approx.tables[prefix] = _stored(
-            "chron_L{}_S{}_A" + (_string_key(prefix) or "empty"),
+        prefix = _code(tape[:t])
+        approx._codes[prefix] = _stored(
+            "chron_L{}_S{}_A" + (bin(prefix)[3:] or "empty"),
             [program_bits, steps],
             lambda: walk().get(prefix, {}),
         )

@@ -8,6 +8,7 @@ be equal. An enumerated environment's check is read from its tapes' tables
 instead, with the same walk as its reference. The last tests guard what
 ``sanity_checks`` walks.
 """
+import copy
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from uailab import semimeasure
+from uailab import semimeasure, utm
 from uailab.core import ComponentFormatError, UndefinedConditionalError
 from uailab.experiments import ScenarioConfig, run_scenario, scenario_mixtures
 from uailab.mixture import EnvMixture, JointMixture, MixturePolicy, _Mixture
@@ -416,7 +417,9 @@ CORRUPTIONS = st.lists(
 
 def corrupt(approx, corruptions):
     """Raise entries of ``approx``'s code tables above their parents' masses:
-    existing children, or entries under a zero-mass parent."""
+    existing children, or entries under a zero-mass parent. The tables an
+    environment holds are the memo's, so each raised table is a copy that
+    ``approx`` alone holds."""
     codes = approx._codes
     for t, tape, percepts, existing, k in corruptions:
         tape = (1 << t) + tape % (1 << t)  # a tape code of length t
@@ -425,7 +428,7 @@ def corrupt(approx, corruptions):
             code = entries[percepts % len(entries)]
         else:
             code = (1 << t) + percepts % (1 << t)
-        codes[tape][code] = codes[tape >> 1].get(code >> 1, 0) + k
+        codes[tape] = {**codes[tape], code: codes[tape >> 1].get(code >> 1, 0) + k}
 
 
 @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
@@ -437,6 +440,28 @@ def test_corrupted_tables_give_the_walked_witnesses(corruptions):
     got = filed_columns(approx, 4)
     assert got[2]  # the last raised entry outweighs its row
     assert_same_columns(got, walked_columns(approx, 4))
+
+
+def test_environments_of_one_machine_share_the_memos_tables():
+    # An environment holds the memo's tables themselves; a check, eval and
+    # every extend read them and change none, and a corrupted environment
+    # raises entries of its own copies only.
+    clear_memo()
+    first = ChronEnumApprox(9, 200)
+    filed_columns(first, 3)  # every tape up to length 4
+    memo = copy.deepcopy(utm._MEMO)
+    second = ChronEnumApprox(10, 200)  # the same machine: 3 opcodes
+    assert check_chronological(second, 3).ok
+    second.eval((0, 1, 1), (1, 0, 1))
+    walked_columns(second, 3)  # root and extend at every context
+    assert list(second._codes) == list(first._codes)
+    assert all(second._codes[tape] is first._codes[tape] for tape in first._codes)
+    assert utm._MEMO == memo
+    corrupt(first, [(2, 1, 3, False, 8), (3, 5, 2, True, 8)])
+    assert utm._MEMO == memo
+    assert not check_chronological(first, 3).ok
+    assert check_chronological(ChronEnumApprox(9, 200), 3).ok
+    clear_memo()
 
 
 def test_a_mixture_with_an_enumerated_member_checks_as_walked():

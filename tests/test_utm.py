@@ -376,6 +376,13 @@ def oracle_chron(bits, steps, actions):
     return table
 
 
+def table_for(approx, tape):
+    """Tape ``tape``'s table as ``approx.tables`` shows it, enumerated by a
+    query of the tape through ``eval`` if no table holds it yet."""
+    approx.eval((0,) * len(tape), tape)
+    return approx.tables[tape]
+
+
 def tapes_upto(n):
     for t in range(n + 1):
         yield from product((0, 1), repeat=t)
@@ -396,7 +403,7 @@ def test_walk_matches_leaf_oracle(bits, steps):
     expected = {tape: oracle_chron(bits, steps, tape) for tape in tapes_upto(5)}
     approx = ChronEnumApprox(bits, steps)
     for tape, table in expected.items():
-        assert approx._table_for(tape) == table, tape
+        assert table_for(approx, tape) == table, tape
     assert list(approx.tables) == list(expected)  # only the requested tapes
     for tape in product((0, 1), repeat=5):
         clear_memo()
@@ -409,7 +416,7 @@ def test_walk_matches_leaf_oracle_at_15_bits():
     clear_memo()
     approx = ChronEnumApprox(15, 200)
     for tape in tapes_upto(3):
-        assert approx._table_for(tape) == oracle_chron(15, 200, tape), tape
+        assert table_for(approx, tape) == oracle_chron(15, 200, tape), tape
     clear_memo()
     primed = enumerate_chron(15, 200, (1, 0, 1))
     for t in range(4):
@@ -466,7 +473,7 @@ def test_walk_matches_leaf_oracle_on_drawn_budgets(bits, steps, max_len, tape):
         for t in range(len(tape) + 1):
             expected = oracle_chron(bits, steps, tape[:t])
             assert primed.tables[tape[:t]] == expected, t
-            assert approx._table_for(tape[:t]) == expected, t
+            assert table_for(approx, tape[:t]) == expected, t
     clear_memo()
 
 
@@ -865,7 +872,7 @@ def test_a_walk_cut_short_leaves_no_walk_behind(monkeypatch):
     monkeypatch.setenv(CACHE_ENV_VAR, "")
     clear_memo()
     approx = ChronEnumApprox(9, 200)
-    assert approx._table_for((1, 0)) == oracle_chron(9, 200, (1, 0))
+    assert table_for(approx, (1, 0)) == oracle_chron(9, 200, (1, 0))
     walks = record_walks(monkeypatch)
     run, runs = utm._run_segment, []
 
@@ -877,10 +884,10 @@ def test_a_walk_cut_short_leaves_no_walk_behind(monkeypatch):
 
     monkeypatch.setattr(utm, "_run_segment", cut_once)
     with pytest.raises(RuntimeError, match="cut short"):
-        approx._table_for((1, 0, 1))
+        table_for(approx, (1, 0, 1))
     for tape in product((0, 1), repeat=3):
-        assert approx._table_for(tape) == oracle_chron(9, 200, tape), tape
-    assert approx._table_for((0, 1, 1, 0)) == oracle_chron(9, 200, (0, 1, 1, 0))
+        assert table_for(approx, tape) == oracle_chron(9, 200, tape), tape
+    assert table_for(approx, (0, 1, 1, 0)) == oracle_chron(9, 200, (0, 1, 1, 0))
     assert walks == [(3, False), (3, True), (4, False)]
     clear_memo()
 
@@ -941,7 +948,7 @@ TABLES_DAMAGE = {
 
 def _length_two_tables():
     approx = ChronEnumApprox(9, 200)
-    return {tape: approx._table_for(tape) for tape in product((0, 1), repeat=2)}
+    return {tape: table_for(approx, tape) for tape in product((0, 1), repeat=2)}
 
 
 @pytest.mark.parametrize("damage", sorted(TABLES_DAMAGE))
@@ -966,7 +973,7 @@ def _fill_cache():
     """Every kind of cache entry at small budgets: a joint file, the
     per-length files of lengths 0 to 2 and the prefix files of a tape."""
     approx = ChronEnumApprox(9, 200)
-    lengths = {tape: approx._table_for(tape) for t in range(3) for tape in product((0, 1), repeat=t)}
+    lengths = {tape: table_for(approx, tape) for t in range(3) for tape in product((0, 1), repeat=t)}
     return enumerate_joint(6, 60, max_len=6).table, lengths, enumerate_chron(9, 200, (1, 0)).tables
 
 
@@ -1043,9 +1050,20 @@ FORGED = {
     "bool_value": lambda table: {**table, "0": True},
     "string_value": lambda table: {**table, "0": "17"},
     "float_value": lambda table: {**table, "0": 17.0},
+    "negative_value": lambda table: {**table, "0": -17},
     "non_digit_key": lambda table: {**table, "0x": 1},
+    "non_binary_key": lambda table: {**table, "2": 5},
     "table_is_list": lambda table: list(table.values()),
 }
+
+
+def _forge(path, field, change):
+    """Rewrite the entry at ``path`` with ``change`` applied to its value,
+    under the checksum of the changed value's bytes."""
+    payload = json.loads(path.read_text())
+    value = payload[field] = change(payload[field])
+    payload["sha256"] = hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+    path.write_text(json.dumps(payload, sort_keys=True))
 
 
 @pytest.mark.parametrize("kind", ["joint", "length"])
@@ -1056,16 +1074,27 @@ def test_forged_checksum_over_a_bad_table_is_a_miss(cache_dir, kind, forge):
     expected = read()
     (path,) = cache_dir.glob("*joint_L6_S60_D6.json" if kind == "joint" else "*chron_L9_S200_T2.json")
     good = path.read_text()
-    payload = json.loads(good)
     if kind == "joint":
-        value = payload["table"] = FORGED[forge](payload["table"])
+        _forge(path, "table", FORGED[forge])
     else:
-        value = payload["tables"]
-        value["01"] = FORGED[forge](value["01"])
-    payload["sha256"] = hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
-    path.write_text(json.dumps(payload, sort_keys=True))
+        _forge(path, "tables", lambda tables: {**tables, "01": FORGED[forge](tables["01"])})
     clear_memo()
     assert read() == expected
+    assert path.read_text() == good
+    clear_memo()
+
+
+# Forged tape keys in place of "01": "2" names no tape, and ``int("1" + key,
+# 2)`` would read "0 " as the tape "0" and "1_0" as the tape "10".
+@pytest.mark.parametrize("key", ["2", "0 ", "1_0"])
+def test_forged_checksum_over_a_non_binary_tape_is_a_miss(cache_dir, key):
+    clear_memo()
+    expected = _length_two_tables()
+    (path,) = cache_dir.glob("*chron_L9_S200_T2.json")
+    good = path.read_text()
+    _forge(path, "tables", lambda tables: {k if k != "01" else key: t for k, t in tables.items()})
+    clear_memo()
+    assert _length_two_tables() == expected
     assert path.read_text() == good
     clear_memo()
 
@@ -1107,6 +1136,34 @@ def test_warm_reads_walk_nothing_and_parse_no_strings(cache_dir, monkeypatch):
     clear_memo()
 
 
+def test_counting_and_listing_tapes_builds_no_fraction(monkeypatch):
+    # perfbench/tracer.py counts an environment's tapes before and after
+    # every eval: the view counts and lists them with no mass built.
+    monkeypatch.setenv(CACHE_ENV_VAR, "")
+    clear_memo()
+    approx = ChronEnumApprox(15, 200)
+    assert check_chronological(approx, 5).ok
+    with monkeypatch.context() as patch:
+        patch.setattr(utm, "Fraction", lambda *args: pytest.fail("built a Fraction"))
+        assert len(approx.tables) == 127
+        assert list(approx.tables) == list(tapes_upto(6))
+    assert sum(len(table) for table in approx.tables.values()) == 5257
+    clear_memo()
+
+
+def test_views_find_what_a_dict_of_their_keys_would():
+    # Keys equal to a binary string find it, as in a dict; others, such as
+    # (10,), whose digits are those of (1, 0), find nothing.
+    clear_memo()
+    table = enumerate_joint(6, 60, 4).table
+    tables = enumerate_chron(9, 200, (1, 0)).tables
+    assert table[(1, 0)] == table[(True, 0.0)] == oracle_joint(6, 60, 4)[(1, 0)]
+    assert tables[(1,)] == tables[(True,)] == oracle_chron(9, 200, (1,))
+    for key in [(10,), (2,), ("1", "0"), "10", 10, None]:
+        assert key not in table and key not in tables, key
+    clear_memo()
+
+
 @pytest.mark.parametrize("steps", [0, 1, 5, 60, 200])
 @pytest.mark.parametrize("bits", [0, 3, 6, 9, 12, 15])
 def test_resumed_walk_matches_leaf_oracle(cache_dir, monkeypatch, bits, steps):
@@ -1120,7 +1177,7 @@ def test_resumed_walk_matches_leaf_oracle(cache_dir, monkeypatch, bits, steps):
         for tape in sequence:
             if clear_between_lengths and tape == (0,) * len(tape):
                 clear_memo()
-            assert approx._table_for(tape) == expected[tape], tape
+            assert table_for(approx, tape) == expected[tape], tape
         assert list(approx.tables) == sequence  # only the requested tapes
         clear_memo()
 
@@ -1134,7 +1191,7 @@ def test_resumed_walk_matches_leaf_oracle(cache_dir, monkeypatch, bits, steps):
     # from the root, 6 resumes 5, and the rest are read from disk.
     monkeypatch.setenv(CACHE_ENV_VAR, str(cache_dir))
     for t in (1, 3, 4):
-        ChronEnumApprox(bits, steps)._table_for((0,) * t)
+        table_for(ChronEnumApprox(bits, steps), (0,) * t)
         clear_memo()
     assert len(list(cache_dir.iterdir())) == 3
     check(ascending)

@@ -112,7 +112,7 @@ from uailab.transforms import (
     env,
     normalize,
 )
-from uailab.utm import CACHE_ENV_VAR, ChronEnumApprox, JointEnumApprox, clear_memo, enumerate_joint
+from uailab.utm import CACHE_ENV_VAR, ChronEnumApprox, clear_memo, enumerate_joint
 
 F = Fraction
 UNDEFINED = (UndefinedConditionalError, NormalizationError)
@@ -936,8 +936,7 @@ def test_shipped_components_keep_the_scale_contract():
     for name, nu in shipped.items():
         if nu is None:
             continue
-        integer = not isinstance(nu, JointEnumApprox)  # the joint enumeration keeps scale 1
-        assert (type(nu.root()[0]) is int) == integer, name
+        assert type(nu.root()[0]) is int, name
         assert_walk_matches_eval(nu, 5 if isinstance(nu, JointSemimeasure) else 3)
     # The scale is the product form: D_a**ceil(n/2) * D_p**floor(n/2).
     nu = ProductJoint((F(1, 3), F(2, 3)), (F(1, 7), F(1, 2)))
@@ -1207,7 +1206,7 @@ def test_transform_steps_equal_their_frozen_two_division_steps(joint, nu, nu2, p
 
 
 def test_transform_steps_on_an_enumerated_mixture():
-    approx = enumerate_joint(9, 200, 8)  # Fraction masses at scale 1
+    approx = enumerate_joint(9, 200, 8)  # integer numerators over 8**3
     chron = ChronEnumApprox(9, 200)  # integer numerators over 8**3
     assert_steps_match_frozen(env(approx), 8)
     assert_steps_match_frozen(normalize(approx), 8)
