@@ -1,12 +1,15 @@
 """Finite-horizon value computation and expectimax action selection.
 
 Planning uses full-width expectimax over exact masses — no sampling, no
-pruning beyond zero-mass branches — at cost O((|A||E|)^m) nodes. Expectimax
-and ``policy_value`` (on ``dual(nu, pi)``) are one recursion that folds the
-action values below each percept by their max or by the policy's sum. It
-walks from the history's state, which the checked fold walk reaches, one
-``extend`` per node: O(1) per mixture component for the built-in beliefs and
-their environment views, not a from-scratch evaluation of each prefix. The
+pruning beyond zero-mass branches. Expectimax and ``policy_value`` (on
+``dual(nu, pi)``) are one recursion that folds the action values below each
+percept by their max or by the policy's sum. It walks from the history's
+state, which the checked fold walk reaches, one ``extend`` per node: O(1) per
+mixture component for the built-in beliefs and their environment views, not
+a from-scratch evaluation of each prefix. One call expands each distinct
+(remaining steps, walk state) once: at most O((|A||E|)^m) nodes, and fewer
+where histories meet in one state, as in mixtures of ``NoisyCopyEnv`` and
+``IIDEnv`` (a table's or an environment view's state carries its history). The
 objective weights each step's reward by the unnormalized mass at the time
 the reward is received, which coincides with the classical expectimax
 recursion for measures and extends it to strictly defective beliefs (missing
@@ -58,7 +61,7 @@ def policy_value(
     count(horizon, "horizon", 1)
     joint = dual(nu, pi)
     state, n = _history_node(joint, history, percepts)[1], 2 * len(history.actions)
-    return _total(*_action_values(joint, state, n, horizon, percepts, _total))
+    return _total(*_action_values(joint, state, n, horizon, percepts, _total, {}))
 
 
 def _check_percepts(nu: ChronEnv | JointSemimeasure, percepts: PerceptAlphabet) -> None:
@@ -82,11 +85,18 @@ def _history_node(
 
 
 def _action_values(
-    nu: Any, state: Any, n: int, remaining: int, percepts: PerceptAlphabet, fold: Callable
+    nu: Any, state: Any, n: int, remaining: int, percepts: PerceptAlphabet, fold: Callable, memo
 ) -> tuple[dict[int, Fraction], dict[int, UndefinedConditionalError]]:
     """(value-to-go of each defined action, error of each undefined one) from
     the walk state of a complete history of ``n`` symbols of a belief or a
-    dual; below each percept, its child's pair adds ``fold(values, errors)``."""
+    dual; below each percept, its child's pair adds ``fold(values, errors)``.
+    ``memo`` holds the pair of each hashable (remaining, state) of the call."""
+    try:
+        return memo[remaining, state]
+    except KeyError:
+        key = remaining, state
+    except TypeError:
+        key = None  # a state that cannot be hashed stays unmerged
     values, left_out = {}, {}
     for a in range(nu.action_arity):
         try:
@@ -103,8 +113,11 @@ def _action_values(
             if reward:
                 total += reward * exact_mass(nu, n + 2, mass)
             if remaining > 1:
-                total += fold(*_action_values(nu, child, n + 2, remaining - 1, percepts, fold))
+                pair = _action_values(nu, child, n + 2, remaining - 1, percepts, fold, memo)
+                total += fold(*pair)
         values[a] = total
+    if key is not None:
+        memo[key] = values, left_out
     return values, left_out
 
 
@@ -129,7 +142,8 @@ def _plan(
     values: dict[int, Fraction] = {}
     try:
         mass, state = _history_node(nu, history, percepts)
-        values = _action_values(nu, state, 2 * len(history.actions), horizon, percepts, _best)[0]
+        n = 2 * len(history.actions)
+        values = _action_values(nu, state, n, horizon, percepts, _best, {})[0]
     except UndefinedConditionalError:
         pass  # an undefined history has no defined action
     if not values:

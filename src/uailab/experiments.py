@@ -788,54 +788,39 @@ def _scenario_thm10(cfg: ScenarioConfig) -> ScenarioOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _percept_for(env_kind: str, action: int) -> int:
-    """The percept a deterministic environment emits for ``action``."""
-    if env_kind == "identity":
-        return action
-    if env_kind == "complement":
-        return 1 - action
-    raise ConfigError(f"unknown deterministic environment {env_kind!r}")
-
-
 def _conditional_stats_chunk(args) -> tuple[list[Fraction], list[Fraction]]:
-    """Per-step (min, max) of the correct-percept conditional over a chunk.
-
-    One chunk covers action sequences whose integer encodings (first action
-    most significant) lie in [start, stop). It walks the tree of their
-    shared prefixes depth first, one mixture step per symbol, so each
-    prefix is evaluated once. Conditionals are the normalized (or raw)
-    environment-view predictions of the percept the deterministic
-    environment will emit.
+    """Per-step (min, max) of the correct-percept conditional over a chunk:
+    the action sequences whose first ``k`` actions spell ``first`` (first
+    action most significant). It walks them level by level, one mixture step
+    per symbol, each distinct state of a level once (one that cannot be hashed
+    unmerged): ``extend`` is pure, so equal states have equal subtrees.
+    Conditionals are the normalized (or raw) environment-view predictions of
+    the percept the deterministic environment will emit.
     """
-    mixture, env_kind, n, start, stop, normalized = args
-    mins: list[Fraction] = [ONE] * n
-    maxs: list[Fraction] = [ZERO] * n
-
-    def visit(state, code: int, t: int) -> None:
-        width = 1 << (n - 1 - t)  # action sequences below each child
-        for a in (0, 1):
-            child_code = 2 * code + a
-            if child_code * width >= stop or (child_code + 1) * width <= start:
-                continue
-            pending_mass, pending = mixture.extend(state, a)
-            correct_percept = _percept_for(env_kind, a)
-            if normalized:
-                kids = [mixture.extend(pending, e) for e in range(mixture.percept_arity)]
-                correct, child = kids[correct_percept]
-                denom, m = sum(m for m, _ in kids), 2 * t + 2
-            else:
-                correct, child = mixture.extend(pending, correct_percept)
-                denom, m = pending_mass, 2 * t + 1
-            cond = times_ratio(mixture, ONE, correct, 2 * t + 2, denom, m)
-            if cond < mins[t]:
-                mins[t] = cond
-            if cond > maxs[t]:
-                maxs[t] = cond
-            if t + 1 < n:
-                visit(child, child_code, t + 1)
-
-    if n:
-        visit(mixture.root()[1], 0, 0)
+    mixture, env_kind, n, first, k, normalized = args
+    emits = {"identity": (0, 1), "complement": (1, 0)}[env_kind]  # the percept of each action
+    mins, maxs = [], []
+    level = [mixture.root()[1]]
+    for t in range(n):
+        merged, unmerged, conds = {}, [], []  # dicts keep insertion order: a deterministic walk
+        for state in level:
+            for a in (first >> (k - 1 - t) & 1,) if t < k else (0, 1):
+                pending_mass, pending = mixture.extend(state, a)
+                if normalized:
+                    kids = [mixture.extend(pending, e) for e in range(mixture.percept_arity)]
+                    correct, child = kids[emits[a]]
+                    denom, m = sum(m for m, _ in kids), 2 * t + 2
+                else:
+                    correct, child = mixture.extend(pending, emits[a])
+                    denom, m = pending_mass, 2 * t + 1
+                conds.append(times_ratio(mixture, ONE, correct, 2 * t + 2, denom, m))
+                try:
+                    merged[child] = None
+                except TypeError:
+                    unmerged.append(child)
+        mins.append(min(conds))
+        maxs.append(max(conds))
+        level = [*merged, *unmerged]
     return mins, maxs
 
 
@@ -843,13 +828,14 @@ def _conditional_stats(
     stats: Sequence[tuple[JointSemimeasure, Sequence[str], bool]], n: int, jobs: int
 ) -> list[tuple[list[Fraction], list[Fraction]]]:
     """Per-step (min, max) of each statistic (mixture, env kinds, normalized),
-    folded over its chunks: those of all of them go through one :func:`parallel_map`."""
-    per_chunk = max(1, 2**n // max(1, jobs * 4))
+    folded over its chunks: one subtree per value of the first ceil(log2 jobs)
+    actions, those of all of them through one :func:`parallel_map`."""
+    k = min(n, (jobs - 1).bit_length())
     chunks = [
-        (i, (mixture, env_kind, n, start, min(2**n, start + per_chunk), normalized))
+        (i, (mixture, env_kind, n, first, k, normalized))
         for i, (mixture, env_kinds, normalized) in enumerate(stats)
         for env_kind in env_kinds
-        for start in range(0, 2**n, per_chunk)
+        for first in range(2**k)
     ]
     results = parallel_map(_conditional_stats_chunk, [chunk for _, chunk in chunks], jobs)
     folded = [([ONE] * n, [ZERO] * n) for _ in stats]
