@@ -71,7 +71,7 @@ def derive_thm10(length: int = 8) -> dict:
 
 
 def derive_thm11(n: int = 10) -> dict:
-    (mins, _), (_, raw_maxs) = convergence_stats(scenario_mixtures(), n, jobs=1)
+    (mins, _), (_, raw_maxs) = convergence_stats(scenario_mixtures(), n)
     t_star = None
     epsilon = None
     for eps in (F(1, 32), F(1, 16), F(1, 8)):

@@ -4,6 +4,9 @@
     uailab list
     uailab check --config FILE
 
+``--jobs`` is checked against [1, 64] and kept in the config, but no
+scenario reads it: every run walks in one process.
+
 Exit codes: 0 success, 1 an invariant violated where none was expected,
 2 a configuration error or an unwritable output path. The enumeration cache directory is taken from the
 UAILAB_CACHE_DIR environment variable (set it empty to disable caching).
@@ -40,7 +43,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", type=Path, help="JSON config file")
     run_p.add_argument("--out", type=Path, help="output directory")
     run_p.add_argument("--seed", type=int, help="recorded in the summary")
-    run_p.add_argument("--jobs", type=int, help="parallel workers (overrides the config)")
+    run_p.add_argument(
+        "--jobs", type=int, help="1..64, kept in the config (overrides it); no scenario reads it"
+    )
 
     sub.add_parser("list", help="list available scenarios")
 
@@ -79,10 +84,11 @@ def main(argv: list[str] | None = None) -> int:
             info = SCENARIOS[name]
             print(f"{name:20s} {info.description}")
             print(f"{'':20s} claims: {', '.join(info.claims)}")
-            budgets = [
-                f"{k}={v}" + (f" (>= {info.least[k]})" if k in info.least else "")
-                for k, v in info.budgets.items()
-            ]
+            budgets = []
+            for k, v in info.budgets.items():
+                limits = ((">=", info.least), ("<=", info.most))
+                marks = [f"{op} {lim[k]}" for op, lim in limits if k in lim]
+                budgets.append(f"{k}={v}" + (f" ({', '.join(marks)})" if marks else ""))
             print(f"{'':20s} budgets: {', '.join(budgets)}")
         return 0
 

@@ -4,9 +4,9 @@ Each shipped scenario exercises one or more entries of the claim catalog
 (numbered theorems, equations, and one conjecture about universal mixtures
 and embedded agents) as a finite, machine-checkable experiment. Scenarios
 are fully deterministic: identical configs produce byte-identical CSV rows,
-regardless of the parallelism degree; only the summary's first line carries
-a timestamp. Exact values are emitted as "num/den" strings alongside float
-approximations (floats never feed back into any verdict).
+whatever their ``jobs``, which no scenario reads; only the summary's first
+line carries a timestamp. Exact values are emitted as "num/den" strings
+alongside float approximations (floats never feed back into any verdict).
 
 Exit codes: 0 success, 1 a nonzero failure count (an invariant violated
 where none was expected), 2 a configuration error or an unwritable output path.
@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import json
-import multiprocessing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -24,7 +23,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .adversary import copy_conditional_trace, domination_probe, greedy_antipredict
 from .agents import dualistic_aixi_action, expectimax_action, joint_aixi_action, one_step_action
-from .core import ONE, ZERO, ComponentFormatError, frac_str, history_from_symbols, prob
+from .core import ONE, ComponentFormatError, frac_str, history_from_symbols, prob
 from .mixture import EnvMixture, JointMixture, check_predictive_consistency, uniform_prior
 from .semimeasure import (
     ActionEchoJoint,
@@ -277,12 +276,12 @@ def validate_config_dict(raw: Any) -> list[str]:
         budgets = {}
     known = {key for info in SCENARIOS.values() for key in info.budgets}  # any scenario, any of them
     info = SCENARIOS.get(scenario) if isinstance(scenario, str) else None
-    least = info.least if info else {}  # the floors of this scenario alone
+    least, most = (info.least, info.most) if info else ({}, {})  # this scenario's alone
     for key, value in budgets.items():
         if key not in known:
             errors.append(f"budgets: unknown key {key!r}")
         else:
-            errors += _int_errors(f"budgets/{key}", value, least.get(key, 0), 10**6)
+            errors += _int_errors(f"budgets/{key}", value, least.get(key, 0), most.get(key, 10**6))
     if "jobs" in raw:
         errors += _int_errors("jobs", raw["jobs"], 1, 64)
     if raw.get("seed") is not None and type(raw["seed"]) is not int:
@@ -356,14 +355,6 @@ def _exact_float(value: Fraction | None) -> tuple[str, str]:
     if value is None:
         return "", ""
     return frac_str(value), repr(float(value))
-
-
-def parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
-    """Order-preserving map, optionally across processes (deterministic)."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with multiprocessing.Pool(min(jobs, len(items))) as pool:  # the platform's start method
-        return pool.map(fn, items)
 
 
 Table = tuple[Sequence[str], list[tuple]]
@@ -788,23 +779,23 @@ def _scenario_thm10(cfg: ScenarioConfig) -> ScenarioOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _conditional_stats_chunk(args) -> tuple[list[Fraction], list[Fraction]]:
-    """Per-step (min, max) of the correct-percept conditional over a chunk:
-    the action sequences whose first ``k`` actions spell ``first`` (first
-    action most significant). It walks them level by level, one mixture step
+def _conditional_stats(
+    mixture: JointSemimeasure, env_kind: str, n: int, normalized: bool
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Per-step (min, max) of the correct-percept conditional over every action
+    sequence of length ``n``. It walks them level by level, one mixture step
     per symbol, each distinct state of a level once (one that cannot be hashed
     unmerged): ``extend`` is pure, so equal states have equal subtrees.
     Conditionals are the normalized (or raw) environment-view predictions of
-    the percept the deterministic environment will emit.
+    the percept the deterministic ``env_kind`` environment will emit.
     """
-    mixture, env_kind, n, first, k, normalized = args
     emits = {"identity": (0, 1), "complement": (1, 0)}[env_kind]  # the percept of each action
     mins, maxs = [], []
     level = [mixture.root()[1]]
     for t in range(n):
         merged, unmerged, conds = {}, [], []  # dicts keep insertion order: a deterministic walk
         for state in level:
-            for a in (first >> (k - 1 - t) & 1,) if t < k else (0, 1):
+            for a in (0, 1):
                 pending_mass, pending = mixture.extend(state, a)
                 if normalized:
                     kids = [mixture.extend(pending, e) for e in range(mixture.percept_arity)]
@@ -824,26 +815,6 @@ def _conditional_stats_chunk(args) -> tuple[list[Fraction], list[Fraction]]:
     return mins, maxs
 
 
-def _conditional_stats(
-    stats: Sequence[tuple[JointSemimeasure, Sequence[str], bool]], n: int, jobs: int
-) -> list[tuple[list[Fraction], list[Fraction]]]:
-    """Per-step (min, max) of each statistic (mixture, env kinds, normalized),
-    folded over its chunks: one subtree per value of the first ceil(log2 jobs)
-    actions, those of all of them through one :func:`parallel_map`."""
-    k = min(n, (jobs - 1).bit_length())
-    chunks = [
-        (i, (mixture, env_kind, n, first, k, normalized))
-        for i, (mixture, env_kinds, normalized) in enumerate(stats)
-        for env_kind in env_kinds
-        for first in range(2**k)
-    ]
-    results = parallel_map(_conditional_stats_chunk, [chunk for _, chunk in chunks], jobs)
-    folded = [([ONE] * n, [ZERO] * n) for _ in stats]
-    for (i, _), (mins, maxs) in zip(chunks, results):
-        folded[i] = (list(map(min, folded[i][0], mins)), list(map(max, folded[i][1], maxs)))
-    return folded
-
-
 def _stats_table(mins: Sequence[Fraction], maxs: Sequence[Fraction]) -> Table:
     """Per-step min and max conditionals, each as an exact and a float column."""
     return (
@@ -852,7 +823,7 @@ def _stats_table(mins: Sequence[Fraction], maxs: Sequence[Fraction]) -> Table:
     )
 
 
-def convergence_stats(mixtures: dict[str, MixtureDef], n: int, jobs: int) -> list:
+def convergence_stats(mixtures: dict[str, MixtureDef], n: int) -> list:
     """thm11's two statistics over every action sequence of length ``n``: the
     normalized ``learnable_deterministic`` joint mixture's against the identity
     and complement environments, then the raw ``halting_contrast`` one's against
@@ -860,9 +831,13 @@ def convergence_stats(mixtures: dict[str, MixtureDef], n: int, jobs: int) -> lis
     main = mixtures["learnable_deterministic"].joint
     contrast = mixtures["halting_contrast"].joint
     assert main is not None and contrast is not None
-    return _conditional_stats(
-        [(main, ("identity", "complement"), True), (contrast, ("identity",), False)], n, jobs
+    (id_mins, id_maxs), (co_mins, co_maxs) = (
+        _conditional_stats(main, kind, n, True) for kind in ("identity", "complement")
     )
+    return [
+        (list(map(min, id_mins, co_mins)), list(map(max, id_maxs, co_maxs))),
+        _conditional_stats(contrast, "identity", n, False),
+    ]
 
 
 def _scenario_thm11(cfg: ScenarioConfig) -> ScenarioOutcome:
@@ -873,7 +848,7 @@ def _scenario_thm11(cfg: ScenarioConfig) -> ScenarioOutcome:
     lines: list[str] = []
     failures = 0
 
-    (mins, maxs), (raw_mins, raw_maxs) = convergence_stats(scenario_mixtures(), n, cfg.jobs)
+    (mins, maxs), (raw_mins, raw_maxs) = convergence_stats(scenario_mixtures(), n)
     tables = {
         "normalized_min_conditionals.csv": _stats_table(mins, maxs),
         "unnormalized_contrast_conditionals.csv": _stats_table(raw_mins, raw_maxs),
@@ -1058,7 +1033,8 @@ def _scenario_agents(cfg: ScenarioConfig) -> ScenarioOutcome:
 class ScenarioInfo:
     """A scenario's runner and claims, and all it reads: each budget key with
     its default (docs/scenario_format.md), the least value of a key below
-    which its checks cannot hold (0 where none is given), and whether it
+    which its checks cannot hold (0 where none is given), the most past which
+    its outputs cannot be written (10**6 where none is given), and whether it
     takes a mixture."""
 
     runner: Callable[[ScenarioConfig], ScenarioOutcome]
@@ -1067,6 +1043,7 @@ class ScenarioInfo:
     budgets: dict[str, int]
     reads_mixture: bool = False
     least: dict[str, int] = field(default_factory=dict)
+    most: dict[str, int] = field(default_factory=dict)
 
 
 SCENARIOS: dict[str, ScenarioInfo] = {
@@ -1116,6 +1093,9 @@ SCENARIOS: dict[str, ScenarioInfo] = {
         ("Theorem 11", "Eq. 11"),
         "normalized predictor learns deterministic environments on every action sequence",
         dict(sequence_length=10),
+        # From n = 5,526 an exact CSV cell passes Python's 4,300-digit limit
+        # for printing an int (docs/machine.md).
+        most=dict(sequence_length=4096),
     ),
     "conj9_search": ScenarioInfo(
         _scenario_conj9,

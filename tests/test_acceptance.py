@@ -263,12 +263,13 @@ def test_criterion_6_theorem10_11_convergence():
     threshold = 1 - epsilon
 
     main = scenario_mixtures()["learnable_deterministic"].joint
-    [(mins, _)] = _conditional_stats([(main, ("identity", "complement"), True)], n, jobs=1)
+    walks = [_conditional_stats(main, kind, n, True) for kind in ("identity", "complement")]
+    mins = list(map(min, *(walk_mins for walk_mins, _ in walks)))
     bound_ok = all(m > threshold for m in mins[t_star - 1 :])
     committed_ok = [f"{m.numerator}/{m.denominator}" for m in mins] == derived["min_conditionals"]
 
     contrast = scenario_mixtures()["halting_contrast"].joint
-    [(_, raw_maxs)] = _conditional_stats([(contrast, ("identity",), False)], n, jobs=1)
+    _, raw_maxs = _conditional_stats(contrast, "identity", n, False)
     contrast_fails_bound = all(m <= threshold for m in raw_maxs[t_star - 1 :])
 
     # Theorem 10 shadow: normalized copy-structure trace strictly increases.

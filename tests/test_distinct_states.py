@@ -10,10 +10,8 @@ action sequences, expectimax's the brute-force policy enumeration and a
 recursion with no memo. The drawn mixtures include a table, whose state
 carries its context so that nothing merges, and a dual of a constant
 policy, whose state holds a list and cannot be hashed.
-
-The oracle comparisons run the chunks of every ``jobs`` in process (the
-split is what differs between them); the long-sequence test runs the pool.
 """
+import multiprocessing
 from fractions import Fraction
 from itertools import product
 
@@ -27,6 +25,7 @@ from uailab.core import BINARY_PERCEPTS, EMPTY_HISTORY, ONE, ZERO, UndefinedCond
 from uailab.experiments import (
     ScenarioConfig,
     _conditional_stats,
+    convergence_stats,
     run_scenario,
     scenario_mixtures,
 )
@@ -87,37 +86,39 @@ def sequence_loop(mixture, env_kinds, normalized, n):
     return mins, maxs
 
 
-def in_process(monkeypatch):
-    """Run every chunk in this process, and record each map's chunks."""
-    maps = []
-    mapped = lambda fn, items, jobs: maps.append(items) or [fn(i) for i in items]  # noqa: E731
-    monkeypatch.setattr(experiments, "parallel_map", mapped)
-    return maps
-
-
-def assert_stats_equal_the_loop(stats, n, jobs):
-    want = [outcome(sequence_loop, *stat, n) for stat in stats]
-    if any(w in (ZeroDivisionError, UndefinedConditionalError) for w in want):
-        assert outcome(_conditional_stats, stats, n, jobs) in want
+def assert_stats_equal_the_loop(mixture, env_kind, normalized, n):
+    want = outcome(sequence_loop, mixture, (env_kind,), normalized, n)
+    if want in (ZeroDivisionError, UndefinedConditionalError):
+        assert outcome(_conditional_stats, mixture, env_kind, n, normalized) is want
     else:
-        assert _conditional_stats(stats, n, jobs) == want
+        assert _conditional_stats(mixture, env_kind, n, normalized) == want
 
 
-@pytest.mark.parametrize("jobs", [1, 2, 3, 4])
+# thm11's three walks: (mixture, env kind, normalized).
+SHIPPED_WALKS = [
+    ("learnable_deterministic", "identity", True),
+    ("learnable_deterministic", "complement", True),
+    ("halting_contrast", "identity", False),
+]
+
+
+@pytest.mark.parametrize("name, env_kind, normalized", SHIPPED_WALKS)
 @pytest.mark.parametrize("n", range(7))
-def test_shipped_stats_equal_the_sequence_loop(monkeypatch, n, jobs):
-    maps = in_process(monkeypatch)
+def test_shipped_stats_equal_the_sequence_loop(n, name, env_kind, normalized):
+    mixture = scenario_mixtures()[name].joint
+    assert_stats_equal_the_loop(mixture, env_kind, normalized, n)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_convergence_stats_fold_both_environments_of_the_main_mixture(n):
     mixtures = scenario_mixtures()
-    stats = [
-        (mixtures["learnable_deterministic"].joint, ("identity", "complement"), True),
-        (mixtures["halting_contrast"].joint, ("identity",), False),
+    main = mixtures["learnable_deterministic"].joint
+    contrast = mixtures["halting_contrast"].joint
+    # The main statistic folds both environments by min and max.
+    assert convergence_stats(mixtures, n) == [
+        sequence_loop(main, ("identity", "complement"), True, n),
+        sequence_loop(contrast, ("identity",), False, n),
     ]
-    assert_stats_equal_the_loop(stats, n, jobs)
-    # One whole subtree per value of the first ceil(log2 jobs) actions.
-    k = min(n, (jobs - 1).bit_length())
-    assert sorted(chunk[3:5] for chunk in maps[0]) == sorted(
-        [(first, k) for first in range(2**k)] * 3
-    )
 
 
 @st.composite
@@ -140,11 +141,10 @@ def joint_mixtures(draw):
 
 
 @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
-@given(joint_mixtures(), st.integers(0, 6), st.integers(1, 4), st.booleans())
-def test_drawn_stats_equal_the_sequence_loop(mixture, n, jobs, normalized):
-    with pytest.MonkeyPatch.context() as patch:
-        in_process(patch)
-        assert_stats_equal_the_loop([(mixture, ("identity", "complement"), normalized)], n, jobs)
+@given(joint_mixtures(), st.integers(0, 6), st.booleans())
+def test_drawn_stats_equal_the_sequence_loop(mixture, n, normalized):
+    for kind in ("identity", "complement"):
+        assert_stats_equal_the_loop(mixture, kind, normalized, n)
 
 
 def test_stats_step_each_distinct_state_of_a_level_once(monkeypatch):
@@ -160,20 +160,46 @@ def test_stats_step_each_distinct_state_of_a_level_once(monkeypatch):
         return real(state, s)
 
     monkeypatch.setattr(main, "extend", counted)
-    [(mins, maxs)] = _conditional_stats([(main, ("identity", "complement"), True)], n, 1)
-    assert len(mins) == len(maxs) == n
+    for kind in ("identity", "complement"):
+        mins, maxs = _conditional_stats(main, kind, n, True)
+        assert len(mins) == len(maxs) == n
     assert len(calls) == 2 * 6 * n
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_stats_keep_a_state_that_cannot_be_hashed_unmerged(monkeypatch, jobs):
+@pytest.mark.parametrize("env_kind, normalized", [w[1:] for w in SHIPPED_WALKS])
+def test_stats_keep_a_state_that_cannot_be_hashed_unmerged(env_kind, normalized):
     # A dual of a deterministic policy shares a list cell between siblings.
-    in_process(monkeypatch)
     mixture = JointMixture([dual(mu_id(), constant_policy(0)), ProductJoint()], [F(1, 2)] * 2)
     with pytest.raises(TypeError):
         hash(mixture.root()[1])
-    stats = [(mixture, ("identity", "complement"), True), (mixture, ("identity",), False)]
-    assert_stats_equal_the_loop(stats, 5, jobs)
+    assert_stats_equal_the_loop(mixture, env_kind, normalized, 5)
+
+
+def test_thm11_at_many_jobs_starts_no_process_and_walks_as_at_one(tmp_path, monkeypatch):
+    # ``jobs`` is range-checked and recorded, but the walk is one and in process.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("thm11 started a process pool")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    real_mixtures, steps = experiments.scenario_mixtures, {}
+
+    def counted_mixtures(jobs):
+        mixtures = real_mixtures()
+        main = mixtures["learnable_deterministic"].joint
+        real_extend, steps[jobs] = main.extend, 0
+
+        def counted(state, s):
+            steps[jobs] += 1
+            return real_extend(state, s)
+
+        main.extend = counted
+        return mixtures
+
+    for jobs in (1, 4):
+        monkeypatch.setattr(experiments, "scenario_mixtures", lambda: counted_mixtures(jobs))
+        cfg = ScenarioConfig("thm11_convergence", tmp_path / str(jobs), jobs=jobs)
+        assert run_scenario(cfg) == 0
+    assert steps[4] == steps[1] == 2 * 6 * cfg.budget("sequence_length")
 
 
 def test_thm11_runs_far_past_a_walk_of_every_sequence(tmp_path):

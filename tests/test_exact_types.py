@@ -174,7 +174,7 @@ def test_adversary_traces_and_thm11_stats_return_fractions():
     for mdef in scenario_mixtures().values():
         if mdef.joint is not None:
             for normalized in (False, True):
-                [(mins, maxs)] = _conditional_stats([(mdef.joint, ("identity",), normalized)], 3, 1)
+                mins, maxs = _conditional_stats(mdef.joint, "identity", 3, normalized)
                 assert_exact(*mins, *maxs)
 
 

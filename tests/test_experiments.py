@@ -1,6 +1,5 @@
 import csv
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -23,7 +22,6 @@ from uailab.experiments import (
     ScenarioConfig,
     ScenarioInfo,
     ScenarioOutcome,
-    _conditional_stats,
     builtin_components,
     config_from_dict,
     load_derived,
@@ -160,12 +158,12 @@ def test_cli_list_names_all_scenarios():
     assert result.returncode == 0
     for name, info in SCENARIOS.items():
         assert name in result.stdout
-        budgets = ", ".join(
-            f"{key}={value}" + (f" (>= {info.least[key]})" if key in info.least else "")
-            for key, value in info.budgets.items()
-        )
+        marks = {key: f" (>= {low})" for key, low in info.least.items()}
+        marks.update({key: f" (<= {high})" for key, high in info.most.items()})
+        budgets = ", ".join(f"{key}={value}{marks.get(key, '')}" for key, value in info.budgets.items())
         assert f"{'':20s} budgets: {budgets}\n" in result.stdout
     assert "transform_depth=5 (>= 2)" in result.stdout
+    assert "sequence_length=10 (<= 4096)" in result.stdout
 
 
 def test_cli_unknown_scenario_exit_2(tmp_path):
@@ -634,6 +632,18 @@ def test_bad_table_field_exits_2_naming_it(tmp_path, capsys, case, command):
     assert err.startswith("config error: mixture: ") and field in err
 
 
+@pytest.mark.parametrize("jobs, accepted", [(0, False), (1, True), (64, True), (65, False)])
+def test_jobs_is_range_checked_though_no_scenario_reads_it(jobs, accepted):
+    raw = {"schema_version": 1, "scenario": "thm11_convergence", "jobs": jobs}
+    errors = validate_config_dict(raw)
+    assert errors == ([] if accepted else [f"jobs: {jobs} is not in [1, 64]"])
+    if accepted:
+        assert config_from_dict(raw).jobs == jobs
+    else:
+        with pytest.raises(ConfigError):
+            config_from_dict(raw)
+
+
 def test_cli_jobs_flag_overrides_config(tmp_path, monkeypatch):
     from uailab import cli
 
@@ -659,22 +669,6 @@ def test_thm11_names_both_lengths_when_it_skips_the_oracle(tmp_path):
     default = tmp_path / "default"
     assert run_scenario(ScenarioConfig("thm11_convergence", default)) == 0
     assert "oracle comparison skipped" not in summary_body(default)
-
-
-def test_thm11_maps_both_statistics_in_one_call(tmp_path, monkeypatch):
-    calls = []
-    real = experiments.parallel_map
-    counted = lambda fn, items, jobs: calls.append(items) or real(fn, items, jobs)  # noqa: E731
-    monkeypatch.setattr(experiments, "parallel_map", counted)
-    budgets = {"sequence_length": 4}
-    for jobs in (1, 2):
-        cfg = ScenarioConfig("thm11_convergence", tmp_path / str(jobs), budgets=budgets, jobs=jobs)
-        assert run_scenario(cfg) == 0
-    assert [sorted({(chunk[1], chunk[5]) for chunk in items}) for items in calls] == [
-        [("complement", True), ("identity", False), ("identity", True)]
-    ] * 2
-    for name in ("normalized_min_conditionals.csv", "unnormalized_contrast_conditionals.csv"):
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_sanity_summary_says_what_the_run_found(tmp_path, monkeypatch):
@@ -703,6 +697,27 @@ def test_sanity_refuses_a_transform_depth_below_the_first_witness(tmp_path, dept
         assert f"budgets/transform_depth: {depth} is not in [2, " in result.stderr
     assert not (tmp_path / "out").exists()
     # The floor is sanity_checks' own: a budget set that serves every scenario still does.
+    assert validate_config_dict({**raw, "scenario": "conj9_search"}) == []
+
+
+def test_thm11_refuses_a_sequence_length_past_its_ceiling(tmp_path, monkeypatch):
+    # Past the ceiling an exact CSV cell could not be printed: refused before any walk.
+    ceiling = SCENARIOS["thm11_convergence"].most["sequence_length"]
+    budgets = {"sequence_length": ceiling + 1}
+    raw = {"schema_version": 1, "scenario": "thm11_convergence", "budgets": budgets}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    message = f"budgets/sequence_length: {ceiling + 1} is not in [0, {ceiling}]"
+    for args in (("check",), ("run", "thm11_convergence", "--out", str(tmp_path / "out"))):
+        result = run_cli(*args, "--config", str(config))
+        assert result.returncode == 2
+        assert message in result.stderr and "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
+    monkeypatch.setattr(experiments, "_conditional_stats", None)  # a walk would fail
+    with pytest.raises(ConfigError, match=message.replace("[", r"\[")):
+        run_scenario(ScenarioConfig("thm11_convergence", tmp_path / "out", budgets=budgets))
+    assert validate_config_dict({**raw, "budgets": {"sequence_length": ceiling}}) == []
+    # The ceiling is thm11's own: a budget set that serves every scenario still does.
     assert validate_config_dict({**raw, "scenario": "conj9_search"}) == []
 
 
@@ -787,24 +802,6 @@ def test_thm7_summary_reports_products_the_env_view_disagrees_with(tmp_path, mon
     body = summary_body(tmp_path)
     assert "telescoping products FAILED at 4 of 4 steps" in body
     assert "recorded exactly" not in body
-
-
-def test_conditional_stats_under_spawn_equal_one_job():
-    mixtures = scenario_mixtures()
-    stats = [
-        (mixtures["learnable_deterministic"].joint, ("identity", "complement"), True),
-        (mixtures["halting_contrast"].joint, ("identity",), False),
-    ]
-    want = _conditional_stats(stats, 4, 1)
-    assert want == [_conditional_stats([stat], 4, 1)[0] for stat in stats]
-    previous = multiprocessing.get_start_method(allow_none=True)
-    multiprocessing.set_start_method("spawn", force=True)
-    try:
-        assert multiprocessing.get_start_method() == "spawn"
-        got = _conditional_stats(stats, 4, 2)
-    finally:
-        multiprocessing.set_start_method(previous, force=True)
-    assert got == want
 
 
 JOINT_TABLE = {
