@@ -18,8 +18,9 @@ so the greedy adversary refuses a predictor with more actions than percepts.
 
 Domination probes report the exact max ratio mu/xi over all strings to a
 depth, with witnesses; ratios against zero are reported as unbounded
-witnesses, never silently skipped. A probe is one :func:`compare` walk, and
-counts the contexts where mu or xi is undefined.
+witnesses, never silently skipped. One walk of :func:`compare`'s serves a
+probe at every depth up to its own: the reports fold its numerators, build a
+context only for a witness, and count the contexts where mu or xi is undefined.
 """
 from __future__ import annotations
 
@@ -29,7 +30,15 @@ from itertools import repeat
 from typing import Any, Iterable, Sequence
 
 from .core import ONE, UndefinedConditionalError, count
-from .semimeasure import ChronEnv, JointSemimeasure, _check_alphabet, compare, max_ratio, times_ratio
+from .semimeasure import (
+    ChronEnv,
+    JointSemimeasure,
+    _check_alphabet,
+    _compared,
+    _context_at,
+    _levels,
+    times_ratio,
+)
 
 
 @dataclass(frozen=True)
@@ -158,17 +167,60 @@ def domination_probe(
     interleaved strings, environments on percept/action pairs for every
     action string.
     """
+    return _domination_reports(mu, xi, depth)[-1]
+
+
+def _domination_reports(
+    mu: JointSemimeasure | ChronEnv, xi: JointSemimeasure | ChronEnv, depth: int
+) -> list[DominationReport]:
+    """The probe's report at every depth 0..``depth``, folded from one
+    :func:`~uailab.semimeasure._compared` walk: contexts come level by level,
+    so each depth's report folds a prefix of the slots. Ratios compare by
+    cross-multiplying integers, the masses' numerators, denominators and
+    scales; the first maximum wins, and only each report's maximum is built
+    as a ``Fraction``."""
     if isinstance(mu, JointSemimeasure) != isinstance(xi, JointSemimeasure):
         raise TypeError("domination_probe needs two components of the same kind")
-    rows, undefined_mu, undefined_xi = compare(mu, xi, depth)
-    best, witness = max_ratio(r for r in rows if r.rhs != 0)
-    return DominationReport(
-        depth=depth,
-        max_ratio=best,
-        witness=witness,
-        unbounded_witnesses=tuple(r.witness for r in rows if r.rhs == 0 and r.lhs != 0),
-        skipped_zero_zero=sum(1 for r in rows if r.rhs == 0 and r.lhs == 0),
-        contexts_checked=len(rows),
-        undefined_mu=undefined_mu,
-        undefined_xi=undefined_xi,
-    )
+    alphabet, pairs = _compared(mu, xi, depth)
+    reports = []
+    best_num, best_den, best_slot = 0, 1, None
+    unbounded: list = []
+    zero_zero = checked = undefined_mu = undefined_xi = 0
+    for t, (n, slots) in enumerate(_levels(alphabet, depth)):
+        scale_mu, scale_xi = mu.scale(n), xi.scale(n)
+        for slot in slots:
+            masses = pairs[slot]
+            if masses is None:
+                undefined_mu += 1
+                continue
+            lhs, rhs = masses
+            if rhs is None:
+                undefined_xi += 1
+                continue
+            checked += 1
+            # lhs/rhs as exact masses is num/den, in ints: a walk mass is an int
+            # or a Fraction over its scale.
+            num = lhs.numerator * rhs.denominator * scale_xi
+            den = lhs.denominator * rhs.numerator * scale_mu
+            if not den:  # rhs == 0
+                if num:
+                    unbounded.append(_context_at(alphabet, slot))
+                else:
+                    zero_zero += 1
+                continue
+            if best_slot is None or num * best_den > best_num * den:
+                best_num, best_den, best_slot = num, den, slot
+        found = best_slot is not None
+        reports.append(
+            DominationReport(
+                depth=t,
+                max_ratio=Fraction(best_num, best_den) if found else None,
+                witness=_context_at(alphabet, best_slot) if found else None,
+                unbounded_witnesses=tuple(unbounded),
+                skipped_zero_zero=zero_zero,
+                contexts_checked=checked,
+                undefined_mu=undefined_mu,
+                undefined_xi=undefined_xi,
+            )
+        )
+    return reports

@@ -9,7 +9,7 @@ mixture component for the built-in beliefs and their environment views, not
 a from-scratch evaluation of each prefix. One call expands each distinct
 (remaining steps, walk state) once: at most O((|A||E|)^m) nodes, and fewer
 where histories meet in one state, as in mixtures of ``NoisyCopyEnv`` and
-``IIDEnv`` (a table's or an environment view's state carries its history). The
+``IIDEnv`` and their joint views (a table's state carries its history). The
 objective weights each step's reward by the unnormalized mass at the time
 the reward is received, which coincides with the classical expectimax
 recursion for measures and extends it to strictly defective beliefs (missing
@@ -21,7 +21,9 @@ An action is undefined at a node where the belief is undefined (see
 :mod:`uailab.semimeasure`) at the action or at one of its percepts. Planners
 leave undefined actions out of the max, and the one-step rule out of its map.
 A node below the root with no defined action adds no further reward; a root
-with none, or an undefined history, raises ``UndefinedConditionalError``.
+with none, or an undefined history, raises ``UndefinedConditionalError``
+naming the history. A planner's belief is a ``ChronEnv`` (``joint_aixi_action``
+takes a ``JointSemimeasure``); another kind is a ``ComponentFormatError``.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ from .core import (
     PerceptAlphabet,
     UndefinedConditionalError,
     count,
+    of_kind,
 )
 from .semimeasure import ChronEnv, JointSemimeasure, Policy, _checked_walk, exact_mass
 from .transforms import dual, env
@@ -61,7 +64,10 @@ def policy_value(
     count(horizon, "horizon", 1)
     joint = dual(nu, pi)
     state, n = _history_node(joint, history, percepts)[1], 2 * len(history.actions)
-    return _total(*_action_values(joint, state, n, horizon, percepts, _total, {}))
+    try:
+        return _total(*_action_values(joint, state, n, horizon, percepts, _total, {}))
+    except UndefinedConditionalError as error:  # a view's, located below the history
+        raise error.at(history.symbols()) from None
 
 
 def _check_percepts(nu: ChronEnv | JointSemimeasure, percepts: PerceptAlphabet) -> None:
@@ -139,6 +145,7 @@ def _plan(
     """(mass numerator of a complete ``history``, value of each defined action
     over ``horizon`` steps); an error naming the history where none is defined."""
     count(horizon, "horizon", 1)
+    of_kind(nu, "planning belief", ChronEnv)
     values: dict[int, Fraction] = {}
     try:
         mass, state = _history_node(nu, history, percepts)
@@ -245,6 +252,7 @@ def brute_force_action(
     action at a reached node where some action is defined is left out.
     """
     count(horizon, "horizon", 1)
+    of_kind(nu, "planning belief", ChronEnv)
     _check_percepts(nu, percepts)
     nodes: list[tuple[int, ...]] = []
     frontier: list[tuple[int, ...]] = [()]

@@ -6,7 +6,9 @@ about subadditivity, domination, and convergence must never be rounding
 artifacts. ``prob`` parses one value, and ``exact_masses`` is the one rule
 every component, policy and mixture constructor applies to its masses or
 weights; ``count`` is the one rule for every depth, horizon, budget, arity
-and symbol index. Floats appear only in CSV columns suffixed ``_float``.
+and symbol index, and ``of_kind`` for the kind of every component a mixture,
+a transform or a planner takes. Floats appear only in CSV columns suffixed
+``_float``.
 
 All types here are immutable values and safe to share across workers.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 Prob = Fraction
 
@@ -27,13 +29,27 @@ class UndefinedConditionalError(ZeroDivisionError):
     """Conditioning on a zero-mass prefix.
 
     Raised instead of returning a 0/NaN sentinel: silent sentinels would
-    corrupt exact domination verdicts. Carries the offending context.
+    corrupt exact domination verdicts. Carries the offending context. A walk
+    step, whose state need not hold its context, raises with the context's
+    ``length`` alone, and the reader that walked the string locates it
+    (:meth:`at`).
     """
 
-    def __init__(self, context: Any, detail: str = ""):
-        self.context = context
+    def __init__(self, context: Any, detail: str = "", *, length: int | None = None):
+        self.context, self.detail, self.length = context, detail, length
+        where = repr(context) if length is None else f"of {length} symbols"
         suffix = f" ({detail})" if detail else ""
-        super().__init__(f"conditional undefined at zero-mass context {context!r}{suffix}")
+        super().__init__(f"conditional undefined at zero-mass context {where}{suffix}")
+
+    def at(self, x: Sequence[int]) -> UndefinedConditionalError:
+        """This error on the walked string ``x``: itself where it names its
+        context, else one naming the first ``length`` symbols of x, or x itself
+        and the length where x is shorter."""
+        if self.length is None:
+            return self
+        short = len(x) < self.length
+        detail = f"{self.detail}, at length {self.length}" if short else self.detail
+        return UndefinedConditionalError(tuple(x[: self.length]), detail)
 
 
 class NormalizationError(UndefinedConditionalError):
@@ -101,6 +117,14 @@ def count(value: Any, what: str, least: int = 0) -> int:
     float, string or None) of at least ``least``. ``what`` names it in the error."""
     if type(value) is not int or value < least:
         raise ComponentFormatError(f"{what} must be >= {least} (an int), got {value!r}")
+    return value
+
+
+def of_kind(value: Any, what: str, kind: type) -> Any:
+    """``value`` checked by the one rule for what a constructor or planner takes:
+    an instance of ``kind``, else an error naming ``what`` and the value's class."""
+    if not isinstance(value, kind):
+        raise ComponentFormatError(f"{what} {type(value).__name__} is not a {kind.__name__}")
     return value
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
-from .adversary import copy_conditional_trace, domination_probe, greedy_antipredict
+from .adversary import _domination_reports, copy_conditional_trace, greedy_antipredict
 from .agents import dualistic_aixi_action, expectimax_action, joint_aixi_action, one_step_action
 from .core import ONE, ComponentFormatError, frac_str, history_from_symbols, prob
 from .mixture import EnvMixture, JointMixture, check_predictive_consistency, uniform_prior
@@ -50,11 +50,11 @@ from .semimeasure import (
     uniform_policy,
 )
 from .transforms import (
+    _ratio_reports,
     check_env_dual_roundtrip,
     check_normalization_dominance,
     check_representation_roundtrip,
     env,
-    env_view_ratio_probe,
     factoring_check,
     normalize,
 )
@@ -896,12 +896,13 @@ def _scenario_conj9(cfg: ScenarioConfig) -> ScenarioOutcome:
         mdef = mixtures[name]
         assert mdef.joint is not None and mdef.chron is not None
         joint_view = env(mdef.joint)
+        # One walk per direction reports every depth.
+        forward = _domination_reports(joint_view, mdef.chron, depth)
+        backward = _domination_reports(mdef.chron, joint_view, depth)
         for d in range(1, depth + 1):
-            forward = domination_probe(joint_view, mdef.chron, d)
-            backward = domination_probe(mdef.chron, joint_view, d)
             for direction, report in (
-                ("joint_view_over_env_mixture", forward),
-                ("env_mixture_over_joint_view", backward),
+                ("joint_view_over_env_mixture", forward[d]),
+                ("env_mixture_over_joint_view", backward[d]),
             ):
                 rows.append(
                     (
@@ -936,15 +937,15 @@ def _scenario_conj9(cfg: ScenarioConfig) -> ScenarioOutcome:
     hetero = pair_scenarios()["hetero_pair"]
     probe_rows = []
     for grid_name, pair_weights in (("factored", None), ("diagonal", _DIAGONAL_GRID)):
-        for d in range(1, depth + 1):
-            probe = env_view_ratio_probe(
-                hetero.envs,
-                hetero.env_weights,
-                hetero.policies,
-                hetero.policy_weights,
-                d,
-                pair_weights=pair_weights,
-            )
+        reports = _ratio_reports(
+            hetero.envs,
+            hetero.env_weights,
+            hetero.policies,
+            hetero.policy_weights,
+            depth,
+            pair_weights,
+        )
+        for d, probe in enumerate(reports[1:], start=1):
             probe_rows.append(
                 (
                     grid_name,

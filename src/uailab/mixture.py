@@ -38,6 +38,7 @@ from .core import (
     UndefinedConditionalError,
     count,
     exact_masses,
+    of_kind,
 )
 from .semimeasure import (
     ChronEnv,
@@ -89,10 +90,7 @@ class _Mixture:
     ):
         self.weights = exact_masses(weights, "mixture weights", items=len(components))
         for c in components:
-            if not isinstance(c, self._kind):
-                raise ComponentFormatError(
-                    f"{type(self).__name__} component {c!r} is not a {self._kind.__name__}"
-                )
+            of_kind(c, f"{type(self).__name__} component", self._kind)
         if len({(c.action_arity, c.percept_arity) for c in components}) > 1:
             raise ComponentFormatError("mixed components must share one alphabet")
         self.components = tuple(components)
@@ -270,10 +268,11 @@ def predictive(mixture: JointMixture, h: History, action: int) -> dict[int, Frac
     denom, state = _checked_walk(mixture, prefix, prefix)
     if denom == 0:
         raise UndefinedConditionalError(prefix, "predictive distribution")
-    return {
-        e: times_ratio(mixture, ONE, mixture.extend(state, e)[0], n + 1, denom, n)
-        for e in range(mixture.percept_arity)
-    }
+    try:
+        kids = [mixture.extend(state, e)[0] for e in range(mixture.percept_arity)]
+    except UndefinedConditionalError as error:  # a member's view, at the prefix
+        raise error.at(prefix) from None
+    return {e: times_ratio(mixture, ONE, m, n + 1, denom, n) for e, m in enumerate(kids)}
 
 
 def check_predictive_consistency(

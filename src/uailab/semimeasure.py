@@ -46,6 +46,10 @@ raises ``UndefinedConditionalError`` or its subclass ``NormalizationError``;
 every extension of an undefined context is undefined too. Readers leave
 undefined contexts out instead of raising: :func:`compare` counts them per
 side, and the planners leave undefined actions out (see :mod:`uailab.agents`).
+A step whose state does not hold its context (an environment view's) raises
+with the context's length alone; the readers that know the string they walk
+(:func:`_checked_walk`, :func:`walk`, the planners and ``predictive``) raise
+it again naming the context.
 
 Walk masses are numerators over a declared scale: a mass returned for a
 context of n symbols stands for ``Fraction(mass, nu.scale(n))``, where
@@ -187,8 +191,11 @@ def _checked_walk(nu: Any, context: Any, x: Sequence[int]) -> tuple[Prob, Any]:
     one walk, after rejecting any symbol outside the alphabet of ``nu``."""
     _check_alphabet(nu, context, x)
     mass, state = nu.root()
-    for s in x:
-        mass, state = nu.extend(state, s)
+    try:
+        for s in x:
+            mass, state = nu.extend(state, s)
+    except UndefinedConditionalError as error:
+        raise error.at(x) from None
     return mass, state
 
 
@@ -777,7 +784,8 @@ def walk(
     action at ``slot * fan + action``; lhs is the context's mass times its
     level's gain, rhs its row's children summed, and above the (row, symbol)
     of each child above lhs, unsorted. Neither a mixture's check nor a
-    ``ChronEnumApprox``'s is walked (:func:`_columns`).
+    ``ChronEnumApprox``'s is walked (:func:`_columns`). An undefined context
+    that a step raises by its length alone is named from the node's slot.
 
     Measured slower, so not to retry: a level-at-a-time walk by ``map`` (a
     walked ``ChronEnumApprox(3, 60)`` check took 115 ms, not 19, as each
@@ -819,24 +827,28 @@ def walk(
         if not filing and gains[t] != 1:
             mass *= gains[t]
         # Plain loops and branches: no list of children, no comprehension.
-        for a in groups:
-            pending = state if joint else step(state, a)[1]
-            total, index = 0, first
-            for s in symbols:
-                m, kid = step(pending, s)
-                if filing:
-                    column[level + index] = m
-                else:
-                    total += m
-                    if m > mass:
-                        above.append((row, s))
-                if deeper and kid is not None:
-                    push((t + 1, index, m, kid))
-                index += 1
-            if not filing:
-                column[row], sums[row] = mass, total
-            row += 1
-            first += stride
+        try:
+            for a in groups:
+                pending = state if joint else step(state, a)[1]
+                total, index = 0, first
+                for s in symbols:
+                    m, kid = step(pending, s)
+                    if filing:
+                        column[level + index] = m
+                    else:
+                        total += m
+                        if m > mass:
+                            above.append((row, s))
+                    if deeper and kid is not None:
+                        push((t + 1, index, m, kid))
+                    index += 1
+                if not filing:
+                    column[row], sums[row] = mass, total
+                row += 1
+                first += stride
+        except UndefinedConditionalError as error:  # located on the node's string
+            x = _context_at(alphabet, row // fan)
+            raise error.at(x + (s,) if joint else _history(*x) + (a,)) from None
     return column, sums, above
 
 
@@ -880,12 +892,40 @@ def compare(
     """Evaluate both sides at every context of ``lhs`` up to ``depth``.
 
     Returns (rows in :func:`contexts` order, count of contexts where ``lhs``
-    is undefined, count of the others where ``rhs`` is undefined). Both
-    sides walk together, their masses filed by slot; ``rhs`` is never
-    extended where either side is undefined, nor is either side below a
-    context where ``lhs`` is: those slots count as undefined. The rows take
-    their contexts from :func:`contexts` order once the walk ends. Two sides
-    over different alphabets are a ``ComponentFormatError``.
+    is undefined, count of the others where ``rhs`` is undefined). The rows
+    take their contexts from :func:`contexts` order once :func:`_compared`
+    has walked both sides. Two sides over different alphabets are a
+    ``ComponentFormatError``.
+    """
+    alphabet, pairs = _compared(lhs, rhs, depth)
+    rows, contexts = [], _contexts(alphabet, depth)
+    for n, slots in _levels(alphabet, depth):
+        for masses, context in zip(pairs[slots.start : slots.stop], contexts):
+            if masses is not None and masses[1] is not None:
+                lhs_mass, rhs_mass = exact_mass(lhs, n, masses[0]), exact_mass(rhs, n, masses[1])
+                rows.append(MismatchRow(context, lhs_mass, rhs_mass))
+    lhs_undefined = pairs.count(None)
+    return rows, lhs_undefined, len(pairs) - lhs_undefined - len(rows)
+
+
+def _levels(alphabet: _Alphabet, depth: int) -> Iterator[tuple[int, range]]:
+    """(symbols n, slots) of each level 0..depth of :func:`contexts` order."""
+    start, step = 0, 1 if alphabet[0] else 2
+    for t, width in enumerate(_widths(alphabet, depth)):
+        yield step * t, range(start, start + width)
+        start += width
+
+
+def _compared(
+    lhs: JointSemimeasure | ChronEnv, rhs: JointSemimeasure | ChronEnv, depth: int
+) -> tuple[_Alphabet, list]:
+    """The one walk of :func:`compare` and of the readers that fold its numerators:
+    (the alphabet, each context's walk masses by slot: None where ``lhs`` is
+    undefined, (lhs, None) where only ``rhs`` is, else (lhs, rhs)).
+
+    Both sides walk together; ``rhs`` is never extended where either side is
+    undefined, nor is either side below a context where ``lhs`` is: those
+    slots count as undefined.
     """
     alphabet = _alphabet(lhs)
     if _alphabet(rhs) != alphabet:
@@ -920,16 +960,7 @@ def compare(
         root = ((lhs_mass, rhs_mass), (lhs_state, rhs_state))
     except UndefinedConditionalError:
         pass
-    pairs = walk(lhs, depth, root, step)[0]
-    rows = []
-    for context, masses in zip(_contexts(alphabet, depth), pairs):
-        if masses is not None and masses[1] is not None:
-            n = len(context) if alphabet[0] else 2 * len(context[1])
-            rows.append(
-                MismatchRow(context, exact_mass(lhs, n, masses[0]), exact_mass(rhs, n, masses[1]))
-            )
-    lhs_undefined = pairs.count(None)
-    return rows, lhs_undefined, len(pairs) - lhs_undefined - len(rows)
+    return alphabet, walk(lhs, depth, root, step)[0]
 
 
 def max_ratio(rows: Iterable[MismatchRow]) -> tuple[Fraction | None, Any]:

@@ -5,13 +5,16 @@ its action conditionals: env(nu)(e_1:t || a_1:t) = prod_i nu(e_i | h_<i a_i).
 It is computed lazily per query because well-definedness (positive
 conditioning prefixes) is a per-prefix condition. A view raises where its
 conditional is undefined, and readers such as :func:`compare` count those
-contexts instead (see :mod:`uailab.semimeasure`). ``dual`` goes the other
-way, combining an environment with a policy into the history distribution
-they induce, and ``dual_mixture`` mixes the duals of every (environment,
-policy) pair. ``chron_to_joint`` is the semimeasure representation of an
-environment with a configurable action filler (uniform by default).
-``normalize`` rescales one-symbol conditionals to sum to 1 (Solomonoff
-normalization).
+contexts instead (see :mod:`uailab.semimeasure`). A view's walk state holds
+no prefix, so histories that meet in its base meet in it; it raises with the
+undefined context's length, which the walking reader locates. ``dual`` goes
+the other way, combining an environment with a policy into the history
+distribution they induce, and ``dual_mixture`` mixes the duals of every
+(environment, policy) pair. ``chron_to_joint`` is the semimeasure
+representation of an environment with a configurable action filler (uniform
+by default). ``normalize`` rescales one-symbol conditionals to sum to 1
+(Solomonoff normalization). Each takes only its kind of component, by
+:func:`~uailab.core.of_kind`.
 
 Views, duals and normalized predictors evaluate only by walking: ``eval`` is
 the fold of the walk (``ChronEnv.fold`` or ``JointSemimeasure.fold``). A view
@@ -31,7 +34,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Any, Sequence
 
-from .adversary import DominationReport, domination_probe
+from .adversary import DominationReport, _domination_reports
 from .core import (
     ONE,
     ZERO,
@@ -40,6 +43,7 @@ from .core import (
     Prob,
     UndefinedConditionalError,
     exact_masses,
+    of_kind,
 )
 from .mixture import EnvMixture, JointMixture, MixturePolicy
 from .semimeasure import (
@@ -49,8 +53,11 @@ from .semimeasure import (
     Policy,
     StationaryPolicy,
     _check,
+    _compared,
     _context_at,
+    _levels,
     compare,
+    exact_mass,
     times_ratio,
     uniform_policy,
 )
@@ -60,7 +67,7 @@ class EnvView(ChronEnv):
     """Lazy environment view of a joint semimeasure."""
 
     def __init__(self, base: JointSemimeasure):
-        self.base = base
+        self.base = of_kind(base, "env view base", JointSemimeasure)
         self.action_arity = base.action_arity
         self.percept_arity = base.percept_arity
         self.declared_measure = False
@@ -68,25 +75,25 @@ class EnvView(ChronEnv):
     eval = ChronEnv.fold
 
     def root(self) -> tuple[Prob, Any]:
-        # (mass, base state, base mass of the pending prefix or None, prefix)
-        return ONE, (ONE, self.base.root()[1], None, ())
+        # (mass, base state, base mass of the pending prefix or None, length):
+        # no prefix, so the states of two histories that meet are equal.
+        return ONE, (ONE, self.base.root()[1], None, 0)
 
     def extend(self, state: Any, symbol: int) -> tuple[Prob, Any]:
-        mass, base_state, denom, prefix = state
+        mass, base_state, denom, n = state
         if denom is None:
             try:
                 denom, base_state = self.base.extend(base_state, symbol)
             except UndefinedConditionalError as exc:
                 denom = exc  # an action moves no mass: raised with the percept
-            return mass, (mass, base_state, denom, prefix + (symbol,))
+            return mass, (mass, base_state, denom, n + 1)
         if isinstance(denom, ZeroDivisionError):
             raise denom
-        if denom == 0:
-            raise UndefinedConditionalError(prefix, "env view")
+        if denom == 0:  # the pending prefix, its action included, weighs 0
+            raise UndefinedConditionalError(None, "env view", length=n)
         base_mass, base_state = self.base.extend(base_state, symbol)
-        n = len(prefix)  # the pending prefix, its action included
         mass = times_ratio(self.base, mass, base_mass, n + 1, denom, n)
-        return mass, (mass, base_state, None, prefix + (symbol,))
+        return mass, (mass, base_state, None, n + 1)
 
 
 def env(nu: JointSemimeasure) -> EnvView:
@@ -101,11 +108,14 @@ class DualJoint(JointSemimeasure):
     on a pending action the policy factor includes the pending action. No
     positivity requirement: products of unconditional values, no division.
     Its walk is the product of the policy's walk and the environment's: the
-    state pairs theirs, and the mass and scale multiply. A policy of another
-    action arity is a ``ComponentFormatError``.
+    state pairs theirs, and the mass and scale multiply. A component of
+    another kind, or a policy of another action arity, is a
+    ``ComponentFormatError``.
     """
 
     def __init__(self, nu: ChronEnv, pi: Policy):
+        of_kind(nu, "dual environment", ChronEnv)
+        of_kind(pi, "dual policy", Policy)
         if pi.action_arity != nu.action_arity:
             raise ComponentFormatError(
                 f"{type(pi).__name__} of {pi.action_arity} actions cannot act in "
@@ -186,6 +196,7 @@ def chron_to_joint(
     resulting joint semimeasure recovers nu under ``env`` wherever positivity
     holds; percepts in action positions are impossible by History typing.
     """
+    of_kind(nu, "dual environment", ChronEnv)
     if action_filler is None:
         return DualJoint(nu, uniform_policy(nu.action_arity))
     return DualJoint(nu, StationaryPolicy(action_filler))
@@ -202,7 +213,7 @@ class NormalizedPredictor(JointSemimeasure):
     """
 
     def __init__(self, base: JointSemimeasure):
-        self.base = base
+        self.base = of_kind(base, "normalized base", JointSemimeasure)
         self.action_arity = base.action_arity
         self.percept_arity = base.percept_arity
         self.declared_measure = True
@@ -295,10 +306,26 @@ def check_env_dual_roundtrip(
 ) -> tuple[list[MismatchRow], int]:
     """env(dual(nu, pi)) == nu on every positive context, exhaustively.
 
-    Returns (mismatch rows, contexts skipped where either side is undefined).
+    Returns (mismatch rows, contexts skipped where either side is undefined),
+    counted from :func:`~uailab.semimeasure._compared`'s numerators: a row and
+    its context are built only for a mismatch.
     """
-    rows, *undefined = compare(env(dual(nu, pi)), nu, depth)
-    return [r for r in rows if r.verdict == "mismatch"], sum(undefined)
+    view = env(dual(nu, pi))
+    alphabet, pairs = _compared(view, nu, depth)
+    mismatches, skipped = [], 0
+    for n, slots in _levels(alphabet, depth):
+        scale_view, scale_nu = view.scale(n), nu.scale(n)
+        for slot in slots:
+            masses = pairs[slot]
+            if masses is None or masses[1] is None:
+                skipped += 1
+                continue
+            lhs, rhs = masses  # each an int or a Fraction over its side's scale
+            crossed = lhs.numerator * rhs.denominator * scale_nu
+            if crossed != rhs.numerator * lhs.denominator * scale_view:
+                lhs, rhs = exact_mass(view, n, lhs), exact_mass(nu, n, rhs)
+                mismatches.append(MismatchRow(_context_at(alphabet, slot), lhs, rhs))
+    return mismatches, skipped
 
 
 def check_representation_roundtrip(
@@ -352,5 +379,17 @@ def env_view_ratio_probe(
     mu = env(sum_pairs w dual(nu, pi)), xi = sum_nu w_nu nu, with the counts
     :func:`~uailab.adversary.domination_probe` reports.
     """
+    return _ratio_reports(envs, env_weights, policies, policy_weights, depth, pair_weights)[-1]
+
+
+def _ratio_reports(
+    envs: Sequence[ChronEnv],
+    env_weights: Sequence[Fraction],
+    policies: Sequence[Policy],
+    policy_weights: Sequence[Fraction],
+    depth: int,
+    pair_weights: dict[tuple[int, int], Fraction] | None = None,
+) -> list[DominationReport]:
+    """:func:`env_view_ratio_probe`'s report at every depth 0..``depth``, from one walk."""
     pair_mix = dual_mixture(envs, env_weights, policies, policy_weights, pair_weights)
-    return domination_probe(env(pair_mix), EnvMixture(envs, env_weights), depth)
+    return _domination_reports(env(pair_mix), EnvMixture(envs, env_weights), depth)

@@ -3,9 +3,10 @@
 Built-in components walk with ``int`` numerators over a scale, and every
 reader converts them with ``exact_mass`` before dividing. An ``int / int``
 that slipped past the conversion would be a float; here every checker,
-``compare``, the probes, expectimax, the one-step values, both adversary
-traces and thm11's conditional statistics run on the shipped components and
-mixtures, and every exact value they return is checked for its type.
+``compare``, the probes and their per-depth folds, the dual round trip,
+expectimax, the one-step values, both adversary traces and thm11's
+conditional statistics run on the shipped components and mixtures, and every
+exact value they return is checked for its type.
 
 Floats stay out at construction too. Every component, policy and mixture
 constructor applies one rule, ``core.exact_masses``, to its masses or
@@ -20,7 +21,12 @@ from fractions import Fraction
 
 import pytest
 
-from uailab.adversary import copy_conditional_trace, domination_probe, greedy_antipredict
+from uailab.adversary import (
+    _domination_reports,
+    copy_conditional_trace,
+    domination_probe,
+    greedy_antipredict,
+)
 from uailab.agents import expectimax_value, one_step_action_values
 from uailab.core import ComponentFormatError, History
 from uailab.experiments import _conditional_stats, builtin_components, scenario_mixtures
@@ -53,6 +59,7 @@ from uailab.semimeasure import (
     uniform_policy,
 )
 from uailab.transforms import (
+    _ratio_reports,
     check_env_dual_roundtrip,
     check_normalization_dominance,
     chron_to_joint,
@@ -146,6 +153,22 @@ def test_compare_and_probes_return_fractions():
     assert_rows_exact(rows)
     report = factoring_check(envs, weights, [uniform_policy()], [F(1)], 3)
     assert_rows_exact(report.joint_rows + report.env_rows)
+
+
+def test_the_folded_probes_and_round_trip_return_fractions():
+    full = uniform_measure()
+    reports = [r for mu in ENVS for r in _domination_reports(mu, env(full), 2)]
+    reports += [r for mu in JOINTS for r in _domination_reports(mu, full, 3)]
+    envs, weights = [mu_id(), uniform_env()], [F(1, 2), F(1, 2)]
+    reports += _ratio_reports(envs, weights, [uniform_policy()], [F(1)], 2)
+    for report in reports:
+        assert_exact(report.max_ratio)
+    for nu in ENVS:
+        # Half of nu, its root included: the view of its dual doubles it back,
+        # so the round trip mismatches wherever nu weighs more than 0.
+        mismatches, _ = check_env_dual_roundtrip(EnvMixture([nu], [F(1, 2)]), uniform_policy(), 2)
+        assert mismatches
+        assert_rows_exact(mismatches)
 
 
 def test_planners_return_fractions():

@@ -1,0 +1,408 @@
+"""Readers that fold the compare walk's numerators, against frozen copies of
+the row readers they replaced.
+
+The domination probes report every depth from one walk, and the dual
+round trip counts its mismatches without a row per context. The oracles
+below are the ``compare``, ``max_ratio``, ``domination_probe``,
+``env_view_ratio_probe`` and ``check_env_dual_roundtrip`` bodies before the
+folds, verbatim but for their names: every probe builds a ``MismatchRow``
+per compared context, and a deeper probe walks again. The environment view's
+walk state holds no prefix, so its undefined queries are located by the
+reader that walked them; the pins at the end hold the error class and a
+tuple context through each reader, and the counts of walks and expanded
+plan states.
+"""
+from fractions import Fraction
+from itertools import product
+from typing import Any
+
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from uailab import agents, semimeasure
+from uailab.adversary import DominationReport, _domination_reports, domination_probe
+from uailab.agents import (
+    brute_force_action,
+    dualistic_aixi_action,
+    expectimax_action,
+    expectimax_value,
+    joint_aixi_action,
+    one_step_action,
+    policy_value,
+)
+from uailab.core import EMPTY_HISTORY, ComponentFormatError, History, UndefinedConditionalError
+from uailab.experiments import (
+    _DIAGONAL_GRID,
+    ScenarioConfig,
+    _scenario_conj9,
+    pair_scenarios,
+    scenario_mixtures,
+)
+from uailab.mixture import EnvMixture, JointMixture, MixturePolicy, predictive
+from uailab.semimeasure import (
+    ChronEnv,
+    JointSemimeasure,
+    MismatchRow,
+    StationaryPolicy,
+    TableEnv,
+    TableJoint,
+    _alphabet,
+    _contexts,
+    anticopy_machine,
+    check_chronological,
+    compare,
+    constant_policy,
+    copy_machine,
+    exact_mass,
+    max_ratio,
+    mu_id,
+    uniform_env,
+    uniform_measure,
+    uniform_policy,
+    walk,
+)
+from uailab.transforms import (
+    _ratio_reports,
+    check_env_dual_roundtrip,
+    chron_to_joint,
+    dual,
+    dual_mixture,
+    env,
+    env_view_ratio_probe,
+    normalize,
+)
+
+F = Fraction
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+
+
+# ---------------------------------------------------------------------------
+# Frozen row readers
+# ---------------------------------------------------------------------------
+
+
+def frozen_compare(lhs, rhs, depth):
+    alphabet = _alphabet(lhs)
+    if _alphabet(rhs) != alphabet:
+        lhs_name, rhs_name = (
+            f"{type(nu).__name__} of {nu.action_arity} actions and {nu.percept_arity} percepts"
+            for nu in (lhs, rhs)
+        )
+        raise ComponentFormatError(f"cannot compare {lhs_name} with {rhs_name}")
+    no_rhs = object()  # the rhs state at and below a context where rhs is undefined
+
+    def step(state: Any, symbol: int) -> tuple[Any, Any]:
+        if state is None:  # lhs undefined here and below
+            return None, None
+        lhs_state, rhs_state = state
+        try:
+            lhs_mass, lhs_state = lhs.extend(lhs_state, symbol)
+        except UndefinedConditionalError:
+            return None, None
+        if rhs_state is not no_rhs:
+            try:
+                rhs_mass, rhs_state = rhs.extend(rhs_state, symbol)
+                return (lhs_mass, rhs_mass), (lhs_state, rhs_state)
+            except UndefinedConditionalError:
+                pass
+        return (lhs_mass, None), (lhs_state, no_rhs)
+
+    root: tuple = (None, None)  # lhs undefined at the root
+    try:
+        lhs_mass, lhs_state = lhs.root()
+        root = ((lhs_mass, None), (lhs_state, no_rhs))  # rhs undefined unless it returns
+        rhs_mass, rhs_state = rhs.root()
+        root = ((lhs_mass, rhs_mass), (lhs_state, rhs_state))
+    except UndefinedConditionalError:
+        pass
+    pairs = walk(lhs, depth, root, step)[0]
+    rows = []
+    for context, masses in zip(_contexts(alphabet, depth), pairs):
+        if masses is not None and masses[1] is not None:
+            n = len(context) if alphabet[0] else 2 * len(context[1])
+            rows.append(
+                MismatchRow(context, exact_mass(lhs, n, masses[0]), exact_mass(rhs, n, masses[1]))
+            )
+    lhs_undefined = pairs.count(None)
+    return rows, lhs_undefined, len(pairs) - lhs_undefined - len(rows)
+
+
+def frozen_max_ratio(rows):
+    best = None
+    witness = None
+    for row in rows:
+        ratio = row.lhs / row.rhs
+        if best is None or ratio > best:
+            best, witness = ratio, row.witness
+    return best, witness
+
+
+def frozen_probe(mu, xi, depth):
+    if isinstance(mu, JointSemimeasure) != isinstance(xi, JointSemimeasure):
+        raise TypeError("domination_probe needs two components of the same kind")
+    rows, undefined_mu, undefined_xi = frozen_compare(mu, xi, depth)
+    best, witness = frozen_max_ratio(r for r in rows if r.rhs != 0)
+    return DominationReport(
+        depth=depth,
+        max_ratio=best,
+        witness=witness,
+        unbounded_witnesses=tuple(r.witness for r in rows if r.rhs == 0 and r.lhs != 0),
+        skipped_zero_zero=sum(1 for r in rows if r.rhs == 0 and r.lhs == 0),
+        contexts_checked=len(rows),
+        undefined_mu=undefined_mu,
+        undefined_xi=undefined_xi,
+    )
+
+
+def frozen_ratio_probe(envs, env_weights, policies, policy_weights, depth, pair_weights=None):
+    pair_mix = dual_mixture(envs, env_weights, policies, policy_weights, pair_weights)
+    return frozen_probe(env(pair_mix), EnvMixture(envs, env_weights), depth)
+
+
+def frozen_roundtrip(nu, pi, depth):
+    rows, *undefined = frozen_compare(env(dual(nu, pi)), nu, depth)
+    return [r for r in rows if r.verdict == "mismatch"], sum(undefined)
+
+
+def assert_reports_equal_the_frozen_probes(mu, xi, depth):
+    """Every depth's report from one walk, in both directions, and the public
+    probe the deepest of them."""
+    for lhs, rhs in ((mu, xi), (xi, mu)):
+        reports = _domination_reports(lhs, rhs, depth)
+        assert reports == [frozen_probe(lhs, rhs, d) for d in range(depth + 1)], (lhs, rhs)
+        assert domination_probe(lhs, rhs, depth) == reports[-1]
+
+
+# ---------------------------------------------------------------------------
+# Drawn components
+# ---------------------------------------------------------------------------
+
+# Binary rows: measures, defective rows, dead ends, and rows whose ratios tie.
+ROWS = [
+    (0, 0),
+    (1, 0),
+    (0, 1),
+    (F(1, 2), F(1, 2)),
+    (F(1, 4), F(1, 2)),
+    (F(1, 3), F(1, 3)),
+    (F(1, 7), F(80, 97)),
+    (F(3, 7), F(4, 7)),
+]
+JOINT_KEYS = [x for n in range(4) for x in product((0, 1), repeat=n)]
+ENV_KEYS = [
+    (e, a)
+    for t in range(2)
+    for e in product((0, 1), repeat=t)
+    for a in product((0, 1), repeat=t + 1)
+]
+
+
+def tables(cls, keys):
+    return st.builds(
+        lambda rows, default: cls(dict(zip(keys, rows)), default),
+        st.tuples(*(st.sampled_from(ROWS) for _ in keys)),
+        st.sampled_from(["halt", "uniform"]),
+    )
+
+
+class HalfRoot(ChronEnv):
+    """Wrong on purpose: half the mass of ``base`` everywhere, its root
+    included, so the view of its dual, which starts at 1, doubles it."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def eval(self, percepts, actions):
+        return self.base.eval(percepts, actions) / 2
+
+
+@settings(max_examples=20, deadline=None, phases=NO_SHRINK)
+@given(
+    tables(TableJoint, JOINT_KEYS),
+    tables(TableJoint, JOINT_KEYS),
+    tables(TableEnv, ENV_KEYS),
+    tables(TableEnv, ENV_KEYS),
+)
+def test_probe_reports_equal_the_frozen_probe_at_every_depth(joint, joint2, nu, nu2):
+    mix = JointMixture([joint, joint2], [F(1, 2), F(1, 2)])
+    env_mix = EnvMixture([nu, nu2, mu_id()], [F(1, 4), F(1, 4), F(1, 2)])
+    # Joint tables: zero-zero and unbounded rows wherever a halt row meets a live one.
+    assert_reports_equal_the_frozen_probes(joint, joint2, 4)
+    assert_reports_equal_the_frozen_probes(mix, normalize(joint), 4)
+    # Environment tables, and views undefined below a zero-mass action.
+    assert_reports_equal_the_frozen_probes(nu, env_mix, 3)
+    assert_reports_equal_the_frozen_probes(env(joint), env_mix, 3)
+    assert_reports_equal_the_frozen_probes(env(mix), env(joint2), 3)
+    assert_reports_equal_the_frozen_probes(env(normalize(mix)), nu2, 2)
+
+
+@settings(max_examples=20, deadline=None, phases=NO_SHRINK)
+@given(tables(TableEnv, ENV_KEYS), st.sampled_from(ROWS[3:]), st.integers(0, 1))
+def test_roundtrip_mismatches_equal_the_frozen_filtered_rows(nu, row, action):
+    policies = [uniform_policy(), StationaryPolicy(row), constant_policy(action)]
+    deficient = MixturePolicy(tuple(policies[:2]), (F(1, 4), F(1, 2)))
+    for base in (nu, EnvMixture([nu, uniform_env()], [F(1, 2), F(1, 2)])):
+        for pi in (*policies, deficient):
+            for wrong in (False, True):
+                subject = HalfRoot(base) if wrong else base
+                got = check_env_dual_roundtrip(subject, pi, 3)
+                assert got == frozen_roundtrip(subject, pi, 3)
+                assert bool(got[0]) == wrong  # the root, at least, where it is doubled
+
+
+def test_a_wrong_double_mismatches_where_both_sides_are_defined():
+    mismatches, skipped = check_env_dual_roundtrip(HalfRoot(mu_id()), uniform_policy(), 2)
+    assert (mismatches, skipped) == frozen_roundtrip(HalfRoot(mu_id()), uniform_policy(), 2)
+    assert mismatches[0] == MismatchRow(((), ()), F(1), F(1, 2))
+    # mu_id copies: one live percept per action, so 1 + 2 + 4 contexts to depth
+    # 2 weigh more than 0, and the view is undefined at the 8 below a mismatch.
+    assert (len(mismatches), skipped) == (7, 8)
+
+
+@pytest.mark.parametrize("name", ["copy_vs_uniform", "adversary_rich"])
+def test_shipped_conj9_pairs_report_every_depth_as_the_frozen_probe(name):
+    mdef = scenario_mixtures()[name]
+    assert_reports_equal_the_frozen_probes(env(mdef.joint), mdef.chron, 4)
+
+
+@pytest.mark.parametrize("grid", [None, _DIAGONAL_GRID], ids=["factored", "diagonal"])
+def test_ratio_reports_equal_the_frozen_ratio_probe_at_every_depth(grid):
+    hetero = pair_scenarios()["hetero_pair"]
+    args = (hetero.envs, hetero.env_weights, hetero.policies, hetero.policy_weights)
+    reports = _ratio_reports(*args, 4, grid)
+    assert reports == [frozen_ratio_probe(*args, d, grid) for d in range(5)]
+    assert env_view_ratio_probe(*args, 4, grid) == reports[-1]
+
+
+def test_every_count_of_a_report_is_met_at_some_depth():
+    # Copy against anticopy: zero-zero and unbounded rows; a copy's view
+    # against mu_id: contexts undefined on the left, then on the right.
+    pairs = [(copy_machine(), anticopy_machine(), 4), (env(copy_machine()), mu_id(), 3)]
+    for mu, xi, depth in pairs:
+        assert_reports_equal_the_frozen_probes(mu, xi, depth)
+    joint = _domination_reports(copy_machine(), anticopy_machine(), 4)[-1]
+    assert joint.unbounded_witnesses and joint.skipped_zero_zero
+    view = _domination_reports(env(copy_machine()), mu_id(), 3)
+    assert view[-1].undefined_mu and view[0].max_ratio == 1
+    assert _domination_reports(mu_id(), env(copy_machine()), 3)[-1].undefined_xi
+
+
+def test_ties_keep_the_first_maximum():
+    # The uniform measure against half of itself: every context ties at
+    # ratio 2, so the first one, the root, wins at every depth.
+    uniform = TableJoint({}, "uniform")
+    halved = JointMixture([uniform], [F(1, 2)])
+    for depth in range(4):
+        report = _domination_reports(uniform, halved, depth)[-1]
+        assert report == frozen_probe(uniform, halved, depth)
+        assert (report.max_ratio, report.witness) == (2, ())
+    assert max_ratio(compare(uniform, halved, 2)[0]) == (2, ())
+
+
+def test_probe_depth_zero_gives_an_empty_sweep(tmp_path):
+    cfg = ScenarioConfig("conj9_search", tmp_path, budgets={"probe_depth": 0})
+    outcome = _scenario_conj9(cfg)
+    assert [rows for _, rows in outcome.tables.values()] == [[], []]
+    assert outcome.failures == 0
+
+
+# ---------------------------------------------------------------------------
+# Structural pins
+# ---------------------------------------------------------------------------
+
+
+def test_conj9_walks_once_per_mixture_direction_and_grid(tmp_path, monkeypatch):
+    walks = []
+    real_walk = semimeasure.walk
+    counted = lambda *args: walks.append(1) or real_walk(*args)  # noqa: E731
+    monkeypatch.setattr(semimeasure, "walk", counted)
+    outcome = _scenario_conj9(ScenarioConfig("conj9_search", tmp_path))
+    # 2 mixtures x 2 directions, and 2 ratio grids; a walk per depth made 24.
+    assert len(walks) == 6
+    assert [len(rows) for _, rows in outcome.tables.values()] == [16, 8]
+
+
+@pytest.mark.parametrize(
+    "name, entries, value",
+    [("copy_vs_uniform", 29, F(15, 4)), ("adversary_rich", 41, F(13953, 4096))],
+)
+def test_joint_view_plans_expand_each_distinct_state_once(name, entries, value, monkeypatch):
+    # The view's state holds no prefix, so histories that meet in one base
+    # state share one entry: with its prefix, each of the 341 nodes had one.
+    joint = scenario_mixtures()[name].joint
+    seen = []
+    real_values = agents._action_values
+
+    def entered(nu, state, n, remaining, percepts, fold, memo):
+        seen.append(((remaining, state), (remaining, state) in memo))
+        return real_values(nu, state, n, remaining, percepts, fold, memo)
+
+    monkeypatch.setattr(agents, "_action_values", entered)
+    assert expectimax_value(env(joint), EMPTY_HISTORY, 5) == value
+    expanded = [key for key, hit in seen if not hit]
+    assert len(seen) == entries
+    assert len(expanded) == len(set(expanded)) == len({key for key, _ in seen})
+
+
+def test_an_undefined_view_query_keeps_its_class_and_a_tuple_context():
+    view = env(JointMixture([copy_machine()], [F(1)]))  # undefined after a mismatch
+    # eval: the query's pending prefix.
+    with pytest.raises(UndefinedConditionalError) as err:
+        view.eval((1, 0), (0, 0))
+    assert err.value.context == (0, 1, 0)
+    # A check walks into it: the first pending prefix its depth-first walk meets.
+    with pytest.raises(UndefinedConditionalError) as err:
+        check_chronological(view, 2)
+    assert err.value.context == (1, 1, 1, 0, 0)
+    # compare counts the undefined contexts on either side.
+    assert compare(view, mu_id(), 2)[1:] == frozen_compare(view, mu_id(), 2)[1:] == (8, 0)
+    assert compare(mu_id(), view, 2)[1:] == (0, 8)
+    # The planners: an undefined history names itself.
+    mismatched = History((1,), (0,))  # action 1, then percept 0
+    for plan in (expectimax_action, one_step_action):
+        with pytest.raises(UndefinedConditionalError) as err:
+            plan(view, mismatched)
+        assert err.value.context == ((0,), (1,))  # (percepts, actions)
+    with pytest.raises(UndefinedConditionalError) as err:
+        joint_aixi_action(view.base, mismatched, 2)
+    assert err.value.context == ((0,), (1,))  # (percepts, actions)
+    # A policy's value below the history: the history's string, and how far below.
+    never_zero = env(dual(mu_id(), constant_policy(1)))  # action 0 weighs nothing
+    with pytest.raises(UndefinedConditionalError) as err:
+        policy_value(uniform_policy(), never_zero, 1)
+    assert (err.value.context, type(err.value)) == ((), UndefinedConditionalError)
+    assert "context () (env view, at length 1)" in str(err.value)
+    with pytest.raises(UndefinedConditionalError) as err:
+        policy_value(uniform_policy(), never_zero, 1, history=History((1,), (1,)))
+    assert err.value.context == (1, 1)
+    # The predictive distribution of a mixture that walks the view: its prefix.
+    mixture = JointMixture([dual(never_zero, uniform_policy()), uniform_measure()], [F(1, 2)] * 2)
+    with pytest.raises(UndefinedConditionalError) as err:
+        predictive(mixture, EMPTY_HISTORY, 0)
+    assert err.value.context == (0,)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: env(mu_id()),
+        lambda: normalize(mu_id()),
+        lambda: dual(copy_machine(), uniform_policy()),
+        lambda: dual(mu_id(), mu_id()),
+        lambda: chron_to_joint(copy_machine()),
+        lambda: check_env_dual_roundtrip(mu_id(), mu_id(), 2),
+        lambda: expectimax_action(copy_machine()),
+        lambda: expectimax_value(uniform_measure()),
+        lambda: one_step_action(uniform_measure()),
+        lambda: dualistic_aixi_action(copy_machine()),
+        lambda: brute_force_action(copy_machine()),
+        lambda: joint_aixi_action(mu_id()),
+        lambda: policy_value(uniform_policy(), copy_machine(), 2),
+        lambda: policy_value(mu_id(), mu_id(), 2),
+    ],
+)
+def test_a_component_of_the_wrong_kind_is_refused_by_name(call):
+    kinds = r"[A-Z]\w+ is not a (JointSemimeasure|ChronEnv|Policy)$"
+    with pytest.raises(ComponentFormatError, match=kinds):
+        call()
