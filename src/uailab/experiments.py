@@ -34,7 +34,6 @@ from .semimeasure import (
     _reject_unknown_keys,
     anticopy_machine,
     check_chronological,
-    check_scope,
     check_semimeasure,
     complement_env,
     constant_policy,
@@ -398,28 +397,27 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
         if mdef.chron is not None:
             subjects.append((f"mixture:{mdef.name}:env", mdef.chron))
     subjects.append(("normalized:copy_vs_uniform", normalize(mixtures["copy_vs_uniform"].joint)))
-    with check_scope([component for _, component in subjects], depth):
-        for name, component in subjects:
-            if isinstance(component, JointSemimeasure):
-                report = check_semimeasure(component, depth)
-            else:
-                report = check_chronological(component, depth)
-            ok = report.ok and report.declaration_verified is not False
-            failures += 0 if ok else 1
-            rows.append(
-                (
-                    name,
-                    report.kind,
-                    report.depth,
-                    report.contexts,
-                    len(report.violations),
-                    report.strict_rows,
-                    report.equal_rows,
-                    frac_str(report.root_mass),
-                    report.declared_measure,
-                    "ok" if ok else "VIOLATION",
-                )
+    for name, component in subjects:
+        if isinstance(component, JointSemimeasure):
+            report = check_semimeasure(component, depth)
+        else:
+            report = check_chronological(component, depth)
+        ok = report.ok and report.declaration_verified is not False
+        failures += 0 if ok else 1
+        rows.append(
+            (
+                name,
+                report.kind,
+                report.depth,
+                report.contexts,
+                len(report.violations),
+                report.strict_rows,
+                report.equal_rows,
+                frac_str(report.root_mass),
+                report.declared_measure,
+                "ok" if ok else "VIOLATION",
             )
+        )
     tables["component_checks.csv"] = (
         (
             "component",
@@ -486,13 +484,12 @@ def _scenario_sanity(cfg: ScenarioConfig) -> ScenarioOutcome:
         failures += len(mismatches)
         transform_rows.append(("representation_roundtrip", name, tdepth, len(mismatches), skipped))
     joints = [mdef for mdef in mixtures.values() if mdef.joint is not None]
-    with check_scope([mdef.joint for mdef in joints], tdepth):
-        for mdef in joints:
-            violations, skipped = check_normalization_dominance(mdef.joint, tdepth)
-            failures += len(violations)
-            transform_rows.append(
-                ("normalization_dominance", mdef.name, tdepth, len(violations), skipped)
-            )
+    for mdef in joints:
+        violations, skipped = check_normalization_dominance(mdef.joint, tdepth)
+        failures += len(violations)
+        transform_rows.append(
+            ("normalization_dominance", mdef.name, tdepth, len(violations), skipped)
+        )
     tables["transform_checks.csv"] = (
         ("check", "subject", "depth", "mismatches", "skipped"),
         transform_rows,

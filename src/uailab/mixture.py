@@ -7,7 +7,8 @@ use weights as given), kept as ``Fraction``s. Mixtures of joint components
 are joint semimeasures; mixtures of environments are chronological
 environments; mixtures of policies are policies. The three kinds share one
 walk, and a mixture's ``eval`` (a policy mixture's ``weight``) is its fold;
-its exhaustive check is not walked but summed from its members' checks.
+its exhaustive check counts its own distinct walk states, and its columns,
+walked for a reader that asks, are summed from its members' checks.
 ``posterior_weights`` and ``predictive`` evaluate one history by such point
 queries. A mixture's walk state carries every live component's weighted
 mass, so walks read the unnormalized posterior w_i nu_i(prefix) at each
@@ -44,8 +45,10 @@ from .semimeasure import (
     ChronEnv,
     JointSemimeasure,
     Policy,
+    _alphabet,
     _checked_walk,
     _context_at,
+    _distinct_nodes,
     _history,
     _uniform,
     _widths,
@@ -288,15 +291,21 @@ def check_predictive_consistency(
     so they differ exactly by the child mass of the live components whose
     weighted mass w_i nu_i(x) is 0, an integer sum. Returns mismatch triples
     (witness, xi(x e) / xi(x), the same without that mass) in the
-    :func:`contexts` order of the pending prefixes; empty means agreement.
+    :func:`contexts` order of the pending prefixes; empty means agreement,
+    which is settled over the walk's distinct nodes
+    (:func:`~uailab.semimeasure._distinct_nodes`), each once. Only a
+    mismatch, a state that cannot be hashed or an error walks every context.
+    A component of another kind is a ``ComponentFormatError``.
     """
+    of_kind(mixture, "predictive-consistency mixture", JointMixture)
 
     def step(state: Any, symbol: int) -> tuple[Any, Any]:
         """A pending prefix's state pairs the mixture's with its live components
         of zero posterior; a percept after it files (lhs, rhs) where they differ."""
         if len(state) == 3:  # a complete history (n, mass, parts): an action
             mass, pending = mixture.extend(state, symbol)
-            return None, pending and (pending, mass and {i for i, m, _ in pending[2] if m == 0})
+            zero = mass and frozenset(i for i, m, _ in pending[2] if m == 0)
+            return None, pending and (pending, zero)
         pending, zero = state
         mass, child = mixture.extend(pending, symbol)
         gained = zero and child and sum(m for i, m, _ in child[2] if i in zero)
@@ -304,6 +313,14 @@ def check_predictive_consistency(
         ratios = (mass, mass - gained) if gained else ()
         return tuple(times_ratio(mixture, ONE, m, n + 1, denom, n) for m in ratios) or None, child
 
-    found = walk(mixture, 2 * count(depth, "depth") + 2, (None, mixture.root()[1]), step)[0]
+    depth = 2 * count(depth, "depth") + 2
+    root = (None, mixture.root()[1])
+    try:
+        nodes = _distinct_nodes(_alphabet(mixture), depth, root, step)
+        if not any(kid[0] for _, _, _, kids in nodes for kid in kids[0]):
+            return []
+    except Exception:
+        pass
+    found = walk(mixture, depth, root, step)[0]
     hits = [(_context_at(mixture, slot), pair) for slot, pair in enumerate(found) if pair]
     return [((x[:-1], x[-1]), *pair) for x, pair in hits]

@@ -35,11 +35,14 @@ one depth-first walk, which addresses each context by its *slot*, its
 position in :func:`contexts` order, builds no context, and files each mass
 into flat columns by slot in the loop that steps to it. The policy check
 is one more reader of the check walk: it folds the rows of a policy's
-environment-mode check, walked over the alphabet it is given. A mixture's
-check walks only its members: its columns are the weighted sums of theirs,
-its witnesses settled exactly (:func:`_check`); ``ChronEnumApprox`` reads
-its check off its tables. A context is derived from its slot only where a
-row, a violation or a witness is read. States live only inside one walk.
+environment-mode check, walked over the alphabet it is given. The checks,
+the round trips and the predictive-consistency check first count over
+:func:`_distinct_nodes`, each distinct (mass, state) of a level once; the
+walk runs only where a reader needs slots or a state cannot be hashed.
+Walked, a mixture's check sums its members' columns, its witnesses settled
+exactly (:func:`_check`); ``ChronEnumApprox`` reads its check off its
+tables. A context is derived from its slot only where a row, a violation
+or a witness is read. States live only inside one walk.
 
 A context is *undefined* for a component when its ``root`` or ``extend``
 raises ``UndefinedConditionalError`` or its subclass ``NormalizationError``;
@@ -72,11 +75,10 @@ from __future__ import annotations
 import abc
 import math
 import operator
-from contextlib import contextmanager
-from contextvars import ContextVar
+from collections import Counter, UserList
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
+from functools import cache, cached_property, partial
 from itertools import accumulate, chain, compress, product, repeat, starmap
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -790,12 +792,14 @@ def walk(
     Measured slower, so not to retry: a level-at-a-time walk by ``map`` (a
     walked ``ChronEnumApprox(3, 60)`` check took 115 ms, not 19, as each
     pending node queried its tape through ``eval``; mixtures gained nothing,
-    and it holds whole levels); flattened mixture states (``copy_vs_uniform`` env
-    check 46 ms, not 32); a mass column plus slice arithmetic (half this
-    loop's gain); entering a tape's first query without ``eval``, which
-    hides the enumeration from a tracer's ``ChronEnumApprox.eval`` span; and
-    keeping every check's columns to the end of a :func:`check_scope`
-    (``claims_default`` peak RSS 30.4 MB, not 29.3, at the same time).
+    and it holds whole levels), which merged nothing, unlike the fold
+    :func:`_distinct_nodes` that ``ChronEnumApprox`` stays out of; flattened
+    mixture states (``copy_vs_uniform`` env check 46 ms, not 32); a mass
+    column plus slice arithmetic (half this loop's gain); entering a tape's
+    first query without ``eval``, which hides the enumeration from a
+    tracer's ``ChronEnumApprox.eval`` span; and keeping every check's
+    columns to the end of a scope of checks (``claims_default`` peak RSS
+    30.4 MB, not 29.3, at the same time).
     """
     filing = gains is None
     depth = count(depth, "depth") + (not filing)  # a check steps one level further, into its rows
@@ -850,6 +854,34 @@ def walk(
             x = _context_at(alphabet, row // fan)
             raise error.at(x + (s,) if joint else _history(*x) + (a,)) from None
     return column, sums, above
+
+
+def _distinct_nodes(
+    alphabet: _Alphabet, depth: int, root: tuple[Any, Any], step: Callable[[Any, int], tuple]
+) -> Iterator[tuple[int, int, Any, list[list]]]:
+    """The nodes :func:`walk` pops on levels t < ``depth``, each distinct (mass,
+    state) of a level once: yields (t, n, mass, children), n the contexts that
+    reach it, ``children`` its children's (mass, state) by symbol, a list per
+    next action (one for a joint kind). ``step`` is pure, so equal nodes have
+    equal subtrees: a child joins level t + 1 with n added unless its state is
+    None. An unhashable state raises ``TypeError``; readers leave it, and any
+    error, to :func:`walk`, their reference, which raises it again in order."""
+    joint, n_actions, n_percepts = alphabet
+    if n_actions < 1 or n_percepts < 1:
+        raise ValueError("an empty alphabet")  # for walk to name
+    level = {root: 1} if root[1] is not None else {}
+    for t in range(depth):
+        symbols = range(n_percepts if t % 2 or not joint else n_actions)
+        below: dict = {}
+        for (mass, state), n in level.items():
+            pending = (state,) if joint else (step(state, a)[1] for a in range(n_actions))
+            children = [[step(p, s) for s in symbols] for p in pending]
+            yield t, n, mass, children
+            if t + 1 < depth:
+                for kid in chain.from_iterable(children):
+                    if kid[1] is not None:
+                        below[kid] = below.get(kid, 0) + n
+        level = below
 
 
 @dataclass(frozen=True)
@@ -927,6 +959,13 @@ def _compared(
     undefined, nor is either side below a context where ``lhs`` is: those
     slots count as undefined.
     """
+    alphabet, root, step = _paired(lhs, rhs)
+    return alphabet, walk(alphabet, depth, root, step)[0]
+
+
+def _paired(lhs: JointSemimeasure | ChronEnv, rhs: JointSemimeasure | ChronEnv) -> tuple:
+    """(alphabet, root, step) of :func:`_compared`'s walk of both sides: a
+    node's mass is its masses, its state the pair of states."""
     alphabet = _alphabet(lhs)
     if _alphabet(rhs) != alphabet:
         lhs_name, rhs_name = (
@@ -960,7 +999,7 @@ def _compared(
         root = ((lhs_mass, rhs_mass), (lhs_state, rhs_state))
     except UndefinedConditionalError:
         pass
-    return alphabet, walk(lhs, depth, root, step)[0]
+    return alphabet, root, step
 
 
 def max_ratio(rows: Iterable[MismatchRow]) -> tuple[Fraction | None, Any]:
@@ -1003,6 +1042,21 @@ def _exact_row(context: Any, lhs: Any, rhs: Any, scale: int) -> CheckRow:
     return CheckRow(context, Fraction(lhs, scale), Fraction(rhs, scale))
 
 
+class _Walked(UserList):
+    """A column of a folded check, walked when first read: ``columns()``, a
+    cached call, gives (lhs, rhs, witnesses) as :func:`_columns` files them."""
+
+    def __init__(self, columns: Callable[[], tuple], k: int):
+        self._columns, self._k = columns, k
+
+    @property
+    def data(self) -> list:  # type: ignore[override]
+        return self._columns()[self._k]
+
+    def __getitem__(self, index: Any) -> Any:
+        return self.data[index]
+
+
 @dataclass(frozen=True, eq=False)
 class CheckReport:
     """Deterministic report of an exhaustive defining-condition check.
@@ -1015,8 +1069,10 @@ class CheckReport:
     row's context is derived from its slot only when ``rows`` or
     ``violations`` is read: ``row_contexts()`` yields every row's context
     in slot order. ``rows`` builds the exact :class:`CheckRow` tuple when
-    first read, and ``violations`` only the violating rows. Two reports are
-    equal when their exact rows and every other field are.
+    first read, and ``violations`` only the violating rows. A folded check
+    (:func:`_check`) counts its verdicts without columns, and its columns are
+    walked when first read. Two reports are equal when their exact rows and
+    every other field are.
     """
 
     kind: str
@@ -1029,10 +1085,12 @@ class CheckReport:
     levels: Sequence[tuple[int, int]] = field(repr=False)
     row_contexts: Callable[[], Iterator[Any]] = field(repr=False)
 
-    def __post_init__(self):
+    @cached_property
+    def _tally(self) -> tuple[int, int, int]:
+        """(strict, equal, violating) rows, counted from the columns."""
         strict = sum(map(operator.gt, self.lhs, self.rhs))
         equal = sum(map(operator.eq, self.lhs, self.rhs))
-        object.__setattr__(self, "_tally", (strict, equal, len(self.lhs) - strict - equal))
+        return strict, equal, len(self.lhs) - strict - equal
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CheckReport):
@@ -1048,7 +1106,7 @@ class CheckReport:
     @property
     def contexts(self) -> int:
         """How many rows were checked (``len(rows)``, without building them)."""
-        return len(self.lhs)
+        return sum(n for n, _ in self.levels)
 
     @property
     def rows(self) -> tuple[CheckRow, ...]:
@@ -1117,42 +1175,51 @@ def _check_rows(alphabet: _Alphabet, depth: int) -> Iterator[Any]:
     return ((e, a, a_next) for e, a in _contexts(alphabet, depth) for a_next in next_actions)
 
 
-# The innermost check_scope's (component, depth, alphabet) -> [reads left, columns].
-_kept: ContextVar[dict] = ContextVar("_kept", default={})
-
-
-@contextmanager
-def check_scope(subjects: Iterable[JointSemimeasure | ChronEnv], depth: int) -> Iterator[None]:
-    """Within it, checking ``subjects`` to ``depth`` walks each distinct component
-    once: a check read again, by a subject or a mixture's member (one of its
-    ``components``), keeps its columns until its last read."""
-    kept: dict = {}
-    for nu in subjects:
-        for c in (nu, *getattr(nu, "components", ())):
-            kept.setdefault((c, depth, _alphabet(nu)), [0, None])[0] += 1
-    token = _kept.set(kept)
-    try:
-        yield
-    finally:
-        _kept.reset(token)
+def _check_gains(nu: Any, depth: int, joint: bool) -> tuple[list[int], list[int]]:
+    """(scales, gains) of a check's levels 0..depth + 1: a context's numerator
+    times its level's gain is over its children's scale."""
+    scales = [nu.scale((1 if joint else 2) * t) for t in range(depth + 2)]
+    return scales, [b // a for a, b in zip(scales, scales[1:])]
 
 
 def _columns(nu: Any, depth: int, alphabet: _Alphabet) -> tuple[list, list, list]:
     """(lhs, rhs, witnesses) of the check of ``nu`` as :func:`walk` files them, or
-    as a mixture's or ``ChronEnumApprox``'s ``_check_columns`` does, or a scope keeps."""
-    scope = _kept.get()
-    kept = scope.get((nu, depth, alphabet), [0, None]) if scope else [0, None]
-    columns = kept[1]
-    if columns is None and hasattr(nu, "_check_columns"):
-        columns = nu._check_columns(depth, alphabet, _columns)
-    elif columns is None:
-        # A context's numerator times its level's gain is over its children's scale.
-        scales = [nu.scale((1 if alphabet[0] else 2) * t) for t in range(depth + 2)]
-        gains = [b // a for a, b in zip(scales, scales[1:])]
-        columns = walk(alphabet, depth, nu.root(), nu.extend, gains)
-    kept[0] -= 1
-    kept[1] = columns if kept[0] > 0 else None
-    return columns
+    as a mixture's or ``ChronEnumApprox``'s ``_check_columns`` does."""
+    if hasattr(nu, "_check_columns"):
+        return nu._check_columns(depth, alphabet, _columns)
+    gains = _check_gains(nu, depth, alphabet[0])[1]
+    return walk(alphabet, depth, nu.root(), nu.extend, gains)
+
+
+def _reads_tables(nu: Any) -> bool:
+    """Whether the check of ``nu`` reads an enumeration's tables: a
+    ``_check_columns`` of its own, or of a mixture's member, other than a mixture's."""
+    members = getattr(nu, "components", None)
+    return hasattr(nu, "_check_columns") if members is None else any(map(_reads_tables, members))
+
+
+def _row_counts(nu: Any, depth: int, alphabet: _Alphabet) -> Counter | None:
+    """The check's rows of ``nu`` by (level, lhs, rhs, whether a child outweighs
+    lhs), each distinct node of :func:`_distinct_nodes` once, counted by the
+    contexts that reach it, the root's row first. The rows below a dead node
+    are left out: each holds 0 against 0. None where only the walk can tell: a
+    check read off tables, a dead root, a state that cannot be hashed, an error."""
+    if _reads_tables(nu):
+        return None
+    rows: Counter = Counter()
+    try:
+        root = nu.root()
+        if root[1] is None:
+            return None
+        gains = _check_gains(nu, depth, alphabet[0])[1]
+        for t, n, mass, children in _distinct_nodes(alphabet, depth + 1, root, nu.extend):
+            lhs = mass * gains[t]
+            for kids in children:
+                masses = [m for m, _ in kids]
+                rows[t, lhs, sum(masses), max(masses) > lhs] += n
+    except Exception:
+        return None
+    return rows
 
 
 def _check(
@@ -1160,31 +1227,44 @@ def _check(
 ) -> CheckReport:
     """The one check, over ``alphabet`` (default: that of ``nu``): a row per joint
     context, or per environment context and next action, holds the context's
-    numerator against the summed numerators of its children. The columns come
-    from one walk, except a mixture's: its members' columns summed with its weights
-    (see :func:`_columns`); the root's row holds the root mass over its gain."""
+    numerator against the summed numerators of its children. The verdicts are
+    counted from :func:`_row_counts`, and :func:`_columns` (one walk, a
+    mixture's members' columns summed with its weights, or tables) files the
+    columns when first read, or at once for a violation, a witness or a check
+    the fold leaves to the walk. The root's row holds the root mass over its gain."""
     count(depth, "depth")
     alphabet = alphabet or _alphabet(nu)
     joint = alphabet[0]
     fan = 1 if joint else alphabet[1]  # rows per context
-    scales = [nu.scale((1 if joint else 2) * t) for t in range(1, depth + 2)]
-    lhs_column, rhs_column, witnesses = _columns(nu, depth, alphabet)
+    widths = [width * fan for width in _widths(alphabet, depth)]
+    walked = cache(partial(_columns, nu, depth, alphabet))
+    rows = _row_counts(nu, depth, alphabet)
+    if rows is None or any(above or lhs < rhs for _, lhs, rhs, above in rows):
+        lhs, rhs, witnesses = walked()
+        root = lhs[0]
+    else:
+        root, witnesses = next(iter(rows))[1], ()
+        lhs, rhs = _Walked(walked, 0), _Walked(walked, 1)
     monotone = []
     for row, s in sorted(witnesses):  # symbol order within a row
         x = _context_at(alphabet, row // fan)
         monotone.append(x + (s,) if joint else (x[0] + (s,), x[1] + (row % fan,)))
-    widths = [width * fan for width in _widths(alphabet, depth)]
-    return CheckReport(
+    scales = _check_gains(nu, depth, joint)[0][1:]
+    report = CheckReport(
         kind="semimeasure" if joint else "chronological",
         depth=depth,
-        root_mass=Fraction(lhs_column[0], scales[0]),
+        root_mass=Fraction(root, scales[0]),
         monotone_violations=tuple(monotone),
         declared_measure=nu.declared_measure,
-        lhs=lhs_column,
-        rhs=rhs_column,
+        lhs=lhs,
+        rhs=rhs,
         levels=tuple(zip(widths, scales)),
         row_contexts=partial(_check_rows, alphabet, depth),
     )
+    if isinstance(lhs, _Walked):  # every row strict or equal
+        strict = sum(n for (_, prefix, total, _), n in rows.items() if prefix > total)
+        object.__setattr__(report, "_tally", (strict, sum(widths) - strict, 0))
+    return report
 
 
 def _policy_rows(alphabet: _Alphabet, depth: int) -> Iterator[tuple]:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import Any, Sequence
 
 from .adversary import DominationReport, _domination_reports
@@ -42,6 +42,7 @@ from .core import (
     NormalizationError,
     Prob,
     UndefinedConditionalError,
+    count,
     exact_masses,
     of_kind,
 )
@@ -52,12 +53,14 @@ from .semimeasure import (
     MismatchRow,
     Policy,
     StationaryPolicy,
+    _alphabet,
     _check,
-    _compared,
     _context_at,
-    _levels,
+    _distinct_nodes,
+    _paired,
+    _row_counts,
+    _widths,
     compare,
-    exact_mass,
     times_ratio,
     uniform_policy,
 )
@@ -108,7 +111,8 @@ class DualJoint(JointSemimeasure):
     on a pending action the policy factor includes the pending action. No
     positivity requirement: products of unconditional values, no division.
     Its walk is the product of the policy's walk and the environment's: the
-    state pairs theirs, and the mass and scale multiply. A component of
+    state pairs theirs, and the mass and scale multiply, the scale computed
+    once per length. A component of
     another kind, or a policy of another action arity, is a
     ``ComponentFormatError``.
     """
@@ -126,6 +130,7 @@ class DualJoint(JointSemimeasure):
         self.action_arity = nu.action_arity
         self.percept_arity = nu.percept_arity
         self.declared_measure = False
+        self._scales: list[int] = []  # scale(n) by n, each computed once
 
     eval = JointSemimeasure.fold
 
@@ -143,7 +148,10 @@ class DualJoint(JointSemimeasure):
         return (0, None) if nu_state is None else (pi_mass * nu_mass, (pi_state, nu_state))
 
     def scale(self, n: int) -> int:
-        return self.pi.scale(n) * self.nu.scale(n)
+        scales = self._scales
+        while len(scales) <= n:
+            scales.append(self.pi.scale(len(scales)) * self.nu.scale(len(scales)))
+        return scales[n]
 
 
 def dual(nu: ChronEnv, pi: Policy) -> DualJoint:
@@ -306,26 +314,42 @@ def check_env_dual_roundtrip(
 ) -> tuple[list[MismatchRow], int]:
     """env(dual(nu, pi)) == nu on every positive context, exhaustively.
 
-    Returns (mismatch rows, contexts skipped where either side is undefined),
-    counted from :func:`~uailab.semimeasure._compared`'s numerators: a row and
-    its context are built only for a mismatch.
+    Returns (mismatch rows, contexts skipped where either side is undefined).
+    The counts come from :func:`_skipped`, each distinct pair of states once;
+    only a mismatch, or a walk it cannot fold, is compared by context.
     """
     view = env(dual(nu, pi))
-    alphabet, pairs = _compared(view, nu, depth)
-    mismatches, skipped = [], 0
-    for n, slots in _levels(alphabet, depth):
-        scale_view, scale_nu = view.scale(n), nu.scale(n)
-        for slot in slots:
-            masses = pairs[slot]
-            if masses is None or masses[1] is None:
-                skipped += 1
-                continue
-            lhs, rhs = masses  # each an int or a Fraction over its side's scale
-            crossed = lhs.numerator * rhs.denominator * scale_nu
-            if crossed != rhs.numerator * lhs.denominator * scale_view:
-                lhs, rhs = exact_mass(view, n, lhs), exact_mass(nu, n, rhs)
-                mismatches.append(MismatchRow(_context_at(alphabet, slot), lhs, rhs))
-    return mismatches, skipped
+    skipped = _skipped(view, nu, depth)
+    if skipped is not None:
+        return [], skipped
+    rows, *undefined = compare(view, nu, depth)
+    return [row for row in rows if row.verdict == "mismatch"], sum(undefined)
+
+
+def _skipped(view: ChronEnv, nu: ChronEnv, depth: int) -> int | None:
+    """The round trip's skipped contexts, counted over the distinct nodes of
+    :func:`~uailab.semimeasure._compared`'s walk (its ``_distinct_nodes``),
+    where every compared context matches: its masses, each an int or a
+    Fraction over its side's scale, cross-multiply equal. None where the
+    walk decides: a mismatch, a state that cannot be hashed, an error."""
+    try:
+        alphabet, root, step = _paired(view, nu)
+        nodes = _distinct_nodes(alphabet, count(depth, "depth"), root, step)
+        filed = chain(  # (symbols, contexts, masses) of the root, then of each child
+            [(0, 1, root[0])],
+            ((2 * t + 2, n, kid[0]) for t, n, _, kids in nodes for kid in chain(*kids)),
+        )
+        compared = 0
+        for symbols, n, masses in filed:
+            if masses is not None and masses[1] is not None:
+                lhs, rhs = masses
+                crossed = lhs.numerator * rhs.denominator * nu.scale(symbols)
+                if crossed != rhs.numerator * lhs.denominator * view.scale(symbols):
+                    return None
+                compared += n
+    except Exception:
+        return None
+    return sum(_widths(alphabet, depth)) - compared
 
 
 def check_representation_roundtrip(
@@ -346,8 +370,19 @@ def check_normalization_dominance(
     children of x outweigh x. So the semimeasure check's rows decide it, and
     only those rare contexts are folded again, for their rows. Returns
     (rows carrying (raw, normalized), contexts skipped as undefined: each x
-    with nu(x) = 0 once, each child of an x whose children sum to 0).
+    with nu(x) = 0 once, each child of an x whose children sum to 0). The
+    skipped contexts are counted from the check's distinct rows
+    (:func:`~uailab.semimeasure._row_counts`) unless such a context exists.
     """
+    alphabet = _alphabet(nu)
+    counted = _row_counts(nu, count(depth, "depth"), alphabet)
+    if counted is not None and not any(lhs and rhs and lhs < rhs for _, lhs, rhs, _ in counted):
+        arities = [nu.arity_at(t) for t in range(depth + 1)]
+        skipped = sum(_widths(alphabet, depth)) - sum(counted.values())  # 0 against 0
+        for (t, lhs, rhs, _), n in counted.items():
+            if lhs == 0 or rhs == 0:
+                skipped += n if lhs == 0 else n * arities[t]
+        return [], skipped
     report = _check(nu, depth)
     rows: list[MismatchRow] = []
     skipped = 0

@@ -6,7 +6,8 @@ that slipped past the conversion would be a float; here every checker,
 ``compare``, the probes and their per-depth folds, the dual round trip,
 expectimax, the one-step values, both adversary traces and thm11's
 conditional statistics run on the shipped components and mixtures, and every
-exact value they return is checked for its type.
+exact value they return is checked for its type; the counts the level fold
+returns before any column is walked are ints.
 
 Floats stay out at construction too. Every component, policy and mixture
 constructor applies one rule, ``core.exact_masses``, to its masses or
@@ -169,6 +170,22 @@ def test_the_folded_probes_and_round_trip_return_fractions():
         mismatches, _ = check_env_dual_roundtrip(EnvMixture([nu], [F(1, 2)]), uniform_policy(), 2)
         assert mismatches
         assert_rows_exact(mismatches)
+
+
+def test_the_level_fold_counts_ints_and_keeps_the_root_mass_exact():
+    # The fold counts a check's verdicts before any column is walked, and
+    # the skipped contexts of a round trip and of a dominance check.
+    for nu in SHIPPED.values():
+        joint = isinstance(nu, JointSemimeasure)
+        report = check_semimeasure(nu, 3) if joint else check_chronological(nu, 2)
+        assert_exact(report.root_mass)
+        counts = (report.contexts, report.strict_rows, report.equal_rows, len(report.violations))
+        assert all(type(n) is int for n in counts)
+        skipped = (
+            check_normalization_dominance(nu, 3) if joint
+            else check_env_dual_roundtrip(nu, uniform_policy(), 2)
+        )[1]
+        assert type(skipped) is int
 
 
 def test_planners_return_fractions():

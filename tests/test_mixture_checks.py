@@ -1,7 +1,9 @@
-"""A mixture's check is the weighted sum of its members' check columns.
+"""A mixture's check columns are the weighted sum of its members' columns.
 
-``_check`` builds the report of a joint, environment or policy mixture from
-its members' columns instead of walking the mixture. The reference is a
+``_check`` counts a mixture's verdicts over its own distinct walk states
+(``tests/test_level_fold.py``); the columns, when a reader asks for them or
+the fold leaves the check to the walk, are its members' columns summed
+instead of a walk of the mixture. The reference is a
 frozen copy of ``_check`` as it was before: one walk of the mixture's own
 ``root`` and ``extend``. Every field, row, column and raised error type must
 be equal. An enumerated environment's check is read from its tapes' tables
@@ -41,7 +43,6 @@ from uailab.semimeasure import (
     _widths,
     check_chronological,
     check_policy,
-    check_scope,
     check_semimeasure,
     constant_policy,
     copy_machine,
@@ -352,24 +353,6 @@ def test_a_mixture_check_walks_only_its_members(monkeypatch):
     mixture = EnvMixture([mu_id(), uniform_env(), mu_id()], [F(1, 4)] * 3)
     assert check_chronological(mixture, 3) == walked_check(mixture, 3)
     assert [step.__self__ for step in walked] == [mu_id(), uniform_env(), mu_id()]
-
-
-def test_a_scope_walks_each_distinct_check_once_and_lets_it_go(monkeypatch):
-    walked = []
-    real = semimeasure.walk
-    monkeypatch.setattr(semimeasure, "walk", lambda *args: walked.append(args[3]) or real(*args))
-    first = JointMixture([copy_machine(), uniform_measure()], [F(1, 2), F(1, 2)])
-    second = JointMixture([uniform_measure(), copy_machine()], [F(1, 4), F(3, 4)])
-    subjects = [copy_machine(), first, second]
-    with check_scope(subjects, 3):
-        reports = [check_semimeasure(nu, 3) for nu in subjects]
-        kept = semimeasure._kept.get()
-        assert kept[copy_machine(), 3, _alphabet(first)] == [0, None]  # let go at its last read
-    assert semimeasure._kept.get() == {}
-    assert reports == [walked_check(nu, 3) for nu in subjects]
-    assert sorted(map(repr, (step.__self__ for step in walked))) == sorted(
-        map(repr, (copy_machine(), uniform_measure()))
-    )
 
 
 # ---------------------------------------------------------------------------
