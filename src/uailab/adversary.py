@@ -18,25 +18,30 @@ so the greedy adversary refuses a predictor with more actions than percepts.
 
 Domination probes report the exact max ratio mu/xi over all strings to a
 depth, with witnesses; ratios against zero are reported as unbounded
-witnesses, never silently skipped. One walk of :func:`compare`'s serves a
-probe at every depth up to its own: the reports fold its numerators, build a
+witnesses, never silently skipped. One pass over :func:`compare`'s pairs
+serves a probe at every depth up to its own: the reports fold each distinct
+pair of states of a level once, or else every context of the walk, build a
 context only for a witness, and count the contexts where mu or xi is undefined.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, chain, repeat
 from typing import Any, Iterable, Sequence
 
-from .core import ONE, UndefinedConditionalError, count
+from .core import ONE, UndefinedConditionalError, count, of_kind
 from .semimeasure import (
     ChronEnv,
     JointSemimeasure,
     _check_alphabet,
+    _child_indices,
     _compared,
     _context_at,
+    _distinct_nodes,
     _levels,
+    _paired,
+    _widths,
     times_ratio,
 )
 
@@ -119,8 +124,10 @@ def greedy_antipredict(xi: JointSemimeasure, steps: int) -> AdversaryTrace:
     At each step every action with a positive pending-prefix mass is a
     candidate; the smallest conditional wins, ties to the smallest action.
     When no candidate remains (zero-mass prefix in every direction) the
-    trace is truncated and flagged.
+    trace is truncated and flagged. A predictor of another kind than
+    ``JointSemimeasure`` is a ``ComponentFormatError``.
     """
+    of_kind(xi, "adversary predictor", JointSemimeasure)
     return _trace(xi, repeat(_copies(xi, range(xi.action_arity))[::2], count(steps, "steps")))
 
 
@@ -132,6 +139,7 @@ def copy_conditional_trace(xi: JointSemimeasure, actions: Sequence[int]) -> Adve
     i.e. its predictions at the percept positions. Accepts normalized
     predictors as well. Truncates with a flag on a zero-mass prefix.
     """
+    of_kind(xi, "adversary predictor", JointSemimeasure)
     return _trace(xi, ((a,) for a in _copies(xi, actions)[::2]))
 
 
@@ -173,31 +181,41 @@ def domination_probe(
 def _domination_reports(
     mu: JointSemimeasure | ChronEnv, xi: JointSemimeasure | ChronEnv, depth: int
 ) -> list[DominationReport]:
-    """The probe's report at every depth 0..``depth``, folded from one
-    :func:`~uailab.semimeasure._compared` walk: contexts come level by level,
-    so each depth's report folds a prefix of the slots. Ratios compare by
+    """The probe's report at every depth 0..``depth``, folded level by level
+    from :func:`_folded_levels`, or else from one
+    :func:`~uailab.semimeasure._compared` walk, a context per slot. Each
+    depth's report folds a prefix of the levels. Ratios compare by
     cross-multiplying integers, the masses' numerators, denominators and
-    scales; the first maximum wins, and only each report's maximum is built
-    as a ``Fraction``."""
+    scales; the first maximum in slot order wins, and only each report's
+    maximum is built as a ``Fraction``."""
     if isinstance(mu, JointSemimeasure) != isinstance(xi, JointSemimeasure):
         raise TypeError("domination_probe needs two components of the same kind")
-    alphabet, pairs = _compared(mu, xi, depth)
+    try:
+        alphabet, root, step = _paired(mu, xi)
+        levels = _folded_levels(alphabet, count(depth, "depth"), root, step)
+    except Exception:
+        levels = None  # the walk raises it again, in order
+    if levels is None:
+        alphabet, pairs = _compared(mu, xi, depth)
+        levels = [
+            zip(slots, repeat(1), pairs[slots.start : slots.stop])
+            for _, slots in _levels(alphabet, depth)
+        ]
     reports = []
     best_num, best_den, best_slot = 0, 1, None
     unbounded: list = []
     zero_zero = checked = undefined_mu = undefined_xi = 0
-    for t, (n, slots) in enumerate(_levels(alphabet, depth)):
+    for t, ((n, _), entries) in enumerate(zip(_levels(alphabet, depth), levels)):
         scale_mu, scale_xi = mu.scale(n), xi.scale(n)
-        for slot in slots:
-            masses = pairs[slot]
+        for slot, contexts, masses in entries:
             if masses is None:
-                undefined_mu += 1
+                undefined_mu += contexts
                 continue
             lhs, rhs = masses
             if rhs is None:
-                undefined_xi += 1
+                undefined_xi += contexts
                 continue
-            checked += 1
+            checked += contexts
             # lhs/rhs as exact masses is num/den, in ints: a walk mass is an int
             # or a Fraction over its scale.
             num = lhs.numerator * rhs.denominator * scale_xi
@@ -206,7 +224,7 @@ def _domination_reports(
                 if num:
                     unbounded.append(_context_at(alphabet, slot))
                 else:
-                    zero_zero += 1
+                    zero_zero += contexts
                 continue
             if best_slot is None or num * best_den > best_num * den:
                 best_num, best_den, best_slot = num, den, slot
@@ -224,3 +242,22 @@ def _domination_reports(
             )
         )
     return reports
+
+
+def _folded_levels(alphabet: tuple, depth: int, root: tuple, step: Any) -> list[list] | None:
+    """Each level's (slot, contexts, masses) of the walk of ``root`` and
+    ``step``, in slot order: the root, then the children of each distinct
+    node of :func:`~uailab.semimeasure._distinct_nodes`, each at the least
+    slot that reaches it and weighted by the contexts that do. None where a
+    context must be named or counted below: an undefined side, a dead node,
+    or a zero rhs, whose unbounded witnesses list every context."""
+    offsets = [0, *accumulate(_widths(alphabet, depth))]
+    levels: list[list] = [[(0, 1, root[0])], *([] for _ in range(depth))]
+    for t, n, _, children, index in _distinct_nodes(alphabet, depth, root, step):
+        kids = zip(_child_indices(alphabet, t, index), chain.from_iterable(children))
+        levels[t + 1] += [(offsets[t + 1] + i, n, kid[0]) for i, kid in kids]
+    if any(masses is None or not masses[1] for level in levels for _, _, masses in level):
+        return None
+    for level in levels:
+        level.sort()  # the slots are distinct: a context reaches one node
+    return levels

@@ -6,16 +6,17 @@ pruning beyond zero-mass branches. Expectimax and ``policy_value`` (on
 percept by their max or by the policy's sum. It walks from the history's
 state, which the checked fold walk reaches, one ``extend`` per node: O(1) per
 mixture component for the built-in beliefs and their environment views, not
-a from-scratch evaluation of each prefix. One call expands each distinct
-(remaining steps, walk state) once: at most O((|A||E|)^m) nodes, and fewer
-where histories meet in one state, as in mixtures of ``NoisyCopyEnv`` and
-``IIDEnv`` and their joint views (a table's state carries its history). The
-objective weights each step's reward by the unnormalized mass at the time
-the reward is received, which coincides with the classical expectimax
-recursion for measures and extends it to strictly defective beliefs (missing
-mass earns zero reward). Ties are always broken by the fixed alphabet order,
-smallest action first, identically in expectimax and in the brute-force
-policy-enumeration oracle.
+a from-scratch evaluation of each prefix. A planner, one per call or one per
+belief that a caller keeps across histories and horizons, expands each
+distinct (history length, remaining steps, walk state) once: at most
+O((|A||E|)^m) nodes a plan, and fewer where histories meet in one state, as
+in mixtures of ``NoisyCopyEnv`` and ``IIDEnv`` and their joint views (a
+table's state carries its history). The objective weights each step's
+reward by the unnormalized mass at the time the reward is received, which
+coincides with the classical expectimax recursion for measures and extends
+it to strictly defective beliefs (missing mass earns zero reward). Ties are
+always broken by the fixed alphabet order, smallest action first,
+identically in expectimax and in the brute-force policy-enumeration oracle.
 
 An action is undefined at a node where the belief is undefined (see
 :mod:`uailab.semimeasure`) at the action or at one of its percepts. Planners
@@ -96,11 +97,12 @@ def _action_values(
     """(value-to-go of each defined action, error of each undefined one) from
     the walk state of a complete history of ``n`` symbols of a belief or a
     dual; below each percept, its child's pair adds ``fold(values, errors)``.
-    ``memo`` holds the pair of each hashable (remaining, state) of the call."""
+    ``memo`` holds the pair of each hashable (n, remaining, state) it met:
+    the length is in the key, since a memo may serve many histories."""
     try:
-        return memo[remaining, state]
+        return memo[n, remaining, state]
     except KeyError:
-        key = remaining, state
+        key = n, remaining, state
     except TypeError:
         key = None  # a state that cannot be hashed stays unmerged
     values, left_out = {}, {}
@@ -139,23 +141,40 @@ def _total(values: dict, left_out: dict) -> Fraction:
     return sum(values.values(), ZERO)
 
 
-def _plan(
-    nu: ChronEnv, history: History, horizon: int, percepts: PerceptAlphabet
-) -> tuple[Any, dict[int, Fraction]]:
-    """(mass numerator of a complete ``history``, value of each defined action
-    over ``horizon`` steps); an error naming the history where none is defined."""
-    count(horizon, "horizon", 1)
-    of_kind(nu, "planning belief", ChronEnv)
-    values: dict[int, Fraction] = {}
-    try:
-        mass, state = _history_node(nu, history, percepts)
-        n = 2 * len(history.actions)
-        values = _action_values(nu, state, n, horizon, percepts, _best, {})[0]
-    except UndefinedConditionalError:
-        pass  # an undefined history has no defined action
-    if not values:
-        raise UndefinedConditionalError((history.percepts, history.actions), "no defined action")
-    return mass, values
+class _Planner:
+    """Plans against one belief with the rewards of ``percepts``: one
+    :func:`_action_values` memo for every history and horizon it is asked,
+    and the walk node of each history it has reached."""
+
+    def __init__(self, nu: ChronEnv, percepts: PerceptAlphabet = BINARY_PERCEPTS):
+        self.nu, self.percepts = nu, percepts
+        self._memo: dict = {}
+        self._nodes: dict = {}
+
+    def plan(self, history: History, horizon: int) -> tuple[Any, dict[int, Fraction]]:
+        """(mass numerator of a complete ``history``, value of each defined
+        action over ``horizon`` steps); an error naming the history where
+        none is defined."""
+        count(horizon, "horizon", 1)
+        nu = of_kind(self.nu, "planning belief", ChronEnv)
+        values: dict[int, Fraction] = {}
+        try:
+            key = history.symbols()
+            if key not in self._nodes:
+                self._nodes[key] = _history_node(nu, history, self.percepts)
+            mass, state = self._nodes[key]
+            n = 2 * len(history.actions)
+            values = _action_values(nu, state, n, horizon, self.percepts, _best, self._memo)[0]
+        except UndefinedConditionalError:
+            pass  # an undefined history has no defined action
+        if not values:
+            raise UndefinedConditionalError((history.percepts, history.actions), "no defined action")
+        return mass, values
+
+    def action(self, history: History, horizon: int) -> int:
+        """The action attaining the expectimax optimum: the first maximum, the smallest action."""
+        values = self.plan(history, horizon)[1]
+        return max(values, key=values.__getitem__)
 
 
 def expectimax_action(
@@ -165,8 +184,7 @@ def expectimax_action(
     percepts: PerceptAlphabet = BINARY_PERCEPTS,
 ) -> int:
     """Action attaining the expectimax optimum over the remaining horizon."""
-    values = _plan(nu, history, horizon, percepts)[1]
-    return max(values, key=values.__getitem__)  # the first maximum: the smallest action
+    return _Planner(nu, percepts).action(history, horizon)
 
 
 def expectimax_value(
@@ -176,7 +194,7 @@ def expectimax_value(
     percepts: PerceptAlphabet = BINARY_PERCEPTS,
 ) -> Fraction:
     """Optimal expected return over the remaining horizon."""
-    return max(_plan(nu, history, horizon, percepts)[1].values())
+    return max(_Planner(nu, percepts).plan(history, horizon)[1].values())
 
 
 def joint_aixi_action(
@@ -215,7 +233,7 @@ def one_step_action_values(
     action; errors if the history has zero mass under the belief
     (conditionals undefined).
     """
-    mass, values = _plan(belief, history, 1, percepts)
+    mass, values = _Planner(belief, percepts).plan(history, 1)
     if mass == 0:
         raise UndefinedConditionalError((history.percepts, history.actions))
     mass = exact_mass(belief, 2 * len(history.actions), mass)

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 from .adversary import _domination_reports, copy_conditional_trace, greedy_antipredict
-from .agents import dualistic_aixi_action, expectimax_action, joint_aixi_action, one_step_action
+from .agents import _Planner, one_step_action
 from .core import ONE, ComponentFormatError, frac_str, history_from_symbols, prob
 from .mixture import EnvMixture, JointMixture, check_predictive_consistency, uniform_prior
 from .semimeasure import (
@@ -981,13 +981,15 @@ def _scenario_agents(cfg: ScenarioConfig) -> ScenarioOutcome:
         # Every complete history of at most two steps.
         histories = [history_from_symbols(x) for x in contexts(mdef.joint, 4) if len(x) % 2 == 0]
         joint_belief = env(mdef.joint)
+        # One planner per belief: every history and horizon shares its memo.
+        joint_planner, env_planner = _Planner(joint_belief), _Planner(mdef.chron)
         for h in histories:
             one_step = one_step_action(joint_belief, h)
-            if one_step != expectimax_action(joint_belief, h, 1):
+            if one_step != joint_planner.action(h, 1):
                 failures += 1  # definitional coincidence at horizon 1
             for m in range(1, horizon + 1):
-                joint_choice = joint_aixi_action(mdef.joint, h, m)
-                dual_choice = dualistic_aixi_action(mdef.chron, h, m)
+                joint_choice = joint_planner.action(h, m)
+                dual_choice = env_planner.action(h, m)
                 agree = joint_choice == dual_choice
                 agreements += int(agree)
                 rows.append(

@@ -317,7 +317,7 @@ def check_predictive_consistency(
     root = (None, mixture.root()[1])
     try:
         nodes = _distinct_nodes(_alphabet(mixture), depth, root, step)
-        if not any(kid[0] for _, _, _, kids in nodes for kid in kids[0]):
+        if not any(kid[0] for _, _, _, kids, _ in nodes for kid in kids[0]):
             return []
     except Exception:
         pass

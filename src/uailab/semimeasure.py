@@ -92,6 +92,7 @@ from .core import (
     UndefinedConditionalError,
     count,
     exact_masses,
+    of_kind,
     prob,
 )
 
@@ -860,28 +861,46 @@ def _distinct_nodes(
     alphabet: _Alphabet, depth: int, root: tuple[Any, Any], step: Callable[[Any, int], tuple]
 ) -> Iterator[tuple[int, int, Any, list[list]]]:
     """The nodes :func:`walk` pops on levels t < ``depth``, each distinct (mass,
-    state) of a level once: yields (t, n, mass, children), n the contexts that
-    reach it, ``children`` its children's (mass, state) by symbol, a list per
-    next action (one for a joint kind). ``step`` is pure, so equal nodes have
-    equal subtrees: a child joins level t + 1 with n added unless its state is
-    None. An unhashable state raises ``TypeError``; readers leave it, and any
-    error, to :func:`walk`, their reference, which raises it again in order."""
+    state) of a level once: yields (t, n, mass, children, index), n the
+    contexts that reach it, ``children`` its children's (mass, state) by
+    symbol, a list per next action (one for a joint kind), ``index`` the
+    least index within level t of a context that reaches it. ``step`` is
+    pure, so equal nodes have equal subtrees: a child joins level t + 1 with n
+    added unless its state is None. An unhashable state raises ``TypeError``;
+    readers leave it, and any error, to :func:`walk`, their reference, which
+    raises it again in order."""
     joint, n_actions, n_percepts = alphabet
     if n_actions < 1 or n_percepts < 1:
         raise ValueError("an empty alphabet")  # for walk to name
-    level = {root: 1} if root[1] is not None else {}
+    level = {root: [1, 0]} if root[1] is not None else {}
     for t in range(depth):
         symbols = range(n_percepts if t % 2 or not joint else n_actions)
         below: dict = {}
-        for (mass, state), n in level.items():
+        for (mass, state), (n, index) in level.items():
             pending = (state,) if joint else (step(state, a)[1] for a in range(n_actions))
             children = [[step(p, s) for s in symbols] for p in pending]
-            yield t, n, mass, children
+            yield t, n, mass, children, index
             if t + 1 < depth:
-                for kid in chain.from_iterable(children):
+                kids = zip(chain.from_iterable(children), _child_indices(alphabet, t, index))
+                for kid, i in kids:
                     if kid[1] is not None:
-                        below[kid] = below.get(kid, 0) + n
+                        held = below.setdefault(kid, [0, i])
+                        held[0] += n
+                        held[1] = min(held[1], i)
         level = below
+
+
+def _child_indices(alphabet: _Alphabet, t: int, index: int) -> Sequence[int]:
+    """The indices within level t + 1 of the children of the context at
+    ``index`` within level t, in the order :func:`walk` steps them."""
+    joint, n_actions, n_percepts = alphabet
+    if joint:
+        width = n_percepts if t % 2 else n_actions
+        return range(index * width, index * width + width)
+    actions, percepts = divmod(index, n_percepts**t)
+    stride = n_percepts ** (t + 1)
+    first = actions * n_actions * stride + percepts * n_percepts
+    return [first + a * stride + e for a in range(n_actions) for e in range(n_percepts)]
 
 
 @dataclass(frozen=True)
@@ -1212,7 +1231,7 @@ def _row_counts(nu: Any, depth: int, alphabet: _Alphabet) -> Counter | None:
         if root[1] is None:
             return None
         gains = _check_gains(nu, depth, alphabet[0])[1]
-        for t, n, mass, children in _distinct_nodes(alphabet, depth + 1, root, nu.extend):
+        for t, n, mass, children, _ in _distinct_nodes(alphabet, depth + 1, root, nu.extend):
             lhs = mass * gains[t]
             for kids in children:
                 masses = [m for m, _ in kids]
@@ -1276,7 +1295,9 @@ def _policy_rows(alphabet: _Alphabet, depth: int) -> Iterator[tuple]:
 def check_policy(pi: Policy, depth: int, percept_arity: int = 2) -> CheckReport:
     """Chronological condition with action/percept roles swapped, folded from the
     environment-mode check to ``depth - 1``: the |P| children of its row (h, a) weigh
-    pi(h a), so h's row sums its |A| rows' rhs against |P| times their lhs."""
+    pi(h a), so h's row sums its |A| rows' rhs against |P| times their lhs.
+    A ``pi`` of another kind than ``Policy`` is a ``ComponentFormatError``."""
+    of_kind(pi, "checked policy", Policy)
     count(depth, "depth")
     count(percept_arity, "percept_arity", 1)
     fan, alphabet = pi.action_arity, (False, pi.action_arity, percept_arity)

@@ -337,7 +337,7 @@ def _skipped(view: ChronEnv, nu: ChronEnv, depth: int) -> int | None:
         nodes = _distinct_nodes(alphabet, count(depth, "depth"), root, step)
         filed = chain(  # (symbols, contexts, masses) of the root, then of each child
             [(0, 1, root[0])],
-            ((2 * t + 2, n, kid[0]) for t, n, _, kids in nodes for kid in chain(*kids)),
+            ((2 * t + 2, n, kid[0]) for t, n, _, kids, _ in nodes for kid in chain(*kids)),
         )
         compared = 0
         for symbols, n, masses in filed:

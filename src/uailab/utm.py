@@ -691,13 +691,18 @@ class ChronEnumApprox(ChronEnv):
         numerator in a's table, and each entry e e' of the table of a a' adds
         to that row's rhs, a witness where it exceeds the row's lhs. An absent
         entry is zero: mass below a zero-mass context still lands in its row.
-        The tapes go in rising length, each first queried through ``eval``,
-        and a walk they start ends at depth + 1."""
+        The tapes go in rising code order. The first a length lacks is
+        queried through ``eval``, and its siblings are filed from the same
+        cache entry; a walk they start ends at depth + 1."""
         codes, zeros = self._codes, (0,) * (depth + 1)
 
         def table(tape: int) -> dict[int, int]:
             if tape not in codes:
-                self.eval(zeros[: tape.bit_length() - 1], _output(tape))
+                t = tape.bit_length() - 1
+                self.eval(zeros[:t], _output(tape))
+                entry = self._entry(t)
+                for sibling in range(tape + 1, 2 << t):
+                    codes.setdefault(sibling, entry.get(sibling, {}))
             return codes[tape]
 
         lhs = [0] * (2 * sum(_widths(alphabet, depth)))
@@ -732,14 +737,13 @@ class ChronEnumApprox(ChronEnv):
         tape = _code(actions)
         table = self._codes.get(tape)
         if table is None:
-            tables = _stored(
-                "chron_L{}_S{}_T{}",
-                [self.program_bits, self.steps, len(actions)],
-                lambda: self._walk_tapes(len(actions)),
-                "tables",
-            )
-            table = self._codes[tape] = tables.get(tape, {})
+            table = self._codes[tape] = self._entry(len(actions)).get(tape, {})
         return Fraction(table.get(_code(percepts), 0), self._unit)
+
+    def _entry(self, t: int) -> dict[int, Numerators]:
+        """The cache entry of the tapes of length t: their tables by tape code."""
+        budgets = [self.program_bits, self.steps, t]
+        return _stored("chron_L{}_S{}_T{}", budgets, lambda: self._walk_tapes(t), "tables")
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ walk state once, against plain loops that merge nothing.
 
 thm11's statistics (``experiments._conditional_stats``) walk level by level,
 and the expectimax recursion (``agents._action_values``) keeps a memo for one
-top-level call. Both merge equal walk states, since ``extend`` is a pure
+planner. Both merge equal walk states, since ``extend`` is a pure
 function of (state, symbol). The oracles here evaluate whole prefixes with
 ``eval`` and share nothing between them: thm11's is a loop over all 2^n
 action sequences, expectimax's the brute-force policy enumeration and a
@@ -21,10 +21,18 @@ from hypothesis import strategies as st
 
 from uailab import agents, experiments
 from uailab.agents import brute_force_action, expectimax_action, expectimax_value, policy_value
-from uailab.core import BINARY_PERCEPTS, EMPTY_HISTORY, ONE, ZERO, UndefinedConditionalError
+from uailab.core import (
+    BINARY_PERCEPTS,
+    EMPTY_HISTORY,
+    ONE,
+    ZERO,
+    History,
+    UndefinedConditionalError,
+)
 from uailab.experiments import (
     ScenarioConfig,
     _conditional_stats,
+    _scenario_agents,
     convergence_stats,
     run_scenario,
     scenario_mixtures,
@@ -307,14 +315,14 @@ def test_shipped_plans_equal_the_oracles(name, horizon):
 def test_plan_expands_each_distinct_state_once(monkeypatch):
     # An environment mixture's state holds each member's (mass, pending
     # action), not the history, so histories meet. Within one plan each
-    # distinct (remaining, state) is expanded once: its 2 actions and their
+    # distinct (n, remaining, state) is expanded once: its 2 actions and their
     # 2 x 2 percepts extended; a repeat returns the memo's pair.
     belief = scenario_mixtures()["adversary_rich"].chron
     entries, extends = [], []
     real_values, real_extend = agents._action_values, belief.extend
 
     def entered(nu, state, n, remaining, percepts, fold, memo):
-        entries.append(((remaining, state), (remaining, state) in memo))
+        entries.append(((n, remaining, state), (n, remaining, state) in memo))
         return real_values(nu, state, n, remaining, percepts, fold, memo)
 
     monkeypatch.setattr(agents, "_action_values", entered)
@@ -329,3 +337,91 @@ def test_plan_expands_each_distinct_state_once(monkeypatch):
     assert len(expanded) < tree // 4
     monkeypatch.undo()
     assert value == plain_expectimax(belief, (), (), horizon)
+
+
+# ---------------------------------------------------------------------------
+# One planner across histories and horizons
+# ---------------------------------------------------------------------------
+
+# Every complete binary history of at most two steps, with each horizon 1..3.
+HISTORIES = [History(x[::2], x[1::2]) for t in range(3) for x in product((0, 1), repeat=2 * t)]
+ASKS = [(h, m) for h in HISTORIES for m in (1, 2, 3)]
+
+
+def planned(plan, history, horizon):
+    """``plan(history, horizon)``, or the class and context of its error."""
+    try:
+        return plan(history, horizon)
+    except UndefinedConditionalError as error:
+        return type(error), error.context
+
+
+def assert_one_planner_equals_fresh_plans(belief, asks, plain):
+    """One planner asked ``asks`` in order: each (mass, values) and action
+    equals a fresh per-call plan's, and each value the recursion with no memo
+    (``plain``, by ask); an undefined history raises the same error."""
+    planner = agents._Planner(belief)
+    for history, horizon in asks:
+        got = planned(planner.plan, history, horizon)
+        fresh = planned(agents._Planner(belief).plan, history, horizon)
+        assert got == fresh, (history, horizon)
+        want = plain[history, horizon]
+        if want is None:
+            assert got == (UndefinedConditionalError, (history.percepts, history.actions))
+            continue
+        assert max(got[1].values()) == want
+        action = planned(planner.action, history, horizon)
+        assert action == expectimax_action(belief, history, horizon)
+
+
+def assert_planners_equal_fresh_plans(belief, asks):
+    """``asks`` in their order, and deep histories before their prefixes."""
+    plain = {
+        (h, m): plain_expectimax(belief, h.actions, h.percepts, m) for h, m in set(asks)
+    }
+    assert_one_planner_equals_fresh_plans(belief, asks, plain)
+    deepest_first = sorted(asks, key=lambda ask: -len(ask[0].actions))
+    assert_one_planner_equals_fresh_plans(belief, deepest_first, plain)
+
+
+@settings(max_examples=20, deadline=None, phases=NO_SHRINK)
+@given(joint_mixtures(), env_mixtures(), PAIRS, st.permutations(ASKS), st.integers(1, 16))
+def test_one_planner_per_belief_equals_fresh_plans(joint, belief, percepts, order, k):
+    # A lone i.i.d. environment's state is its mass numerator, which a row
+    # of numerators 1, as (1/2, 1/2), keeps at every length.
+    for nu in (env(joint), belief, IIDEnv(percepts)):
+        assert_planners_equal_fresh_plans(nu, order[:k])
+
+
+def fixed_beliefs():
+    """The shipped beliefs of ``agents_compare``, and two components whose
+    state repeats at every length while their scale grows."""
+    beliefs = {}
+    for name in ("copy_vs_uniform", "adversary_rich"):
+        mdef = scenario_mixtures()[name]
+        beliefs[name], beliefs[f"{name}_view"] = mdef.chron, env(mdef.joint)
+    beliefs["uniform"] = IIDEnv((F(1, 2), F(1, 2)))
+    beliefs["noisy"] = NoisyCopyEnv(F(1, 2), F(1, 2))
+    return beliefs
+
+
+@pytest.mark.parametrize("belief", fixed_beliefs().values(), ids=fixed_beliefs())
+def test_one_planner_per_fixed_belief_equals_fresh_plans(belief):
+    assert_planners_equal_fresh_plans(belief, ASKS)
+
+
+def test_agents_compare_expands_each_distinct_state_once(tmp_path, monkeypatch):
+    # One planner per belief of each mixture serves every history and
+    # horizon, the horizon-1 expectimax of the one-step check included; the 42
+    # one-step plans stay calls of their own. A memo per plan expanded 798
+    # nodes, as the length was not in its key.
+    entries = []
+    real_values = agents._action_values
+
+    def entered(nu, state, n, remaining, percepts, fold, memo):
+        entries.append((n, remaining, state) in memo)
+        return real_values(nu, state, n, remaining, percepts, fold, memo)
+
+    monkeypatch.setattr(agents, "_action_values", entered)
+    assert _scenario_agents(ScenarioConfig("agents_compare", tmp_path)).failures == 0
+    assert entries.count(False) <= 146

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from uailab import experiments
 from uailab.adversary import AdversaryTrace
+from uailab.agents import expectimax_action
 from uailab.core import ComponentFormatError
 from uailab.experiments import (
     SCENARIOS,
@@ -734,7 +735,7 @@ def test_sanity_witnesses_the_counterexample_from_the_least_transform_depth(tmp_
 
 
 def test_agents_summary_says_what_the_run_found(tmp_path, monkeypatch):
-    wrong = lambda belief, h: 1 - experiments.expectimax_action(belief, h, 1)  # noqa: E731
+    wrong = lambda belief, h: 1 - expectimax_action(belief, h, 1)  # noqa: E731
     monkeypatch.setattr(experiments, "one_step_action", wrong)
     cfg = ScenarioConfig("agents_compare", tmp_path, budgets={"horizon": 1})
     assert run_scenario(cfg) == 1

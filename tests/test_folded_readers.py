@@ -20,8 +20,14 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from uailab import agents, semimeasure
-from uailab.adversary import DominationReport, _domination_reports, domination_probe
+from uailab import adversary, agents, semimeasure
+from uailab.adversary import (
+    DominationReport,
+    _domination_reports,
+    copy_conditional_trace,
+    domination_probe,
+    greedy_antipredict,
+)
 from uailab.agents import (
     brute_force_action,
     dualistic_aixi_action,
@@ -49,8 +55,12 @@ from uailab.semimeasure import (
     TableJoint,
     _alphabet,
     _contexts,
+    _distinct_nodes,
+    _history,
+    _widths,
     anticopy_machine,
     check_chronological,
+    check_policy,
     compare,
     constant_policy,
     copy_machine,
@@ -308,18 +318,157 @@ def test_probe_depth_zero_gives_an_empty_sweep(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# The probes' level fold
+# ---------------------------------------------------------------------------
+
+
+class XorEnv(ChronEnv):
+    """Test-only: percept t follows the row of (percept t - 1 xor action t),
+    the first percept the row of its action; the walk state holds the last
+    percept, so histories from different parents meet."""
+
+    rows = ((F(1, 2), F(1, 2)), (F(3, 4), F(1, 4)))
+    eval = ChronEnv.fold
+
+    def root(self):
+        return F(1), (F(1), 0, None)  # (mass, last percept, pending row)
+
+    def extend(self, state, symbol):
+        mass, last, row = state
+        if row is None:
+            return mass, (mass, last, last ^ symbol)
+        mass *= self.rows[row][symbol]
+        return mass, (mass, symbol, None)
+
+
+def context_nodes(nu, depth):
+    """Each level's (least index, contexts) of every distinct (mass, state)
+    of ``nu``, each context walked from the root on its own."""
+    alphabet, levels = _alphabet(nu), []
+    contexts = _contexts(alphabet, depth)
+    for width in _widths(alphabet, depth):
+        nodes = {}
+        for index in range(width):
+            context = next(contexts)
+            node = nu.root()
+            for s in context if alphabet[0] else _history(*context):
+                node = nu.extend(node[1], s)
+            least, n = nodes.get(node, (index, 0))
+            nodes[node] = min(least, index), n + 1
+        levels.append(sorted(nodes.values()))
+    return levels
+
+
+@pytest.mark.parametrize(
+    "nu, depth",
+    [
+        (XorEnv(), 3),
+        (scenario_mixtures()["adversary_rich"].chron, 3),
+        (env(scenario_mixtures()["copy_vs_uniform"].joint), 3),
+        (scenario_mixtures()["adversary_rich"].joint, 5),
+    ],
+    ids=["xor", "adversary_rich", "copy_vs_uniform_view", "adversary_rich_joint"],
+)
+def test_each_distinct_node_carries_its_least_slot(nu, depth):
+    nodes = _distinct_nodes(_alphabet(nu), depth + 1, nu.root(), nu.extend)
+    folded = [[] for _ in range(depth + 1)]
+    for t, n, _, _, index in nodes:
+        folded[t].append((index, n))
+    assert [sorted(level) for level in folded] == context_nodes(nu, depth)
+
+
+def test_a_later_parent_reaches_a_node_at_a_smaller_slot():
+    # XorEnv's node (3/8, last percept 0) on level 2 is met first from
+    # (0 || 0) by action 1 at index 4, then from (1 || 0) by action 0 at
+    # index 2, its least.
+    nu = XorEnv()
+    nodes = _distinct_nodes(_alphabet(nu), 3, nu.root(), nu.extend)
+    level = [(index, mass) for t, _, mass, _, index in nodes if t == 2]
+    assert (2, F(3, 8)) in level
+    assert [index for index, _ in level] != sorted(index for index, _ in level)
+
+
+def walks_of(call, monkeypatch):
+    """``call()``, and how many walks it made."""
+    walks = []
+    real_walk = semimeasure.walk
+    monkeypatch.setattr(semimeasure, "walk", lambda *args: walks.append(1) or real_walk(*args))
+    result = call()
+    monkeypatch.undo()
+    return result, len(walks)
+
+
+def test_a_tie_keeps_the_least_slot_of_a_later_inserted_node(monkeypatch):
+    # Against the uniform environment, (0 0 || 0 1) and (1 0 || 0 0) tie at
+    # ratio 2 on level 2. The first's node is a child of the first node of
+    # level 1, by action 1, so it is filed first; the second, a child of the
+    # next node by action 0, holds the smaller slot and is the witness.
+    rows = {((), (0,)): (F(1, 2), F(1, 2)), ((0,), (0, 1)): (1, 0), ((1,), (0, 0)): (1, 0)}
+    mu, xi = TableEnv(rows, "uniform"), uniform_env()
+    reports, walks = walks_of(lambda: _domination_reports(mu, xi, 3), monkeypatch)
+    assert walks == 0
+    assert reports == [frozen_probe(mu, xi, d) for d in range(4)]
+    assert (reports[2].max_ratio, reports[2].witness) == (2, ((1, 0), (0, 0)))
+    assert_reports_equal_the_frozen_probes(XorEnv(), uniform_env(), 4)
+    assert_reports_equal_the_frozen_probes(XorEnv(), scenario_mixtures()["adversary_rich"].chron, 4)
+
+
+@pytest.mark.parametrize(
+    "mu, xi",
+    [
+        (copy_machine(), anticopy_machine()),  # rhs = 0: unbounded witnesses
+        (mu_id(), env(copy_machine())),  # an undefined side
+        (env(copy_machine()), mu_id()),  # dead nodes below an undefined lhs
+        (dual(mu_id(), constant_policy(1)), dual(uniform_env(), uniform_policy())),  # unhashable
+    ],
+    ids=["unbounded", "undefined_rhs", "dead", "constant_policy_dual"],
+)
+def test_a_probe_the_fold_cannot_decide_walks(mu, xi, monkeypatch):
+    depth = 4 if isinstance(mu, JointSemimeasure) else 3
+    reports, walks = walks_of(lambda: _domination_reports(mu, xi, depth), monkeypatch)
+    assert walks == 1
+    assert reports == [frozen_probe(mu, xi, d) for d in range(depth + 1)]
+
+
+def test_the_conj9_mixture_probes_step_each_distinct_pair_once(monkeypatch):
+    # copy_vs_uniform holds 1, 2, 2, 2 distinct pair states on levels 0-3 and
+    # adversary_rich 1, 2, 3, 4; each is stepped by its 2 actions and their
+    # 2 x 2 percepts. A walk of every context made 510 steps a probe.
+    steps = []
+    real_paired = adversary._paired
+
+    def paired(lhs, rhs):
+        alphabet, root, step = real_paired(lhs, rhs)
+        return alphabet, root, lambda state, s: steps.append(1) or step(state, s)
+
+    monkeypatch.setattr(adversary, "_paired", paired)
+    counts = []
+    for name in ("copy_vs_uniform", "adversary_rich"):
+        mdef = scenario_mixtures()[name]
+        for mu, xi in ((env(mdef.joint), mdef.chron), (mdef.chron, env(mdef.joint))):
+            steps.clear()
+            _domination_reports(mu, xi, 4)
+            counts.append(len(steps))
+    assert counts == [42, 42, 60, 60]
+
+
+# ---------------------------------------------------------------------------
 # Structural pins
 # ---------------------------------------------------------------------------
 
 
 def test_conj9_walks_once_per_mixture_direction_and_grid(tmp_path, monkeypatch):
-    walks = []
-    real_walk = semimeasure.walk
+    walks, folds = [], []
+    real_walk, real_fold = semimeasure.walk, adversary._distinct_nodes
     counted = lambda *args: walks.append(1) or real_walk(*args)  # noqa: E731
     monkeypatch.setattr(semimeasure, "walk", counted)
+    folded = lambda *args: folds.append(1) or real_fold(*args)  # noqa: E731
+    monkeypatch.setattr(adversary, "_distinct_nodes", folded)
     outcome = _scenario_conj9(ScenarioConfig("conj9_search", tmp_path))
-    # 2 mixtures x 2 directions, and 2 ratio grids; a walk per depth made 24.
-    assert len(walks) == 6
+    # 2 mixtures x 2 directions, and 2 ratio grids, each folded once; the
+    # grids' duals of a constant policy cannot be hashed, so they walk. A walk
+    # per depth made 24.
+    assert (len(folds), len(walks)) == (6, 2)
     assert [len(rows) for _, rows in outcome.tables.values()] == [16, 8]
 
 
@@ -335,7 +484,7 @@ def test_joint_view_plans_expand_each_distinct_state_once(name, entries, value, 
     real_values = agents._action_values
 
     def entered(nu, state, n, remaining, percepts, fold, memo):
-        seen.append(((remaining, state), (remaining, state) in memo))
+        seen.append(((n, remaining, state), (n, remaining, state) in memo))
         return real_values(nu, state, n, remaining, percepts, fold, memo)
 
     monkeypatch.setattr(agents, "_action_values", entered)
@@ -406,3 +555,22 @@ def test_a_component_of_the_wrong_kind_is_refused_by_name(call):
     kinds = r"[A-Z]\w+ is not a (JointSemimeasure|ChronEnv|Policy)$"
     with pytest.raises(ComponentFormatError, match=kinds):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, subject, kind",
+    [
+        (check_policy, mu_id(), "Policy"),
+        (check_policy, copy_machine(), "Policy"),
+        (greedy_antipredict, mu_id(), "JointSemimeasure"),
+        (greedy_antipredict, uniform_policy(), "JointSemimeasure"),
+        (copy_conditional_trace, mu_id(), "JointSemimeasure"),
+        (copy_conditional_trace, env(copy_machine()), "JointSemimeasure"),
+    ],
+)
+def test_a_check_or_trace_of_the_wrong_kind_names_its_class(call, subject, kind):
+    # Each answered before: the policy check reported ok, and the traces
+    # recorded conditionals of 1.
+    argument = (0, 1) if call is copy_conditional_trace else 2
+    with pytest.raises(ComponentFormatError, match=f"{type(subject).__name__} is not a {kind}$"):
+        call(subject, argument)

@@ -388,6 +388,32 @@ def test_enumerated_check_columns_equal_the_walk(bits, steps):
     clear_memo()
 
 
+@pytest.mark.parametrize("depth", range(5))
+def test_a_check_enters_one_tape_a_length_and_files_its_siblings(depth, monkeypatch):
+    # The first tape of each length 0..depth + 1 goes through eval, which
+    # holds the enumeration; its siblings are filed from the same cache
+    # entry. The tables, their order and the columns are those of asking
+    # every tape through eval in rising code order.
+    clear_memo()
+    asked = ChronEnumApprox(9, 200)
+    for t in range(depth + 2):
+        for actions in product((0, 1), repeat=t):
+            asked.eval((0,) * t, actions)
+    calls = []
+    real_eval = ChronEnumApprox.eval
+    counted = lambda self, *args: calls.append(args) or real_eval(self, *args)  # noqa: E731
+    monkeypatch.setattr(ChronEnumApprox, "eval", counted)
+    approx = ChronEnumApprox(9, 200)
+    got = filed_columns(approx, depth)
+    assert [actions for _, actions in calls] == [(0,) * t for t in range(depth + 2)]
+    monkeypatch.undo()
+    assert list(approx.tables) == list(asked.tables)
+    assert dict(approx.tables) == dict(asked.tables)
+    assert got == filed_columns(asked, depth)
+    assert_same_columns(got, walked_columns(asked, depth))
+    clear_memo()
+
+
 CORRUPTIONS = st.lists(
     # (tape length, tape, percepts, an existing entry's code?, mass above the parent's)
     st.tuples(
