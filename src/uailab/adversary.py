@@ -38,7 +38,7 @@ from .semimeasure import (
     _child_indices,
     _compared,
     _context_at,
-    _distinct_nodes,
+    _folded,
     _levels,
     _paired,
     _widths,
@@ -182,21 +182,20 @@ def _domination_reports(
     mu: JointSemimeasure | ChronEnv, xi: JointSemimeasure | ChronEnv, depth: int
 ) -> list[DominationReport]:
     """The probe's report at every depth 0..``depth``, folded level by level
-    from :func:`_folded_levels`, or else from one
-    :func:`~uailab.semimeasure._compared` walk, a context per slot. Each
-    depth's report folds a prefix of the levels. Ratios compare by
+    from :func:`_slot_levels` over :func:`~uailab.semimeasure._folded`, or
+    else from one :func:`~uailab.semimeasure._compared` walk, a context per
+    slot. Each depth's report folds a prefix of the levels. Ratios compare by
     cross-multiplying integers, the masses' numerators, denominators and
     scales; the first maximum in slot order wins, and only each report's
     maximum is built as a ``Fraction``."""
     if isinstance(mu, JointSemimeasure) != isinstance(xi, JointSemimeasure):
         raise TypeError("domination_probe needs two components of the same kind")
-    try:
-        alphabet, root, step = _paired(mu, xi)
-        levels = _folded_levels(alphabet, count(depth, "depth"), root, step)
-    except Exception:
-        levels = None  # the walk raises it again, in order
+    alphabet, root, step = _paired(mu, xi)
+    depth = count(depth, "depth")
+    nodes = _folded(alphabet, depth, root, step)
+    levels = None if nodes is None else _slot_levels(alphabet, depth, root, nodes)
     if levels is None:
-        alphabet, pairs = _compared(mu, xi, depth)
+        pairs = _compared(mu, xi, depth)[1]
         levels = [
             zip(slots, repeat(1), pairs[slots.start : slots.stop])
             for _, slots in _levels(alphabet, depth)
@@ -244,16 +243,15 @@ def _domination_reports(
     return reports
 
 
-def _folded_levels(alphabet: tuple, depth: int, root: tuple, step: Any) -> list[list] | None:
-    """Each level's (slot, contexts, masses) of the walk of ``root`` and
-    ``step``, in slot order: the root, then the children of each distinct
-    node of :func:`~uailab.semimeasure._distinct_nodes`, each at the least
-    slot that reaches it and weighted by the contexts that do. None where a
-    context must be named or counted below: an undefined side, a dead node,
-    or a zero rhs, whose unbounded witnesses list every context."""
+def _slot_levels(alphabet: tuple, depth: int, root: tuple, nodes: list) -> list[list] | None:
+    """Each level's (slot, contexts, masses) of the walk of ``root`` in slot order:
+    the root, then the children of each distinct node of ``nodes``, each at the
+    least slot that reaches it, weighted by the contexts that do. None where a
+    context must be named or counted below: an undefined side, or a zero rhs,
+    whose unbounded witnesses list every context."""
     offsets = [0, *accumulate(_widths(alphabet, depth))]
     levels: list[list] = [[(0, 1, root[0])], *([] for _ in range(depth))]
-    for t, n, _, children, index in _distinct_nodes(alphabet, depth, root, step):
+    for t, n, _, children, index in nodes:
         kids = zip(_child_indices(alphabet, t, index), chain.from_iterable(children))
         levels[t + 1] += [(offsets[t + 1] + i, n, kid[0]) for i, kid in kids]
     if any(masses is None or not masses[1] for level in levels for _, _, masses in level):

@@ -7,9 +7,8 @@ use weights as given), kept as ``Fraction``s. Mixtures of joint components
 are joint semimeasures; mixtures of environments are chronological
 environments; mixtures of policies are policies. The three kinds share one
 walk, and a mixture's ``eval`` (a policy mixture's ``weight``) is its fold;
-its exhaustive check counts its own distinct walk states, and its columns,
-walked for a reader that asks, are summed from its members' checks.
-``posterior_weights`` and ``predictive`` evaluate one history by such point
+its exhaustive check is any component's. ``posterior_weights`` and
+``predictive`` evaluate one history of a joint mixture by such point
 queries. A mixture's walk state carries every live component's weighted
 mass, so walks read the unnormalized posterior w_i nu_i(prefix) at each
 node without re-evaluating the prefix. So
@@ -27,9 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import add, mul
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from .core import (
     ONE,
@@ -48,10 +45,8 @@ from .semimeasure import (
     _alphabet,
     _checked_walk,
     _context_at,
-    _distinct_nodes,
-    _history,
+    _folded,
     _uniform,
-    _widths,
     times_ratio,
     walk,
 )
@@ -125,31 +120,6 @@ class _Mixture:
 
     def scale(self, n: int) -> int:
         return self._level(n)[0]
-
-    def _check_columns(self, depth: int, alphabet: tuple, columns: Callable) -> tuple:
-        """The check's (lhs, rhs, witnesses) from the members' ``columns(c, depth,
-        alphabet)``: each level's lhs and rhs are theirs times the factors of
-        :meth:`_level` at the rows' children. A child outweighs its row only where
-        a member's does, so the mixture's child mass, folded, settles their witnesses."""
-        members = [columns(c, depth, alphabet) for c in self.components]
-        joint = alphabet[0]
-        fan, step = (1, 1) if joint else (alphabet[1], 2)
-        lhs, rhs, end = [], [], 0
-        for t, width in enumerate(_widths(alphabet, depth)):
-            start, end = end, end + width * fan
-            factors = self._level(step * (t + 1))[1]
-            for out, k in ((lhs, 0), (rhs, 1)):
-                level = map(mul, members[0][k][start:end], repeat(factors[0]))
-                for f, member in zip(factors[1:], members[1:]):
-                    level = map(add, level, map(mul, member[k][start:end], repeat(f)))
-                out.extend(level)
-        witnesses = []
-        for row, s in {w for member in members for w in member[2]}:
-            x = _context_at(alphabet, row // fan)
-            path = x + (s,) if joint else _history(*x) + (row % fan, s)
-            if _checked_walk(self, path, path)[0] > lhs[row]:
-                witnesses.append((row, s))
-        return lhs, rhs, witnesses
 
     def _node(self, n: int, parts: list) -> tuple[Any, Any]:
         if not parts:
@@ -243,7 +213,9 @@ def posterior_weights(mixture: JointMixture, h: History, action: int) -> Posteri
     """History-conditional component weights under the mixture.
 
     Errors on a zero-probability prefix: the posterior is undefined there.
+    A mixture of another kind than ``JointMixture`` is a ``ComponentFormatError``.
     """
+    of_kind(mixture, "posterior mixture", JointMixture)
     prefix = h.with_action(action).symbols()
     masses = tuple(c.eval(prefix) for c in mixture.components)
     total = sum((w * m for w, m in zip(mixture.weights, masses)), ZERO)
@@ -264,8 +236,10 @@ def predictive(mixture: JointMixture, h: History, action: int) -> dict[int, Frac
 
     Equals the posterior-weighted component conditionals (checked exactly by
     the test suite over all histories to depth 4). One checked walk reaches
-    the pending prefix, and one ``extend`` step each percept.
+    the pending prefix, and one ``extend`` step each percept. A mixture of
+    another kind than ``JointMixture`` is a ``ComponentFormatError``.
     """
+    of_kind(mixture, "predictive mixture", JointMixture)
     prefix = h.with_action(action).symbols()
     n = len(prefix)
     denom, state = _checked_walk(mixture, prefix, prefix)
@@ -292,10 +266,9 @@ def check_predictive_consistency(
     weighted mass w_i nu_i(x) is 0, an integer sum. Returns mismatch triples
     (witness, xi(x e) / xi(x), the same without that mass) in the
     :func:`contexts` order of the pending prefixes; empty means agreement,
-    which is settled over the walk's distinct nodes
-    (:func:`~uailab.semimeasure._distinct_nodes`), each once. Only a
-    mismatch, a state that cannot be hashed or an error walks every context.
-    A component of another kind is a ``ComponentFormatError``.
+    which is settled over the walk's distinct nodes, each once
+    (:func:`~uailab.semimeasure._folded`). Only a mismatch, or a fold that
+    cannot be read, walks every context. A component of another kind is a ``ComponentFormatError``.
     """
     of_kind(mixture, "predictive-consistency mixture", JointMixture)
 
@@ -315,12 +288,9 @@ def check_predictive_consistency(
 
     depth = 2 * count(depth, "depth") + 2
     root = (None, mixture.root()[1])
-    try:
-        nodes = _distinct_nodes(_alphabet(mixture), depth, root, step)
-        if not any(kid[0] for _, _, _, kids, _ in nodes for kid in kids[0]):
-            return []
-    except Exception:
-        pass
+    nodes = _folded(_alphabet(mixture), depth, root, step)
+    if nodes is not None and not any(kid[0] for _, _, _, kids, _ in nodes for kid in kids[0]):
+        return []
     found = walk(mixture, depth, root, step)[0]
     hits = [(_context_at(mixture, slot), pair) for slot, pair in enumerate(found) if pair]
     return [((x[:-1], x[-1]), *pair) for x, pair in hits]

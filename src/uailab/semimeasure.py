@@ -36,13 +36,12 @@ position in :func:`contexts` order, builds no context, and files each mass
 into flat columns by slot in the loop that steps to it. The policy check
 is one more reader of the check walk: it folds the rows of a policy's
 environment-mode check, walked over the alphabet it is given. The checks,
-the round trips and the predictive-consistency check first count over
-:func:`_distinct_nodes`, each distinct (mass, state) of a level once; the
-walk runs only where a reader needs slots or a state cannot be hashed.
-Walked, a mixture's check sums its members' columns, its witnesses settled
-exactly (:func:`_check`); ``ChronEnumApprox`` reads its check off its
-tables. A context is derived from its slot only where a row, a violation
-or a witness is read. States live only inside one walk.
+the round trips, the domination probes and the predictive-consistency check
+first count over :func:`_folded`, each distinct (mass, state) of a level
+once; the walk runs only where a reader needs slots or a state cannot be
+hashed. A mixture's check is any component's; ``ChronEnumApprox`` reads its
+check off its tables. A context is derived from its slot only where a row,
+a violation or a witness is read. States live only inside one walk.
 
 A context is *undefined* for a component when its ``root`` or ``extend``
 raises ``UndefinedConditionalError`` or its subclass ``NormalizationError``;
@@ -786,9 +785,8 @@ def walk(
     ``depth``: a row per joint context, or per environment context and next
     action at ``slot * fan + action``; lhs is the context's mass times its
     level's gain, rhs its row's children summed, and above the (row, symbol)
-    of each child above lhs, unsorted. Neither a mixture's check nor a
-    ``ChronEnumApprox``'s is walked (:func:`_columns`). An undefined context
-    that a step raises by its length alone is named from the node's slot.
+    of each child above lhs, unsorted. An undefined context that a step raises
+    by its length alone is named from the node's slot.
 
     Measured slower, so not to retry: a level-at-a-time walk by ``map`` (a
     walked ``ChronEnumApprox(3, 60)`` check took 115 ms, not 19, as each
@@ -859,16 +857,15 @@ def walk(
 
 def _distinct_nodes(
     alphabet: _Alphabet, depth: int, root: tuple[Any, Any], step: Callable[[Any, int], tuple]
-) -> Iterator[tuple[int, int, Any, list[list]]]:
+) -> Iterator[tuple[int, int, Any, list[list], int]]:
     """The nodes :func:`walk` pops on levels t < ``depth``, each distinct (mass,
     state) of a level once: yields (t, n, mass, children, index), n the
     contexts that reach it, ``children`` its children's (mass, state) by
     symbol, a list per next action (one for a joint kind), ``index`` the
     least index within level t of a context that reaches it. ``step`` is
     pure, so equal nodes have equal subtrees: a child joins level t + 1 with n
-    added unless its state is None. An unhashable state raises ``TypeError``;
-    readers leave it, and any error, to :func:`walk`, their reference, which
-    raises it again in order."""
+    added unless its state is None. An unhashable state raises ``TypeError``,
+    which :func:`_folded`, the fold's one reader, leaves to :func:`walk`."""
     joint, n_actions, n_percepts = alphabet
     if n_actions < 1 or n_percepts < 1:
         raise ValueError("an empty alphabet")  # for walk to name
@@ -888,6 +885,15 @@ def _distinct_nodes(
                         held[0] += n
                         held[1] = min(held[1], i)
         level = below
+
+
+def _folded(alphabet: _Alphabet, depth: int, root: tuple, step: Callable) -> list[tuple] | None:
+    """The nodes of :func:`_distinct_nodes`, for every reader; None where a state
+    cannot be hashed or anything raises, which :func:`walk` raises again in order."""
+    try:
+        return list(_distinct_nodes(alphabet, depth, root, step))
+    except Exception:
+        return None
 
 
 def _child_indices(alphabet: _Alphabet, t: int, index: int) -> Sequence[int]:
@@ -1203,41 +1209,35 @@ def _check_gains(nu: Any, depth: int, joint: bool) -> tuple[list[int], list[int]
 
 def _columns(nu: Any, depth: int, alphabet: _Alphabet) -> tuple[list, list, list]:
     """(lhs, rhs, witnesses) of the check of ``nu`` as :func:`walk` files them, or
-    as a mixture's or ``ChronEnumApprox``'s ``_check_columns`` does."""
+    as ``ChronEnumApprox``'s ``_check_columns`` reads them off its tables."""
     if hasattr(nu, "_check_columns"):
-        return nu._check_columns(depth, alphabet, _columns)
+        return nu._check_columns(depth, alphabet)
     gains = _check_gains(nu, depth, alphabet[0])[1]
     return walk(alphabet, depth, nu.root(), nu.extend, gains)
 
 
-def _reads_tables(nu: Any) -> bool:
-    """Whether the check of ``nu`` reads an enumeration's tables: a
-    ``_check_columns`` of its own, or of a mixture's member, other than a mixture's."""
-    members = getattr(nu, "components", None)
-    return hasattr(nu, "_check_columns") if members is None else any(map(_reads_tables, members))
-
-
 def _row_counts(nu: Any, depth: int, alphabet: _Alphabet) -> Counter | None:
-    """The check's rows of ``nu`` by (level, lhs, rhs, whether a child outweighs
-    lhs), each distinct node of :func:`_distinct_nodes` once, counted by the
-    contexts that reach it, the root's row first. The rows below a dead node
-    are left out: each holds 0 against 0. None where only the walk can tell: a
-    check read off tables, a dead root, a state that cannot be hashed, an error."""
-    if _reads_tables(nu):
+    """The check's rows of ``nu`` by (level, lhs, rhs), each distinct node of
+    :func:`_folded` once, counted by the contexts that reach it, the root's row
+    first. The rows below a dead node are left out: each holds 0 against 0.
+    None where only the walk can tell: a check read off tables, a dead root, a
+    violation, a witness, a fold that cannot be read. The gains, then the root,
+    are taken in :func:`_columns`' order, so an error they raise is the walk's."""
+    if hasattr(nu, "_check_columns"):
+        return None
+    gains = _check_gains(nu, depth, alphabet[0])[1]
+    nodes = _folded(alphabet, depth + 1, nu.root(), nu.extend)
+    if not nodes:  # a dead root has none
         return None
     rows: Counter = Counter()
-    try:
-        root = nu.root()
-        if root[1] is None:
-            return None
-        gains = _check_gains(nu, depth, alphabet[0])[1]
-        for t, n, mass, children, _ in _distinct_nodes(alphabet, depth + 1, root, nu.extend):
-            lhs = mass * gains[t]
-            for kids in children:
-                masses = [m for m, _ in kids]
-                rows[t, lhs, sum(masses), max(masses) > lhs] += n
-    except Exception:
-        return None
+    for t, n, mass, children, _ in nodes:
+        lhs = mass * gains[t]
+        for kids in children:
+            masses = [m for m, _ in kids]
+            total = sum(masses)
+            if lhs < total or max(masses) > lhs:
+                return None
+            rows[t, lhs, total] += n
     return rows
 
 
@@ -1247,10 +1247,9 @@ def _check(
     """The one check, over ``alphabet`` (default: that of ``nu``): a row per joint
     context, or per environment context and next action, holds the context's
     numerator against the summed numerators of its children. The verdicts are
-    counted from :func:`_row_counts`, and :func:`_columns` (one walk, a
-    mixture's members' columns summed with its weights, or tables) files the
-    columns when first read, or at once for a violation, a witness or a check
-    the fold leaves to the walk. The root's row holds the root mass over its gain."""
+    counted from :func:`_row_counts`, and :func:`_columns` (one walk, or a
+    ``ChronEnumApprox``'s tables) files the columns when first read, or at once
+    where the fold cannot decide. The root's row holds the root mass over its gain."""
     count(depth, "depth")
     alphabet = alphabet or _alphabet(nu)
     joint = alphabet[0]
@@ -1258,7 +1257,7 @@ def _check(
     widths = [width * fan for width in _widths(alphabet, depth)]
     walked = cache(partial(_columns, nu, depth, alphabet))
     rows = _row_counts(nu, depth, alphabet)
-    if rows is None or any(above or lhs < rhs for _, lhs, rhs, above in rows):
+    if rows is None:
         lhs, rhs, witnesses = walked()
         root = lhs[0]
     else:
@@ -1280,8 +1279,8 @@ def _check(
         levels=tuple(zip(widths, scales)),
         row_contexts=partial(_check_rows, alphabet, depth),
     )
-    if isinstance(lhs, _Walked):  # every row strict or equal
-        strict = sum(n for (_, prefix, total, _), n in rows.items() if prefix > total)
+    if rows is not None:  # every row strict or equal
+        strict = sum(n for (_, prefix, total), n in rows.items() if prefix > total)
         object.__setattr__(report, "_tally", (strict, sum(widths) - strict, 0))
     return report
 

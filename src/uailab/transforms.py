@@ -56,7 +56,7 @@ from .semimeasure import (
     _alphabet,
     _check,
     _context_at,
-    _distinct_nodes,
+    _folded,
     _paired,
     _row_counts,
     _widths,
@@ -315,41 +315,28 @@ def check_env_dual_roundtrip(
     """env(dual(nu, pi)) == nu on every positive context, exhaustively.
 
     Returns (mismatch rows, contexts skipped where either side is undefined).
-    The counts come from :func:`_skipped`, each distinct pair of states once;
-    only a mismatch, or a walk it cannot fold, is compared by context.
+    Where every context's masses, each an int or a Fraction over its side's
+    scale, cross-multiply equal, the skips are counted over the distinct pairs
+    of states of :func:`~uailab.semimeasure._compared`'s walk (:func:`_folded`);
+    a mismatch, or a fold that cannot be read, compares every context.
     """
     view = env(dual(nu, pi))
-    skipped = _skipped(view, nu, depth)
-    if skipped is not None:
-        return [], skipped
-    rows, *undefined = compare(view, nu, depth)
-    return [row for row in rows if row.verdict == "mismatch"], sum(undefined)
-
-
-def _skipped(view: ChronEnv, nu: ChronEnv, depth: int) -> int | None:
-    """The round trip's skipped contexts, counted over the distinct nodes of
-    :func:`~uailab.semimeasure._compared`'s walk (its ``_distinct_nodes``),
-    where every compared context matches: its masses, each an int or a
-    Fraction over its side's scale, cross-multiply equal. None where the
-    walk decides: a mismatch, a state that cannot be hashed, an error."""
-    try:
-        alphabet, root, step = _paired(view, nu)
-        nodes = _distinct_nodes(alphabet, count(depth, "depth"), root, step)
-        filed = chain(  # (symbols, contexts, masses) of the root, then of each child
-            [(0, 1, root[0])],
-            ((2 * t + 2, n, kid[0]) for t, n, _, kids, _ in nodes for kid in chain(*kids)),
-        )
+    alphabet, root, step = _paired(view, nu)
+    nodes = _folded(alphabet, count(depth, "depth"), root, step)
+    if nodes is not None:
+        children = ((2 * t + 2, n, kid[0]) for t, n, _, kids, _ in nodes for kid in chain(*kids))
         compared = 0
-        for symbols, n, masses in filed:
+        for symbols, n, masses in chain([(0, 1, root[0])], children):  # the root, then each child
             if masses is not None and masses[1] is not None:
                 lhs, rhs = masses
                 crossed = lhs.numerator * rhs.denominator * nu.scale(symbols)
                 if crossed != rhs.numerator * lhs.denominator * view.scale(symbols):
-                    return None
+                    break
                 compared += n
-    except Exception:
-        return None
-    return sum(_widths(alphabet, depth)) - compared
+        else:
+            return [], sum(_widths(alphabet, depth)) - compared
+    rows, *undefined = compare(view, nu, depth)
+    return [row for row in rows if row.verdict == "mismatch"], sum(undefined)
 
 
 def check_representation_roundtrip(
@@ -372,14 +359,16 @@ def check_normalization_dominance(
     (rows carrying (raw, normalized), contexts skipped as undefined: each x
     with nu(x) = 0 once, each child of an x whose children sum to 0). The
     skipped contexts are counted from the check's distinct rows
-    (:func:`~uailab.semimeasure._row_counts`) unless such a context exists.
+    (:func:`~uailab.semimeasure._row_counts`) unless a row violates it. A
+    ``nu`` of another kind than ``JointSemimeasure`` is a ``ComponentFormatError``.
     """
+    of_kind(nu, "normalization-dominance component", JointSemimeasure)
     alphabet = _alphabet(nu)
     counted = _row_counts(nu, count(depth, "depth"), alphabet)
-    if counted is not None and not any(lhs and rhs and lhs < rhs for _, lhs, rhs, _ in counted):
+    if counted is not None:
         arities = [nu.arity_at(t) for t in range(depth + 1)]
         skipped = sum(_widths(alphabet, depth)) - sum(counted.values())  # 0 against 0
-        for (t, lhs, rhs, _), n in counted.items():
+        for (t, lhs, rhs), n in counted.items():
             if lhs == 0 or rhs == 0:
                 skipped += n if lhs == 0 else n * arities[t]
         return [], skipped

@@ -684,7 +684,7 @@ class ChronEnumApprox(ChronEnv):
             self._walker = walker
         return tables
 
-    def _check_columns(self, depth: int, alphabet: tuple, columns: Callable) -> tuple:
+    def _check_columns(self, depth: int, alphabet: tuple) -> tuple:
         """The check's (lhs, rhs, witnesses) as :func:`~uailab.semimeasure.walk`
         files them, read from each tape's numerators instead of from every
         context. The scale is constant, so the row (e, a, a') holds e's

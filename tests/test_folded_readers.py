@@ -459,11 +459,11 @@ def test_the_conj9_mixture_probes_step_each_distinct_pair_once(monkeypatch):
 
 def test_conj9_walks_once_per_mixture_direction_and_grid(tmp_path, monkeypatch):
     walks, folds = [], []
-    real_walk, real_fold = semimeasure.walk, adversary._distinct_nodes
+    real_walk, real_fold = semimeasure.walk, semimeasure._distinct_nodes
     counted = lambda *args: walks.append(1) or real_walk(*args)  # noqa: E731
     monkeypatch.setattr(semimeasure, "walk", counted)
     folded = lambda *args: folds.append(1) or real_fold(*args)  # noqa: E731
-    monkeypatch.setattr(adversary, "_distinct_nodes", folded)
+    monkeypatch.setattr(semimeasure, "_distinct_nodes", folded)
     outcome = _scenario_conj9(ScenarioConfig("conj9_search", tmp_path))
     # 2 mixtures x 2 directions, and 2 ratio grids, each folded once; the
     # grids' duals of a constant policy cannot be hashed, so they walk. A walk

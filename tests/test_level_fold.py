@@ -23,9 +23,15 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from uailab import semimeasure
-from uailab.core import ONE, ComponentFormatError, UndefinedConditionalError, count
+from uailab.core import EMPTY_HISTORY, ONE, ComponentFormatError, UndefinedConditionalError, count
 from uailab.experiments import builtin_components, scenario_mixtures
-from uailab.mixture import EnvMixture, JointMixture, check_predictive_consistency
+from uailab.mixture import (
+    EnvMixture,
+    JointMixture,
+    check_predictive_consistency,
+    posterior_weights,
+    predictive,
+)
 from uailab.semimeasure import (
     ChronEnv,
     CheckReport,
@@ -124,9 +130,11 @@ def frozen_walk(nu, depth, root, step, gains=None):
 
 
 def frozen_columns(nu, depth, alphabet):
-    """``semimeasure._columns`` before the fold, outside any scope of checks."""
+    """``semimeasure._columns`` before the fold, outside any scope of checks,
+    except that a mixture is walked, the stronger oracle, rather than summed
+    from its members' columns."""
     if hasattr(nu, "_check_columns"):
-        return nu._check_columns(depth, alphabet, frozen_columns)
+        return nu._check_columns(depth, alphabet)
     scales = [nu.scale((1 if alphabet[0] else 2) * t) for t in range(depth + 2)]
     gains = [b // a for a, b in zip(scales, scales[1:])]
     return frozen_walk(alphabet, depth, nu.root(), nu.extend, gains)
@@ -505,7 +513,7 @@ def test_bad_depths_raise_what_the_walk_raises():
         assert_same_readers(joint, depth)
         assert_same_roundtrip(nu, uniform_policy(), depth)
         assert_same_consistency(joint, depth)
-    assert outcome(check_normalization_dominance, nu, 2) is AttributeError  # an environment
+    assert outcome(check_normalization_dominance, nu, 2) is ComponentFormatError  # an environment
 
 
 # ---------------------------------------------------------------------------
@@ -588,11 +596,11 @@ def test_a_folded_check_walks_only_when_its_columns_are_read(monkeypatch):
     assert report.ok and report.strict_rows + report.equal_rows == report.contexts
     assert walks == []
     assert report.rows == frozen_check(mixture, 4).rows
-    assert len(walks) == len(mixture.components)  # the members' columns, summed
+    assert len(walks) == 1  # the mixture's own walk
 
 
 # ---------------------------------------------------------------------------
-# The kind rule of the consistency check
+# The kind rule of the mixture readers and the dominance check
 # ---------------------------------------------------------------------------
 
 
@@ -604,3 +612,27 @@ def test_a_folded_check_walks_only_when_its_columns_are_read(monkeypatch):
 def test_consistency_takes_only_a_joint_mixture(subject):
     with pytest.raises(ComponentFormatError, match=type(subject).__name__):
         check_predictive_consistency(subject, 2)
+
+
+@pytest.mark.parametrize(
+    "call, subject",
+    [
+        (lambda nu: posterior_weights(nu, EMPTY_HISTORY, 0), mu_id()),
+        (lambda nu: posterior_weights(nu, EMPTY_HISTORY, 0), copy_machine()),
+        (lambda nu: predictive(nu, EMPTY_HISTORY, 0), mu_id()),
+        (lambda nu: predictive(nu, EMPTY_HISTORY, 0), EnvMixture([mu_id()], [1])),
+        (lambda nu: check_normalization_dominance(nu, 2), mu_id()),
+        (lambda nu: check_normalization_dominance(nu, 2), EnvMixture([mu_id()], [1])),
+    ],
+    ids=[
+        "posterior_NoisyCopyEnv",
+        "posterior_ActionEchoJoint",
+        "predictive_NoisyCopyEnv",
+        "predictive_EnvMixture",
+        "dominance_NoisyCopyEnv",
+        "dominance_EnvMixture",
+    ],
+)
+def test_mixture_reads_and_dominance_take_only_their_kind(call, subject):
+    with pytest.raises(ComponentFormatError, match=type(subject).__name__):
+        call(subject)

@@ -1,14 +1,15 @@
-"""A mixture's check columns are the weighted sum of its members' columns.
+"""A mixture checks like any component: by its own walk, not by its members'.
 
 ``_check`` counts a mixture's verdicts over its own distinct walk states
-(``tests/test_level_fold.py``); the columns, when a reader asks for them or
-the fold leaves the check to the walk, are its members' columns summed
-instead of a walk of the mixture. The reference is a
-frozen copy of ``_check`` as it was before: one walk of the mixture's own
-``root`` and ``extend``. Every field, row, column and raised error type must
-be equal. An enumerated environment's check is read from its tapes' tables
-instead, with the same walk as its reference. The last tests guard what
-``sanity_checks`` walks.
+(``tests/test_level_fold.py``); where a reader asks for the columns, or the
+fold leaves the check to the walk, the mixture's own ``root`` and ``extend``
+are walked, as every component's are. The reference is a frozen copy of
+``_check`` as one walk of the mixture, checked against members that are
+wrong on purpose, dead at the root or mid-walk, undefined, nested and
+holding ``Fraction`` masses. Every field, row, column and raised error type
+must be equal. An enumerated environment's check is read from its tapes'
+tables instead, with the same walk as its reference. The last tests guard
+what ``sanity_checks`` walks.
 """
 import copy
 from collections import Counter
@@ -66,8 +67,8 @@ NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
 def walked_check(nu, depth, alphabet=None):
-    """``_check`` before mixtures combined their members' columns, verbatim but
-    for its name: one walk of ``nu``'s own ``root`` and ``extend``."""
+    """``_check`` as one walk of ``nu``'s own ``root`` and ``extend``, as it was
+    before the level fold, verbatim but for its name."""
     alphabet = alphabet or _alphabet(nu)
     joint = alphabet[0]
     fan = 1 if joint else alphabet[1]  # rows per context
@@ -346,13 +347,16 @@ def test_a_witness_of_a_member_need_not_be_the_mixture_s():
     assert report.monotone_violations  # deeper, the doubling mass wins
 
 
-def test_a_mixture_check_walks_only_its_members(monkeypatch):
+def test_a_mixture_check_meeting_a_witness_walks_the_mixture_once(monkeypatch):
     walked = []
     real = semimeasure.walk
     monkeypatch.setattr(semimeasure, "walk", lambda *args: walked.append(args[3]) or real(*args))
-    mixture = EnvMixture([mu_id(), uniform_env(), mu_id()], [F(1, 4)] * 3)
-    assert check_chronological(mixture, 3) == walked_check(mixture, 3)
-    assert [step.__self__ for step in walked] == [mu_id(), uniform_env(), mu_id()]
+    mixture = JointMixture([Doubling(9), copy_machine()], [F(1, 100), F(99, 100)])
+    report = check_semimeasure(mixture, 3)
+    assert report.monotone_violations
+    assert [step.__self__ for step in walked] == [mixture]
+    assert [step.__func__ for step in walked] == [JointMixture.extend]
+    assert report == walked_check(mixture, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +370,7 @@ def walked_columns(nu, depth):
 
 
 def filed_columns(nu, depth):
-    return nu._check_columns(depth, _alphabet(nu), semimeasure._columns)
+    return nu._check_columns(depth, _alphabet(nu))
 
 
 def assert_same_columns(got, want):
@@ -504,9 +508,9 @@ def test_sanity_walks_each_distinct_check_once(tmp_path, monkeypatch):
     filed = []
     real_filed = ChronEnumApprox._check_columns
 
-    def filed_once(self, depth, alphabet, columns):
+    def filed_once(self, depth, alphabet):
         filed.append((self, depth))
-        return real_filed(self, depth, alphabet, columns)
+        return real_filed(self, depth, alphabet)
 
     monkeypatch.setattr(semimeasure, "walk", counted)
     monkeypatch.setattr(ChronEnumApprox, "_check_columns", filed_once)
