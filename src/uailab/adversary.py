@@ -18,7 +18,7 @@ so the greedy adversary refuses a predictor with more actions than percepts.
 
 Domination probes report the exact max ratio mu/xi over all strings to a
 depth, with witnesses; ratios against zero are reported as unbounded
-witnesses, never silently skipped. One pass over :func:`compare`'s pairs
+witnesses, never silently skipped. One pass over the pair walk of both sides
 serves a probe at every depth up to its own: the reports fold each distinct
 pair of states of a level once, or else every context of the walk, build a
 context only for a witness, and count the contexts where mu or xi is undefined.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import repeat
 from typing import Any, Iterable, Sequence
 
 from .core import ONE, UndefinedConditionalError, count, of_kind
@@ -35,13 +35,9 @@ from .semimeasure import (
     ChronEnv,
     JointSemimeasure,
     _check_alphabet,
-    _child_indices,
-    _compared,
     _context_at,
-    _folded,
-    _levels,
     _paired,
-    _widths,
+    _slots,
     times_ratio,
 )
 
@@ -181,30 +177,22 @@ def domination_probe(
 def _domination_reports(
     mu: JointSemimeasure | ChronEnv, xi: JointSemimeasure | ChronEnv, depth: int
 ) -> list[DominationReport]:
-    """The probe's report at every depth 0..``depth``, folded level by level
-    from :func:`_slot_levels` over :func:`~uailab.semimeasure._folded`, or
-    else from one :func:`~uailab.semimeasure._compared` walk, a context per
-    slot. Each depth's report folds a prefix of the levels. Ratios compare by
+    """The probe's report at every depth 0..``depth``, folded level by level over
+    :func:`~uailab.semimeasure._slots`, which walks every context where a side
+    is undefined or rhs is 0 (its unbounded witnesses list every context). Each
+    depth's report folds a prefix of the levels. Ratios compare by
     cross-multiplying integers, the masses' numerators, denominators and
     scales; the first maximum in slot order wins, and only each report's
     maximum is built as a ``Fraction``."""
     if isinstance(mu, JointSemimeasure) != isinstance(xi, JointSemimeasure):
         raise TypeError("domination_probe needs two components of the same kind")
     alphabet, root, step = _paired(mu, xi)
-    depth = count(depth, "depth")
-    nodes = _folded(alphabet, depth, root, step)
-    levels = None if nodes is None else _slot_levels(alphabet, depth, root, nodes)
-    if levels is None:
-        pairs = _compared(mu, xi, depth)[1]
-        levels = [
-            zip(slots, repeat(1), pairs[slots.start : slots.stop])
-            for _, slots in _levels(alphabet, depth)
-        ]
+    levels = _slots(alphabet, depth, root, step, lambda n, masses: masses is None or not masses[1])
     reports = []
     best_num, best_den, best_slot = 0, 1, None
     unbounded: list = []
     zero_zero = checked = undefined_mu = undefined_xi = 0
-    for t, ((n, _), entries) in enumerate(zip(_levels(alphabet, depth), levels)):
+    for t, (n, entries) in enumerate(levels):
         scale_mu, scale_xi = mu.scale(n), xi.scale(n)
         for slot, contexts, masses in entries:
             if masses is None:
@@ -241,21 +229,3 @@ def _domination_reports(
             )
         )
     return reports
-
-
-def _slot_levels(alphabet: tuple, depth: int, root: tuple, nodes: list) -> list[list] | None:
-    """Each level's (slot, contexts, masses) of the walk of ``root`` in slot order:
-    the root, then the children of each distinct node of ``nodes``, each at the
-    least slot that reaches it, weighted by the contexts that do. None where a
-    context must be named or counted below: an undefined side, or a zero rhs,
-    whose unbounded witnesses list every context."""
-    offsets = [0, *accumulate(_widths(alphabet, depth))]
-    levels: list[list] = [[(0, 1, root[0])], *([] for _ in range(depth))]
-    for t, n, _, children, index in nodes:
-        kids = zip(_child_indices(alphabet, t, index), chain.from_iterable(children))
-        levels[t + 1] += [(offsets[t + 1] + i, n, kid[0]) for i, kid in kids]
-    if any(masses is None or not masses[1] for level in levels for _, _, masses in level):
-        return None
-    for level in levels:
-        level.sort()  # the slots are distinct: a context reaches one node
-    return levels

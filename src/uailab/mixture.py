@@ -45,10 +45,9 @@ from .semimeasure import (
     _alphabet,
     _checked_walk,
     _context_at,
-    _folded,
+    _slots,
     _uniform,
     times_ratio,
-    walk,
 )
 
 
@@ -267,7 +266,7 @@ def check_predictive_consistency(
     (witness, xi(x e) / xi(x), the same without that mass) in the
     :func:`contexts` order of the pending prefixes; empty means agreement,
     which is settled over the walk's distinct nodes, each once
-    (:func:`~uailab.semimeasure._folded`). Only a mismatch, or a fold that
+    (:func:`~uailab.semimeasure._slots`). Only a mismatch, or a fold that
     cannot be read, walks every context. A component of another kind is a ``ComponentFormatError``.
     """
     of_kind(mixture, "predictive-consistency mixture", JointMixture)
@@ -288,9 +287,6 @@ def check_predictive_consistency(
 
     depth = 2 * count(depth, "depth") + 2
     root = (None, mixture.root()[1])
-    nodes = _folded(_alphabet(mixture), depth, root, step)
-    if nodes is not None and not any(kid[0] for _, _, _, kids, _ in nodes for kid in kids[0]):
-        return []
-    found = walk(mixture, depth, root, step)[0]
-    hits = [(_context_at(mixture, slot), pair) for slot, pair in enumerate(found) if pair]
+    levels = _slots(_alphabet(mixture), depth, root, step, lambda n, pair: pair is not None)
+    hits = [(_context_at(mixture, s), pair) for _, level in levels for s, _, pair in level if pair]
     return [((x[:-1], x[-1]), *pair) for x, pair in hits]

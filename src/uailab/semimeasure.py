@@ -35,12 +35,14 @@ one depth-first walk, which addresses each context by its *slot*, its
 position in :func:`contexts` order, builds no context, and files each mass
 into flat columns by slot in the loop that steps to it. The policy check
 is one more reader of the check walk: it folds the rows of a policy's
-environment-mode check, walked over the alphabet it is given. The checks,
-the round trips, the domination probes and the predictive-consistency check
-first count over :func:`_folded`, each distinct (mass, state) of a level
-once; the walk runs only where a reader needs slots or a state cannot be
-hashed. A mixture's check is any component's; ``ChronEnumApprox`` reads its
-check off its tables. A context is derived from its slot only where a row,
+environment-mode check, walked once over the alphabet it is given. The
+other checks count over :func:`_folded`, each distinct (mass, state) of a
+level once. :func:`compare`, the round trips, the domination probes and the
+predictive-consistency check read each level's (slot, contexts, mass)
+entries from :func:`_slots`, which folds unless the reader must name or
+count a context alone, or a state cannot be hashed, and else walks. A
+mixture's check is any component's; ``ChronEnumApprox`` reads its check off
+its tables. A context is derived from its slot only where a row,
 a violation or a witness is read. States live only inside one walk.
 
 A context is *undefined* for a component when its ``root`` or ``extend``
@@ -327,10 +329,10 @@ def uniform_policy(action_arity: int = 2) -> StationaryPolicy:
     return StationaryPolicy(_uniform(action_arity, "action_arity"))
 
 
-def constant_policy(action: int, action_arity: int = 2) -> DeterministicPolicy:
+def constant_policy(action: int, action_arity: int = 2) -> StationaryPolicy:
     if type(action) is not int or action not in range(count(action_arity, "action_arity", 1)):
         raise ComponentFormatError(f"constant action {action!r} is outside range({action_arity})")
-    return DeterministicPolicy(lambda h: action, action_arity)
+    return StationaryPolicy(tuple(Fraction(a == action) for a in range(action_arity)))
 
 
 # ---------------------------------------------------------------------------
@@ -896,6 +898,34 @@ def _folded(alphabet: _Alphabet, depth: int, root: tuple, step: Callable) -> lis
         return None
 
 
+def _slots(
+    alphabet: _Alphabet,
+    depth: int,
+    root: tuple[Any, Any],
+    step: Callable[[Any, int], tuple],
+    named: Callable[[int, Any], bool] | None,
+) -> list[tuple[int, list[tuple[int, int, Any]]]]:
+    """Each level 0..``depth`` of the walk of ``root`` as (symbols n, entries), its
+    entries (slot, contexts, mass) in slot order: from :func:`_folded`, the root,
+    then each child of each distinct node at the least slot that reaches it,
+    weighted by the contexts that do, none below a dead node. Where ``named`` is
+    None, or holds for some filed (n, mass), a context the reader must name or
+    count alone, or the fold cannot be read: from :func:`walk`, one entry per
+    slot, None below a dead node."""
+    levels = list(_levels(alphabet, count(depth, "depth")))
+    nodes = None if named is None else _folded(alphabet, depth, root, step)
+    if nodes is not None:
+        filed: list[list] = [[(0, 1, root[0])], *([] for _ in range(depth))]
+        for t, n, _, children, index in nodes:
+            start = levels[t + 1][1].start
+            kids = zip(_child_indices(alphabet, t, index), chain.from_iterable(children))
+            filed[t + 1] += [(start + i, n, kid[0]) for i, kid in kids]
+        if not any(named(n, m) for (n, _), level in zip(levels, filed) for _, _, m in level):
+            return [(n, sorted(level)) for (n, _), level in zip(levels, filed)]  # distinct slots
+    masses = walk(alphabet, depth, root, step)[0]
+    return [(n, [*zip(slots, repeat(1), masses[slots.start : slots.stop])]) for n, slots in levels]
+
+
 def _child_indices(alphabet: _Alphabet, t: int, index: int) -> Sequence[int]:
     """The indices within level t + 1 of the children of the context at
     ``index`` within level t, in the order :func:`walk` steps them."""
@@ -949,20 +979,23 @@ def compare(
     """Evaluate both sides at every context of ``lhs`` up to ``depth``.
 
     Returns (rows in :func:`contexts` order, count of contexts where ``lhs``
-    is undefined, count of the others where ``rhs`` is undefined). The rows
-    take their contexts from :func:`contexts` order once :func:`_compared`
-    has walked both sides. Two sides over different alphabets are a
-    ``ComponentFormatError``.
+    is undefined, count of the others where ``rhs`` is undefined). Both sides
+    walk together (:func:`_paired`), a context per slot (:func:`_slots`), and
+    the rows take their contexts from :func:`contexts` order. Two sides over
+    different alphabets are a ``ComponentFormatError``.
     """
-    alphabet, pairs = _compared(lhs, rhs, depth)
-    rows, contexts = [], _contexts(alphabet, depth)
-    for n, slots in _levels(alphabet, depth):
-        for masses, context in zip(pairs[slots.start : slots.stop], contexts):
-            if masses is not None and masses[1] is not None:
+    alphabet, root, step = _paired(lhs, rhs)
+    rows, contexts, lhs_undefined, rhs_undefined = [], _contexts(alphabet, depth), 0, 0
+    for n, entries in _slots(alphabet, depth, root, step, None):
+        for (_, _, masses), context in zip(entries, contexts):
+            if masses is None:
+                lhs_undefined += 1
+            elif masses[1] is None:
+                rhs_undefined += 1
+            else:
                 lhs_mass, rhs_mass = exact_mass(lhs, n, masses[0]), exact_mass(rhs, n, masses[1])
                 rows.append(MismatchRow(context, lhs_mass, rhs_mass))
-    lhs_undefined = pairs.count(None)
-    return rows, lhs_undefined, len(pairs) - lhs_undefined - len(rows)
+    return rows, lhs_undefined, rhs_undefined
 
 
 def _levels(alphabet: _Alphabet, depth: int) -> Iterator[tuple[int, range]]:
@@ -973,24 +1006,12 @@ def _levels(alphabet: _Alphabet, depth: int) -> Iterator[tuple[int, range]]:
         start += width
 
 
-def _compared(
-    lhs: JointSemimeasure | ChronEnv, rhs: JointSemimeasure | ChronEnv, depth: int
-) -> tuple[_Alphabet, list]:
-    """The one walk of :func:`compare` and of the readers that fold its numerators:
-    (the alphabet, each context's walk masses by slot: None where ``lhs`` is
-    undefined, (lhs, None) where only ``rhs`` is, else (lhs, rhs)).
-
-    Both sides walk together; ``rhs`` is never extended where either side is
-    undefined, nor is either side below a context where ``lhs`` is: those
-    slots count as undefined.
-    """
-    alphabet, root, step = _paired(lhs, rhs)
-    return alphabet, walk(alphabet, depth, root, step)[0]
-
-
 def _paired(lhs: JointSemimeasure | ChronEnv, rhs: JointSemimeasure | ChronEnv) -> tuple:
-    """(alphabet, root, step) of :func:`_compared`'s walk of both sides: a
-    node's mass is its masses, its state the pair of states."""
+    """(alphabet, root, step) of a walk of both sides: a node's mass is their
+    masses, its state the pair of states; None where ``lhs`` is undefined,
+    (lhs, None) where only ``rhs`` is, else (lhs, rhs). ``rhs`` is never
+    extended where either side is undefined, nor is either side below a
+    context where ``lhs`` is: those contexts count as undefined."""
     alphabet = _alphabet(lhs)
     if _alphabet(rhs) != alphabet:
         lhs_name, rhs_name = (
@@ -1249,14 +1270,15 @@ def _check(
     numerator against the summed numerators of its children. The verdicts are
     counted from :func:`_row_counts`, and :func:`_columns` (one walk, or a
     ``ChronEnumApprox``'s tables) files the columns when first read, or at once
-    where the fold cannot decide. The root's row holds the root mass over its gain."""
+    where the fold cannot decide or for a policy, whose check reads every
+    column. The root's row holds the root mass over its gain."""
     count(depth, "depth")
     alphabet = alphabet or _alphabet(nu)
     joint = alphabet[0]
     fan = 1 if joint else alphabet[1]  # rows per context
     widths = [width * fan for width in _widths(alphabet, depth)]
     walked = cache(partial(_columns, nu, depth, alphabet))
-    rows = _row_counts(nu, depth, alphabet)
+    rows = None if isinstance(nu, Policy) else _row_counts(nu, depth, alphabet)
     if rows is None:
         lhs, rhs, witnesses = walked()
         root = lhs[0]

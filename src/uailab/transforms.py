@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 from typing import Any, Sequence
 
 from .adversary import DominationReport, _domination_reports
@@ -56,11 +56,12 @@ from .semimeasure import (
     _alphabet,
     _check,
     _context_at,
-    _folded,
     _paired,
     _row_counts,
+    _slots,
     _widths,
     compare,
+    exact_mass,
     times_ratio,
     uniform_policy,
 )
@@ -315,28 +316,32 @@ def check_env_dual_roundtrip(
     """env(dual(nu, pi)) == nu on every positive context, exhaustively.
 
     Returns (mismatch rows, contexts skipped where either side is undefined).
-    Where every context's masses, each an int or a Fraction over its side's
-    scale, cross-multiply equal, the skips are counted over the distinct pairs
-    of states of :func:`~uailab.semimeasure._compared`'s walk (:func:`_folded`);
-    a mismatch, or a fold that cannot be read, compares every context.
+    Both sides walk together, each context's masses an int or a Fraction over
+    its side's scale, which match where they cross-multiply equal. The contexts
+    are counted over the distinct pairs of states of each level
+    (:func:`~uailab.semimeasure._slots`) unless a pair mismatches; then every
+    context is compared, and each mismatch named from its slot.
     """
     view = env(dual(nu, pi))
     alphabet, root, step = _paired(view, nu)
-    nodes = _folded(alphabet, count(depth, "depth"), root, step)
-    if nodes is not None:
-        children = ((2 * t + 2, n, kid[0]) for t, n, _, kids, _ in nodes for kid in chain(*kids))
-        compared = 0
-        for symbols, n, masses in chain([(0, 1, root[0])], children):  # the root, then each child
+
+    def differ(n: int, masses: Any) -> bool:
+        """Both sides defined at ``n`` symbols, and their masses unequal."""
+        if masses is None or masses[1] is None:
+            return False
+        lhs, rhs = masses
+        crossed = lhs.numerator * rhs.denominator * nu.scale(n)
+        return crossed != rhs.numerator * lhs.denominator * view.scale(n)
+
+    mismatches, compared = [], 0
+    for n, entries in _slots(alphabet, depth, root, step, differ):
+        for slot, contexts, masses in entries:
             if masses is not None and masses[1] is not None:
-                lhs, rhs = masses
-                crossed = lhs.numerator * rhs.denominator * nu.scale(symbols)
-                if crossed != rhs.numerator * lhs.denominator * view.scale(symbols):
-                    break
-                compared += n
-        else:
-            return [], sum(_widths(alphabet, depth)) - compared
-    rows, *undefined = compare(view, nu, depth)
-    return [row for row in rows if row.verdict == "mismatch"], sum(undefined)
+                compared += contexts
+                if differ(n, masses):
+                    lhs, rhs = exact_mass(view, n, masses[0]), exact_mass(nu, n, masses[1])
+                    mismatches.append(MismatchRow(_context_at(alphabet, slot), lhs, rhs))
+    return mismatches, sum(_widths(alphabet, depth)) - compared
 
 
 def check_representation_roundtrip(

@@ -8,7 +8,7 @@ function of (state, symbol). The oracles here evaluate whole prefixes with
 ``eval`` and share nothing between them: thm11's is a loop over all 2^n
 action sequences, expectimax's the brute-force policy enumeration and a
 recursion with no memo. The drawn mixtures include a table, whose state
-carries its context so that nothing merges, and a dual of a constant
+carries its context so that nothing merges, and a dual of a deterministic
 policy, whose state holds a list and cannot be hashed.
 """
 import multiprocessing
@@ -40,6 +40,7 @@ from uailab.experiments import (
 from uailab.mixture import EnvMixture, JointMixture
 from uailab.semimeasure import (
     ActionEchoJoint,
+    DeterministicPolicy,
     IIDEnv,
     NoisyCopyEnv,
     ProductJoint,
@@ -133,7 +134,7 @@ def test_convergence_stats_fold_both_environments_of_the_main_mixture(n):
 def joint_mixtures(draw):
     """A mixture of one or two product or echo components, whose states
     merge, and optionally a table (its state carries its context) and a dual
-    of a constant policy (its state cannot be hashed)."""
+    of a deterministic policy (its state cannot be hashed)."""
     components = []
     for _ in range(draw(st.integers(1, 2))):
         actions, percepts = draw(PAIRS), draw(PAIRS)
@@ -143,7 +144,8 @@ def joint_mixtures(draw):
         rows = {(): draw(PAIRS), (1,): draw(PAIRS), (0, 0): draw(PAIRS), (1, 1, 0): draw(PAIRS)}
         components.append(TableJoint(rows, draw(st.sampled_from(["halt", "uniform"]))))
     if draw(st.booleans()):
-        pi = constant_policy(draw(st.sampled_from([0, 1])))
+        action = draw(st.sampled_from([0, 1]))
+        pi = DeterministicPolicy(lambda h: action)
         components.append(dual(NoisyCopyEnv(*draw(PAIRS)), pi))
     return JointMixture(components, [F(1, len(components))] * len(components))
 
@@ -177,7 +179,8 @@ def test_stats_step_each_distinct_state_of_a_level_once(monkeypatch):
 @pytest.mark.parametrize("env_kind, normalized", [w[1:] for w in SHIPPED_WALKS])
 def test_stats_keep_a_state_that_cannot_be_hashed_unmerged(env_kind, normalized):
     # A dual of a deterministic policy shares a list cell between siblings.
-    mixture = JointMixture([dual(mu_id(), constant_policy(0)), ProductJoint()], [F(1, 2)] * 2)
+    deterministic = dual(mu_id(), DeterministicPolicy(lambda h: 1))
+    mixture = JointMixture([deterministic, ProductJoint()], [F(1, 2)] * 2)
     with pytest.raises(TypeError):
         hash(mixture.root()[1])
     assert_stats_equal_the_loop(mixture, env_kind, normalized, 5)

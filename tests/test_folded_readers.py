@@ -48,6 +48,7 @@ from uailab.experiments import (
 from uailab.mixture import EnvMixture, JointMixture, MixturePolicy, predictive
 from uailab.semimeasure import (
     ChronEnv,
+    DeterministicPolicy,
     JointSemimeasure,
     MismatchRow,
     StationaryPolicy,
@@ -419,9 +420,9 @@ def test_a_tie_keeps_the_least_slot_of_a_later_inserted_node(monkeypatch):
         (copy_machine(), anticopy_machine()),  # rhs = 0: unbounded witnesses
         (mu_id(), env(copy_machine())),  # an undefined side
         (env(copy_machine()), mu_id()),  # dead nodes below an undefined lhs
-        (dual(mu_id(), constant_policy(1)), dual(uniform_env(), uniform_policy())),  # unhashable
+        (dual(mu_id(), DeterministicPolicy(lambda h: 1)), dual(uniform_env(), uniform_policy())),
     ],
-    ids=["unbounded", "undefined_rhs", "dead", "constant_policy_dual"],
+    ids=["unbounded", "undefined_rhs", "dead", "deterministic_policy_dual"],  # the last: unhashable
 )
 def test_a_probe_the_fold_cannot_decide_walks(mu, xi, monkeypatch):
     depth = 4 if isinstance(mu, JointSemimeasure) else 3
@@ -465,10 +466,10 @@ def test_conj9_walks_once_per_mixture_direction_and_grid(tmp_path, monkeypatch):
     folded = lambda *args: folds.append(1) or real_fold(*args)  # noqa: E731
     monkeypatch.setattr(semimeasure, "_distinct_nodes", folded)
     outcome = _scenario_conj9(ScenarioConfig("conj9_search", tmp_path))
-    # 2 mixtures x 2 directions, and 2 ratio grids, each folded once; the
-    # grids' duals of a constant policy cannot be hashed, so they walk. A walk
-    # per depth made 24.
-    assert (len(folds), len(walks)) == (6, 2)
+    # 2 mixtures x 2 directions, and 2 ratio grids, each folded once and
+    # never walked: a constant policy is a point mass, whose duals hash. A
+    # walk per depth made 24.
+    assert (len(folds), len(walks)) == (6, 0)
     assert [len(rows) for _, rows in outcome.tables.values()] == [16, 8]
 
 

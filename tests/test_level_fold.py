@@ -35,6 +35,7 @@ from uailab.mixture import (
 from uailab.semimeasure import (
     ChronEnv,
     CheckReport,
+    DeterministicPolicy,
     JointSemimeasure,
     MismatchRow,
     NoisyCopyEnv,
@@ -407,7 +408,7 @@ def tables(cls, keys):
 
 def unhashable_joint():
     """A dual whose policy state holds a list."""
-    return dual(mu_id(), constant_policy(1))
+    return dual(mu_id(), DeterministicPolicy(lambda h: 1))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from uailab import semimeasure
 from uailab.adversary import (
     AdversaryStep,
     AdversaryTrace,
@@ -1414,6 +1415,18 @@ def test_shipped_policy_checks_equal_the_frozen_weight_loop(percept_arity):
     ):
         for depth in range(6 if pi.action_arity == 2 else 5):
             assert_policy_check_matches_scratch(pi, depth, percept_arity)
+
+
+def test_a_policy_check_walks_once_and_never_folds(monkeypatch):
+    # Its report reads every column, so a fold of the rows would be thrown away.
+    folds, walks = [], []
+    real_fold, real_walk = semimeasure._folded, semimeasure.walk
+    monkeypatch.setattr(semimeasure, "_folded", lambda *args: folds.append(1) or real_fold(*args))
+    monkeypatch.setattr(semimeasure, "walk", lambda *args: walks.append(1) or real_walk(*args))
+    report = check_policy(uniform_policy(), 5)
+    assert report == scratch_policy_check(uniform_policy(), 5)
+    assert (report.strict_rows, report.equal_rows, report.violations) == (0, report.contexts, ())
+    assert (len(folds), len(walks)) == (0, 1)
 
 
 def test_a_policy_that_is_not_monotone_has_its_witnesses():
